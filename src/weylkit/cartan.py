@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import intmat
@@ -88,6 +89,15 @@ class GCM:
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
 
+    @cached_property
+    def finite_type(self) -> bool:
+        """Sylvester criterion in exact integers: all leading minors positive.
+
+        Cached on the immutable matrix, so every finite-type guard after the
+        first costs nothing.
+        """
+        return all(m > 0 for m in intmat.leading_principal_minors(self.rows()))
+
     def components(self) -> list[list[int]]:
         """Connected components of the Dynkin graph, by sorted node index."""
         seen: set[int] = set()
@@ -138,6 +148,10 @@ class DynkinType:
 def validate_gcm(matrix) -> GCM:
     """Check the three Cartan axioms, reporting the first violation row-major."""
     n = len(matrix)
+    if n == 0:
+        raise GCMError("matrix is empty")
+    if any(not isinstance(row, (list, tuple)) for row in matrix):
+        raise GCMError("matrix rows must be lists")
     if any(len(row) != n for row in matrix):
         raise GCMError("matrix is not square")
     for row in matrix:
@@ -158,8 +172,8 @@ def validate_gcm(matrix) -> GCM:
 
 
 def is_finite_type(c: GCM) -> bool:
-    """Sylvester criterion in exact integers: all leading minors positive."""
-    return all(m > 0 for m in intmat.leading_principal_minors(c.rows()))
+    """The finite-type verdict ``GCM.finite_type``, computed once per matrix."""
+    return c.finite_type
 
 
 def symmetrizer(c: GCM) -> Symmetrizer:

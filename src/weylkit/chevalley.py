@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .isogeny import is_prime
 from .roots import RootSystem, root_string
 
 
@@ -121,6 +122,8 @@ class IdealCheckReport:
 
 def short_root_ideal_check(rs: RootSystem, p: int) -> IdealCheckReport:
     """Run both ideal checks over all root pairs; report every triple."""
+    if not is_prime(p):
+        raise ChevalleyError(f"{p} is not prime")
     if all(r.length == 1 for r in rs.roots):
         raise SimplyLaced()
     report = IdealCheckReport(p=p)

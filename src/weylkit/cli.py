@@ -25,8 +25,6 @@ from . import cartan, chevalley, isogeny, pushforward, rootdata, roots, weyl
 from .characters import (CharacterError, EulerData,
                          shifted_euler_characteristic, volume, weyl_dim)
 
-DEFAULT_CAP = weyl.DEFAULT_CAP
-
 # let values like "-2,1" pass as option arguments rather than flags
 _NEGATIVE_VECTOR = re.compile(r"^-\d+(,-?\d+)*$")
 
@@ -106,13 +104,16 @@ def _parse_weight(text: str, gcm: cartan.GCM, basis: str) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def _type_gcm(label: str) -> cartan.GCM:
-    return cartan.parse_type(label)
-
-
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
+
+def _is_int_matrix(matrix) -> bool:
+    """Whether the input is a list of integer lists, so the report may echo it."""
+    return all(isinstance(row, list)
+               and all(isinstance(x, int) and not isinstance(x, bool) for x in row)
+               for row in matrix)
+
 
 def _cmd_classify(args) -> int:
     try:
@@ -128,12 +129,13 @@ def _cmd_classify(args) -> int:
         _emit({"schema": "weylkit/error/1",
                "error": {"code": "ParseError", "message": str(exc)}}, args.format)
         return 4
-    if args.transpose:
+    if args.transpose and all(isinstance(row, list) and len(row) == len(matrix)
+                              for row in matrix):
         matrix = [list(row) for row in zip(*matrix)]
 
     report = {
         "schema": "weylkit/report/1",
-        "matrix": matrix,
+        "matrix": matrix if _is_int_matrix(matrix) else None,
         "gcm": False,
         "finite": None,
         "type": None,
@@ -162,11 +164,11 @@ def _cmd_classify(args) -> int:
     dtype = cartan.classify(gcm)
     report["type"] = [[f, r] for f, r, _ in dtype.components]
     report["node_maps"] = [list(nodes) for _, _, nodes in dtype.components]
-    report["symmetrizer"] = list(cartan.symmetrizer(gcm).d)
     rs = roots.generate_roots(gcm)
+    report["symmetrizer"] = list(rs.sym.d)
     report["positive_roots"] = rs.num_positive
     report["dimension"] = rs.num_positive
-    order = weyl.weyl_order(dtype)
+    order = weyl.weyl_order(rs)
     report["weyl_order"] = order
     cap = args.cap
     if order <= cap:
@@ -186,7 +188,7 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_roots(args) -> int:
-    rs = roots.generate_roots(_type_gcm(args.type))
+    rs = roots.generate_roots(cartan.parse_type(args.type))
     doc = {
         "schema": "weylkit/roots/1",
         "type": args.type,
@@ -201,10 +203,8 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_weyl(args) -> int:
-    gcm = _type_gcm(args.type)
-    rs = roots.generate_roots(gcm)
-    dtype = cartan.classify(gcm)
-    order = weyl.weyl_order(dtype)
+    rs = roots.generate_roots(cartan.parse_type(args.type))
+    order = weyl.weyl_order(rs)
     doc = {
         "schema": "weylkit/weyl/1",
         "type": args.type,
@@ -224,7 +224,7 @@ def _cmd_weyl(args) -> int:
 
 
 def _cmd_bs_weights(args) -> int:
-    gcm = _type_gcm(args.type)
+    gcm = cartan.parse_type(args.type)
     rs = roots.generate_roots(gcm)
     word = _parse_word(args.word, rs.rank)
     weight = _parse_weight(args.weight, gcm, args.basis)
@@ -244,7 +244,7 @@ def _cmd_bs_weights(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    gcm = _type_gcm(args.type)
+    gcm = cartan.parse_type(args.type)
     rs = roots.generate_roots(gcm)
     weight = _parse_weight(args.weight, gcm, args.basis)
     value = weyl_dim(EulerData.from_root_system(rs), weight)
@@ -254,7 +254,7 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_vol(args) -> int:
-    gcm = _type_gcm(args.type)
+    gcm = cartan.parse_type(args.type)
     rs = roots.generate_roots(gcm)
     weight = _parse_weight(args.weight, gcm, args.basis)
     value = volume(EulerData.from_root_system(rs), weight)
@@ -265,7 +265,7 @@ def _cmd_vol(args) -> int:
 
 def _cmd_isogeny(args) -> int:
     if args.action == "enumerate":
-        gcm = _type_gcm(args.type)
+        gcm = cartan.parse_type(args.type)
         dtype = cartan.classify(gcm)
         morphisms = isogeny.enumerate_special_for_type(dtype, args.p)
         doc = {
@@ -319,7 +319,7 @@ def _pmorphism_from_json(payload: dict) -> isogeny.PMorphism:
 
 
 def _cmd_chevalley(args) -> int:
-    gcm = _type_gcm(args.type)
+    gcm = cartan.parse_type(args.type)
     rs = roots.generate_roots(gcm)
     report = chevalley.short_root_ideal_check(rs, args.p)
     steinberg = []
@@ -360,7 +360,7 @@ def _cmd_chevalley(args) -> int:
 
 
 def _cmd_datum(args) -> int:
-    gcm = _type_gcm(args.type)
+    gcm = cartan.parse_type(args.type)
     if args.kind == "adjoint":
         datum = rootdata.adjoint_datum(gcm)
         kind = "adjoint"
@@ -374,7 +374,7 @@ def _cmd_datum(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    gcm = _type_gcm(args.type)
+    gcm = cartan.parse_type(args.type)
     rs = roots.generate_roots(gcm)
     ed = EulerData.from_root_system(rs)
     rng = random.Random(args.seed)
@@ -413,7 +413,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    cap_default = int(os.environ.get("WEYLKIT_WEYL_CAP", DEFAULT_CAP))
+    cap_default = int(os.environ.get("WEYLKIT_WEYL_CAP", weyl.DEFAULT_CAP))
     top = _Parser(
         prog="weylkit",
         description="Exact root-system, Weyl-group and root-datum computations",

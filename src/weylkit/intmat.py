@@ -96,10 +96,6 @@ def solve_integer(a, v) -> list[int]:
     return [int(x) for x in sol]
 
 
-def is_integer_matrix(a) -> bool:
-    return all(Fraction(x).denominator == 1 for row in a for x in row)
-
-
 def is_unimodular(a) -> bool:
     return det(a) in (1, -1)
 

@@ -18,6 +18,8 @@ than stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
+from math import isqrt
 
 from . import intmat
 from .cartan import DynkinType, catalog, catalog_types
@@ -87,6 +89,11 @@ class PMorphism:
         }
 
 
+def is_prime(p: int) -> bool:
+    """Trial division by every d up to isqrt(p)."""
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
 def _is_p_power(x: int, p: int) -> bool:
     if x < 1:
         return False
@@ -109,7 +116,7 @@ def validate_pmorphism(phi: PMorphism) -> None:
     n = len(src.simples)
     if len(tgt.simples) != n or sorted(phi.u) != list(range(n)):
         raise InvalidPMorphism("u is not a bijection of the simple roots")
-    if phi.p < 2 or any(phi.p % d == 0 for d in range(2, phi.p)):
+    if not is_prime(phi.p):
         raise InvalidPMorphism(f"{phi.p} is not prime")
     f = [list(r) for r in phi.f]
     if len(f) != src.rank or any(len(r) != tgt.rank for r in f):
@@ -233,6 +240,8 @@ def enumerate_special(family: str, rank: int, p: int) -> list[PMorphism]:
     where the defining equations pin f down to a monomial matrix, so a
     solution exists exactly when the compatibility holds.
     """
+    if not is_prime(p):
+        raise IsogenyError(f"{p} is not prime")
     src_gcm = catalog(family, rank)
     src_datum = adjoint_datum(src_gcm)
     cg = src_gcm.rows()
@@ -243,7 +252,7 @@ def enumerate_special(family: str, rank: int, p: int) -> list[PMorphism]:
         tgt_gcm = catalog(tgt_family, tgt_rank)
         ch = tgt_gcm.rows()
         tgt_datum = adjoint_datum(tgt_gcm)
-        for u in _permutations(rank):
+        for u in permutations(range(rank)):
             for seed in (1, p):
                 q = _propagate_q(cg, ch, u, seed, p)
                 if q is None or set(q) != {1, p}:
@@ -304,9 +313,3 @@ def enumerate_special_for_type(dtype: DynkinType, p: int) -> list[PMorphism]:
         raise InvalidPMorphism("special isogeny search expects an irreducible type")
     family, rank, _ = dtype.components[0]
     return enumerate_special(family, rank, p)
-
-
-def _permutations(n: int):
-    from itertools import permutations
-
-    return permutations(range(n))

@@ -6,7 +6,7 @@ Every root carries three coordinate systems at once:
 * ``coroot``: coefficients of its coroot in the simple-coroot basis,
 * ``weight``: pairings with the simple coroots (fundamental-weight basis).
 
-Reflections update root and coroot coordinates simultaneously, so arbitrary
+Generation carries all three forward from the simple roots, so arbitrary
 root-against-coroot pairings are integer dot products: pairing(beta, alpha)
 = weight(beta) . coroot(alpha).
 """
@@ -15,13 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import GCM, NotFiniteType, Symmetrizer, is_finite_type, symmetrizer
+from .cartan import GCM, Symmetrizer, symmetrizer
 
 Coords = tuple[int, ...]
-
-# no finite type of rank <= 8 has more roots than E8's 240; the cap only
-# trips when a non-finite matrix sneaks past the type check
-ORBIT_CAP = 10_000
 
 
 class RootsError(ValueError):
@@ -34,14 +30,6 @@ class NotARoot(RootsError):
     def __init__(self, coords):
         self.coords = tuple(coords)
         super().__init__(f"{tuple(coords)} is not a root")
-
-
-class OrbitCap(RootsError):
-    code = "OrbitCap"
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        super().__init__(f"reflection orbit exceeded {cap} roots")
 
 
 @dataclass(frozen=True)
@@ -121,11 +109,6 @@ class RootSystem:
         pair = sum(a * self.gcm.entries[k][i] for k, a in enumerate(coords))
         return tuple(a - pair if k == i else a for k, a in enumerate(coords))
 
-    def reflect_coroot(self, i: int, coroot) -> Coords:
-        """Simple reflection on coroot coordinates."""
-        pair = sum(self.gcm.entries[i][k] * b for k, b in enumerate(coroot))
-        return tuple(b - pair if k == i else b for k, b in enumerate(coroot))
-
     def __repr__(self) -> str:
         return f"RootSystem(rank={self.rank}, roots={len(self.roots)})"
 
@@ -137,61 +120,63 @@ def _weight_of(gcm: GCM, coords) -> Coords:
     )
 
 
-def generate_roots(c: GCM, cap: int = ORBIT_CAP) -> RootSystem:
-    """Close the simple roots under all simple reflections.
+def _shift(coords: Coords, i: int, k: int) -> Coords:
+    """coords + k * alpha_i."""
+    return coords[:i] + (coords[i] + k,) + coords[i + 1:]
 
-    Coroots are carried along by reflecting in the coroot lattice at the
-    same time, and each new root inherits the length class of the root it
-    was reflected from.
+
+def generate_roots(c: GCM) -> RootSystem:
+    """Build the positive roots height by height with the string rule.
+
+    For a positive root beta and a simple root alpha_i, let p be the number
+    of steps the alpha_i-string through beta extends below beta; those roots
+    have smaller height and are already known. Then beta + alpha_i is a root
+    exactly when p > <beta, alpha_i^vee>, the i-th weight coordinate of
+    beta. The new root's weight is ``weight + C[i]`` and its squared length
+    is ``length + (weight[i] + 1) * length(alpha_i)``; the coroot of a root
+    has simple-coroot coordinates ``coords[k] * length(alpha_k) / length``.
+    The negative roots mirror the positive ones. The symmetrizer raises
+    NotFiniteType unless C is of finite type.
     """
-    if not is_finite_type(c):
-        raise NotFiniteType()
     sym = symmetrizer(c)
     n = c.n
-    seen: dict[Coords, tuple[Coords, int]] = {}
-    frontier: list[Coords] = []
+    lengths = sym.lengths
+    found: dict[Coords, tuple[Coords, int]] = {}   # coords -> (weight, length)
+    layer: list[Coords] = []
     for i in range(n):
         e = tuple(1 if k == i else 0 for k in range(n))
-        seen[e] = (e, sym.lengths[i])
-        frontier.append(e)
-
-    def refl_coords(i, coords):
-        pair = sum(a * c.entries[k][i] for k, a in enumerate(coords))
-        return tuple(a - pair if k == i else a for k, a in enumerate(coords))
-
-    def refl_coroot(i, coroot):
-        pair = sum(c.entries[i][k] * b for k, b in enumerate(coroot))
-        return tuple(b - pair if k == i else b for k, b in enumerate(coroot))
-
-    while frontier:
-        coords = frontier.pop()
-        coroot, length = seen[coords]
-        for i in range(n):
-            img = refl_coords(i, coords)
-            if img not in seen:
-                seen[img] = (refl_coroot(i, coroot), length)
-                frontier.append(img)
-                if len(seen) > cap:
-                    raise OrbitCap(cap)
-
-    positives = []
-    for coords, (coroot, length) in seen.items():
-        if all(a >= 0 for a in coords):
-            positives.append((coords, coroot, length))
-        elif not all(a <= 0 for a in coords):
-            raise NotFiniteType("orbit produced a root of mixed sign")
-    positives.sort(key=lambda t: (sum(t[0]), t[0]))
+        found[e] = (c.entries[i], lengths[i])
+        layer.append(e)
+    positives: list[Coords] = []
+    while layer:
+        layer.sort()
+        positives.extend(layer)
+        above: list[Coords] = []
+        for coords in layer:
+            weight, length = found[coords]
+            for i in range(n):
+                p = 0
+                while coords[i] > p and _shift(coords, i, -p - 1) in found:
+                    p += 1
+                if p <= weight[i]:
+                    continue
+                up = _shift(coords, i, 1)
+                if up not in found:
+                    found[up] = (tuple(w + a for w, a in zip(weight, c.entries[i])),
+                                 length + (weight[i] + 1) * lengths[i])
+                    above.append(up)
+        layer = above
 
     roots: list[Root] = []
-    for idx, (coords, coroot, length) in enumerate(positives):
-        roots.append(Root(idx, coords, coroot, _weight_of(c, coords),
-                          sum(coords), True, length))
-    np_ = len(positives)
-    for idx, (coords, coroot, length) in enumerate(positives):
-        neg = tuple(-a for a in coords)
-        negv = tuple(-b for b in coroot)
-        roots.append(Root(np_ + idx, neg, negv, _weight_of(c, neg),
-                          -sum(coords), False, length))
+    for idx, coords in enumerate(positives):
+        weight, length = found[coords]
+        coroot = tuple(a * lengths[k] // length for k, a in enumerate(coords))
+        roots.append(Root(idx, coords, coroot, weight, sum(coords), True, length))
+    np_ = len(roots)
+    for r in roots[:np_]:
+        roots.append(Root(np_ + r.index, tuple(-a for a in r.coords),
+                          tuple(-b for b in r.coroot), tuple(-w for w in r.weight),
+                          -r.height, False, r.length))
     return RootSystem(c, sym, roots)
 
 

@@ -37,7 +37,7 @@ DATUM = {
 
 REPORT = {
     "schema": "weylkit/report/1",
-    "matrix": "int_matrix",
+    "matrix": OneOf("int_matrix", None),
     "gcm": bool,
     "finite": OneOf(bool, None),
     "type": OneOf(list, None),

@@ -7,14 +7,16 @@ rho = (1, ..., 1): the orbit map w -> w(rho) is a bijection and the
 breadth-first layer of a vector is exactly the Coxeter length, which keeps
 the enumeration at a few bytes per element (E7's 2.9 million elements fit
 comfortably; E8 is refused by the default cap and its order reported from
-the closed form instead).
+the invariant degrees read off the root heights instead).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from math import prod
+
 import numpy as np
 
-from .cartan import DynkinType, GCM, classify
 from .roots import Coords, RootSystem
 
 DEFAULT_CAP = 3_000_000
@@ -251,14 +253,6 @@ class WeylGroup:
                 out.append(self.element_from_vector(row))
         return out
 
-    def contains_vector(self, vector) -> bool:
-        v = np.asarray(vector, dtype=np.int16).reshape(1, -1)
-        key = _void_view(v)[0]
-        for layer in self.layers:
-            if np.isin(key, _void_view(layer)).item():
-                return True
-        return False
-
 
 def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
     """Breadth-first closure of the rho-orbit under the simple reflections."""
@@ -322,31 +316,17 @@ def poincare_polynomial(group: WeylGroup) -> list[int]:
     return list(group.histogram)
 
 
-_FAMILY_ORDERS = {
-    "A": lambda n: _factorial(n + 1),
-    "B": lambda n: 2 ** n * _factorial(n),
-    "C": lambda n: 2 ** n * _factorial(n),
-    "D": lambda n: 2 ** (n - 1) * _factorial(n),
-    "E": lambda n: {6: 51_840, 7: 2_903_040, 8: 696_729_600}[n],
-    "F": lambda n: 1152,
-    "G": lambda n: 12,
-}
+def degrees(rs: RootSystem) -> list[int]:
+    """Degrees of the basic invariants, in increasing order (Kostant).
+
+    The exponents form the partition dual to the height distribution of the
+    positive roots: if m_h roots have height h, exactly m_h - m_{h+1}
+    exponents equal h. The degrees are the exponents plus one.
+    """
+    heights = Counter(r.height for r in rs.positives)
+    return [h + 1 for h in sorted(heights) for _ in range(heights[h] - heights[h + 1])]
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-def weyl_order(dtype: DynkinType) -> int:
-    """Closed-form group order, multiplied over the components."""
-    out = 1
-    for family, rank, _ in dtype.components:
-        out *= _FAMILY_ORDERS[family](rank)
-    return out
-
-
-def weyl_order_of_gcm(c: GCM) -> int:
-    return weyl_order(classify(c))
+def weyl_order(rs: RootSystem) -> int:
+    """Group order as the product of the invariant degrees."""
+    return prod(degrees(rs))

@@ -3,14 +3,17 @@
 Everything here is implemented from first principles, separately from the
 library code paths it checks: cofactor determinants instead of Bareiss,
 a Freudenthal multiplicity recursion instead of the product formula, brute
-scans instead of string arithmetic, and symmetric-group inversion counts
-instead of root permutations.
+scans instead of string arithmetic, symmetric-group inversion counts
+instead of root permutations, the reflection closure of the simple roots
+instead of height-by-height generation, and the per-family closed forms of
+|W| instead of invariant degrees.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 
 def cofactor_det(m) -> int:
@@ -25,6 +28,52 @@ def cofactor_det(m) -> int:
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
         total += (-1) ** j * m[0][j] * cofactor_det(minor)
     return total
+
+
+def reflection_closure(gcm, lengths=None, cap=2000):
+    """Close the simple roots under the simple reflections.
+
+    Returns ``{coords: (coroot, length)}``: each coroot is reflected in the
+    coroot lattice alongside its root, and each root keeps the squared
+    length of the root it was reflected from (``lengths`` gives the simple
+    ones, default all 1). Returns None once the orbit exceeds ``cap`` roots,
+    which is how a matrix that is not of finite type shows.
+    """
+    n = gcm.n
+    lengths = lengths or (1,) * n
+    seen = {}
+    for i in range(n):
+        e = tuple(1 if k == i else 0 for k in range(n))
+        seen[e] = (e, lengths[i])
+    frontier = list(seen)
+    while frontier:
+        coords = frontier.pop()
+        coroot, length = seen[coords]
+        for i in range(n):
+            pair = sum(a * gcm[k][i] for k, a in enumerate(coords))
+            img = tuple(a - pair if k == i else a for k, a in enumerate(coords))
+            if img not in seen:
+                copair = sum(gcm[i][k] * b for k, b in enumerate(coroot))
+                seen[img] = (tuple(b - copair if k == i else b
+                                   for k, b in enumerate(coroot)), length)
+                frontier.append(img)
+                if len(seen) > cap:
+                    return None
+    return seen
+
+
+def weyl_order_closed_form(family: str, rank: int) -> int:
+    """|W| of an irreducible type from the classical per-family formulas."""
+    n = rank
+    return {
+        "A": lambda: factorial(n + 1),
+        "B": lambda: 2 ** n * factorial(n),
+        "C": lambda: 2 ** n * factorial(n),
+        "D": lambda: 2 ** (n - 1) * factorial(n),
+        "E": lambda: {6: 51_840, 7: 2_903_040, 8: 696_729_600}[n],
+        "F": lambda: 1152,
+        "G": lambda: 12,
+    }[family]()
 
 
 def brute_bracket_m(is_root, alpha, beta) -> int:

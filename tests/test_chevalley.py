@@ -1,9 +1,9 @@
 import pytest
 
 from weylkit import cartan
-from weylkit.chevalley import (HypothesesNotMet, SimplyLaced, SumNotARoot,
-                               bracket_constant, short_root_ideal_check,
-                               steinberg_check)
+from weylkit.chevalley import (ChevalleyError, HypothesesNotMet, SimplyLaced,
+                               SumNotARoot, bracket_constant,
+                               short_root_ideal_check, steinberg_check)
 from weylkit.roots import generate_roots
 
 from oracles import brute_bracket_m
@@ -108,6 +108,12 @@ def test_short_ideal_passes_on_table():
         report = short_root_ideal_check(_rs(label), p)
         assert report.passed, (label, p)
         assert report.bracket_triples, label
+
+
+def test_short_ideal_rejects_non_prime():
+    for p in (0, 1, 4):
+        with pytest.raises(ChevalleyError, match="not prime"):
+            short_root_ideal_check(_rs("B2"), p)
 
 
 def test_short_ideal_rejects_simply_laced():

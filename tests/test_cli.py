@@ -2,11 +2,12 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from weylkit import cartan, intmat
 from weylkit.cli import main
 from weylkit.schemas import validate_document
 
@@ -65,6 +66,51 @@ def test_classify_transpose_adapter():
     doc = json.loads(out)
     assert doc["type"] == [["G", 2]]
     assert doc["matrix"] == [[2, -1], [-3, 2]]
+
+
+@pytest.mark.parametrize("argv,payload,message,echoed", [
+    (["classify"], '{"matrix": [1, 2]}', "matrix rows must be lists", None),
+    (["classify"], '{"matrix": []}', "matrix is empty", []),
+    (["classify"], '{"matrix": [[2, -1.5], [-1, 2]]}',
+     "matrix entries must be integers", None),
+    (["classify", "--transpose"], '{"matrix": [[2, -1], [-1]]}',
+     "matrix is not square", [[2, -1], [-1]]),
+], ids=["flat-list", "empty", "non-integer", "ragged-transpose"])
+def test_classify_input_boundary(argv, payload, message, echoed):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv, payload)
+    assert code == 3
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    validate_document(doc)
+    assert doc["gcm"] is False
+    assert doc["matrix"] == echoed
+    assert [e["message"] for e in doc["errors"]] == [message]
+    assert "Traceback" not in err.getvalue()
+
+
+def test_classify_tests_finite_type_once(monkeypatch):
+    calls = []
+    minors = intmat.leading_principal_minors
+    monkeypatch.setattr(intmat, "leading_principal_minors",
+                        lambda a: calls.append(len(a)) or minors(a))
+    code, _ = run_cli(["classify"],
+                      json.dumps({"matrix": cartan.catalog("D", 7).rows()}))
+    assert code == 0
+    assert calls == [7]
+
+
+@pytest.mark.parametrize("argv", [
+    ["isogeny", "enumerate", "--type", "G2", "--p", "4"],
+    ["chevalley", "check", "--type", "B2", "--p", "0"],
+], ids=["isogeny-p4", "chevalley-p0"])
+def test_non_prime_p_is_an_error_document(argv):
+    code, out = run_cli(argv)
+    assert code == 1
+    doc = json.loads(out)
+    validate_document(doc)
+    assert "is not prime" in doc["error"]["message"]
 
 
 def test_classify_exit_zero_report_fields():

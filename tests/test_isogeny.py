@@ -1,10 +1,10 @@
 import pytest
 
 from weylkit import cartan
-from weylkit.isogeny import (CartanIncompatible, InvalidPMorphism, PMorphism,
-                             QNotPowerOfP, compose, enumerate_special,
+from weylkit.isogeny import (CartanIncompatible, InvalidPMorphism, IsogenyError,
+                             PMorphism, QNotPowerOfP, compose, enumerate_special,
                              extend_to_roots, factor_primitive_constant,
-                             frobenius, is_constant, is_primitive,
+                             frobenius, is_constant, is_prime, is_primitive,
                              validate_pmorphism)
 from weylkit.rootdata import adjoint_datum, simply_connected_datum
 from weylkit.roots import generate_roots
@@ -20,6 +20,24 @@ def _identity_pmorphism(datum):
     f = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     return PMorphism(datum, datum, f, tuple(range(len(datum.simples))),
                      tuple(1 for _ in datum.simples), 2)
+
+
+def test_is_prime():
+    assert [p for p in range(-3, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert is_prime(1_000_000_000_039)
+    assert not is_prime(1_000_000_000_039 * 3)
+
+
+def test_frobenius_at_a_large_prime_validates():
+    # trial division stops at isqrt(p), so a 13-digit prime is cheap
+    phi = frobenius(adjoint_datum(cartan.parse_type("A1")), 1_000_000_000_039)
+    assert phi.q == (1_000_000_000_039,)
+
+
+def test_enumerate_special_rejects_non_prime():
+    for p in (0, 1, 4):
+        with pytest.raises(IsogenyError, match="not prime"):
+            enumerate_special("G", 2, p)
 
 
 def test_identity_validates():

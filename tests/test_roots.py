@@ -5,6 +5,8 @@ from weylkit import cartan
 from weylkit.roots import (NotARoot, generate_roots, nonsimple_positives,
                            root_string)
 
+from oracles import reflection_closure
+
 CLOSED_FORM_POSITIVES = {
     "A": lambda n: n * (n + 1) // 2,
     "B": lambda n: n * n,
@@ -24,6 +26,24 @@ def test_positive_root_counts_match_closed_form():
     for family, rank in cartan.catalog_types(max_rank=8):
         rs = generate_roots(cartan.catalog(family, rank))
         assert rs.num_positive == CLOSED_FORM_POSITIVES[family](rank), (family, rank)
+
+
+@pytest.mark.parametrize(
+    "label", [f"{f}{r}" for f, r in cartan.catalog_types(max_rank=8)] + ["A2+G2+B3"])
+def test_generate_roots_matches_reflection_closure(label):
+    g = cartan.parse_type(label)
+    closure = reflection_closure(g, cartan.symmetrizer(g).lengths)
+    rs = generate_roots(g)
+    assert {r.coords: (r.coroot, r.length) for r in rs.roots} == closure
+    positives = sorted((c for c in closure if sum(c) > 0), key=lambda c: (sum(c), c))
+    assert [r.coords for r in rs.roots] == positives + [
+        tuple(-a for a in c) for c in positives]
+    for index, r in enumerate(rs.roots):
+        assert r.index == index
+        assert r.height == sum(r.coords)
+        assert r.positive == (r.height > 0)
+        assert r.weight == tuple(sum(a * g[k][j] for k, a in enumerate(r.coords))
+                                 for j in range(g.n))
 
 
 def test_a2_positives_by_hand():

@@ -1,15 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import cartan
+from weylkit import cartan, weyl
 from weylkit.roots import generate_roots
 from weylkit.weyl import (CapExceeded, IndexOutOfRange, WeylElement,
                           demazure_product, element_from_word, enumerate_weyl,
                           is_reduced, poincare_polynomial, reduced_word,
-                          reflect, simple_reflections, weyl_order,
-                          weyl_order_of_gcm)
+                          reflect, simple_reflections, weyl_order)
 
-from oracles import dihedral_lengths, symmetric_group_lengths
+from oracles import (dihedral_lengths, symmetric_group_lengths,
+                     weyl_order_closed_form)
 
 
 def _rs(label):
@@ -77,14 +77,39 @@ def test_enumeration_matches_closed_form_small():
     for label in ["A3", "B3", "C3", "D4", "F4", "B4", "A1+A1"]:
         rs = _rs(label)
         group = enumerate_weyl(rs)
-        assert group.order == weyl_order_of_gcm(rs.gcm), label
+        assert group.order == weyl_order(rs), label
 
 
 def test_weyl_order_formulas():
-    assert weyl_order(cartan.classify(cartan.parse_type("A2"))) == 6
-    assert weyl_order(cartan.classify(cartan.parse_type("F4"))) == 1152
-    assert weyl_order(cartan.classify(cartan.parse_type("A1+A1"))) == 4
-    assert weyl_order(cartan.classify(cartan.parse_type("E8"))) == 696_729_600
+    assert weyl_order(_rs("A2")) == 6
+    assert weyl_order(_rs("F4")) == 1152
+    assert weyl_order(_rs("A1+A1")) == 4
+    assert weyl_order(_rs("E8")) == 696_729_600
+
+
+CLOSED_FORM_DEGREES = {
+    "A": lambda n: list(range(2, n + 2)),
+    "B": lambda n: list(range(2, 2 * n + 1, 2)),
+    "C": lambda n: list(range(2, 2 * n + 1, 2)),
+    "D": lambda n: sorted([*range(2, 2 * n - 1, 2), n]),
+    "E": lambda n: {6: [2, 5, 6, 8, 9, 12], 7: [2, 6, 8, 10, 12, 14, 18],
+                    8: [2, 8, 12, 14, 18, 20, 24, 30]}[n],
+    "F": lambda n: [2, 6, 8, 12],
+    "G": lambda n: [2, 6],
+}
+
+
+def test_degrees_match_closed_forms_all_types():
+    for family, rank in cartan.catalog_types(max_rank=8):
+        rs = generate_roots(cartan.catalog(family, rank))
+        degrees = weyl.degrees(rs)
+        assert degrees == CLOSED_FORM_DEGREES[family](rank), (family, rank)
+        assert weyl_order(rs) == weyl_order_closed_form(family, rank), (family, rank)
+
+
+def test_degrees_of_a_product_are_the_union():
+    assert weyl.degrees(_rs("A2+G2+B3")) == [2, 2, 2, 3, 4, 6, 6]
+    assert weyl_order(_rs("A2+G2+B3")) == 6 * 12 * 48
 
 
 def test_cap_exceeded():
