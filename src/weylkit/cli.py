@@ -104,6 +104,17 @@ def _parse_weight(text: str, gcm: cartan.GCM, basis: str) -> tuple[int, ...]:
     return tuple(coords)
 
 
+def _load_json(path: str):
+    """The JSON document in a file, or on stdin when the path is "-"."""
+    try:
+        if path and path != "-":
+            with open(path, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.load(sys.stdin)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(str(exc)) from None
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -116,19 +127,13 @@ def _is_int_matrix(matrix) -> bool:
 
 
 def _cmd_classify(args) -> int:
+    payload = _load_json(args.input)
     try:
-        if args.input and args.input != "-":
-            with open(args.input, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        else:
-            payload = json.load(sys.stdin)
         matrix = payload["matrix"]
         if not isinstance(matrix, list):
             raise KeyError("matrix")
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        _emit({"schema": "weylkit/error/1",
-               "error": {"code": "ParseError", "message": str(exc)}}, args.format)
-        return 4
+    except (KeyError, TypeError) as exc:
+        raise ParseError(str(exc)) from None
     if args.transpose and all(isinstance(row, list) and len(row) == len(matrix)
                               for row in matrix):
         matrix = [list(row) for row in zip(*matrix)]
@@ -276,9 +281,7 @@ def _cmd_isogeny(args) -> int:
         }
         _emit(doc, args.format)
         return 0
-    with open(args.file, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    phi = _pmorphism_from_json(payload)
+    phi = _pmorphism_from_json(_load_json(args.file))
     doc = {"schema": "weylkit/isogeny-validation/1", "valid": False,
            "primitive": None, "constant": None,
            "frobenius_exponent": None, "error": None}

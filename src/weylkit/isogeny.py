@@ -116,6 +116,11 @@ def validate_pmorphism(phi: PMorphism) -> None:
     n = len(src.simples)
     if len(tgt.simples) != n or sorted(phi.u) != list(range(n)):
         raise InvalidPMorphism("u is not a bijection of the simple roots")
+    if len(phi.q) != n:
+        raise InvalidPMorphism(f"q must have {n} entries, one per simple root")
+    for datum in (src, tgt):
+        if any(not 0 <= s < len(datum.roots) for s in datum.simples):
+            raise InvalidPMorphism("simple index outside the roots")
     if not is_prime(phi.p):
         raise InvalidPMorphism(f"{phi.p} is not prime")
     f = [list(r) for r in phi.f]

@@ -3,11 +3,13 @@
 Elements act on roots by permutation and on weight vectors through the
 coroot bookkeeping of the root system, so everything stays in exact
 integers. Enumeration walks the orbit of the strictly dominant vector
-rho = (1, ..., 1): the orbit map w -> w(rho) is a bijection and the
-breadth-first layer of a vector is exactly the Coxeter length, which keeps
-the enumeration at a few bytes per element (E7's 2.9 million elements fit
-comfortably; E8 is refused by the default cap and its order reported from
-the invariant degrees read off the root heights instead).
+rho = (1, ..., 1): the orbit map w -> w(rho) is a bijection, and each
+element of length k + 1 is generated exactly once, from its canonical
+parent of length k (Casselman's smallest-descent rule). That keeps the
+enumeration at a few bytes per element with no deduplication (E7's 2.9
+million elements fit comfortably; E8 is refused by the default cap and
+its order reported from the invariant degrees read off the root heights
+instead).
 """
 
 from __future__ import annotations
@@ -188,30 +190,14 @@ def root_reflection(rs: RootSystem, root_index: int) -> WeylElement:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def _void_view(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    return a.reshape(a.shape[0], -1).view(
-        np.dtype((np.void, a.dtype.itemsize * a.shape[1]))
-    ).reshape(-1)
-
-
-def _unique_rows(a: np.ndarray) -> np.ndarray:
-    v = np.unique(_void_view(a))
-    return v.view(a.dtype).reshape(-1, a.shape[1])
-
-
-def _setdiff_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    mask = ~np.isin(_void_view(a), _void_view(b), assume_unique=True)
-    return a[mask]
-
-
 class WeylGroup:
     """An enumerated Weyl group.
 
-    ``layers[k]`` holds the rho-orbit vectors of the length-k elements as a
-    lexicographically sorted int16 array; the layer sizes are the Poincare
-    coefficients. Full permutation elements are materialized on demand and
-    only sensible for small groups.
+    ``layers[k]`` holds the rho-orbit vectors of the length-k elements as an
+    int16 array, each row generated once from its canonical parent, in
+    generation order; the layer sizes are the Poincare coefficients. Full
+    permutation elements are materialized on demand and only sensible for
+    small groups.
     """
 
     def __init__(self, rs: RootSystem, layers: list[np.ndarray]):
@@ -219,14 +205,6 @@ class WeylGroup:
         self.layers = layers
         self.histogram = [len(layer) for layer in layers]
         self.order = sum(self.histogram)
-
-    @property
-    def generators(self) -> list[WeylElement]:
-        return simple_reflections(self.rs)
-
-    @property
-    def rho(self) -> Coords:
-        return tuple(1 for _ in range(self.rs.rank))
 
     def word_from_vector(self, vector) -> tuple[int, ...]:
         return word_from_vector(self.rs, vector)
@@ -255,28 +233,37 @@ class WeylGroup:
 
 
 def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
-    """Breadth-first closure of the rho-orbit under the simple reflections."""
+    """The rho-orbit layer by layer, each element generated exactly once.
+
+    Coordinate i of w(rho) is negative exactly when s_i is a left descent of
+    w, and no coordinate is ever 0. A child s_i v of a layer-k vector v with
+    v[i] > 0 is kept only when i is its smallest negative coordinate, the
+    descent ``word_from_vector`` strips first, so every element of length
+    k + 1 comes from exactly one parent.
+
+    >>> from weylkit.cartan import parse_type
+    >>> from weylkit.roots import generate_roots
+    >>> enumerate_weyl(generate_roots(parse_type("G2"))).histogram
+    [1, 2, 2, 2, 2, 2, 1]
+    """
     n = rs.rank
     c = np.array(rs.gcm.rows(), dtype=np.int16)
-    rho = np.ones((1, n), dtype=np.int16)
-    layers = [rho]
-    prev: np.ndarray | None = None
-    cur = rho
+    cur = np.ones((1, n), dtype=np.int16)
+    layers = [cur]
     total = 1
     while True:
-        cands = np.concatenate(
-            [cur - np.outer(cur[:, i], c[i]) for i in range(n)]
-        )
-        new = _unique_rows(cands)
-        if prev is not None:
-            new = _setdiff_rows(new, prev)
-        if len(new) == 0:
+        children = []
+        for i in range(n):
+            parents = cur[cur[:, i] > 0]
+            child = parents - np.outer(parents[:, i], c[i])
+            children.append(child[(child[:, :i] > 0).all(axis=1)])
+        cur = np.concatenate(children)
+        if len(cur) == 0:
             break
-        total += len(new)
+        total += len(cur)
         if total > cap:
             raise CapExceeded(cap)
-        prev, cur = cur, new
-        layers.append(new)
+        layers.append(cur)
     return WeylGroup(rs, layers)
 
 

@@ -5,8 +5,9 @@ library code paths it checks: cofactor determinants instead of Bareiss,
 a Freudenthal multiplicity recursion instead of the product formula, brute
 scans instead of string arithmetic, symmetric-group inversion counts
 instead of root permutations, the reflection closure of the simple roots
-instead of height-by-height generation, and the per-family closed forms of
-|W| instead of invariant degrees.
+instead of height-by-height generation, the per-family closed forms of |W|
+instead of invariant degrees, and a breadth-first search over sets of
+tuples instead of canonical-parent generation of the rho-orbit.
 """
 
 from __future__ import annotations
@@ -60,6 +61,30 @@ def reflection_closure(gcm, lengths=None, cap=2000):
                 if len(seen) > cap:
                     return None
     return seen
+
+
+def rho_orbit_layers(gcm) -> list[set[tuple[int, ...]]]:
+    """Breadth-first layers of the orbit of rho = (1, ..., 1).
+
+    s_i acts as v -> v - v[i] * C[i]; layer k is the set of vectors first
+    reached after k reflections, which is the set of w(rho) with w of length
+    k.
+    """
+    n = gcm.n
+    rho = (1,) * n
+    seen = {rho}
+    layers = [{rho}]
+    while True:
+        nxt = set()
+        for v in layers[-1]:
+            for i in range(n):
+                img = tuple(x - v[i] * c for x, c in zip(v, gcm[i]))
+                if img not in seen:
+                    nxt.add(img)
+        if not nxt:
+            return layers
+        seen |= nxt
+        layers.append(nxt)
 
 
 def weyl_order_closed_form(family: str, rank: int) -> int:

@@ -196,6 +196,42 @@ def test_isogeny_validate_rejects_broken_morphism(tmp_path):
     validate_document(doc)
 
 
+def _bad_isogeny_file(tmp_path, case):
+    path = tmp_path / "phi.json"
+    if case == "missing-file":
+        return path
+    if case == "non-json":
+        path.write_text("{not json", encoding="utf-8")
+        return path
+    _, out = run_cli(["isogeny", "enumerate", "--type", "G2", "--p", "3"])
+    phi_doc = json.loads(out)["isogenies"][0]
+    if case == "short-q":
+        phi_doc["q"] = phi_doc["q"][:1]
+    else:
+        phi_doc["source"]["simple"] = [0, 99]
+    path.write_text(json.dumps(phi_doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case,code", [
+    ("missing-file", "ParseError"),
+    ("non-json", "ParseError"),
+    ("short-q", "InvalidPMorphism"),
+    ("simple-out-of-range", "InvalidPMorphism"),
+])
+def test_isogeny_validate_input_boundary(tmp_path, case, code):
+    path = _bad_isogeny_file(tmp_path, case)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        exit_code, out = run_cli(["isogeny", "validate", "--file", str(path)])
+    assert exit_code == 1
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    validate_document(doc)
+    assert doc["error"]["code"] == code
+    assert "Traceback" not in err.getvalue()
+
+
 def test_selfcheck_deterministic_under_seed():
     _, first = run_cli(["selfcheck", "--type", "B2", "--seed", "11",
                         "--samples", "25"])

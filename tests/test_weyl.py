@@ -8,8 +8,8 @@ from weylkit.weyl import (CapExceeded, IndexOutOfRange, WeylElement,
                           is_reduced, poincare_polynomial, reduced_word,
                           reflect, simple_reflections, weyl_order)
 
-from oracles import (dihedral_lengths, symmetric_group_lengths,
-                     weyl_order_closed_form)
+from oracles import (dihedral_lengths, rho_orbit_layers,
+                     symmetric_group_lengths, weyl_order_closed_form)
 
 
 def _rs(label):
@@ -110,6 +110,32 @@ def test_degrees_match_closed_forms_all_types():
 def test_degrees_of_a_product_are_the_union():
     assert weyl.degrees(_rs("A2+G2+B3")) == [2, 2, 2, 3, 4, 6, 6]
     assert weyl_order(_rs("A2+G2+B3")) == 6 * 12 * 48
+
+
+def test_each_element_generated_once_matches_bfs_oracle():
+    labels = [f"{f}{r}" for f, r in cartan.catalog_types()
+              if weyl_order_closed_form(f, r) <= 60_000] + ["A2+G2+B3"]
+    for label in labels:
+        gcm = cartan.parse_type(label)
+        group = enumerate_weyl(generate_roots(gcm))
+        expected = rho_orbit_layers(gcm)
+        assert len(group.layers) == len(expected), label
+        for k, (layer, oracle) in enumerate(zip(group.layers, expected)):
+            rows = [tuple(r) for r in layer.tolist()]
+            assert len(set(rows)) == len(rows), (label, k)
+            assert set(rows) == oracle, (label, k)
+
+
+def test_histogram_is_product_of_degree_q_integers():
+    for family, rank in cartan.catalog_types(max_rank=7):
+        rs = generate_roots(cartan.catalog(family, rank))
+        if weyl_order(rs) > weyl.DEFAULT_CAP:
+            continue
+        poly = [1]
+        for d in weyl.degrees(rs):
+            poly = [sum(poly[j - t] for t in range(d) if 0 <= j - t < len(poly))
+                    for j in range(len(poly) + d - 1)]
+        assert enumerate_weyl(rs).histogram == poly, (family, rank)
 
 
 def test_cap_exceeded():
