@@ -7,15 +7,17 @@ root down the word and tally where the surviving weights land. The
 containment counts printed at the end are the combinatorial content of the
 one-step cohomology case analysis; the run aborts loudly on any violation.
 
+Words are walked per weight over the suffix trie, so each word's state is
+computed once, from its parent (the word without its first letter).
+
 Usage: python scripts/containment_scan.py [max_word_length]
 """
 
 import sys
 import time
-from itertools import product
 
 from weylkit import cartan
-from weylkit.pushforward import h0_rank, occurs, pushforward_word
+from weylkit.pushforward import occurs, pushforward_suffixes
 from weylkit.roots import generate_roots, nonsimple_positives
 
 TYPES = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
@@ -29,26 +31,28 @@ def scan(max_len: int) -> None:
         rank = rs.rank
         zero = tuple(0 for _ in range(rank))
         minus_npp = {tuple(-x for x in r.weight) for r in nonsimple_positives(rs)}
-        words = 0
+        # (minus a positive root, its simple index or None if non-simple)
+        weights = [(tuple(-x for x in r.weight), None) for r in nonsimple_positives(rs)]
+        weights += [(tuple(-x for x in rs.simple_weight(i)), i) for i in range(rank)]
         pushes = 0
         entries = 0
-        for n in range(max_len + 1):
-            for word in product(range(rank), repeat=n):
+        for lam, i in weights:
+            words = 0
+            for word, gw in pushforward_suffixes(rs, lam, max_len):
                 words += 1
-                for r in nonsimple_positives(rs):
-                    gw = pushforward_word(rs, word, tuple(-x for x in r.weight))
+                pushes += 1
+                entries += sum(gw.values())
+                if i is None:
                     assert set(w for (w, _) in gw) <= minus_npp, (label, word)
-                    pushes += 1
-                    entries += sum(gw.values())
-                for i in range(rank):
-                    lam = tuple(-x for x in rs.simple_weight(i))
-                    gw = pushforward_word(rs, word, lam)
-                    gamma0 = zero if occurs(word, i) else lam
-                    assert set(w for (w, _) in gw) <= minus_npp | {gamma0}
-                    assert sum(m for (w, _), m in gw.items() if w == gamma0) == 1
-                    assert h0_rank(rs, word, i) == (1 if occurs(word, i) else 0)
-                    pushes += 1
-                    entries += sum(gw.values())
+                    continue
+                hit = occurs(word, i)
+                gamma0 = zero if hit else lam
+                assert set(w for (w, _) in gw) <= minus_npp | {gamma0}
+                assert sum(m for (w, _), m in gw.items() if w == gamma0) == 1
+                # the degree-zero invariants: zero weight only in degree 1,
+                # once if the letter occurs and not at all otherwise
+                assert all(d == 1 for (w, d) in gw if w == zero), (label, word)
+                assert sum(m for (w, _), m in gw.items() if w == zero) == (1 if hit else 0)
         grand += pushes
         print(f"{label:>3}: {words:5d} words, {pushes:6d} pushforwards, "
               f"{entries:8d} graded entries, all contained")

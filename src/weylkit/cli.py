@@ -300,22 +300,33 @@ def _cmd_isogeny(args) -> int:
 
 
 def _pmorphism_from_json(payload: dict) -> isogeny.PMorphism:
+    def integer(x, field):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ParseError(f"bad p-morphism document: non-integer {x!r} in {field}")
+        return x
+
+    def ints(values, field):
+        return tuple(integer(x, field) for x in values)
+
+    def rows(values, field):
+        return tuple(ints(r, field) for r in values)
+
     def datum(doc):
         return rootdata.PinnedRootDatum(
-            rank=doc["rank"],
-            roots=tuple(tuple(r) for r in doc["roots"]),
-            coroots=tuple(tuple(c) for c in doc["coroots"]),
-            simples=tuple(doc["simple"]),
+            rank=integer(doc["rank"], "rank"),
+            roots=rows(doc["roots"], "roots"),
+            coroots=rows(doc["coroots"], "coroots"),
+            simples=ints(doc["simple"], "simple"),
         )
 
     try:
         return isogeny.PMorphism(
             source=datum(payload["source"]),
             target=datum(payload["target"]),
-            f=tuple(tuple(r) for r in payload["f"]),
-            u=tuple(payload["u"]),
-            q=tuple(payload["q"]),
-            p=payload["p"],
+            f=rows(payload["f"], "f"),
+            u=ints(payload["u"], "u"),
+            q=ints(payload["q"], "q"),
+            p=integer(payload["p"], "p"),
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad p-morphism document: {exc}") from None

@@ -14,11 +14,16 @@ from the LAST letter to the first: the bundle attached to the final letter
 is the innermost fibration, so its pushforward happens first. Degrees add
 up across steps and multiplicities are tracked as a Counter keyed by
 (weight, degree); no cancellation between degrees is modeled.
+
+Words that end the same way share every intermediate state, so
+``pushforward_suffixes`` walks the reversed-word (suffix) trie and computes
+each word's state once, from its parent; the containment scan uses it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .roots import Coords, RootSystem
@@ -58,21 +63,13 @@ def pushforward_step(rs: RootSystem, weight, i: int) -> tuple[int, list[Coords]]
     """One-step pushforward: returns (degree increment, surviving weights)."""
     _check_letter(rs, i)
     w = tuple(weight)
-    cache = rs._step_cache
-    key = (w, i)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     l = w[i]
     alpha = rs.simple_weight(i)
     if l >= 0:
-        out = (0, [tuple(x - k * a for x, a in zip(w, alpha)) for k in range(l + 1)])
-    elif l == -1:
-        out = (0, [])
-    else:
-        out = (1, [tuple(x + k * a for x, a in zip(w, alpha)) for k in range(1, -l)])
-    cache[key] = out
-    return out
+        return 0, [tuple(x - k * a for x, a in zip(w, alpha)) for k in range(l + 1)]
+    if l == -1:
+        return 0, []
+    return 1, [tuple(x + k * a for x, a in zip(w, alpha)) for k in range(1, -l)]
 
 
 def pushforward_multiset(rs: RootSystem, word, entries: GradedWeights) -> GradedWeights:
@@ -93,6 +90,32 @@ def pushforward_word(rs: RootSystem, word, weight) -> GradedWeights:
     """Graded weight multiset of a weight pushed down the whole word."""
     start: GradedWeights = Counter({(tuple(weight), 0): 1})
     return pushforward_multiset(rs, word, start)
+
+
+def pushforward_suffixes(rs: RootSystem, weight,
+                         max_len: int) -> Iterator[tuple[Word, GradedWeights]]:
+    """Yield (word, graded multiset) for every word of length <= max_len, once each.
+
+    The walk runs over the reversed-word (suffix) trie: the word (i,) + w
+    pushes its last letters exactly as w does, so its multiset is w's pushed
+    one more step along i. Each state is computed once, from its parent.
+    Parents come before their children, and a word's children are pushed
+    before the word is yielded, so the caller may change what it is handed.
+
+    >>> from weylkit.cartan import parse_type
+    >>> from weylkit.roots import generate_roots
+    >>> rs = generate_roots(parse_type("A1"))
+    >>> [(w, dict(gw)) for w, gw in pushforward_suffixes(rs, (-2,), 2)]
+    [((), {((-2,), 0): 1}), ((0,), {((0,), 1): 1}), ((0, 0), {((0,), 1): 1})]
+    """
+    start: GradedWeights = Counter({(tuple(weight), 0): 1})
+    stack = [((), start)] if max_len >= 0 else []
+    while stack:
+        word, gw = stack.pop()
+        if len(word) < max_len:
+            for i in reversed(range(rs.rank)):
+                stack.append(((i,) + word, pushforward_multiset(rs, (i,), gw)))
+        yield word, gw
 
 
 def sorted_entries(gw: GradedWeights) -> list[tuple[Coords, int, int]]:

@@ -63,7 +63,7 @@ class RootSystem:
         self.rank = gcm.n
         self.num_positive = len(roots) // 2
         self._index = {r.coords: r.index for r in roots}
-        self._step_cache: dict = {}
+        self._simple_reflections = None   # filled by weyl.simple_reflections
 
     # -- lookups ------------------------------------------------------------
 

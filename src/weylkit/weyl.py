@@ -107,9 +107,6 @@ class WeylElement:
             self._inv_perm = tuple(inv)
         return self._inv_perm
 
-    def act_root_index(self, i: int) -> int:
-        return self.perm[i]
-
     def act_weight(self, weight) -> Coords:
         """Image of a weight: <wD, coroot_j> = <D, w^{-1} coroot_j>."""
         inv = self._inverse_perm()
@@ -133,16 +130,13 @@ class WeylElement:
 
 def simple_reflections(rs: RootSystem) -> list[WeylElement]:
     """The generators s_i as root permutations (cached on the root system)."""
-    cache = rs._step_cache
-    if "_gens" not in cache:
-        gens = []
-        for i in range(rs.rank):
-            perm = tuple(
-                rs.index_of(rs.reflect_coords(i, r.coords)) for r in rs.roots
-            )
-            gens.append(WeylElement(rs, perm))
-        cache["_gens"] = gens
-    return cache["_gens"]
+    if rs._simple_reflections is None:
+        rs._simple_reflections = [
+            WeylElement(rs, tuple(rs.index_of(rs.reflect_coords(i, r.coords))
+                                  for r in rs.roots))
+            for i in range(rs.rank)
+        ]
+    return rs._simple_reflections
 
 
 def element_from_word(rs: RootSystem, word) -> WeylElement:

@@ -207,6 +207,12 @@ def _bad_isogeny_file(tmp_path, case):
     phi_doc = json.loads(out)["isogenies"][0]
     if case == "short-q":
         phi_doc["q"] = phi_doc["q"][:1]
+    elif case == "string-p":
+        phi_doc["p"] = str(phi_doc["p"])
+    elif case == "string-q":
+        phi_doc["q"] = [str(x) for x in phi_doc["q"]]
+    elif case == "string-f":
+        phi_doc["f"][0][0] = str(phi_doc["f"][0][0])
     else:
         phi_doc["source"]["simple"] = [0, 99]
     path.write_text(json.dumps(phi_doc), encoding="utf-8")
@@ -218,6 +224,9 @@ def _bad_isogeny_file(tmp_path, case):
     ("non-json", "ParseError"),
     ("short-q", "InvalidPMorphism"),
     ("simple-out-of-range", "InvalidPMorphism"),
+    ("string-p", "ParseError"),
+    ("string-q", "ParseError"),
+    ("string-f", "ParseError"),
 ])
 def test_isogeny_validate_input_boundary(tmp_path, case, code):
     path = _bad_isogeny_file(tmp_path, case)

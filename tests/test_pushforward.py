@@ -1,5 +1,10 @@
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,13 +14,14 @@ from weylkit.isogeny import enumerate_special, frobenius
 from weylkit.pushforward import (chi_restriction, h0_rank, last_occurrence,
                                  occurs, pmorphism_chi_factors,
                                  pushforward_multiset, pushforward_step,
-                                 pushforward_word, sorted_entries,
-                                 translated_word)
+                                 pushforward_suffixes, pushforward_word,
+                                 sorted_entries, translated_word)
 from weylkit.rootdata import adjoint_datum
 from weylkit.roots import generate_roots, nonsimple_positives
 from weylkit.weyl import IndexOutOfRange
 
 IRREDUCIBLE_RANK3 = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _rs(label):
@@ -85,6 +91,15 @@ def test_step_reflected_input_duality_counts():
                 _, up = pushforward_step(rs, w, i)
                 _, down = pushforward_step(rs, dual, i)
                 assert len(up) == len(down) == l + 1
+
+
+def test_mutating_a_step_result_changes_no_later_result():
+    rs = _rs("A2")
+    _, weights = pushforward_step(rs, (1, 0), 0)
+    weights.clear()
+    assert pushforward_step(rs, (1, 0), 0) == (0, [(1, 0), (-1, 1)])
+    assert pushforward_word(rs, (0,), (1, 0)) == Counter(
+        {((1, 0), 0): 1, ((-1, 1), 0): 1})
 
 
 def test_step_index_range():
@@ -190,6 +205,51 @@ def test_simple_root_containment_and_multiplicity_short_words():
                 assert set(w for (w, _) in gw) <= allowed
                 mult = sum(m for (w, _), m in gw.items() if w == gamma0)
                 assert mult == 1
+
+
+# -- the suffix-trie walk -------------------------------------------------
+
+@pytest.mark.parametrize("label", IRREDUCIBLE_RANK3)
+def test_suffix_walk_matches_per_word_pushforward(label):
+    # minus every simple and every non-simple positive root, as the scan
+    # pushes them, and the roots themselves; each word comes once, with the
+    # multiset the per-word pushforward gives, even if the caller clears
+    # every multiset it is handed
+    rs = _rs(label)
+    words = set(_words_up_to(rs.rank, 4))
+    for r in rs.positives:
+        for lam in (_neg(r.weight), r.weight):
+            seen = []
+            for word, gw in pushforward_suffixes(rs, lam, 4):
+                seen.append(word)
+                assert gw == pushforward_word(rs, word, lam), (word, lam)
+                gw.clear()
+            assert len(seen) == len(words) and set(seen) == words
+    assert list(pushforward_suffixes(rs, rs.simple_weight(0), -1)) == []
+
+
+def test_containment_scan_script_short_words():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "containment_scan.py"), "3"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(IRREDUCIBLE_RANK3) + 1
+    total = 0
+    for label, line in zip(IRREDUCIBLE_RANK3, lines):
+        rs = _rs(label)
+        m = re.fullmatch(r" *(\w+): +(\d+) words, +(\d+) pushforwards, "
+                         r"+\d+ graded entries, all contained", line)
+        assert m and m[1] == label, line
+        words = sum(rs.rank ** k for k in range(4))
+        assert (int(m[2]), int(m[3])) == (words, words * rs.num_positive)
+        total += int(m[3])
+    assert re.fullmatch(rf"total {total} pushforwards, zero violations, \d+\.\ds",
+                        lines[-1])
 
 
 # -- ranks ----------------------------------------------------------------
