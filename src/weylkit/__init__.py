@@ -32,8 +32,8 @@ from .rootdata import (PinnedRootDatum, adjoint_datum, fundamental_group,
                        simply_connected_datum)
 from .roots import Root, RootSystem, RootString, generate_roots, root_string
 from .weyl import (WeylElement, WeylGroup, demazure_product, enumerate_weyl,
-                   is_reduced, longest_element, poincare_polynomial,
-                   reduced_word, reflect, weyl_order)
+                   is_reduced, poincare_polynomial, reduced_word, reflect,
+                   weyl_order)
 
 __version__ = "0.1.0"
 
@@ -50,6 +50,6 @@ __all__ = [
     "intermediate_lattices", "pinned_isomorphism", "simply_connected_datum",
     "Root", "RootSystem", "RootString", "generate_roots", "root_string",
     "WeylElement", "WeylGroup", "demazure_product", "enumerate_weyl",
-    "is_reduced", "longest_element", "poincare_polynomial", "reduced_word",
+    "is_reduced", "poincare_polynomial", "reduced_word",
     "reflect", "weyl_order",
 ]

@@ -24,53 +24,57 @@ from . import intmat
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 
-class GCMError(ValueError):
-    """Base for Cartan-matrix validation and classification failures."""
+class WeylkitError(ValueError):
+    """Base of every error the package raises on bad input.
 
-    code = "GCMError"
+    The error code is the class name. ``to_json`` writes it, the message,
+    and each attribute named in ``details`` that the instance has set.
+    """
+
+    details: tuple[str, ...] = ()
+
+    @property
+    def code(self) -> str:
+        return type(self).__name__
 
     def to_json(self) -> dict:
         payload = {"code": self.code, "message": str(self)}
-        for key in ("i", "j", "family", "rank"):
+        for key in self.details:
             if hasattr(self, key):
                 payload[key] = getattr(self, key)
         return payload
 
 
-class DiagonalNotTwo(GCMError):
-    code = "DiagonalNotTwo"
+class GCMError(WeylkitError):
+    """Base for Cartan-matrix validation and classification failures."""
 
+    details = ("i", "j", "family", "rank")
+
+
+class DiagonalNotTwo(GCMError):
     def __init__(self, i: int):
         self.i = i
         super().__init__(f"diagonal entry at ({i},{i}) is not 2")
 
 
 class PositiveOffDiagonal(GCMError):
-    code = "PositiveOffDiagonal"
-
     def __init__(self, i: int, j: int):
         self.i, self.j = i, j
         super().__init__(f"off-diagonal entry at ({i},{j}) is positive")
 
 
 class AsymmetricZero(GCMError):
-    code = "AsymmetricZero"
-
     def __init__(self, i: int, j: int):
         self.i, self.j = i, j
         super().__init__(f"entry ({i},{j}) is zero iff ({j},{i}) is not")
 
 
 class NotFiniteType(GCMError):
-    code = "NotFiniteType"
-
     def __init__(self, msg: str = "matrix is not of finite type"):
         super().__init__(msg)
 
 
 class InvalidType(GCMError):
-    code = "InvalidType"
-
     def __init__(self, family: str, rank: int):
         self.family, self.rank = family, rank
         super().__init__(f"({family},{rank}) is not a valid finite type")

@@ -18,16 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .cartan import WeylkitError
 from .roots import Coords, RootSystem
 
 
-class CharacterError(ValueError):
-    code = "CharacterError"
+class CharacterError(WeylkitError):
+    """Base for character, dimension and volume failures."""
 
 
 class NotDominant(CharacterError):
-    code = "NotDominant"
-
     def __init__(self, weight):
         self.weight = tuple(weight)
         super().__init__(f"{tuple(weight)} has a negative coordinate")

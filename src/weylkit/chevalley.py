@@ -13,17 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .cartan import WeylkitError
 from .isogeny import is_prime
 from .roots import RootSystem, root_string
 
 
-class ChevalleyError(ValueError):
-    code = "ChevalleyError"
+class ChevalleyError(WeylkitError):
+    """Base for structure-constant and ideal-check failures."""
 
 
 class SumNotARoot(ChevalleyError):
-    code = "SumNotARoot"
-
     def __init__(self, alpha, beta):
         self.alpha, self.beta = tuple(alpha), tuple(beta)
         super().__init__(f"{tuple(alpha)} + {tuple(beta)} is not a root")
@@ -32,16 +31,12 @@ class SumNotARoot(ChevalleyError):
 class HypothesesNotMet(ChevalleyError):
     """The pair is outside the identity's context; not a failure."""
 
-    code = "HypothesesNotMet"
-
     def __init__(self, which: str):
         self.which = which
         super().__init__(which)
 
 
 class SimplyLaced(ChevalleyError):
-    code = "SimplyLaced"
-
     def __init__(self):
         super().__init__("root system has a single length class")
 

@@ -9,6 +9,9 @@ are read in coroot coordinates (the fundamental-weight basis) unless
 Exit codes for ``classify``: 0 finite type, 2 valid Cartan matrix but not
 finite, 3 not a generalized Cartan matrix, 4 unreadable input. Other
 subcommands exit 0 on success and 1 with a machine-readable error object.
+A usage error (an unknown subcommand, a missing or malformed option) is
+unreadable input too: it writes one ``ParseError`` error document and exits
+4 under ``classify``, 1 otherwise. Every run writes exactly one document.
 """
 
 from __future__ import annotations
@@ -22,18 +25,18 @@ import sys
 from fractions import Fraction
 
 from . import cartan, chevalley, isogeny, pushforward, rootdata, roots, weyl
-from .characters import (CharacterError, EulerData,
-                         shifted_euler_characteristic, volume, weyl_dim)
+from .characters import (EulerData, shifted_euler_characteristic, volume,
+                         weyl_dim)
 
 # let values like "-2,1" pass as option arguments rather than flags
 _NEGATIVE_VECTOR = re.compile(r"^-\d+(,-?\d+)*$")
 
 
-class ParseError(ValueError):
-    code = "ParseError"
+class ParseError(cartan.WeylkitError):
+    """Unreadable input: bad JSON, a malformed document or a usage error."""
 
 
-def _emit(doc: dict, fmt: str = "json") -> None:
+def _emit(doc: dict, fmt: str) -> None:
     if fmt == "text":
         sys.stdout.write(_render_text(doc))
     else:
@@ -64,15 +67,6 @@ def _cell(value) -> str:
     if isinstance(value, (list, tuple)):
         return json.dumps(value, separators=(",", ":"))
     return str(value)
-
-
-def _error_doc(exc: Exception) -> dict:
-    payload = getattr(exc, "to_json", None)
-    if callable(payload):
-        err = payload()
-    else:
-        err = {"code": getattr(exc, "code", type(exc).__name__), "message": str(exc)}
-    return {"schema": "weylkit/error/1", "error": err}
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -126,7 +120,17 @@ def _is_int_matrix(matrix) -> bool:
                for row in matrix)
 
 
-def _cmd_classify(args) -> int:
+def _weyl_counts(rs: roots.RootSystem, cap: int) -> tuple:
+    """|W| from the degrees, then the enumerated order and the Poincare
+    polynomial, both "skipped" when |W| exceeds the cap."""
+    order = weyl.weyl_order(rs)
+    if order > cap:
+        return order, "skipped", "skipped"
+    group = weyl.enumerate_weyl(rs, cap=cap)
+    return order, group.order, weyl.poincare_polynomial(group)
+
+
+def _cmd_classify(args) -> tuple[dict, int]:
     payload = _load_json(args.input)
     try:
         matrix = payload["matrix"]
@@ -158,13 +162,11 @@ def _cmd_classify(args) -> int:
         gcm = cartan.validate_gcm(matrix)
     except cartan.GCMError as exc:
         report["errors"].append(exc.to_json())
-        _emit(report, args.format)
-        return 3
+        return report, 3
     report["gcm"] = True
     if not cartan.is_finite_type(gcm):
         report["finite"] = False
-        _emit(report, args.format)
-        return 2
+        return report, 2
     report["finite"] = True
     dtype = cartan.classify(gcm)
     report["type"] = [[f, r] for f, r, _ in dtype.components]
@@ -173,28 +175,19 @@ def _cmd_classify(args) -> int:
     report["symmetrizer"] = list(rs.sym.d)
     report["positive_roots"] = rs.num_positive
     report["dimension"] = rs.num_positive
-    order = weyl.weyl_order(rs)
-    report["weyl_order"] = order
-    cap = args.cap
-    if order <= cap:
-        group = weyl.enumerate_weyl(rs, cap=cap)
-        report["weyl_order_enumerated"] = group.order
-        report["poincare"] = weyl.poincare_polynomial(group)
-    else:
-        report["weyl_order_enumerated"] = "skipped"
-        report["poincare"] = "skipped"
+    (report["weyl_order"], report["weyl_order_enumerated"],
+     report["poincare"]) = _weyl_counts(rs, args.cap)
     report["fundamental_group"] = list(rootdata.fundamental_group(gcm))
-    _emit(report, args.format)
-    return 0
+    return report, 0
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args) -> tuple[dict, int]:
     rs = roots.generate_roots(cartan.parse_type(args.type))
-    doc = {
+    return {
         "schema": "weylkit/roots/1",
         "type": args.type,
         "roots": [
@@ -202,39 +195,30 @@ def _cmd_roots(args) -> int:
              "positive": r.positive, "length": r.length_class}
             for r in rs.roots
         ],
-    }
-    _emit(doc, args.format)
-    return 0
+    }, 0
 
 
-def _cmd_weyl(args) -> int:
+def _cmd_weyl(args) -> tuple[dict, int]:
     rs = roots.generate_roots(cartan.parse_type(args.type))
-    order = weyl.weyl_order(rs)
-    doc = {
+    order, enumerated, poincare = _weyl_counts(rs, args.cap)
+    return {
         "schema": "weylkit/weyl/1",
         "type": args.type,
         "order": order,
         "longest_length": rs.num_positive,
         "reflections": rs.num_positive,
-    }
-    if order <= args.cap:
-        group = weyl.enumerate_weyl(rs, cap=args.cap)
-        doc["enumerated"] = group.order
-        doc["poincare"] = weyl.poincare_polynomial(group)
-    else:
-        doc["enumerated"] = "skipped"
-        doc["poincare"] = "skipped"
-    _emit(doc, args.format)
-    return 0
+        "enumerated": enumerated,
+        "poincare": poincare,
+    }, 0
 
 
-def _cmd_bs_weights(args) -> int:
+def _cmd_bs_weights(args) -> tuple[dict, int]:
     gcm = cartan.parse_type(args.type)
     rs = roots.generate_roots(gcm)
     word = _parse_word(args.word, rs.rank)
     weight = _parse_weight(args.weight, gcm, args.basis)
     gw = pushforward.pushforward_word(rs, word, weight)
-    doc = {
+    return {
         "schema": "weylkit/bs-weights/1",
         "type": args.type,
         "word": [i + 1 for i in word],
@@ -243,44 +227,37 @@ def _cmd_bs_weights(args) -> int:
             {"weight": list(w), "degree": d, "mult": m}
             for w, d, m in pushforward.sorted_entries(gw)
         ],
-    }
-    _emit(doc, args.format)
-    return 0
+    }, 0
 
 
-def _cmd_dim(args) -> int:
+def _cmd_dim(args) -> tuple[dict, int]:
     gcm = cartan.parse_type(args.type)
     rs = roots.generate_roots(gcm)
     weight = _parse_weight(args.weight, gcm, args.basis)
     value = weyl_dim(EulerData.from_root_system(rs), weight)
-    _emit({"schema": "weylkit/dim/1", "type": args.type,
-           "weight": list(weight), "value": value}, args.format)
-    return 0
+    return {"schema": "weylkit/dim/1", "type": args.type,
+            "weight": list(weight), "value": value}, 0
 
 
-def _cmd_vol(args) -> int:
+def _cmd_vol(args) -> tuple[dict, int]:
     gcm = cartan.parse_type(args.type)
     rs = roots.generate_roots(gcm)
     weight = _parse_weight(args.weight, gcm, args.basis)
     value = volume(EulerData.from_root_system(rs), weight)
-    _emit({"schema": "weylkit/vol/1", "type": args.type,
-           "weight": list(weight), "value": str(value)}, args.format)
-    return 0
+    return {"schema": "weylkit/vol/1", "type": args.type,
+            "weight": list(weight), "value": str(value)}, 0
 
 
-def _cmd_isogeny(args) -> int:
+def _cmd_isogeny(args) -> tuple[dict, int]:
     if args.action == "enumerate":
-        gcm = cartan.parse_type(args.type)
-        dtype = cartan.classify(gcm)
+        dtype = cartan.classify(cartan.parse_type(args.type))
         morphisms = isogeny.enumerate_special_for_type(dtype, args.p)
-        doc = {
+        return {
             "schema": "weylkit/isogenies/1",
             "type": args.type,
             "p": args.p,
             "isogenies": [m.to_json() for m in morphisms],
-        }
-        _emit(doc, args.format)
-        return 0
+        }, 0
     phi = _pmorphism_from_json(_load_json(args.file))
     doc = {"schema": "weylkit/isogeny-validation/1", "valid": False,
            "primitive": None, "constant": None,
@@ -289,14 +266,12 @@ def _cmd_isogeny(args) -> int:
         isogeny.validate_pmorphism(phi)
     except isogeny.IsogenyError as exc:
         doc["error"] = exc.to_json()
-        _emit(doc, args.format)
-        return 1
+        return doc, 1
     doc["valid"] = True
     doc["primitive"] = isogeny.is_primitive(phi)
     doc["constant"] = isogeny.is_constant(phi)
     doc["frobenius_exponent"] = isogeny.factor_primitive_constant(phi)[1]
-    _emit(doc, args.format)
-    return 0
+    return doc, 0
 
 
 def _pmorphism_from_json(payload: dict) -> isogeny.PMorphism:
@@ -332,25 +307,13 @@ def _pmorphism_from_json(payload: dict) -> isogeny.PMorphism:
         raise ParseError(f"bad p-morphism document: {exc}") from None
 
 
-def _cmd_chevalley(args) -> int:
-    gcm = cartan.parse_type(args.type)
-    rs = roots.generate_roots(gcm)
+def _cmd_chevalley(args) -> tuple[dict, int]:
+    rs = roots.generate_roots(cartan.parse_type(args.type))
     report = chevalley.short_root_ideal_check(rs, args.p)
-    steinberg = []
-    for a in rs.roots:
-        if a.length != 1:
-            continue
-        for b in rs.roots:
-            try:
-                rep = chevalley.steinberg_check(rs, a.coords, b.coords)
-            except chevalley.HypothesesNotMet:
-                continue
-            steinberg.append({
-                "alpha": list(rep.alpha), "beta": list(rep.beta),
-                "down": rep.down, "up": rep.up,
-                "ratio": rep.length_ratio, "holds": rep.holds,
-            })
-    doc = {
+    # the bracket triples are exactly the pairs the string identity applies to
+    steinberg = [chevalley.steinberg_check(rs, a, b)
+                 for a, b, _, _ in report.bracket_triples]
+    return {
         "schema": "weylkit/chevalley/1",
         "type": args.type,
         "p": args.p,
@@ -367,13 +330,15 @@ def _cmd_chevalley(args) -> int:
             {"kind": v[0], "alpha": list(v[1]), "beta": list(v[2]), "sum": list(v[3])}
             for v in report.violations
         ],
-        "steinberg": steinberg,
-    }
-    _emit(doc, args.format)
-    return 0
+        "steinberg": [
+            {"alpha": list(r.alpha), "beta": list(r.beta), "down": r.down,
+             "up": r.up, "ratio": r.length_ratio, "holds": r.holds}
+            for r in steinberg
+        ],
+    }, 0
 
 
-def _cmd_datum(args) -> int:
+def _cmd_datum(args) -> tuple[dict, int]:
     gcm = cartan.parse_type(args.type)
     if args.kind == "adjoint":
         datum = rootdata.adjoint_datum(gcm)
@@ -383,11 +348,10 @@ def _cmd_datum(args) -> int:
         kind = "simply-connected"
     doc = {"schema": "weylkit/datum/1", "type": args.type, "kind": kind}
     doc.update(datum.to_json())
-    _emit(doc, args.format)
-    return 0
+    return doc, 0
 
 
-def _cmd_selfcheck(args) -> int:
+def _cmd_selfcheck(args) -> tuple[dict, int]:
     gcm = cartan.parse_type(args.type)
     rs = roots.generate_roots(gcm)
     ed = EulerData.from_root_system(rs)
@@ -404,16 +368,14 @@ def _cmd_selfcheck(args) -> int:
         w = weyl.element_from_word(rs, word)
         if volume(ed, w.act_weight(d)) != Fraction(w.det()) * volume(ed, d):
             equi = False
-    doc = {
+    return {
         "schema": "weylkit/selfcheck/1",
         "type": args.type,
         "seed": args.seed,
         "samples": args.samples,
         "antisymmetry": anti,
         "equivariance": equi,
-    }
-    _emit(doc, args.format)
-    return 0 if anti and equi else 1
+    }, 0 if anti and equi else 1
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +387,13 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_VECTOR
 
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    cap_default = int(os.environ.get("WEYLKIT_WEYL_CAP", weyl.DEFAULT_CAP))
+    # a string default goes through type=int, so a bad value is a usage error
+    cap_default = os.environ.get("WEYLKIT_WEYL_CAP", str(weyl.DEFAULT_CAP))
     top = _Parser(
         prog="weylkit",
         description="Exact root-system, Weyl-group and root-datum computations",
@@ -458,23 +424,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=cap_default)
     p.set_defaults(func=_cmd_weyl)
 
+    def weight_args(p):
+        common(p)
+        p.add_argument("--weight", required=True, help="coroot coordinates, e.g. -2,1")
+        p.add_argument("--basis", choices=("coroot", "root"), default="coroot")
+
     p = sub.add_parser("bs-weights", help="push a weight down a word")
-    common(p)
+    weight_args(p)
     p.add_argument("--word", required=True, help="1-based letters, e.g. 1,2,1")
-    p.add_argument("--weight", required=True, help="coroot coordinates, e.g. -2,1")
-    p.add_argument("--basis", choices=("coroot", "root"), default="coroot")
     p.set_defaults(func=_cmd_bs_weights)
 
     p = sub.add_parser("dim", help="Weyl dimension of a dominant weight")
-    common(p)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--basis", choices=("coroot", "root"), default="coroot")
+    weight_args(p)
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("vol", help="volume polynomial value")
-    common(p)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--basis", choices=("coroot", "root"), default="coroot")
+    weight_args(p)
     p.set_defaults(func=_cmd_vol)
 
     p = sub.add_parser("isogeny", help="special isogenies and validation")
@@ -510,18 +475,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = None
     try:
-        return args.func(args)
-    except ParseError as exc:
-        _emit(_error_doc(exc), getattr(args, "format", "json"))
-        return 4 if args.command == "classify" else 1
-    except (cartan.GCMError, roots.RootsError, weyl.WeylError,
-            pushforward.PushforwardError, chevalley.ChevalleyError,
-            isogeny.IsogenyError, rootdata.RootDatumError,
-            CharacterError) as exc:
-        _emit(_error_doc(exc), getattr(args, "format", "json"))
-        return 1
+        args = _build_parser().parse_args(argv)
+        doc, code = args.func(args)
+    except cartan.WeylkitError as exc:
+        doc = {"schema": "weylkit/error/1", "error": exc.to_json()}
+        code = 4 if isinstance(exc, ParseError) and argv[:1] == ["classify"] else 1
+    _emit(doc, getattr(args, "format", "json"))
+    return code
 
 
 if __name__ == "__main__":

@@ -22,48 +22,37 @@ from itertools import permutations
 from math import isqrt
 
 from . import intmat
-from .cartan import DynkinType, catalog, catalog_types
+from .cartan import DynkinType, WeylkitError, catalog, catalog_types
 from .rootdata import PinnedRootDatum, adjoint_datum
 
 
-class IsogenyError(ValueError):
-    code = "IsogenyError"
-
-    def to_json(self) -> dict:
-        return {"code": self.code, "message": str(self)}
+class IsogenyError(WeylkitError):
+    """Base for p-morphism and isogeny failures."""
 
 
 class InvalidPMorphism(IsogenyError):
-    code = "InvalidPMorphism"
+    """The document is not a p-morphism; subclasses name the failing equation."""
 
 
 class RootEquationFails(InvalidPMorphism):
-    code = "RootEquationFails"
-
     def __init__(self, k: int):
         self.k = k
         super().__init__(f"f(u(a)) = q(a) a fails at simple index {k}")
 
 
 class CorootEquationFails(InvalidPMorphism):
-    code = "CorootEquationFails"
-
     def __init__(self, k: int):
         self.k = k
         super().__init__(f"transpose(f) fails the coroot equation at simple index {k}")
 
 
 class QNotPowerOfP(InvalidPMorphism):
-    code = "QNotPowerOfP"
-
     def __init__(self, k: int):
         self.k = k
         super().__init__(f"q value at simple index {k} is not a power of p")
 
 
 class CartanIncompatible(InvalidPMorphism):
-    code = "CartanIncompatible"
-
     def __init__(self, i: int, j: int):
         self.i, self.j = i, j
         super().__init__(f"Cartan compatibility fails at simple pair ({i},{j})")

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 
+from .cartan import WeylkitError
 from .roots import Coords, RootSystem
 from .weyl import IndexOutOfRange
 
@@ -35,14 +35,12 @@ Word = tuple[int, ...]
 GradedWeights = Counter
 
 
-class PushforwardError(ValueError):
-    code = "PushforwardError"
+class PushforwardError(WeylkitError):
+    """Base for pushforward failures."""
 
 
 class KeyLemmaViolation(PushforwardError):
     """Internal-consistency failure of the rank dichotomy; never valid output."""
-
-    code = "KeyLemmaViolation"
 
 
 def _check_letter(rs: RootSystem, i: int) -> None:
@@ -150,14 +148,6 @@ def h0_rank(rs: RootSystem, word, alpha_index: int) -> int:
             f"zero-weight multiplicity {count}, expected {expected}"
         )
     return count
-
-
-@dataclass(frozen=True)
-class ChiClass:
-    """The line-bundle class attached to one position of a word."""
-
-    word: Word
-    position: int   # 1-based position a, pointing at letter word[position-1]
 
 
 def last_occurrence(word, b: int) -> int | None:

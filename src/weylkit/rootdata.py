@@ -13,19 +13,17 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import intmat
-from .cartan import GCM, NotFiniteType, is_finite_type
+from .cartan import GCM, NotFiniteType, WeylkitError, is_finite_type
 from .roots import RootSystem, generate_roots
 
 Vec = tuple[int, ...]
 
 
-class RootDatumError(ValueError):
-    code = "RootDatumError"
+class RootDatumError(WeylkitError):
+    """Base for root-datum failures."""
 
 
 class FundamentalGroupTooLarge(RootDatumError):
-    code = "FundamentalGroupTooLarge"
-
     def __init__(self, order: int, bound: int):
         self.order, self.bound = order, bound
         super().__init__(f"fundamental group of order {order} exceeds bound {bound}")

@@ -15,18 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import GCM, Symmetrizer, symmetrizer
+from .cartan import GCM, Symmetrizer, WeylkitError, symmetrizer
 
 Coords = tuple[int, ...]
 
 
-class RootsError(ValueError):
-    code = "RootsError"
+class RootsError(WeylkitError):
+    """Base for root-system failures."""
 
 
 class NotARoot(RootsError):
-    code = "NotARoot"
-
     def __init__(self, coords):
         self.coords = tuple(coords)
         super().__init__(f"{tuple(coords)} is not a root")

@@ -19,27 +19,24 @@ from math import prod
 
 import numpy as np
 
+from .cartan import WeylkitError
 from .roots import Coords, RootSystem
 
 DEFAULT_CAP = 3_000_000
 MATERIALIZE_CAP = 200_000
 
 
-class WeylError(ValueError):
-    code = "WeylError"
+class WeylError(WeylkitError):
+    """Base for Weyl-group failures."""
 
 
 class IndexOutOfRange(WeylError):
-    code = "IndexOutOfRange"
-
     def __init__(self, i: int, n: int):
         self.i, self.n = i, n
         super().__init__(f"simple index {i} out of range for rank {n}")
 
 
 class CapExceeded(WeylError):
-    code = "CapExceeded"
-
     def __init__(self, cap: int):
         self.cap = cap
         super().__init__(f"Weyl group enumeration would exceed {cap} elements")
@@ -128,14 +125,14 @@ class WeylElement:
         return f"WeylElement(len={self.length})"
 
 
-def simple_reflections(rs: RootSystem) -> list[WeylElement]:
+def simple_reflections(rs: RootSystem) -> tuple[WeylElement, ...]:
     """The generators s_i as root permutations (cached on the root system)."""
     if rs._simple_reflections is None:
-        rs._simple_reflections = [
+        rs._simple_reflections = tuple(
             WeylElement(rs, tuple(rs.index_of(rs.reflect_coords(i, r.coords))
                                   for r in rs.roots))
             for i in range(rs.rank)
-        ]
+        )
     return rs._simple_reflections
 
 
@@ -264,10 +261,6 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
 # ---------------------------------------------------------------------------
 # Words
 # ---------------------------------------------------------------------------
-
-def longest_element(group: WeylGroup) -> WeylElement:
-    return group.longest_element()
-
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """A reduced word for w, by smallest-descent stripping (deterministic)."""

@@ -59,6 +59,43 @@ def test_parse_error_exit_code():
     validate_document(doc)
 
 
+@pytest.mark.parametrize("argv,expected_code", [
+    (["classify", "--cap", "many"], 4),
+    (["classify", "--no-such-option"], 4),
+    (["weyl", "--type", "A2", "--cap", "1.5"], 1),
+    (["dim", "--type", "A2"], 1),
+    (["bs-weights", "--type", "A2", "--word", "1"], 1),
+    (["chevalley", "check", "--type", "B2"], 1),
+    (["roots", "--type", "A2", "--format", "xml"], 1),
+    (["frobnicate"], 1),
+    ([], 1),
+], ids=["classify-bad-cap", "classify-unknown-option", "weyl-bad-cap",
+        "dim-missing-weight", "bs-weights-missing-weight",
+        "chevalley-missing-p", "bad-format", "unknown-subcommand", "no-subcommand"])
+def test_usage_error_is_one_parse_error_document(argv, expected_code):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv, '{"matrix": [[2]]}')
+    assert code == expected_code
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    validate_document(doc)
+    assert doc["error"]["code"] == "ParseError"
+    assert "Traceback" not in err.getvalue()
+
+
+def test_bad_cap_setting_is_a_usage_error_where_the_cap_is_used(monkeypatch):
+    monkeypatch.setenv("WEYLKIT_WEYL_CAP", "lots")
+    code, out = run_cli(["weyl", "--type", "A2"])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "ParseError"
+    code, out = run_cli(["weyl", "--type", "A2", "--cap", "10"])
+    assert code == 0
+    assert json.loads(out)["enumerated"] == 6
+    code, out = run_cli(["roots", "--type", "A1"])
+    assert code == 0
+
+
 def test_classify_transpose_adapter():
     # the transposed G2 matrix classifies identically through the adapter
     code, out = run_cli(["classify", "--transpose"], '{"matrix": [[2,-3],[-1,2]]}')

@@ -1,0 +1,180 @@
+"""Fuzz the CLI boundary in-process.
+
+Every input must end in a documented exit code with exactly one
+schema-valid JSON document on stdout, and no exception may escape ``main``.
+Inputs whose work grows without bound in the numbers they give (huge ``--type``
+ranks, huge weights or ``--samples``) are left out of the strategies.
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from weylkit import cartan, chevalley, isogeny, weyl
+from weylkit.cli import ParseError, main
+from weylkit.schemas import validate_document
+
+CLASSIFY_EXIT_CODES = {0, 2, 3, 4}
+OTHER_EXIT_CODES = {0, 1}
+
+
+def run_cli(argv, stdin_text=""):
+    out, err = io.StringIO(), io.StringIO()
+    old_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = old_stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_one_document(argv, stdin_text=""):
+    code, out, err = run_cli(argv, stdin_text)
+    allowed = CLASSIFY_EXIT_CODES if argv[:1] == ["classify"] else OTHER_EXIT_CODES
+    assert code in allowed, (argv, code)
+    assert out.endswith("\n") and out.count("\n") == 1, (argv, out)
+    doc = json.loads(out)
+    validate_document(doc)
+    assert "Traceback" not in err
+    return code, doc
+
+
+# -- classify --------------------------------------------------------------
+
+junk_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats(width=16)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["matrix", "rows", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+OFF_DIAGONAL_PAIRS = [(0, 0), (-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1),
+                      (-2, -2), (-1, -4), (0, -1), (1, -1)]
+
+
+@st.composite
+def near_cartan_matrices(draw):
+    """Diagonal-2 matrices of rank <= 4 whose off-diagonal pairs are mostly
+    Cartan-like, so finite, affine, indefinite and invalid inputs all occur."""
+    n = draw(st.integers(1, 4))
+    rows = [[2] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j], rows[j][i] = draw(st.sampled_from(OFF_DIAGONAL_PAIRS))
+    return rows
+
+
+small_matrices = st.lists(st.lists(st.integers(-4, 3), max_size=4), max_size=4)
+
+classify_stdin = st.one_of(
+    st.text(max_size=12),
+    junk_json.map(json.dumps),
+    st.one_of(near_cartan_matrices(), small_matrices, junk_json).map(
+        lambda m: json.dumps({"matrix": m})),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stdin_text=classify_stdin, transpose=st.booleans(),
+       cap=st.none() | st.integers(-1, 2000))
+def test_classify_fuzz(stdin_text, transpose, cap):
+    argv = ["classify"] + (["--transpose"] if transpose else [])
+    argv += [] if cap is None else ["--cap", str(cap)]
+    code, doc = check_one_document(argv, stdin_text)
+    assert doc["schema"] == ("weylkit/error/1" if code == 4 else "weylkit/report/1")
+
+
+# -- typed subcommands -----------------------------------------------------
+
+CATALOG_PARTS = [(family, rank) for family, rank in cartan.catalog_types()
+                 if rank <= 4]
+type_parts = st.lists(
+    st.sampled_from(CATALOG_PARTS)
+    | st.tuples(st.sampled_from("ABCDEFGQa"), st.integers(0, 4)),
+    min_size=1, max_size=2,
+).filter(lambda parts: sum(r for _, r in parts) <= 4)
+
+
+def _vector(values):
+    return ",".join(str(x) for x in values)
+
+
+@st.composite
+def typed_argv(draw):
+    parts = draw(type_parts)
+    label = "+".join(f"{family}{rank}" for family, rank in parts)
+    rank = sum(r for _, r in parts)
+    weight = _vector(draw(st.lists(st.integers(-10, 10),
+                                   min_size=rank, max_size=rank)
+                          | st.lists(st.integers(-10, 10), max_size=5)))
+    word = _vector(draw(st.lists(st.integers(-1, rank + 1), max_size=6)))
+    p = str(draw(st.integers(-3, 12)))
+    basis = draw(st.sampled_from(["coroot", "root"]))
+    command = draw(st.sampled_from(["roots", "weyl", "bs-weights", "dim", "vol",
+                                    "isogeny", "chevalley", "datum", "selfcheck"]))
+    if command == "weyl":
+        return ["weyl", "--type", label, "--cap", str(draw(st.integers(-1, 2000)))]
+    if command == "bs-weights":
+        return ["bs-weights", "--type", label, "--word", word, "--weight", weight,
+                "--basis", basis]
+    if command in ("dim", "vol"):
+        return [command, "--type", label, "--weight", weight, "--basis", basis]
+    if command in ("isogeny", "chevalley"):
+        action = "enumerate" if command == "isogeny" else "check"
+        return [command, action, "--type", label, "--p", p]
+    if command == "datum":
+        return ["datum", "--type", label,
+                "--kind", draw(st.sampled_from(["adjoint", "sc"]))]
+    if command == "selfcheck":
+        return ["selfcheck", "--type", label, "--seed", p,
+                "--samples", str(draw(st.integers(0, 3)))]
+    return ["roots", "--type", label]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=typed_argv())
+def test_typed_subcommand_fuzz(argv):
+    check_one_document(argv)
+
+
+# -- error payloads --------------------------------------------------------
+
+@pytest.mark.parametrize("argv,stdin_text,code,keys", [
+    (["classify"], '{"matrix": [[1, -1], [-1, 2]]}', "DiagonalNotTwo",
+     {"code", "message", "i"}),
+    (["classify"], '{"matrix": [[2, 0], [-1, 2]]}', "AsymmetricZero",
+     {"code", "message", "i", "j"}),
+    (["roots", "--type", "B1"], "", "InvalidType",
+     {"code", "message", "family", "rank"}),
+    (["bs-weights", "--type", "A2", "--word", "3", "--weight", "0,0"], "",
+     "IndexOutOfRange", {"code", "message"}),
+    (["chevalley", "check", "--type", "A2", "--p", "2"], "", "SimplyLaced",
+     {"code", "message"}),
+    (["dim", "--type", "A2"], "", "ParseError", {"code", "message"}),
+], ids=["diagonal", "asymmetric-zero", "invalid-type", "index-out-of-range",
+        "simply-laced", "usage"])
+def test_error_payload_keys(argv, stdin_text, code, keys):
+    _, doc = check_one_document(argv, stdin_text)
+    error = doc["errors"][0] if doc["schema"] == "weylkit/report/1" else doc["error"]
+    assert error["code"] == code
+    assert set(error) == keys
+
+
+@pytest.mark.parametrize("exc", [
+    cartan.DiagonalNotTwo(0), cartan.InvalidType("Q", 7), cartan.NotFiniteType(),
+    weyl.IndexOutOfRange(3, 2), weyl.CapExceeded(10),
+    chevalley.HypothesesNotMet("sum-not-long"), isogeny.CartanIncompatible(0, 1),
+    ParseError("bad"),
+])
+def test_error_code_is_the_class_name(exc):
+    assert isinstance(exc, cartan.WeylkitError)
+    assert isinstance(exc, ValueError)
+    assert exc.code == type(exc).__name__
+    assert exc.to_json()["code"] == exc.code

@@ -1,3 +1,5 @@
+import contextlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -195,6 +197,15 @@ def test_longest_element_sends_positives_negative():
 
 
 # -- reflections --------------------------------------------------------
+
+def test_changing_simple_reflections_changes_no_later_result():
+    rs = _rs("A2")
+    with contextlib.suppress(AttributeError):
+        simple_reflections(rs).clear()
+    assert len(simple_reflections(rs)) == 2
+    assert element_from_word(rs, (0,)).length == 1
+    assert element_from_word(rs, (0, 1, 0)).length == 3
+
 
 def test_reflection_set_bijects_with_positive_roots():
     for label in ["A2", "B2", "G2", "B3"]:
