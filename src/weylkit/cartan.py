@@ -290,59 +290,65 @@ def catalog(family: str, rank: int) -> GCM:
     return GCM(n, tuple(tuple(row) for row in m))
 
 
-def _match_component(c: GCM, nodes: list[int], cat: GCM) -> tuple[int, ...] | None:
-    """Backtracking isomorphism of a component onto a catalog matrix.
+def scaled_isomorphisms(src: GCM, tgt: GCM, nodes, scales=(1,)):
+    """Every (u, q) with q[i] src[i][j] == q[j] tgt[u[i]][u[j]] for all i, j.
 
-    Returns the node map (catalog position -> input index) or None. The
-    search assigns catalog nodes in order to the smallest fitting input
-    node, so the recorded map is deterministic.
+    u sends source node i to a distinct target node drawn from ``nodes``
+    and q[i] is drawn from ``scales``. Source nodes are assigned in index
+    order, trying candidate nodes, then scales, in the order given; hits
+    come out in that depth-first order. A node with an earlier neighbour
+    only tries the nodes adjacent to that neighbour's image, and is checked
+    against the most recently assigned nodes first.
+
+    With scales (1, p) these are the solutions of the isogeny Cartan
+    compatibility q(a) <a, b~> = q(b) <u(a), u(b)~>; on G2 at p = 3 they
+    are the identity with q constant and the swap of the long and short
+    simples:
+
+    >>> g2 = catalog("G", 2)
+    >>> list(scaled_isomorphisms(g2, g2, range(2), (1, 3)))
+    [((0, 1), (1, 1)), ((0, 1), (3, 3)), ((1, 0), (3, 1))]
     """
-    r = cat.n
-    if len(nodes) != r:
-        return None
-    assign: list[int] = []
-    used: set[int] = set()
+    a, b = src.entries, tgt.entries
+    nodes = list(nodes)
+    near = {t: [s for s in nodes if s != t and b[t][s]] for t in nodes}
+    anchor = [next((j for j in range(i) if a[i][j]), None) for i in range(src.n)]
+    u, q = [0] * src.n, [0] * src.n   # entries from the current node on are stale
 
-    def ok(cat_k: int, node: int) -> bool:
-        for cat_prev, prev in enumerate(assign):
-            if cat.entries[cat_k][cat_prev] != c.entries[node][prev]:
-                return False
-            if cat.entries[cat_prev][cat_k] != c.entries[prev][node]:
-                return False
-        return True
+    def fits(i: int, t: int, s: int) -> bool:
+        return a[i][i] == b[t][t] and all(
+            s * a[i][j] == q[j] * b[t][u[j]] and q[j] * a[j][i] == s * b[u[j]][t]
+            for j in range(i - 1, -1, -1))
 
-    def backtrack() -> bool:
-        k = len(assign)
-        if k == r:
-            return True
-        for node in nodes:
-            if node not in used and ok(k, node):
-                assign.append(node)
-                used.add(node)
-                if backtrack():
-                    return True
-                assign.pop()
-                used.remove(node)
-        return False
+    def extend(i: int):
+        if i == src.n:
+            yield tuple(u), tuple(q)
+            return
+        for t in nodes if anchor[i] is None else near[u[anchor[i]]]:
+            if t not in u[:i]:
+                for s in scales:
+                    if fits(i, t, s):
+                        u[i], q[i] = t, s
+                        yield from extend(i + 1)
 
-    return tuple(assign) if backtrack() else None
+    return extend(0)
 
 
 def classify(c: GCM) -> DynkinType:
-    """Match each connected component against the finite-type catalog."""
+    """Match each connected component against the finite-type catalog.
+
+    A node map is the first scaled isomorphism at scale 1, so it is
+    deterministic.
+    """
     if not is_finite_type(c):
         raise NotFiniteType()
     comps = []
     for nodes in c.components():
         rank = len(nodes)
-        found = None
-        for family in FAMILIES:
-            if not _valid_type(family, rank):
-                continue
-            node_map = _match_component(c, nodes, catalog(family, rank))
-            if node_map is not None:
-                found = (family, rank, node_map)
-                break
+        found = next(((family, rank, u)
+                      for family in FAMILIES if _valid_type(family, rank)
+                      for u, _ in scaled_isomorphisms(catalog(family, rank), c, nodes)),
+                     None)
         if found is None:
             # cannot happen for a positive-definite GCM; defensive
             raise NotFiniteType("component matches no catalog type")

@@ -18,16 +18,20 @@ than stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from math import isqrt
 
 from . import intmat
-from .cartan import DynkinType, WeylkitError, catalog, catalog_types
+from .cartan import (DynkinType, WeylkitError, catalog, catalog_types,
+                     scaled_isomorphisms)
 from .rootdata import PinnedRootDatum, adjoint_datum
 
 
 class IsogenyError(WeylkitError):
     """Base for p-morphism and isogeny failures."""
+
+
+class PrimalityBoundExceeded(IsogenyError):
+    def __init__(self, p: int):
+        super().__init__(f"{p} is at or above the primality bound {PRIMALITY_BOUND}")
 
 
 class InvalidPMorphism(IsogenyError):
@@ -78,9 +82,32 @@ class PMorphism:
         }
 
 
+# Deterministic Miller-Rabin over the first 13 prime bases is exact below
+# PRIMALITY_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
-    """Trial division by every d up to isqrt(p)."""
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+    """Deterministic Miller-Rabin; raises PrimalityBoundExceeded past the bound."""
+    if p >= PRIMALITY_BOUND:
+        raise PrimalityBoundExceeded(p)
+    if p < 2 or any(p % b == 0 for b in _BASES):
+        return p in _BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _is_p_power(x: int, p: int) -> bool:
@@ -226,84 +253,43 @@ def _p_powers_up_to(p: int, bound: int) -> list[int]:
 def enumerate_special(family: str, rank: int, p: int) -> list[PMorphism]:
     """All primitive non-constant p-morphisms out of an irreducible type.
 
-    Exhaustive search over target catalog types of the same rank and all
-    bijections u of the simples, with q valued in {1, p} and both values
-    attained. For each u the Cartan compatibility propagates q across the
-    (connected) Dynkin graph from a single seed, so only two q candidates
-    exist per bijection. The source and target carry their adjoint data,
-    where the defining equations pin f down to a monomial matrix, so a
-    solution exists exactly when the compatibility holds.
+    For each target catalog type of the same rank, the candidates (u, q)
+    are the scaled isomorphisms of the source Cartan matrix onto the target
+    one with q valued in {1, p}, i.e. the solutions of the Cartan
+    compatibility; those with both values attained are kept, sorted by u,
+    then q. Source and target carry their adjoint data (built only for a
+    target with a hit), where the defining equations pin f down to a
+    monomial matrix, so a solution exists exactly when the compatibility
+    holds.
     """
     if not is_prime(p):
         raise IsogenyError(f"{p} is not prime")
     src_gcm = catalog(family, rank)
-    src_datum = adjoint_datum(src_gcm)
-    cg = src_gcm.rows()
+    src_datum = None
     out = []
     for tgt_family, tgt_rank in catalog_types(max_rank=rank):
         if tgt_rank != rank:
             continue
         tgt_gcm = catalog(tgt_family, tgt_rank)
-        ch = tgt_gcm.rows()
+        hits = [(u, q) for u, q in sorted(scaled_isomorphisms(
+                    src_gcm, tgt_gcm, range(rank), (1, p))) if set(q) == {1, p}]
+        if not hits:
+            continue
+        src_datum = src_datum or adjoint_datum(src_gcm)
         tgt_datum = adjoint_datum(tgt_gcm)
-        for u in permutations(range(rank)):
-            for seed in (1, p):
-                q = _propagate_q(cg, ch, u, seed, p)
-                if q is None or set(q) != {1, p}:
-                    continue
-                f = [[0] * rank for _ in range(rank)]
-                for i in range(rank):
-                    f[i][u[i]] = q[i]
-                phi = PMorphism(src_datum, tgt_datum,
-                                tuple(tuple(r) for r in f),
-                                tuple(u), q, p)
-                validate_pmorphism(phi)
-                out.append(phi)
+        for u, q in hits:
+            f = [[0] * rank for _ in range(rank)]
+            for i in range(rank):
+                f[i][u[i]] = q[i]
+            phi = PMorphism(src_datum, tgt_datum,
+                            tuple(tuple(r) for r in f), u, q, p)
+            validate_pmorphism(phi)
+            out.append(phi)
     return out
-
-
-def _propagate_q(cg, ch, u, seed: int, p: int) -> tuple[int, ...] | None:
-    """Solve q_i cg[i][j] = q_j ch[u(i)][u(j)] over the Dynkin graph.
-
-    Returns the unique solution with q[0] = seed and values in {1, p}, or
-    None if the equations are inconsistent or leave that range. Assumes the
-    source diagram is connected.
-    """
-    n = len(cg)
-    q: list[int | None] = [None] * n
-    q[0] = seed
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if i == j or cg[i][j] == 0:
-                continue
-            if ch[u[i]][u[j]] == 0:
-                return None
-            num = q[i] * cg[i][j]
-            den = ch[u[i]][u[j]]
-            if num % den:
-                return None
-            val = num // den
-            if val not in (1, p):
-                return None
-            if q[j] is None:
-                q[j] = val
-                frontier.append(j)
-            elif q[j] != val:
-                return None
-    if any(x is None for x in q):
-        return None
-    # full verification, including the non-edge pairs
-    for i in range(n):
-        for j in range(n):
-            if q[i] * cg[i][j] != q[j] * ch[u[i]][u[j]]:
-                return None
-    return tuple(q)
 
 
 def enumerate_special_for_type(dtype: DynkinType, p: int) -> list[PMorphism]:
     if len(dtype.components) != 1:
-        raise InvalidPMorphism("special isogeny search expects an irreducible type")
+        raise IsogenyError("special isogeny search expects an irreducible type")
     family, rank, _ = dtype.components[0]
     return enumerate_special(family, rank, p)

@@ -7,14 +7,16 @@ scans instead of string arithmetic, symmetric-group inversion counts
 instead of root permutations, the reflection closure of the simple roots
 instead of height-by-height generation, the per-family closed forms of |W|
 instead of invariant degrees, and a breadth-first search over sets of
-tuples instead of canonical-parent generation of the rho-orbit.
+tuples instead of canonical-parent generation of the rho-orbit, trial
+division instead of Miller-Rabin, and a loop over all bijections instead
+of the scaled-isomorphism search along Dynkin edges.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, isqrt
 
 
 def cofactor_det(m) -> int:
@@ -246,3 +248,75 @@ def freudenthal_dim(rs, highest_weight) -> int:
                 mults[mu] = mult
                 dim += mult * orbit_size(mu)
     return dim
+
+
+def trial_division_is_prime(p: int) -> bool:
+    """Trial division by every d up to isqrt(p)."""
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def first_permutation_match(cat, c, nodes):
+    """First map (catalog position -> node) in ``permutations(nodes)`` order
+    under which the catalog matrix equals the input entries, or None."""
+    r = len(cat)
+    for perm in permutations(nodes):
+        if all(cat[i][j] == c[perm[i]][perm[j]] for i in range(r) for j in range(r)):
+            return perm
+    return None
+
+
+def brute_scaled_pairs(src, tgt, p):
+    """Every (u, q) with q valued in {1, p} and
+    q_i src[i][j] = q_j tgt[u(i)][u(j)], for a connected source diagram.
+
+    Loops over all bijections u in ``permutations`` order; for each, the
+    compatibility propagates q across the source diagram from a seed
+    q_0 = 1, then q_0 = p, so at most two q exist per u.
+    """
+    n = len(src)
+    out = []
+    for u in permutations(range(n)):
+        for seed in (1, p):
+            q = _propagate_q(src, tgt, u, seed, p)
+            if q is not None:
+                out.append((u, q))
+    return out
+
+
+def _propagate_q(cg, ch, u, seed: int, p: int):
+    """Solve q_i cg[i][j] = q_j ch[u(i)][u(j)] over the Dynkin graph.
+
+    Returns the unique solution with q[0] = seed and values in {1, p}, or
+    None if the equations are inconsistent or leave that range.
+    """
+    n = len(cg)
+    q = [None] * n
+    q[0] = seed
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for j in range(n):
+            if i == j or cg[i][j] == 0:
+                continue
+            if ch[u[i]][u[j]] == 0:
+                return None
+            num = q[i] * cg[i][j]
+            den = ch[u[i]][u[j]]
+            if num % den:
+                return None
+            val = num // den
+            if val not in (1, p):
+                return None
+            if q[j] is None:
+                q[j] = val
+                frontier.append(j)
+            elif q[j] != val:
+                return None
+    if any(x is None for x in q):
+        return None
+    # full verification, including the non-edge pairs
+    for i in range(n):
+        for j in range(n):
+            if q[i] * cg[i][j] != q[j] * ch[u[i]][u[j]]:
+                return None
+    return tuple(q)

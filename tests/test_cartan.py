@@ -7,7 +7,8 @@ from weylkit.cartan import (AsymmetricZero, DiagonalNotTwo, GCMError,
 from weylkit.intmat import leading_principal_minors
 from weylkit.roots import generate_roots
 
-from oracles import cofactor_det, reflection_closure
+from oracles import (brute_scaled_pairs, cofactor_det, first_permutation_match,
+                     reflection_closure)
 
 ALL_TYPES = cartan.catalog_types(max_rank=8)
 
@@ -167,3 +168,38 @@ def test_finite_type_iff_root_orbit_terminates():
         assert not _orbit_terminates(g)
         with pytest.raises(NotFiniteType):
             generate_roots(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_classify_node_maps_are_first_permutation_matches(data):
+    labels = data.draw(st.lists(
+        st.sampled_from([f"{f}{r}" for f, r in cartan.catalog_types(max_rank=6)]),
+        min_size=1, max_size=3).filter(
+            lambda ls: sum(int(label[1:]) for label in ls) <= 6))
+    g = cartan.parse_type("+".join(labels))
+    perm = data.draw(st.permutations(range(g.n)))
+    relabeled = cartan.validate_gcm(_permute(g.rows(), list(perm)))
+    expected = []
+    for nodes in relabeled.components():
+        rank = len(nodes)
+        expected.append(next(
+            (family, rank, node_map)
+            for family, r in cartan.catalog_types(max_rank=rank) if r == rank
+            for node_map in [first_permutation_match(
+                cartan.catalog(family, rank).rows(), relabeled.rows(), nodes)]
+            if node_map is not None))
+    assert cartan.classify(relabeled).components == tuple(expected)
+
+
+def test_scaled_isomorphisms_sorted_match_bijection_oracle():
+    for family, rank in cartan.catalog_types(max_rank=5):
+        src = cartan.catalog(family, rank)
+        for tgt_family, r in cartan.catalog_types(max_rank=rank):
+            if r != rank:
+                continue
+            tgt = cartan.catalog(tgt_family, rank)
+            for p in (2, 3):
+                found = sorted(cartan.scaled_isomorphisms(src, tgt, range(rank), (1, p)))
+                assert found == brute_scaled_pairs(src.rows(), tgt.rows(), p), \
+                    (family, tgt_family, rank, p)

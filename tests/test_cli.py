@@ -150,6 +150,22 @@ def test_non_prime_p_is_an_error_document(argv):
     assert "is not prime" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("argv,error_code", [
+    (["isogeny", "enumerate", "--type", "A1+A1", "--p", "2"], "IsogenyError"),
+    (["chevalley", "check", "--type", "B2", "--p", "3317044064679887385961981"],
+     "PrimalityBoundExceeded"),
+    (["isogeny", "enumerate", "--type", "G2", "--p", str(10 ** 30)],
+     "PrimalityBoundExceeded"),
+], ids=["isogeny-reducible-type", "chevalley-p-at-bound", "isogeny-p-past-bound"])
+def test_isogeny_search_refusals_are_one_error_document(argv, error_code):
+    code, out = run_cli(argv)
+    assert code == 1
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    validate_document(doc)
+    assert doc["error"]["code"] == error_code
+
+
 def test_classify_exit_zero_report_fields():
     code, out = run_cli(["classify"], '{"matrix": [[2,-1],[-3,2]]}')
     assert code == 0

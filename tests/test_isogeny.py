@@ -1,13 +1,16 @@
 import pytest
 
 from weylkit import cartan
-from weylkit.isogeny import (CartanIncompatible, InvalidPMorphism, IsogenyError,
-                             PMorphism, QNotPowerOfP, compose, enumerate_special,
+from weylkit.isogeny import (PRIMALITY_BOUND, CartanIncompatible, InvalidPMorphism,
+                             IsogenyError, PMorphism, PrimalityBoundExceeded,
+                             QNotPowerOfP, compose, enumerate_special,
                              extend_to_roots, factor_primitive_constant,
                              frobenius, is_constant, is_prime, is_primitive,
                              validate_pmorphism)
 from weylkit.rootdata import adjoint_datum, simply_connected_datum
 from weylkit.roots import generate_roots
+
+from oracles import brute_scaled_pairs, trial_division_is_prime
 
 IRREDUCIBLE_RANK4 = [(f, r) for f, r in cartan.catalog_types(max_rank=4)]
 
@@ -29,9 +32,33 @@ def test_is_prime():
 
 
 def test_frobenius_at_a_large_prime_validates():
-    # trial division stops at isqrt(p), so a 13-digit prime is cheap
+    # Miller-Rabin costs at most 13 modular powers, so even a large prime is cheap
     phi = frobenius(adjoint_datum(cartan.parse_type("A1")), 1_000_000_000_039)
     assert phi.q == (1_000_000_000_039,)
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [p for p in range(100_000) if is_prime(p)] == \
+        [p for p in range(100_000) if trial_division_is_prime(p)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the first 4, 11 and 12 prime bases: only a later
+    # base exposes each, the last one only the 13th base, 41
+    for n in (3_215_031_751, 3_825_123_056_546_413_051):
+        assert not is_prime(n) and not trial_division_is_prime(n)
+    # the smallest factor of this one is out of reach of trial division
+    n = 318_665_857_834_031_151_167_461
+    assert 399_165_290_221 * 798_330_580_441 == n
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_the_bound_and_beyond():
+    assert not is_prime(PRIMALITY_BOUND - 2)
+    for p in (PRIMALITY_BOUND, PRIMALITY_BOUND + 2, 10 ** 40):
+        with pytest.raises(PrimalityBoundExceeded):
+            is_prime(p)
+    assert issubclass(PrimalityBoundExceeded, IsogenyError)
 
 
 def test_enumerate_special_rejects_non_prime():
@@ -203,3 +230,26 @@ def test_extension_q_constant_on_length_classes():
     for i, (j, q) in enumerate(ext):
         by_length.setdefault(rs.roots[i].length, set()).add(q)
     assert by_length == {1: {2}, 2: {1}}
+
+
+def test_enumerate_special_matches_bijection_oracle():
+    for family, rank in cartan.catalog_types(max_rank=7):
+        src = cartan.catalog(family, rank).rows()
+        for p in (2, 3, 5):
+            expected = [(tgt, u, q)
+                        for f, r in cartan.catalog_types(max_rank=rank) if r == rank
+                        for tgt in [cartan.catalog(f, r).rows()]
+                        for u, q in brute_scaled_pairs(src, tgt, p)
+                        if set(q) == {1, p}]
+            found = [(phi.target.cartan_matrix(), phi.u, phi.q)
+                     for phi in enumerate_special(family, rank, p)]
+            assert found == expected, (family, rank, p)
+
+
+def test_rank_12_search_is_bounded():
+    found = enumerate_special("B", 12, 2)
+    assert len(found) == 1
+    target = cartan.GCM(12, tuple(tuple(r) for r in found[0].target.cartan_matrix()))
+    assert cartan.classify(target).multiset() == (("C", 12),)
+    assert enumerate_special("A", 12, 2) == []
+
