@@ -15,9 +15,11 @@ is the innermost fibration, so its pushforward happens first. Degrees add
 up across steps and multiplicities are tracked as a Counter keyed by
 (weight, degree); no cancellation between degrees is modeled.
 
-Words that end the same way share every intermediate state, so
-``pushforward_suffixes`` walks the reversed-word (suffix) trie and computes
-each word's state once, from its parent; the containment scan uses it.
+The multiset of (i,) + w depends only on the multiset of w, so
+``pushforward_states`` walks distinct states rather than words, counting the
+words that reach each one; the containment scan uses it. A step that would
+produce more than ``MAX_STEP_WEIGHTS`` weights raises PushforwardTooLarge
+before it starts.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ Word = tuple[int, ...]
 # multiset of (weight, cohomological degree) -> multiplicity
 GradedWeights = Counter
 
+# most weights one pushforward step may produce, summed over its entries
+MAX_STEP_WEIGHTS = 100_000
+
 
 class PushforwardError(WeylkitError):
     """Base for pushforward failures."""
@@ -41,6 +46,12 @@ class PushforwardError(WeylkitError):
 
 class KeyLemmaViolation(PushforwardError):
     """Internal-consistency failure of the rank dichotomy; never valid output."""
+
+
+class PushforwardTooLarge(PushforwardError):
+    def __init__(self, size: int):
+        super().__init__(f"a pushforward step would produce {size} weights, "
+                         f"over the bound {MAX_STEP_WEIGHTS}")
 
 
 def _check_letter(rs: RootSystem, i: int) -> None:
@@ -75,6 +86,9 @@ def pushforward_multiset(rs: RootSystem, word, entries: GradedWeights) -> Graded
     cur = Counter(entries)
     for letter in reversed(tuple(word)):
         _check_letter(rs, letter)
+        size = sum(max(w[letter] + 1, -w[letter] - 1) for w, _ in cur)
+        if size > MAX_STEP_WEIGHTS:
+            raise PushforwardTooLarge(size)
         nxt: GradedWeights = Counter()
         for (w, d), mult in cur.items():
             inc, weights = pushforward_step(rs, w, letter)
@@ -90,30 +104,33 @@ def pushforward_word(rs: RootSystem, word, weight) -> GradedWeights:
     return pushforward_multiset(rs, word, start)
 
 
-def pushforward_suffixes(rs: RootSystem, weight,
-                         max_len: int) -> Iterator[tuple[Word, GradedWeights]]:
-    """Yield (word, graded multiset) for every word of length <= max_len, once each.
+def pushforward_states(rs: RootSystem, weight, max_len: int, letter: int | None
+                      ) -> Iterator[tuple[Word, GradedWeights, bool, int]]:
+    """Yield (word, graded multiset, letter occurs, word count) per distinct state.
 
-    The walk runs over the reversed-word (suffix) trie: the word (i,) + w
-    pushes its last letters exactly as w does, so its multiset is w's pushed
-    one more step along i. Each state is computed once, from its parent.
-    Parents come before their children, and a word's children are pushed
-    before the word is yielded, so the caller may change what it is handed.
+    The multiset of (i,) + w is w's pushed one more step along i, and
+    ``letter`` (None: no letter) occurs in (i,) + w iff it is i or occurs in
+    w. So each length 0..max_len keeps each state once, with one of its
+    words and their number. A state's children are pushed before it is
+    yielded, so the caller may change what it is handed.
 
     >>> from weylkit.cartan import parse_type
     >>> from weylkit.roots import generate_roots
-    >>> rs = generate_roots(parse_type("A1"))
-    >>> [(w, dict(gw)) for w, gw in pushforward_suffixes(rs, (-2,), 2)]
-    [((), {((-2,), 0): 1}), ((0,), {((0,), 1): 1}), ((0, 0), {((0,), 1): 1})]
+    >>> rs = generate_roots(parse_type("A2"))
+    >>> [(w, dict(gw), hit, n) for w, gw, hit, n
+    ...  in pushforward_states(rs, (-2, 1), 2, 0) if len(w) == 2]
+    [((0, 0), {((0, 0), 1): 1}, True, 3), ((1, 1), {((-2, 1), 0): 1, ((-1, -1), 0): 1}, False, 1)]
     """
-    start: GradedWeights = Counter({(tuple(weight), 0): 1})
-    stack = [((), start)] if max_len >= 0 else []
-    while stack:
-        word, gw = stack.pop()
-        if len(word) < max_len:
-            for i in reversed(range(rs.rank)):
-                stack.append(((i,) + word, pushforward_multiset(rs, (i,), gw)))
-        yield word, gw
+    level = [[(), Counter({(tuple(weight), 0): 1}), False, 1]]
+    for length in range(max_len + 1):
+        nxt: dict = {}
+        for word, gw, hit, count in level:
+            for i in range(rs.rank if length < max_len else 0):
+                child = pushforward_multiset(rs, (i,), gw)
+                key = (frozenset(child.items()), hit or i == letter)
+                nxt.setdefault(key, [(i,) + word, child, key[1], 0])[3] += count
+            yield word, gw, hit, count
+        level = nxt.values()
 
 
 def sorted_entries(gw: GradedWeights) -> list[tuple[Coords, int, int]]:
@@ -121,33 +138,37 @@ def sorted_entries(gw: GradedWeights) -> list[tuple[Coords, int, int]]:
     return [(w, d, m) for (w, d), m in sorted(gw.items(), key=lambda kv: (kv[0][1], kv[0][0]))]
 
 
+def zero_weight_rank(gw: GradedWeights, hit: bool, where: str = "") -> int:
+    """Total multiplicity of the zero weight, checked against the key lemma.
+
+    Zero weight must sit only in degree 1, with total multiplicity 1 if the
+    letter occurs (``hit``) and 0 otherwise; anything else is a bug and
+    raises KeyLemmaViolation, its message ending in ``where``.
+    """
+    count = 0
+    for (w, d), mult in gw.items():
+        if not any(w):
+            if d != 1:
+                raise KeyLemmaViolation(f"zero weight at degree {d}{where}")
+            count += mult
+    expected = 1 if hit else 0
+    if count != expected:
+        raise KeyLemmaViolation(
+            f"zero-weight multiplicity {count}, expected {expected}{where}")
+    return count
+
+
 def h0_rank(rs: RootSystem, word, alpha_index: int) -> int:
     """Rank of the degree-zero invariants: 1 iff the letter occurs, else 0.
 
     Computed as the number of zero-weight entries of the pushforward of
-    minus the simple root; the run asserts every zero-weight entry sits in
-    degree exactly 1 with total multiplicity matching the occurrence
-    dichotomy, and raises KeyLemmaViolation otherwise (an implementation
-    bug, never a valid outcome).
+    minus the simple root, checked by ``zero_weight_rank``.
     """
     _check_letter(rs, alpha_index)
     lam = tuple(-x for x in rs.simple_weight(alpha_index))
     gw = pushforward_word(rs, word, lam)
-    zero = tuple(0 for _ in range(rs.rank))
-    count = 0
-    for (w, d), mult in gw.items():
-        if w == zero:
-            if d != 1:
-                raise KeyLemmaViolation(
-                    f"zero weight at degree {d} for word {tuple(word)}"
-                )
-            count += mult
-    expected = 1 if occurs(word, alpha_index) else 0
-    if count != expected:
-        raise KeyLemmaViolation(
-            f"zero-weight multiplicity {count}, expected {expected}"
-        )
-    return count
+    return zero_weight_rank(gw, occurs(word, alpha_index),
+                            f" for word {tuple(word)}")
 
 
 def last_occurrence(word, b: int) -> int | None:

@@ -82,15 +82,13 @@ def _datum_from_root_system(rs: RootSystem, to_m, to_dual) -> PinnedRootDatum:
     return PinnedRootDatum(rs.rank, roots, coroots, simples)
 
 
-def adjoint_datum(c: GCM, rs: RootSystem | None = None) -> PinnedRootDatum:
+def adjoint_datum(c: GCM) -> PinnedRootDatum:
     """Character lattice = root lattice with the simple roots as basis.
 
     Roots keep their simple-root coordinates; a coroot has dual-basis
     coordinates C b where b is its simple-coroot coordinate vector.
     """
-    if not is_finite_type(c):
-        raise NotFiniteType()
-    rs = rs or generate_roots(c)
+    rs = generate_roots(c)
     rows = c.rows()
 
     def to_dual(r):
@@ -100,16 +98,14 @@ def adjoint_datum(c: GCM, rs: RootSystem | None = None) -> PinnedRootDatum:
     return _datum_from_root_system(rs, lambda r: r.coords, to_dual)
 
 
-def simply_connected_datum(c: GCM, rs: RootSystem | None = None) -> PinnedRootDatum:
+def simply_connected_datum(c: GCM) -> PinnedRootDatum:
     """Character lattice = weight lattice with the fundamental weights as basis.
 
     Roots are written in fundamental-weight coordinates (simple root i is
     row i of C); coroots keep their simple-coroot coordinates.
     """
-    if not is_finite_type(c):
-        raise NotFiniteType()
-    rs = rs or generate_roots(c)
-    return _datum_from_root_system(rs, lambda r: r.weight, lambda r: r.coroot)
+    return _datum_from_root_system(generate_roots(c), lambda r: r.weight,
+                                   lambda r: r.coroot)
 
 
 def fundamental_group(c: GCM) -> tuple[int, ...]:
@@ -169,8 +165,6 @@ def intermediate_lattices(c: GCM, max_index: int = 10_000) -> list[PinnedRootDat
     Each lattice gets the canonical Hermite basis of its generating set, so
     equal lattices always produce identical data.
     """
-    if not is_finite_type(c):
-        raise NotFiniteType()
     rs = generate_roots(c)
     n = c.n
     # quotient of the weight lattice (fw coordinates) by the root lattice,

@@ -213,9 +213,9 @@ class WeylGroup:
         """The set T of all reflections, indexed by the positive roots."""
         return [root_reflection(self.rs, i) for i in range(self.rs.num_positive)]
 
-    def elements(self, max_materialize: int = MATERIALIZE_CAP) -> list[WeylElement]:
-        if self.order > max_materialize:
-            raise CapExceeded(max_materialize)
+    def elements(self) -> list[WeylElement]:
+        if self.order > MATERIALIZE_CAP:
+            raise CapExceeded(MATERIALIZE_CAP)
         out = []
         for layer in self.layers:
             for row in layer:

@@ -8,15 +8,19 @@ instead of root permutations, the reflection closure of the simple roots
 instead of height-by-height generation, the per-family closed forms of |W|
 instead of invariant degrees, and a breadth-first search over sets of
 tuples instead of canonical-parent generation of the rho-orbit, trial
-division instead of Miller-Rabin, and a loop over all bijections instead
-of the scaled-isomorphism search along Dynkin edges.
+division instead of Miller-Rabin, a loop over all bijections instead
+of the scaled-isomorphism search along Dynkin edges, and a walk over every
+word of the suffix trie instead of the walk over distinct word states.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, isqrt
+
+from weylkit.pushforward import pushforward_multiset
 
 
 def cofactor_det(m) -> int:
@@ -320,3 +324,28 @@ def _propagate_q(cg, ch, u, seed: int, p: int):
             if q[i] * cg[i][j] != q[j] * ch[u[i]][u[j]]:
                 return None
     return tuple(q)
+
+
+def pushforward_suffixes(rs, weight, max_len: int):
+    """Yield (word, graded multiset) for every word of length <= max_len, once each.
+
+    The walk runs over the reversed-word (suffix) trie: the word (i,) + w
+    pushes its last letters exactly as w does, so its multiset is w's pushed
+    one more step along i. Each state is computed once, from its parent.
+    Parents come before their children, and a word's children are pushed
+    before the word is yielded, so the caller may change what it is handed.
+
+    >>> from weylkit.cartan import parse_type
+    >>> from weylkit.roots import generate_roots
+    >>> rs = generate_roots(parse_type("A1"))
+    >>> [(w, dict(gw)) for w, gw in pushforward_suffixes(rs, (-2,), 2)]
+    [((), {((-2,), 0): 1}), ((0,), {((0,), 1): 1}), ((0, 0), {((0,), 1): 1})]
+    """
+    start = Counter({(tuple(weight), 0): 1})
+    stack = [((), start)] if max_len >= 0 else []
+    while stack:
+        word, gw = stack.pop()
+        if len(word) < max_len:
+            for i in reversed(range(rs.rank)):
+                stack.append(((i,) + word, pushforward_multiset(rs, (i,), gw)))
+        yield word, gw

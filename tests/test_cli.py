@@ -207,6 +207,21 @@ def test_word_letters_are_one_based():
     validate_document(doc)
 
 
+@pytest.mark.parametrize("argv", [
+    ["bs-weights", "--type", "A1", "--word", "1", "--weight", "1000000"],
+    ["bs-weights", "--type", "F4", "--word", "1,2,3,4,3,2", "--weight", "10,10,10,10"],
+], ids=["a1-huge-weight", "f4-long-word"])
+def test_oversized_pushforward_is_one_error_document(argv):
+    # refused before the step that would exceed the bound, not after it
+    code, out = run_cli(argv)
+    assert code == 1
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    validate_document(doc)
+    assert doc["schema"] == "weylkit/error/1"
+    assert doc["error"]["code"] == "PushforwardTooLarge"
+
+
 def test_dim_rejects_negative_weight_with_error_doc():
     code, out = run_cli(["dim", "--type", "A2", "--weight", "-1,0"])
     assert code == 1

@@ -11,14 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 from weylkit import cartan
 from weylkit.isogeny import enumerate_special, frobenius
-from weylkit.pushforward import (chi_restriction, h0_rank, last_occurrence,
-                                 occurs, pmorphism_chi_factors,
-                                 pushforward_multiset, pushforward_step,
-                                 pushforward_suffixes, pushforward_word,
-                                 sorted_entries, translated_word)
+from weylkit.pushforward import (MAX_STEP_WEIGHTS, KeyLemmaViolation,
+                                 PushforwardTooLarge, chi_restriction, h0_rank,
+                                 last_occurrence, occurs, pmorphism_chi_factors,
+                                 pushforward_multiset, pushforward_states,
+                                 pushforward_step, pushforward_word,
+                                 sorted_entries, translated_word,
+                                 zero_weight_rank)
 from weylkit.rootdata import adjoint_datum
 from weylkit.roots import generate_roots, nonsimple_positives
 from weylkit.weyl import IndexOutOfRange
+
+from oracles import pushforward_suffixes
 
 IRREDUCIBLE_RANK3 = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -100,6 +104,14 @@ def test_mutating_a_step_result_changes_no_later_result():
     assert pushforward_step(rs, (1, 0), 0) == (0, [(1, 0), (-1, 1)])
     assert pushforward_word(rs, (0,), (1, 0)) == Counter(
         {((1, 0), 0): 1, ((-1, 1), 0): 1})
+
+
+def test_step_size_bound_is_checked_before_the_step():
+    rs = _rs("A1")
+    assert len(pushforward_word(rs, (0,), (MAX_STEP_WEIGHTS - 1,))) == MAX_STEP_WEIGHTS
+    for weight in [(MAX_STEP_WEIGHTS,), (-MAX_STEP_WEIGHTS - 2,), (10 ** 18,)]:
+        with pytest.raises(PushforwardTooLarge):
+            pushforward_word(rs, (0,), weight)
 
 
 def test_step_index_range():
@@ -228,13 +240,87 @@ def test_suffix_walk_matches_per_word_pushforward(label):
     assert list(pushforward_suffixes(rs, rs.simple_weight(0), -1)) == []
 
 
-def test_containment_scan_script_short_words():
+# -- the state walk -------------------------------------------------------
+
+@pytest.mark.parametrize("label", IRREDUCIBLE_RANK3)
+def test_state_walk_counts_the_per_word_states(label):
+    # minus every positive root, tracking every letter and no letter: each
+    # (length, multiset, letter occurs) comes once, with the number of words
+    # whose per-word pushforward gives it, and the word it names is one of
+    # them, though every multiset the walk hands out is cleared
+    rs = _rs(label)
+    words = list(_words_up_to(rs.rank, 4))
+    for r in rs.positives:
+        lam = _neg(r.weight)
+        pushed = {word: frozenset(pushforward_word(rs, word, lam).items())
+                  for word in words}
+        for letter in [None, *range(rs.rank)]:
+            expected = Counter((len(word), pushed[word], occurs(word, letter))
+                               for word in words)
+            seen = Counter()
+            for word, gw, hit, count in pushforward_states(rs, lam, 4, letter):
+                key = (len(word), frozenset(gw.items()), hit)
+                assert key not in seen and key[1:] == (pushed[word], occurs(word, letter))
+                seen[key] = count
+                gw.clear()
+            assert seen == expected, (lam, letter)
+    assert list(pushforward_states(rs, rs.simple_weight(0), -1, 0)) == []
+
+
+@pytest.mark.parametrize("label", IRREDUCIBLE_RANK3)
+def test_state_walk_totals_match_the_suffix_walk(label):
+    # words and graded entries per length, as the containment scan sums them
+    rs = _rs(label)
+    for r in rs.positives:
+        lam = _neg(r.weight)
+        trie = Counter()
+        for word, gw in pushforward_suffixes(rs, lam, 6):
+            trie[len(word), "words"] += 1
+            trie[len(word), "entries"] += sum(gw.values())
+        states = Counter()
+        for word, gw, _, count in pushforward_states(rs, lam, 6, None):
+            states[len(word), "words"] += count
+            states[len(word), "entries"] += count * sum(gw.values())
+        assert states == trie, lam
+
+
+def test_zero_weight_rank_rejects_broken_multisets():
+    assert zero_weight_rank(Counter({((0, 0), 1): 1, ((-1, 2), 0): 3}), True) == 1
+    assert zero_weight_rank(Counter({((-1, 2), 0): 1}), False) == 0
+    for gw, hit in [(Counter({((0, 0), 0): 1}), False),
+                    (Counter({((0, 0), 1): 1}), False),
+                    (Counter({((0, 0), 1): 2}), True),
+                    (Counter(), True)]:
+        with pytest.raises(KeyLemmaViolation):
+            zero_weight_rank(gw, hit)
+
+
+def _env_with_src():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_zero_weight_rank_raises_under_optimized_python():
+    # the key-lemma checks are not asserts, so ``python -O`` keeps them
+    code = ("import sys\n"
+            "from collections import Counter\n"
+            "from weylkit.pushforward import KeyLemmaViolation, zero_weight_rank\n"
+            "try:\n"
+            "    zero_weight_rank(Counter({((0, 0), 0): 1}), False)\n"
+            "except KeyLemmaViolation as exc:\n"
+            "    print(sys.flags.optimize, exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=_env_with_src(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 zero weight at degree 0\n"
+
+
+def test_containment_scan_script_short_words():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "containment_scan.py"), "3"],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=_env_with_src(), timeout=300,
     )
     assert proc.returncode == 0 and "Traceback" not in proc.stderr
     lines = proc.stdout.splitlines()
@@ -243,10 +329,13 @@ def test_containment_scan_script_short_words():
     for label, line in zip(IRREDUCIBLE_RANK3, lines):
         rs = _rs(label)
         m = re.fullmatch(r" *(\w+): +(\d+) words, +(\d+) pushforwards, "
-                         r"+\d+ graded entries, all contained", line)
+                         r"+(\d+) graded entries, all contained", line)
         assert m and m[1] == label, line
         words = sum(rs.rank ** k for k in range(4))
         assert (int(m[2]), int(m[3])) == (words, words * rs.num_positive)
+        entries = sum(sum(pushforward_word(rs, word, _neg(r.weight)).values())
+                      for word in _words_up_to(rs.rank, 3) for r in rs.positives)
+        assert int(m[4]) == entries, line
         total += int(m[3])
     assert re.fullmatch(rf"total {total} pushforwards, zero violations, \d+\.\ds",
                         lines[-1])

@@ -106,6 +106,14 @@ def test_intermediate_lattice_bound():
         intermediate_lattices(cartan.parse_type("A3"), max_index=3)
 
 
+@pytest.mark.parametrize("build", [adjoint_datum, simply_connected_datum,
+                                   intermediate_lattices])
+def test_builders_refuse_affine_a2(build):
+    affine_a2 = cartan.validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    with pytest.raises(cartan.NotFiniteType):
+        build(affine_a2)
+
+
 def test_pinned_isomorphism_identity():
     for label in ["A2", "B2", "G2"]:
         datum = adjoint_datum(cartan.parse_type(label))
