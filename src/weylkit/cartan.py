@@ -369,13 +369,13 @@ def block_diag(*parts: GCM) -> GCM:
     return GCM(n, tuple(tuple(row) for row in m))
 
 
-def parse_type(label: str) -> GCM:
-    """Parse labels like ``G2`` or ``A1+A1`` into a catalog matrix.
+def parse_label(label: str) -> list[tuple[str, int]]:
+    """The (family, rank) of each ``+``-separated piece of a type label.
 
-    >>> parse_type("A1+A1").rows()
-    [[2, 0], [0, 2]]
-    >>> classify(parse_type("F4")).label()
-    'F4'
+    Raises InvalidType at the first piece that names no catalog type.
+
+    >>> parse_label("B4"), parse_label("a1 + G2")
+    ([('B', 4)], [('A', 1), ('G', 2)])
     """
     parts = []
     for piece in label.split("+"):
@@ -387,5 +387,18 @@ def parse_type(label: str) -> GCM:
             rank = int(piece[1:])
         except ValueError:
             raise InvalidType(family, 0) from None
-        parts.append(catalog(family, rank))
-    return block_diag(*parts)
+        if not _valid_type(family, rank):
+            raise InvalidType(family, rank)
+        parts.append((family, rank))
+    return parts
+
+
+def parse_type(label: str) -> GCM:
+    """Parse labels like ``G2`` or ``A1+A1`` into a catalog matrix.
+
+    >>> parse_type("A1+A1").rows()
+    [[2, 0], [0, 2]]
+    >>> classify(parse_type("F4")).label()
+    'F4'
+    """
+    return block_diag(*(catalog(family, rank) for family, rank in parse_label(label)))

@@ -24,7 +24,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import cartan, chevalley, isogeny, pushforward, rootdata, roots, weyl
+from . import cartan, chevalley, isogeny, pushforward, rootdata, roots, schemas, weyl
 from .characters import (EulerData, shifted_euler_characteristic, volume,
                          weyl_dim)
 
@@ -90,35 +90,29 @@ def _parse_weight(text: str, gcm: cartan.GCM, basis: str) -> tuple[int, ...]:
     coords = _parse_ints(text)
     if len(coords) != gcm.n:
         raise ParseError(f"weight must have {gcm.n} coordinates")
-    if basis == "root":
-        return tuple(
-            sum(a * gcm.entries[k][j] for k, a in enumerate(coords))
-            for j in range(gcm.n)
-        )
-    return tuple(coords)
+    return roots.weight_of(gcm, coords) if basis == "root" else tuple(coords)
 
 
-def _load_json(path: str):
-    """The JSON document in a file, or on stdin when the path is "-"."""
+def _load_json(path: str, spec):
+    """The JSON document in a file, or on stdin when the path is "-"; it
+    must have the shape ``spec`` (see ``schemas.check``). Anything else,
+    an integer past the digit limit or nesting past the recursion limit
+    included, is a ParseError."""
     try:
         if path and path != "-":
             with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        return json.load(sys.stdin)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+                doc = json.load(fh)
+        else:
+            doc = json.load(sys.stdin)
+        schemas.check(doc, spec, "input")
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(str(exc)) from None
+    return doc
 
 
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
-
-def _is_int_matrix(matrix) -> bool:
-    """Whether the input is a list of integer lists, so the report may echo it."""
-    return all(isinstance(row, list)
-               and all(isinstance(x, int) and not isinstance(x, bool) for x in row)
-               for row in matrix)
-
 
 def _weyl_counts(rs: roots.RootSystem, cap: int) -> tuple:
     """|W| from the degrees, then the enumerated order and the Poincare
@@ -131,20 +125,14 @@ def _weyl_counts(rs: roots.RootSystem, cap: int) -> tuple:
 
 
 def _cmd_classify(args) -> tuple[dict, int]:
-    payload = _load_json(args.input)
-    try:
-        matrix = payload["matrix"]
-        if not isinstance(matrix, list):
-            raise KeyError("matrix")
-    except (KeyError, TypeError) as exc:
-        raise ParseError(str(exc)) from None
+    matrix = _load_json(args.input, {"matrix": list})["matrix"]
     if args.transpose and all(isinstance(row, list) and len(row) == len(matrix)
                               for row in matrix):
         matrix = [list(row) for row in zip(*matrix)]
 
     report = {
         "schema": "weylkit/report/1",
-        "matrix": matrix if _is_int_matrix(matrix) else None,
+        "matrix": matrix if schemas.matches(matrix, "int_matrix") else None,
         "gcm": False,
         "finite": None,
         "type": None,
@@ -250,15 +238,17 @@ def _cmd_vol(args) -> tuple[dict, int]:
 
 def _cmd_isogeny(args) -> tuple[dict, int]:
     if args.action == "enumerate":
-        dtype = cartan.classify(cartan.parse_type(args.type))
-        morphisms = isogeny.enumerate_special_for_type(dtype, args.p)
+        parts = cartan.parse_label(args.type)
+        if len(parts) != 1:
+            raise isogeny.IsogenyError("special isogeny search expects an irreducible type")
+        morphisms = isogeny.enumerate_special(*parts[0], args.p)
         return {
             "schema": "weylkit/isogenies/1",
             "type": args.type,
             "p": args.p,
             "isogenies": [m.to_json() for m in morphisms],
         }, 0
-    phi = _pmorphism_from_json(_load_json(args.file))
+    phi = _pmorphism_from_json(_load_json(args.file, schemas.PMORPHISM))
     doc = {"schema": "weylkit/isogeny-validation/1", "valid": False,
            "primitive": None, "constant": None,
            "frobenius_exponent": None, "error": None}
@@ -274,37 +264,18 @@ def _cmd_isogeny(args) -> tuple[dict, int]:
     return doc, 0
 
 
-def _pmorphism_from_json(payload: dict) -> isogeny.PMorphism:
-    def integer(x, field):
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ParseError(f"bad p-morphism document: non-integer {x!r} in {field}")
-        return x
+def _pmorphism_from_json(doc: dict) -> isogeny.PMorphism:
+    """The p-morphism of a document already checked against ``PMORPHISM``."""
+    def rows(values):
+        return tuple(map(tuple, values))
 
-    def ints(values, field):
-        return tuple(integer(x, field) for x in values)
+    def datum(d):
+        return rootdata.PinnedRootDatum(d["rank"], rows(d["roots"]),
+                                        rows(d["coroots"]), tuple(d["simple"]))
 
-    def rows(values, field):
-        return tuple(ints(r, field) for r in values)
-
-    def datum(doc):
-        return rootdata.PinnedRootDatum(
-            rank=integer(doc["rank"], "rank"),
-            roots=rows(doc["roots"], "roots"),
-            coroots=rows(doc["coroots"], "coroots"),
-            simples=ints(doc["simple"], "simple"),
-        )
-
-    try:
-        return isogeny.PMorphism(
-            source=datum(payload["source"]),
-            target=datum(payload["target"]),
-            f=rows(payload["f"], "f"),
-            u=ints(payload["u"], "u"),
-            q=ints(payload["q"], "q"),
-            p=integer(payload["p"], "p"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad p-morphism document: {exc}") from None
+    return isogeny.PMorphism(datum(doc["source"]), datum(doc["target"]),
+                             rows(doc["f"]), tuple(doc["u"]), tuple(doc["q"]),
+                             doc["p"])
 
 
 def _cmd_chevalley(args) -> tuple[dict, int]:

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intmat
-from .cartan import (DynkinType, WeylkitError, catalog, catalog_types,
-                     scaled_isomorphisms)
+from .cartan import WeylkitError, catalog, catalog_types, scaled_isomorphisms
 from .rootdata import PinnedRootDatum, adjoint_datum
 
 
@@ -127,14 +126,21 @@ def _p_valuation(x: int, p: int) -> int:
 
 
 def validate_pmorphism(phi: PMorphism) -> None:
-    """Verify the defining equations exactly; raises on the first failure."""
+    """Verify the shapes, then the defining equations exactly; raises on the
+    first failure."""
     src, tgt = phi.source, phi.target
     n = len(src.simples)
+    if n == 0:
+        raise InvalidPMorphism("the pinning has no simple roots")
     if len(tgt.simples) != n or sorted(phi.u) != list(range(n)):
         raise InvalidPMorphism("u is not a bijection of the simple roots")
     if len(phi.q) != n:
         raise InvalidPMorphism(f"q must have {n} entries, one per simple root")
     for datum in (src, tgt):
+        if len(datum.coroots) != len(datum.roots):
+            raise InvalidPMorphism("a datum needs one coroot per root")
+        if any(len(v) != datum.rank for v in datum.roots + datum.coroots):
+            raise InvalidPMorphism(f"every root and coroot needs {datum.rank} entries")
         if any(not 0 <= s < len(datum.roots) for s in datum.simples):
             raise InvalidPMorphism("simple index outside the roots")
     if not is_prime(phi.p):
@@ -163,7 +169,8 @@ def validate_pmorphism(phi: PMorphism) -> None:
 
 def frobenius(datum: PinnedRootDatum, p: int, n: int = 1) -> PMorphism:
     """The constant p-morphism: multiplication by p^n on the same datum."""
-    assert n >= 1
+    if n < 1:
+        raise IsogenyError(f"Frobenius exponent {n} is not positive")
     scale = p ** n
     rank = datum.rank
     f = tuple(tuple(scale if i == j else 0 for j in range(rank)) for i in range(rank))
@@ -286,10 +293,3 @@ def enumerate_special(family: str, rank: int, p: int) -> list[PMorphism]:
             validate_pmorphism(phi)
             out.append(phi)
     return out
-
-
-def enumerate_special_for_type(dtype: DynkinType, p: int) -> list[PMorphism]:
-    if len(dtype.components) != 1:
-        raise IsogenyError("special isogeny search expects an irreducible type")
-    family, rank, _ = dtype.components[0]
-    return enumerate_special(family, rank, p)

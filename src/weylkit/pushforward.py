@@ -29,7 +29,7 @@ from collections.abc import Iterator
 
 from .cartan import WeylkitError
 from .roots import Coords, RootSystem
-from .weyl import IndexOutOfRange
+from .weyl import IndexOutOfRange, check_index
 
 Word = tuple[int, ...]
 
@@ -54,11 +54,6 @@ class PushforwardTooLarge(PushforwardError):
                          f"over the bound {MAX_STEP_WEIGHTS}")
 
 
-def _check_letter(rs: RootSystem, i: int) -> None:
-    if not 0 <= i < rs.rank:
-        raise IndexOutOfRange(i, rs.rank)
-
-
 def occurs(word, i: int) -> bool:
     """Whether the simple index i appears among the letters.
 
@@ -70,7 +65,7 @@ def occurs(word, i: int) -> bool:
 
 def pushforward_step(rs: RootSystem, weight, i: int) -> tuple[int, list[Coords]]:
     """One-step pushforward: returns (degree increment, surviving weights)."""
-    _check_letter(rs, i)
+    check_index(rs, i)
     w = tuple(weight)
     l = w[i]
     alpha = rs.simple_weight(i)
@@ -85,7 +80,7 @@ def pushforward_multiset(rs: RootSystem, word, entries: GradedWeights) -> Graded
     """Push an existing graded multiset down a word, last letter first."""
     cur = Counter(entries)
     for letter in reversed(tuple(word)):
-        _check_letter(rs, letter)
+        check_index(rs, letter)
         size = sum(max(w[letter] + 1, -w[letter] - 1) for w, _ in cur)
         if size > MAX_STEP_WEIGHTS:
             raise PushforwardTooLarge(size)
@@ -164,7 +159,7 @@ def h0_rank(rs: RootSystem, word, alpha_index: int) -> int:
     Computed as the number of zero-weight entries of the pushforward of
     minus the simple root, checked by ``zero_weight_rank``.
     """
-    _check_letter(rs, alpha_index)
+    check_index(rs, alpha_index)
     lam = tuple(-x for x in rs.simple_weight(alpha_index))
     gw = pushforward_word(rs, word, lam)
     return zero_weight_rank(gw, occurs(word, alpha_index),

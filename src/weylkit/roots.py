@@ -111,7 +111,9 @@ class RootSystem:
         return f"RootSystem(rank={self.rank}, roots={len(self.roots)})"
 
 
-def _weight_of(gcm: GCM, coords) -> Coords:
+def weight_of(gcm: GCM, coords) -> Coords:
+    """Fundamental-weight coordinates of a simple-root-basis vector: the
+    sum of coords[k] times row k of C, so (-1, 0) on A2 gives (-2, 1)."""
     return tuple(
         sum(a * gcm.entries[k][j] for k, a in enumerate(coords))
         for j in range(gcm.n)
@@ -224,7 +226,7 @@ def root_string(rs: RootSystem, base, direction) -> RootString:
     while inside(tuple(b + (up + 1) * d for b, d in zip(base, direction))):
         up += 1
 
-    base_weight = _weight_of(rs.gcm, base)
+    base_weight = weight_of(rs.gcm, base)
     pair = rs.pairing(base_weight, rs.root(direction).coroot)
     assert down - up == pair, "string identity r - s = <base, direction coroot>"
     return RootString(base, direction, down, up)

@@ -1,10 +1,11 @@
-"""Published shapes of the CLI's JSON outputs, with a small checker.
+"""Published shapes of the CLI's JSON documents, with a small checker.
 
 Every top-level JSON document carries a versioned ``schema`` key. The shape
 language is deliberately tiny: a spec is one of the types ``int``, ``bool``,
 ``str``, ``list``, ``dict``; a named shape ``"rational"``, ``"int_list"`` or
-``"int_matrix"``; a literal value; a dict of field specs; ``ListOf(spec)``;
-or ``OneOf(spec, ...)``.
+``"int_matrix"``; a literal value or ``None``; a dict of field specs;
+``ListOf(spec)``; or ``OneOf(spec, ...)``. The CLI checks the documents it
+reads with the same ``check``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ class OneOf:
     def __init__(self, *alternatives):
         object.__setattr__(self, "alternatives", alternatives)
 
-
-_NAMED = ("rational", "int_list", "int_matrix")
 
 DATUM = {
     "rank": int,
@@ -91,12 +90,15 @@ VOL = {
     "value": "rational",
 }
 
+# one item of ``isogenies``, and the document ``isogeny validate`` reads
+PMORPHISM = {"source": DATUM, "target": DATUM, "f": "int_matrix",
+             "u": "int_list", "q": "int_list", "p": int}
+
 ISOGENIES = {
     "schema": "weylkit/isogenies/1",
     "type": str,
     "p": int,
-    "isogenies": ListOf({"source": DATUM, "target": DATUM, "f": "int_matrix",
-                         "u": "int_list", "q": "int_list", "p": int}),
+    "isogenies": ListOf(PMORPHISM),
 }
 
 ISOGENY_VALIDATION = {
@@ -163,20 +165,22 @@ class SchemaViolation(ValueError):
     pass
 
 
-def _matches(value, alt) -> bool:
-    if alt is None:
-        return value is None
-    if isinstance(alt, str) and alt not in _NAMED:
-        return value == alt
+def matches(value, spec) -> bool:
+    """Whether ``check`` accepts the value."""
     try:
-        _check(value, alt, "")
+        check(value, spec)
         return True
     except SchemaViolation:
         return False
 
 
-def _check(value, spec, path: str) -> None:
-    if spec is int:
+def check(value, spec, path: str = "") -> None:
+    """Raise SchemaViolation naming the path of the first mismatch, unless
+    the value has the shape ``spec``; a dict spec allows extra keys."""
+    if spec is None:
+        if value is not None:
+            raise SchemaViolation(f"{path}: expected null, got {value!r}")
+    elif spec is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise SchemaViolation(f"{path}: expected int, got {value!r}")
     elif spec is bool:
@@ -204,14 +208,14 @@ def _check(value, spec, path: str) -> None:
         if not isinstance(value, list):
             raise SchemaViolation(f"{path}: expected list of rows")
         for row in value:
-            _check(row, "int_list", path)
+            check(row, "int_list", path)
     elif isinstance(spec, ListOf):
         if not isinstance(value, list):
             raise SchemaViolation(f"{path}: expected list")
         for k, item in enumerate(value):
-            _check(item, spec.item, f"{path}[{k}]")
+            check(item, spec.item, f"{path}[{k}]")
     elif isinstance(spec, OneOf):
-        if not any(_matches(value, alt) for alt in spec.alternatives):
+        if not any(matches(value, alt) for alt in spec.alternatives):
             raise SchemaViolation(f"{path}: matches no alternative")
     elif isinstance(spec, dict):
         if not isinstance(value, dict):
@@ -219,7 +223,7 @@ def _check(value, spec, path: str) -> None:
         for key, sub in spec.items():
             if key not in value:
                 raise SchemaViolation(f"{path}.{key}: missing")
-            _check(value[key], sub, f"{path}.{key}")
+            check(value[key], sub, f"{path}.{key}")
     elif isinstance(spec, str):
         if value != spec:
             raise SchemaViolation(f"{path}: expected literal {spec!r}, got {value!r}")
@@ -234,4 +238,4 @@ def validate_document(doc) -> None:
     name = doc["schema"]
     if name not in BY_SCHEMA:
         raise SchemaViolation(f"unknown schema {name!r}")
-    _check(doc, BY_SCHEMA[name], name)
+    check(doc, BY_SCHEMA[name], name)

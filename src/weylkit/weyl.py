@@ -42,10 +42,10 @@ class CapExceeded(WeylError):
         super().__init__(f"Weyl group enumeration would exceed {cap} elements")
 
 
-def _check_index(rs_or_n, i: int) -> None:
-    n = rs_or_n if isinstance(rs_or_n, int) else rs_or_n.rank
-    if not 0 <= i < n:
-        raise IndexOutOfRange(i, n)
+def check_index(rs: RootSystem, i: int) -> None:
+    """Raise IndexOutOfRange unless i is a 0-based simple index of rs."""
+    if not 0 <= i < rs.rank:
+        raise IndexOutOfRange(i, rs.rank)
 
 
 def reflect(rs: RootSystem, i: int, weight) -> Coords:
@@ -54,7 +54,7 @@ def reflect(rs: RootSystem, i: int, weight) -> Coords:
     s_i(D) = D - <D, coroot_i> alpha_i, an involution fixing the hyperplane
     where the i-th coordinate vanishes.
     """
-    _check_index(rs, i)
+    check_index(rs, i)
     w = tuple(weight)
     pair = w[i]
     alpha = rs.simple_weight(i)
@@ -140,7 +140,7 @@ def element_from_word(rs: RootSystem, word) -> WeylElement:
     gens = simple_reflections(rs)
     out = WeylElement.identity(rs)
     for i in word:
-        _check_index(rs, i)
+        check_index(rs, i)
         out = out * gens[i]
     return out
 
@@ -278,7 +278,7 @@ def demazure_product(rs: RootSystem, word) -> WeylElement:
     gens = simple_reflections(rs)
     out = WeylElement.identity(rs)
     for i in word:
-        _check_index(rs, i)
+        check_index(rs, i)
         nxt = out * gens[i]
         if nxt.length > out.length:
             out = nxt

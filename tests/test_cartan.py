@@ -114,6 +114,23 @@ def test_catalog_invalid():
             cartan.catalog(family, rank)
 
 
+@pytest.mark.parametrize("label", ["A0", "E9", "X3", "A2+", "", "C2", "Bx", "B2+F5"])
+def test_parse_label_refuses_what_parse_type_refuses(label):
+    with pytest.raises(InvalidType) as by_label:
+        cartan.parse_label(label)
+    with pytest.raises(InvalidType) as by_type:
+        cartan.parse_type(label)
+    assert by_label.value.to_json() == by_type.value.to_json()
+
+
+def test_parse_label_spells_the_classified_type():
+    for family, rank in ALL_TYPES:
+        label = f"{family}{rank}"
+        assert cartan.parse_label(label) == [(family, rank)]
+        assert cartan.classify(cartan.parse_type(label)).multiset() == ((family, rank),)
+    assert cartan.parse_label(" b2 + a1") == [("B", 2), ("A", 1)]
+
+
 def _permute(matrix, perm):
     n = len(matrix)
     return [[matrix[perm[i]][perm[j]] for j in range(n)] for i in range(n)]

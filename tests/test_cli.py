@@ -138,6 +138,41 @@ def test_classify_tests_finite_type_once(monkeypatch):
     assert calls == [7]
 
 
+def test_isogeny_enumerate_reads_the_label_without_classifying(monkeypatch):
+    # one finite-type test per adjoint datum built: the B4 source and the C4 target
+    calls, classified = [], []
+    minors, classify = intmat.leading_principal_minors, cartan.classify
+    monkeypatch.setattr(intmat, "leading_principal_minors",
+                        lambda a: calls.append(len(a)) or minors(a))
+    monkeypatch.setattr(cartan, "classify",
+                        lambda c: classified.append(c) or classify(c))
+    code, out = run_cli(["isogeny", "enumerate", "--type", "B4", "--p", "2"])
+    assert code == 0
+    assert len(json.loads(out)["isogenies"]) == 1
+    assert classified == []
+    assert calls == [4, 4]
+
+
+@pytest.mark.parametrize("payload", [
+    "[1, 2]",
+    '{"rows": [[2]]}',
+    '{"matrix": 3}',
+    '{"matrix": [[' + "1" * 5000 + "]]}",
+    '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["not-an-object", "no-matrix-key", "matrix-not-a-list", "huge-integer",
+        "deep-nesting"])
+def test_classify_unreadable_input_is_one_parse_error(payload):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["classify"], payload)
+    assert code == 4
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    validate_document(doc)
+    assert doc["error"]["code"] == "ParseError"
+    assert "Traceback" not in err.getvalue()
+
+
 @pytest.mark.parametrize("argv", [
     ["isogeny", "enumerate", "--type", "G2", "--p", "4"],
     ["chevalley", "check", "--type", "B2", "--p", "0"],
@@ -271,9 +306,18 @@ def _bad_isogeny_file(tmp_path, case):
     if case == "non-json":
         path.write_text("{not json", encoding="utf-8")
         return path
-    _, out = run_cli(["isogeny", "enumerate", "--type", "G2", "--p", "3"])
+    if case == "no-simple-roots":
+        empty = {"rank": 0, "roots": [], "coroots": [], "simple": []}
+        path.write_text(json.dumps({"source": empty, "target": empty, "f": [],
+                                    "u": [], "q": [], "p": 2}), encoding="utf-8")
+        return path
+    label, p = ("B2", "2") if case == "long-coroot" else ("G2", "3")
+    _, out = run_cli(["isogeny", "enumerate", "--type", label, "--p", p])
     phi_doc = json.loads(out)["isogenies"][0]
-    if case == "short-q":
+    if case == "long-coroot":
+        for coroot in phi_doc["source"]["coroots"]:
+            coroot.append(0)
+    elif case == "short-q":
         phi_doc["q"] = phi_doc["q"][:1]
     elif case == "string-p":
         phi_doc["p"] = str(phi_doc["p"])
@@ -295,6 +339,8 @@ def _bad_isogeny_file(tmp_path, case):
     ("string-p", "ParseError"),
     ("string-q", "ParseError"),
     ("string-f", "ParseError"),
+    ("no-simple-roots", "InvalidPMorphism"),
+    ("long-coroot", "InvalidPMorphism"),
 ])
 def test_isogeny_validate_input_boundary(tmp_path, case, code):
     path = _bad_isogeny_file(tmp_path, case)

@@ -6,6 +6,8 @@ Inputs whose work grows without bound in the numbers they give (huge ``--type``
 ranks, huge weights or ``--samples``) are left out of the strategies.
 """
 
+import copy
+import functools
 import io
 import json
 import sys
@@ -14,7 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import cartan, chevalley, isogeny, weyl
+from weylkit import cartan, chevalley, isogeny, rootdata, weyl
 from weylkit.cli import ParseError, main
 from weylkit.schemas import validate_document
 
@@ -142,6 +144,82 @@ def typed_argv(draw):
 @given(argv=typed_argv())
 def test_typed_subcommand_fuzz(argv):
     check_one_document(argv)
+
+
+# -- isogeny validate ------------------------------------------------------
+
+@functools.cache
+def seed_pmorphisms():
+    """Valid p-morphism documents: ``isogeny enumerate`` items and a Frobenius."""
+    docs = []
+    for label, p in (("G2", "3"), ("B2", "2")):
+        _, out, _ = run_cli(["isogeny", "enumerate", "--type", label, "--p", p])
+        docs += json.loads(out)["isogenies"]
+    frob = isogeny.frobenius(rootdata.adjoint_datum(cartan.parse_type("A2")), 2)
+    return docs + [frob.to_json()]
+
+
+def _paths(node, path=()):
+    """The path of every node below the root, as key and index sequences."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,)
+            yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_pmorphisms(draw):
+    """One valid document with exactly one mutation applied."""
+    doc = copy.deepcopy(draw(st.sampled_from(seed_pmorphisms())))
+    kind = draw(st.sampled_from(["drop", "junk", "resize", "rank", "p"]))
+    if kind == "rank":
+        doc[draw(st.sampled_from(["source", "target"]))]["rank"] = draw(st.integers(-2, 5))
+    elif kind == "p":
+        doc["p"] = draw(st.integers(-5, 50))
+    elif kind == "junk":
+        *parent, key = draw(st.sampled_from(list(_paths(doc))))
+        _at(doc, parent)[key] = draw(junk_json)
+    else:
+        node_type = dict if kind == "drop" else list
+        path = draw(st.sampled_from([p for p in [(), *_paths(doc)]
+                                     if isinstance(_at(doc, p), node_type)]))
+        node = _at(doc, path)
+        if kind == "drop":
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif node and draw(st.booleans()):
+            del node[draw(st.integers(0, len(node) - 1)):]
+        else:
+            # a copy of an element keeps the nesting: a vector gains an
+            # entry, a list of vectors gains a vector
+            extra = copy.deepcopy(draw(st.sampled_from(node))) if node else 1
+            node.append(extra if isinstance(extra, list) else draw(st.integers(-3, 3)))
+    return doc
+
+
+def test_seed_pmorphisms_are_valid():
+    for phi_doc in seed_pmorphisms():
+        code, doc = check_one_document(["isogeny", "validate", "--file", "-"],
+                                       json.dumps(phi_doc))
+        assert code == 0 and doc["valid"] is True
+
+
+@settings(max_examples=300, deadline=None)
+@given(phi_doc=mutated_pmorphisms())
+def test_isogeny_validate_fuzz(phi_doc):
+    code, doc = check_one_document(["isogeny", "validate", "--file", "-"],
+                                   json.dumps(phi_doc))
+    assert (code == 0) == (doc.get("valid") is True)
+    if code == 0:
+        # a vector of the wrong length must not pass by zip truncation
+        for datum in (phi_doc["source"], phi_doc["target"]):
+            assert datum["simple"] and len(datum["coroots"]) == len(datum["roots"])
+            assert all(len(v) == datum["rank"] for v in datum["roots"] + datum["coroots"])
 
 
 # -- error payloads --------------------------------------------------------

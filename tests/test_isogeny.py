@@ -37,6 +37,13 @@ def test_frobenius_at_a_large_prime_validates():
     assert phi.q == (1_000_000_000_039,)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_frobenius_refuses_a_non_positive_exponent(n):
+    # a raise, not an assert: under python -O, n = 0 would return the identity
+    with pytest.raises(IsogenyError):
+        frobenius(adjoint_datum(cartan.parse_type("A1")), 2, n)
+
+
 def test_is_prime_matches_trial_division_below_1e5():
     assert [p for p in range(100_000) if is_prime(p)] == \
         [p for p in range(100_000) if trial_division_is_prime(p)]

@@ -48,8 +48,9 @@ def test_reflect_is_involutive_and_integral():
 
 def test_reflect_index_range():
     rs = _rs("A2")
-    with pytest.raises(IndexOutOfRange):
-        reflect(rs, 2, (0, 0))
+    for i in (2, -1):
+        with pytest.raises(IndexOutOfRange):
+            reflect(rs, i, (0, 0))
 
 
 # -- enumeration --------------------------------------------------------
