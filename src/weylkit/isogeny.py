@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .cartan import WeylkitError, catalog, catalog_types, scaled_isomorphisms
-from .rootdata import PinnedRootDatum, adjoint_datum
+from .rootdata import PinnedRootDatum, RootDatumError, adjoint_datum
 
 
 class IsogenyError(WeylkitError):
@@ -126,8 +126,11 @@ def _p_valuation(x: int, p: int) -> int:
 
 
 def validate_pmorphism(phi: PMorphism) -> None:
-    """Verify the shapes, then the defining equations exactly; raises on the
-    first failure."""
+    """Verify the shapes and the root-datum axioms of both data, then the
+    defining equations exactly; raises on the first failure.
+
+    A datum that is both source and target is checked once.
+    """
     src, tgt = phi.source, phi.target
     n = len(src.simples)
     if n == 0:
@@ -136,13 +139,19 @@ def validate_pmorphism(phi: PMorphism) -> None:
         raise InvalidPMorphism("u is not a bijection of the simple roots")
     if len(phi.q) != n:
         raise InvalidPMorphism(f"q must have {n} entries, one per simple root")
-    for datum in (src, tgt):
-        if len(datum.coroots) != len(datum.roots):
-            raise InvalidPMorphism("a datum needs one coroot per root")
-        if any(len(v) != datum.rank for v in datum.roots + datum.coroots):
-            raise InvalidPMorphism(f"every root and coroot needs {datum.rank} entries")
-        if any(not 0 <= s < len(datum.roots) for s in datum.simples):
-            raise InvalidPMorphism("simple index outside the roots")
+    for datum in (src,) if tgt == src else (src, tgt):
+        try:
+            datum.validate()
+        except RootDatumError as exc:
+            raise InvalidPMorphism(str(exc)) from exc
+    _check_equations(phi)
+
+
+def _check_equations(phi: PMorphism) -> None:
+    """The prime, the shape of f, the q values and the defining equations of
+    a p-morphism whose data are already known to be well formed."""
+    src, tgt = phi.source, phi.target
+    n = len(src.simples)
     if not is_prime(phi.p):
         raise InvalidPMorphism(f"{phi.p} is not prime")
     f = [list(r) for r in phi.f]
@@ -199,8 +208,9 @@ def factor_primitive_constant(phi: PMorphism) -> tuple[PMorphism, int]:
 
     Returns (primitive part, exponent k) with phi = frobenius(p, k) after
     the primitive part; the primitive part has q value 1 somewhere.
+    phi must already be valid (``validate_pmorphism``); the primitive part
+    then is too, because every defining equation is linear in (f, q).
     """
-    validate_pmorphism(phi)
     k = min(_p_valuation(x, phi.p) for x in phi.q)
     if k == 0:
         return phi, 0
@@ -212,7 +222,6 @@ def factor_primitive_constant(phi: PMorphism) -> tuple[PMorphism, int]:
         tuple(tuple(x // scale for x in row) for row in phi.f),
         phi.u, tuple(x // scale for x in phi.q), phi.p,
     )
-    validate_pmorphism(prim)
     return prim, k
 
 
@@ -290,6 +299,6 @@ def enumerate_special(family: str, rank: int, p: int) -> list[PMorphism]:
                 f[i][u[i]] = q[i]
             phi = PMorphism(src_datum, tgt_datum,
                             tuple(tuple(r) for r in f), u, q, p)
-            validate_pmorphism(phi)
+            _check_equations(phi)   # adjoint data are well formed by construction
             out.append(phi)
     return out

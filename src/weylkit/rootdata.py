@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from . import intmat
 from .cartan import GCM, NotFiniteType, WeylkitError, is_finite_type
@@ -52,19 +53,35 @@ class PinnedRootDatum:
         return self.coroots[self.simples[k]]
 
     def validate(self) -> None:
-        assert len(self.roots) == len(self.coroots)
-        for i in range(len(self.roots)):
-            assert self.pairing(i, i) == 2, "root against own coroot must be 2"
-        root_set = set(self.roots)
-        for i, alpha in enumerate(self.roots):
-            acv = self.coroots[i]
-            for beta in self.roots:
-                pair = sum(x * y for x, y in zip(beta, acv))
-                img = tuple(b - pair * a for b, a in zip(beta, alpha))
-                assert img in root_set, "reflection must permute the roots"
+        """Check the shape, then the root-datum axioms; raises RootDatumError.
+
+        The shape: one coroot per root, ``rank`` entries in every vector and
+        simple indices inside the roots. The axioms: each root pairs to 2
+        with its own coroot, each root reflection permutes the roots, and the
+        pairing matrix of the simples is of finite type. The reflections cost
+        O(N^2 rank) for N roots.
+        """
+        roots, coroots = self.roots, self.coroots
+        if len(coroots) != len(roots):
+            raise RootDatumError("a datum needs one coroot per root")
+        if any(len(v) != self.rank for v in roots + coroots):
+            raise RootDatumError(f"every root and coroot needs {self.rank} entries")
+        if any(not 0 <= s < len(roots) for s in self.simples):
+            raise RootDatumError("simple index outside the roots")
+        for i in range(len(roots)):
+            if self.pairing(i, i) != 2:
+                raise RootDatumError(f"root {i} does not pair to 2 with its own coroot")
+        root_set = set(roots)
+        for i, (alpha, acv) in enumerate(zip(roots, coroots)):
+            for beta in roots:
+                pair = sum(map(mul, beta, acv))
+                if tuple(b - pair * a for b, a in zip(beta, alpha)) not in root_set:
+                    raise RootDatumError(
+                        f"the reflection in root {i} does not permute the roots")
         gcm = GCM(len(self.simples),
                   tuple(tuple(row) for row in self.cartan_matrix()))
-        assert is_finite_type(gcm), "pairing matrix must be finite type"
+        if not is_finite_type(gcm):
+            raise RootDatumError("the pairing matrix of the simples is not of finite type")
 
     def to_json(self) -> dict:
         return {

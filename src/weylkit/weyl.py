@@ -9,18 +9,21 @@ parent of length k (Casselman's smallest-descent rule). That keeps the
 enumeration at a few bytes per element with no deduplication (E7's 2.9
 million elements fit comfortably; E8 is refused by the default cap and
 its order reported from the invariant degrees read off the root heights
-instead).
+instead). numpy holds the layers and is imported by ``enumerate_weyl``
+alone, so nothing else in the package loads it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import prod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cartan import WeylkitError
 from .roots import Coords, RootSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_CAP = 3_000_000
 MATERIALIZE_CAP = 200_000
@@ -237,6 +240,8 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
     >>> enumerate_weyl(generate_roots(parse_type("G2"))).histogram
     [1, 2, 2, 2, 2, 2, 1]
     """
+    import numpy as np
+
     n = rs.rank
     c = np.array(rs.gcm.rows(), dtype=np.int16)
     cur = np.ones((1, n), dtype=np.int16)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from weylkit import cartan, intmat
+from weylkit import cartan, intmat, isogeny, rootdata
 from weylkit.cli import main
 from weylkit.schemas import validate_document
 
@@ -311,12 +311,20 @@ def _bad_isogeny_file(tmp_path, case):
         path.write_text(json.dumps({"source": empty, "target": empty, "f": [],
                                     "u": [], "q": [], "p": 2}), encoding="utf-8")
         return path
-    label, p = ("B2", "2") if case == "long-coroot" else ("G2", "3")
+    b2_cases = ("long-coroot", "root-off-its-coroot", "coroot-off-the-roots")
+    label, p = ("B2", "2") if case in b2_cases else ("G2", "3")
     _, out = run_cli(["isogeny", "enumerate", "--type", label, "--p", p])
     phi_doc = json.loads(out)["isogenies"][0]
     if case == "long-coroot":
         for coroot in phi_doc["source"]["coroots"]:
             coroot.append(0)
+    elif case in b2_cases:
+        # root 2 is not simple, so the defining equations still hold
+        for side in ("source", "target"):
+            if case == "root-off-its-coroot":
+                phi_doc[side]["roots"][2] = [5, 7]
+            else:   # pairs to 2, but its reflection leaves the roots
+                phi_doc[side]["coroots"][2] = [1, 1]
     elif case == "short-q":
         phi_doc["q"] = phi_doc["q"][:1]
     elif case == "string-p":
@@ -341,6 +349,8 @@ def _bad_isogeny_file(tmp_path, case):
     ("string-f", "ParseError"),
     ("no-simple-roots", "InvalidPMorphism"),
     ("long-coroot", "InvalidPMorphism"),
+    ("root-off-its-coroot", "InvalidPMorphism"),
+    ("coroot-off-the-roots", "InvalidPMorphism"),
 ])
 def test_isogeny_validate_input_boundary(tmp_path, case, code):
     path = _bad_isogeny_file(tmp_path, case)
@@ -353,6 +363,73 @@ def test_isogeny_validate_input_boundary(tmp_path, case, code):
     validate_document(doc)
     assert doc["error"]["code"] == code
     assert "Traceback" not in err.getvalue()
+
+
+def test_datum_axioms_hold_under_optimized_python(tmp_path):
+    # the axiom checks raise rather than assert, so ``python -O`` keeps them
+    path = _bad_isogeny_file(tmp_path, "root-off-its-coroot")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "weylkit.cli", "isogeny", "validate",
+         "--file", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["valid"] is False and doc["error"]["code"] == "InvalidPMorphism"
+
+
+@pytest.mark.parametrize("k", [0, 3], ids=["b2-special", "a2-frobenius-cubed"])
+def test_isogeny_validate_validates_once(tmp_path, monkeypatch, k):
+    # k is the Frobenius exponent the document should report
+    if k == 0:
+        _, out = run_cli(["isogeny", "enumerate", "--type", "B2", "--p", "2"])
+        phi_doc = json.loads(out)["isogenies"][0]
+    else:
+        datum = rootdata.adjoint_datum(cartan.parse_type("A2"))
+        phi_doc = isogeny.frobenius(datum, 2, k).to_json()
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(phi_doc), encoding="utf-8")
+    calls = []
+    validate = isogeny.validate_pmorphism
+
+    def counting(phi):
+        calls.append(phi)
+        return validate(phi)
+
+    monkeypatch.setattr(isogeny, "validate_pmorphism", counting)
+    code, out = run_cli(["isogeny", "validate", "--file", str(path)])
+    assert code == 0 and len(calls) == 1
+    doc = json.loads(out)
+    assert (doc["valid"], doc["primitive"], doc["constant"], doc["frobenius_exponent"]) \
+        == (True, k == 0, k > 0, k)
+
+
+def test_numpy_loads_only_for_weyl_enumeration():
+    # enumerate_weyl imports numpy itself, so a request that does not
+    # enumerate W never pays for it; weyl shows the check can see numpy
+    code = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import weylkit\n"
+        "seen = {'import weylkit': 'numpy' in sys.modules}\n"
+        "import weylkit.cli\n"
+        "seen['import weylkit.cli'] = 'numpy' in sys.modules\n"
+        "for argv in (['roots', '--type', 'A1'], ['weyl', '--type', 'G2']):\n"
+        "    with redirect_stdout(io.StringIO()) as out:\n"
+        "        weylkit.cli.main(argv)\n"
+        "    seen[argv[0]] = ['numpy' in sys.modules, json.loads(out.getvalue())]\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["import weylkit"] is False
+    assert seen["import weylkit.cli"] is False
+    assert seen["roots"][0] is False
+    numpy_loaded, weyl_doc = seen["weyl"]
+    assert numpy_loaded is True
+    assert weyl_doc["order"] == weyl_doc["enumerated"] == 12
 
 
 def test_selfcheck_deterministic_under_seed():

@@ -1,10 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import cartan
 from weylkit.intmat import matvec, transpose
-from weylkit.rootdata import (FundamentalGroupTooLarge, adjoint_datum,
-                              fundamental_group, fundamental_group_order,
+from weylkit.rootdata import (FundamentalGroupTooLarge, RootDatumError,
+                              adjoint_datum, fundamental_group, fundamental_group_order,
                               intermediate_lattices, pinned_isomorphism,
                               simply_connected_datum)
 
@@ -56,6 +58,20 @@ def test_adjoint_datum_shape():
     g2 = adjoint_datum(cartan.parse_type("G2"))
     assert len(g2.roots) == 12
     g2.validate()
+
+
+@pytest.mark.parametrize("field,index,value,message", [
+    ("roots", 2, (5, 7), "does not pair to 2"),
+    ("coroots", 2, (1, 1), "does not permute the roots"),
+    ("simples", 0, 0, "not of finite type"),
+], ids=["own-pairing", "reflection", "pinning"])
+def test_validate_raises_on_each_axiom(field, index, value, message):
+    datum = adjoint_datum(cartan.parse_type("B2"))
+    entries = list(getattr(datum, field))
+    entries[index] = value
+    broken = dataclasses.replace(datum, **{field: tuple(entries)})
+    with pytest.raises(RootDatumError, match=message):
+        broken.validate()
 
 
 def test_simply_connected_datum_roots_are_cartan_rows():
