@@ -362,6 +362,17 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option value."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # a string default goes through type=int, so a bad value is a usage error
     cap_default = os.environ.get("WEYLKIT_WEYL_CAP", str(weyl.DEFAULT_CAP))
@@ -439,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selfcheck", help="sampled reflection/volume identities")
     common(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_count, default=100)
     p.set_defaults(func=_cmd_selfcheck)
 
     return top

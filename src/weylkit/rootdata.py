@@ -3,18 +3,22 @@ lattices, fundamental group, and rigidity of pinned isomorphisms.
 
 A datum records the roots as integer vectors in a chosen basis of the
 character lattice M and the coroots in the dual basis of the dual lattice,
-with the ordered simple roots as the pinning. Datum equality is therefore
-basis-dependent by design; ``pinned_isomorphism`` is the basis-free notion.
+with the ordered simple roots as the pinning, so datum equality is
+basis-dependent; ``pinned_isomorphism`` is the basis-free notion. Every
+datum is the image of the root system of its pinning: a root with
+simple-root coordinates c is sum c[k] (simple root k), its coroot the same
+sum over the simple coroots. The builders choose the simple vectors, and
+``validate`` asks a datum to be that image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
+from math import prod
 
 from . import intmat
-from .cartan import GCM, NotFiniteType, WeylkitError, is_finite_type
+from .cartan import GCM, GCMError, NotFiniteType, WeylkitError, is_finite_type, validate_gcm
 from .roots import RootSystem, generate_roots
 
 Vec = tuple[int, ...]
@@ -53,13 +57,25 @@ class PinnedRootDatum:
         return self.coroots[self.simples[k]]
 
     def validate(self) -> None:
-        """Check the shape, then the root-datum axioms; raises RootDatumError.
+        """Check the shape, then that the pinning generates the datum.
 
         The shape: one coroot per root, ``rank`` entries in every vector and
-        simple indices inside the roots. The axioms: each root pairs to 2
-        with its own coroot, each root reflection permutes the roots, and the
-        pairing matrix of the simples is of finite type. The reflections cost
-        O(N^2 rank) for N roots.
+        simple indices inside the roots. Then the pairing matrix of the
+        simples must be a Cartan matrix of finite type, and the (root,
+        coroot) pairs exactly those of its root system carried onto the
+        simples, which holds every datum axiom and makes the simples a base.
+        A datum without simples is valid iff it has no roots. Roots 1 and 3
+        of A2 pair to 1, so they are no base:
+
+        >>> import dataclasses
+        >>> from weylkit.cartan import parse_type
+        >>> a2 = adjoint_datum(parse_type("A2"))
+        >>> a2.roots[1], a2.roots[3]
+        ((1, 0), (0, -1))
+        >>> dataclasses.replace(a2, simples=(1, 3)).validate()
+        Traceback (most recent call last):
+        ...
+        weylkit.rootdata.RootDatumError: the pairing matrix of the simples is not of finite type: off-diagonal entry at (0,1) is positive
         """
         roots, coroots = self.roots, self.coroots
         if len(coroots) != len(roots):
@@ -68,20 +84,26 @@ class PinnedRootDatum:
             raise RootDatumError(f"every root and coroot needs {self.rank} entries")
         if any(not 0 <= s < len(roots) for s in self.simples):
             raise RootDatumError("simple index outside the roots")
-        for i in range(len(roots)):
-            if self.pairing(i, i) != 2:
-                raise RootDatumError(f"root {i} does not pair to 2 with its own coroot")
-        root_set = set(roots)
-        for i, (alpha, acv) in enumerate(zip(roots, coroots)):
-            for beta in roots:
-                pair = sum(map(mul, beta, acv))
-                if tuple(b - pair * a for b, a in zip(beta, alpha)) not in root_set:
-                    raise RootDatumError(
-                        f"the reflection in root {i} does not permute the roots")
-        gcm = GCM(len(self.simples),
-                  tuple(tuple(row) for row in self.cartan_matrix()))
-        if not is_finite_type(gcm):
-            raise RootDatumError("the pairing matrix of the simples is not of finite type")
+        if not roots:   # a torus: the index check left no simples either
+            return
+        try:
+            gcm = validate_gcm(self.cartan_matrix())
+            # A_r has the fewest roots of a connected rank-r system, r(r + 1)
+            if len(roots) < sum(len(c) * (len(c) + 1) for c in gcm.components()):
+                raise RootDatumError(f"{len(roots)} roots are too few for the pinning")
+            rs = generate_roots(gcm)
+        except GCMError as exc:
+            raise RootDatumError(
+                f"the pairing matrix of the simples is not of finite type: {exc}") from exc
+        image = _image(rs, [roots[s] for s in self.simples],
+                       [coroots[s] for s in self.simples], self.rank)
+        generated, pairs = set(zip(image.roots, image.coroots)), list(zip(roots, coroots))
+        for i, pair in enumerate(pairs):
+            if pair not in generated:
+                raise RootDatumError(f"root {i} or its coroot is not generated by the simples")
+        if len(set(pairs)) != len(pairs) or len(pairs) != len(generated):
+            raise RootDatumError(f"the datum lists {len(pairs)} roots, {len(set(pairs))} "
+                                 f"distinct; the simples generate {len(generated)}")
 
     def to_json(self) -> dict:
         return {
@@ -92,37 +114,38 @@ class PinnedRootDatum:
         }
 
 
-def _datum_from_root_system(rs: RootSystem, to_m, to_dual) -> PinnedRootDatum:
-    roots = tuple(to_m(r) for r in rs.roots)
-    coroots = tuple(to_dual(r) for r in rs.roots)
-    simples = tuple(rs.simple(i).index for i in range(rs.rank))
-    return PinnedRootDatum(rs.rank, roots, coroots, simples)
+def _image(rs: RootSystem, simple_roots, simple_coroots, rank: int) -> PinnedRootDatum:
+    """``rs`` carried onto the given simple roots and coroots (vectors of
+    ``rank`` entries), summing only nonzero terms."""
+    def combine(basis):
+        terms = [[(i, x) for i, x in enumerate(v) if x] for v in basis]
+
+        def image(coeffs) -> Vec:
+            out = [0] * rank
+            for a, vec in zip(coeffs, terms):
+                if a:
+                    for i, x in vec:
+                        out[i] += a * x
+            return tuple(out)
+        return image
+
+    to_m, to_dual = combine(simple_roots), combine(simple_coroots)
+    return PinnedRootDatum(rank, tuple(to_m(r.coords) for r in rs.roots),
+                           tuple(to_dual(r.coroot) for r in rs.roots),
+                           tuple(rs.simple(k).index for k in range(rs.rank)))
 
 
 def adjoint_datum(c: GCM) -> PinnedRootDatum:
-    """Character lattice = root lattice with the simple roots as basis.
-
-    Roots keep their simple-root coordinates; a coroot has dual-basis
-    coordinates C b where b is its simple-coroot coordinate vector.
-    """
-    rs = generate_roots(c)
-    rows = c.rows()
-
-    def to_dual(r):
-        return tuple(sum(rows[i][j] * r.coroot[j] for j in range(c.n))
-                     for i in range(c.n))
-
-    return _datum_from_root_system(rs, lambda r: r.coords, to_dual)
+    """Character lattice = root lattice, the simple roots its basis; simple
+    coroot k is column k of C in the dual basis."""
+    return _image(generate_roots(c), intmat.identity(c.n),
+                  intmat.transpose(c.rows()), c.n)
 
 
 def simply_connected_datum(c: GCM) -> PinnedRootDatum:
-    """Character lattice = weight lattice with the fundamental weights as basis.
-
-    Roots are written in fundamental-weight coordinates (simple root i is
-    row i of C); coroots keep their simple-coroot coordinates.
-    """
-    return _datum_from_root_system(generate_roots(c), lambda r: r.weight,
-                                   lambda r: r.coroot)
+    """Character lattice = weight lattice, the fundamental weights its basis;
+    simple root k is row k of C, and coroots keep their coordinates."""
+    return _image(generate_roots(c), c.entries, intmat.identity(c.n), c.n)
 
 
 def fundamental_group(c: GCM) -> tuple[int, ...]:
@@ -134,10 +157,7 @@ def fundamental_group(c: GCM) -> tuple[int, ...]:
 
 
 def fundamental_group_order(c: GCM) -> int:
-    out = 1
-    for f in fundamental_group(c):
-        out *= f
-    return out
+    return prod(fundamental_group(c))
 
 
 # ---------------------------------------------------------------------------
@@ -183,48 +203,27 @@ def intermediate_lattices(c: GCM, max_index: int = 10_000) -> list[PinnedRootDat
     equal lattices always produce identical data.
     """
     rs = generate_roots(c)
-    n = c.n
     # quotient of the weight lattice (fw coordinates) by the root lattice,
     # whose basis vectors are the rows of C
-    u, d, v = intmat.smith_normal_form(intmat.transpose(c.rows()))
+    a = intmat.transpose(c.rows())
+    _, d, v = intmat.smith_normal_form(a)
     diag = intmat.diagonal(d)
-    order = 1
-    for x in diag:
-        order *= x
+    order = prod(diag)
     if order > max_index:
         raise FundamentalGroupTooLarge(order, max_index)
-    u_inv = _integer_inverse(u)
+    # u a v = d, so column i of u^-1 is column i of a v divided by d_i
+    u_inv = [[x // di for x, di in zip(row, diag)] for row in intmat.matmul(a, v)]
 
-    moduli = tuple(diag)
     out = []
-    for subgroup in _subgroups(moduli):
-        gens = [list(c.entries[i]) for i in range(n)]
-        for elem in subgroup:
-            # lift the coset back to weight-lattice coordinates: x = U^{-1} e
-            gens.append(intmat.matvec(u_inv, list(elem)))
-        basis_rows = intmat.hermite_rows(gens)
-        assert len(basis_rows) == n
-        basis_t = intmat.transpose(basis_rows)   # columns = basis vectors
-        inv = intmat.rational_inverse(basis_t)
-        roots = []
-        for r in rs.roots:
-            coords = [sum(inv[i][j] * r.weight[j] for j in range(n))
-                      for i in range(n)]
-            assert all(x.denominator == 1 for x in coords)
-            roots.append(tuple(int(x) for x in coords))
-        roots = tuple(roots)
-        coroots = tuple(
-            tuple(intmat.matvec(basis_rows, list(r.coroot))) for r in rs.roots
-        )
-        simples = tuple(rs.simple(i).index for i in range(n))
-        out.append(PinnedRootDatum(n, roots, coroots, simples))
+    for subgroup in _subgroups(tuple(diag)):
+        # the root lattice and each coset e lifted to u^-1 e
+        gens = c.rows() + [intmat.matvec(u_inv, list(e)) for e in subgroup]
+        # columns of basis_t are the lattice basis, its rows the simple
+        # coroots in the dual basis
+        basis_t = intmat.transpose(intmat.hermite_rows(gens))
+        simple_roots = [intmat.solve_integer(basis_t, row) for row in c.entries]
+        out.append(_image(rs, simple_roots, basis_t, c.n))
     return out
-
-
-def _integer_inverse(m) -> list[list[int]]:
-    inv = intmat.rational_inverse(m)
-    assert all(x.denominator == 1 for row in inv for x in row)
-    return [[int(x) for x in row] for row in inv]
 
 
 # ---------------------------------------------------------------------------

@@ -96,9 +96,6 @@ class WeylElement:
         p, q = self.perm, other.perm
         return WeylElement(self.rs, tuple(p[q[i]] for i in range(len(p))))
 
-    def inverse(self) -> "WeylElement":
-        return WeylElement(self.rs, self._inverse_perm())
-
     def _inverse_perm(self) -> tuple[int, ...]:
         if self._inv_perm is None:
             inv = [0] * len(self.perm)

@@ -10,7 +10,9 @@ instead of invariant degrees, and a breadth-first search over sets of
 tuples instead of canonical-parent generation of the rho-orbit, trial
 division instead of Miller-Rabin, a loop over all bijections instead
 of the scaled-isomorphism search along Dynkin edges, and a walk over every
-word of the suffix trie instead of the walk over distinct word states.
+word of the suffix trie instead of the walk over distinct word states,
+and root data written out root by root (coordinates, C times the coroot,
+a fraction solve per root) instead of a root system carried onto a pinning.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial, isqrt
 
+from weylkit import intmat
 from weylkit.pushforward import pushforward_multiset
+from weylkit.rootdata import _subgroups
 
 
 def cofactor_det(m) -> int:
@@ -349,3 +353,57 @@ def pushforward_suffixes(rs, weight, max_len: int):
             for i in reversed(range(rs.rank)):
                 stack.append(((i,) + word, pushforward_multiset(rs, (i,), gw)))
         yield word, gw
+
+
+def _per_root(rs, roots, coroots):
+    """(roots, coroots, simples) with the simples found by their coordinates."""
+    unit = [tuple(int(i == k) for i in range(rs.rank)) for k in range(rs.rank)]
+    simples = tuple(next(r.index for r in rs.roots if r.coords == e) for e in unit)
+    return tuple(roots), tuple(coroots), simples
+
+
+def adjoint_per_root(rs):
+    """The adjoint datum root by root: a root keeps its simple-root
+    coordinates and a coroot with simple-coroot coordinates b becomes C b."""
+    c, n = rs.gcm.entries, rs.rank
+    return _per_root(rs, (r.coords for r in rs.roots),
+                     (tuple(sum(c[i][j] * r.coroot[j] for j in range(n))
+                            for i in range(n)) for r in rs.roots))
+
+
+def simply_connected_per_root(rs):
+    """The simply connected datum root by root: weights and coroots."""
+    return _per_root(rs, (r.weight for r in rs.roots), (r.coroot for r in rs.roots))
+
+
+def intermediate_per_root(rs):
+    """One datum per lattice between the root and weight lattices, root by
+    root, in the order and Hermite bases of ``intermediate_lattices``.
+
+    The cosets are lifted by the inverse of the Smith transform u, found
+    column by column with a fraction solve; each root's weight is solved
+    in the lattice basis the same way (it must come out integral), and a
+    coroot b becomes B b for the basis rows B.
+    """
+    n = rs.rank
+    u, d, _ = intmat.smith_normal_form(intmat.transpose(rs.gcm.rows()))
+    diag = [d[i][i] for i in range(n)]
+    u_inv_cols = [_solve_fractions(u, [int(i == k) for i in range(n)]) for k in range(n)]
+    assert all(x.denominator == 1 for col in u_inv_cols for x in col)
+    out = []
+    for subgroup in _subgroups(tuple(diag)):
+        gens = rs.gcm.rows()
+        for e in subgroup:
+            gens.append([int(sum(col[i] * x for col, x in zip(u_inv_cols, e)))
+                         for i in range(n)])
+        basis = intmat.hermite_rows(gens)
+        basis_t = intmat.transpose(basis)
+        roots = []
+        for r in rs.roots:
+            coords = _solve_fractions(basis_t, r.weight)
+            assert all(x.denominator == 1 for x in coords)
+            roots.append(tuple(int(x) for x in coords))
+        coroots = (tuple(sum(b * y for b, y in zip(row, r.coroot)) for row in basis)
+                   for r in rs.roots)
+        out.append(_per_root(rs, roots, coroots))
+    return out

@@ -69,9 +69,11 @@ def test_parse_error_exit_code():
     (["roots", "--type", "A2", "--format", "xml"], 1),
     (["frobnicate"], 1),
     ([], 1),
+    (["selfcheck", "--type", "A2", "--samples", "-5"], 1),
 ], ids=["classify-bad-cap", "classify-unknown-option", "weyl-bad-cap",
         "dim-missing-weight", "bs-weights-missing-weight",
-        "chevalley-missing-p", "bad-format", "unknown-subcommand", "no-subcommand"])
+        "chevalley-missing-p", "bad-format", "unknown-subcommand", "no-subcommand",
+        "selfcheck-negative-samples"])
 def test_usage_error_is_one_parse_error_document(argv, expected_code):
     err = io.StringIO()
     with redirect_stderr(err):
@@ -311,6 +313,14 @@ def _bad_isogeny_file(tmp_path, case):
         path.write_text(json.dumps({"source": empty, "target": empty, "f": [],
                                     "u": [], "q": [], "p": 2}), encoding="utf-8")
         return path
+    if case == "simples-not-a-base":
+        # pairing matrix [[2, 1], [1, 2]]: positive definite, not a Cartan matrix
+        phi_doc = isogeny.frobenius(rootdata.adjoint_datum(cartan.parse_type("A2")),
+                                    2).to_json()
+        for side in ("source", "target"):
+            phi_doc[side]["simple"] = [1, 3]
+        path.write_text(json.dumps(phi_doc), encoding="utf-8")
+        return path
     b2_cases = ("long-coroot", "root-off-its-coroot", "coroot-off-the-roots")
     label, p = ("B2", "2") if case in b2_cases else ("G2", "3")
     _, out = run_cli(["isogeny", "enumerate", "--type", label, "--p", p])
@@ -351,6 +361,7 @@ def _bad_isogeny_file(tmp_path, case):
     ("long-coroot", "InvalidPMorphism"),
     ("root-off-its-coroot", "InvalidPMorphism"),
     ("coroot-off-the-roots", "InvalidPMorphism"),
+    ("simples-not-a-base", "InvalidPMorphism"),
 ])
 def test_isogeny_validate_input_boundary(tmp_path, case, code):
     path = _bad_isogeny_file(tmp_path, case)
@@ -368,6 +379,18 @@ def test_isogeny_validate_input_boundary(tmp_path, case, code):
 def test_datum_axioms_hold_under_optimized_python(tmp_path):
     # the axiom checks raise rather than assert, so ``python -O`` keeps them
     path = _bad_isogeny_file(tmp_path, "root-off-its-coroot")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "weylkit.cli", "isogeny", "validate",
+         "--file", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["valid"] is False and doc["error"]["code"] == "InvalidPMorphism"
+
+
+def test_base_check_holds_under_optimized_python(tmp_path):
+    path = _bad_isogeny_file(tmp_path, "simples-not-a-base")
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "weylkit.cli", "isogeny", "validate",
          "--file", str(path)],

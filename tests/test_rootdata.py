@@ -1,16 +1,19 @@
 import dataclasses
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import cartan
+from weylkit import cartan, rootdata
 from weylkit.intmat import matvec, transpose
-from weylkit.rootdata import (FundamentalGroupTooLarge, RootDatumError,
+from weylkit.roots import generate_roots
+from weylkit.rootdata import (FundamentalGroupTooLarge, PinnedRootDatum, RootDatumError,
                               adjoint_datum, fundamental_group, fundamental_group_order,
                               intermediate_lattices, pinned_isomorphism,
                               simply_connected_datum)
 
-from oracles import cofactor_det
+from oracles import (adjoint_per_root, cofactor_det, intermediate_per_root,
+                     simply_connected_per_root)
 
 CLASSICAL_TABLE = {
     "A": lambda n: (n + 1,) if n >= 1 else (),
@@ -61,8 +64,8 @@ def test_adjoint_datum_shape():
 
 
 @pytest.mark.parametrize("field,index,value,message", [
-    ("roots", 2, (5, 7), "does not pair to 2"),
-    ("coroots", 2, (1, 1), "does not permute the roots"),
+    ("roots", 2, (5, 7), "root 2 or its coroot is not generated by the simples"),
+    ("coroots", 2, (1, 1), "root 2 or its coroot is not generated by the simples"),
     ("simples", 0, 0, "not of finite type"),
 ], ids=["own-pairing", "reflection", "pinning"])
 def test_validate_raises_on_each_axiom(field, index, value, message):
@@ -72,6 +75,64 @@ def test_validate_raises_on_each_axiom(field, index, value, message):
     broken = dataclasses.replace(datum, **{field: tuple(entries)})
     with pytest.raises(RootDatumError, match=message):
         broken.validate()
+
+
+def _is_base(roots, pair) -> bool:
+    """Every root is an integer combination of the pair with coefficients
+    all >= 0 or all <= 0, by a 2x2 solve (Cramer's rule)."""
+    (a0, a1), (b0, b1) = roots[pair[0]], roots[pair[1]]
+    det = a0 * b1 - a1 * b0
+    if det == 0:
+        return False
+    for r0, r1 in roots:
+        x, y = r0 * b1 - r1 * b0, a0 * r1 - a1 * r0
+        if x % det or y % det:
+            return False
+        x, y = x // det, y // det
+        if not (x >= 0 and y >= 0 or x <= 0 and y <= 0):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("label,bases", [("A2", 6), ("B2", 8), ("G2", 12)])
+def test_validate_accepts_exactly_the_bases(label, bases):
+    # one base per Weyl chamber, so |W| bases, each in two orders; refused
+    # pairs include two long roots of G2 (pairing matrix [[2, 1], [1, 2]] or
+    # of type A2), which the Sylvester test alone lets through
+    datum = adjoint_datum(cartan.parse_type(label))
+    accepted = 0
+    for pair in permutations(range(len(datum.roots)), 2):
+        try:
+            dataclasses.replace(datum, simples=pair).validate()
+            valid = True
+        except RootDatumError:
+            valid = False
+        assert valid == _is_base(datum.roots, pair), pair
+        accepted += valid
+    assert accepted == 2 * bases
+
+
+def test_validate_counts_roots_before_generating(monkeypatch):
+    # the 60 simples of A60 alone: refused without building A60's 3660 roots
+    g = cartan.parse_type("A60")
+    unit = tuple(tuple(int(i == k) for i in range(60)) for k in range(60))
+    datum = PinnedRootDatum(60, unit, tuple(map(tuple, transpose(g.rows()))),
+                            tuple(range(60)))
+    monkeypatch.setattr(rootdata, "generate_roots", None)
+    with pytest.raises(RootDatumError, match="60 roots are too few"):
+        datum.validate()
+
+
+def test_builders_match_per_root_oracle():
+    def parts(datum):
+        return datum.roots, datum.coroots, datum.simples
+
+    for family, rank in cartan.catalog_types(max_rank=7):
+        g = cartan.catalog(family, rank)
+        rs = generate_roots(g)
+        assert parts(adjoint_datum(g)) == adjoint_per_root(rs), (family, rank)
+        assert parts(simply_connected_datum(g)) == simply_connected_per_root(rs)
+        assert [parts(d) for d in intermediate_lattices(g)] == intermediate_per_root(rs)
 
 
 def test_simply_connected_datum_roots_are_cartan_rows():
