@@ -202,9 +202,6 @@ def symmetrizer(c: GCM) -> Symmetrizer:
         for i in comp:
             d[i] = Fraction(d[i] * denom, numer)
     dd = [int(x) for x in d]
-    for i in range(n):
-        for j in range(n):
-            assert dd[i] * c[i][j] == dd[j] * c[j][i], "symmetrizer identity"
     lengths = [0] * n
     for comp in c.components():
         top = max(dd[i] for i in comp)

@@ -7,6 +7,11 @@ through b extends below b. For a short and a + b long the string data obey
 the length identity (down + 1) = up * length(a+b) / length(a), which is
 what makes the span of the torus directions and the short root vectors an
 ideal closed under p-th powers when p is the squared-length ratio.
+
+``short_root_ideal_check`` walks the a-string through b once for each short
+a and root b with a + b a root. That one string gives the bracket row and
+its Steinberg row (the length identity) when a + b is long, and for short b
+the square row when up >= 2, as strings are unbroken.
 """
 
 from __future__ import annotations
@@ -60,9 +65,7 @@ def bracket_constant(rs: RootSystem, alpha, beta) -> StructureConstant:
     if not rs.is_root(total):
         raise SumNotARoot(a, b)
     s = root_string(rs, b, a)
-    m = s.down + 1
-    assert m in (1, 2, 3), "finite-type structure constants are bounded by 3"
-    return StructureConstant(a, b, m, s.down, s.up)
+    return StructureConstant(a, b, s.down + 1, s.down, s.up)
 
 
 @dataclass(frozen=True)
@@ -99,16 +102,20 @@ class IdealCheckReport:
 
     ``bracket_triples`` lists (alpha, beta, alpha+beta, m) for every short
     alpha and root beta with a long root sum: the ideal property needs p to
-    divide every such m. ``square_triples`` lists (alpha, beta, 2a+b) for
-    short pairs whose double step lands in the roots: p-closure needs each
-    landing root to be long. Both violation lists are empty on the types
-    where the ideal exists.
+    divide every such m. ``steinberg`` holds, row for row with
+    ``bracket_triples``, the SteinbergReport of the same pair, read off the
+    same string. ``square_triples`` lists (alpha, beta, 2a+b) for short
+    pairs whose double step lands in the roots: p-closure needs each
+    landing root to be long. Rows are ordered by alpha, then beta, in root
+    order; bracket violations come before square violations. Both
+    violation lists are empty on the types where the ideal exists.
     """
 
     p: int
     bracket_triples: list = field(default_factory=list)
     square_triples: list = field(default_factory=list)
     violations: list = field(default_factory=list)
+    steinberg: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -116,30 +123,36 @@ class IdealCheckReport:
 
 
 def short_root_ideal_check(rs: RootSystem, p: int) -> IdealCheckReport:
-    """Run both ideal checks over all root pairs; report every triple."""
+    """Run both ideal checks, one string walk per pair; report every triple."""
     if not is_prime(p):
         raise ChevalleyError(f"{p} is not prime")
     if all(r.length == 1 for r in rs.roots):
         raise SimplyLaced()
     report = IdealCheckReport(p=p)
-    shorts = [r for r in rs.roots if r.length == 1]
-    for a in shorts:
+    square_violations = []
+    for a in (r for r in rs.roots if r.length == 1):
         for b in rs.roots:
-            total = tuple(x + y for x, y in zip(a.coords, b.coords))
-            if rs.is_root(total) and rs.root(total).length > 1:
-                m = bracket_constant(rs, a.coords, b.coords).m
-                report.bracket_triples.append((a.coords, b.coords, total, m))
+            idx = rs.index_of(tuple(x + y for x, y in zip(a.coords, b.coords)))
+            if idx is None:
+                continue
+            total = rs.roots[idx]
+            if total.length == 1 and b.length != 1:
+                continue
+            s = root_string(rs, b.coords, a.coords)
+            if total.length > 1:
+                m = s.down + 1
+                report.bracket_triples.append((a.coords, b.coords, total.coords, m))
+                report.steinberg.append(SteinbergReport(
+                    a.coords, b.coords, s.down, s.up, total.length,
+                    m == s.up * total.length))
                 if m % p != 0:
                     report.violations.append(
-                        ("bracket", a.coords, b.coords, total, m)
+                        ("bracket", a.coords, b.coords, total.coords, m)
                     )
-    for a in shorts:
-        for b in shorts:
-            if b.coords == a.coords or b.coords == tuple(-x for x in a.coords):
-                continue
-            double = tuple(2 * x + y for x, y in zip(a.coords, b.coords))
-            if rs.is_root(double):
+            if b.length == 1 and s.up >= 2:   # unbroken: 2a + b is a root
+                double = tuple(2 * x + y for x, y in zip(a.coords, b.coords))
                 report.square_triples.append((a.coords, b.coords, double))
                 if rs.root(double).length == 1:
-                    report.violations.append(("square", a.coords, b.coords, double))
+                    square_violations.append(("square", a.coords, b.coords, double))
+    report.violations.extend(square_violations)
     return report

@@ -281,9 +281,6 @@ def _pmorphism_from_json(doc: dict) -> isogeny.PMorphism:
 def _cmd_chevalley(args) -> tuple[dict, int]:
     rs = roots.generate_roots(cartan.parse_type(args.type))
     report = chevalley.short_root_ideal_check(rs, args.p)
-    # the bracket triples are exactly the pairs the string identity applies to
-    steinberg = [chevalley.steinberg_check(rs, a, b)
-                 for a, b, _, _ in report.bracket_triples]
     return {
         "schema": "weylkit/chevalley/1",
         "type": args.type,
@@ -304,7 +301,7 @@ def _cmd_chevalley(args) -> tuple[dict, int]:
         "steinberg": [
             {"alpha": list(r.alpha), "beta": list(r.beta), "down": r.down,
              "up": r.up, "ratio": r.length_ratio, "holds": r.holds}
-            for r in steinberg
+            for r in report.steinberg
         ],
     }, 0
 

@@ -39,6 +39,12 @@ class IndexOutOfRange(WeylError):
         super().__init__(f"simple index {i} out of range for rank {n}")
 
 
+class NotInRhoOrbit(WeylError):
+    def __init__(self, vector):
+        self.vector = tuple(vector)
+        super().__init__(f"{self.vector} is not in the orbit of rho")
+
+
 class CapExceeded(WeylError):
     def __init__(self, cap: int):
         self.cap = cap
@@ -150,6 +156,7 @@ def word_from_vector(rs: RootSystem, vector) -> tuple[int, ...]:
 
     Strips the smallest left-descent at each step: coordinate i of the
     vector is negative exactly when s_i shortens the element from the left.
+    Raises NotInRhoOrbit when the stripping does not end at rho.
     """
     v = [int(x) for x in vector]
     n = rs.rank
@@ -162,7 +169,8 @@ def word_from_vector(rs: RootSystem, vector) -> tuple[int, ...]:
         word.append(i)
         pair = v[i]
         v = [x - pair * a for x, a in zip(v, gcm[i])]
-    assert all(x == 1 for x in v), "vector is not in the rho-orbit"
+    if any(x != 1 for x in v):
+        raise NotInRhoOrbit(vector)
     return tuple(word)
 
 
@@ -197,17 +205,9 @@ class WeylGroup:
         self.histogram = [len(layer) for layer in layers]
         self.order = sum(self.histogram)
 
-    def word_from_vector(self, vector) -> tuple[int, ...]:
-        return word_from_vector(self.rs, vector)
-
-    def element_from_vector(self, vector) -> WeylElement:
-        return element_from_word(self.rs, self.word_from_vector(vector))
-
     def longest_element(self) -> WeylElement:
         neg_rho = tuple(-1 for _ in range(self.rs.rank))
-        w0 = self.element_from_vector(neg_rho)
-        assert w0.length == self.rs.num_positive
-        return w0
+        return element_from_word(self.rs, word_from_vector(self.rs, neg_rho))
 
     def reflections(self) -> list[WeylElement]:
         """The set T of all reflections, indexed by the positive roots."""
@@ -219,7 +219,7 @@ class WeylGroup:
         out = []
         for layer in self.layers:
             for row in layer:
-                out.append(self.element_from_vector(row))
+                out.append(element_from_word(self.rs, word_from_vector(self.rs, row)))
         return out
 
 

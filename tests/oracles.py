@@ -11,8 +11,11 @@ tuples instead of canonical-parent generation of the rho-orbit, trial
 division instead of Miller-Rabin, a loop over all bijections instead
 of the scaled-isomorphism search along Dynkin edges, and a walk over every
 word of the suffix trie instead of the walk over distinct word states,
-and root data written out root by root (coordinates, C times the coroot,
-a fraction solve per root) instead of a root system carried onto a pinning.
+root data written out root by root (coordinates, C times the coroot,
+a fraction solve per root) instead of a root system carried onto a pinning,
+and the short-root ideal check as an all-pairs bracket loop, a short x short
+square loop and a Steinberg check per triple instead of one string walk per
+pair.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from itertools import permutations
 from math import factorial, isqrt
 
 from weylkit import intmat
+from weylkit.chevalley import bracket_constant, steinberg_check
 from weylkit.pushforward import pushforward_multiset
 from weylkit.rootdata import _subgroups
 
@@ -119,6 +123,33 @@ def brute_bracket_m(is_root, alpha, beta) -> int:
         if not is_root(cand):
             return m
         m += 1
+
+
+def all_pairs_ideal_check(rs, p):
+    """The short-root ideal check pair by pair: (bracket triples, square
+    triples, violations, Steinberg rows), in the order the library reports
+    them."""
+    brackets, squares, violations, square_violations = [], [], [], []
+    shorts = [r for r in rs.roots if r.length == 1]
+    for a in shorts:
+        for b in rs.roots:
+            total = tuple(x + y for x, y in zip(a.coords, b.coords))
+            if rs.is_root(total) and rs.root(total).length > 1:
+                m = bracket_constant(rs, a.coords, b.coords).m
+                brackets.append((a.coords, b.coords, total, m))
+                if m % p != 0:
+                    violations.append(("bracket", a.coords, b.coords, total, m))
+    for a in shorts:
+        for b in shorts:
+            if b.coords == a.coords or b.coords == tuple(-x for x in a.coords):
+                continue
+            double = tuple(2 * x + y for x, y in zip(a.coords, b.coords))
+            if rs.is_root(double):
+                squares.append((a.coords, b.coords, double))
+                if rs.root(double).length == 1:
+                    square_violations.append(("square", a.coords, b.coords, double))
+    steinberg = [steinberg_check(rs, a, b) for a, b, _, _ in brackets]
+    return brackets, squares, violations + square_violations, steinberg
 
 
 def symmetric_group_lengths(n: int) -> list[int]:

@@ -6,7 +6,7 @@ from weylkit.chevalley import (ChevalleyError, HypothesesNotMet, SimplyLaced,
                                short_root_ideal_check, steinberg_check)
 from weylkit.roots import generate_roots
 
-from oracles import brute_bracket_m
+from oracles import all_pairs_ideal_check, brute_bracket_m
 
 DOUBLY_LACED = [("B2", 2), ("B3", 2), ("C3", 2), ("B4", 2), ("C4", 2),
                 ("F4", 2), ("G2", 3)]
@@ -142,3 +142,18 @@ def test_counts_frozen():
     assert len(short_root_ideal_check(_rs("B3"), 2).bracket_triples) == 24
     f4 = short_root_ideal_check(_rs("F4"), 2)
     assert f4.passed and len(f4.bracket_triples) == 144
+
+
+@pytest.mark.parametrize("label", [
+    f"{family}{rank}" for family, rank in cartan.catalog_types(max_rank=6)
+    if family in "BCFG"
+] + ["A1+B2", "G2+C3"])
+def test_ideal_check_matches_all_pairs_oracle(label):
+    rs = _rs(label)
+    for p in (2, 3, 5):
+        report = short_root_ideal_check(rs, p)
+        brackets, squares, violations, steinberg = all_pairs_ideal_check(rs, p)
+        assert report.bracket_triples == brackets, (label, p)
+        assert report.square_triples == squares, (label, p)
+        assert report.violations == violations, (label, p)
+        assert report.steinberg == steinberg, (label, p)

@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from weylkit import cartan, weyl
 from weylkit.roots import generate_roots
-from weylkit.weyl import (CapExceeded, IndexOutOfRange, WeylElement,
-                          demazure_product, element_from_word, enumerate_weyl,
-                          is_reduced, poincare_polynomial, reduced_word,
-                          reflect, simple_reflections, weyl_order)
+from weylkit.weyl import (CapExceeded, IndexOutOfRange, NotInRhoOrbit,
+                          WeylElement, demazure_product, element_from_word,
+                          enumerate_weyl, is_reduced, poincare_polynomial,
+                          reduced_word, reflect, simple_reflections,
+                          weyl_order, word_from_vector)
 
 from oracles import (dihedral_lengths, rho_orbit_layers,
                      symmetric_group_lengths, weyl_order_closed_form)
@@ -287,6 +288,14 @@ def test_reduced_word_smallest_descent_rule():
     rs = _rs("A2")
     w0 = enumerate_weyl(rs).longest_element()
     assert reduced_word(w0) == (0, 1, 0)
+
+
+def test_word_from_vector_rejects_vectors_outside_rho_orbit():
+    # (1, 2) has no descent to strip; (0, -1) strips s2, then s1, and ends at (1, 0)
+    rs = _rs("A2")
+    for vector in [(1, 2), (0, -1)]:
+        with pytest.raises(NotInRhoOrbit):
+            word_from_vector(rs, vector)
 
 
 def test_demazure_examples():
