@@ -11,7 +11,10 @@ finite, 3 not a generalized Cartan matrix, 4 unreadable input. Other
 subcommands exit 0 on success and 1 with a machine-readable error object.
 A usage error (an unknown subcommand, a missing or malformed option) is
 unreadable input too: it writes one ``ParseError`` error document and exits
-4 under ``classify``, 1 otherwise. Every run writes exactly one document.
+4 under ``classify``, 1 otherwise. A result or message with an integer past
+the interpreter's int-to-str digit limit is refused with one
+``DigitLimitExceeded`` document and exit 1; the limit guards the conversion
+against quadratic time, so it is kept. Every run writes exactly one document.
 """
 
 from __future__ import annotations
@@ -31,16 +34,27 @@ from .characters import (EulerData, shifted_euler_characteristic, volume,
 # let values like "-2,1" pass as option arguments rather than flags
 _NEGATIVE_VECTOR = re.compile(r"^-\d+(,-?\d+)*$")
 
+# most samples ``selfcheck`` draws; at about 0.9 ms an E8 sample, some 9 s
+MAX_SAMPLES = 10_000
+
+# the message CPython gives an int past its int-to-str digit limit
+_DIGIT_LIMIT_MESSAGE = "for integer string conversion"
+
 
 class ParseError(cartan.WeylkitError):
     """Unreadable input: bad JSON, a malformed document or a usage error."""
 
 
-def _emit(doc: dict, fmt: str) -> None:
+class DigitLimitExceeded(cartan.WeylkitError):
+    def __init__(self):
+        super().__init__(f"an integer to print has more than "
+                         f"{sys.get_int_max_str_digits()} decimal digits")
+
+
+def _render(doc: dict, fmt: str) -> str:
     if fmt == "text":
-        sys.stdout.write(_render_text(doc))
-    else:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        return _render_text(doc)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _render_text(doc: dict, indent: str = "") -> str:
@@ -360,13 +374,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """A non-negative integer option value."""
+    """A ``--samples`` value, an integer in [0, MAX_SAMPLES]."""
     try:
         value = int(text)
     except ValueError:
         value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    if not 0 <= value <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [0, {MAX_SAMPLES}]")
     return value
 
 
@@ -459,10 +473,16 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         doc, code = args.func(args)
-    except cartan.WeylkitError as exc:
+        out = _render(doc, args.format)
+    except ValueError as exc:
+        if not isinstance(exc, cartan.WeylkitError):
+            if _DIGIT_LIMIT_MESSAGE not in str(exc):
+                raise
+            exc = DigitLimitExceeded()
         doc = {"schema": "weylkit/error/1", "error": exc.to_json()}
         code = 4 if isinstance(exc, ParseError) and argv[:1] == ["classify"] else 1
-    _emit(doc, getattr(args, "format", "json"))
+        out = _render(doc, getattr(args, "format", "json"))
+    sys.stdout.write(out)
     return code
 
 

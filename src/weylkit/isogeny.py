@@ -8,11 +8,11 @@ simples to powers of a prime p, subject to
     f(u(a))            = q(a) * a          on the character lattices,
     transpose(f)(a~)   = q(a) * u(a)~      on the coroot side,
 
-for every simple root a (a~ denotes its coroot). These two families force
-the Cartan compatibility q(a) <a, b~> = q(b) <u(a), u(b)~>, which is also
-checked explicitly, and they determine the extension of u and q from the
-simple roots to all roots; the extension is exposed as a derived map rather
-than stored.
+for every simple root a (a~ denotes its coroot); ``rootdata.equation_failure``
+checks them, and a pinned isomorphism is the case u = id, q = 1. The two
+families imply the Cartan compatibility q(a) <a, b~> = q(b) <u(a), u(b)~>,
+and they determine the extension of u and q from the simple roots to all
+roots; the extension is exposed as a derived map rather than stored.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .cartan import WeylkitError, catalog, catalog_types, scaled_isomorphisms
-from .rootdata import PinnedRootDatum, RootDatumError, adjoint_datum
+from .rootdata import PinnedRootDatum, RootDatumError, adjoint_datum, equation_failure
 
 
 class IsogenyError(WeylkitError):
@@ -53,12 +53,6 @@ class QNotPowerOfP(InvalidPMorphism):
     def __init__(self, k: int):
         self.k = k
         super().__init__(f"q value at simple index {k} is not a power of p")
-
-
-class CartanIncompatible(InvalidPMorphism):
-    def __init__(self, i: int, j: int):
-        self.i, self.j = i, j
-        super().__init__(f"Cartan compatibility fails at simple pair ({i},{j})")
 
 
 @dataclass(frozen=True)
@@ -151,29 +145,17 @@ def _check_equations(phi: PMorphism) -> None:
     """The prime, the shape of f, the q values and the defining equations of
     a p-morphism whose data are already known to be well formed."""
     src, tgt = phi.source, phi.target
-    n = len(src.simples)
     if not is_prime(phi.p):
         raise InvalidPMorphism(f"{phi.p} is not prime")
-    f = [list(r) for r in phi.f]
-    if len(f) != src.rank or any(len(r) != tgt.rank for r in f):
+    if len(phi.f) != src.rank or any(len(r) != tgt.rank for r in phi.f):
         raise InvalidPMorphism("f has the wrong shape")
-    for k in range(n):
-        if not _is_p_power(phi.q[k], phi.p):
+    for k, x in enumerate(phi.q):
+        if not _is_p_power(x, phi.p):
             raise QNotPowerOfP(k)
-    ft = intmat.transpose(f)
-    for k in range(n):
-        img = intmat.matvec(f, list(tgt.simple_root(phi.u[k])))
-        if img != [phi.q[k] * x for x in src.simple_root(k)]:
-            raise RootEquationFails(k)
-        img_cv = intmat.matvec(ft, list(src.simple_coroot(k)))
-        if img_cv != [phi.q[k] * x for x in tgt.simple_coroot(phi.u[k])]:
-            raise CorootEquationFails(k)
-    cg = src.cartan_matrix()
-    ch = tgt.cartan_matrix()
-    for i in range(n):
-        for j in range(n):
-            if phi.q[i] * cg[i][j] != phi.q[j] * ch[phi.u[i]][phi.u[j]]:
-                raise CartanIncompatible(i, j)
+    failure = equation_failure(src, tgt, phi.f, phi.u, phi.q)
+    if failure:
+        k, side = failure
+        raise (RootEquationFails if side == "root" else CorootEquationFails)(k)
 
 
 def frobenius(datum: PinnedRootDatum, p: int, n: int = 1) -> PMorphism:

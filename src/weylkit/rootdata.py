@@ -230,47 +230,58 @@ def intermediate_lattices(c: GCM, max_index: int = 10_000) -> list[PinnedRootDat
 # Pinned isomorphisms
 # ---------------------------------------------------------------------------
 
+def equation_failure(source: PinnedRootDatum, target: PinnedRootDatum, f, u, q):
+    """The first failing defining equation of a morphism of pinned data.
+
+    f is an integer matrix from the target lattice to the source one, u
+    sends source simple k to target simple u[k] and q scales it. For
+    ascending k this checks f(u(a_k)) = q_k a_k, then transpose(f)(a_k~) =
+    q_k u(a_k)~, and returns (k, "root") or (k, "coroot") at the first that
+    fails, or None when all hold. The two imply the Cartan compatibility
+    q_i <a_i, a_j~> = q_j <u(a_i), u(a_j)~>: pair the first equation at i
+    with a_j~ and move f across the pairing.
+    """
+    ft = intmat.transpose(f)
+    for k in range(len(source.simples)):
+        a, b = source.simple_root(k), target.simple_root(u[k])
+        if intmat.matvec(f, b) != [q[k] * x for x in a]:
+            return k, "root"
+        a, b = source.simple_coroot(k), target.simple_coroot(u[k])
+        if intmat.matvec(ft, a) != [q[k] * x for x in b]:
+            return k, "coroot"
+    return None
+
+
 def pinned_isomorphism(r1: PinnedRootDatum, r2: PinnedRootDatum):
     """The unique lattice isomorphism M2 -> M1 respecting the pinnings, or None.
 
-    The matrix f (acting on column vectors of M2-coordinates) must send the
-    k-th simple root of r2 to the k-th simple root of r1 and intertwine the
-    root and coroot bijections. Since the simple roots span a finite-index
-    sublattice, f is already determined over the rationals by the pinning;
-    existence only asks that this forced candidate is integral, unimodular
-    and maps the root data onto each other, so uniqueness is automatic.
+    Both data must be valid (else RootDatumError) and semisimple, with as
+    many simples as their rank. Then the simple roots span a finite-index
+    sublattice, so the matrix f (acting on column vectors of M2-coordinates)
+    that sends simple root k of r2 to simple root k of r1 is forced: f =
+    S1 S2^-1 for the simple-root matrices. It is the isomorphism when it is
+    integral and unimodular and transpose(f) sends the simple coroots of r1
+    to those of r2, the equations of ``equation_failure`` with u = id and
+    q = 1. Those give r1 and r2 one Cartan matrix, and both data are images
+    of its root system, so f then carries every root and coroot across too.
+
+    >>> from weylkit.cartan import parse_type
+    >>> a2 = parse_type("A2")
+    >>> pinned_isomorphism(adjoint_datum(a2), adjoint_datum(a2))
+    ((1, 0), (0, 1))
+    >>> pinned_isomorphism(adjoint_datum(a2), simply_connected_datum(a2)) is None
+    True
     """
-    if r1.rank != r2.rank or len(r1.roots) != len(r2.roots):
-        return None
-    if len(r1.simples) != len(r2.simples):
-        return None
-    if r1.cartan_matrix() != r2.cartan_matrix():
-        return None
+    r1.validate()
+    r2.validate()
     n = r1.rank
-    if len(r1.simples) != n:
+    if r2.rank != n or len(r1.simples) != n or len(r2.simples) != n:
         return None
-    s1 = intmat.transpose([list(r1.simple_root(k)) for k in range(n)])
-    s2 = intmat.transpose([list(r2.simple_root(k)) for k in range(n)])
-    try:
-        s2_inv = intmat.rational_inverse(s2)
-    except ValueError:
-        return None
-    f_rat = [[sum(a * b for a, b in zip(row, col)) for col in zip(*s2_inv)]
-             for row in s1]
+    s1, s2 = (intmat.transpose([r.simple_root(k) for k in range(n)]) for r in (r1, r2))
+    f_rat = intmat.matmul(s1, intmat.rational_inverse(s2))
     if any(x.denominator != 1 for row in f_rat for x in row):
         return None
     f = [[int(x) for x in row] for row in f_rat]
-    if not intmat.is_unimodular(f):
+    if not intmat.is_unimodular(f) or equation_failure(r1, r2, f, range(n), (1,) * n):
         return None
-    # f must map the root multiset of r2 onto that of r1, matching coroots
-    # through the transpose
-    index1 = {root: i for i, root in enumerate(r1.roots)}
-    ft = intmat.transpose(f)
-    for i, root in enumerate(r2.roots):
-        img = tuple(intmat.matvec(f, list(root)))
-        j = index1.get(img)
-        if j is None:
-            return None
-        if tuple(intmat.matvec(ft, list(r1.coroots[j]))) != r2.coroots[i]:
-            return None
     return tuple(tuple(row) for row in f)

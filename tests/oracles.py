@@ -13,9 +13,10 @@ of the scaled-isomorphism search along Dynkin edges, and a walk over every
 word of the suffix trie instead of the walk over distinct word states,
 root data written out root by root (coordinates, C times the coroot,
 a fraction solve per root) instead of a root system carried onto a pinning,
-and the short-root ideal check as an all-pairs bracket loop, a short x short
+the short-root ideal check as an all-pairs bracket loop, a short x short
 square loop and a Steinberg check per triple instead of one string walk per
-pair.
+pair, and a pinned isomorphism checked on every root and coroot instead of
+the two defining equations on the simples.
 """
 
 from __future__ import annotations
@@ -438,3 +439,40 @@ def intermediate_per_root(rs):
                    for r in rs.roots)
         out.append(_per_root(rs, roots, coroots))
     return out
+
+
+def pinned_isomorphism_all_roots(r1, r2):
+    """The lattice isomorphism M2 -> M1 respecting the pinnings, or None,
+    with the Cartan matrices compared first and then every root of r2 sent
+    to a root of r1 whose coroot transpose(f) sends back to its own."""
+    if r1.rank != r2.rank or len(r1.roots) != len(r2.roots):
+        return None
+    if len(r1.simples) != len(r2.simples):
+        return None
+    if r1.cartan_matrix() != r2.cartan_matrix():
+        return None
+    n = r1.rank
+    if len(r1.simples) != n:
+        return None
+    s1 = intmat.transpose([list(r1.simple_root(k)) for k in range(n)])
+    s2 = intmat.transpose([list(r2.simple_root(k)) for k in range(n)])
+    try:
+        s2_inv = intmat.rational_inverse(s2)
+    except ValueError:
+        return None
+    f_rat = [[sum(a * b for a, b in zip(row, col)) for col in zip(*s2_inv)]
+             for row in s1]
+    if any(x.denominator != 1 for row in f_rat for x in row):
+        return None
+    f = [[int(x) for x in row] for row in f_rat]
+    if not intmat.is_unimodular(f):
+        return None
+    index1 = {root: i for i, root in enumerate(r1.roots)}
+    ft = intmat.transpose(f)
+    for i, root in enumerate(r2.roots):
+        j = index1.get(tuple(intmat.matvec(f, list(root))))
+        if j is None:
+            return None
+        if tuple(intmat.matvec(ft, list(r1.coroots[j]))) != r2.coroots[i]:
+            return None
+    return tuple(tuple(row) for row in f)

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from weylkit import cartan
 from weylkit.characters import (EulerData, NotDominant,
                                 shifted_euler_characteristic, volume, weyl_dim)
+from weylkit.pushforward import PushforwardTooLarge, pushforward_word
 from weylkit.roots import generate_roots
-from weylkit.weyl import enumerate_weyl, reflect
+from weylkit.weyl import enumerate_weyl, is_reduced, reflect
 
 from oracles import freudenthal_dim
 
@@ -137,3 +138,26 @@ def test_exactness_no_floats():
     _, ed = _ed("G2")
     value = shifted_euler_characteristic(ed, (5, 7))
     assert isinstance(value, Fraction)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_borel_weil_bott_along_a_random_reduced_word_for_w0(data):
+    # pushing L_lambda down the Bott-Samelson tower of a reduced word for
+    # w0 gives the cohomology of G/B, so its signed total is chi(G/B, L_lambda)
+    label = data.draw(st.sampled_from(RANK4_TYPES), label="type")
+    rs, ed = _ed(label)
+    lam = data.draw(st.tuples(*[st.integers(-4, 4)] * rs.rank), label="lambda")
+    # w0 takes -rho to rho; stripping a negative coordinate is one reflection
+    # closer, so the letters spell a reduced word for w0
+    v, word = (-1,) * rs.rank, []
+    while negatives := [i for i, x in enumerate(v) if x < 0]:
+        i = data.draw(st.sampled_from(negatives))
+        v, word = reflect(rs, i, v), word + [i]
+    assert len(word) == rs.num_positive and is_reduced(rs, word)
+    try:
+        gw = pushforward_word(rs, word, lam)
+    except PushforwardTooLarge:
+        reject()
+    signed = sum((-1) ** degree * mult for (_, degree), mult in gw.items())
+    assert signed == shifted_euler_characteristic(ed, tuple(x + 1 for x in lam))

@@ -70,10 +70,11 @@ def test_parse_error_exit_code():
     (["frobnicate"], 1),
     ([], 1),
     (["selfcheck", "--type", "A2", "--samples", "-5"], 1),
+    (["selfcheck", "--type", "E8", "--samples", "10001"], 1),
 ], ids=["classify-bad-cap", "classify-unknown-option", "weyl-bad-cap",
         "dim-missing-weight", "bs-weights-missing-weight",
         "chevalley-missing-p", "bad-format", "unknown-subcommand", "no-subcommand",
-        "selfcheck-negative-samples"])
+        "selfcheck-negative-samples", "selfcheck-too-many-samples"])
 def test_usage_error_is_one_parse_error_document(argv, expected_code):
     err = io.StringIO()
     with redirect_stderr(err):

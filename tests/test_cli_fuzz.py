@@ -245,10 +245,27 @@ def test_error_payload_keys(argv, stdin_text, code, keys):
     assert set(error) == keys
 
 
+@pytest.mark.parametrize("argv", [
+    ["dim", "--type", "A2", "--weight", _vector(["1" * 4001] * 2)],
+    ["vol", "--type", "E8", "--weight", _vector(["1" * 41] * 8)],
+    ["bs-weights", "--type", "A2", "--word", "2", "--weight", _vector(["9" * 4300, 1])],
+    ["bs-weights", "--type", "A2", "--word", "1", "--weight", _vector(["9" * 4300, 1])],
+    ["dim", "--type", "A2", "--basis", "root", "--weight", _vector(["-" + "9" * 4300, 0])],
+], ids=["dim-value", "vol-value", "bs-weights-entry", "bs-weights-refusal-message",
+        "dim-refusal-message"])
+def test_integer_past_the_digit_limit_is_one_error_document(argv):
+    # each result, or the message refusing it, holds an integer longer than
+    # the interpreter converts to decimal
+    code, doc = check_one_document(argv)
+    assert code == 1
+    assert doc["error"]["code"] == "DigitLimitExceeded"
+    assert str(sys.get_int_max_str_digits()) in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("exc", [
     cartan.DiagonalNotTwo(0), cartan.InvalidType("Q", 7), cartan.NotFiniteType(),
     weyl.IndexOutOfRange(3, 2), weyl.CapExceeded(10),
-    chevalley.HypothesesNotMet("sum-not-long"), isogeny.CartanIncompatible(0, 1),
+    chevalley.HypothesesNotMet("sum-not-long"), isogeny.RootEquationFails(0),
     ParseError("bad"),
 ])
 def test_error_code_is_the_class_name(exc):

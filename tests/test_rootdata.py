@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from itertools import permutations
 
 import pytest
@@ -13,7 +14,7 @@ from weylkit.rootdata import (FundamentalGroupTooLarge, PinnedRootDatum, RootDat
                               simply_connected_datum)
 
 from oracles import (adjoint_per_root, cofactor_det, intermediate_per_root,
-                     simply_connected_per_root)
+                     pinned_isomorphism_all_roots, simply_connected_per_root)
 
 CLASSICAL_TABLE = {
     "A": lambda n: (n + 1,) if n >= 1 else (),
@@ -288,3 +289,59 @@ def test_pinned_isomorphism_symmetric():
             f12 = pinned_isomorphism(d1, d2)
             f21 = pinned_isomorphism(d2, d1)
             assert (f12 is None) == (f21 is None)
+
+
+# an A1 datum in a rank-2 lattice: one simple, so not semisimple
+A1_IN_RANK_2 = PinnedRootDatum(2, ((1, 0), (-1, 0)), ((2, 0), (-2, 0)), (0,))
+A2, B2 = cartan.parse_type("A2"), cartan.parse_type("B2")
+
+
+@pytest.mark.parametrize("first,second", [
+    (adjoint_datum(A2), adjoint_datum(cartan.parse_type("A3"))),
+    (A1_IN_RANK_2, A1_IN_RANK_2),
+    (adjoint_datum(A2), simply_connected_datum(A2)),
+    (simply_connected_datum(A2), adjoint_datum(A2)),
+    (adjoint_datum(B2), adjoint_datum(cartan.validate_gcm(transpose(B2.rows())))),
+], ids=["rank-mismatch", "not-semisimple", "ad-to-sc-not-integral",
+        "sc-to-ad-not-unimodular", "coroot-equation-fails"])
+def test_pinned_isomorphism_refusals(first, second):
+    first.validate()
+    second.validate()
+    assert pinned_isomorphism(first, second) is None
+    assert pinned_isomorphism_all_roots(first, second) is None
+
+
+def test_pinned_isomorphism_refuses_an_invalid_datum():
+    a2 = adjoint_datum(A2)
+    bad = dataclasses.replace(a2, simples=(1, 3))
+    for pair in ((bad, bad), (bad, a2), (a2, bad)):
+        with pytest.raises(RootDatumError):
+            pinned_isomorphism(*pair)
+
+
+def _unimodular(n: int, rng: random.Random):
+    """A unimodular matrix: a random unitriangular one with columns permuted."""
+    upper = [[int(i == j) or (rng.randint(-2, 2) if j > i else 0) for j in range(n)]
+             for i in range(n)]
+    order = rng.sample(range(n), n)
+    return [[row[j] for j in order] for row in upper]
+
+
+def test_pinned_isomorphism_matches_all_roots_oracle():
+    rng = random.Random(12)
+    by_rank = {}
+    for family, rank in cartan.catalog_types(max_rank=4):
+        g = cartan.catalog(family, rank)
+        data = intermediate_lattices(g) + [adjoint_datum(g), simply_connected_datum(g)]
+        data += [_change_basis(d, _unimodular(rank, rng)) for d in data]
+        for d1 in data:
+            for d2 in data:
+                assert pinned_isomorphism(d1, d2) == pinned_isomorphism_all_roots(d1, d2)
+        by_rank.setdefault(rank, []).append(adjoint_datum(g))
+    # across types of one rank, only a type with itself is isomorphic
+    for data in by_rank.values():
+        for i, d1 in enumerate(data):
+            for j, d2 in enumerate(data):
+                f = pinned_isomorphism(d1, d2)
+                assert f == pinned_isomorphism_all_roots(d1, d2)
+                assert (f is not None) == (i == j)
