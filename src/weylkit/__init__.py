@@ -1,8 +1,10 @@
 """Exact combinatorics of Cartan matrices, root systems, Weyl groups,
 weight pushforwards along words, pinned root data and p-isogenies.
 
-The modules are arranged bottom-up:
+The modules are arranged bottom-up, each importing only from those above it:
 
+* ``intmat``: exact integer matrices, Smith and Hermite normal forms
+* ``schemas``: the shapes of the CLI's JSON documents, with a checker
 * ``cartan``: matrix validation, finite-type test, symmetrizer, catalog,
   Dynkin classification
 * ``roots``: root systems with dual (root and coroot) bookkeeping, strings
@@ -10,8 +12,10 @@ The modules are arranged bottom-up:
 * ``characters``: shifted Euler characteristic, Weyl dimension, volume
 * ``pushforward``: graded weight multisets pushed down words
 * ``rootdata``: pinned root data, fundamental group, intermediate lattices
-* ``isogeny``: p-morphisms, Frobenius, special isogenies
+* ``isogeny``: p-morphisms (their JSON, word factors, root extension),
+  Frobenius, special isogenies
 * ``chevalley``: bracket constants, string-length identity, short-root ideal
+* ``cli``: the command-line front end
 
 Convention: the Cartan matrix entry ``C[i][j]`` pairs simple root i against
 simple coroot j, so row i is simple root i in fundamental-weight

@@ -75,9 +75,13 @@ class NotFiniteType(GCMError):
 
 
 class InvalidType(GCMError):
-    def __init__(self, family: str, rank: int):
-        self.family, self.rank = family, rank
-        super().__init__(f"({family},{rank}) is not a valid finite type")
+    """No catalog type; ``rank`` is unset when the label gives none."""
+
+    def __init__(self, family: str, rank: int | None = None):
+        self.family = family
+        if rank is not None:
+            self.rank = rank
+        super().__init__(f"({family},{'?' if rank is None else rank}) is not a valid finite type")
 
 
 @dataclass(frozen=True)
@@ -369,7 +373,8 @@ def block_diag(*parts: GCM) -> GCM:
 def parse_label(label: str) -> list[tuple[str, int]]:
     """The (family, rank) of each ``+``-separated piece of a type label.
 
-    Raises InvalidType at the first piece that names no catalog type.
+    Raises InvalidType at the first piece that names no catalog type, with
+    the rank the piece gives, if any.
 
     >>> parse_label("B4"), parse_label("a1 + G2")
     ([('B', 4)], [('A', 1), ('G', 2)])
@@ -377,13 +382,11 @@ def parse_label(label: str) -> list[tuple[str, int]]:
     parts = []
     for piece in label.split("+"):
         piece = piece.strip()
-        if len(piece) < 2 or piece[0].upper() not in FAMILIES:
-            raise InvalidType(piece[:1], 0)
-        family = piece[0].upper()
+        family = piece[:1].upper() if piece[:1].upper() in FAMILIES else piece[:1]
         try:
             rank = int(piece[1:])
-        except ValueError:
-            raise InvalidType(family, 0) from None
+        except ValueError:   # no digits, or past the int-from-str digit limit
+            raise InvalidType(family) from None
         if not _valid_type(family, rank):
             raise InvalidType(family, rank)
         parts.append((family, rank))

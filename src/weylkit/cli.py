@@ -144,20 +144,10 @@ def _cmd_classify(args) -> tuple[dict, int]:
                               for row in matrix):
         matrix = [list(row) for row in zip(*matrix)]
 
-    report = {
+    report = dict.fromkeys(schemas.REPORT) | {
         "schema": "weylkit/report/1",
         "matrix": matrix if schemas.matches(matrix, "int_matrix") else None,
         "gcm": False,
-        "finite": None,
-        "type": None,
-        "node_maps": None,
-        "symmetrizer": None,
-        "positive_roots": None,
-        "dimension": None,
-        "weyl_order": None,
-        "weyl_order_enumerated": None,
-        "poincare": None,
-        "fundamental_group": None,
         "errors": [],
     }
     try:
@@ -250,22 +240,23 @@ def _cmd_vol(args) -> tuple[dict, int]:
             "weight": list(weight), "value": str(value)}, 0
 
 
-def _cmd_isogeny(args) -> tuple[dict, int]:
-    if args.action == "enumerate":
-        parts = cartan.parse_label(args.type)
-        if len(parts) != 1:
-            raise isogeny.IsogenyError("special isogeny search expects an irreducible type")
-        morphisms = isogeny.enumerate_special(*parts[0], args.p)
-        return {
-            "schema": "weylkit/isogenies/1",
-            "type": args.type,
-            "p": args.p,
-            "isogenies": [m.to_json() for m in morphisms],
-        }, 0
-    phi = _pmorphism_from_json(_load_json(args.file, schemas.PMORPHISM))
-    doc = {"schema": "weylkit/isogeny-validation/1", "valid": False,
-           "primitive": None, "constant": None,
-           "frobenius_exponent": None, "error": None}
+def _cmd_isogeny_enumerate(args) -> tuple[dict, int]:
+    parts = cartan.parse_label(args.type)
+    if len(parts) != 1:
+        raise isogeny.IsogenyError("special isogeny search expects an irreducible type")
+    morphisms = isogeny.enumerate_special(*parts[0], args.p)
+    return {
+        "schema": "weylkit/isogenies/1",
+        "type": args.type,
+        "p": args.p,
+        "isogenies": [m.to_json() for m in morphisms],
+    }, 0
+
+
+def _cmd_isogeny_validate(args) -> tuple[dict, int]:
+    phi = isogeny.PMorphism.from_json(_load_json(args.file, schemas.PMORPHISM))
+    doc = dict.fromkeys(schemas.ISOGENY_VALIDATION) | {
+        "schema": "weylkit/isogeny-validation/1", "valid": False}
     try:
         isogeny.validate_pmorphism(phi)
     except isogeny.IsogenyError as exc:
@@ -276,20 +267,6 @@ def _cmd_isogeny(args) -> tuple[dict, int]:
     doc["constant"] = isogeny.is_constant(phi)
     doc["frobenius_exponent"] = isogeny.factor_primitive_constant(phi)[1]
     return doc, 0
-
-
-def _pmorphism_from_json(doc: dict) -> isogeny.PMorphism:
-    """The p-morphism of a document already checked against ``PMORPHISM``."""
-    def rows(values):
-        return tuple(map(tuple, values))
-
-    def datum(d):
-        return rootdata.PinnedRootDatum(d["rank"], rows(d["roots"]),
-                                        rows(d["coroots"]), tuple(d["simple"]))
-
-    return isogeny.PMorphism(datum(doc["source"]), datum(doc["target"]),
-                             rows(doc["f"]), tuple(doc["u"]), tuple(doc["q"]),
-                             doc["p"])
 
 
 def _cmd_chevalley(args) -> tuple[dict, int]:
@@ -440,11 +417,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = act.add_parser("enumerate")
     common(pe)
     pe.add_argument("--p", type=int, required=True)
-    pe.set_defaults(func=_cmd_isogeny, action="enumerate")
+    pe.set_defaults(func=_cmd_isogeny_enumerate)
     pv = act.add_parser("validate")
+    common(pv, type_arg=False)
     pv.add_argument("--file", required=True)
-    pv.add_argument("--format", choices=("json", "text"), default="json")
-    pv.set_defaults(func=_cmd_isogeny, action="validate")
+    pv.set_defaults(func=_cmd_isogeny_validate)
 
     p = sub.add_parser("chevalley", help="structure-constant and ideal checks")
     act = p.add_subparsers(dest="action", required=True)

@@ -142,7 +142,10 @@ def smith_normal_form(a) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form with transforms: returns (u, d, v) with u a v = d.
 
     d is diagonal with nonnegative entries d1 | d2 | ..., and u, v are
-    unimodular. Works for any rectangular integer matrix.
+    unimodular. Works for any rectangular integer matrix, but the entries of
+    u and v swell on dense input: a random 7x7 with entries in [-6, 6] can
+    give transforms with thousands of digits and take seconds. On the
+    Cartan-type matrices the package passes it, rank 39 takes a few ms.
     """
     m = copy(a)
     rows = len(m)

@@ -12,16 +12,20 @@ for every simple root a (a~ denotes its coroot); ``rootdata.equation_failure``
 checks them, and a pinned isomorphism is the case u = id, q = 1. The two
 families imply the Cartan compatibility q(a) <a, b~> = q(b) <u(a), u(b)~>,
 and they determine the extension of u and q from the simple roots to all
-roots; the extension is exposed as a derived map rather than stored.
+roots; the extension is exposed as a derived map rather than stored. Along
+a word of source simples, u translates the letters and q gives each its
+scaling factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import intmat
 from .cartan import WeylkitError, catalog, catalog_types, scaled_isomorphisms
 from .rootdata import PinnedRootDatum, RootDatumError, adjoint_datum, equation_failure
+from .weyl import IndexOutOfRange
 
 
 class IsogenyError(WeylkitError):
@@ -74,6 +78,14 @@ class PMorphism:
             "p": self.p,
         }
 
+    @classmethod
+    def from_json(cls, doc: dict) -> PMorphism:
+        """The p-morphism of a ``to_json`` document (shape ``schemas.PMORPHISM``)."""
+        return cls(PinnedRootDatum.from_json(doc["source"]),
+                   PinnedRootDatum.from_json(doc["target"]),
+                   tuple(map(tuple, doc["f"])), tuple(doc["u"]), tuple(doc["q"]),
+                   doc["p"])
+
 
 # Deterministic Miller-Rabin over the first 13 prime bases is exact below
 # PRIMALITY_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -103,20 +115,19 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _is_p_power(x: int, p: int) -> bool:
-    if x < 1:
-        return False
-    while x % p == 0:
-        x //= p
-    return x == 1
+def _p_split(x: int, p: int) -> tuple[int, int]:
+    """(k, m) with x = p^k m and m prime to p, for x >= 1 and p >= 2;
+    anything else raises InvalidPMorphism.
 
-
-def _p_valuation(x: int, p: int) -> int:
-    v = 0
+    >>> _p_split(24, 2), _p_split(1, 3)
+    ((3, 3), (0, 1))
+    """
+    if x < 1 or p < 2:
+        raise InvalidPMorphism(f"{x} does not split into powers of {p}")
+    k = 0
     while x % p == 0:
-        x //= p
-        v += 1
-    return v
+        x, k = x // p, k + 1
+    return k, x
 
 
 def validate_pmorphism(phi: PMorphism) -> None:
@@ -150,7 +161,7 @@ def _check_equations(phi: PMorphism) -> None:
     if len(phi.f) != src.rank or any(len(r) != tgt.rank for r in phi.f):
         raise InvalidPMorphism("f has the wrong shape")
     for k, x in enumerate(phi.q):
-        if not _is_p_power(x, phi.p):
+        if x < 1 or _p_split(x, phi.p)[1] != 1:
             raise QNotPowerOfP(k)
     failure = equation_failure(src, tgt, phi.f, phi.u, phi.q)
     if failure:
@@ -191,9 +202,10 @@ def factor_primitive_constant(phi: PMorphism) -> tuple[PMorphism, int]:
     Returns (primitive part, exponent k) with phi = frobenius(p, k) after
     the primitive part; the primitive part has q value 1 somewhere.
     phi must already be valid (``validate_pmorphism``); the primitive part
-    then is too, because every defining equation is linear in (f, q).
+    then is too, because every defining equation is linear in (f, q). A q
+    value below 1 or a p below 2 raises InvalidPMorphism.
     """
-    k = min(_p_valuation(x, phi.p) for x in phi.q)
+    k = min(_p_split(x, phi.p)[0] for x in phi.q)
     if k == 0:
         return phi, 0
     scale = phi.p ** k
@@ -219,7 +231,8 @@ def extend_to_roots(phi: PMorphism) -> list[tuple[int, int]]:
     """The unique extension of (u, q) from the simples to all roots.
 
     Returns, for each root index of the source datum, the pair (target root
-    index, q value), determined by transpose(f)(coroot) = q * image coroot.
+    index, q value), determined by transpose(f)(coroot) = q * image coroot;
+    q is the largest power of p dividing the image that leaves a coroot.
     """
     validate_pmorphism(phi)
     src, tgt = phi.source, phi.target
@@ -228,24 +241,34 @@ def extend_to_roots(phi: PMorphism) -> list[tuple[int, int]]:
     out = []
     for i in range(len(src.roots)):
         img = intmat.matvec(ft, list(src.coroots[i]))
-        found = None
-        for power in _p_powers_up_to(phi.p, max(map(abs, img)) or 1):
-            if all(x % power == 0 for x in img):
-                cand = tuple(x // power for x in img)
-                j = tgt_index.get(cand)
-                if j is not None:
-                    found = (j, power)
-        if found is None:
+        for k in range(_p_split(gcd(*img), phi.p)[0], -1, -1):
+            j = tgt_index.get(tuple(x // phi.p ** k for x in img))
+            if j is not None:
+                out.append((j, phi.p ** k))
+                break
+        else:
             raise InvalidPMorphism(f"no root image for source root {i}")
-        out.append(found)
     return out
 
 
-def _p_powers_up_to(p: int, bound: int) -> list[int]:
-    out = [1]
-    while out[-1] * p <= bound:
-        out.append(out[-1] * p)
-    return out
+def pmorphism_chi_factors(phi: PMorphism, word) -> list[int]:
+    """Per-position scaling factors q(letter) of a p-morphism along a word.
+
+    The word is over the source's simple indices; the translated word is
+    ``translated_word(phi, word)``.
+    """
+    validate_pmorphism(phi)
+    word = tuple(word)
+    n = len(phi.q)
+    for letter in word:
+        if not 0 <= letter < n:
+            raise IndexOutOfRange(letter, n)
+    return [phi.q[letter] for letter in word]
+
+
+def translated_word(phi: PMorphism, word) -> tuple[int, ...]:
+    """Image of a source word under the simple-root bijection of a p-morphism."""
+    return tuple(phi.u[letter] for letter in word)
 
 
 def enumerate_special(family: str, rank: int, p: int) -> list[PMorphism]:

@@ -19,7 +19,8 @@ The multiset of (i,) + w depends only on the multiset of w, so
 ``pushforward_states`` walks distinct states rather than words, counting the
 words that reach each one; the containment scan uses it. A step that would
 produce more than ``MAX_STEP_WEIGHTS`` weights raises PushforwardTooLarge
-before it starts.
+before it starts. ``chi_restriction`` restricts a weight to a word; the
+factors a p-morphism puts on a word's letters are kept with p-morphisms.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from collections.abc import Iterator
 
 from .cartan import WeylkitError
 from .roots import Coords, RootSystem
-from .weyl import IndexOutOfRange, check_index
+from .weyl import check_index
 
 Word = tuple[int, ...]
 
@@ -193,25 +194,3 @@ def chi_restriction(rs: RootSystem, word, weight) -> list[tuple[int, int]]:
         if pos is not None and w[b] != 0:
             out.append((pos, w[b]))
     return out
-
-
-def pmorphism_chi_factors(phi, word) -> list[int]:
-    """Per-position scaling factors q(letter) of a p-morphism along a word.
-
-    The word is over the source's simple indices; the translated word is
-    ``translated_word(phi, word)``.
-    """
-    from .isogeny import validate_pmorphism
-
-    validate_pmorphism(phi)
-    word = tuple(word)
-    n = len(phi.q)
-    for letter in word:
-        if not 0 <= letter < n:
-            raise IndexOutOfRange(letter, n)
-    return [phi.q[letter] for letter in word]
-
-
-def translated_word(phi, word) -> Word:
-    """Image of a source word under the simple-root bijection of a p-morphism."""
-    return tuple(phi.u[letter] for letter in word)

@@ -113,6 +113,12 @@ class PinnedRootDatum:
             "simple": list(self.simples),
         }
 
+    @classmethod
+    def from_json(cls, doc: dict) -> PinnedRootDatum:
+        """The datum of a ``to_json`` document (shape ``schemas.DATUM``)."""
+        return cls(doc["rank"], tuple(map(tuple, doc["roots"])),
+                   tuple(map(tuple, doc["coroots"])), tuple(doc["simple"]))
+
 
 def _image(rs: RootSystem, simple_roots, simple_coroots, rank: int) -> PinnedRootDatum:
     """``rs`` carried onto the given simple roots and coroots (vectors of
@@ -200,7 +206,10 @@ def intermediate_lattices(c: GCM, max_index: int = 10_000) -> list[PinnedRootDat
     One datum per subgroup of the fundamental group, ordered by subgroup
     size (the root-lattice datum first, the weight-lattice datum last).
     Each lattice gets the canonical Hermite basis of its generating set, so
-    equal lattices always produce identical data.
+    equal lattices always produce identical data. ``max_index`` bounds
+    |P/Q|, not the number of subgroups or the walk that finds them: A1x5
+    (|P/Q| = 32) has 374 lattices and takes seconds, A1x6 (64) has 2 825
+    and takes over a minute.
     """
     rs = generate_roots(c)
     # quotient of the weight lattice (fw coordinates) by the root lattice,

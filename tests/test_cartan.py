@@ -114,7 +114,9 @@ def test_catalog_invalid():
             cartan.catalog(family, rank)
 
 
-@pytest.mark.parametrize("label", ["A0", "E9", "X3", "A2+", "", "C2", "Bx", "B2+F5"])
+@pytest.mark.parametrize("label", ["A0", "E9", "X3", "A2+", "", "C2", "Bx", "B2+F5",
+                                   "A", "Ax", "A1+", "X5",
+                                   pytest.param("A" + "1" * 5000, id="A-digit-limit")])
 def test_parse_label_refuses_what_parse_type_refuses(label):
     with pytest.raises(InvalidType) as by_label:
         cartan.parse_label(label)

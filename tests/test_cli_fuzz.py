@@ -245,6 +245,19 @@ def test_error_payload_keys(argv, stdin_text, code, keys):
     assert set(error) == keys
 
 
+
+@pytest.mark.parametrize("label,rank", [
+    ("A", None), ("Ax", None), ("A1+", None), ("A" + "1" * 5000, None),
+    ("X5", 5),
+], ids=["no-rank", "letters", "empty-piece", "past-the-digit-limit", "unknown-family"])
+def test_invalid_type_reports_the_rank_the_label_gives(label, rank):
+    # a label that gives no rank leaves the rank out rather than report 0
+    code, doc = check_one_document(["roots", "--type", label])
+    assert code == 1
+    assert doc["error"]["code"] == "InvalidType"
+    assert ("rank" in doc["error"]) == (rank is not None)
+    assert doc["error"].get("rank") == rank
+
 @pytest.mark.parametrize("argv", [
     ["dim", "--type", "A2", "--weight", _vector(["1" * 4001] * 2)],
     ["vol", "--type", "E8", "--weight", _vector(["1" * 41] * 8)],

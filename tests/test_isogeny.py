@@ -145,6 +145,23 @@ def test_factor_special_times_frobenius():
     assert rebuilt.f == composed.f and rebuilt.q == composed.q
 
 
+
+@pytest.mark.parametrize("q,p", [((0, 1), 2), ((1, 1), 1)])
+def test_factor_refuses_a_q_or_p_without_a_valuation(q, p):
+    # 0 has no p-adic valuation and 1 divides everything: an unvalidated
+    # morphism must be refused, not loop
+    datum = adjoint_datum(cartan.parse_type("A1+A1"))
+    phi = PMorphism(datum, datum, ((q[0], 0), (0, q[1])), (0, 1), q, p)
+    with pytest.raises(InvalidPMorphism):
+        factor_primitive_constant(phi)
+
+
+@pytest.mark.parametrize("family,rank", IRREDUCIBLE_RANK4)
+def test_pmorphism_json_round_trip(family, rank):
+    for p in (2, 3):
+        for phi in enumerate_special(family, rank, p):
+            assert PMorphism.from_json(phi.to_json()) == phi
+
 def test_enumerate_special_table():
     for p in (2, 3, 5):
         for family, rank in IRREDUCIBLE_RANK4:

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import cartan
-from weylkit.isogeny import enumerate_special, frobenius
+from weylkit.isogeny import (enumerate_special, frobenius, pmorphism_chi_factors,
+                             translated_word)
 from weylkit.pushforward import (MAX_STEP_WEIGHTS, KeyLemmaViolation,
                                  PushforwardTooLarge, chi_restriction, h0_rank,
-                                 last_occurrence, occurs, pmorphism_chi_factors,
+                                 last_occurrence, occurs,
                                  pushforward_multiset, pushforward_states,
                                  pushforward_step, pushforward_word,
-                                 sorted_entries, translated_word,
-                                 zero_weight_rank)
+                                 sorted_entries, zero_weight_rank)
 from weylkit.rootdata import adjoint_datum
 from weylkit.roots import generate_roots, nonsimple_positives
 from weylkit.weyl import IndexOutOfRange

@@ -179,6 +179,13 @@ def test_intermediate_lattices_are_valid_and_bracketed():
             assert pinned_isomorphism(data[0], data[-1]) is None
 
 
+
+@pytest.mark.parametrize("family,rank", cartan.catalog_types(max_rank=4))
+def test_datum_json_round_trip(family, rank):
+    g = cartan.catalog(family, rank)
+    for datum in [adjoint_datum(g), simply_connected_datum(g), *intermediate_lattices(g)]:
+        assert PinnedRootDatum.from_json(datum.to_json()) == datum
+
 def test_intermediate_lattice_bound():
     with pytest.raises(FundamentalGroupTooLarge):
         intermediate_lattices(cartan.parse_type("A3"), max_index=3)
