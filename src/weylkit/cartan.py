@@ -383,9 +383,12 @@ def parse_label(label: str) -> list[tuple[str, int]]:
     for piece in label.split("+"):
         piece = piece.strip()
         family = piece[:1].upper() if piece[:1].upper() in FAMILIES else piece[:1]
-        try:
-            rank = int(piece[1:])
-        except ValueError:   # no digits, or past the int-from-str digit limit
+        digits = piece[1:]
+        try:   # ASCII digits only: int() also takes signs, spaces, "_" and other scripts
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(digits)
+            rank = int(digits)
+        except ValueError:   # no rank, or one past the int-from-str digit limit
             raise InvalidType(family) from None
         if not _valid_type(family, rank):
             raise InvalidType(family, rank)

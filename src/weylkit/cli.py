@@ -4,7 +4,10 @@ Subcommands mirror the library modules; all output is deterministic JSON
 (sorted keys, no timestamps) unless ``--format text`` asks for tables.
 Words are passed and printed 1-based on the command line; weight vectors
 are read in coroot coordinates (the fundamental-weight basis) unless
-``--basis root`` converts them through the Cartan matrix.
+``--basis root`` converts them through the Cartan matrix. Each handler
+returns only its own fields; ``main`` adds the ``schema`` name of the
+subcommand's spec in ``schemas`` and, for a subcommand that takes
+``--type``, echoes the label as ``type``.
 
 Exit codes for ``classify``: 0 finite type, 2 valid Cartan matrix but not
 finite, 3 not a generalized Cartan matrix, 4 unreadable input. Other
@@ -145,7 +148,6 @@ def _cmd_classify(args) -> tuple[dict, int]:
         matrix = [list(row) for row in zip(*matrix)]
 
     report = dict.fromkeys(schemas.REPORT) | {
-        "schema": "weylkit/report/1",
         "matrix": matrix if schemas.matches(matrix, "int_matrix") else None,
         "gcm": False,
         "errors": [],
@@ -177,25 +179,25 @@ def _cmd_classify(args) -> tuple[dict, int]:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _root_system(args) -> roots.RootSystem:
+    """The root system of the catalog type ``--type`` names."""
+    return roots.generate_roots(cartan.parse_type(args.type))
+
+
 def _cmd_roots(args) -> tuple[dict, int]:
-    rs = roots.generate_roots(cartan.parse_type(args.type))
     return {
-        "schema": "weylkit/roots/1",
-        "type": args.type,
         "roots": [
             {"root": list(r.coords), "coroot": list(r.coroot),
              "positive": r.positive, "length": r.length_class}
-            for r in rs.roots
+            for r in _root_system(args).roots
         ],
     }, 0
 
 
 def _cmd_weyl(args) -> tuple[dict, int]:
-    rs = roots.generate_roots(cartan.parse_type(args.type))
+    rs = _root_system(args)
     order, enumerated, poincare = _weyl_counts(rs, args.cap)
     return {
-        "schema": "weylkit/weyl/1",
-        "type": args.type,
         "order": order,
         "longest_length": rs.num_positive,
         "reflections": rs.num_positive,
@@ -205,14 +207,11 @@ def _cmd_weyl(args) -> tuple[dict, int]:
 
 
 def _cmd_bs_weights(args) -> tuple[dict, int]:
-    gcm = cartan.parse_type(args.type)
-    rs = roots.generate_roots(gcm)
+    rs = _root_system(args)
     word = _parse_word(args.word, rs.rank)
-    weight = _parse_weight(args.weight, gcm, args.basis)
+    weight = _parse_weight(args.weight, rs.gcm, args.basis)
     gw = pushforward.pushforward_word(rs, word, weight)
     return {
-        "schema": "weylkit/bs-weights/1",
-        "type": args.type,
         "word": [i + 1 for i in word],
         "weight": list(weight),
         "entries": [
@@ -222,41 +221,29 @@ def _cmd_bs_weights(args) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_dim(args) -> tuple[dict, int]:
-    gcm = cartan.parse_type(args.type)
-    rs = roots.generate_roots(gcm)
-    weight = _parse_weight(args.weight, gcm, args.basis)
-    value = weyl_dim(EulerData.from_root_system(rs), weight)
-    return {"schema": "weylkit/dim/1", "type": args.type,
-            "weight": list(weight), "value": value}, 0
-
-
-def _cmd_vol(args) -> tuple[dict, int]:
-    gcm = cartan.parse_type(args.type)
-    rs = roots.generate_roots(gcm)
-    weight = _parse_weight(args.weight, gcm, args.basis)
-    value = volume(EulerData.from_root_system(rs), weight)
-    return {"schema": "weylkit/vol/1", "type": args.type,
-            "weight": list(weight), "value": str(value)}, 0
+def _cmd_character(args) -> tuple[dict, int]:
+    """``dim`` or ``vol``: ``args.formula`` at one weight, a rational as p/q."""
+    rs = _root_system(args)
+    weight = _parse_weight(args.weight, rs.gcm, args.basis)
+    value = args.formula(EulerData.from_root_system(rs), weight)
+    if isinstance(value, Fraction):
+        value = str(value)
+    return {"weight": list(weight), "value": value}, 0
 
 
 def _cmd_isogeny_enumerate(args) -> tuple[dict, int]:
     parts = cartan.parse_label(args.type)
     if len(parts) != 1:
         raise isogeny.IsogenyError("special isogeny search expects an irreducible type")
-    morphisms = isogeny.enumerate_special(*parts[0], args.p)
     return {
-        "schema": "weylkit/isogenies/1",
-        "type": args.type,
         "p": args.p,
-        "isogenies": [m.to_json() for m in morphisms],
+        "isogenies": [m.to_json() for m in isogeny.enumerate_special(*parts[0], args.p)],
     }, 0
 
 
 def _cmd_isogeny_validate(args) -> tuple[dict, int]:
     phi = isogeny.PMorphism.from_json(_load_json(args.file, schemas.PMORPHISM))
-    doc = dict.fromkeys(schemas.ISOGENY_VALIDATION) | {
-        "schema": "weylkit/isogeny-validation/1", "valid": False}
+    doc = dict.fromkeys(schemas.ISOGENY_VALIDATION) | {"valid": False}
     try:
         isogeny.validate_pmorphism(phi)
     except isogeny.IsogenyError as exc:
@@ -270,11 +257,8 @@ def _cmd_isogeny_validate(args) -> tuple[dict, int]:
 
 
 def _cmd_chevalley(args) -> tuple[dict, int]:
-    rs = roots.generate_roots(cartan.parse_type(args.type))
-    report = chevalley.short_root_ideal_check(rs, args.p)
+    report = chevalley.short_root_ideal_check(_root_system(args), args.p)
     return {
-        "schema": "weylkit/chevalley/1",
-        "type": args.type,
         "p": args.p,
         "passed": report.passed,
         "bracket_triples": [
@@ -298,21 +282,13 @@ def _cmd_chevalley(args) -> tuple[dict, int]:
 
 
 def _cmd_datum(args) -> tuple[dict, int]:
-    gcm = cartan.parse_type(args.type)
-    if args.kind == "adjoint":
-        datum = rootdata.adjoint_datum(gcm)
-        kind = "adjoint"
-    else:
-        datum = rootdata.simply_connected_datum(gcm)
-        kind = "simply-connected"
-    doc = {"schema": "weylkit/datum/1", "type": args.type, "kind": kind}
-    doc.update(datum.to_json())
-    return doc, 0
+    build, kind = {"adjoint": (rootdata.adjoint_datum, "adjoint"),
+                   "sc": (rootdata.simply_connected_datum, "simply-connected")}[args.kind]
+    return {"kind": kind, **build(cartan.parse_type(args.type)).to_json()}, 0
 
 
 def _cmd_selfcheck(args) -> tuple[dict, int]:
-    gcm = cartan.parse_type(args.type)
-    rs = roots.generate_roots(gcm)
+    rs = _root_system(args)
     ed = EulerData.from_root_system(rs)
     rng = random.Random(args.seed)
     anti = True
@@ -328,8 +304,6 @@ def _cmd_selfcheck(args) -> tuple[dict, int]:
         if volume(ed, w.act_weight(d)) != Fraction(w.det()) * volume(ed, d):
             equi = False
     return {
-        "schema": "weylkit/selfcheck/1",
-        "type": args.type,
         "seed": args.seed,
         "samples": args.samples,
         "antisymmetry": anti,
@@ -383,16 +357,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="transpose the input (for the opposite pairing convention)")
     p.add_argument("--cap", type=int, default=cap_default)
     common(p, type_arg=False)
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_classify, spec=schemas.REPORT)
 
     p = sub.add_parser("roots", help="list roots with coroots and lengths")
     common(p)
-    p.set_defaults(func=_cmd_roots)
+    p.set_defaults(func=_cmd_roots, spec=schemas.ROOTS)
 
     p = sub.add_parser("weyl", help="Weyl group order, histogram, longest length")
     common(p)
     p.add_argument("--cap", type=int, default=cap_default)
-    p.set_defaults(func=_cmd_weyl)
+    p.set_defaults(func=_cmd_weyl, spec=schemas.WEYL)
 
     def weight_args(p):
         common(p)
@@ -402,44 +376,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bs-weights", help="push a weight down a word")
     weight_args(p)
     p.add_argument("--word", required=True, help="1-based letters, e.g. 1,2,1")
-    p.set_defaults(func=_cmd_bs_weights)
+    p.set_defaults(func=_cmd_bs_weights, spec=schemas.BS_WEIGHTS)
 
     p = sub.add_parser("dim", help="Weyl dimension of a dominant weight")
     weight_args(p)
-    p.set_defaults(func=_cmd_dim)
+    p.set_defaults(func=_cmd_character, spec=schemas.DIM, formula=weyl_dim)
 
     p = sub.add_parser("vol", help="volume polynomial value")
     weight_args(p)
-    p.set_defaults(func=_cmd_vol)
+    p.set_defaults(func=_cmd_character, spec=schemas.VOL, formula=volume)
 
     p = sub.add_parser("isogeny", help="special isogenies and validation")
     act = p.add_subparsers(dest="action", required=True)
     pe = act.add_parser("enumerate")
     common(pe)
     pe.add_argument("--p", type=int, required=True)
-    pe.set_defaults(func=_cmd_isogeny_enumerate)
+    pe.set_defaults(func=_cmd_isogeny_enumerate, spec=schemas.ISOGENIES)
     pv = act.add_parser("validate")
     common(pv, type_arg=False)
     pv.add_argument("--file", required=True)
-    pv.set_defaults(func=_cmd_isogeny_validate)
+    pv.set_defaults(func=_cmd_isogeny_validate, spec=schemas.ISOGENY_VALIDATION)
 
     p = sub.add_parser("chevalley", help="structure-constant and ideal checks")
     act = p.add_subparsers(dest="action", required=True)
     pc = act.add_parser("check")
     common(pc)
     pc.add_argument("--p", type=int, required=True)
-    pc.set_defaults(func=_cmd_chevalley)
+    pc.set_defaults(func=_cmd_chevalley, spec=schemas.CHEVALLEY)
 
     p = sub.add_parser("datum", help="pinned root datum of a catalog type")
     common(p)
     p.add_argument("--kind", choices=("adjoint", "sc"), default="adjoint")
-    p.set_defaults(func=_cmd_datum)
+    p.set_defaults(func=_cmd_datum, spec=schemas.DATUM_DOC)
 
     p = sub.add_parser("selfcheck", help="sampled reflection/volume identities")
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_count, default=100)
-    p.set_defaults(func=_cmd_selfcheck)
+    p.set_defaults(func=_cmd_selfcheck, spec=schemas.SELFCHECK)
 
     return top
 
@@ -450,13 +424,17 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         doc, code = args.func(args)
+        # after the handler's fields: a document built from its spec holds "schema": None
+        doc["schema"] = args.spec["schema"]
+        if "type" in vars(args):
+            doc["type"] = args.type
         out = _render(doc, args.format)
     except ValueError as exc:
         if not isinstance(exc, cartan.WeylkitError):
             if _DIGIT_LIMIT_MESSAGE not in str(exc):
                 raise
             exc = DigitLimitExceeded()
-        doc = {"schema": "weylkit/error/1", "error": exc.to_json()}
+        doc = {"schema": schemas.ERROR["schema"], "error": exc.to_json()}
         code = 4 if isinstance(exc, ParseError) and argv[:1] == ["classify"] else 1
         out = _render(doc, getattr(args, "format", "json"))
     sys.stdout.write(out)

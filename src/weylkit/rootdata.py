@@ -174,26 +174,24 @@ def _subgroups(moduli: tuple[int, ...]) -> list[list[Vec]]:
     """All subgroups of Z/m1 x ... x Z/mk, each as a sorted element list."""
     elements = [tuple(x) for x in product(*(range(m) for m in moduli))]
 
-    def close(gens: frozenset[Vec]) -> frozenset[Vec]:
-        zero = tuple(0 for _ in moduli)
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            g = frontier.pop()
-            for h in gens:
-                s = tuple((a + b) % m for a, b, m in zip(g, h, moduli))
-                if s not in seen:
-                    seen.add(s)
-                    frontier.append(s)
-        return frozenset(seen)
+    def add(g: Vec, h: Vec) -> Vec:
+        return tuple((a + b) % m for a, b, m in zip(g, h, moduli))
 
-    subgroups = {close(frozenset())}
+    def join(sub: frozenset[Vec], g: Vec) -> frozenset[Vec]:
+        # <sub, g> is the union of the cosets sub + k g, up to the first repeat
+        out, step = set(sub), g
+        while step not in out:
+            out.update(add(x, step) for x in sub)
+            step = add(step, g)
+        return frozenset(out)
+
+    subgroups = {frozenset([elements[0]])}
     frontier = list(subgroups)
     while frontier:
         sub = frontier.pop()
         for g in elements:
             if g not in sub:
-                bigger = close(sub | {g})
+                bigger = join(sub, g)
                 if bigger not in subgroups:
                     subgroups.add(bigger)
                     frontier.append(bigger)
@@ -208,8 +206,8 @@ def intermediate_lattices(c: GCM, max_index: int = 10_000) -> list[PinnedRootDat
     Each lattice gets the canonical Hermite basis of its generating set, so
     equal lattices always produce identical data. ``max_index`` bounds
     |P/Q|, not the number of subgroups or the walk that finds them: A1x5
-    (|P/Q| = 32) has 374 lattices and takes seconds, A1x6 (64) has 2 825
-    and takes over a minute.
+    (|P/Q| = 32) has 374 lattices and takes about half a second, A1x6 (64)
+    has 2 825 and takes several seconds.
     """
     rs = generate_roots(c)
     # quotient of the weight lattice (fw coordinates) by the root lattice,

@@ -1,11 +1,13 @@
 """Published shapes of the CLI's JSON documents, with a small checker.
 
-Every top-level JSON document carries a versioned ``schema`` key. The shape
-language is deliberately tiny: a spec is one of the types ``int``, ``bool``,
-``str``, ``list``, ``dict``; a named shape ``"rational"``, ``"int_list"`` or
-``"int_matrix"``; a literal value or ``None``; a dict of field specs;
-``ListOf(spec)``; or ``OneOf(spec, ...)``. The CLI checks the documents it
-reads with the same ``check``.
+Every top-level JSON document carries a versioned ``schema`` key, the
+``"schema"`` literal of its spec; ``BY_SCHEMA`` is built from those
+literals, so each name is written once. The shape language is deliberately
+tiny: a spec is one of the types ``int``, ``bool``, ``str``, ``list``,
+``dict``; a named shape ``"rational"``, ``"int_list"`` or ``"int_matrix"``;
+a literal value or ``None``; a dict of field specs; ``ListOf(spec)``; or
+``OneOf(spec, ...)``. The CLI checks the documents it reads with the same
+``check``.
 """
 
 from __future__ import annotations
@@ -145,20 +147,9 @@ ERROR = {
     "error": dict,
 }
 
-BY_SCHEMA = {
-    "weylkit/report/1": REPORT,
-    "weylkit/roots/1": ROOTS,
-    "weylkit/weyl/1": WEYL,
-    "weylkit/bs-weights/1": BS_WEIGHTS,
-    "weylkit/dim/1": DIM,
-    "weylkit/vol/1": VOL,
-    "weylkit/isogenies/1": ISOGENIES,
-    "weylkit/isogeny-validation/1": ISOGENY_VALIDATION,
-    "weylkit/chevalley/1": CHEVALLEY,
-    "weylkit/datum/1": DATUM_DOC,
-    "weylkit/selfcheck/1": SELFCHECK,
-    "weylkit/error/1": ERROR,
-}
+BY_SCHEMA = {spec["schema"]: spec for spec in (
+    REPORT, ROOTS, WEYL, BS_WEIGHTS, DIM, VOL, ISOGENIES, ISOGENY_VALIDATION,
+    CHEVALLEY, DATUM_DOC, SELFCHECK, ERROR)}
 
 
 class SchemaViolation(ValueError):
@@ -183,12 +174,9 @@ def check(value, spec, path: str = "") -> None:
     elif spec is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise SchemaViolation(f"{path}: expected int, got {value!r}")
-    elif spec is bool:
-        if not isinstance(value, bool):
-            raise SchemaViolation(f"{path}: expected bool, got {value!r}")
-    elif spec is str:
-        if not isinstance(value, str):
-            raise SchemaViolation(f"{path}: expected str, got {value!r}")
+    elif spec is bool or spec is str:
+        if not isinstance(value, spec):
+            raise SchemaViolation(f"{path}: expected {spec.__name__}, got {value!r}")
     elif spec is list or spec is dict:
         if not isinstance(value, spec):
             raise SchemaViolation(f"{path}: expected {spec.__name__}")

@@ -15,21 +15,21 @@ root data written out root by root (coordinates, C times the coroot,
 a fraction solve per root) instead of a root system carried onto a pinning,
 the short-root ideal check as an all-pairs bracket loop, a short x short
 square loop and a Steinberg check per triple instead of one string walk per
-pair, and a pinned isomorphism checked on every root and coroot instead of
-the two defining equations on the simples.
+pair, a pinned isomorphism checked on every root and coroot instead of
+the two defining equations on the simples, and subgroups closed under the
+whole subgroup as generators instead of joined coset by coset.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial, isqrt
 
 from weylkit import intmat
 from weylkit.chevalley import bracket_constant, steinberg_check
 from weylkit.pushforward import pushforward_multiset
-from weylkit.rootdata import _subgroups
 
 
 def cofactor_det(m) -> int:
@@ -387,6 +387,38 @@ def pushforward_suffixes(rs, weight, max_len: int):
         yield word, gw
 
 
+def subgroups_by_closure(moduli):
+    """All subgroups of Z/m1 x ... x Z/mk, sorted as ``rootdata._subgroups``
+    sorts them, each found by closing a subgroup and one more element under
+    addition with every member as a generator."""
+    elements = [tuple(x) for x in product(*(range(m) for m in moduli))]
+
+    def close(gens):
+        zero = tuple(0 for _ in moduli)
+        seen = {zero}
+        frontier = [zero]
+        while frontier:
+            g = frontier.pop()
+            for h in gens:
+                s = tuple((a + b) % m for a, b, m in zip(g, h, moduli))
+                if s not in seen:
+                    seen.add(s)
+                    frontier.append(s)
+        return frozenset(seen)
+
+    subgroups = {close(frozenset())}
+    frontier = list(subgroups)
+    while frontier:
+        sub = frontier.pop()
+        for g in elements:
+            if g not in sub:
+                bigger = close(sub | {g})
+                if bigger not in subgroups:
+                    subgroups.add(bigger)
+                    frontier.append(bigger)
+    return [sorted(s) for s in sorted(subgroups, key=lambda s: (len(s), sorted(s)))]
+
+
 def _per_root(rs, roots, coroots):
     """(roots, coroots, simples) with the simples found by their coordinates."""
     unit = [tuple(int(i == k) for i in range(rs.rank)) for k in range(rs.rank)]
@@ -423,7 +455,7 @@ def intermediate_per_root(rs):
     u_inv_cols = [_solve_fractions(u, [int(i == k) for i in range(n)]) for k in range(n)]
     assert all(x.denominator == 1 for col in u_inv_cols for x in col)
     out = []
-    for subgroup in _subgroups(tuple(diag)):
+    for subgroup in subgroups_by_closure(tuple(diag)):
         gens = rs.gcm.rows()
         for e in subgroup:
             gens.append([int(sum(col[i] * x for col, x in zip(u_inv_cols, e)))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -116,7 +121,9 @@ def test_catalog_invalid():
 
 @pytest.mark.parametrize("label", ["A0", "E9", "X3", "A2+", "", "C2", "Bx", "B2+F5",
                                    "A", "Ax", "A1+", "X5",
-                                   pytest.param("A" + "1" * 5000, id="A-digit-limit")])
+                                   pytest.param("A" + "1" * 5000, id="A-digit-limit"),
+                                   "A6_0", "A1_1", "A 2", "A-2",
+                                   pytest.param("A\u0666\u0660", id="A-arabic-indic-digits")])
 def test_parse_label_refuses_what_parse_type_refuses(label):
     with pytest.raises(InvalidType) as by_label:
         cartan.parse_label(label)
@@ -222,3 +229,19 @@ def test_scaled_isomorphisms_sorted_match_bijection_oracle():
                 found = sorted(cartan.scaled_isomorphisms(src, tgt, range(rank), (1, p)))
                 assert found == brute_scaled_pairs(src.rows(), tgt.rows(), p), \
                     (family, tgt_family, rank, p)
+
+
+def test_recognize_script_walks_every_example():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "recognize.py")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    blocks = proc.stdout.split("== ")[1:]
+    assert len(blocks) == 6
+    titles = {block.split(":", 1)[0]: block for block in blocks}
+    assert "   type F4   " in titles["a relabeled F4"]
+    for affine in ["an affine rank-2 matrix", "a 3-cycle (affine A2)"]:
+        assert "not finite type" in titles[affine]

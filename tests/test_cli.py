@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from weylkit import cartan, intmat, isogeny, rootdata
+from weylkit import cartan, intmat, isogeny, rootdata, schemas
 from weylkit.cli import main
 from weylkit.schemas import validate_document
 
@@ -300,6 +300,28 @@ def test_isogeny_validate_rejects_broken_morphism(tmp_path):
     assert doc["valid"] is False
     assert doc["error"]["code"] == "RootEquationFails"
     validate_document(doc)
+
+
+def test_every_document_has_exactly_the_keys_of_its_spec(tmp_path):
+    # ``check`` allows extra keys, so a stray envelope key would pass it
+    _, out = run_cli(["isogeny", "enumerate", "--type", "G2", "--p", "3"])
+    phi_doc = json.loads(out)["isogenies"][0]
+    valid, broken = tmp_path / "valid.json", tmp_path / "broken.json"
+    valid.write_text(json.dumps(phi_doc), encoding="utf-8")
+    broken.write_text(json.dumps(dict(phi_doc, q=[1, 1])), encoding="utf-8")
+    runs = [(argv, payload) for _, argv, payload, _ in ALL_CASES] + [
+        (["selfcheck", "--type", "B2", "--samples", "5"], None),
+        (["isogeny", "validate", "--file", str(valid)], None),
+        (["isogeny", "validate", "--file", str(broken)], None),
+        (["roots", "--type", "Q7"], None),
+    ]
+    seen = set()
+    for argv, payload in runs:
+        _, out = run_cli(argv, payload)
+        doc = json.loads(out)
+        assert set(doc) == set(schemas.BY_SCHEMA[doc["schema"]]), argv
+        seen.add(doc["schema"])
+    assert seen == set(schemas.BY_SCHEMA)
 
 
 def _bad_isogeny_file(tmp_path, case):

@@ -249,7 +249,9 @@ def test_error_payload_keys(argv, stdin_text, code, keys):
 @pytest.mark.parametrize("label,rank", [
     ("A", None), ("Ax", None), ("A1+", None), ("A" + "1" * 5000, None),
     ("X5", 5),
-], ids=["no-rank", "letters", "empty-piece", "past-the-digit-limit", "unknown-family"])
+    ("A6_0", None), ("A1_1", None), ("A\u0666\u0660", None), ("A 2", None), ("A-2", None),
+], ids=["no-rank", "letters", "empty-piece", "past-the-digit-limit", "unknown-family",
+        "underscore", "underscore-one", "arabic-indic-digits", "space", "minus"])
 def test_invalid_type_reports_the_rank_the_label_gives(label, rank):
     # a label that gives no rank leaves the rank out rather than report 0
     code, doc = check_one_document(["roots", "--type", label])

@@ -14,7 +14,8 @@ from weylkit.rootdata import (FundamentalGroupTooLarge, PinnedRootDatum, RootDat
                               simply_connected_datum)
 
 from oracles import (adjoint_per_root, cofactor_det, intermediate_per_root,
-                     pinned_isomorphism_all_roots, simply_connected_per_root)
+                     pinned_isomorphism_all_roots, simply_connected_per_root,
+                     subgroups_by_closure)
 
 CLASSICAL_TABLE = {
     "A": lambda n: (n + 1,) if n >= 1 else (),
@@ -185,6 +186,23 @@ def test_datum_json_round_trip(family, rank):
     g = cartan.catalog(family, rank)
     for datum in [adjoint_datum(g), simply_connected_datum(g), *intermediate_lattices(g)]:
         assert PinnedRootDatum.from_json(datum.to_json()) == datum
+
+def _invariant_factor_chains(limit, prev=1):
+    """Every d1 | d2 | ... with each di >= 2 and product <= limit."""
+    chains = [()]
+    for d in range(max(prev, 2), limit + 1):
+        if d % prev == 0:
+            chains += [(d,) + rest for rest in _invariant_factor_chains(limit // d, d)]
+    return chains
+
+
+def test_subgroup_walk_matches_the_closure_oracle():
+    # every abelian group of order <= 32, plus Smith diagonals with unit factors
+    chains = _invariant_factor_chains(32) + [(1, 1, 6), (1, 2, 2)]
+    assert len(chains) == 57
+    for moduli in chains:
+        assert rootdata._subgroups(moduli) == subgroups_by_closure(moduli), moduli
+
 
 def test_intermediate_lattice_bound():
     with pytest.raises(FundamentalGroupTooLarge):
