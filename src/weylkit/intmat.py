@@ -82,20 +82,6 @@ def rational_inverse(a) -> list[list[Fraction]]:
     return [row[n:] for row in m]
 
 
-def solve_exact(a, v) -> list[Fraction]:
-    """Solve a x = v exactly over the rationals (a square, nonsingular)."""
-    inv = rational_inverse(a)
-    return [sum(x * Fraction(y) for x, y in zip(row, v)) for row in inv]
-
-
-def solve_integer(a, v) -> list[int]:
-    """Solve a x = v requiring an integer solution; ValueError otherwise."""
-    sol = solve_exact(a, v)
-    if any(x.denominator != 1 for x in sol):
-        raise ValueError("no integer solution")
-    return [int(x) for x in sol]
-
-
 def is_unimodular(a) -> bool:
     return det(a) in (1, -1)
 

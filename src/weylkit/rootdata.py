@@ -206,8 +206,8 @@ def intermediate_lattices(c: GCM, max_index: int = 10_000) -> list[PinnedRootDat
     Each lattice gets the canonical Hermite basis of its generating set, so
     equal lattices always produce identical data. ``max_index`` bounds
     |P/Q|, not the number of subgroups or the walk that finds them: A1x5
-    (|P/Q| = 32) has 374 lattices and takes about half a second, A1x6 (64)
-    has 2 825 and takes several seconds.
+    (|P/Q| = 32) has 374 lattices and takes about 0.1 s, A1x6 (64) has
+    2 825 and takes about 2 s.
     """
     rs = generate_roots(c)
     # quotient of the weight lattice (fw coordinates) by the root lattice,
@@ -225,12 +225,24 @@ def intermediate_lattices(c: GCM, max_index: int = 10_000) -> list[PinnedRootDat
     for subgroup in _subgroups(tuple(diag)):
         # the root lattice and each coset e lifted to u^-1 e
         gens = c.rows() + [intmat.matvec(u_inv, list(e)) for e in subgroup]
-        # columns of basis_t are the lattice basis, its rows the simple
-        # coroots in the dual basis
-        basis_t = intmat.transpose(intmat.hermite_rows(gens))
-        simple_roots = [intmat.solve_integer(basis_t, row) for row in c.entries]
-        out.append(_image(rs, simple_roots, basis_t, c.n))
+        # rows of basis are the lattice basis; rows of its transpose are the
+        # simple coroots in the dual basis
+        basis = intmat.hermite_rows(gens)
+        simple_roots = [_coordinates(basis, row) for row in c.entries]
+        out.append(_image(rs, simple_roots, intmat.transpose(basis), c.n))
     return out
+
+
+def _coordinates(basis, v) -> list[int]:
+    """The integers x with v = sum x[k] basis[k], by substitution down a square
+    upper-triangular (full-rank Hermite) basis; ValueError off the lattice."""
+    x: list[int] = []
+    for j, row in enumerate(basis):
+        q, r = divmod(v[j] - sum(a * basis[k][j] for k, a in enumerate(x)), row[j])
+        if r:
+            raise ValueError("no integer solution")
+        x.append(q)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ root-against-coroot pairings are integer dot products: pairing(beta, alpha)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cartan import GCM, Symmetrizer, WeylkitError, symmetrizer
 
@@ -50,8 +51,10 @@ class RootSystem:
 
     Positive roots come first, sorted by (height, coords); the negatives
     follow in the mirrored order, so ``i`` and ``i + num_positive`` are
-    always a root and its negative. Instances are immutable after
-    construction and safe to share.
+    always a root and its negative. The root system owns its simple
+    reflections as permutations of its root indices (``reflection_perms``),
+    built on first use. Instances are immutable after construction and safe
+    to share.
     """
 
     def __init__(self, gcm: GCM, sym: Symmetrizer, roots: list[Root]):
@@ -61,7 +64,6 @@ class RootSystem:
         self.rank = gcm.n
         self.num_positive = len(roots) // 2
         self._index = {r.coords: r.index for r in roots}
-        self._simple_reflections = None   # filled by weyl.simple_reflections
 
     # -- lookups ------------------------------------------------------------
 
@@ -106,6 +108,12 @@ class RootSystem:
         """Simple reflection s_i on root coordinates."""
         pair = sum(a * self.gcm.entries[k][i] for k, a in enumerate(coords))
         return tuple(a - pair if k == i else a for k, a in enumerate(coords))
+
+    @cached_property
+    def reflection_perms(self) -> tuple[tuple[int, ...], ...]:
+        """s_i as a permutation of the root indices: r goes to ``reflection_perms[i][r]``."""
+        return tuple(tuple(self.index_of(self.reflect_coords(i, r.coords)) for r in self.roots)
+                     for i in range(self.rank))
 
     def __repr__(self) -> str:
         return f"RootSystem(rank={self.rank}, roots={len(self.roots)})"

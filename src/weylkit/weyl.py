@@ -7,10 +7,10 @@ rho = (1, ..., 1): the orbit map w -> w(rho) is a bijection, and each
 element of length k + 1 is generated exactly once, from its canonical
 parent of length k (Casselman's smallest-descent rule). That keeps the
 enumeration at a few bytes per element with no deduplication (E7's 2.9
-million elements fit comfortably; E8 is refused by the default cap and
-its order reported from the invariant degrees read off the root heights
-instead). numpy holds the layers and is imported by ``enumerate_weyl``
-alone, so nothing else in the package loads it.
+million elements fit comfortably). |W| comes from the invariant degrees
+read off the root heights, so a group over the cap (E8 at the default) is
+refused before any layer is built. numpy holds the layers and is imported
+by ``enumerate_weyl`` alone, so nothing else in the package loads it.
 """
 
 from __future__ import annotations
@@ -71,15 +71,14 @@ def reflect(rs: RootSystem, i: int, weight) -> Coords:
 
 
 class WeylElement:
-    """A Weyl group element stored as a permutation of the root index set."""
+    """A Weyl group element: its root system and a permutation of the root
+    index set, nothing else; the length is counted on each read."""
 
-    __slots__ = ("rs", "perm", "_length", "_inv_perm")
+    __slots__ = ("rs", "perm")
 
     def __init__(self, rs: RootSystem, perm: tuple[int, ...]):
         self.rs = rs
         self.perm = perm
-        self._length: int | None = None
-        self._inv_perm: tuple[int, ...] | None = None
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "WeylElement":
@@ -87,10 +86,8 @@ class WeylElement:
 
     @property
     def length(self) -> int:
-        if self._length is None:
-            np_ = self.rs.num_positive
-            self._length = sum(1 for i in range(np_) if self.perm[i] >= np_)
-        return self._length
+        np_ = self.rs.num_positive
+        return sum(1 for i in range(np_) if self.perm[i] >= np_)
 
     def det(self) -> int:
         return -1 if self.length % 2 else 1
@@ -102,24 +99,11 @@ class WeylElement:
         p, q = self.perm, other.perm
         return WeylElement(self.rs, tuple(p[q[i]] for i in range(len(p))))
 
-    def _inverse_perm(self) -> tuple[int, ...]:
-        if self._inv_perm is None:
-            inv = [0] * len(self.perm)
-            for i, p in enumerate(self.perm):
-                inv[p] = i
-            self._inv_perm = tuple(inv)
-        return self._inv_perm
-
     def act_weight(self, weight) -> Coords:
         """Image of a weight: <wD, coroot_j> = <D, w^{-1} coroot_j>."""
-        inv = self._inverse_perm()
-        rs = self.rs
-        w = tuple(weight)
-        out = []
-        for j in range(rs.rank):
-            pre = rs.roots[inv[rs.simple(j).index]]
-            out.append(rs.pairing(w, pre.coroot))
-        return tuple(out)
+        rs, w = self.rs, tuple(weight)
+        return tuple(rs.pairing(w, rs.roots[self.perm.index(rs.simple(j).index)].coroot)
+                     for j in range(rs.rank))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeylElement) and self.perm == other.perm
@@ -132,14 +116,8 @@ class WeylElement:
 
 
 def simple_reflections(rs: RootSystem) -> tuple[WeylElement, ...]:
-    """The generators s_i as root permutations (cached on the root system)."""
-    if rs._simple_reflections is None:
-        rs._simple_reflections = tuple(
-            WeylElement(rs, tuple(rs.index_of(rs.reflect_coords(i, r.coords))
-                                  for r in rs.roots))
-            for i in range(rs.rank)
-        )
-    return rs._simple_reflections
+    """The generators s_i, wrapping the root system's reflection permutations."""
+    return tuple(WeylElement(rs, perm) for perm in rs.reflection_perms)
 
 
 def element_from_word(rs: RootSystem, word) -> WeylElement:
@@ -158,17 +136,14 @@ def word_from_vector(rs: RootSystem, vector) -> tuple[int, ...]:
     vector is negative exactly when s_i shortens the element from the left.
     Raises NotInRhoOrbit when the stripping does not end at rho.
     """
-    v = [int(x) for x in vector]
-    n = rs.rank
-    gcm = rs.gcm.entries
+    v = tuple(int(x) for x in vector)
     word = []
     while True:
-        i = next((k for k in range(n) if v[k] < 0), None)
+        i = next((k for k, x in enumerate(v) if x < 0), None)
         if i is None:
             break
         word.append(i)
-        pair = v[i]
-        v = [x - pair * a for x, a in zip(v, gcm[i])]
+        v = reflect(rs, i, v)
     if any(x != 1 for x in v):
         raise NotInRhoOrbit(vector)
     return tuple(word)
@@ -230,20 +205,22 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
     w, and no coordinate is ever 0. A child s_i v of a layer-k vector v with
     v[i] > 0 is kept only when i is its smallest negative coordinate, the
     descent ``word_from_vector`` strips first, so every element of length
-    k + 1 comes from exactly one parent.
+    k + 1 comes from exactly one parent. When |W| (``weyl_order``) is over
+    ``cap`` it raises CapExceeded before numpy is imported or a layer built.
 
     >>> from weylkit.cartan import parse_type
     >>> from weylkit.roots import generate_roots
     >>> enumerate_weyl(generate_roots(parse_type("G2"))).histogram
     [1, 2, 2, 2, 2, 2, 1]
     """
+    if weyl_order(rs) > cap:
+        raise CapExceeded(cap)
     import numpy as np
 
     n = rs.rank
     c = np.array(rs.gcm.rows(), dtype=np.int16)
     cur = np.ones((1, n), dtype=np.int16)
     layers = [cur]
-    total = 1
     while True:
         children = []
         for i in range(n):
@@ -253,9 +230,6 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
         cur = np.concatenate(children)
         if len(cur) == 0:
             break
-        total += len(cur)
-        if total > cap:
-            raise CapExceeded(cap)
         layers.append(cur)
     return WeylGroup(rs, layers)
 

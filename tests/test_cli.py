@@ -71,10 +71,15 @@ def test_parse_error_exit_code():
     ([], 1),
     (["selfcheck", "--type", "A2", "--samples", "-5"], 1),
     (["selfcheck", "--type", "E8", "--samples", "10001"], 1),
+    (["selfcheck", "--type", "A2", "--samples", "abc"], 1),
+    (["bs-weights", "--type", "A2", "--word", "1", "--weight", "1,x"], 1),
+    (["bs-weights", "--type", "A2", "--word", "a", "--weight", "1,1"], 1),
 ], ids=["classify-bad-cap", "classify-unknown-option", "weyl-bad-cap",
         "dim-missing-weight", "bs-weights-missing-weight",
         "chevalley-missing-p", "bad-format", "unknown-subcommand", "no-subcommand",
-        "selfcheck-negative-samples", "selfcheck-too-many-samples"])
+        "selfcheck-negative-samples", "selfcheck-too-many-samples",
+        "selfcheck-samples-not-int", "bs-weights-weight-not-int",
+        "bs-weights-word-not-int"])
 def test_usage_error_is_one_parse_error_document(argv, expected_code):
     err = io.StringIO()
     with redirect_stderr(err):
@@ -514,3 +519,63 @@ def test_e8_weyl_enumeration_refused_by_default():
     assert doc["order"] == 696_729_600
     assert doc["enumerated"] == "skipped"
     validate_document(doc)
+
+
+def test_text_format_indents_a_nested_object():
+    code, out = run_cli(["roots", "--type", "X9", "--format", "text"])
+    assert code == 1
+    assert out == ("error:\n"
+                   "  code: InvalidType\n"
+                   "  family: X\n"
+                   "  message: (X,9) is not a valid finite type\n"
+                   "  rank: 9\n"
+                   "schema: weylkit/error/1\n")
+
+
+def test_text_format_of_a_failed_isogeny_validation(tmp_path):
+    _, out = run_cli(["isogeny", "enumerate", "--type", "G2", "--p", "3"])
+    phi_doc = json.loads(out)["isogenies"][0]
+    phi_doc["q"] = [1, 1]
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(phi_doc), encoding="utf-8")
+    code, out = run_cli(["isogeny", "validate", "--file", str(path), "--format", "text"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[lines.index("error:") + 1] == "  code: RootEquationFails"
+    assert "valid: False" in lines
+
+
+def test_chevalley_check_square_rows_and_violations():
+    code, out = run_cli(["chevalley", "check", "--type", "G2", "--p", "3"])
+    assert code == 0
+    doc = json.loads(out)
+    validate_document(doc)
+    assert len(doc["square_triples"]) == 12
+    assert doc["passed"] is True
+    code, out = run_cli(["chevalley", "check", "--type", "B2", "--p", "3"])
+    assert code == 0
+    doc = json.loads(out)
+    validate_document(doc)
+    assert [v["kind"] for v in doc["violations"]] == ["bracket"] * 8
+    assert doc["passed"] is False
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([], "document must be an object with a schema key"),
+    ({"type": "A1"}, "document must be an object with a schema key"),
+    ({"schema": "weylkit/nothing/1"}, "unknown schema 'weylkit/nothing/1'"),
+], ids=["not-an-object", "no-schema-key", "unknown-schema"])
+def test_validate_document_refusals(doc, message):
+    with pytest.raises(schemas.SchemaViolation, match=message):
+        validate_document(doc)
+
+
+@pytest.mark.parametrize("value,spec,message", [
+    ("3", schemas.OneOf(int, None), "matches no alternative"),
+    ({}, schemas.ListOf(int), "expected list"),
+    ("1/0", "rational", "expected p/q rational string"),
+    ("x", "rational", "expected p/q rational string"),
+], ids=["no-alternative", "not-a-list", "zero-denominator", "not-a-number"])
+def test_schema_check_refusals(value, spec, message):
+    with pytest.raises(schemas.SchemaViolation, match=message):
+        schemas.check(value, spec, "doc")

@@ -2,8 +2,13 @@
 
 Every input must end in a documented exit code with exactly one
 schema-valid JSON document on stdout, and no exception may escape ``main``.
-Inputs whose work grows without bound in the numbers they give (huge ``--type``
-ranks, huge weights or ``--samples``) are left out of the strategies.
+Over-bound inputs that are refused before any work are drawn too: a
+``--samples`` value past ``cli.MAX_SAMPLES``, negative or not a number, and
+a ``bs-weights`` word whose first step (its last letter) meets a weight
+coordinate too large for ``pushforward.MAX_STEP_WEIGHTS``; each must be one
+error document with exit 1. Inputs whose work grows without bound in the
+numbers they give and that no bound refuses (huge ``--type`` ranks, huge
+weights under a small step) are left out of the strategies.
 """
 
 import copy
@@ -16,8 +21,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import cartan, chevalley, isogeny, rootdata, weyl
-from weylkit.cli import ParseError, main
+from weylkit import cartan, chevalley, isogeny, pushforward, rootdata, weyl
+from weylkit.cli import MAX_SAMPLES, ParseError, main
 from weylkit.schemas import validate_document
 
 CLASSIFY_EXIT_CODES = {0, 2, 3, 4}
@@ -108,8 +113,30 @@ def _vector(values):
     return ",".join(str(x) for x in values)
 
 
+over_bound_samples = (st.integers(MAX_SAMPLES + 1, 10 ** 30)
+                      | st.integers(max_value=-1)).map(str) | st.text("x.e+_ ", min_size=1)
+
+
 @st.composite
-def typed_argv(draw):
+def over_bound_argv(draw):
+    """(argv, the error code it must give) for an input refused before any
+    work: an out-of-range ``--samples``, or a ``bs-weights`` word whose first
+    step is past the pushforward step bound."""
+    family, rank = draw(st.sampled_from(CATALOG_PARTS))
+    label = f"{family}{rank}"
+    if draw(st.booleans()):
+        return (["selfcheck", "--type", label, "--samples", draw(over_bound_samples)],
+                "ParseError")
+    word = draw(st.lists(st.integers(1, rank), min_size=1, max_size=6))
+    weight = draw(st.lists(st.integers(-10, 10), min_size=rank, max_size=rank))
+    big = draw(st.integers(pushforward.MAX_STEP_WEIGHTS + 2, 10 ** 12))
+    weight[word[-1] - 1] = draw(st.sampled_from([big, -big]))
+    return (["bs-weights", "--type", label, "--word", _vector(word),
+             "--weight", _vector(weight)], "PushforwardTooLarge")
+
+
+@st.composite
+def typed_argv_in_bounds(draw):
     parts = draw(type_parts)
     label = "+".join(f"{family}{rank}" for family, rank in parts)
     rank = sum(r for _, r in parts)
@@ -140,10 +167,23 @@ def typed_argv(draw):
     return ["roots", "--type", label]
 
 
-@settings(max_examples=300, deadline=None)
-@given(argv=typed_argv())
-def test_typed_subcommand_fuzz(argv):
-    check_one_document(argv)
+@st.composite
+def typed_argv(draw):
+    """(argv, None), or, one time in four, (argv, error code) for an
+    over-bound input."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(over_bound_argv())
+    return draw(typed_argv_in_bounds()), None
+
+
+# 400 examples keep about 300 in bounds
+@settings(max_examples=400, deadline=None)
+@given(case=typed_argv())
+def test_typed_subcommand_fuzz(case):
+    argv, refusal = case
+    code, doc = check_one_document(argv)
+    if refusal is not None:
+        assert code == 1 and doc["error"]["code"] == refusal, argv
 
 
 # -- isogeny validate ------------------------------------------------------

@@ -1,9 +1,14 @@
 import doctest
+import importlib
+from pathlib import Path
 
-from weylkit import cartan, intmat, pushforward, rootdata, schemas, weyl
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weylkit"
 
 
 def test_doctests():
-    for module in (cartan, pushforward, intmat, rootdata, schemas, weyl):
+    names = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    assert names
+    for name in names:
+        module = importlib.import_module(f"weylkit.{name}")
         result = doctest.testmod(module)
         assert result.failed == 0, module.__name__

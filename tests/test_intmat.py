@@ -103,11 +103,5 @@ def test_hermite_rows_canonical_and_span_preserving(m):
             assert 0 <= h[above][j] < h[r][j]
 
 
-def test_solve_integer():
-    assert intmat.solve_integer([[2, 0], [0, 3]], [4, 9]) == [2, 3]
-    with pytest.raises(ValueError):
-        intmat.solve_integer([[2, 0], [0, 3]], [3, 9])
-
-
 def test_hermite_zero_rows_dropped():
     assert intmat.hermite_rows([[0, 0], [2, 4], [1, 2]]) == [[1, 2]]

@@ -1,4 +1,6 @@
 import contextlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +149,24 @@ def test_cap_exceeded():
         enumerate_weyl(_rs("B3"), cap=10)
 
 
+def test_cap_is_checked_from_the_order_before_any_work():
+    # E8's |W| is over the default cap: the refusal comes from weyl_order,
+    # before numpy is imported or a layer built
+    code = (
+        "import sys\n"
+        "from weylkit import cartan, roots, weyl\n"
+        "rs = roots.generate_roots(cartan.parse_type('E8'))\n"
+        "try:\n"
+        "    weyl.enumerate_weyl(rs)\n"
+        "except weyl.CapExceeded as exc:\n"
+        "    print(exc.cap, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(weyl.DEFAULT_CAP), "False"]
+
+
 def test_elements_are_distinct_and_lengths_match_layers():
     group = enumerate_weyl(_rs("B3"))
     elements = group.elements()
@@ -207,6 +227,19 @@ def test_changing_simple_reflections_changes_no_later_result():
     assert len(simple_reflections(rs)) == 2
     assert element_from_word(rs, (0,)).length == 1
     assert element_from_word(rs, (0, 1, 0)).length == 3
+
+
+def test_weyl_calls_leave_the_root_system_as_built():
+    rs = _rs("B3")
+    built = dict(vars(rs))
+    simple_reflections(rs)
+    element_from_word(rs, (0, 1, 2))
+    demazure_product(rs, (0, 1, 0, 2))
+    reduced_word(element_from_word(rs, (2, 1)))
+    enumerate_weyl(rs).elements()
+    now = vars(rs)
+    changed = [k for k, v in built.items() if k not in now or now[k] is not v]
+    assert not changed, changed
 
 
 def test_reflection_set_bijects_with_positive_roots():
