@@ -10,8 +10,11 @@ subcommand's spec in ``schemas`` and, for a subcommand that takes
 ``--type``, echoes the label as ``type``.
 
 Exit codes for ``classify``: 0 finite type, 2 valid Cartan matrix but not
-finite, 3 not a generalized Cartan matrix, 4 unreadable input. Other
-subcommands exit 0 on success and 1 with a machine-readable error object.
+finite, 3 not a generalized Cartan matrix, 4 unreadable input, and 1 with a
+``RankTooLarge`` error document for a valid matrix of rank over
+``cartan.MAX_RANK``, refused before the finite-type test. Other
+subcommands exit 0 on success and 1 with a machine-readable error object;
+a ``--type`` label whose ranks sum past ``cartan.MAX_RANK`` is one.
 A usage error (an unknown subcommand, a missing or malformed option) is
 unreadable input too: it writes one ``ParseError`` error document and exits
 4 under ``classify``, 1 otherwise. A result or message with an integer past

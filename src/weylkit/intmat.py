@@ -1,12 +1,10 @@
 """Exact integer matrix utilities.
 
-Everything here works over Python ints (or Fractions where unavoidable);
-no floating point. Matrices are lists of lists, row-major.
+Everything here works over Python ints; no floating point. Matrices are
+lists of lists, row-major.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 Matrix = list[list[int]]
 
@@ -32,54 +30,60 @@ def matvec(a, v) -> list:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
+def _bareiss(m, n: int) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of the first n columns of the n
+    rows of m, in place; further columns are carried along. Rows swap only
+    on a zero pivot. Returns the swap parity (0 if the n columns are
+    singular) and the first step with a zero pivot (n if none); before it,
+    m[k][k] is the k-th leading principal minor (Bareiss, Math. Comp. 22).
+    """
+    sign, step, prev = 1, n, 1
+    for k in range(n):
+        if m[k][k] == 0:
+            step = min(step, k)
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0, step
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, tail = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            a = row[k]
+            row[k:] = [0] + [(x * pivot - a * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+    return sign, step
+
+
+def solve(a, b) -> tuple[int, Matrix]:
+    """(d, x) with a x = d b and d = det(a), all in integers, for a square a
+    and b of as many rows; x is zero when d is.
+
+    >>> solve([[2, 1], [1, 1]], [[1, 0], [0, 1]])
+    (1, [[1, -1], [-1, 2]])
+    """
+    n, width = len(a), len(b[0]) if b else 0
+    m = [list(row) + list(extra) for row, extra in zip(a, b)]
+    sign, _ = _bareiss(m, n)
+    d = sign * (m[-1][n - 1] if m else 1)
+    x: Matrix = [[0] * width for _ in range(n)]
+    for i in reversed(range(n if d else 0)):   # back substitution, exact by Cramer
+        x[i] = [(d * m[i][n + c] - sum(m[i][j] * x[j][c] for j in range(i + 1, n))) // m[i][i]
+                for c in range(width)]
+    return d, x
+
+
 def det(a) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return solve(a, [[] for _ in a])[0]
 
 
 def leading_principal_minors(a) -> list[int]:
-    """Determinants of the upper-left k-by-k blocks, k = 1..n."""
-    n = len(a)
-    return [det([row[: k + 1] for row in a[: k + 1]]) for k in range(n)]
-
-
-def rational_inverse(a) -> list[list[Fraction]]:
-    """Inverse over the rationals; raises ValueError if singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    """Determinants of the upper-left k-by-k blocks, k = 1..n: the pivots of
+    one elimination up to its first zero pivot, then a ``det`` per block."""
+    m = copy(a)
+    _, step = _bareiss(m, len(a))
+    return ([m[k][k] for k in range(step)]
+            + [det([row[: k + 1] for row in a[: k + 1]]) for k in range(step, len(a))])
 
 
 def is_unimodular(a) -> bool:

@@ -18,8 +18,9 @@ up across steps and multiplicities are tracked as a Counter keyed by
 The multiset of (i,) + w depends only on the multiset of w, so
 ``pushforward_states`` walks distinct states rather than words, counting the
 words that reach each one; the containment scan uses it. A step that would
-produce more than ``MAX_STEP_WEIGHTS`` weights raises PushforwardTooLarge
-before it starts. ``chi_restriction`` restricts a weight to a word; the
+produce more than ``MAX_STEP_WEIGHTS`` weights, or take the sum over a
+call's steps past ``MAX_PUSH_WEIGHTS``, raises PushforwardTooLarge before it
+starts. ``chi_restriction`` restricts a weight to a word; the
 factors a p-morphism puts on a word's letters are kept with p-morphisms.
 """
 
@@ -39,6 +40,10 @@ GradedWeights = Counter
 
 # most weights one pushforward step may produce, summed over its entries
 MAX_STEP_WEIGHTS = 100_000
+# most weights a whole pushforward may produce, summed over its steps: at
+# 300 000-450 000 weights/s in-process (2-core x86-64) some 0.6-0.8 s, and
+# 16 times the largest the tests ask for (15 064 weights, a 16-letter word)
+MAX_PUSH_WEIGHTS = 250_000
 
 
 class PushforwardError(WeylkitError):
@@ -50,9 +55,8 @@ class KeyLemmaViolation(PushforwardError):
 
 
 class PushforwardTooLarge(PushforwardError):
-    def __init__(self, size: int):
-        super().__init__(f"a pushforward step would produce {size} weights, "
-                         f"over the bound {MAX_STEP_WEIGHTS}")
+    def __init__(self, what: str, size: int, bound: int):
+        super().__init__(f"{what} would produce {size} weights, over the bound {bound}")
 
 
 def occurs(word, i: int) -> bool:
@@ -79,12 +83,15 @@ def pushforward_step(rs: RootSystem, weight, i: int) -> tuple[int, list[Coords]]
 
 def pushforward_multiset(rs: RootSystem, word, entries: GradedWeights) -> GradedWeights:
     """Push an existing graded multiset down a word, last letter first."""
-    cur = Counter(entries)
+    cur, total = Counter(entries), 0
     for letter in reversed(tuple(word)):
         check_index(rs, letter)
         size = sum(max(w[letter] + 1, -w[letter] - 1) for w, _ in cur)
+        total += size
         if size > MAX_STEP_WEIGHTS:
-            raise PushforwardTooLarge(size)
+            raise PushforwardTooLarge("a pushforward step", size, MAX_STEP_WEIGHTS)
+        if total > MAX_PUSH_WEIGHTS:
+            raise PushforwardTooLarge("the whole pushforward", total, MAX_PUSH_WEIGHTS)
         nxt: GradedWeights = Counter()
         for (w, d), mult in cur.items():
             inc, weights = pushforward_step(rs, w, letter)

@@ -225,24 +225,13 @@ def intermediate_lattices(c: GCM, max_index: int = 10_000) -> list[PinnedRootDat
     for subgroup in _subgroups(tuple(diag)):
         # the root lattice and each coset e lifted to u^-1 e
         gens = c.rows() + [intmat.matvec(u_inv, list(e)) for e in subgroup]
-        # rows of basis are the lattice basis; rows of its transpose are the
-        # simple coroots in the dual basis
-        basis = intmat.hermite_rows(gens)
-        simple_roots = [_coordinates(basis, row) for row in c.entries]
-        out.append(_image(rs, simple_roots, intmat.transpose(basis), c.n))
+        # columns of basis_t span the lattice, its rows are the simple coroots
+        # in the dual basis, and column k of x / det is simple root k
+        basis_t = intmat.transpose(intmat.hermite_rows(gens))
+        det, x = intmat.solve(basis_t, a)
+        simple_roots = [[y // det for y in col] for col in zip(*x)]
+        out.append(_image(rs, simple_roots, basis_t, c.n))
     return out
-
-
-def _coordinates(basis, v) -> list[int]:
-    """The integers x with v = sum x[k] basis[k], by substitution down a square
-    upper-triangular (full-rank Hermite) basis; ValueError off the lattice."""
-    x: list[int] = []
-    for j, row in enumerate(basis):
-        q, r = divmod(v[j] - sum(a * basis[k][j] for k, a in enumerate(x)), row[j])
-        if r:
-            raise ValueError("no integer solution")
-        x.append(q)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +285,11 @@ def pinned_isomorphism(r1: PinnedRootDatum, r2: PinnedRootDatum):
     n = r1.rank
     if r2.rank != n or len(r1.simples) != n or len(r2.simples) != n:
         return None
-    s1, s2 = (intmat.transpose([r.simple_root(k) for k in range(n)]) for r in (r1, r2))
-    f_rat = intmat.matmul(s1, intmat.rational_inverse(s2))
-    if any(x.denominator != 1 for row in f_rat for x in row):
+    # x = d transpose(f): simple root k of r2 times x is d times that of r1
+    d, x = intmat.solve(*([r.simple_root(k) for k in range(n)] for r in (r2, r1)))
+    if any(v % d for row in x for v in row):
         return None
-    f = [[int(x) for x in row] for row in f_rat]
+    f = [[v // d for v in col] for col in zip(*x)]
     if not intmat.is_unimodular(f) or equation_failure(r1, r2, f, range(n), (1,) * n):
         return None
     return tuple(tuple(row) for row in f)

@@ -1,23 +1,26 @@
 """Independent oracles used to freeze expected values in the tests.
 
 Everything here is implemented from first principles, separately from the
-library code paths it checks: cofactor determinants instead of Bareiss,
-a Freudenthal multiplicity recursion instead of the product formula, brute
-scans instead of string arithmetic, symmetric-group inversion counts
-instead of root permutations, the reflection closure of the simple roots
-instead of height-by-height generation, the per-family closed forms of |W|
-instead of invariant degrees, and a breadth-first search over sets of
-tuples instead of canonical-parent generation of the rho-orbit, trial
-division instead of Miller-Rabin, a loop over all bijections instead
-of the scaled-isomorphism search along Dynkin edges, and a walk over every
-word of the suffix trie instead of the walk over distinct word states,
-root data written out root by root (coordinates, C times the coroot,
-a fraction solve per root) instead of a root system carried onto a pinning,
-the short-root ideal check as an all-pairs bracket loop, a short x short
-square loop and a Steinberg check per triple instead of one string walk per
-pair, a pinned isomorphism checked on every root and coroot instead of
-the two defining equations on the simples, and subgroups closed under the
-whole subgroup as generators instead of joined coset by coset.
+library code paths it checks: cofactor determinants and a Gauss-Jordan
+solve over the rationals instead of the one fraction-free (Bareiss)
+elimination behind ``intmat.det``, ``leading_principal_minors`` and
+``solve``, a Freudenthal multiplicity recursion instead of the product
+formula, brute scans instead of string arithmetic, symmetric-group
+inversion counts instead of root permutations, the reflection closure of
+the simple roots instead of height-by-height generation, the per-family
+closed forms of |W| instead of invariant degrees, and a breadth-first
+search over sets of tuples instead of canonical-parent generation of the
+rho-orbit, trial division instead of Miller-Rabin, a loop over all
+bijections instead of the scaled-isomorphism search along Dynkin edges,
+and a walk over every word of the suffix trie instead of the walk over
+distinct word states, root data written out root by root (coordinates, C
+times the coroot, a fraction solve per root) instead of a root system
+carried onto a pinning, the short-root ideal check as an all-pairs bracket
+loop, a short x short square loop and a Steinberg check per triple instead
+of one string walk per pair, a pinned isomorphism checked on every root
+and coroot instead of the two defining equations on the simples, and
+subgroups closed under the whole subgroup as generators instead of joined
+coset by coset.
 """
 
 from __future__ import annotations
@@ -174,12 +177,16 @@ def dihedral_lengths(m: int) -> list[int]:
     return [1] + [2] * (m - 1) + [1]
 
 
-def _solve_fractions(matrix, rhs) -> list[Fraction]:
+def solve_fractions(matrix, rhs) -> list[Fraction] | None:
+    """The x with matrix x = rhs, by Gauss-Jordan over the rationals, or
+    None when the square matrix is singular."""
     n = len(matrix)
     m = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
          for i, row in enumerate(matrix)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return None
         m[col], m[piv] = m[piv], m[col]
         inv = Fraction(1) / m[col][col]
         m[col] = [x * inv for x in m[col]]
@@ -240,7 +247,7 @@ def freudenthal_dim(rs, highest_weight) -> int:
     lowest = tuple(-x for x in dominant_rep(tuple(-x for x in lam)))
     diff = [a - b for a, b in zip(lam, lowest)]
     ct = [[gcm[i][j] for i in range(n)] for j in range(n)]
-    box_frac = _solve_fractions(ct, diff)
+    box_frac = solve_fractions(ct, diff)
     assert all(x.denominator == 1 and x >= 0 for x in box_frac)
     box = [int(x) for x in box_frac]
 
@@ -452,7 +459,7 @@ def intermediate_per_root(rs):
     n = rs.rank
     u, d, _ = intmat.smith_normal_form(intmat.transpose(rs.gcm.rows()))
     diag = [d[i][i] for i in range(n)]
-    u_inv_cols = [_solve_fractions(u, [int(i == k) for i in range(n)]) for k in range(n)]
+    u_inv_cols = [solve_fractions(u, [int(i == k) for i in range(n)]) for k in range(n)]
     assert all(x.denominator == 1 for col in u_inv_cols for x in col)
     out = []
     for subgroup in subgroups_by_closure(tuple(diag)):
@@ -464,13 +471,23 @@ def intermediate_per_root(rs):
         basis_t = intmat.transpose(basis)
         roots = []
         for r in rs.roots:
-            coords = _solve_fractions(basis_t, r.weight)
+            coords = solve_fractions(basis_t, r.weight)
             assert all(x.denominator == 1 for x in coords)
             roots.append(tuple(int(x) for x in coords))
         coroots = (tuple(sum(b * y for b, y in zip(row, r.coroot)) for row in basis)
                    for r in rs.roots)
         out.append(_per_root(rs, roots, coroots))
     return out
+
+
+def rebased(datum, basis):
+    """The datum in a new basis of its lattice, the columns of ``basis``:
+    each root solved in that basis with fractions, each coroot c sent to
+    transpose(basis) c."""
+    bt = intmat.transpose(basis)
+    roots = tuple(tuple(int(x) for x in solve_fractions(basis, r)) for r in datum.roots)
+    coroots = tuple(tuple(intmat.matvec(bt, list(c))) for c in datum.coroots)
+    return type(datum)(datum.rank, roots, coroots, datum.simples)
 
 
 def pinned_isomorphism_all_roots(r1, r2):
@@ -486,15 +503,11 @@ def pinned_isomorphism_all_roots(r1, r2):
     n = r1.rank
     if len(r1.simples) != n:
         return None
-    s1 = intmat.transpose([list(r1.simple_root(k)) for k in range(n)])
-    s2 = intmat.transpose([list(r2.simple_root(k)) for k in range(n)])
-    try:
-        s2_inv = intmat.rational_inverse(s2)
-    except ValueError:
-        return None
-    f_rat = [[sum(a * b for a, b in zip(row, col)) for col in zip(*s2_inv)]
-             for row in s1]
-    if any(x.denominator != 1 for row in f_rat for x in row):
+    # row i of f solves (simple roots of r2) f[i] = (entry i of those of r1)
+    s2_rows = [list(r2.simple_root(k)) for k in range(n)]
+    f_rat = [solve_fractions(s2_rows, [r1.simple_root(k)[i] for k in range(n)])
+             for i in range(n)]
+    if None in f_rat or any(x.denominator != 1 for row in f_rat for x in row):
         return None
     f = [[int(x) for x in row] for row in f_rat]
     if not intmat.is_unimodular(f):

@@ -31,7 +31,7 @@ from weylkit.weyl import (enumerate_weyl, poincare_polynomial,
                           simple_reflections, weyl_order)
 
 from cli_cases import CLASSIFY_CASES, SUBCOMMAND_CASES
-from oracles import brute_bracket_m, freudenthal_dim
+from oracles import brute_bracket_m, freudenthal_dim, rebased
 
 ALL_TYPES = cartan.catalog_types(max_rank=8)
 RANK3_IRREDUCIBLE = [("A", 1), ("A", 2), ("B", 2), ("G", 2),
@@ -201,7 +201,7 @@ def test_c6_root_data():
         assert pinned_isomorphism(datum, datum) == tuple(
             tuple(int(i == j) for j in range(g.n)) for i in range(g.n))
         basis = bases[g.n]
-        moved = _rebased(datum, basis)
+        moved = rebased(datum, basis)
         f = pinned_isomorphism(datum, moved)
         assert f == tuple(tuple(row) for row in basis)
         back = pinned_isomorphism(moved, datum)
@@ -216,20 +216,6 @@ def test_c6_root_data():
             for b in range(a + 1, len(lattices)):
                 assert pinned_isomorphism(lattices[a], lattices[b]) is None
     _report("C6", "fundamental groups (SNF) and pinned rigidity", started, 5.0)
-
-
-def _rebased(datum, basis):
-    from weylkit.intmat import matvec, rational_inverse, transpose
-
-    inv = rational_inverse(basis)
-    roots = tuple(
-        tuple(int(sum(inv[i][j] * r[j] for j in range(datum.rank)))
-              for i in range(datum.rank))
-        for r in datum.roots
-    )
-    bt = transpose(basis)
-    coroots = tuple(tuple(matvec(bt, list(cv))) for cv in datum.coroots)
-    return type(datum)(datum.rank, roots, coroots, datum.simples)
 
 
 def test_c7_special_isogenies():

@@ -253,7 +253,8 @@ def test_word_letters_are_one_based():
 @pytest.mark.parametrize("argv", [
     ["bs-weights", "--type", "A1", "--word", "1", "--weight", "1000000"],
     ["bs-weights", "--type", "F4", "--word", "1,2,3,4,3,2", "--weight", "10,10,10,10"],
-], ids=["a1-huge-weight", "f4-long-word"])
+    ["bs-weights", "--type", "A2", "--word", ",".join(["1,2,1"] * 20), "--weight", "15,15"],
+], ids=["a1-huge-weight", "f4-long-word", "a2-word-past-the-budget"])
 def test_oversized_pushforward_is_one_error_document(argv):
     # refused before the step that would exceed the bound, not after it
     code, out = run_cli(argv)
@@ -263,6 +264,36 @@ def test_oversized_pushforward_is_one_error_document(argv):
     validate_document(doc)
     assert doc["schema"] == "weylkit/error/1"
     assert doc["error"]["code"] == "PushforwardTooLarge"
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--type", f"A{cartan.MAX_RANK + 1}"],
+    ["datum", "--type", "A1000000000"],
+    ["isogeny", "enumerate", "--type", f"B{cartan.MAX_RANK}+A1", "--p", "2"],
+], ids=["one-past", "far-past", "sum-past"])
+def test_rank_past_the_cap_is_one_error_document(argv, monkeypatch):
+    # refused from the label, before a catalog matrix is built
+    monkeypatch.setattr(cartan, "catalog", None)
+    code, out = run_cli(argv)
+    assert code == 1
+    doc = json.loads(out)
+    validate_document(doc)
+    assert doc["error"]["code"] == "RankTooLarge"
+    assert doc["error"]["rank"] > cartan.MAX_RANK
+
+
+def test_classify_refuses_a_rank_past_the_cap_before_eliminating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(intmat, "leading_principal_minors", calls.append)
+    matrix = cartan.catalog("A", cartan.MAX_RANK + 1).rows()
+    code, out = run_cli(["classify"], json.dumps({"matrix": matrix}))
+    assert code == 1
+    doc = json.loads(out)
+    validate_document(doc)
+    assert doc["error"] == {"code": "RankTooLarge", "rank": cartan.MAX_RANK + 1,
+                            "message": f"rank {cartan.MAX_RANK + 1} exceeds the bound "
+                                       f"{cartan.MAX_RANK}"}
+    assert calls == []
 
 
 def test_dim_rejects_negative_weight_with_error_doc():

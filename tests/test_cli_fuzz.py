@@ -2,13 +2,16 @@
 
 Every input must end in a documented exit code with exactly one
 schema-valid JSON document on stdout, and no exception may escape ``main``.
-Over-bound inputs that are refused before any work are drawn too: a
-``--samples`` value past ``cli.MAX_SAMPLES``, negative or not a number, and
-a ``bs-weights`` word whose first step (its last letter) meets a weight
-coordinate too large for ``pushforward.MAX_STEP_WEIGHTS``; each must be one
+Over-bound inputs are drawn too, each refused before the work past its
+bound starts: a
+``--samples`` value past ``cli.MAX_SAMPLES``, negative or not a number, a
+``--type`` label whose ranks sum past ``cartan.MAX_RANK``, a ``bs-weights``
+word whose first step (its last letter) meets a weight coordinate too large
+for ``pushforward.MAX_STEP_WEIGHTS``, and a long word at modest weights
+whose steps sum past ``pushforward.MAX_PUSH_WEIGHTS``; each must be one
 error document with exit 1. Inputs whose work grows without bound in the
-numbers they give and that no bound refuses (huge ``--type`` ranks, huge
-weights under a small step) are left out of the strategies.
+numbers they give and that no bound refuses (huge weights under a small
+step) are left out of the strategies.
 """
 
 import copy
@@ -117,16 +120,45 @@ over_bound_samples = (st.integers(MAX_SAMPLES + 1, 10 ** 30)
                       | st.integers(max_value=-1)).map(str) | st.text("x.e+_ ", min_size=1)
 
 
+# (before --type, after it) for each subcommand that takes --type
+TYPED_COMMANDS = [(["roots"], []), (["weyl"], []), (["datum"], []),
+                  (["isogeny", "enumerate"], ["--p", "2"]),
+                  (["chevalley", "check"], ["--p", "2"]), (["dim"], ["--weight", "0"]),
+                  (["vol"], ["--weight", "0"]), (["bs-weights"], ["--word", "1", "--weight", "0"]),
+                  (["selfcheck"], ["--samples", "1"])]
+
+
 @st.composite
 def over_bound_argv(draw):
-    """(argv, the error code it must give) for an input refused before any
-    work: an out-of-range ``--samples``, or a ``bs-weights`` word whose first
-    step is past the pushforward step bound."""
+    """(argv, the error code it must give) for an input refused before the
+    work past its bound: an out-of-range ``--samples``, a label past the
+    rank cap, a ``bs-weights`` word whose first step is past the pushforward
+    step bound, or a long word past the whole-pushforward budget."""
     family, rank = draw(st.sampled_from(CATALOG_PARTS))
     label = f"{family}{rank}"
-    if draw(st.booleans()):
+    # a long word takes about 0.6 s to pass the budget, so it is drawn rarely
+    kind = draw(st.sampled_from(["samples", "rank", "step"] * 6 + ["word"]))
+    if kind == "samples":
         return (["selfcheck", "--type", label, "--samples", draw(over_bound_samples)],
                 "ParseError")
+    if kind == "rank":
+        # one piece past the cap, up to far past any allocation, or two
+        # pieces under it whose sum is past it
+        big = draw(st.integers(cartan.MAX_RANK + 1, 10 ** 9) | st.just(10 ** 9))
+        half = cartan.MAX_RANK // 2 + 1
+        label = draw(st.sampled_from([f"{draw(st.sampled_from('ABCD'))}{big}",
+                                      f"A{half}+{label}+B{half}"]))
+        before, after = draw(st.sampled_from(TYPED_COMMANDS))
+        return before + ["--type", label] + after, "RankTooLarge"
+    if kind == "word":
+        # on A2, (1,2,1) and (2,1,2) repeated pass the budget within 20
+        # repeats at these weights, each step under the step bound; the word
+        # is read from its end, so more repeats are refused at the same step
+        letters = draw(st.sampled_from(["1,2,1", "2,1,2"]))
+        weight = draw(st.lists(st.integers(10, 16), min_size=2, max_size=2))
+        return (["bs-weights", "--type", "A2", "--word",
+                 ",".join([letters] * draw(st.integers(20, 100))),
+                 "--weight", _vector(weight)], "PushforwardTooLarge")
     word = draw(st.lists(st.integers(1, rank), min_size=1, max_size=6))
     weight = draw(st.lists(st.integers(-10, 10), min_size=rank, max_size=rank))
     big = draw(st.integers(pushforward.MAX_STEP_WEIGHTS + 2, 10 ** 12))

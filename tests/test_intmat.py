@@ -1,11 +1,10 @@
-from fractions import Fraction
-
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weylkit import intmat
+from weylkit.cartan import catalog
 
-from oracles import cofactor_det
+from oracles import cofactor_det, solve_fractions
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -58,18 +57,50 @@ def test_smith_normal_form_properties(m):
             assert b == 0
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_matrix)
-def test_rational_inverse_round_trip(m):
-    if intmat.det(m) == 0:
-        with pytest.raises(ValueError):
-            intmat.rational_inverse(m)
+# a square matrix, sometimes with its last row replaced by its first (so
+# singular from size 2 on), and a right-hand side of as many rows
+square_and_rhs = small_matrix.flatmap(lambda m: st.tuples(
+    st.sampled_from([m, m[:-1] + m[:1]]),
+    st.integers(0, 3).flatmap(lambda width: st.lists(
+        st.lists(st.integers(-6, 6), min_size=width, max_size=width),
+        min_size=len(m), max_size=len(m)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_and_rhs)
+@example(([[1, 2], [2, 4]], [[1], [0]]))
+@example(([[3, 1], [1, 2]], [[], []]))
+def test_solve_matches_fraction_oracle(case):
+    a, b = case
+    n, width = len(a), len(b[0])
+    d, x = intmat.solve(a, b)
+    assert d == cofactor_det(a)
+    assert (d == 0) == (solve_fractions(a, [0] * n) is None)
+    if d == 0:
+        assert x == [[0] * width] * n
         return
-    inv = intmat.rational_inverse(m)
-    n = len(m)
-    prod = [[sum(Fraction(m[i][k]) * inv[k][j] for k in range(n))
-             for j in range(n)] for i in range(n)]
-    assert prod == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    columns = [solve_fractions(a, [row[c] for row in b]) for c in range(width)]
+    assert x == [[d * col[i] for col in columns] for i in range(n)]
+
+
+@pytest.mark.parametrize("m,minors", [
+    ([[0, 1], [1, 0]], [0, -1]),
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [1, 0, -1]),
+    ([[0, 0], [0, 0]], [0, 0]),
+    ([[2, 1], [4, 2]], [2, 0]),
+    ([[0, 2, 1], [3, 0, 1], [1, 1, 0]], [0, -6, 5]),
+], ids=["swap-first", "swap-middle", "zero", "singular-last", "swap-then-nonzero"])
+def test_leading_minors_after_a_zero_pivot(m, minors):
+    # past the first zero pivot the elimination swaps rows, so its pivots
+    # are no longer leading minors
+    assert intmat.leading_principal_minors(m) == minors
+    assert minors == [cofactor_det([row[: k + 1] for row in m[: k + 1]])
+                      for k in range(len(m))]
+
+
+def test_leading_minors_of_a100_are_2_to_101():
+    # the k-th leading block of catalog A_n is A_k, of determinant k + 1
+    assert intmat.leading_principal_minors(catalog("A", 100).rows()) == list(range(2, 102))
 
 
 def _row_span_membership(basis, vec):

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import cartan
+from weylkit import cartan, pushforward
 from weylkit.isogeny import (enumerate_special, frobenius, pmorphism_chi_factors,
                              translated_word)
-from weylkit.pushforward import (MAX_STEP_WEIGHTS, KeyLemmaViolation,
+from weylkit.pushforward import (MAX_PUSH_WEIGHTS, MAX_STEP_WEIGHTS, KeyLemmaViolation,
                                  PushforwardTooLarge, chi_restriction, h0_rank,
                                  last_occurrence, occurs,
                                  pushforward_multiset, pushforward_states,
@@ -112,6 +112,24 @@ def test_step_size_bound_is_checked_before_the_step():
     for weight in [(MAX_STEP_WEIGHTS,), (-MAX_STEP_WEIGHTS - 2,), (10 ** 18,)]:
         with pytest.raises(PushforwardTooLarge):
             pushforward_word(rs, (0,), weight)
+
+
+def test_whole_pushforward_budget_is_checked_before_the_step_past_it(monkeypatch):
+    # from (1,) each A1 step produces two weights, (1,) and (-1,), and (-1,)
+    # produces none, so k letters produce 2k weights over the call
+    monkeypatch.setattr(pushforward, "MAX_PUSH_WEIGHTS", 10)
+    rs = _rs("A1")
+    assert pushforward_word(rs, (0,) * 5, (1,)) == Counter({((1,), 0): 1, ((-1,), 0): 1})
+    with pytest.raises(PushforwardTooLarge, match="produce 12 weights"):
+        pushforward_word(rs, (0,) * 6, (1,))
+
+
+def test_each_refusal_names_the_bound_it_hit():
+    rs = _rs("A2")
+    with pytest.raises(PushforwardTooLarge, match=f"^a pushforward step .* {MAX_STEP_WEIGHTS}$"):
+        pushforward_word(rs, (0,), (MAX_STEP_WEIGHTS, 0))
+    with pytest.raises(PushforwardTooLarge, match=f"^the whole pushforward .* {MAX_PUSH_WEIGHTS}$"):
+        pushforward_word(rs, (0, 1, 0) * 20, (15, 15))
 
 
 def test_step_index_range():

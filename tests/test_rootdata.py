@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import cartan, rootdata
-from weylkit.intmat import matvec, transpose
+from weylkit.intmat import transpose
 from weylkit.roots import generate_roots
 from weylkit.rootdata import (FundamentalGroupTooLarge, PinnedRootDatum, RootDatumError,
                               adjoint_datum, fundamental_group, fundamental_group_order,
@@ -14,7 +14,7 @@ from weylkit.rootdata import (FundamentalGroupTooLarge, PinnedRootDatum, RootDat
                               simply_connected_datum)
 
 from oracles import (adjoint_per_root, cofactor_det, intermediate_per_root,
-                     pinned_isomorphism_all_roots, simply_connected_per_root,
+                     pinned_isomorphism_all_roots, rebased, simply_connected_per_root,
                      subgroups_by_closure)
 
 CLASSICAL_TABLE = {
@@ -232,20 +232,6 @@ def test_pinned_isomorphism_ad_vs_sc_fails():
     assert pinned_isomorphism(simply_connected_datum(g), adjoint_datum(g)) is None
 
 
-def _change_basis(datum, basis):
-    """Rewrite a datum in a new basis of the same lattice (columns of basis)."""
-    from weylkit.intmat import rational_inverse
-
-    inv = rational_inverse(basis)
-    roots = tuple(
-        tuple(int(sum(inv[i][j] * r[j] for j in range(datum.rank))) for i in range(datum.rank))
-        for r in datum.roots
-    )
-    bt = transpose(basis)
-    coroots = tuple(tuple(matvec(bt, list(cv))) for cv in datum.coroots)
-    return type(datum)(datum.rank, roots, coroots, datum.simples)
-
-
 BASES = [
     [[0, 1], [1, 0]],
     [[1, 1], [0, 1]],
@@ -257,7 +243,7 @@ BASES = [
 @given(st.sampled_from(["A2", "B2", "G2"]), st.sampled_from(BASES))
 def test_pinned_isomorphism_recovers_change_of_basis(label, basis):
     datum = adjoint_datum(cartan.parse_type(label))
-    moved = _change_basis(datum, basis)
+    moved = rebased(datum, basis)
     moved.validate()
     f = pinned_isomorphism(moved, datum)
     # f maps original coordinates to new ones: it must be the basis inverse
@@ -278,7 +264,7 @@ def test_pinned_isomorphism_unique_by_exhaustion():
     from weylkit.intmat import det, matvec, transpose as tr
 
     datum = adjoint_datum(cartan.parse_type("A2"))
-    moved = _change_basis(datum, [[1, 1], [0, 1]])
+    moved = rebased(datum, [[1, 1], [0, 1]])
     expected = pinned_isomorphism(datum, moved)
     assert expected is not None
 
@@ -358,7 +344,7 @@ def test_pinned_isomorphism_matches_all_roots_oracle():
     for family, rank in cartan.catalog_types(max_rank=4):
         g = cartan.catalog(family, rank)
         data = intermediate_lattices(g) + [adjoint_datum(g), simply_connected_datum(g)]
-        data += [_change_basis(d, _unimodular(rank, rng)) for d in data]
+        data += [rebased(d, _unimodular(rank, rng)) for d in data]
         for d1 in data:
             for d2 in data:
                 assert pinned_isomorphism(d1, d2) == pinned_isomorphism_all_roots(d1, d2)
