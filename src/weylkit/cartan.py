@@ -14,9 +14,8 @@ as (B, 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from . import intmat
@@ -99,12 +98,31 @@ class InvalidType(GCMError):
         super().__init__(f"({family},{'?' if rank is None else rank}) is not a valid finite type")
 
 
-@dataclass(frozen=True)
 class GCM:
-    """A validated generalized Cartan matrix."""
+    """A validated generalized Cartan matrix: ``n`` and the ``entries`` rows.
 
-    n: int
-    entries: tuple[tuple[int, ...], ...]
+    Immutable, and equal and hashed by its fields; ``gcm[i]`` is row i.
+    """
+
+    __slots__ = ("n", "entries", "_leading_minors")
+
+    def __init__(self, n: int, entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not GCM:
+            return NotImplemented
+        return (self.n, self.entries) == (other.n, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.entries))
+
+    def __repr__(self) -> str:
+        return f"GCM(n={self.n!r}, entries={self.entries!r})"
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
@@ -112,16 +130,25 @@ class GCM:
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
 
-    @cached_property
-    def finite_type(self) -> bool:
-        """Sylvester criterion in exact integers: all leading minors positive.
+    @property
+    def leading_minors(self) -> tuple[int, ...]:
+        """Determinants of the upper-left k-by-k blocks, the last one det C.
 
-        Cached on the immutable matrix, so every finite-type guard after the
-        first costs nothing. A rank over MAX_RANK raises RankTooLarge first.
+        Cached on the immutable matrix, so one elimination serves every
+        finite-type guard and every reading of det C. A rank over MAX_RANK
+        raises RankTooLarge first.
         """
-        if self.n > MAX_RANK:
-            raise RankTooLarge(self.n)
-        return all(m > 0 for m in intmat.leading_principal_minors(self.rows()))
+        if not hasattr(self, "_leading_minors"):
+            if self.n > MAX_RANK:
+                raise RankTooLarge(self.n)
+            object.__setattr__(self, "_leading_minors",
+                               tuple(intmat.leading_principal_minors(self.rows())))
+        return self._leading_minors
+
+    @property
+    def finite_type(self) -> bool:
+        """Sylvester criterion in exact integers: all leading minors positive."""
+        return all(m > 0 for m in self.leading_minors)
 
     def components(self) -> list[list[int]]:
         """Connected components of the Dynkin graph, by sorted node index."""
@@ -143,8 +170,7 @@ class GCM:
         return comps
 
 
-@dataclass(frozen=True)
-class Symmetrizer:
+class Symmetrizer(namedtuple("Symmetrizer", "d lengths")):
     """Minimal positive integers d with d[i] C[i][j] = d[j] C[j][i].
 
     ``lengths[i]`` is the squared-length ratio of simple root i, normalized
@@ -153,15 +179,13 @@ class Symmetrizer:
     the short nodes of a doubly-laced component carry the larger d value.
     """
 
-    d: tuple[int, ...]
-    lengths: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class DynkinType(namedtuple("DynkinType", "components")):
     """Irreducible components as (family, rank, node map into the input)."""
 
-    components: tuple[tuple[str, int, tuple[int, ...]], ...]
+    __slots__ = ()
 
     def label(self) -> str:
         return "+".join(f"{f}{r}" for f, r, _ in self.components) or "empty"

@@ -14,12 +14,12 @@ the fact that it need not lie in the root lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
 from .cartan import WeylkitError
-from .roots import Coords, RootSystem
+from .roots import RootSystem
 
 
 class CharacterError(WeylkitError):
@@ -32,15 +32,14 @@ class NotDominant(CharacterError):
         super().__init__(f"{tuple(weight)} has a negative coordinate")
 
 
-@dataclass(frozen=True)
-class EulerData:
-    """Positive coroots with their rho-pairings, ready for evaluation."""
+class EulerData(namedtuple("EulerData", "rs rho positive_coroots rho_pairings m")):
+    """Positive coroots with their rho-pairings, ready for evaluation.
 
-    rs: RootSystem
-    rho: Coords
-    positive_coroots: tuple[Coords, ...]
-    rho_pairings: tuple[int, ...]   # <rho, cv> = height of the coroot
-    m: int                          # number of positive coroots = degree
+    ``rho_pairings`` holds <rho, cv>, the height of each coroot, and ``m``
+    the number of positive coroots, the degree.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_root_system(cls, rs: RootSystem) -> "EulerData":

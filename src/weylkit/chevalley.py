@@ -16,7 +16,7 @@ the square row when up >= 2, as strings are unbroken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .cartan import WeylkitError
 from .isogeny import is_prime
@@ -46,13 +46,12 @@ class SimplyLaced(ChevalleyError):
         super().__init__("root system has a single length class")
 
 
-@dataclass(frozen=True)
-class StructureConstant:
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    m: int          # bracket magnitude, always 1, 2 or 3 in finite type
-    down: int       # steps of the alpha-string below beta
-    up: int         # steps above
+class StructureConstant(namedtuple("StructureConstant", "alpha beta m down up")):
+    """The bracket magnitude ``m`` of alpha and beta, always 1, 2 or 3 in
+    finite type, with the steps of the alpha-string below (``down``) and
+    above (``up``) beta."""
+
+    __slots__ = ()
 
 
 def bracket_constant(rs: RootSystem, alpha, beta) -> StructureConstant:
@@ -68,14 +67,11 @@ def bracket_constant(rs: RootSystem, alpha, beta) -> StructureConstant:
     return StructureConstant(a, b, s.down + 1, s.down, s.up)
 
 
-@dataclass(frozen=True)
-class SteinbergReport:
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    down: int
-    up: int
-    length_ratio: int    # length(alpha+beta) / length(alpha)
-    holds: bool          # down + 1 == up * length_ratio
+class SteinbergReport(namedtuple("SteinbergReport", "alpha beta down up length_ratio holds")):
+    """The alpha-string through beta, ``length_ratio`` = length(alpha+beta) /
+    length(alpha), and whether down + 1 == up * length_ratio ``holds``."""
+
+    __slots__ = ()
 
 
 def steinberg_check(rs: RootSystem, alpha, beta) -> SteinbergReport:
@@ -96,8 +92,8 @@ def steinberg_check(rs: RootSystem, alpha, beta) -> SteinbergReport:
                            s.down + 1 == s.up * ratio)
 
 
-@dataclass(frozen=True)
-class IdealCheckReport:
+class IdealCheckReport(namedtuple("IdealCheckReport",
+                                   "p bracket_triples square_triples violations steinberg")):
     """Exhaustive evidence that the short-root span is a p-closed ideal.
 
     ``bracket_triples`` lists (alpha, beta, alpha+beta, m) for every short
@@ -111,11 +107,7 @@ class IdealCheckReport:
     violation lists are empty on the types where the ideal exists.
     """
 
-    p: int
-    bracket_triples: list = field(default_factory=list)
-    square_triples: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    steinberg: list = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -128,7 +120,7 @@ def short_root_ideal_check(rs: RootSystem, p: int) -> IdealCheckReport:
         raise ChevalleyError(f"{p} is not prime")
     if all(r.length == 1 for r in rs.roots):
         raise SimplyLaced()
-    report = IdealCheckReport(p=p)
+    report = IdealCheckReport(p, [], [], [], [])
     square_violations = []
     for a in (r for r in rs.roots if r.length == 1):
         for b in rs.roots:

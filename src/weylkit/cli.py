@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
 import sys
 from fractions import Fraction
@@ -291,6 +290,8 @@ def _cmd_datum(args) -> tuple[dict, int]:
 
 
 def _cmd_selfcheck(args) -> tuple[dict, int]:
+    import random   # here alone, so no other subcommand loads it
+
     rs = _root_system(args)
     ed = EulerData.from_root_system(rs)
     rng = random.Random(args.seed)

@@ -6,6 +6,8 @@ lists of lists, row-major.
 
 from __future__ import annotations
 
+from math import gcd
+
 Matrix = list[list[int]]
 
 
@@ -128,14 +130,80 @@ def hermite_rows(a) -> Matrix:
     return [row for row in m[:r]]
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(u, v, g) with u a + v b = g = gcd(a, b), for a, b >= 0, and
+    (1, 0, a) when a divides b, so that a step by it leaves a's line as is."""
+    if a and b % a == 0:
+        return 1, 0, a
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return u0, v0, a
+
+
+def invariant_factors(a, d: int) -> list[int]:
+    """The Smith diagonal d1 | d2 | ... of a nonsingular square a, given a
+    positive multiple d of |det a|, with no transforms.
+
+    Cohen's elimination modulo d (GTM 138, Alg. 2.4.14): the lattice of
+    the columns contains d Z^n, so every entry is kept in [0, R) for a
+    modulus R that starts at d and is divided by each factor found; no
+    entry ever exceeds d. Each stage clears row i and column i of the
+    block by unimodular 2x2 steps, then adds a row whose entries the pivot
+    does not divide until it divides all of the block.
+
+    >>> invariant_factors([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 4)
+    [1, 1, 2, 2]
+    """
+    n = len(a)
+    if n == 0:
+        return []
+    r = d
+    m = [[x % r for x in row] for row in a]
+    found = []
+    for i in range(n - 1, 0, -1):
+        while True:
+            for j in range(i - 1, -1, -1):   # clear row i by column steps
+                if m[i][j]:
+                    u, v, g = _xgcd(m[i][i], m[i][j])
+                    x, y = m[i][i] // g, m[i][j] // g
+                    for row in m[: i + 1]:
+                        p, q = row[i], row[j]
+                        row[i], row[j] = (u * p + v * q) % r, (x * q - y * p) % r
+            steps = 0
+            for j in range(i - 1, -1, -1):   # clear column i by row steps
+                if m[j][i]:
+                    u, v, g = _xgcd(m[i][i], m[j][i])
+                    x, y = m[i][i] // g, m[j][i] // g
+                    top, low = m[i][: i + 1], m[j][: i + 1]
+                    m[i][: i + 1] = [(u * p + v * q) % r for p, q in zip(top, low)]
+                    m[j][: i + 1] = [(x * q - y * p) % r for p, q in zip(top, low)]
+                    steps += 1
+            if steps:
+                continue
+            b = m[i][i]
+            stray = None if b == 1 else next(
+                (k for k in range(i) if any(x % b if b else x for x in m[k][:i])), None)
+            if stray is None:
+                break
+            m[i][:i] = [(p + q) % r for p, q in zip(m[i][:i], m[stray][:i])]
+        found.append(gcd(m[i][i], r))
+        r //= found[-1]
+    found.append(gcd(m[0][0], r))   # the stages find the factors smallest first
+    return found
+
+
 def smith_normal_form(a) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form with transforms: returns (u, d, v) with u a v = d.
 
     d is diagonal with nonnegative entries d1 | d2 | ..., and u, v are
     unimodular. Works for any rectangular integer matrix, but the entries of
     u and v swell on dense input: a random 7x7 with entries in [-6, 6] can
-    give transforms with thousands of digits and take seconds. On the
-    Cartan-type matrices the package passes it, rank 39 takes a few ms.
+    give transforms with thousands of digits and take seconds, and the
+    block itself swells on some relabelled Cartan matrices of rank 60.
+    ``invariant_factors`` reads the diagonal alone without either.
     """
     m = copy(a)
     rows = len(m)

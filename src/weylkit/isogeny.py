@@ -19,7 +19,7 @@ scaling factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from . import intmat
@@ -59,14 +59,12 @@ class QNotPowerOfP(InvalidPMorphism):
         super().__init__(f"q value at simple index {k} is not a power of p")
 
 
-@dataclass(frozen=True)
-class PMorphism:
-    source: PinnedRootDatum
-    target: PinnedRootDatum
-    f: tuple[tuple[int, ...], ...]   # matrix: target lattice -> source lattice
-    u: tuple[int, ...]               # source simple k -> target simple u[k]
-    q: tuple[int, ...]               # scaling factor per source simple
-    p: int
+class PMorphism(namedtuple("PMorphism", "source target f u q p")):
+    """A p-morphism of pinned root data: ``f`` is the matrix from the target
+    lattice to the source one, source simple k goes to target simple
+    ``u[k]``, scaled by ``q[k]``."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

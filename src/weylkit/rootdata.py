@@ -13,7 +13,7 @@ sum over the simple coroots. The builders choose the simple vectors, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import prod
 
@@ -34,14 +34,12 @@ class FundamentalGroupTooLarge(RootDatumError):
         super().__init__(f"fundamental group of order {order} exceeds bound {bound}")
 
 
-@dataclass(frozen=True)
-class PinnedRootDatum:
-    """(M, roots, ordered simples, coroots) in explicit coordinates."""
+class PinnedRootDatum(namedtuple("PinnedRootDatum", "rank roots coroots simples")):
+    """(M, roots, ordered simples, coroots) in explicit coordinates: the
+    ``coroots`` align with the ``roots``, and ``simples`` are indices into
+    the roots, in pinned order."""
 
-    rank: int
-    roots: tuple[Vec, ...]
-    coroots: tuple[Vec, ...]          # aligned with roots
-    simples: tuple[int, ...]          # indices into roots, in pinned order
+    __slots__ = ()
 
     def pairing(self, root_idx: int, coroot_idx: int) -> int:
         return sum(a * b for a, b in zip(self.roots[root_idx],
@@ -67,12 +65,11 @@ class PinnedRootDatum:
         A datum without simples is valid iff it has no roots. Roots 1 and 3
         of A2 pair to 1, so they are no base:
 
-        >>> import dataclasses
         >>> from weylkit.cartan import parse_type
         >>> a2 = adjoint_datum(parse_type("A2"))
         >>> a2.roots[1], a2.roots[3]
         ((1, 0), (0, -1))
-        >>> dataclasses.replace(a2, simples=(1, 3)).validate()
+        >>> a2._replace(simples=(1, 3)).validate()
         Traceback (most recent call last):
         ...
         weylkit.rootdata.RootDatumError: the pairing matrix of the simples is not of finite type: off-diagonal entry at (0,1) is positive
@@ -155,11 +152,11 @@ def simply_connected_datum(c: GCM) -> PinnedRootDatum:
 
 
 def fundamental_group(c: GCM) -> tuple[int, ...]:
-    """Invariant factors (> 1) of the weight lattice modulo the root lattice."""
+    """Invariant factors (> 1) of the weight lattice modulo the root lattice,
+    read modulo det C, so no entry of the elimination passes it."""
     if not is_finite_type(c):
         raise NotFiniteType()
-    _, d, _ = intmat.smith_normal_form(c.rows())
-    return tuple(x for x in intmat.diagonal(d) if x not in (0, 1))
+    return tuple(x for x in intmat.invariant_factors(c.rows(), c.leading_minors[-1]) if x != 1)
 
 
 def fundamental_group_order(c: GCM) -> int:

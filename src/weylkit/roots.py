@@ -13,7 +13,7 @@ root-against-coroot pairings are integer dot products: pairing(beta, alpha)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .cartan import GCM, Symmetrizer, WeylkitError, symmetrizer
@@ -31,15 +31,16 @@ class NotARoot(RootsError):
         super().__init__(f"{tuple(coords)} is not a root")
 
 
-@dataclass(frozen=True)
-class Root:
-    index: int
-    coords: Coords          # simple-root basis
-    coroot: Coords          # simple-coroot basis
-    weight: Coords          # fundamental-weight basis (pairings with coroots)
-    height: int
-    positive: bool
-    length: int             # squared-length ratio, short = 1 in each component
+class Root(namedtuple("Root", "index coords coroot weight height positive length")):
+    """One root of a RootSystem, at ``index`` in its root order.
+
+    ``coords`` are in the simple-root basis, ``coroot`` in the simple-coroot
+    basis and ``weight`` in the fundamental-weight basis (pairings with the
+    simple coroots); ``length`` is the squared-length ratio, short = 1 in
+    each component.
+    """
+
+    __slots__ = ()
 
     @property
     def length_class(self) -> str:
@@ -190,19 +191,15 @@ def nonsimple_positives(rs: RootSystem) -> list[Root]:
     return [r for r in rs.positives if r.height >= 2]
 
 
-@dataclass(frozen=True)
-class RootString:
+class RootString(namedtuple("RootString", "base direction down up")):
     """Maximal interval base + k*direction inside the roots-and-zero set.
 
-    ``down`` steps of the direction can be subtracted and ``up`` added while
-    staying inside; the classical identity down - up = pairing(base,
-    direction-coroot) holds for every string.
+    ``down`` (r) steps of the direction can be subtracted and ``up`` (s)
+    added while staying inside; the classical identity down - up =
+    pairing(base, direction-coroot) holds for every string.
     """
 
-    base: Coords
-    direction: Coords
-    down: int   # r: steps towards base - k*direction
-    up: int     # s: steps towards base + k*direction
+    __slots__ = ()
 
     def elements(self) -> list[Coords]:
         return [

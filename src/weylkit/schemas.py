@@ -12,18 +12,45 @@ a literal value or ``None``; a dict of field specs; ``ListOf(spec)``; or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class ListOf:
-    item: object
+class _Spec:
+    """An immutable spec marker, equal and hashed by its one field."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.__slots__[0]}={self._value()!r})"
+
+    def _value(self):
+        return getattr(self, self.__slots__[0])
 
 
-@dataclass(frozen=True)
-class OneOf:
-    alternatives: tuple
+class ListOf(_Spec):
+    """A list each of whose items has the shape ``item``."""
+
+    __slots__ = ("item",)
+
+    def __init__(self, item):
+        object.__setattr__(self, "item", item)
+
+
+class OneOf(_Spec):
+    """A value of one of the shapes in ``alternatives``."""
+
+    __slots__ = ("alternatives",)
 
     def __init__(self, *alternatives):
         object.__setattr__(self, "alternatives", alternatives)

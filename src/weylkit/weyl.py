@@ -17,13 +17,9 @@ from __future__ import annotations
 
 from collections import Counter
 from math import prod
-from typing import TYPE_CHECKING
 
 from .cartan import WeylkitError
 from .roots import Coords, RootSystem
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_CAP = 3_000_000
 MATERIALIZE_CAP = 200_000
@@ -167,14 +163,14 @@ def root_reflection(rs: RootSystem, root_index: int) -> WeylElement:
 class WeylGroup:
     """An enumerated Weyl group.
 
-    ``layers[k]`` holds the rho-orbit vectors of the length-k elements as an
-    int16 array, each row generated once from its canonical parent, in
+    ``layers[k]`` holds the rho-orbit vectors of the length-k elements as a
+    numpy int16 array, each row generated once from its canonical parent, in
     generation order; the layer sizes are the Poincare coefficients. Full
     permutation elements are materialized on demand and only sensible for
     small groups.
     """
 
-    def __init__(self, rs: RootSystem, layers: list[np.ndarray]):
+    def __init__(self, rs: RootSystem, layers: list):
         self.rs = rs
         self.layers = layers
         self.histogram = [len(layer) for layer in layers]

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -512,6 +514,33 @@ def test_numpy_loads_only_for_weyl_enumeration():
     numpy_loaded, weyl_doc = seen["weyl"]
     assert numpy_loaded is True
     assert weyl_doc["order"] == weyl_doc["enumerated"] == 12
+
+
+def test_classify_relabelled_d60_answers():
+    # a relabelling of D60 on which the Smith elimination with transforms
+    # swelled past 90 s; the timeout only stops a hang
+    perm = list(range(60))
+    random.Random(60014).shuffle(perm)
+    d60 = cartan.catalog("D", 60)
+    matrix = [[d60[a][b] for b in perm] for a in perm]
+    proc = subprocess.run([sys.executable, "-m", "weylkit.cli", "classify", "-"],
+                          input=json.dumps({"matrix": matrix}), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    validate_document(doc)
+    assert doc["type"] == [["D", 60]] and doc["fundamental_group"] == [2, 2]
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # -S keeps site hooks (a .pth file may import typing) out of the check
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import sys\nimport weylkit.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'random'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_selfcheck_deterministic_under_seed():

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weylkit import intmat
-from weylkit.cartan import catalog
+from weylkit.cartan import catalog, catalog_types
 
 from oracles import cofactor_det, solve_fractions
 
@@ -55,6 +57,34 @@ def test_smith_normal_form_properties(m):
             assert b % a == 0
         else:
             assert b == 0
+
+
+def _smith_diagonal(m):
+    return intmat.diagonal(intmat.smith_normal_form(m)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrix, st.integers(1, 3))
+def test_invariant_factors_match_smith_diagonal(m, multiple):
+    # any positive multiple of |det| is a valid modulus
+    d = abs(intmat.det(m))
+    if d:
+        assert intmat.invariant_factors(m, multiple * d) == _smith_diagonal(m)
+
+
+def _relabel(m, rng: random.Random):
+    perm = list(range(len(m)))
+    rng.shuffle(perm)
+    return [[m[a][b] for b in perm] for a in perm]
+
+
+def test_invariant_factors_match_smith_diagonal_on_cartan_matrices():
+    # every catalog type up to rank 20, and seeded relabellings up to rank 12
+    cases = [catalog(f, n).rows() for f, n in catalog_types(20)]
+    rng = random.Random(12)
+    cases += [_relabel(catalog(f, n).rows(), rng) for f, n in catalog_types(12) for _ in range(3)]
+    for m in cases:
+        assert intmat.invariant_factors(m, intmat.det(m)) == _smith_diagonal(m), m
 
 
 # a square matrix, sometimes with its last row replaced by its first (so
