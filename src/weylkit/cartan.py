@@ -15,8 +15,7 @@ as (B, 2).
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import intmat
 
@@ -230,31 +229,31 @@ def symmetrizer(c: GCM) -> Symmetrizer:
     if not is_finite_type(c):
         raise NotFiniteType()
     n = c.n
-    d: list[Fraction | None] = [None] * n
+    d = [0] * n
     for comp in c.components():
-        d[comp[0]] = Fraction(1)
+        d[comp[0]] = 1
         stack = [comp[0]]
         while stack:
             i = stack.pop()
             for j in comp:
-                if c[i][j] != 0 and d[j] is None:
-                    # d_i C_ij = d_j C_ji along the edge i - j
-                    d[j] = d[i] * Fraction(c[i][j], c[j][i])
+                if c[i][j] != 0 and d[j] == 0:
+                    # d_i C_ij = d_j C_ji along the edge i - j; where C_ji does
+                    # not divide d_i C_ij, scale the values found so far by the
+                    # least factor that makes it, so they stay coprime
+                    scale = -c[j][i] // gcd(d[i] * c[i][j], c[j][i])
+                    if scale > 1:
+                        for k in comp:
+                            d[k] *= scale
+                    d[j] = d[i] * c[i][j] // c[j][i]
                     stack.append(j)
-        denom = lcm(*(x.denominator for x in (d[i] for i in comp)))
-        numer = gcd(*(x.numerator * (denom // x.denominator)
-                      for x in (d[i] for i in comp)))
-        for i in comp:
-            d[i] = Fraction(d[i] * denom, numer)
-    dd = [int(x) for x in d]
     lengths = [0] * n
     for comp in c.components():
-        top = max(dd[i] for i in comp)
+        top = max(d[i] for i in comp)
         for i in comp:
-            if top % dd[i] != 0:
+            if top % d[i] != 0:
                 raise NotFiniteType("symmetrizer does not define length classes")
-            lengths[i] = top // dd[i]
-    return Symmetrizer(tuple(dd), tuple(lengths))
+            lengths[i] = top // d[i]
+    return Symmetrizer(tuple(d), tuple(lengths))
 
 
 # ---------------------------------------------------------------------------

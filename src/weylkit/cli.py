@@ -30,11 +30,9 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
-from . import cartan, chevalley, isogeny, pushforward, rootdata, roots, schemas, weyl
-from .characters import (EulerData, shifted_euler_characteristic, volume,
-                         weyl_dim)
+from . import (cartan, characters, chevalley, isogeny, pushforward, rootdata, roots,
+               schemas, weyl)
 
 # let values like "-2,1" pass as option arguments rather than flags
 _NEGATIVE_VECTOR = re.compile(r"^-\d+(,-?\d+)*$")
@@ -133,9 +131,12 @@ def _load_json(path: str, spec):
 # classify
 # ---------------------------------------------------------------------------
 
-def _weyl_counts(rs: roots.RootSystem, cap: int) -> tuple:
+def _weyl_counts(rs: roots.RootSystem, cap: int | None) -> tuple:
     """|W| from the degrees, then the enumerated order and the Poincare
-    polynomial, both "skipped" when |W| exceeds the cap."""
+    polynomial, both "skipped" when |W| exceeds the cap (``weyl.DEFAULT_CAP``
+    when None)."""
+    if cap is None:
+        cap = weyl.DEFAULT_CAP
     order = weyl.weyl_order(rs)
     if order > cap:
         return order, "skipped", "skipped"
@@ -171,9 +172,10 @@ def _cmd_classify(args) -> tuple[dict, int]:
     report["symmetrizer"] = list(rs.sym.d)
     report["positive_roots"] = rs.num_positive
     report["dimension"] = rs.num_positive
+    # before _weyl_counts, which may import numpy
+    report["fundamental_group"] = list(rootdata.fundamental_group(gcm))
     (report["weyl_order"], report["weyl_order_enumerated"],
      report["poincare"]) = _weyl_counts(rs, args.cap)
-    report["fundamental_group"] = list(rootdata.fundamental_group(gcm))
     return report, 0
 
 
@@ -224,11 +226,13 @@ def _cmd_bs_weights(args) -> tuple[dict, int]:
 
 
 def _cmd_character(args) -> tuple[dict, int]:
-    """``dim`` or ``vol``: ``args.formula`` at one weight, a rational as p/q."""
+    """``dim`` or ``vol``: the ``characters`` function ``args.formula``
+    names at one weight, a rational as p/q."""
     rs = _root_system(args)
     weight = _parse_weight(args.weight, rs.gcm, args.basis)
-    value = args.formula(EulerData.from_root_system(rs), weight)
-    if isinstance(value, Fraction):
+    formula = getattr(characters, args.formula)
+    value = formula(characters.EulerData.from_root_system(rs), weight)
+    if not isinstance(value, int):
         value = str(value)
     return {"weight": list(weight), "value": value}, 0
 
@@ -293,19 +297,19 @@ def _cmd_selfcheck(args) -> tuple[dict, int]:
     import random   # here alone, so no other subcommand loads it
 
     rs = _root_system(args)
-    ed = EulerData.from_root_system(rs)
+    ed = characters.EulerData.from_root_system(rs)
     rng = random.Random(args.seed)
     anti = True
     equi = True
     for _ in range(args.samples):
         d = tuple(rng.randint(-6, 6) for _ in range(rs.rank))
-        chi = shifted_euler_characteristic(ed, d)
+        chi = characters.shifted_euler_characteristic(ed, d)
         for i in range(rs.rank):
-            if shifted_euler_characteristic(ed, weyl.reflect(rs, i, d)) != -chi:
+            if characters.shifted_euler_characteristic(ed, weyl.reflect(rs, i, d)) != -chi:
                 anti = False
         word = [rng.randrange(rs.rank) for _ in range(rng.randint(0, 8))]
         w = weyl.element_from_word(rs, word)
-        if volume(ed, w.act_weight(d)) != w.det() * volume(ed, d):
+        if characters.volume(ed, w.act_weight(d)) != w.det() * characters.volume(ed, d):
             equi = False
     return {
         "seed": args.seed,
@@ -341,7 +345,8 @@ def _count(text: str) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     # a string default goes through type=int, so a bad value is a usage error
-    cap_default = os.environ.get("WEYLKIT_WEYL_CAP", str(weyl.DEFAULT_CAP))
+    # of the subcommands that take --cap; unset, _weyl_counts picks the default
+    cap_default = os.environ.get("WEYLKIT_WEYL_CAP")
     top = _Parser(
         prog="weylkit",
         description="Exact root-system, Weyl-group and root-datum computations",
@@ -384,11 +389,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="Weyl dimension of a dominant weight")
     weight_args(p)
-    p.set_defaults(func=_cmd_character, spec=schemas.DIM, formula=weyl_dim)
+    p.set_defaults(func=_cmd_character, spec=schemas.DIM, formula="weyl_dim")
 
     p = sub.add_parser("vol", help="volume polynomial value")
     weight_args(p)
-    p.set_defaults(func=_cmd_character, spec=schemas.VOL, formula=volume)
+    p.set_defaults(func=_cmd_character, spec=schemas.VOL, formula="volume")
 
     p = sub.add_parser("isogeny", help="special isogenies and validation")
     act = p.add_subparsers(dest="action", required=True)

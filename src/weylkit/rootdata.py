@@ -117,38 +117,50 @@ class PinnedRootDatum(namedtuple("PinnedRootDatum", "rank roots coroots simples"
                    tuple(map(tuple, doc["coroots"])), tuple(doc["simple"]))
 
 
+def _combiner(basis, rank: int):
+    """The map from coefficients over ``basis`` (vectors of ``rank``
+    entries) to their combination, summing only nonzero terms."""
+    terms = [[(i, x) for i, x in enumerate(v) if x] for v in basis]
+
+    def image(coeffs) -> Vec:
+        out = [0] * rank
+        for a, vec in zip(coeffs, terms):
+            if a:
+                for i, x in vec:
+                    out[i] += a * x
+        return tuple(out)
+    return image
+
+
+def _simples(rs: RootSystem) -> tuple[int, ...]:
+    return tuple(rs.simple(k).index for k in range(rs.rank))
+
+
 def _image(rs: RootSystem, simple_roots, simple_coroots, rank: int) -> PinnedRootDatum:
     """``rs`` carried onto the given simple roots and coroots (vectors of
-    ``rank`` entries), summing only nonzero terms."""
-    def combine(basis):
-        terms = [[(i, x) for i, x in enumerate(v) if x] for v in basis]
-
-        def image(coeffs) -> Vec:
-            out = [0] * rank
-            for a, vec in zip(coeffs, terms):
-                if a:
-                    for i, x in vec:
-                        out[i] += a * x
-            return tuple(out)
-        return image
-
-    to_m, to_dual = combine(simple_roots), combine(simple_coroots)
+    ``rank`` entries)."""
+    to_m, to_dual = _combiner(simple_roots, rank), _combiner(simple_coroots, rank)
     return PinnedRootDatum(rank, tuple(to_m(r.coords) for r in rs.roots),
-                           tuple(to_dual(r.coroot) for r in rs.roots),
-                           tuple(rs.simple(k).index for k in range(rs.rank)))
+                           tuple(to_dual(r.coroot) for r in rs.roots), _simples(rs))
 
 
 def adjoint_datum(c: GCM) -> PinnedRootDatum:
-    """Character lattice = root lattice, the simple roots its basis; simple
-    coroot k is column k of C in the dual basis."""
-    return _image(generate_roots(c), intmat.identity(c.n),
-                  intmat.transpose(c.rows()), c.n)
+    """Character lattice = root lattice, the simple roots its basis, so roots
+    keep their coordinates; simple coroot k is column k of C in the dual
+    basis."""
+    rs = generate_roots(c)
+    to_dual = _combiner(intmat.transpose(c.rows()), c.n)
+    return PinnedRootDatum(c.n, tuple(r.coords for r in rs.roots),
+                           tuple(to_dual(r.coroot) for r in rs.roots), _simples(rs))
 
 
 def simply_connected_datum(c: GCM) -> PinnedRootDatum:
-    """Character lattice = weight lattice, the fundamental weights its basis;
-    simple root k is row k of C, and coroots keep their coordinates."""
-    return _image(generate_roots(c), c.entries, intmat.identity(c.n), c.n)
+    """Character lattice = weight lattice, the fundamental weights its basis,
+    so a root is its weight (simple root k is row k of C); coroots keep their
+    coordinates."""
+    rs = generate_roots(c)
+    return PinnedRootDatum(c.n, tuple(r.weight for r in rs.roots),
+                           tuple(r.coroot for r in rs.roots), _simples(rs))
 
 
 def fundamental_group(c: GCM) -> tuple[int, ...]:

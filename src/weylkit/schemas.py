@@ -12,8 +12,6 @@ a literal value or ``None``; a dict of field specs; ``ListOf(spec)``; or
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class _Spec:
     """An immutable spec marker, equal and hashed by its one field."""
@@ -210,6 +208,8 @@ def check(value, spec, path: str = "") -> None:
     elif spec == "rational":
         if not isinstance(value, str):
             raise SchemaViolation(f"{path}: expected p/q rational string")
+        from fractions import Fraction   # here alone: only a rational spec needs it
+
         try:
             Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -28,11 +28,36 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt, lcm
 
 from weylkit import intmat
 from weylkit.chevalley import bracket_constant, steinberg_check
 from weylkit.pushforward import pushforward_multiset
+
+
+def symmetrizer_fractions(c) -> tuple[int, ...]:
+    """The least positive integers d with d_i C_ij = d_j C_ji on each
+    connected component of the matrix rows ``c``: ratios d_j = d_i C_ij / C_ji
+    propagated as fractions, then denominators and common factors cleared."""
+    n = len(c)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        comp, stack = [start], [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if c[i][j] != 0 and d[j] is None:
+                    d[j] = d[i] * Fraction(c[i][j], c[j][i])
+                    comp.append(j)
+                    stack.append(j)
+        denom = lcm(*(d[i].denominator for i in comp))
+        numer = gcd(*(d[i].numerator * (denom // d[i].denominator) for i in comp))
+        for i in comp:
+            d[i] = d[i] * denom / numer
+    return tuple(int(x) for x in d)
 
 
 def cofactor_det(m) -> int:

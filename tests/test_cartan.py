@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from weylkit.intmat import leading_principal_minors
 from weylkit.roots import generate_roots
 
 from oracles import (brute_scaled_pairs, cofactor_det, first_permutation_match,
-                     reflection_closure)
+                     reflection_closure, symmetrizer_fractions)
 
 ALL_TYPES = cartan.catalog_types(max_rank=8)
 
@@ -80,6 +81,23 @@ def test_symmetrizer_gcd_one_per_component():
     sym = cartan.symmetrizer(g)
     for comp in g.components():
         assert gcd(*(sym.d[i] for i in comp)) == 1
+
+
+def test_symmetrizer_matches_fraction_oracle():
+    # every catalog type up to rank 20, then seeded relabellings of sums of
+    # them, so a walk may start at any node and meet edges in any direction
+    for family, rank in cartan.catalog_types(max_rank=20):
+        g = cartan.catalog(family, rank)
+        assert cartan.symmetrizer(g).d == symmetrizer_fractions(g.rows()), (family, rank)
+    rng = random.Random(18)
+    small = cartan.catalog_types(max_rank=6)
+    for _ in range(60):
+        label = "+".join(f"{f}{r}" for f, r in rng.sample(small, rng.randint(1, 3)))
+        g = cartan.parse_type(label)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = cartan.validate_gcm([[g[a][b] for b in perm] for a in perm])
+        assert cartan.symmetrizer(h).d == symmetrizer_fractions(h.rows()), (label, perm)
 
 
 def test_symmetrizer_requires_finite_type():

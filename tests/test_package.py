@@ -1,0 +1,135 @@
+"""The package runs a submodule's body only when a request first uses it:
+each subcommand executes exactly the modules it needs, the package exports
+are the home modules' own objects, and ``perfbench/tracer.py`` still finds
+every module it patches."""
+
+import importlib
+import json
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import weylkit
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+MODULES = {"intmat", "schemas", "cartan", "roots", "weyl", "characters",
+           "pushforward", "rootdata", "isogeny", "chevalley"}
+# what every --type subcommand needs: the front end, its output shapes, and
+# the catalog matrix with its root system
+BASE = {"cli", "schemas", "cartan", "intmat", "roots"}
+
+# prints the weylkit modules whose bodies have run after the given code
+EXECUTED = (
+    "import json, sys, types\n"
+    "{}\n"
+    "print(json.dumps([n.split('.', 1)[1] for n, m in sys.modules.items()\n"
+    "                  if n.startswith('weylkit.') and type(m) is types.ModuleType]))\n"
+)
+RUN_CLI = ("import io, contextlib, weylkit.cli\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    code = weylkit.cli.main(sys.argv[1:])\n"
+           "assert code == 0, code")
+
+
+def executed(code: str, argv=(), stdin: str = "") -> set:
+    proc = subprocess.run([sys.executable, "-c", EXECUTED.format(code), *argv],
+                          input=stdin, capture_output=True, text=True, env=ENV,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_bare_import_executes_no_submodule():
+    assert executed("import weylkit") == set()
+    # cli's ParseError derives from cartan.WeylkitError
+    assert executed("import weylkit.cli") == {"cli", "cartan"}
+
+
+SUBCOMMANDS = [
+    (["roots", "--type", "B2"], set()),
+    (["weyl", "--type", "B2"], {"weyl"}),
+    (["dim", "--type", "B2", "--weight", "1,0"], {"characters"}),
+    (["vol", "--type", "B2", "--weight", "1,0"], {"characters"}),
+    (["selfcheck", "--type", "B2", "--samples", "2"], {"characters", "weyl"}),
+    (["bs-weights", "--type", "B2", "--word", "1,2", "--weight", "1,0"],
+     {"weyl", "pushforward"}),
+    (["datum", "--type", "B2"], {"rootdata"}),
+    (["classify", "-"], {"rootdata", "weyl"}),
+    (["isogeny", "enumerate", "--type", "B2", "--p", "2"], {"weyl", "rootdata", "isogeny"}),
+    (["chevalley", "check", "--type", "B2", "--p", "2"],
+     MODULES - {"characters", "pushforward"}),
+]
+
+
+@pytest.mark.parametrize("argv, extra", SUBCOMMANDS, ids=[a[0] for a, _ in SUBCOMMANDS])
+def test_subcommand_executes_only_the_modules_it_uses(argv, extra):
+    stdin = '{"matrix": [[2, -1], [-2, 2]]}'
+    assert executed(RUN_CLI, argv, stdin) == BASE | extra
+
+
+def test_classify_runs_rootdata_before_numpy():
+    # rootdata compiled after numpy's import lands on top of numpy's memory
+    # and raises classify's peak RSS
+    code = ("import contextlib, io, sys, types, weylkit.cli\n"
+            "from weylkit import weyl\n"
+            "enumerate_weyl, seen = weyl.enumerate_weyl, []\n"
+            "def spy(*args, **kwargs):\n"
+            "    seen.append(type(sys.modules['weylkit.rootdata']) is types.ModuleType)\n"
+            "    seen.append('numpy' in sys.modules)\n"
+            "    return enumerate_weyl(*args, **kwargs)\n"
+            "weyl.enumerate_weyl = spy\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    weylkit.cli.main(['classify', '-'])\n"
+            "print(seen)\n")
+    proc = subprocess.run([sys.executable, "-c", code], input='{"matrix": [[2, -1], [-1, 2]]}',
+                          capture_output=True, text=True, env=ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[True, False]\n"
+
+
+def test_exports_are_the_home_module_objects():
+    for home, names in weylkit._EXPORTS.items():
+        module = importlib.import_module(f"weylkit.{home}")
+        for name in names:
+            obj = getattr(weylkit, name)
+            assert obj is getattr(module, name), name
+            # the table names where an object is defined, not a module that
+            # imports it (GradedWeights is an alias of collections.Counter)
+            assert obj.__module__ in (module.__name__, "collections"), name
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace = {}
+    exec("from weylkit import *", namespace)
+    assert set(weylkit.__all__) <= set(namespace)
+    assert set(weylkit.__all__) <= set(dir(weylkit))
+    assert MODULES <= set(dir(weylkit))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        weylkit.no_such_name
+
+
+def test_tracer_patches_the_lazily_loaded_modules():
+    # the tracer reads sys.modules["weylkit.<module>"] right after importing
+    # the package, so every module must be registered by then
+    argv = ["roots", "--type", "B2"]
+    plain = subprocess.run([sys.executable, "-m", "weylkit.cli", *argv],
+                           capture_output=True, text=True, env=ENV, timeout=60)
+    traced = subprocess.run([sys.executable, str(TRACER), "cli", *argv],
+                            capture_output=True, text=True, env=ENV, timeout=60)
+    assert plain.returncode == traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    mark = runpy.run_path(str(TRACER))["MARK"]
+    last = traced.stderr.rstrip("\n").rpartition("\n")[2]
+    assert last.startswith(mark)
+    calls, _, _ = json.loads(last[len(mark):])["spans"]["roots.generate_roots"]
+    assert calls > 0

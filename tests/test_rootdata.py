@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import cartan, rootdata
-from weylkit.intmat import transpose
+from weylkit.intmat import identity, transpose
 from weylkit.roots import generate_roots
 from weylkit.rootdata import (FundamentalGroupTooLarge, PinnedRootDatum, RootDatumError,
                               adjoint_datum, fundamental_group, fundamental_group_order,
@@ -146,6 +146,18 @@ def test_builders_match_per_root_oracle():
         assert [parts(d) for d in intermediate_lattices(g)] == intermediate_per_root(rs)
 
 
+def test_builders_equal_the_general_image():
+    # each builder reads one side off the root system as it stands; _image
+    # combines both sides over the bases the builders' docstrings name
+    for family, rank in cartan.catalog_types(max_rank=12):
+        g = cartan.catalog(family, rank)
+        rs = generate_roots(g)
+        assert adjoint_datum(g) == rootdata._image(rs, identity(rank), transpose(g.rows()),
+                                                   rank), (family, rank)
+        assert simply_connected_datum(g) == rootdata._image(rs, g.entries, identity(rank),
+                                                            rank), (family, rank)
+
+
 def test_simply_connected_datum_roots_are_cartan_rows():
     for label in ["A1", "A2", "B2"]:
         g = cartan.parse_type(label)
@@ -260,7 +272,7 @@ def test_pinned_isomorphism_recovers_change_of_basis(label, basis):
     got = pinned_isomorphism(datum, moved)
     assert got == tuple(tuple(row) for row in basis)
     # and the two directions invert each other
-    from weylkit.intmat import identity, matmul
+    from weylkit.intmat import matmul
 
     assert matmul([list(r) for r in f], [list(r) for r in got]) == identity(2)
 
