@@ -15,6 +15,9 @@ finite, 3 not a generalized Cartan matrix, 4 unreadable input, and 1 with a
 ``cartan.MAX_RANK``, refused before the finite-type test. Other
 subcommands exit 0 on success and 1 with a machine-readable error object;
 a ``--type`` label whose ranks sum past ``cartan.MAX_RANK`` is one.
+``classify`` and ``weyl`` alike exit 1 with a ``LayersTooLarge`` error
+document when a ``--cap`` lets through a group whose Weyl layers would pass
+``weyl.MAX_LAYER_BYTES`` (E8 at any cap), refused before any layer is built.
 A usage error (an unknown subcommand, a missing or malformed option) is
 unreadable input too: it writes one ``ParseError`` error document and exits
 4 under ``classify``, 1 otherwise. A result or message with an integer past

@@ -9,20 +9,39 @@ parent of length k (Casselman's smallest-descent rule). That keeps the
 enumeration at a few bytes per element with no deduplication (E7's 2.9
 million elements fit comfortably). |W| comes from the invariant degrees
 read off the root heights, so a group over the cap (E8 at the default) is
-refused before any layer is built. numpy holds the layers and is imported
-by ``enumerate_weyl`` alone, so nothing else in the package loads it.
+refused before any layer is built, and so is one whose layers would pass
+``MAX_LAYER_BYTES`` (E8 at any cap).
+
+The layers have two storages, chosen from |W| alone. Up to
+``PYTHON_WALK_MAX`` elements the walk runs in pure Python and stores each
+layer as int16 rows in a 2-D memoryview over an ``array("h")``; above it
+numpy holds the layers as int16 arrays. Both walks keep the same rows in
+the same order. The Python walk costs about 5 us an element and importing
+numpy 120-200 ms, so in a fresh process the Python walk is the faster up
+to 25 000-45 000 elements; the constant leaves a margin of 2 or more. numpy
+is imported by the numpy walk alone, so nothing else in the package loads
+it, and a small group never does.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
+from itertools import chain
 from math import prod
+from operator import sub
 
 from .cartan import WeylkitError
 from .roots import Coords, RootSystem
 
 DEFAULT_CAP = 3_000_000
 MATERIALIZE_CAP = 200_000
+# largest |W| walked in pure Python; past it the numpy walk is faster
+PYTHON_WALK_MAX = 10_000
+# most bytes of int16 layers (|W| * rank * 2) any enumeration may build,
+# whatever the cap: E7's 41 MB pass (`weyl --type E7` peaks at 68 MB in
+# all), E8's 11.1 GB do not
+MAX_LAYER_BYTES = 256 * 2 ** 20
 
 
 class WeylError(WeylkitError):
@@ -45,6 +64,15 @@ class CapExceeded(WeylError):
     def __init__(self, cap: int):
         self.cap = cap
         super().__init__(f"Weyl group enumeration would exceed {cap} elements")
+
+
+class LayersTooLarge(WeylError):
+    details = ("layer_bytes", "bound")
+
+    def __init__(self, layer_bytes: int):
+        self.layer_bytes, self.bound = layer_bytes, MAX_LAYER_BYTES
+        super().__init__(f"Weyl group layers would take {layer_bytes} bytes, "
+                         f"past the bound {MAX_LAYER_BYTES}")
 
 
 def check_index(rs: RootSystem, i: int) -> None:
@@ -163,11 +191,14 @@ def root_reflection(rs: RootSystem, root_index: int) -> WeylElement:
 class WeylGroup:
     """An enumerated Weyl group.
 
-    ``layers[k]`` holds the rho-orbit vectors of the length-k elements as a
-    numpy int16 array, each row generated once from its canonical parent, in
-    generation order; the layer sizes are the Poincare coefficients. Full
-    permutation elements are materialized on demand and only sensible for
-    small groups.
+    ``layers[k]`` holds the rho-orbit vectors of the length-k elements as
+    int16 rows, each generated once from its canonical parent, in generation
+    order; the layer sizes are the Poincare coefficients. A group of at most
+    ``PYTHON_WALK_MAX`` elements stores each layer as a 2-D memoryview over
+    an ``array("h")``, a larger one as a numpy array (the walk that is
+    faster at that size). Both have ``len``, ``nbytes`` and ``tolist()``.
+    Full permutation elements are materialized on demand and only sensible
+    for small groups.
     """
 
     def __init__(self, rs: RootSystem, layers: list):
@@ -189,7 +220,8 @@ class WeylGroup:
             raise CapExceeded(MATERIALIZE_CAP)
         out = []
         for layer in self.layers:
-            for row in layer:
+            # a 2-D memoryview is not iterable by rows
+            for row in layer.tolist():
                 out.append(element_from_word(self.rs, word_from_vector(self.rs, row)))
         return out
 
@@ -201,16 +233,54 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
     w, and no coordinate is ever 0. A child s_i v of a layer-k vector v with
     v[i] > 0 is kept only when i is its smallest negative coordinate, the
     descent ``word_from_vector`` strips first, so every element of length
-    k + 1 comes from exactly one parent. When |W| (``weyl_order``) is over
-    ``cap`` it raises CapExceeded before numpy is imported or a layer built.
+    k + 1 comes from exactly one parent. |W| (``weyl_order``) is checked
+    before numpy is imported or a layer built: over ``cap`` it raises
+    CapExceeded, and with layers past ``MAX_LAYER_BYTES`` LayersTooLarge.
+    It then picks the walk, Python up to ``PYTHON_WALK_MAX`` elements.
 
     >>> from weylkit.cartan import parse_type
     >>> from weylkit.roots import generate_roots
     >>> enumerate_weyl(generate_roots(parse_type("G2"))).histogram
     [1, 2, 2, 2, 2, 2, 1]
     """
-    if weyl_order(rs) > cap:
+    order = weyl_order(rs)
+    if order > cap:
         raise CapExceeded(cap)
+    layer_bytes = order * rs.rank * 2  # one int16 row per element
+    if layer_bytes > MAX_LAYER_BYTES:
+        raise LayersTooLarge(layer_bytes)
+    walk = _walk_python if order <= PYTHON_WALK_MAX else _walk_numpy
+    return WeylGroup(rs, walk(rs))
+
+
+def _walk_python(rs: RootSystem) -> list[memoryview]:
+    """The layers in pure Python, children generated for i = 0..n-1 in
+    turn, each over the parents in order, as the numpy walk does."""
+    n = rs.rank
+    c = rs.gcm.rows()
+    # a coordinate of w(rho) is the height of a coroot, at most the number
+    # of positive roots, so scaled[i][a] = a * C[i] covers every step
+    scaled = [[tuple(a * x for x in row) for a in range(rs.num_positive + 1)] for row in c]
+    cur = [(1,) * n]
+    layers = []
+    while cur:
+        layers.append(memoryview(array("h", chain.from_iterable(cur)))
+                      .cast("B").cast("h", [len(cur), n]))
+        children = []
+        for i in range(n):
+            step = scaled[i]
+            for v in cur:
+                a = v[i]
+                if a > 0:
+                    child = tuple(map(sub, v, step[a]))
+                    if i == 0 or min(child[:i]) > 0:
+                        children.append(child)
+        cur = children
+    return layers
+
+
+def _walk_numpy(rs: RootSystem) -> list:
+    """The layers as numpy int16 arrays, each step vectorised over a layer."""
     import numpy as np
 
     n = rs.rank
@@ -227,7 +297,7 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
         if len(cur) == 0:
             break
         layers.append(cur)
-    return WeylGroup(rs, layers)
+    return layers
 
 
 # ---------------------------------------------------------------------------

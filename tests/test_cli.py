@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from weylkit import cartan, intmat, isogeny, rootdata, schemas
+from weylkit import cartan, intmat, isogeny, rootdata, schemas, weyl
 from weylkit.cli import main
 from weylkit.schemas import validate_document
 
@@ -284,6 +285,56 @@ def test_rank_past_the_cap_is_one_error_document(argv, monkeypatch):
     assert doc["error"]["rank"] > cartan.MAX_RANK
 
 
+G2_MATRIX = json.dumps({"matrix": cartan.catalog("G", 2).rows()})
+
+
+@pytest.mark.parametrize("argv, stdin", [(["weyl", "--type", "G2"], None),
+                                         (["classify", "-"], G2_MATRIX)],
+                         ids=["weyl", "classify"])
+def test_layers_past_the_memory_bound_are_one_error_document(argv, stdin, monkeypatch):
+    # G2's layers take 12 x 2 x 2 = 48 bytes: refused one byte under that
+    monkeypatch.setattr(weyl, "MAX_LAYER_BYTES", 47)
+    code, out = run_cli(argv, stdin)
+    assert code == 1
+    doc = json.loads(out)
+    validate_document(doc)
+    assert doc["error"] == {"code": "LayersTooLarge", "layer_bytes": 48, "bound": 47,
+                            "message": "Weyl group layers would take 48 bytes, "
+                                       "past the bound 47"}
+    monkeypatch.setattr(weyl, "MAX_LAYER_BYTES", 48)
+    code, out = run_cli(argv, stdin)
+    assert code == 0 and json.loads(out)["poincare"] == [1, 2, 2, 2, 2, 2, 1]
+
+
+def _address_space_of_1_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["weyl", "--type", "E8", "--cap", "700000000"], None),
+    (["classify", "--cap", "700000000", "-"],
+     json.dumps({"matrix": cartan.catalog("E", 8).rows()})),
+], ids=["weyl", "classify"])
+def test_e8_is_refused_at_any_cap_before_numpy(argv, stdin):
+    # a cap over |W(E8)| = 696 729 600 would ask for 11.1 GB of layers; the
+    # child's address space is capped so that a missing bound fails this
+    # test instead of exhausting the machine
+    code = ("import sys\n"
+            "from weylkit.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], input=stdin,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_address_space_of_1_gib)
+    assert proc.returncode == 0, proc.stderr
+    out, seen = proc.stdout.splitlines()
+    assert seen == "1 False"
+    doc = json.loads(out)
+    validate_document(doc)
+    assert doc["error"]["code"] == "LayersTooLarge"
+    assert doc["error"]["layer_bytes"] == 696_729_600 * 8 * 2
+
+
 def test_classify_refuses_a_rank_past_the_cap_before_eliminating(monkeypatch):
     calls = []
     monkeypatch.setattr(intmat, "leading_principal_minors", calls.append)
@@ -489,8 +540,9 @@ def test_isogeny_validate_validates_once(tmp_path, monkeypatch, k):
 
 
 def test_numpy_loads_only_for_weyl_enumeration():
-    # enumerate_weyl imports numpy itself, so a request that does not
-    # enumerate W never pays for it; weyl shows the check can see numpy
+    # only the numpy walk imports numpy, so a request that does not
+    # enumerate W, or enumerates a group of at most weyl.PYTHON_WALK_MAX
+    # elements, never pays for it; A7 (40 320) shows the check can see numpy
     code = (
         "import io, json, sys\n"
         "from contextlib import redirect_stdout\n"
@@ -498,10 +550,11 @@ def test_numpy_loads_only_for_weyl_enumeration():
         "seen = {'import weylkit': 'numpy' in sys.modules}\n"
         "import weylkit.cli\n"
         "seen['import weylkit.cli'] = 'numpy' in sys.modules\n"
-        "for argv in (['roots', '--type', 'A1'], ['weyl', '--type', 'G2']):\n"
+        "for argv in (['roots', '--type', 'A1'], ['weyl', '--type', 'G2'],\n"
+        "             ['weyl', '--type', 'A7']):\n"
         "    with redirect_stdout(io.StringIO()) as out:\n"
         "        weylkit.cli.main(argv)\n"
-        "    seen[argv[0]] = ['numpy' in sys.modules, json.loads(out.getvalue())]\n"
+        "    seen[' '.join(argv)] = ['numpy' in sys.modules, json.loads(out.getvalue())]\n"
         "print(json.dumps(seen))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -510,10 +563,13 @@ def test_numpy_loads_only_for_weyl_enumeration():
     seen = json.loads(proc.stdout)
     assert seen["import weylkit"] is False
     assert seen["import weylkit.cli"] is False
-    assert seen["roots"][0] is False
-    numpy_loaded, weyl_doc = seen["weyl"]
-    assert numpy_loaded is True
+    assert seen["roots --type A1"][0] is False
+    numpy_loaded, weyl_doc = seen["weyl --type G2"]
+    assert numpy_loaded is False
     assert weyl_doc["order"] == weyl_doc["enumerated"] == 12
+    numpy_loaded, weyl_doc = seen["weyl --type A7"]
+    assert numpy_loaded is True
+    assert weyl_doc["order"] == weyl_doc["enumerated"] == 40_320
 
 
 def test_classify_relabelled_d60_answers():

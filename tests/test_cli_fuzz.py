@@ -351,7 +351,7 @@ def test_integer_past_the_digit_limit_is_one_error_document(argv):
 
 @pytest.mark.parametrize("exc", [
     cartan.DiagonalNotTwo(0), cartan.InvalidType("Q", 7), cartan.NotFiniteType(),
-    weyl.IndexOutOfRange(3, 2), weyl.CapExceeded(10),
+    weyl.IndexOutOfRange(3, 2), weyl.CapExceeded(10), weyl.LayersTooLarge(48),
     chevalley.HypothesesNotMet("sum-not-long"), isogeny.RootEquationFails(0),
     ParseError("bad"),
 ])

@@ -76,7 +76,8 @@ def test_subcommand_executes_only_the_modules_it_uses(argv, extra):
 
 def test_classify_runs_rootdata_before_numpy():
     # rootdata compiled after numpy's import lands on top of numpy's memory
-    # and raises classify's peak RSS
+    # and raises classify's peak RSS. A7's 40 320 elements take the numpy
+    # walk, and the last entry shows the check can see numpy
     code = ("import contextlib, io, sys, types, weylkit.cli\n"
             "from weylkit import weyl\n"
             "enumerate_weyl, seen = weyl.enumerate_weyl, []\n"
@@ -87,11 +88,13 @@ def test_classify_runs_rootdata_before_numpy():
             "weyl.enumerate_weyl = spy\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    weylkit.cli.main(['classify', '-'])\n"
+            "seen.append('numpy' in sys.modules)\n"
             "print(seen)\n")
-    proc = subprocess.run([sys.executable, "-c", code], input='{"matrix": [[2, -1], [-1, 2]]}',
+    a7 = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(7)] for i in range(7)]
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps({"matrix": a7}),
                           capture_output=True, text=True, env=ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[True, False]\n"
+    assert proc.stdout == "[True, False, True]\n"
 
 
 def test_exports_are_the_home_module_objects():

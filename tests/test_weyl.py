@@ -118,10 +118,14 @@ def test_degrees_of_a_product_are_the_union():
     assert weyl_order(_rs("A2+G2+B3")) == 6 * 12 * 48
 
 
+# every catalog type with |W| <= 60 000, on both sides of PYTHON_WALK_MAX,
+# and a product of three
+SMALL_LABELS = [f"{f}{r}" for f, r in cartan.catalog_types()
+                if weyl_order_closed_form(f, r) <= 60_000] + ["A2+G2+B3"]
+
+
 def test_each_element_generated_once_matches_bfs_oracle():
-    labels = [f"{f}{r}" for f, r in cartan.catalog_types()
-              if weyl_order_closed_form(f, r) <= 60_000] + ["A2+G2+B3"]
-    for label in labels:
+    for label in SMALL_LABELS:
         gcm = cartan.parse_type(label)
         group = enumerate_weyl(generate_roots(gcm))
         expected = rho_orbit_layers(gcm)
@@ -130,6 +134,26 @@ def test_each_element_generated_once_matches_bfs_oracle():
             rows = [tuple(r) for r in layer.tolist()]
             assert len(set(rows)) == len(rows), (label, k)
             assert set(rows) == oracle, (label, k)
+
+
+def test_python_and_numpy_walks_keep_the_same_rows_in_the_same_order():
+    for label in SMALL_LABELS:
+        rs = _rs(label)
+        py, np_ = weyl._walk_python(rs), weyl._walk_numpy(rs)
+        assert len(py) == len(np_), label
+        for k, (a, b) in enumerate(zip(py, np_)):
+            assert a.tolist() == b.tolist(), (label, k)
+            assert len(a) == len(b)
+            assert a.nbytes == b.nbytes == len(a) * rs.rank * 2, (label, k)
+
+
+def test_the_order_picks_the_walk(monkeypatch):
+    # B3 has 48 elements: walked in Python up to the threshold, numpy past it
+    rs = _rs("B3")
+    for threshold, python in [(48, True), (47, False)]:
+        monkeypatch.setattr(weyl, "PYTHON_WALK_MAX", threshold)
+        layers = enumerate_weyl(rs).layers
+        assert [isinstance(layer, memoryview) for layer in layers] == [python] * len(layers)
 
 
 def test_histogram_is_product_of_degree_q_integers():
