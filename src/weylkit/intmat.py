@@ -92,44 +92,6 @@ def is_unimodular(a) -> bool:
     return det(a) in (1, -1)
 
 
-def hermite_rows(a) -> Matrix:
-    """Canonical row Hermite normal form of the lattice spanned by the rows.
-
-    Returns an echelon basis: pivots positive, entries above each pivot
-    reduced into [0, pivot). Zero rows are dropped, so the result has one
-    row per dimension of the row span.
-    """
-    m = [list(row) for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        # clear column c below row r by gcd steps
-        while True:
-            nz = [i for i in range(r + 1, rows) if m[i][c] != 0]
-            if not nz:
-                break
-            if m[r][c] == 0:
-                m[r], m[nz[0]] = m[nz[0]], m[r]
-                continue
-            for i in nz:
-                q = m[i][c] // m[r][c]
-                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-                if m[i][c] != 0:
-                    m[r], m[i] = m[i], m[r]
-        if r < rows and m[r][c] != 0:
-            if m[r][c] < 0:
-                m[r] = [-x for x in m[r]]
-            for i in range(r):
-                q = m[i][c] // m[r][c]
-                if q:
-                    m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-            r += 1
-            if r == rows:
-                break
-    return [row for row in m[:r]]
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(u, v, g) with u a + v b = g = gcd(a, b), for a, b >= 0, and
     (1, 0, a) when a divides b, so that a step by it leaves a's line as is."""
@@ -195,86 +157,39 @@ def invariant_factors(a, d: int) -> list[int]:
     return found
 
 
-def smith_normal_form(a) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form with transforms: returns (u, d, v) with u a v = d.
+def hermite_form(a, d: int) -> Matrix:
+    """The row Hermite normal form of the full-rank lattice spanned by the
+    rows of a, given a positive multiple d of its determinant: the
+    upper-triangular basis with positive pivots and every entry above a
+    pivot in [0, pivot), which is unique to the lattice (GTM 138, §2.4.3).
 
-    d is diagonal with nonnegative entries d1 | d2 | ..., and u, v are
-    unimodular. Works for any rectangular integer matrix, but the entries of
-    u and v swell on dense input: a random 7x7 with entries in [-6, 6] can
-    give transforms with thousands of digits and take seconds, and the
-    block itself swells on some relabelled Cartan matrices of rank 60.
-    ``invariant_factors`` reads the diagonal alone without either.
+    Cohen's elimination modulo d (GTM 138, Alg. 2.4.8): the lattice
+    contains R Z^n for a modulus R that starts at d, so the rows are kept
+    modulo R. Unimodular 2x2 steps gather column i into one row, whose
+    gcd with R is the pivot; the remaining lattice has index dividing
+    R / pivot, which becomes the next modulus. No entry ever exceeds d.
+    The rows of D4's Cartan matrix span a lattice of index 4:
+
+    >>> hermite_form([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 4)
+    [[1, 0, 1, 1], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
     """
-    m = copy(a)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    u = identity(rows)
-    v = identity(cols)
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in m:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        # find a pivot of least absolute value in the remaining block
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < best):
-                    best = abs(m[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    add_row(i, t, -(m[i][t] // m[t][t]))
-                    if m[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    add_col(j, t, -(m[t][j] // m[t][t]))
-                    if m[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        if m[t][t] < 0:
-            negate_row(t)
-        # enforce divisibility of the rest of the block by the pivot
-        stray = next(((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols)
-                      if m[i][j] % m[t][t] != 0), None)
-        if stray is not None:
-            add_row(t, stray[0], 1)
-            continue
-        t += 1
-    return u, m, v
-
-
-def diagonal(d: Matrix) -> list[int]:
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    n = len(a[0]) if a else 0
+    r, rows, h = d, [[x % d for x in row] for row in a], []
+    for i in range(n):
+        top = [0] * n
+        for row in rows:   # gather column i into top by row steps
+            if row[i]:
+                u, v, g = _xgcd(top[i], row[i])
+                x, y = top[i] // g, row[i] // g
+                top[i:], row[i:] = ([(u * p + v * q) % r for p, q in zip(top[i:], row[i:])],
+                                    [(x * q - y * p) % r for p, q in zip(top[i:], row[i:])])
+        u, _, g = _xgcd(top[i], r)
+        h.append([0] * i + [g] + [u * x % r for x in top[i + 1:]])
+        r //= g
+        rows = [[x % r for x in row] for row in rows if any(row)]
+    for k in range(n):   # reduce above each pivot, still modulo d
+        for j in range(k + 1, n):
+            f = h[k][j] // h[j][j]
+            if f:
+                h[k][j:] = [(x - f * y) % d for x, y in zip(h[k][j:], h[j][j:])]
+    return h

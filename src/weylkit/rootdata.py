@@ -34,6 +34,16 @@ class FundamentalGroupTooLarge(RootDatumError):
         super().__init__(f"fundamental group of order {order} exceeds bound {bound}")
 
 
+class TooManyLattices(RootDatumError):
+    def __init__(self, bound: int):
+        self.bound = bound
+        super().__init__(f"more than {bound} lattices lie between the root and weight lattices")
+
+
+# the most intermediate lattices one request may build
+MAX_LATTICES = 10_000
+
+
 class PinnedRootDatum(namedtuple("PinnedRootDatum", "rank roots coroots simples")):
     """(M, roots, ordered simples, coroots) in explicit coordinates: the
     ``coroots`` align with the ``roots``, and ``simples`` are indices into
@@ -179,64 +189,70 @@ def fundamental_group_order(c: GCM) -> int:
 # Intermediate lattices
 # ---------------------------------------------------------------------------
 
-def _subgroups(moduli: tuple[int, ...]) -> list[list[Vec]]:
-    """All subgroups of Z/m1 x ... x Z/mk, each as a sorted element list."""
-    elements = [tuple(x) for x in product(*(range(m) for m in moduli))]
+def _reduce(v, rows, start: int) -> list[int]:
+    """v with its entries at the pivot columns start, start + 1, ... of the
+    upper-triangular ``rows`` reduced into [0, pivot) by those rows."""
+    for j, row in enumerate(rows, start):
+        f = v[j] // row[j]
+        if f:
+            v = [x - f * y for x, y in zip(v, row)]
+    return v
 
-    def add(g: Vec, h: Vec) -> Vec:
-        return tuple((a + b) % m for a, b, m in zip(g, h, moduli))
 
-    def join(sub: frozenset[Vec], g: Vec) -> frozenset[Vec]:
-        # <sub, g> is the union of the cosets sub + k g, up to the first repeat
-        out, step = set(sub), g
-        while step not in out:
-            out.update(add(x, step) for x in sub)
-            step = add(step, g)
-        return frozenset(out)
+def _hermite_bases(q) -> list[intmat.Matrix]:
+    """The Hermite bases of the lattices L with span(q) <= L <= Z^n, for a
+    nonsingular q in Hermite form, ordered by |L / span(q)| and then by rows.
 
-    subgroups = {frozenset([elements[0]])}
-    frontier = list(subgroups)
-    while frontier:
-        sub = frontier.pop()
-        for g in elements:
-            if g not in sub:
-                bigger = join(sub, g)
-                if bigger not in subgroups:
-                    subgroups.add(bigger)
-                    frontier.append(bigger)
-    return [sorted(s) for s in sorted(subgroups, key=lambda s: (len(s), sorted(s)))]
+    A walk from the last row up, each lattice found once (Cohen, GTM 138,
+    §2.4.3, for the uniqueness of the basis). Row i has a pivot h dividing
+    q_ii and entries reduced modulo the pivots of the rows below, and
+    holds q_i in the lattice when (q_ii / h) row - q_i reduces to zero
+    modulo those rows; for h = q_ii the one such row is q_i reduced. Each
+    basis of the rows below extends, so the walk raises TooManyLattices as
+    soon as one level holds more than MAX_LATTICES of them.
+    """
+    n, bases = len(q), [[]]
+    for i in reversed(range(n)):
+        qi, grown = q[i], []
+        for below in bases:
+            tails = [range(row[j]) for j, row in enumerate(below, i + 1)]
+            for h in (h for h in range(1, qi[i] + 1) if qi[i] % h == 0):
+                k = qi[i] // h
+                rows = [_reduce(qi, below, i + 1)] if k == 1 else (
+                    row for row in ([0] * i + [h, *tail] for tail in product(*tails))
+                    if not any(_reduce([k * x - y for x, y in zip(row, qi)], below, i + 1)))
+                for row in rows:
+                    grown.append([row, *below])
+                    if len(grown) > MAX_LATTICES:
+                        raise TooManyLattices(MAX_LATTICES)
+        bases = grown
+    index = prod(row[i] for i, row in enumerate(q))
+    return sorted(bases, key=lambda b: (index // prod(row[i] for i, row in enumerate(b)), b))
 
 
 def intermediate_lattices(c: GCM, max_index: int = 10_000) -> list[PinnedRootDatum]:
     """All lattices between the root and weight lattices, as pinned data.
 
-    One datum per subgroup of the fundamental group, ordered by subgroup
-    size (the root-lattice datum first, the weight-lattice datum last).
-    Each lattice gets the canonical Hermite basis of its generating set, so
-    equal lattices always produce identical data. ``max_index`` bounds
-    |P/Q|, not the number of subgroups or the walk that finds them: A1x5
-    (|P/Q| = 32) has 374 lattices and takes about 0.1 s, A1x6 (64) has
-    2 825 and takes about 2 s.
+    In fundamental-weight coordinates the weight lattice P is Z^r and the
+    root lattice Q is spanned by the rows of C. Each lattice L between
+    them gets its canonical Hermite basis B, walked from that of Q, which
+    is read modulo det C, so equal lattices always produce identical data.
+    The data are ordered by |L/Q| and then by the rows of B: the
+    root-lattice datum first, the weight-lattice datum last. ``max_index``
+    bounds |P/Q| = det C, and ``MAX_LATTICES`` the number of lattices,
+    before any datum is built: A1x6 (|P/Q| = 64) has 2 825 lattices, A1x7
+    (128) has 29 212 and is refused.
     """
     rs = generate_roots(c)
-    # quotient of the weight lattice (fw coordinates) by the root lattice,
-    # whose basis vectors are the rows of C
-    a = intmat.transpose(c.rows())
-    _, d, v = intmat.smith_normal_form(a)
-    diag = intmat.diagonal(d)
-    order = prod(diag)
+    order = c.leading_minors[-1]
     if order > max_index:
         raise FundamentalGroupTooLarge(order, max_index)
-    # u a v = d, so column i of u^-1 is column i of a v divided by d_i
-    u_inv = [[x // di for x, di in zip(row, diag)] for row in intmat.matmul(a, v)]
-
+    a = intmat.transpose(c.rows())
     out = []
-    for subgroup in _subgroups(tuple(diag)):
-        # the root lattice and each coset e lifted to u^-1 e
-        gens = c.rows() + [intmat.matvec(u_inv, list(e)) for e in subgroup]
+    for basis in _hermite_bases(intmat.hermite_form(c.rows(), order)):
         # columns of basis_t span the lattice, its rows are the simple coroots
         # in the dual basis, and column k of x / det is simple root k
-        basis_t = intmat.transpose(intmat.hermite_rows(gens))
+        basis_t = intmat.transpose(basis)
         det, x = intmat.solve(basis_t, a)
         simple_roots = [[y // det for y in col] for col in zip(*x)]
         out.append(_image(rs, simple_roots, basis_t, c.n))

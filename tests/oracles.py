@@ -19,8 +19,9 @@ carried onto a pinning, the short-root ideal check as an all-pairs bracket
 loop, a short x short square loop and a Steinberg check per triple instead
 of one string walk per pair, a pinned isomorphism checked on every root
 and coroot instead of the two defining equations on the simples, and
-subgroups closed under the whole subgroup as generators instead of joined
-coset by coset.
+subgroups closed under the whole subgroup as generators, lifted by a Smith
+transform and re-based by a Hermite form of unbounded gcd steps, instead
+of a walk over Hermite bases modulo the determinant.
 """
 
 from __future__ import annotations
@@ -419,10 +420,129 @@ def pushforward_suffixes(rs, weight, max_len: int):
         yield word, gw
 
 
+def hermite_rows(a) -> intmat.Matrix:
+    """Canonical row Hermite normal form of the lattice spanned by the rows.
+
+    Returns an echelon basis: pivots positive, entries above each pivot
+    reduced into [0, pivot). Zero rows are dropped, so the result has one
+    row per dimension of the row span.
+    """
+    m = [list(row) for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    r = 0
+    for c in range(cols):
+        # clear column c below row r by gcd steps
+        while True:
+            nz = [i for i in range(r + 1, rows) if m[i][c] != 0]
+            if not nz:
+                break
+            if m[r][c] == 0:
+                m[r], m[nz[0]] = m[nz[0]], m[r]
+                continue
+            for i in nz:
+                q = m[i][c] // m[r][c]
+                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+                if m[i][c] != 0:
+                    m[r], m[i] = m[i], m[r]
+        if r < rows and m[r][c] != 0:
+            if m[r][c] < 0:
+                m[r] = [-x for x in m[r]]
+            for i in range(r):
+                q = m[i][c] // m[r][c]
+                if q:
+                    m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+            r += 1
+            if r == rows:
+                break
+    return [row for row in m[:r]]
+
+
+def smith_normal_form(a) -> tuple[intmat.Matrix, intmat.Matrix, intmat.Matrix]:
+    """Smith normal form with transforms: returns (u, d, v) with u a v = d.
+
+    d is diagonal with nonnegative entries d1 | d2 | ..., and u, v are
+    unimodular. Works for any rectangular integer matrix, but the entries of
+    u and v swell on dense input: a random 7x7 with entries in [-6, 6] can
+    give transforms with thousands of digits and take seconds, and the
+    block itself swells on some relabelled Cartan matrices of rank 60.
+    ``intmat.invariant_factors`` reads the diagonal alone without either.
+    """
+    m = intmat.copy(a)
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    u = intmat.identity(rows)
+    v = intmat.identity(cols)
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):
+        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, q):
+        for row in m:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    def negate_row(i):
+        m[i] = [-x for x in m[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(rows, cols):
+        # find a pivot of least absolute value in the remaining block
+        piv = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if m[i][j] != 0 and (best is None or abs(m[i][j]) < best):
+                    best = abs(m[i][j])
+                    piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, rows):
+                if m[i][t] != 0:
+                    add_row(i, t, -(m[i][t] // m[t][t]))
+                    if m[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, cols):
+                if m[t][j] != 0:
+                    add_col(j, t, -(m[t][j] // m[t][t]))
+                    if m[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+        if m[t][t] < 0:
+            negate_row(t)
+        # enforce divisibility of the rest of the block by the pivot
+        stray = next(((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols)
+                      if m[i][j] % m[t][t] != 0), None)
+        if stray is not None:
+            add_row(t, stray[0], 1)
+            continue
+        t += 1
+    return u, m, v
+
+
 def subgroups_by_closure(moduli):
-    """All subgroups of Z/m1 x ... x Z/mk, sorted as ``rootdata._subgroups``
-    sorts them, each found by closing a subgroup and one more element under
-    addition with every member as a generator."""
+    """All subgroups of Z/m1 x ... x Z/mk, sorted by size and then by their
+    sorted elements, each found by closing a subgroup and one more element
+    under addition with every member as a generator."""
     elements = [tuple(x) for x in product(*(range(m) for m in moduli))]
 
     def close(gens):
@@ -482,7 +602,7 @@ def intermediate_per_root(rs):
     coroot b becomes B b for the basis rows B.
     """
     n = rs.rank
-    u, d, _ = intmat.smith_normal_form(intmat.transpose(rs.gcm.rows()))
+    u, d, _ = smith_normal_form(intmat.transpose(rs.gcm.rows()))
     diag = [d[i][i] for i in range(n)]
     u_inv_cols = [solve_fractions(u, [int(i == k) for i in range(n)]) for k in range(n)]
     assert all(x.denominator == 1 for col in u_inv_cols for x in col)
@@ -492,7 +612,7 @@ def intermediate_per_root(rs):
         for e in subgroup:
             gens.append([int(sum(col[i] * x for col, x in zip(u_inv_cols, e)))
                          for i in range(n)])
-        basis = intmat.hermite_rows(gens)
+        basis = hermite_rows(gens)
         basis_t = intmat.transpose(basis)
         roots = []
         for r in rs.roots:
@@ -501,8 +621,8 @@ def intermediate_per_root(rs):
             roots.append(tuple(int(x) for x in coords))
         coroots = (tuple(sum(b * y for b, y in zip(row, r.coroot)) for row in basis)
                    for r in rs.roots)
-        out.append(_per_root(rs, roots, coroots))
-    return out
+        out.append((len(subgroup), basis, _per_root(rs, roots, coroots)))
+    return [datum for *_, datum in sorted(out, key=lambda x: x[:2])]
 
 
 def rebased(datum, basis):

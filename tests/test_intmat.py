@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from weylkit import intmat
 from weylkit.cartan import catalog, catalog_types
 
-from oracles import cofactor_det, solve_fractions
+from oracles import cofactor_det, hermite_rows, smith_normal_form, solve_fractions
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -41,12 +41,12 @@ def test_leading_minors_match_oracle(m):
 @settings(max_examples=150, deadline=None)
 @given(rect_matrix)
 def test_smith_normal_form_properties(m):
-    u, d, v = intmat.smith_normal_form(m)
+    u, d, v = smith_normal_form(m)
     assert intmat.matmul(intmat.matmul(u, m), v) == d
     assert intmat.det(u) in (1, -1)
     assert intmat.det(v) in (1, -1)
-    diag = intmat.diagonal(d)
     rows, cols = len(d), len(d[0])
+    diag = [d[i][i] for i in range(min(rows, cols))]
     for i in range(rows):
         for j in range(cols):
             if i != j:
@@ -60,7 +60,8 @@ def test_smith_normal_form_properties(m):
 
 
 def _smith_diagonal(m):
-    return intmat.diagonal(intmat.smith_normal_form(m)[1])
+    d = smith_normal_form(m)[1]
+    return [d[i][i] for i in range(len(d))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,17 +137,17 @@ def test_leading_minors_of_a100_are_2_to_101():
 def _row_span_membership(basis, vec):
     """Does vec lie in the integer row span of basis? Solve by HNF echelon."""
     work = [list(r) for r in basis] + [list(vec)]
-    reduced = intmat.hermite_rows(work)
-    again = intmat.hermite_rows([list(r) for r in basis])
+    reduced = hermite_rows(work)
+    again = hermite_rows([list(r) for r in basis])
     return reduced == again
 
 
 @settings(max_examples=150, deadline=None)
 @given(rect_matrix)
 def test_hermite_rows_canonical_and_span_preserving(m):
-    h = intmat.hermite_rows(m)
+    h = hermite_rows(m)
     # idempotent canonical form
-    assert intmat.hermite_rows(h) == h
+    assert hermite_rows(h) == h
     # every original row is in the span of h and vice versa
     for row in m:
         assert _row_span_membership(h, row) or not any(row)
@@ -165,4 +166,28 @@ def test_hermite_rows_canonical_and_span_preserving(m):
 
 
 def test_hermite_zero_rows_dropped():
-    assert intmat.hermite_rows([[0, 0], [2, 4], [1, 2]]) == [[1, 2]]
+    assert hermite_rows([[0, 0], [2, 4], [1, 2]]) == [[1, 2]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrix, st.integers(1, 3))
+def test_hermite_form_matches_hermite_rows(m, multiple):
+    # any positive multiple of |det| is a valid modulus
+    d = abs(intmat.det(m))
+    if d:
+        assert intmat.hermite_form(m, multiple * d) == hermite_rows(m)
+
+
+def test_hermite_form_of_relabelled_d60():
+    # the unbounded oracle runs past seconds on some of these (seed 60004)
+    d60 = catalog("D", 60).rows()
+    for seed in range(60000, 60060):
+        m = _relabel(d60, random.Random(seed))
+        h = intmat.hermite_form(m, 4)
+        assert intmat.det(h) == intmat.det(m) == 4, seed
+        for row in m:   # each row reduces to zero down the echelon basis
+            for j, pivot_row in enumerate(h):
+                f, rest = divmod(row[j], pivot_row[j])
+                assert rest == 0, seed
+                row = [x - f * y for x, y in zip(row, pivot_row)]
+            assert not any(row), seed

@@ -8,11 +8,11 @@ from weylkit import cartan, rootdata
 from weylkit.intmat import identity, transpose
 from weylkit.roots import generate_roots
 from weylkit.rootdata import (FundamentalGroupTooLarge, PinnedRootDatum, RootDatumError,
-                              adjoint_datum, fundamental_group, fundamental_group_order,
-                              intermediate_lattices, pinned_isomorphism,
-                              simply_connected_datum)
+                              TooManyLattices, adjoint_datum, fundamental_group,
+                              fundamental_group_order, intermediate_lattices,
+                              pinned_isomorphism, simply_connected_datum)
 
-from oracles import (adjoint_per_root, cofactor_det, intermediate_per_root,
+from oracles import (adjoint_per_root, cofactor_det, hermite_rows, intermediate_per_root,
                      pinned_isomorphism_all_roots, rebased, simply_connected_per_root,
                      subgroups_by_closure)
 
@@ -184,11 +184,13 @@ def test_intermediate_lattice_counts():
     assert len(intermediate_lattices(cartan.parse_type("D4"))) == 5
     # subgroups of Z/6: four divisors
     assert len(intermediate_lattices(cartan.parse_type("A5"))) == 4
+    # subgroups of (Z/2)^6
+    assert len(intermediate_lattices(cartan.parse_type("+".join(["A1"] * 6)))) == 2825
 
 
 def test_intermediate_lattices_are_valid_and_bracketed():
-    for label in ["A1", "A2", "A3", "B2", "D4"]:
-        g = cartan.parse_type(label)
+    for family, rank in cartan.catalog_types(max_rank=7):
+        g = cartan.catalog(family, rank)
         data = intermediate_lattices(g)
         for datum in data:
             datum.validate()
@@ -218,16 +220,30 @@ def _invariant_factor_chains(limit, prev=1):
 
 
 def test_subgroup_walk_matches_the_closure_oracle():
-    # every abelian group of order <= 32, plus Smith diagonals with unit factors
+    # every abelian group of order <= 32, plus Smith diagonals with unit
+    # factors; at q = diag(m) the lattices between q and Z^k are the
+    # subgroups of the product of the Z/m_i, each spanned by its lifts and
+    # the rows m_i e_i, so the walk finds each subgroup's basis once
     chains = _invariant_factor_chains(32) + [(1, 1, 6), (1, 2, 2)]
     assert len(chains) == 57
     for moduli in chains:
-        assert rootdata._subgroups(moduli) == subgroups_by_closure(moduli), moduli
+        q = [[m * (i == j) for j in range(len(moduli))] for i, m in enumerate(moduli)]
+        expected = sorted((len(s), hermite_rows([list(e) for e in s] + q))
+                          for s in subgroups_by_closure(moduli))
+        assert rootdata._hermite_bases(q) == [basis for _, basis in expected], moduli
 
 
 def test_intermediate_lattice_bound():
     with pytest.raises(FundamentalGroupTooLarge):
         intermediate_lattices(cartan.parse_type("A3"), max_index=3)
+
+
+def test_lattice_count_is_bounded_before_any_datum(monkeypatch):
+    # |P/Q| = 8 192 is under max_index, but (Z/2)^13 has about 3.8e13
+    # subgroups; the walk refuses before any datum is built
+    monkeypatch.setattr(rootdata, "_image", None)
+    with pytest.raises(TooManyLattices, match="more than 10000"):
+        intermediate_lattices(cartan.parse_type("+".join(["A1"] * 13)))
 
 
 @pytest.mark.parametrize("build", [adjoint_datum, simply_connected_datum,
