@@ -12,32 +12,35 @@ read off the root heights, so a group over the cap (E8 at the default) is
 refused before any layer is built, and so is one whose layers would pass
 ``MAX_LAYER_BYTES`` (E8 at any cap).
 
-The layers have two storages, chosen from |W| alone. Up to
-``PYTHON_WALK_MAX`` elements the walk runs in pure Python and stores each
-layer as int16 rows in a 2-D memoryview over an ``array("h")``; above it
-numpy holds the layers as int16 arrays. Both walks keep the same rows in
-the same order. The Python walk costs about 5 us an element and importing
-numpy 120-200 ms, so in a fresh process the Python walk is the faster up
-to 25 000-45 000 elements; the constant leaves a margin of 2 or more. numpy
-is imported by the numpy walk alone, so nothing else in the package loads
-it, and a small group never does.
+The layers have two storages, chosen from their size in bytes. Up to
+``PYTHON_WALK_MAX_BYTES`` of int16 rows (|W| * rank * 2) the walk runs in
+pure Python on vectors packed into ints and stores each layer as int16 rows
+in a 2-D memoryview over an ``array("h")``; above it numpy holds the layers
+as int16 arrays. Both walks keep the same rows in the same order. The
+Python walk makes one pass over a layer per simple reflection, so it costs
+about 100 ns a layer byte (1.1-1.5 us an element at rank 6 or 7), against
+150-180 ms for importing numpy and about 25 ns a byte for its walk; in a
+fresh process the Python walk is the faster up to about 2.5 MB (past
+A1x16's 2 MiB, short of D7's 4.5 MB), and the constant leaves a margin of
+about 2. numpy is imported by the numpy walk alone, so nothing else in the
+package loads it, and a group up to E6, A7 or B6 never does.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import Counter
-from itertools import chain
 from math import prod
-from operator import sub
 
 from .cartan import WeylkitError
 from .roots import Coords, RootSystem
 
 DEFAULT_CAP = 3_000_000
 MATERIALIZE_CAP = 200_000
-# largest |W| walked in pure Python; past it the numpy walk is faster
-PYTHON_WALK_MAX = 10_000
+# most bytes of int16 layers walked in pure Python (A7, B6 and E6 pass,
+# D7's 4.5 MB do not); past them the numpy walk is faster
+PYTHON_WALK_MAX_BYTES = 2 ** 20
 # most bytes of int16 layers (|W| * rank * 2) any enumeration may build,
 # whatever the cap: E7's 41 MB pass (`weyl --type E7` peaks at 68 MB in
 # all), E8's 11.1 GB do not
@@ -193,12 +196,12 @@ class WeylGroup:
 
     ``layers[k]`` holds the rho-orbit vectors of the length-k elements as
     int16 rows, each generated once from its canonical parent, in generation
-    order; the layer sizes are the Poincare coefficients. A group of at most
-    ``PYTHON_WALK_MAX`` elements stores each layer as a 2-D memoryview over
-    an ``array("h")``, a larger one as a numpy array (the walk that is
-    faster at that size). Both have ``len``, ``nbytes`` and ``tolist()``.
-    Full permutation elements are materialized on demand and only sensible
-    for small groups.
+    order; the layer sizes are the Poincare coefficients. A group whose
+    layers take at most ``PYTHON_WALK_MAX_BYTES`` stores each layer as a
+    2-D memoryview over an ``array("h")``, a larger one as a numpy array
+    (the walk that is faster at that size). Both have ``len``, ``nbytes``
+    and ``tolist()``. Full permutation elements are materialized on demand
+    and only sensible for small groups.
     """
 
     def __init__(self, rs: RootSystem, layers: list):
@@ -236,7 +239,7 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
     k + 1 comes from exactly one parent. |W| (``weyl_order``) is checked
     before numpy is imported or a layer built: over ``cap`` it raises
     CapExceeded, and with layers past ``MAX_LAYER_BYTES`` LayersTooLarge.
-    It then picks the walk, Python up to ``PYTHON_WALK_MAX`` elements.
+    It then picks the walk, Python up to ``PYTHON_WALK_MAX_BYTES`` of layers.
 
     >>> from weylkit.cartan import parse_type
     >>> from weylkit.roots import generate_roots
@@ -249,32 +252,39 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
     layer_bytes = order * rs.rank * 2  # one int16 row per element
     if layer_bytes > MAX_LAYER_BYTES:
         raise LayersTooLarge(layer_bytes)
-    walk = _walk_python if order <= PYTHON_WALK_MAX else _walk_numpy
+    walk = _walk_python if layer_bytes <= PYTHON_WALK_MAX_BYTES else _walk_numpy
     return WeylGroup(rs, walk(rs))
 
 
 def _walk_python(rs: RootSystem) -> list[memoryview]:
     """The layers in pure Python, children generated for i = 0..n-1 in
-    turn, each over the parents in order, as the numpy walk does."""
+    turn, each over the parents in order, as the numpy walk does.
+
+    Each w(rho) is one int of n 16-bit lanes, coordinate j plus 2**15 in
+    lane j. A coordinate is a coroot height: never 0 and at most the number
+    of positive roots (1 830 at MAX_RANK) in absolute value. So a lane's top
+    bit is set exactly when its coordinate is positive, s_i subtracts the
+    packed row a * C[i] with no borrow across lanes, and flipping the top
+    bits gives each lane as an int16.
+    """
     n = rs.rank
-    c = rs.gcm.rows()
-    # a coordinate of w(rho) is the height of a coroot, at most the number
-    # of positive roots, so scaled[i][a] = a * C[i] covers every step
-    scaled = [[tuple(a * x for x in row) for a in range(rs.num_positive + 1)] for row in c]
-    cur = [(1,) * n]
+    tops = [0x8000 << 16 * j for j in range(n)]
+    flip = sum(tops)
+    steps = [[sum(a * x << 16 * j for j, x in enumerate(row)) for a in range(rs.num_positive + 1)]
+             for row in rs.gcm.rows()]
+    cur = [flip + sum(1 << 16 * j for j in range(n))]
     layers = []
     while cur:
-        layers.append(memoryview(array("h", chain.from_iterable(cur)))
-                      .cast("B").cast("h", [len(cur), n]))
+        rows = array("h", b"".join([(v ^ flip).to_bytes(2 * n, "little") for v in cur]))
+        if sys.byteorder == "big":
+            rows.byteswap()
+        layers.append(memoryview(rows).cast("B").cast("h", [len(cur), n]))
         children = []
         for i in range(n):
-            step = scaled[i]
-            for v in cur:
-                a = v[i]
-                if a > 0:
-                    child = tuple(map(sub, v, step[a]))
-                    if i == 0 or min(child[:i]) > 0:
-                        children.append(child)
+            # v & top: v[i] > 0; c & low == low: min(c[:i]) > 0
+            top, low, step, shift = tops[i], flip & (tops[i] - 1), steps[i], 16 * i
+            children += [c for v in cur if v & top
+                         for c in [v - step[v >> shift & 0x7FFF]] if c & low == low]
         cur = children
     return layers
 

@@ -10,7 +10,8 @@ inversion counts instead of root permutations, the reflection closure of
 the simple roots instead of height-by-height generation, the per-family
 closed forms of |W| instead of invariant degrees, and a breadth-first
 search over sets of tuples instead of canonical-parent generation of the
-rho-orbit, trial division instead of Miller-Rabin, a loop over all
+rho-orbit, the canonical-parent walk on tuples instead of the one on packed
+ints, trial division instead of Miller-Rabin, a loop over all
 bijections instead of the scaled-isomorphism search along Dynkin edges,
 and a walk over every word of the suffix trie instead of the walk over
 distinct word states, root data written out root by root (coordinates, C
@@ -26,10 +27,12 @@ of a walk over Hermite bases modulo the determinant.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial, gcd, isqrt, lcm
+from operator import sub
 
 from weylkit import intmat
 from weylkit.chevalley import bracket_constant, steinberg_check
@@ -129,6 +132,32 @@ def rho_orbit_layers(gcm) -> list[set[tuple[int, ...]]]:
             return layers
         seen |= nxt
         layers.append(nxt)
+
+
+def tuple_walk(rs) -> list[memoryview]:
+    """The layers in pure Python, children generated for i = 0..n-1 in
+    turn, each over the parents in order, as the numpy walk does."""
+    n = rs.rank
+    c = rs.gcm.rows()
+    # a coordinate of w(rho) is the height of a coroot, at most the number
+    # of positive roots, so scaled[i][a] = a * C[i] covers every step
+    scaled = [[tuple(a * x for x in row) for a in range(rs.num_positive + 1)] for row in c]
+    cur = [(1,) * n]
+    layers = []
+    while cur:
+        layers.append(memoryview(array("h", chain.from_iterable(cur)))
+                      .cast("B").cast("h", [len(cur), n]))
+        children = []
+        for i in range(n):
+            step = scaled[i]
+            for v in cur:
+                a = v[i]
+                if a > 0:
+                    child = tuple(map(sub, v, step[a]))
+                    if i == 0 or min(child[:i]) > 0:
+                        children.append(child)
+        cur = children
+    return layers
 
 
 def weyl_order_closed_form(family: str, rank: int) -> int:

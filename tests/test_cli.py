@@ -541,8 +541,9 @@ def test_isogeny_validate_validates_once(tmp_path, monkeypatch, k):
 
 def test_numpy_loads_only_for_weyl_enumeration():
     # only the numpy walk imports numpy, so a request that does not
-    # enumerate W, or enumerates a group of at most weyl.PYTHON_WALK_MAX
-    # elements, never pays for it; A7 (40 320) shows the check can see numpy
+    # enumerate W, or enumerates a group whose layers take at most
+    # weyl.PYTHON_WALK_MAX_BYTES (E6, 51 840 elements), never pays for it;
+    # D7 (322 560) shows the check can see numpy
     code = (
         "import io, json, sys\n"
         "from contextlib import redirect_stdout\n"
@@ -551,7 +552,7 @@ def test_numpy_loads_only_for_weyl_enumeration():
         "import weylkit.cli\n"
         "seen['import weylkit.cli'] = 'numpy' in sys.modules\n"
         "for argv in (['roots', '--type', 'A1'], ['weyl', '--type', 'G2'],\n"
-        "             ['weyl', '--type', 'A7']):\n"
+        "             ['weyl', '--type', 'E6'], ['weyl', '--type', 'D7']):\n"
         "    with redirect_stdout(io.StringIO()) as out:\n"
         "        weylkit.cli.main(argv)\n"
         "    seen[' '.join(argv)] = ['numpy' in sys.modules, json.loads(out.getvalue())]\n"
@@ -567,9 +568,12 @@ def test_numpy_loads_only_for_weyl_enumeration():
     numpy_loaded, weyl_doc = seen["weyl --type G2"]
     assert numpy_loaded is False
     assert weyl_doc["order"] == weyl_doc["enumerated"] == 12
-    numpy_loaded, weyl_doc = seen["weyl --type A7"]
+    numpy_loaded, weyl_doc = seen["weyl --type E6"]
+    assert numpy_loaded is False
+    assert weyl_doc["order"] == weyl_doc["enumerated"] == 51_840
+    numpy_loaded, weyl_doc = seen["weyl --type D7"]
     assert numpy_loaded is True
-    assert weyl_doc["order"] == weyl_doc["enumerated"] == 40_320
+    assert weyl_doc["order"] == weyl_doc["enumerated"] == 322_560
 
 
 def test_classify_relabelled_d60_answers():

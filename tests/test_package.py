@@ -76,7 +76,7 @@ def test_subcommand_executes_only_the_modules_it_uses(argv, extra):
 
 def test_classify_runs_rootdata_before_numpy():
     # rootdata compiled after numpy's import lands on top of numpy's memory
-    # and raises classify's peak RSS. A7's 40 320 elements take the numpy
+    # and raises classify's peak RSS. D7's 322 560 elements take the numpy
     # walk, and the last entry shows the check can see numpy
     code = ("import contextlib, io, sys, types, weylkit.cli\n"
             "from weylkit import weyl\n"
@@ -90,8 +90,10 @@ def test_classify_runs_rootdata_before_numpy():
             "    weylkit.cli.main(['classify', '-'])\n"
             "seen.append('numpy' in sys.modules)\n"
             "print(seen)\n")
-    a7 = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(7)] for i in range(7)]
-    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps({"matrix": a7}),
+    edges = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)}  # the chain forks at node 4
+    d7 = [[2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0 for j in range(7)]
+          for i in range(7)]
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps({"matrix": d7}),
                           capture_output=True, text=True, env=ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[True, False, True]\n"

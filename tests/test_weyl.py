@@ -14,7 +14,7 @@ from weylkit.weyl import (CapExceeded, IndexOutOfRange, NotInRhoOrbit,
                           weyl_order, word_from_vector)
 
 from oracles import (dihedral_lengths, rho_orbit_layers,
-                     symmetric_group_lengths, weyl_order_closed_form)
+                     symmetric_group_lengths, tuple_walk, weyl_order_closed_form)
 
 
 def _rs(label):
@@ -118,10 +118,12 @@ def test_degrees_of_a_product_are_the_union():
     assert weyl_order(_rs("A2+G2+B3")) == 6 * 12 * 48
 
 
-# every catalog type with |W| <= 60 000, on both sides of PYTHON_WALK_MAX,
-# and a product of three
+# every catalog type with |W| <= 60 000, all walked in Python by
+# enumerate_weyl, and a product of three
 SMALL_LABELS = [f"{f}{r}" for f, r in cartan.catalog_types()
                 if weyl_order_closed_form(f, r) <= 60_000] + ["A2+G2+B3"]
+# rank 9 or more: the packed vectors span more than 128 bits
+WIDE_LABELS = ["+".join(["A1"] * 12), "A2+G2+B3+A1+A1+A1"]
 
 
 def test_each_element_generated_once_matches_bfs_oracle():
@@ -137,21 +139,23 @@ def test_each_element_generated_once_matches_bfs_oracle():
 
 
 def test_python_and_numpy_walks_keep_the_same_rows_in_the_same_order():
-    for label in SMALL_LABELS:
+    # and the packed Python walk keeps those of the tuple walk it replaced
+    for label in SMALL_LABELS + WIDE_LABELS:
         rs = _rs(label)
-        py, np_ = weyl._walk_python(rs), weyl._walk_numpy(rs)
-        assert len(py) == len(np_), label
-        for k, (a, b) in enumerate(zip(py, np_)):
-            assert a.tolist() == b.tolist(), (label, k)
+        py, np_, old = weyl._walk_python(rs), weyl._walk_numpy(rs), tuple_walk(rs)
+        assert len(py) == len(np_) == len(old), label
+        for k, (a, b, c) in enumerate(zip(py, np_, old)):
+            assert a.tolist() == b.tolist() == c.tolist(), (label, k)
             assert len(a) == len(b)
             assert a.nbytes == b.nbytes == len(a) * rs.rank * 2, (label, k)
 
 
-def test_the_order_picks_the_walk(monkeypatch):
-    # B3 has 48 elements: walked in Python up to the threshold, numpy past it
+def test_the_layer_bytes_pick_the_walk(monkeypatch):
+    # B3's layers take 48 * 3 * 2 = 288 bytes: walked in Python up to the
+    # threshold, numpy past it
     rs = _rs("B3")
-    for threshold, python in [(48, True), (47, False)]:
-        monkeypatch.setattr(weyl, "PYTHON_WALK_MAX", threshold)
+    for threshold, python in [(288, True), (287, False)]:
+        monkeypatch.setattr(weyl, "PYTHON_WALK_MAX_BYTES", threshold)
         layers = enumerate_weyl(rs).layers
         assert [isinstance(layer, memoryview) for layer in layers] == [python] * len(layers)
 
