@@ -93,10 +93,9 @@ def is_unimodular(a) -> bool:
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(u, v, g) with u a + v b = g = gcd(a, b), for a, b >= 0, and
-    (1, 0, a) when a divides b, so that a step by it leaves a's line as is."""
-    if a and b % a == 0:
-        return 1, 0, a
+    """(u, v, g) with u a + v b = g = gcd(a, b), for a, b >= 0: the 2x2
+    steps of ``hermite_form``, the modular one of the two eliminations here
+    (``_bareiss`` is the fraction-free one)."""
     u0, v0, u1, v1 = 1, 0, 0, 1
     while b:
         q, r = divmod(a, b)
@@ -109,52 +108,33 @@ def invariant_factors(a, d: int) -> list[int]:
     """The Smith diagonal d1 | d2 | ... of a nonsingular square a, given a
     positive multiple d of |det a|, with no transforms.
 
-    Cohen's elimination modulo d (GTM 138, Alg. 2.4.14): the lattice of
-    the columns contains d Z^n, so every entry is kept in [0, R) for a
-    modulus R that starts at d and is divided by each factor found; no
-    entry ever exceeds d. Each stage clears row i and column i of the
-    block by unimodular 2x2 steps, then adds a row whose entries the pivot
-    does not divide until it divides all of the block.
+    Row and column Hermite forms in turn (Kannan and Bachem, SIAM J.
+    Comput. 8, 1979), by ``hermite_form``, the modular elimination: a
+    transpose keeps |det|, and a lattice of determinant D contains D Z^n,
+    so no entry ever exceeds d. Entries above a pivot lie in [0, pivot),
+    so a pivot 1 has a unit column; its row and column split off as a
+    factor 1. At most log2 d indices, of pivots >= 2, outlast the first
+    form. A round's first pivot is the gcd of the first row before it, so
+    each round halves the first unsettled pivot or settles it, its row and
+    column zero off the diagonal for good: at most (log2 d + 1) log2 d
+    rounds until the block is diagonal. gcd/lcm pairs then order it.
 
     >>> invariant_factors([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 4)
     [1, 1, 2, 2]
     """
-    n = len(a)
-    if n == 0:
-        return []
-    r = d
-    m = [[x % r for x in row] for row in a]
-    found = []
-    for i in range(n - 1, 0, -1):
-        while True:
-            for j in range(i - 1, -1, -1):   # clear row i by column steps
-                if m[i][j]:
-                    u, v, g = _xgcd(m[i][i], m[i][j])
-                    x, y = m[i][i] // g, m[i][j] // g
-                    for row in m[: i + 1]:
-                        p, q = row[i], row[j]
-                        row[i], row[j] = (u * p + v * q) % r, (x * q - y * p) % r
-            steps = 0
-            for j in range(i - 1, -1, -1):   # clear column i by row steps
-                if m[j][i]:
-                    u, v, g = _xgcd(m[i][i], m[j][i])
-                    x, y = m[i][i] // g, m[j][i] // g
-                    top, low = m[i][: i + 1], m[j][: i + 1]
-                    m[i][: i + 1] = [(u * p + v * q) % r for p, q in zip(top, low)]
-                    m[j][: i + 1] = [(x * q - y * p) % r for p, q in zip(top, low)]
-                    steps += 1
-            if steps:
-                continue
-            b = m[i][i]
-            stray = None if b == 1 else next(
-                (k for k in range(i) if any(x % b if b else x for x in m[k][:i])), None)
-            if stray is None:
-                break
-            m[i][:i] = [(p + q) % r for p, q in zip(m[i][:i], m[stray][:i])]
-        found.append(gcd(m[i][i], r))
-        r //= found[-1]
-    found.append(gcd(m[0][0], r))   # the stages find the factors smallest first
-    return found
+    h = hermite_form(a, d)
+    while True:
+        keep = [i for i, row in enumerate(h) if row[i] != 1]
+        h = [[h[i][j] for j in keep] for i in keep]
+        if not any(x for i, row in enumerate(h) for x in row[i + 1:]):   # h is upper triangular
+            break
+        h = hermite_form(transpose(h), d)
+    diag = [row[i] for i, row in enumerate(h)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return [1] * (len(a) - len(diag)) + diag
 
 
 def hermite_form(a, d: int) -> Matrix:
@@ -186,7 +166,7 @@ def hermite_form(a, d: int) -> Matrix:
         u, _, g = _xgcd(top[i], r)
         h.append([0] * i + [g] + [u * x % r for x in top[i + 1:]])
         r //= g
-        rows = [[x % r for x in row] for row in rows if any(row)]
+        rows = [[x % r for x in row] for row in rows if any(row)] if g > 1 else rows
     for k in range(n):   # reduce above each pivot, still modulo d
         for j in range(k + 1, n):
             f = h[k][j] // h[j][j]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weylkit import intmat
-from weylkit.cartan import catalog, catalog_types
+from weylkit.cartan import catalog, catalog_types, parse_type
 
 from oracles import cofactor_det, hermite_rows, smith_normal_form, solve_fractions
 
@@ -66,6 +66,7 @@ def _smith_diagonal(m):
 
 @settings(max_examples=200, deadline=None)
 @given(small_matrix, st.integers(1, 3))
+@example([[6, 4, -3, 1], [-6, 3, -2, -6], [4, -2, 0, -4], [-4, -6, -4, 6]], 1)   # four Hermite rounds
 def test_invariant_factors_match_smith_diagonal(m, multiple):
     # any positive multiple of |det| is a valid modulus
     d = abs(intmat.det(m))
@@ -84,8 +85,17 @@ def test_invariant_factors_match_smith_diagonal_on_cartan_matrices():
     cases = [catalog(f, n).rows() for f, n in catalog_types(20)]
     rng = random.Random(12)
     cases += [_relabel(catalog(f, n).rows(), rng) for f, n in catalog_types(12) for _ in range(3)]
+    # relabelled sums, most of which take a second, transposed Hermite round
+    cases += [_relabel(parse_type(label).rows(), rng)
+              for label in ("A5+A2+A1", "A3+A3+A3") for _ in range(5)]
     for m in cases:
         assert intmat.invariant_factors(m, intmat.det(m)) == _smith_diagonal(m), m
+    # up to three rounds at rank 60, where the unbounded oracle is not run:
+    # P/Q of A59+A1 is Z/2 x Z/60
+    a59_a1 = parse_type("A59+A1").rows()
+    for seed in range(10):
+        m = _relabel(a59_a1, random.Random(seed))
+        assert intmat.invariant_factors(m, intmat.det(m)) == [1] * 58 + [2, 60], seed
 
 
 # a square matrix, sometimes with its last row replaced by its first (so
@@ -185,6 +195,7 @@ def test_hermite_form_of_relabelled_d60():
         m = _relabel(d60, random.Random(seed))
         h = intmat.hermite_form(m, 4)
         assert intmat.det(h) == intmat.det(m) == 4, seed
+        assert intmat.invariant_factors(m, 4) == [1] * 58 + [2, 2], seed
         for row in m:   # each row reduces to zero down the echelon basis
             for j, pivot_row in enumerate(h):
                 f, rest = divmod(row[j], pivot_row[j])
