@@ -4,7 +4,8 @@ weight pushforwards along words, pinned root data and p-isogenies.
 The modules are arranged bottom-up, each importing only from those above it:
 
 * ``intmat``: exact integer matrices, two eliminations (``_bareiss``,
-  fraction-free; ``hermite_form``, modular) and invariant factors from the latter
+  fraction-free; ``hermite_form``, modular, ending in ``reduce_rows``, a
+  back-reduction the lattice walk shares) and invariant factors from the latter
 * ``schemas``: the shapes of the CLI's JSON documents, with a checker
 * ``cartan``: matrix validation, finite-type test, symmetrizer, catalog,
   Dynkin classification

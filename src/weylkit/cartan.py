@@ -15,6 +15,7 @@ as (B, 2).
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 from math import gcd
 
 from . import intmat
@@ -97,39 +98,28 @@ class InvalidType(GCMError):
         super().__init__(f"({family},{'?' if rank is None else rank}) is not a valid finite type")
 
 
-class GCM:
-    """A validated generalized Cartan matrix: ``n`` and the ``entries`` rows.
-
-    Immutable, and equal and hashed by its fields; ``gcm[i]`` is row i.
+class GCM(tuple):
+    """A validated generalized Cartan matrix ``GCM(n, entries)``: the tuple
+    of its rows, so ``gcm[i][j]`` is C[i][j], ``n`` is its rank and
+    ``entries`` the matrix itself. Copies and pickles rebuild it from both.
     """
 
-    __slots__ = ("n", "entries", "_leading_minors")
+    def __new__(cls, n: int, entries: tuple[tuple[int, ...], ...]):
+        return super().__new__(cls, entries)
 
-    def __init__(self, n: int, entries: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
+    n = property(len)
+    entries = property(lambda self: self)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not GCM:
-            return NotImplemented
-        return (self.n, self.entries) == (other.n, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.entries))
+    def __getnewargs__(self):
+        return self.n, tuple(self)
 
     def __repr__(self) -> str:
-        return f"GCM(n={self.n!r}, entries={self.entries!r})"
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
+        return f"GCM(n={self.n!r}, entries={tuple(self)!r})"
 
     def rows(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
+        return [list(r) for r in self]
 
-    @property
+    @cached_property
     def leading_minors(self) -> tuple[int, ...]:
         """Determinants of the upper-left k-by-k blocks, the last one det C.
 
@@ -137,12 +127,9 @@ class GCM:
         finite-type guard and every reading of det C. A rank over MAX_RANK
         raises RankTooLarge first.
         """
-        if not hasattr(self, "_leading_minors"):
-            if self.n > MAX_RANK:
-                raise RankTooLarge(self.n)
-            object.__setattr__(self, "_leading_minors",
-                               tuple(intmat.leading_principal_minors(self.rows())))
-        return self._leading_minors
+        if self.n > MAX_RANK:
+            raise RankTooLarge(self.n)
+        return tuple(intmat.leading_principal_minors(self.rows()))
 
     @property
     def finite_type(self) -> bool:
@@ -162,7 +149,7 @@ class GCM:
                 i = stack.pop()
                 comp.append(i)
                 for j in range(self.n):
-                    if j not in seen and self.entries[i][j] != 0:
+                    if j not in seen and self[i][j] != 0:
                         seen.add(j)
                         stack.append(j)
             comps.append(sorted(comp))
@@ -350,15 +337,14 @@ def scaled_isomorphisms(src: GCM, tgt: GCM, nodes, scales=(1,)):
     >>> list(scaled_isomorphisms(g2, g2, range(2), (1, 3)))
     [((0, 1), (1, 1)), ((0, 1), (3, 3)), ((1, 0), (3, 1))]
     """
-    a, b = src.entries, tgt.entries
     nodes = list(nodes)
-    near = {t: [s for s in nodes if s != t and b[t][s]] for t in nodes}
-    anchor = [next((j for j in range(i) if a[i][j]), None) for i in range(src.n)]
+    near = {t: [s for s in nodes if s != t and tgt[t][s]] for t in nodes}
+    anchor = [next((j for j in range(i) if src[i][j]), None) for i in range(src.n)]
     u, q = [0] * src.n, [0] * src.n   # entries from the current node on are stale
 
     def fits(i: int, t: int, s: int) -> bool:
-        return a[i][i] == b[t][t] and all(
-            s * a[i][j] == q[j] * b[t][u[j]] and q[j] * a[j][i] == s * b[u[j]][t]
+        return src[i][i] == tgt[t][t] and all(
+            s * src[i][j] == q[j] * tgt[t][u[j]] and q[j] * src[j][i] == s * tgt[u[j]][t]
             for j in range(i - 1, -1, -1))
 
     def extend(i: int):

@@ -111,7 +111,7 @@ def invariant_factors(a, d: int) -> list[int]:
     Row and column Hermite forms in turn (Kannan and Bachem, SIAM J.
     Comput. 8, 1979), by ``hermite_form``, the modular elimination: a
     transpose keeps |det|, and a lattice of determinant D contains D Z^n,
-    so no entry ever exceeds d. Entries above a pivot lie in [0, pivot),
+    so every form is read modulo d. Entries above a pivot lie in [0, pivot),
     so a pivot 1 has a unit column; its row and column split off as a
     factor 1. At most log2 d indices, of pivots >= 2, outlast the first
     form. A round's first pivot is the gcd of the first row before it, so
@@ -147,7 +147,9 @@ def hermite_form(a, d: int) -> Matrix:
     contains R Z^n for a modulus R that starts at d, so the rows are kept
     modulo R. Unimodular 2x2 steps gather column i into one row, whose
     gcd with R is the pivot; the remaining lattice has index dividing
-    R / pivot, which becomes the next modulus. No entry ever exceeds d.
+    R / pivot, which becomes the next modulus; no entry of this elimination
+    exceeds d. ``reduce_rows`` then reduces above the pivots in integers,
+    from the last row up, so each row meets only rows already reduced.
     The rows of D4's Cartan matrix span a lattice of index 4:
 
     >>> hermite_form([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 4)
@@ -167,9 +169,16 @@ def hermite_form(a, d: int) -> Matrix:
         h.append([0] * i + [g] + [u * x % r for x in top[i + 1:]])
         r //= g
         rows = [[x % r for x in row] for row in rows if any(row)] if g > 1 else rows
-    for k in range(n):   # reduce above each pivot, still modulo d
-        for j in range(k + 1, n):
-            f = h[k][j] // h[j][j]
-            if f:
-                h[k][j:] = [(x - f * y) % d for x, y in zip(h[k][j:], h[j][j:])]
+    for k in reversed(range(n)):
+        h[k] = reduce_rows(h[k], h[k + 1:], k + 1)
     return h
+
+
+def reduce_rows(v, rows, start: int) -> list[int]:
+    """v with its entries at the pivot columns start, start + 1, ... of the
+    upper-triangular ``rows`` reduced into [0, pivot) by those rows."""
+    for j, row in enumerate(rows, start):
+        f = v[j] // row[j]
+        if f:
+            v = [x - f * y for x, y in zip(v, row)]
+    return v

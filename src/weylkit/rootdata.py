@@ -18,6 +18,7 @@ from itertools import product
 from math import prod
 
 from . import intmat
+from .intmat import reduce_rows
 from .cartan import GCM, GCMError, NotFiniteType, WeylkitError, is_finite_type, validate_gcm
 from .roots import RootSystem, generate_roots
 
@@ -189,16 +190,6 @@ def fundamental_group_order(c: GCM) -> int:
 # Intermediate lattices
 # ---------------------------------------------------------------------------
 
-def _reduce(v, rows, start: int) -> list[int]:
-    """v with its entries at the pivot columns start, start + 1, ... of the
-    upper-triangular ``rows`` reduced into [0, pivot) by those rows."""
-    for j, row in enumerate(rows, start):
-        f = v[j] // row[j]
-        if f:
-            v = [x - f * y for x, y in zip(v, row)]
-    return v
-
-
 def _hermite_bases(q) -> list[intmat.Matrix]:
     """The Hermite bases of the lattices L with span(q) <= L <= Z^n, for a
     nonsingular q in Hermite form, ordered by |L / span(q)| and then by rows.
@@ -207,7 +198,8 @@ def _hermite_bases(q) -> list[intmat.Matrix]:
     §2.4.3, for the uniqueness of the basis). Row i has a pivot h dividing
     q_ii and entries reduced modulo the pivots of the rows below, and
     holds q_i in the lattice when (q_ii / h) row - q_i reduces to zero
-    modulo those rows; for h = q_ii the one such row is q_i reduced. Each
+    modulo those rows (``intmat.reduce_rows``, the back-reduction that ends
+    ``hermite_form``); for h = q_ii the one such row is q_i reduced. Each
     basis of the rows below extends, so the walk raises TooManyLattices as
     soon as one level holds more than MAX_LATTICES of them.
     """
@@ -218,9 +210,9 @@ def _hermite_bases(q) -> list[intmat.Matrix]:
             tails = [range(row[j]) for j, row in enumerate(below, i + 1)]
             for h in (h for h in range(1, qi[i] + 1) if qi[i] % h == 0):
                 k = qi[i] // h
-                rows = [_reduce(qi, below, i + 1)] if k == 1 else (
+                rows = [reduce_rows(qi, below, i + 1)] if k == 1 else (
                     row for row in ([0] * i + [h, *tail] for tail in product(*tails))
-                    if not any(_reduce([k * x - y for x, y in zip(row, qi)], below, i + 1)))
+                    if not any(reduce_rows([k * x - y for x, y in zip(row, qi)], below, i + 1)))
                 for row in rows:
                     grown.append([row, *below])
                     if len(grown) > MAX_LATTICES:

@@ -98,7 +98,7 @@ class RootSystem:
 
     def simple_weight(self, i: int) -> Coords:
         """Fundamental-weight coordinates of the i-th simple root (row i of C)."""
-        return self.gcm.entries[i]
+        return self.gcm[i]
 
     # -- pairings and reflections --------------------------------------------
 
@@ -107,14 +107,17 @@ class RootSystem:
 
     def reflect_coords(self, i: int, coords) -> Coords:
         """Simple reflection s_i on root coordinates."""
-        pair = sum(a * self.gcm.entries[k][i] for k, a in enumerate(coords))
+        pair = sum(a * self.gcm[k][i] for k, a in enumerate(coords))
         return tuple(a - pair if k == i else a for k, a in enumerate(coords))
 
     @cached_property
     def reflection_perms(self) -> tuple[tuple[int, ...], ...]:
-        """s_i as a permutation of the root indices: r goes to ``reflection_perms[i][r]``."""
-        return tuple(tuple(self.index_of(self.reflect_coords(i, r.coords)) for r in self.roots)
-                     for i in range(self.rank))
+        """s_i as a permutation of the root indices: r goes to ``reflection_perms[i][r]``,
+        which is r less ``r.weight[i]`` (its pairing with coroot i) times simple root i."""
+        return tuple(
+            tuple(self._index[r.coords[:i] + (r.coords[i] - r.weight[i],) + r.coords[i + 1:]]
+                  for r in self.roots)
+            for i in range(self.rank))
 
     def __repr__(self) -> str:
         return f"RootSystem(rank={self.rank}, roots={len(self.roots)})"
@@ -124,7 +127,7 @@ def weight_of(gcm: GCM, coords) -> Coords:
     """Fundamental-weight coordinates of a simple-root-basis vector: the
     sum of coords[k] times row k of C, so (-1, 0) on A2 gives (-2, 1)."""
     return tuple(
-        sum(a * gcm.entries[k][j] for k, a in enumerate(coords))
+        sum(a * gcm[k][j] for k, a in enumerate(coords))
         for j in range(gcm.n)
     )
 
@@ -153,7 +156,7 @@ def generate_roots(c: GCM) -> RootSystem:
     layer: list[Coords] = []
     for i in range(n):
         e = tuple(1 if k == i else 0 for k in range(n))
-        found[e] = (c.entries[i], lengths[i], [0] * n)
+        found[e] = (c[i], lengths[i], [0] * n)
         layer.append(e)
     positives: list[Coords] = []
     while layer:
@@ -167,7 +170,7 @@ def generate_roots(c: GCM) -> RootSystem:
                     continue
                 up = coords[:i] + (coords[i] + 1,) + coords[i + 1:]
                 if up not in found:
-                    found[up] = (tuple(w + a for w, a in zip(weight, c.entries[i])),
+                    found[up] = (tuple(w + a for w, a in zip(weight, c[i])),
                                  length + (weight[i] + 1) * lengths[i], [0] * n)
                     above.append(up)
                 found[up][2][i] = below[i] + 1

@@ -5,53 +5,32 @@ Every top-level JSON document carries a versioned ``schema`` key, the
 literals, so each name is written once. The shape language is deliberately
 tiny: a spec is one of the types ``int``, ``bool``, ``str``, ``list``,
 ``dict``; a named shape ``"rational"``, ``"int_list"`` or ``"int_matrix"``;
-a literal value or ``None``; a dict of field specs; ``ListOf(spec)``; or
-``OneOf(spec, ...)``. The CLI checks the documents it reads with the same
-``check``.
+a literal value or ``None``; a dict of field specs; or the namedtuples
+``ListOf(spec)`` and ``OneOf(spec, ...)``. The CLI checks the documents it
+reads with the same ``check``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 
-class _Spec:
-    """An immutable spec marker, equal and hashed by its one field."""
+
+class ListOf(namedtuple("ListOf", "item")):
+    """A list each of whose items has the shape ``item``."""
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self) -> int:
-        return hash(self._value())
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.__slots__[0]}={self._value()!r})"
-
-    def _value(self):
-        return getattr(self, self.__slots__[0])
-
-
-class ListOf(_Spec):
-    """A list each of whose items has the shape ``item``."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, item):
-        object.__setattr__(self, "item", item)
-
-
-class OneOf(_Spec):
+class OneOf(namedtuple("OneOf", "alternatives")):
     """A value of one of the shapes in ``alternatives``."""
 
-    __slots__ = ("alternatives",)
+    __slots__ = ()
 
-    def __init__(self, *alternatives):
-        object.__setattr__(self, "alternatives", alternatives)
+    def __new__(cls, *alternatives):
+        return super().__new__(cls, alternatives)
+
+    def __getnewargs__(self):
+        return self.alternatives
 
 
 DATUM = {

@@ -202,3 +202,17 @@ def test_hermite_form_of_relabelled_d60():
                 assert rest == 0, seed
                 row = [x - f * y for x, y in zip(row, pivot_row)]
             assert not any(row), seed
+    # the back-reduction does the most work on these
+    a59_a1 = _relabel(parse_type("A59+A1").rows(), random.Random(0))
+    for m in [catalog(f, 60).rows() for f in "ABCD"] + [catalog("E", 8).rows(), a59_a1]:
+        d = intmat.det(m)
+        h = intmat.hermite_form(m, d)
+        assert intmat.det(h) == d
+        for row in m:
+            for j, pivot_row in enumerate(h):
+                f, rest = divmod(row[j], pivot_row[j])
+                assert rest == 0
+                row = [x - f * y for x, y in zip(row, pivot_row)]
+            assert not any(row)
+        for j, pivot_row in enumerate(h):   # every entry above a pivot lies in [0, pivot)
+            assert all(0 <= h[i][j] < pivot_row[j] for i in range(j))

@@ -1,6 +1,9 @@
 """The package's record classes behave as values: equal and hashed by
 their fields, immune to assignment, and shown as ``Name(field=value, ...)``."""
 
+import copy
+import pickle
+
 import pytest
 
 from weylkit import cartan
@@ -56,6 +59,11 @@ def test_record_is_a_value(cls, fields, args, other):
         with pytest.raises(AttributeError):
             setattr(first, name, None)
     assert first == second
+    for twin in (copy.copy(first), copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
+        if cls is EulerData:   # its root system compares by identity
+            assert repr(twin) == repr(first)
+        else:
+            assert twin == first
 
 
 def test_gcm_caches_its_leading_minors():
@@ -63,3 +71,5 @@ def test_gcm_caches_its_leading_minors():
     assert g.finite_type is True and g.leading_minors == (2, 3, 2)
     assert g.leading_minors is g.leading_minors
     assert g == cartan.catalog("B", 3) and hash(g) == hash(cartan.catalog("B", 3))
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and twin.leading_minors == (2, 3, 2)

@@ -103,6 +103,7 @@ def test_length_constant_on_orbits():
             for i in range(rs.rank):
                 img = rs.root(rs.reflect_coords(i, r.coords))
                 assert img.length == r.length
+                assert rs.reflection_perms[i][r.index] == img.index
 
 
 def test_deterministic_ordering():
