@@ -8,10 +8,14 @@ the length identity (down + 1) = up * length(a+b) / length(a), which is
 what makes the span of the torus directions and the short root vectors an
 ideal closed under p-th powers when p is the squared-length ratio.
 
-``short_root_ideal_check`` walks the a-string through b once for each short
-a and root b with a + b a root. That one string gives the bracket row and
-its Steinberg row (the length identity) when a + b is long, and for short b
-the square row when up >= 2, as strings are unbroken.
+Every row pairs two short roots. A short a (|a|^2 = 1) and a long b
+(|b|^2 = r, 2 or 3) give a long a + b only if 1 + r + 2(a, b) = r, that
+is (a, b) = -1/2, but <a, b-coroot> = 2(a, b)/r is an integer, so (a, b)
+lies in (r/2)Z. Roots of different components never sum to a root, a
+simply-laced component has only short roots, and square rows need b short.
+So ``short_root_ideal_check`` walks the a-string through b once per short
+pair with a + b a root, for the bracket and Steinberg rows (a + b long) and
+the square row (up >= 2, strings being unbroken), then reads off violations.
 """
 
 from __future__ import annotations
@@ -54,17 +58,19 @@ class StructureConstant(namedtuple("StructureConstant", "alpha beta m down up"))
     __slots__ = ()
 
 
+def _sum(rs: RootSystem, a, b):
+    """The root a + b of two roots, or None when the sum is not a root."""
+    idx = rs.index_of(tuple(x + y for x, y in zip(a.coords, b.coords)))
+    return None if idx is None else rs.roots[idx]
+
+
 def bracket_constant(rs: RootSystem, alpha, beta) -> StructureConstant:
     """The magnitude m(alpha, beta) read off the alpha-string through beta."""
-    a = tuple(alpha)
-    b = tuple(beta)
-    total = tuple(x + y for x, y in zip(a, b))
-    rs.root(a)
-    rs.root(b)
-    if not rs.is_root(total):
-        raise SumNotARoot(a, b)
-    s = root_string(rs, b, a)
-    return StructureConstant(a, b, s.down + 1, s.down, s.up)
+    a, b = rs.root(alpha), rs.root(beta)
+    if _sum(rs, a, b) is None:
+        raise SumNotARoot(a.coords, b.coords)
+    s = root_string(rs, b.coords, a.coords)
+    return StructureConstant(a.coords, b.coords, s.down + 1, s.down, s.up)
 
 
 class SteinbergReport(namedtuple("SteinbergReport", "alpha beta down up length_ratio holds")):
@@ -76,35 +82,31 @@ class SteinbergReport(namedtuple("SteinbergReport", "alpha beta down up length_r
 
 def steinberg_check(rs: RootSystem, alpha, beta) -> SteinbergReport:
     """Check the string-length identity for alpha short and alpha+beta long."""
-    a = rs.root(alpha)
-    b = rs.root(beta)
+    a, b = rs.root(alpha), rs.root(beta)
     if a.length != 1:
         raise HypothesesNotMet("alpha-not-short")
-    total = tuple(x + y for x, y in zip(a.coords, b.coords))
-    if not rs.is_root(total):
+    t = _sum(rs, a, b)
+    if t is None:
         raise HypothesesNotMet("sum-not-a-root")
-    t = rs.root(total)
     if t.length == 1:
         raise HypothesesNotMet("sum-not-long")
     s = root_string(rs, b.coords, a.coords)
-    ratio = t.length // a.length
-    return SteinbergReport(a.coords, b.coords, s.down, s.up, ratio,
-                           s.down + 1 == s.up * ratio)
+    return SteinbergReport(a.coords, b.coords, s.down, s.up, t.length,
+                           s.down + 1 == s.up * t.length)
 
 
 class IdealCheckReport(namedtuple("IdealCheckReport",
                                    "p bracket_triples square_triples violations steinberg")):
     """Exhaustive evidence that the short-root span is a p-closed ideal.
 
-    ``bracket_triples`` lists (alpha, beta, alpha+beta, m) for every short
-    alpha and root beta with a long root sum: the ideal property needs p to
-    divide every such m. ``steinberg`` holds, row for row with
-    ``bracket_triples``, the SteinbergReport of the same pair, read off the
-    same string. ``square_triples`` lists (alpha, beta, 2a+b) for short
-    pairs whose double step lands in the roots: p-closure needs each
-    landing root to be long. Rows are ordered by alpha, then beta, in root
-    order; bracket violations come before square violations. Both
-    violation lists are empty on the types where the ideal exists.
+    Every row pairs two short roots, alpha then beta in root order.
+    ``bracket_triples`` lists (alpha, beta, alpha+beta, m) for each long
+    root sum: the ideal property needs p to divide every m. ``steinberg``
+    holds, row for row, the SteinbergReport of the same pair, read off the
+    same string. ``square_triples`` lists (alpha, beta, 2a+b) for the pairs
+    whose double step lands in the roots: p-closure needs 2a+b long.
+    ``violations``, read off both lists with bracket rows first, holds the
+    rows that fail; it is empty on the types where the ideal exists.
     """
 
     __slots__ = ()
@@ -115,20 +117,17 @@ class IdealCheckReport(namedtuple("IdealCheckReport",
 
 
 def short_root_ideal_check(rs: RootSystem, p: int) -> IdealCheckReport:
-    """Run both ideal checks, one string walk per pair; report every triple."""
+    """Run both ideal checks, one string walk per short pair."""
     if not is_prime(p):
         raise ChevalleyError(f"{p} is not prime")
-    if all(r.length == 1 for r in rs.roots):
+    short = [r for r in rs.roots if r.length == 1]
+    if len(short) == len(rs.roots):
         raise SimplyLaced()
     report = IdealCheckReport(p, [], [], [], [])
-    square_violations = []
-    for a in (r for r in rs.roots if r.length == 1):
-        for b in rs.roots:
-            idx = rs.index_of(tuple(x + y for x, y in zip(a.coords, b.coords)))
-            if idx is None:
-                continue
-            total = rs.roots[idx]
-            if total.length == 1 and b.length != 1:
+    for a in short:
+        for b in short:
+            total = _sum(rs, a, b)
+            if total is None:
                 continue
             s = root_string(rs, b.coords, a.coords)
             if total.length > 1:
@@ -137,14 +136,10 @@ def short_root_ideal_check(rs: RootSystem, p: int) -> IdealCheckReport:
                 report.steinberg.append(SteinbergReport(
                     a.coords, b.coords, s.down, s.up, total.length,
                     m == s.up * total.length))
-                if m % p != 0:
-                    report.violations.append(
-                        ("bracket", a.coords, b.coords, total.coords, m)
-                    )
-            if b.length == 1 and s.up >= 2:   # unbroken: 2a + b is a root
+            if s.up >= 2:   # unbroken: 2a + b is a root
                 double = tuple(2 * x + y for x, y in zip(a.coords, b.coords))
                 report.square_triples.append((a.coords, b.coords, double))
-                if rs.root(double).length == 1:
-                    square_violations.append(("square", a.coords, b.coords, double))
-    report.violations.extend(square_violations)
+    report.violations.extend(("bracket", *t) for t in report.bracket_triples if t[3] % p)
+    report.violations.extend(("square", *t) for t in report.square_triples
+                             if rs.root(t[2]).length == 1)
     return report

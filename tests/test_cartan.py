@@ -1,4 +1,3 @@
-import os
 import random
 import subprocess
 import sys
@@ -251,11 +250,8 @@ def test_scaled_isomorphisms_sorted_match_bijection_oracle():
 
 def test_recognize_script_walks_every_example():
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(root / "scripts" / "recognize.py")],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     blocks = proc.stdout.split("== ")[1:]
     assert len(blocks) == 6

@@ -147,7 +147,7 @@ def test_counts_frozen():
 @pytest.mark.parametrize("label", [
     f"{family}{rank}" for family, rank in cartan.catalog_types(max_rank=6)
     if family in "BCFG"
-] + ["A1+B2", "G2+C3"])
+] + ["A1+B2", "G2+C3", "C8", "C9", "F4+B2", "G2+G2+A1", "B4+G2"])
 def test_ideal_check_matches_all_pairs_oracle(label):
     rs = _rs(label)
     for p in (2, 3, 5):
@@ -157,3 +157,22 @@ def test_ideal_check_matches_all_pairs_oracle(label):
         assert report.square_triples == squares, (label, p)
         assert report.violations == violations, (label, p)
         assert report.steinberg == steinberg, (label, p)
+
+
+@pytest.mark.parametrize("label", ["C10", "G2+C3"])
+def test_ideal_check_looks_up_short_pairs_only(label, monkeypatch):
+    # a short root plus a long one is never long, so the scan pairs short
+    # roots only: one sum lookup per short pair, one per square landing
+    rs = _rs(label)
+    short = [r for r in rs.roots if r.length == 1]
+    calls = 0
+    index_of = rs.index_of
+
+    def counting(coords):
+        nonlocal calls
+        calls += 1
+        return index_of(coords)
+
+    monkeypatch.setattr(rs, "index_of", counting)
+    report = short_root_ideal_check(rs, 2)
+    assert calls <= len(short) ** 2 + len(report.square_triples)

@@ -5,7 +5,6 @@ every module it patches."""
 
 import importlib
 import json
-import os
 import runpy
 import subprocess
 import sys
@@ -17,7 +16,6 @@ import weylkit
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
-ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 MODULES = {"intmat", "schemas", "cartan", "roots", "weyl", "characters",
            "pushforward", "rootdata", "isogeny", "chevalley"}
@@ -40,8 +38,7 @@ RUN_CLI = ("import io, contextlib, weylkit.cli\n"
 
 def executed(code: str, argv=(), stdin: str = "") -> set:
     proc = subprocess.run([sys.executable, "-c", EXECUTED.format(code), *argv],
-                          input=stdin, capture_output=True, text=True, env=ENV,
-                          timeout=60)
+                          input=stdin, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout))
 
@@ -94,7 +91,7 @@ def test_classify_runs_rootdata_before_numpy():
     d7 = [[2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0 for j in range(7)]
           for i in range(7)]
     proc = subprocess.run([sys.executable, "-c", code], input=json.dumps({"matrix": d7}),
-                          capture_output=True, text=True, env=ENV, timeout=60)
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[True, False, True]\n"
 
@@ -128,9 +125,9 @@ def test_tracer_patches_the_lazily_loaded_modules():
     # the package, so every module must be registered by then
     argv = ["roots", "--type", "B2"]
     plain = subprocess.run([sys.executable, "-m", "weylkit.cli", *argv],
-                           capture_output=True, text=True, env=ENV, timeout=60)
+                           capture_output=True, text=True, timeout=60)
     traced = subprocess.run([sys.executable, str(TRACER), "cli", *argv],
-                            capture_output=True, text=True, env=ENV, timeout=60)
+                            capture_output=True, text=True, timeout=60)
     assert plain.returncode == traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
     mark = runpy.run_path(str(TRACER))["MARK"]

@@ -1,4 +1,3 @@
-import os
 import re
 import subprocess
 import sys
@@ -313,13 +312,6 @@ def test_zero_weight_rank_rejects_broken_multisets():
             zero_weight_rank(gw, hit)
 
 
-def _env_with_src():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return env
-
-
 def test_zero_weight_rank_raises_under_optimized_python():
     # the key-lemma checks are not asserts, so ``python -O`` keeps them
     code = ("import sys\n"
@@ -330,7 +322,7 @@ def test_zero_weight_rank_raises_under_optimized_python():
             "except KeyLemmaViolation as exc:\n"
             "    print(sys.flags.optimize, exc)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          text=True, env=_env_with_src(), timeout=60)
+                          text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1 zero weight at degree 0\n"
 
@@ -338,7 +330,7 @@ def test_zero_weight_rank_raises_under_optimized_python():
 def test_containment_scan_script_short_words():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "containment_scan.py"), "3"],
-        capture_output=True, text=True, env=_env_with_src(), timeout=300,
+        capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0 and "Traceback" not in proc.stderr
     lines = proc.stdout.splitlines()
