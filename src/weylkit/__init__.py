@@ -9,7 +9,7 @@ The modules are arranged bottom-up, each importing only from those above it:
 * ``schemas``: the shapes of the CLI's JSON documents, with a checker
 * ``cartan``: matrix validation, finite-type test, symmetrizer, catalog,
   Dynkin classification
-* ``roots``: root systems with dual (root and coroot) bookkeeping, strings
+* ``roots``: root systems, their coroots and strings, the simple-index check
 * ``weyl``: the Weyl group as permutations of the roots, words, enumeration
 * ``characters``: shifted Euler characteristic, Weyl dimension, volume
 * ``pushforward``: graded weight multisets pushed down words

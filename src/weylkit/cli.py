@@ -101,7 +101,7 @@ def _parse_word(text: str, rank: int) -> tuple[int, ...]:
     word = []
     for x in letters:
         if not 1 <= x <= rank:
-            raise weyl.IndexOutOfRange(x, rank)
+            raise roots.IndexOutOfRange(x, rank)
         word.append(x - 1)
     return tuple(word)
 

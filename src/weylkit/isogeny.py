@@ -23,9 +23,9 @@ from collections import namedtuple
 from math import gcd
 
 from . import intmat
+from . import rootdata  # read on use: chevalley needs only is_prime from here
 from .cartan import WeylkitError, catalog, catalog_types, scaled_isomorphisms
-from .rootdata import PinnedRootDatum, RootDatumError, adjoint_datum, equation_failure
-from .weyl import IndexOutOfRange
+from .roots import IndexOutOfRange
 
 
 class IsogenyError(WeylkitError):
@@ -79,8 +79,8 @@ class PMorphism(namedtuple("PMorphism", "source target f u q p")):
     @classmethod
     def from_json(cls, doc: dict) -> PMorphism:
         """The p-morphism of a ``to_json`` document (shape ``schemas.PMORPHISM``)."""
-        return cls(PinnedRootDatum.from_json(doc["source"]),
-                   PinnedRootDatum.from_json(doc["target"]),
+        return cls(rootdata.PinnedRootDatum.from_json(doc["source"]),
+                   rootdata.PinnedRootDatum.from_json(doc["target"]),
                    tuple(map(tuple, doc["f"])), tuple(doc["u"]), tuple(doc["q"]),
                    doc["p"])
 
@@ -145,7 +145,7 @@ def validate_pmorphism(phi: PMorphism) -> None:
     for datum in (src,) if tgt == src else (src, tgt):
         try:
             datum.validate()
-        except RootDatumError as exc:
+        except rootdata.RootDatumError as exc:
             raise InvalidPMorphism(str(exc)) from exc
     _check_equations(phi)
 
@@ -161,13 +161,13 @@ def _check_equations(phi: PMorphism) -> None:
     for k, x in enumerate(phi.q):
         if x < 1 or _p_split(x, phi.p)[1] != 1:
             raise QNotPowerOfP(k)
-    failure = equation_failure(src, tgt, phi.f, phi.u, phi.q)
+    failure = rootdata.equation_failure(src, tgt, phi.f, phi.u, phi.q)
     if failure:
         k, side = failure
         raise (RootEquationFails if side == "root" else CorootEquationFails)(k)
 
 
-def frobenius(datum: PinnedRootDatum, p: int, n: int = 1) -> PMorphism:
+def frobenius(datum: rootdata.PinnedRootDatum, p: int, n: int = 1) -> PMorphism:
     """The constant p-morphism: multiplication by p^n on the same datum."""
     if n < 1:
         raise IsogenyError(f"Frobenius exponent {n} is not positive")
@@ -294,8 +294,8 @@ def enumerate_special(family: str, rank: int, p: int) -> list[PMorphism]:
                     src_gcm, tgt_gcm, range(rank), (1, p))) if set(q) == {1, p}]
         if not hits:
             continue
-        src_datum = src_datum or adjoint_datum(src_gcm)
-        tgt_datum = adjoint_datum(tgt_gcm)
+        src_datum = src_datum or rootdata.adjoint_datum(src_gcm)
+        tgt_datum = rootdata.adjoint_datum(tgt_gcm)
         for u, q in hits:
             f = [[0] * rank for _ in range(rank)]
             for i in range(rank):

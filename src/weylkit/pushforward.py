@@ -30,8 +30,7 @@ from collections import Counter
 from collections.abc import Iterator
 
 from .cartan import WeylkitError
-from .roots import Coords, RootSystem
-from .weyl import check_index
+from .roots import Coords, RootSystem, check_index
 
 Word = tuple[int, ...]
 
@@ -70,10 +69,9 @@ def occurs(word, i: int) -> bool:
 
 def pushforward_step(rs: RootSystem, weight, i: int) -> tuple[int, list[Coords]]:
     """One-step pushforward: returns (degree increment, surviving weights)."""
-    check_index(rs, i)
+    alpha = rs.simple_weight(i)
     w = tuple(weight)
     l = w[i]
-    alpha = rs.simple_weight(i)
     if l >= 0:
         return 0, [tuple(x - k * a for x, a in zip(w, alpha)) for k in range(l + 1)]
     if l == -1:
@@ -167,7 +165,6 @@ def h0_rank(rs: RootSystem, word, alpha_index: int) -> int:
     Computed as the number of zero-weight entries of the pushforward of
     minus the simple root, checked by ``zero_weight_rank``.
     """
-    check_index(rs, alpha_index)
     lam = tuple(-x for x in rs.simple_weight(alpha_index))
     gw = pushforward_word(rs, word, lam)
     return zero_weight_rank(gw, occurs(word, alpha_index),

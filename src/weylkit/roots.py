@@ -8,7 +8,8 @@ Every root carries three coordinate systems at once:
 
 Generation carries all three forward from the simple roots, so arbitrary
 root-against-coroot pairings are integer dot products: pairing(beta, alpha)
-= weight(beta) . coroot(alpha).
+= weight(beta) . coroot(alpha). The simple-index rule lives here too:
+``check_index``, which ``simple`` and ``simple_weight`` apply.
 """
 
 from __future__ import annotations
@@ -29,6 +30,18 @@ class NotARoot(RootsError):
     def __init__(self, coords):
         self.coords = tuple(coords)
         super().__init__(f"{tuple(coords)} is not a root")
+
+
+class IndexOutOfRange(RootsError):
+    def __init__(self, i: int, n: int):
+        self.i, self.n = i, n
+        super().__init__(f"simple index {i} out of range for rank {n}")
+
+
+def check_index(rs: RootSystem, i: int) -> None:
+    """Raise IndexOutOfRange unless i is a 0-based simple index of rs."""
+    if not 0 <= i < rs.rank:
+        raise IndexOutOfRange(i, rs.rank)
 
 
 class Root(namedtuple("Root", "index coords coroot weight height positive length")):
@@ -81,6 +94,7 @@ class RootSystem:
         return self.roots[idx]
 
     def simple(self, i: int) -> Root:
+        check_index(self, i)
         e = tuple(1 if k == i else 0 for k in range(self.rank))
         return self.roots[self._index[e]]
 
@@ -98,6 +112,7 @@ class RootSystem:
 
     def simple_weight(self, i: int) -> Coords:
         """Fundamental-weight coordinates of the i-th simple root (row i of C)."""
+        check_index(self, i)
         return self.gcm[i]
 
     # -- pairings and reflections --------------------------------------------

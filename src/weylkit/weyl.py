@@ -2,7 +2,8 @@
 
 Elements act on roots by permutation and on weight vectors through the
 coroot bookkeeping of the root system, so everything stays in exact
-integers. Enumeration walks the orbit of the strictly dominant vector
+integers; simple indices are checked by ``roots.check_index``.
+Enumeration walks the orbit of the strictly dominant vector
 rho = (1, ..., 1): the orbit map w -> w(rho) is a bijection, and each
 element of length k + 1 is generated exactly once, from its canonical
 parent of length k (Casselman's smallest-descent rule). That keeps the
@@ -34,7 +35,7 @@ from collections import Counter
 from math import prod
 
 from .cartan import WeylkitError
-from .roots import Coords, RootSystem
+from .roots import Coords, RootSystem, check_index
 
 DEFAULT_CAP = 3_000_000
 MATERIALIZE_CAP = 200_000
@@ -49,12 +50,6 @@ MAX_LAYER_BYTES = 256 * 2 ** 20
 
 class WeylError(WeylkitError):
     """Base for Weyl-group failures."""
-
-
-class IndexOutOfRange(WeylError):
-    def __init__(self, i: int, n: int):
-        self.i, self.n = i, n
-        super().__init__(f"simple index {i} out of range for rank {n}")
 
 
 class NotInRhoOrbit(WeylError):
@@ -78,22 +73,15 @@ class LayersTooLarge(WeylError):
                          f"past the bound {MAX_LAYER_BYTES}")
 
 
-def check_index(rs: RootSystem, i: int) -> None:
-    """Raise IndexOutOfRange unless i is a 0-based simple index of rs."""
-    if not 0 <= i < rs.rank:
-        raise IndexOutOfRange(i, rs.rank)
-
-
 def reflect(rs: RootSystem, i: int, weight) -> Coords:
     """Simple reflection s_i on a weight in fundamental-weight coordinates.
 
     s_i(D) = D - <D, coroot_i> alpha_i, an involution fixing the hyperplane
     where the i-th coordinate vanishes.
     """
-    check_index(rs, i)
+    alpha = rs.simple_weight(i)
     w = tuple(weight)
     pair = w[i]
-    alpha = rs.simple_weight(i)
     return tuple(x - pair * a for x, a in zip(w, alpha))
 
 

@@ -4,7 +4,9 @@ are the home modules' own objects, and ``perfbench/tracer.py`` still finds
 every module it patches."""
 
 import importlib
+import itertools
 import json
+import re
 import runpy
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import weylkit
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+GOLDEN = ROOT / "tests" / "golden" / "isogeny_g2_p3.golden"
 
 MODULES = {"intmat", "schemas", "cartan", "roots", "weyl", "characters",
            "pushforward", "rootdata", "isogeny", "chevalley"}
@@ -49,26 +52,54 @@ def test_bare_import_executes_no_submodule():
     assert executed("import weylkit.cli") == {"cli", "cartan"}
 
 
+# stands for a file holding the first G2 isogeny at p = 3, written per test
+PHI = "phi.json"
+
+# each subcommand and the modules it runs besides BASE
 SUBCOMMANDS = [
     (["roots", "--type", "B2"], set()),
     (["weyl", "--type", "B2"], {"weyl"}),
     (["dim", "--type", "B2", "--weight", "1,0"], {"characters"}),
     (["vol", "--type", "B2", "--weight", "1,0"], {"characters"}),
     (["selfcheck", "--type", "B2", "--samples", "2"], {"characters", "weyl"}),
-    (["bs-weights", "--type", "B2", "--word", "1,2", "--weight", "1,0"],
-     {"weyl", "pushforward"}),
+    (["bs-weights", "--type", "B2", "--word", "1,2", "--weight", "1,0"], {"pushforward"}),
     (["datum", "--type", "B2"], {"rootdata"}),
     (["classify", "-"], {"rootdata", "weyl"}),
-    (["isogeny", "enumerate", "--type", "B2", "--p", "2"], {"weyl", "rootdata", "isogeny"}),
-    (["chevalley", "check", "--type", "B2", "--p", "2"],
-     MODULES - {"characters", "pushforward"}),
+    (["isogeny", "enumerate", "--type", "B2", "--p", "2"], {"rootdata", "isogeny"}),
+    (["isogeny", "validate", "--file", PHI], {"rootdata", "isogeny"}),
+    (["chevalley", "check", "--type", "B2", "--p", "2"], {"isogeny", "chevalley"}),
 ]
 
 
-@pytest.mark.parametrize("argv, extra", SUBCOMMANDS, ids=[a[0] for a, _ in SUBCOMMANDS])
-def test_subcommand_executes_only_the_modules_it_uses(argv, extra):
+def subcommand(argv) -> str:
+    """The words of argv before its first option, as the README names the subcommand."""
+    return " ".join(itertools.takewhile(lambda a: not a.startswith("-"), argv))
+
+
+# the first word, but for the one subcommand whose first word is taken
+IDS = [a[0] if a[:2] != ["isogeny", "validate"] else "isogeny-validate" for a, _ in SUBCOMMANDS]
+
+
+@pytest.mark.parametrize("argv, extra", SUBCOMMANDS, ids=IDS)
+def test_subcommand_executes_only_the_modules_it_uses(argv, extra, tmp_path):
+    if PHI in argv:
+        phi = tmp_path / PHI
+        phi.write_text(json.dumps(json.loads(GOLDEN.read_text())["isogenies"][0]))
+        argv = [str(phi) if a == PHI else a for a in argv]
     stdin = '{"matrix": [[2, -1], [-2, 2]]}'
     assert executed(RUN_CLI, argv, stdin) == BASE | extra
+
+
+def test_readme_module_table_is_the_subcommand_rows():
+    # each row: | `sub`, `sub` | `module`, `module` |, or "none" for no module
+    text = (ROOT / "README.md").read_text()
+    table = text.split("The modules each subcommand runs", 1)[1].split("\n\n", 2)[1]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        subs, modules = line.strip("|").split("|")
+        for sub in re.findall(r"`([^`]+)`", subs):
+            rows[sub] = set(re.findall(r"`([^`]+)`", modules))
+    assert rows == {subcommand(argv): extra for argv, extra in SUBCOMMANDS}
 
 
 def test_classify_runs_rootdata_before_numpy():

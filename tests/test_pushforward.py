@@ -18,8 +18,7 @@ from weylkit.pushforward import (MAX_PUSH_WEIGHTS, MAX_STEP_WEIGHTS, KeyLemmaVio
                                  pushforward_step, pushforward_word,
                                  sorted_entries, zero_weight_rank)
 from weylkit.rootdata import adjoint_datum
-from weylkit.roots import generate_roots, nonsimple_positives
-from weylkit.weyl import IndexOutOfRange
+from weylkit.roots import IndexOutOfRange, generate_roots, nonsimple_positives
 
 from oracles import pushforward_suffixes
 

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import cartan
-from weylkit.roots import (NotARoot, generate_roots, nonsimple_positives,
-                           root_string)
+from weylkit.roots import (IndexOutOfRange, NotARoot, RootsError, generate_roots,
+                           nonsimple_positives, root_string)
 
 from oracles import reflection_closure
 
@@ -77,6 +77,16 @@ def test_negation_index_layout():
     for r in rs.roots:
         other = rs.roots[rs.negative_of(r.index)]
         assert other.coords == tuple(-x for x in r.coords)
+
+
+def test_simple_index_out_of_range():
+    # a simple index past the rank, or below 0, is refused by the root system
+    # itself, not by a KeyError or IndexError from its tables
+    rs = _rs("A2")
+    for call in (lambda: rs.simple(2), lambda: rs.simple(-1), lambda: rs.simple_weight(5)):
+        with pytest.raises(IndexOutOfRange, match="out of range for rank 2$"):
+            call()
+    assert issubclass(IndexOutOfRange, RootsError)
 
 
 def test_pairing_of_root_with_own_coroot_is_two():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import cartan, weyl
-from weylkit.roots import generate_roots
-from weylkit.weyl import (CapExceeded, IndexOutOfRange, NotInRhoOrbit,
-                          WeylElement, demazure_product, element_from_word,
+from weylkit.roots import IndexOutOfRange, generate_roots
+from weylkit.weyl import (CapExceeded, NotInRhoOrbit, WeylElement,
+                          demazure_product, element_from_word,
                           enumerate_weyl, is_reduced, poincare_polynomial,
                           reduced_word, reflect, simple_reflections,
                           weyl_order, word_from_vector)
