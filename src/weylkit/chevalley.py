@@ -16,6 +16,7 @@ simply-laced component has only short roots, and square rows need b short.
 So ``short_root_ideal_check`` walks the a-string through b once per short
 pair with a + b a root, for the bracket and Steinberg rows (a + b long) and
 the square row (up >= 2, strings being unbroken), then reads off violations.
+Sums and string steps are root-key lookups (``RootSystem.add``, ``string_steps``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from collections import namedtuple
 
 from .cartan import WeylkitError
 from .isogeny import is_prime
-from .roots import RootSystem, root_string
+from .roots import RootSystem, string_steps
 
 
 class ChevalleyError(WeylkitError):
@@ -58,19 +59,13 @@ class StructureConstant(namedtuple("StructureConstant", "alpha beta m down up"))
     __slots__ = ()
 
 
-def _sum(rs: RootSystem, a, b):
-    """The root a + b of two roots, or None when the sum is not a root."""
-    idx = rs.index_of(tuple(x + y for x, y in zip(a.coords, b.coords)))
-    return None if idx is None else rs.roots[idx]
-
-
 def bracket_constant(rs: RootSystem, alpha, beta) -> StructureConstant:
     """The magnitude m(alpha, beta) read off the alpha-string through beta."""
     a, b = rs.root(alpha), rs.root(beta)
-    if _sum(rs, a, b) is None:
+    if rs.add(b.index, a.index) is None:
         raise SumNotARoot(a.coords, b.coords)
-    s = root_string(rs, b.coords, a.coords)
-    return StructureConstant(a.coords, b.coords, s.down + 1, s.down, s.up)
+    down, up = string_steps(rs, rs.keys[b.index], rs.keys[a.index])
+    return StructureConstant(a.coords, b.coords, down + 1, down, up)
 
 
 class SteinbergReport(namedtuple("SteinbergReport", "alpha beta down up length_ratio holds")):
@@ -85,14 +80,14 @@ def steinberg_check(rs: RootSystem, alpha, beta) -> SteinbergReport:
     a, b = rs.root(alpha), rs.root(beta)
     if a.length != 1:
         raise HypothesesNotMet("alpha-not-short")
-    t = _sum(rs, a, b)
+    t = rs.add(b.index, a.index)
     if t is None:
         raise HypothesesNotMet("sum-not-a-root")
-    if t.length == 1:
+    length = rs.roots[t].length
+    if length == 1:
         raise HypothesesNotMet("sum-not-long")
-    s = root_string(rs, b.coords, a.coords)
-    return SteinbergReport(a.coords, b.coords, s.down, s.up, t.length,
-                           s.down + 1 == s.up * t.length)
+    down, up = string_steps(rs, rs.keys[b.index], rs.keys[a.index])
+    return SteinbergReport(a.coords, b.coords, down, up, length, down + 1 == up * length)
 
 
 class IdealCheckReport(namedtuple("IdealCheckReport",
@@ -120,26 +115,27 @@ def short_root_ideal_check(rs: RootSystem, p: int) -> IdealCheckReport:
     """Run both ideal checks, one string walk per short pair."""
     if not is_prime(p):
         raise ChevalleyError(f"{p} is not prime")
-    short = [r for r in rs.roots if r.length == 1]
-    if len(short) == len(rs.roots):
+    roots, keys = rs.roots, rs.keys
+    short = [(r.index, r.coords) for r in roots if r.length == 1]
+    if len(short) == len(roots):
         raise SimplyLaced()
     report = IdealCheckReport(p, [], [], [], [])
-    for a in short:
-        for b in short:
-            total = _sum(rs, a, b)
+    doubles = []   # the root 2a + b of each square row
+    for a, alpha in short:
+        for b, beta in short:
+            total = rs.add(b, a)
             if total is None:
                 continue
-            s = root_string(rs, b.coords, a.coords)
+            total = roots[total]
+            down, up = string_steps(rs, keys[b], keys[a])
             if total.length > 1:
-                m = s.down + 1
-                report.bracket_triples.append((a.coords, b.coords, total.coords, m))
+                report.bracket_triples.append((alpha, beta, total.coords, down + 1))
                 report.steinberg.append(SteinbergReport(
-                    a.coords, b.coords, s.down, s.up, total.length,
-                    m == s.up * total.length))
-            if s.up >= 2:   # unbroken: 2a + b is a root
-                double = tuple(2 * x + y for x, y in zip(a.coords, b.coords))
-                report.square_triples.append((a.coords, b.coords, double))
+                    alpha, beta, down, up, total.length, down + 1 == up * total.length))
+            if up >= 2:   # unbroken: 2a + b is a root
+                doubles.append(roots[rs.add(b, a, 2)])
+                report.square_triples.append((alpha, beta, doubles[-1].coords))
     report.violations.extend(("bracket", *t) for t in report.bracket_triples if t[3] % p)
-    report.violations.extend(("square", *t) for t in report.square_triples
-                             if rs.root(t[2]).length == 1)
+    report.violations.extend(("square", *t) for t, d in zip(report.square_triples, doubles)
+                             if d.length == 1)
     return report

@@ -20,10 +20,13 @@ document when a ``--cap`` lets through a group whose Weyl layers would pass
 ``weyl.MAX_LAYER_BYTES`` (E8 at any cap), refused before any layer is built.
 A usage error (an unknown subcommand, a missing or malformed option) is
 unreadable input too: it writes one ``ParseError`` error document and exits
-4 under ``classify``, 1 otherwise. A result or message with an integer past
-the interpreter's int-to-str digit limit is refused with one
-``DigitLimitExceeded`` document and exit 1; the limit guards the conversion
-against quadratic time, so it is kept. Every run writes exactly one document.
+4 under ``classify``, 1 otherwise. A ``selfcheck`` whose samples x (rank + 1)
+x positive roots passes ``SELFCHECK_BUDGET`` is refused before any sample
+with one ``SelfcheckTooLarge`` error document and exit 1. A result or
+message with an integer past the interpreter's int-to-str digit limit is
+refused with one ``DigitLimitExceeded`` document and exit 1; the limit
+guards the conversion against quadratic time, so it is kept. Every run
+writes exactly one document.
 """
 
 from __future__ import annotations
@@ -40,8 +43,11 @@ from . import (cartan, characters, chevalley, isogeny, pushforward, rootdata, ro
 # let values like "-2,1" pass as option arguments rather than flags
 _NEGATIVE_VECTOR = re.compile(r"^-\d+(,-?\d+)*$")
 
-# most samples ``selfcheck`` draws; at about 0.22 ms an E8 sample, some 2-3 s
+# most samples ``selfcheck`` draws; E8 at the cap takes about 5 s
 MAX_SAMPLES = 10_000
+# most work a ``selfcheck`` may ask for, in samples x (rank + 1) chi
+# evaluations x positive roots: E8 at MAX_SAMPLES, where A60 would take 68 s
+SELFCHECK_BUDGET = MAX_SAMPLES * 9 * 120
 
 # the message CPython gives an int past its int-to-str digit limit
 _DIGIT_LIMIT_MESSAGE = "for integer string conversion"
@@ -49,6 +55,15 @@ _DIGIT_LIMIT_MESSAGE = "for integer string conversion"
 
 class ParseError(cartan.WeylkitError):
     """Unreadable input: bad JSON, a malformed document or a usage error."""
+
+
+class SelfcheckTooLarge(cartan.WeylkitError):
+    details = ("work", "bound")
+
+    def __init__(self, work: int):
+        self.work, self.bound = work, SELFCHECK_BUDGET
+        super().__init__(f"selfcheck would take {work} units of work, past the bound "
+                         f"{SELFCHECK_BUDGET} (samples x (rank + 1) x positive roots)")
 
 
 class DigitLimitExceeded(cartan.WeylkitError):
@@ -300,6 +315,9 @@ def _cmd_selfcheck(args) -> tuple[dict, int]:
     import random   # here alone, so no other subcommand loads it
 
     rs = _root_system(args)
+    work = args.samples * (rs.rank + 1) * rs.num_positive
+    if work > SELFCHECK_BUDGET:
+        raise SelfcheckTooLarge(work)
     ed = characters.EulerData.from_root_system(rs)
     rng = random.Random(args.seed)
     anti = True

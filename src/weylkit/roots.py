@@ -8,8 +8,13 @@ Every root carries three coordinate systems at once:
 
 Generation carries all three forward from the simple roots, so arbitrary
 root-against-coroot pairings are integer dot products: pairing(beta, alpha)
-= weight(beta) . coroot(alpha). The simple-index rule lives here too:
-``check_index``, which ``simple`` and ``simple_weight`` apply.
+= weight(beta) . coroot(alpha). A root's key, sum(coords[k] * 2**(8k)), is
+linear, so ``add(r, s, k)``, the index of the root r + k*s, is one sum and
+one dict lookup. Coordinates stay within +-6 (E8) and sums have |k| <= 4, so
+each base-256 digit stays within +-30 < 128: equal keys are equal roots, and
+``index_of`` checks what a packed tuple finds, so no other length or range
+aliases a root. The simple-index rule lives here too: ``check_index``, which
+``simple`` and ``simple_weight`` apply.
 """
 
 from __future__ import annotations
@@ -71,21 +76,24 @@ class RootSystem:
     to share.
     """
 
-    def __init__(self, gcm: GCM, sym: Symmetrizer, roots: list[Root]):
+    def __init__(self, gcm: GCM, sym: Symmetrizer, roots: list[Root], keys: list[int]):
         self.gcm = gcm
         self.sym = sym
         self.roots = tuple(roots)
         self.rank = gcm.n
         self.num_positive = len(roots) // 2
-        self._index = {r.coords: r.index for r in roots}
+        self.keys = tuple(keys)
+        self._by_key = dict(zip(self.keys, range(len(self.keys)))) | {0: None}
 
     # -- lookups ------------------------------------------------------------
 
     def index_of(self, coords) -> int | None:
-        return self._index.get(tuple(coords))
+        coords = tuple(coords)
+        idx = self._by_key.get(sum(a * 256 ** k for k, a in enumerate(coords)))
+        return idx if idx is not None and self.roots[idx].coords == coords else None
 
     def is_root(self, coords) -> bool:
-        return tuple(coords) in self._index
+        return self.index_of(coords) is not None
 
     def root(self, coords) -> Root:
         idx = self.index_of(coords)
@@ -93,10 +101,19 @@ class RootSystem:
             raise NotARoot(coords)
         return self.roots[idx]
 
+    def add(self, r: int, s: int, k: int = 1) -> int | None:
+        """The index of the root r + k*s (root indices, |k| <= 4), or None.
+
+        >>> rs = generate_roots(GCM(2, ((2, -1), (-1, 2))))   # A2
+        >>> a1, a2 = rs.simple(0).index, rs.simple(1).index
+        >>> rs.roots[rs.add(a1, a2)].coords, rs.add(a1, a1), rs.add(a1, a1, -1)
+        ((1, 1), None, None)
+        """
+        return self._by_key.get(self.keys[r] + k * self.keys[s])
+
     def simple(self, i: int) -> Root:
         check_index(self, i)
-        e = tuple(1 if k == i else 0 for k in range(self.rank))
-        return self.roots[self._index[e]]
+        return self.roots[self._by_key[1 << 8 * i]]
 
     @property
     def simples(self) -> list[Root]:
@@ -120,19 +137,14 @@ class RootSystem:
     def pairing(self, weight, coroot) -> int:
         return sum(w * c for w, c in zip(weight, coroot))
 
-    def reflect_coords(self, i: int, coords) -> Coords:
-        """Simple reflection s_i on root coordinates."""
-        pair = sum(a * self.gcm[k][i] for k, a in enumerate(coords))
-        return tuple(a - pair if k == i else a for k, a in enumerate(coords))
-
     @cached_property
     def reflection_perms(self) -> tuple[tuple[int, ...], ...]:
         """s_i as a permutation of the root indices: r goes to ``reflection_perms[i][r]``,
         which is r less ``r.weight[i]`` (its pairing with coroot i) times simple root i."""
+        by = self._by_key
         return tuple(
-            tuple(self._index[r.coords[:i] + (r.coords[i] - r.weight[i],) + r.coords[i + 1:]]
-                  for r in self.roots)
-            for i in range(self.rank))
+            tuple(by[key - r.weight[i] * unit] for key, r in zip(self.keys, self.roots))
+            for i, unit in enumerate(1 << 8 * i for i in range(self.rank)))
 
     def __repr__(self) -> str:
         return f"RootSystem(rank={self.rank}, roots={len(self.roots)})"
@@ -166,34 +178,33 @@ def generate_roots(c: GCM) -> RootSystem:
     sym = symmetrizer(c)
     n = c.n
     lengths = sym.lengths
-    # coords -> (weight, length, steps of each alpha_i-string below the root)
-    found: dict[Coords, tuple[Coords, int, list[int]]] = {}
-    layer: list[Coords] = []
+    # key -> (weight, length, steps of each alpha_i-string below the root)
+    found: dict[int, tuple[Coords, int, list[int]]] = {}
+    layer: list[tuple[Coords, int]] = []
     for i in range(n):
-        e = tuple(1 if k == i else 0 for k in range(n))
-        found[e] = (c[i], lengths[i], [0] * n)
-        layer.append(e)
-    positives: list[Coords] = []
+        found[1 << 8 * i] = (c[i], lengths[i], [0] * n)
+        layer.append((tuple(1 if k == i else 0 for k in range(n)), 1 << 8 * i))
+    positives: list[tuple[Coords, int]] = []
     while layer:
         layer.sort()
         positives.extend(layer)
-        above: list[Coords] = []
-        for coords in layer:
-            weight, length, below = found[coords]
+        above: list[tuple[Coords, int]] = []
+        for coords, key in layer:
+            weight, length, below = found[key]
             for i in range(n):
                 if below[i] <= weight[i]:
                     continue
-                up = coords[:i] + (coords[i] + 1,) + coords[i + 1:]
+                up = key + (1 << 8 * i)
                 if up not in found:
                     found[up] = (tuple(w + a for w, a in zip(weight, c[i])),
                                  length + (weight[i] + 1) * lengths[i], [0] * n)
-                    above.append(up)
+                    above.append((coords[:i] + (coords[i] + 1,) + coords[i + 1:], up))
                 found[up][2][i] = below[i] + 1
         layer = above
 
     roots: list[Root] = []
-    for idx, coords in enumerate(positives):
-        weight, length, _ = found[coords]
+    for idx, (coords, key) in enumerate(positives):
+        weight, length, _ = found[key]
         coroot = tuple(a * lengths[k] // length for k, a in enumerate(coords))
         roots.append(Root(idx, coords, coroot, weight, sum(coords), True, length))
     np_ = len(roots)
@@ -201,7 +212,7 @@ def generate_roots(c: GCM) -> RootSystem:
         roots.append(Root(np_ + r.index, tuple(-a for a in r.coords),
                           tuple(-b for b in r.coroot), tuple(-w for w in r.weight),
                           -r.height, False, r.length))
-    return RootSystem(c, sym, roots)
+    return RootSystem(c, sym, roots, [k for _, k in positives] + [-k for _, k in positives])
 
 
 def nonsimple_positives(rs: RootSystem) -> list[Root]:
@@ -228,21 +239,18 @@ class RootString(namedtuple("RootString", "base direction down up")):
 
 def root_string(rs: RootSystem, base, direction) -> RootString:
     """The direction-string through base, with base in roots or zero."""
-    base = tuple(base)
-    direction = tuple(direction)
-    if not rs.is_root(direction):
-        raise NotARoot(direction)
-    zero = tuple(0 for _ in range(rs.rank))
-    if base != zero and not rs.is_root(base):
-        raise NotARoot(base)
+    base, direction = tuple(base), tuple(direction)
+    d = rs.keys[rs.root(direction).index]
+    b = 0 if base == (0,) * rs.rank else rs.keys[rs.root(base).index]
+    return RootString(base, direction, *string_steps(rs, b, d))
 
-    def inside(coords):
-        return coords == zero or rs.is_root(coords)
 
-    down = 0
-    while inside(tuple(b - (down + 1) * d for b, d in zip(base, direction))):
+def string_steps(rs: RootSystem, base: int, direction: int) -> tuple[int, int]:
+    """(down, up) of the direction-string through base, as root keys (base may be 0)."""
+    by = rs._by_key   # holds key 0 too
+    down = up = 0
+    while base - (down + 1) * direction in by:
         down += 1
-    up = 0
-    while inside(tuple(b + (up + 1) * d for b, d in zip(base, direction))):
+    while base + (up + 1) * direction in by:
         up += 1
-    return RootString(base, direction, down, up)
+    return down, up

@@ -117,8 +117,8 @@ class WeylElement:
     def act_weight(self, weight) -> Coords:
         """Image of a weight: <wD, coroot_j> = <D, w^{-1} coroot_j>."""
         rs, w = self.rs, tuple(weight)
-        return tuple(rs.pairing(w, rs.roots[self.perm.index(rs.simple(j).index)].coroot)
-                     for j in range(rs.rank))
+        preimage = dict(zip(self.perm, range(len(self.perm))))
+        return tuple(rs.pairing(w, rs.roots[preimage[s.index]].coroot) for s in rs.simples)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeylElement) and self.perm == other.perm
@@ -166,13 +166,9 @@ def word_from_vector(rs: RootSystem, vector) -> tuple[int, ...]:
 
 def root_reflection(rs: RootSystem, root_index: int) -> WeylElement:
     """The reflection in an arbitrary root, as a permutation of the roots."""
-    alpha = rs.roots[root_index]
-    perm = []
-    for r in rs.roots:
-        pair = rs.pairing(r.weight, alpha.coroot)
-        img = tuple(a - pair * b for a, b in zip(r.coords, alpha.coords))
-        perm.append(rs.index_of(img))
-    return WeylElement(rs, tuple(perm))
+    coroot = rs.roots[root_index].coroot
+    return WeylElement(rs, tuple(rs.add(r.index, root_index, -rs.pairing(r.weight, coroot))
+                                 for r in rs.roots))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ of one string walk per pair, a pinned isomorphism checked on every root
 and coroot instead of the two defining equations on the simples, and
 subgroups closed under the whole subgroup as generators, lifted by a Smith
 transform and re-based by a Hermite form of unbounded gcd steps, instead
-of a walk over Hermite bases modulo the determinant.
+of a walk over Hermite bases modulo the determinant, and the reflection
+permutations and root strings built and looked up as coordinate tuples
+instead of walked on the linear root keys.
 """
 
 from __future__ import annotations
@@ -172,6 +174,43 @@ def weyl_order_closed_form(family: str, rank: int) -> int:
         "F": lambda: 1152,
         "G": lambda: 12,
     }[family]()
+
+
+def reflect_coords(rs, i: int, coords) -> tuple[int, ...]:
+    """Simple reflection s_i on root coordinates, through column i of C."""
+    pair = sum(a * rs.gcm[k][i] for k, a in enumerate(coords))
+    return tuple(a - pair if k == i else a for k, a in enumerate(coords))
+
+
+def tuple_reflection_perms(rs) -> tuple[tuple[int, ...], ...]:
+    """s_i as a permutation of the root indices, each image r less
+    ``r.weight[i]`` times simple root i built as a coordinate tuple and
+    looked up in a dict keyed by the coordinates."""
+    index = {r.coords: r.index for r in rs.roots}
+    return tuple(
+        tuple(index[r.coords[:i] + (r.coords[i] - r.weight[i],) + r.coords[i + 1:]]
+              for r in rs.roots)
+        for i in range(rs.rank))
+
+
+def tuple_root_strings(rs) -> dict:
+    """(base, direction) -> (down, up) of the direction-string through base,
+    for every root direction and every root or zero base, each step built
+    as a coordinate tuple and looked up in the set of the roots and zero."""
+    zero = (0,) * rs.rank
+    inside = {r.coords for r in rs.roots} | {zero}
+    strings = {}
+    for base in inside:
+        for direction in rs.roots:
+            d = direction.coords
+            down = 0
+            while tuple(b - (down + 1) * a for b, a in zip(base, d)) in inside:
+                down += 1
+            up = 0
+            while tuple(b + (up + 1) * a for b, a in zip(base, d)) in inside:
+                up += 1
+            strings[base, d] = down, up
+    return strings
 
 
 def brute_bracket_m(is_root, alpha, beta) -> int:

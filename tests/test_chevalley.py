@@ -166,13 +166,13 @@ def test_ideal_check_looks_up_short_pairs_only(label, monkeypatch):
     rs = _rs(label)
     short = [r for r in rs.roots if r.length == 1]
     calls = 0
-    index_of = rs.index_of
+    add = rs.add
 
-    def counting(coords):
+    def counting(r, s, k=1):
         nonlocal calls
         calls += 1
-        return index_of(coords)
+        return add(r, s, k)
 
-    monkeypatch.setattr(rs, "index_of", counting)
+    monkeypatch.setattr(rs, "add", counting)
     report = short_root_ideal_check(rs, 2)
-    assert calls <= len(short) ** 2 + len(report.square_triples)
+    assert 0 < calls <= len(short) ** 2 + len(report.square_triples)

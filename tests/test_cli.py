@@ -614,6 +614,43 @@ def test_selfcheck_deterministic_under_seed():
     validate_document(doc)
 
 
+class _Admitted(Exception):
+    """Raised by a stubbed chi evaluation: the request got past the budget."""
+
+
+@pytest.mark.parametrize("label,samples", [("A60", 97), ("C60", 50), ("D60", 10_000)])
+def test_selfcheck_over_the_work_budget_is_one_error_document(label, samples, monkeypatch):
+    # refused from the root counts, before any chi evaluation
+    from weylkit import characters
+    calls = 0
+
+    def counting(ed, d):
+        nonlocal calls
+        calls += 1
+
+    monkeypatch.setattr(characters, "shifted_euler_characteristic", counting)
+    code, out = run_cli(["selfcheck", "--type", label, "--samples", str(samples)])
+    assert code == 1
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    validate_document(doc)
+    assert doc["error"]["code"] == "SelfcheckTooLarge"
+    assert doc["error"]["work"] > doc["error"]["bound"]
+    assert calls == 0
+
+
+@pytest.mark.parametrize("label,samples", [("E8", 10_000), ("A60", 96), ("C60", 49), ("D60", 50)])
+def test_selfcheck_at_the_work_budget_is_admitted(label, samples, monkeypatch):
+    from weylkit import characters
+
+    def admitted(ed, d):
+        raise _Admitted
+
+    monkeypatch.setattr(characters, "shifted_euler_characteristic", admitted)
+    with pytest.raises(_Admitted):
+        run_cli(["selfcheck", "--type", label, "--samples", str(samples)])
+
+
 def test_text_format_renders_tables():
     code, out = run_cli(["roots", "--type", "A1", "--format", "text"])
     assert code == 0

@@ -5,7 +5,8 @@ from weylkit import cartan
 from weylkit.roots import (IndexOutOfRange, NotARoot, RootsError, generate_roots,
                            nonsimple_positives, root_string)
 
-from oracles import reflection_closure
+from oracles import (reflect_coords, reflection_closure, tuple_reflection_perms,
+                     tuple_root_strings)
 
 CLOSED_FORM_POSITIVES = {
     "A": lambda n: n * (n + 1) // 2,
@@ -111,7 +112,7 @@ def test_length_constant_on_orbits():
         rs = _rs(label)
         for r in rs.roots:
             for i in range(rs.rank):
-                img = rs.root(rs.reflect_coords(i, r.coords))
+                img = rs.root(reflect_coords(rs, i, r.coords))
                 assert img.length == r.length
                 assert rs.reflection_perms[i][r.index] == img.index
 
@@ -174,6 +175,47 @@ def test_string_identity_down_minus_up(data):
     delta = data.draw(st.sampled_from(rs.roots))
     s = root_string(rs, beta.coords, delta.coords)
     assert s.down - s.up == rs.pairing(beta.weight, delta.coroot)
+
+
+KEYED_LABELS = [f"{f}{r}" for f, r in cartan.catalog_types(max_rank=8)] + ["A2+G2+B3"]
+
+
+@pytest.mark.parametrize("label", KEYED_LABELS + ["A60", "C60", "D60", "B40"])
+def test_reflection_perms_match_tuple_oracle(label):
+    rs = _rs(label)
+    assert rs.reflection_perms == tuple_reflection_perms(rs)
+
+
+@pytest.mark.parametrize("label", KEYED_LABELS)
+def test_root_strings_match_tuple_oracle(label):
+    rs = _rs(label)
+    strings = tuple_root_strings(rs)
+    assert len(strings) == (len(rs.roots) + 1) * len(rs.roots)
+    for (base, direction), steps in strings.items():
+        s = root_string(rs, base, direction)
+        assert (s.down, s.up) == steps, (base, direction)
+
+
+def test_keys_are_linear_and_add_matches_coordinates():
+    rs = _rs("G2+B3")
+    index = {r.coords: r.index for r in rs.roots}
+    for r in rs.roots:
+        assert rs.keys[r.index] == sum(a * 256 ** k for k, a in enumerate(r.coords))
+        for s in rs.roots:
+            for k in (-4, -3, -2, -1, 0, 1, 2, 3, 4):
+                total = tuple(a + k * b for a, b in zip(r.coords, s.coords))
+                assert rs.add(r.index, s.index, k) == index.get(total), (r, s, k)
+
+
+def test_lookups_do_not_alias_across_digits_or_lengths():
+    rs = _rs("A2")
+    for coords in [(256, 0), (1,), (1, 0, 0), (-256, 1), (0, 0), ()]:
+        assert rs.index_of(coords) is None, coords
+        assert not rs.is_root(coords), coords
+        with pytest.raises(NotARoot):
+            rs.root(coords)
+    assert rs.root((1.0, 0)).coords == (1, 0)
+    assert rs.is_root([0, 1]) and rs.index_of(iter((1, 1))) == rs.root((1, 1)).index
 
 
 def test_nonsimple_positives():
