@@ -7,7 +7,7 @@ Usage: python scripts/recognize.py
 """
 
 from weylkit import cartan, roots, weyl
-from weylkit.rootdata import fundamental_group
+from weylkit.cartan import fundamental_group
 
 EXAMPLES = [
     ("the A2 matrix", [[2, -1], [-1, 2]]),

@@ -7,13 +7,13 @@ The modules are arranged bottom-up, each importing only from those above it:
   fraction-free; ``hermite_form``, modular, ending in ``reduce_rows``, a
   back-reduction the lattice walk shares) and invariant factors from the latter
 * ``schemas``: the shapes of the CLI's JSON documents, with a checker
-* ``cartan``: matrix validation, finite-type test, symmetrizer, catalog,
-  Dynkin classification
+* ``cartan``: matrix validation, finite-type test, fundamental group,
+  symmetrizer, catalog, Dynkin classification
 * ``roots``: root systems, their coroots and strings, the simple-index check
 * ``weyl``: the Weyl group as permutations of the roots, words, enumeration
 * ``characters``: shifted Euler characteristic, Weyl dimension, volume
 * ``pushforward``: graded weight multisets pushed down words
-* ``rootdata``: pinned root data, fundamental group, intermediate lattices
+* ``rootdata``: pinned root data, intermediate lattices
 * ``isogeny``: p-morphisms (their JSON, word factors, root extension),
   Frobenius, special isogenies
 * ``chevalley``: bracket constants, string-length identity, short-root ideal
@@ -43,17 +43,16 @@ _MODULES = ("intmat", "schemas", "cartan", "roots", "weyl", "characters",
 # each module and the names it exports from the package, in ``__all__`` order
 _EXPORTS = {
     "cartan": ("GCM", "DynkinType", "Symmetrizer", "catalog", "catalog_types",
-               "classify", "is_finite_type", "parse_type", "symmetrizer",
-               "validate_gcm"),
+               "classify", "fundamental_group", "is_finite_type", "parse_type",
+               "symmetrizer", "validate_gcm"),
     "characters": ("EulerData", "shifted_euler_characteristic", "volume", "weyl_dim"),
     "chevalley": ("bracket_constant", "short_root_ideal_check", "steinberg_check"),
     "isogeny": ("PMorphism", "enumerate_special", "factor_primitive_constant",
                 "frobenius", "validate_pmorphism"),
     "pushforward": ("GradedWeights", "chi_restriction", "h0_rank", "occurs",
                     "pushforward_step", "pushforward_word"),
-    "rootdata": ("PinnedRootDatum", "adjoint_datum", "fundamental_group",
-                 "intermediate_lattices", "pinned_isomorphism",
-                 "simply_connected_datum"),
+    "rootdata": ("PinnedRootDatum", "adjoint_datum", "intermediate_lattices",
+                 "pinned_isomorphism", "simply_connected_datum"),
     "roots": ("Root", "RootSystem", "RootString", "generate_roots", "root_string"),
     "weyl": ("WeylElement", "WeylGroup", "demazure_product", "enumerate_weyl",
              "is_reduced", "poincare_polynomial", "reduced_word", "reflect",

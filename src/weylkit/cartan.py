@@ -1,4 +1,5 @@
-"""Generalized Cartan matrices: validation, finite type, symmetrizer, classification.
+"""Generalized Cartan matrices: validation, finite type, fundamental group,
+symmetrizer, classification.
 
 Convention (used throughout the package): the entry ``C[i][j]`` is the pairing
 of simple root i against simple coroot j, so row i of C lists the
@@ -209,6 +210,14 @@ def validate_gcm(matrix) -> GCM:
 def is_finite_type(c: GCM) -> bool:
     """The finite-type verdict ``GCM.finite_type``, computed once per matrix."""
     return c.finite_type
+
+
+def fundamental_group(c: GCM) -> tuple[int, ...]:
+    """Invariant factors (> 1) of the weight lattice modulo the root lattice,
+    read modulo det C, so no entry of the elimination passes it."""
+    if not is_finite_type(c):
+        raise NotFiniteType()
+    return tuple(x for x in intmat.invariant_factors(c.rows(), c.leading_minors[-1]) if x != 1)
 
 
 def symmetrizer(c: GCM) -> Symmetrizer:

@@ -105,8 +105,10 @@ def _cell(value) -> str:
 
 
 def _parse_ints(text: str) -> list[int]:
+    """Comma-separated integers; an empty or blank field is refused, so
+    "1,,2" or "3," is not read as a shorter list."""
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in text.split(",")]
     except ValueError:
         raise ParseError(f"expected comma-separated integers, got {text!r}") from None
 
@@ -190,8 +192,7 @@ def _cmd_classify(args) -> tuple[dict, int]:
     report["symmetrizer"] = list(rs.sym.d)
     report["positive_roots"] = rs.num_positive
     report["dimension"] = rs.num_positive
-    # before _weyl_counts, which may import numpy
-    report["fundamental_group"] = list(rootdata.fundamental_group(gcm))
+    report["fundamental_group"] = list(cartan.fundamental_group(gcm))
     (report["weyl_order"], report["weyl_order_enumerated"],
      report["poincare"]) = _weyl_counts(rs, args.cap)
     return report, 0

@@ -279,7 +279,7 @@ def enumerate_special(family: str, rank: int, p: int) -> list[PMorphism]:
     then q. Source and target carry their adjoint data (built only for a
     target with a hit), where the defining equations pin f down to a
     monomial matrix, so a solution exists exactly when the compatibility
-    holds.
+    holds. A target that is the source type reuses the source datum.
     """
     if not is_prime(p):
         raise IsogenyError(f"{p} is not prime")
@@ -295,7 +295,7 @@ def enumerate_special(family: str, rank: int, p: int) -> list[PMorphism]:
         if not hits:
             continue
         src_datum = src_datum or rootdata.adjoint_datum(src_gcm)
-        tgt_datum = rootdata.adjoint_datum(tgt_gcm)
+        tgt_datum = src_datum if tgt_gcm == src_gcm else rootdata.adjoint_datum(tgt_gcm)
         for u, q in hits:
             f = [[0] * rank for _ in range(rank)]
             for i in range(rank):

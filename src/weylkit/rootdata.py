@@ -1,5 +1,5 @@
 """Pinned root data: adjoint and simply connected forms, intermediate
-lattices, fundamental group, and rigidity of pinned isomorphisms.
+lattices, and rigidity of pinned isomorphisms.
 
 A datum records the roots as integer vectors in a chosen basis of the
 character lattice M and the coroots in the dual basis of the dual lattice,
@@ -19,7 +19,7 @@ from math import prod
 
 from . import intmat
 from .intmat import reduce_rows
-from .cartan import GCM, GCMError, NotFiniteType, WeylkitError, is_finite_type, validate_gcm
+from .cartan import GCM, GCMError, WeylkitError, fundamental_group, validate_gcm
 from .roots import RootSystem, generate_roots
 
 Vec = tuple[int, ...]
@@ -172,14 +172,6 @@ def simply_connected_datum(c: GCM) -> PinnedRootDatum:
     rs = generate_roots(c)
     return PinnedRootDatum(c.n, tuple(r.weight for r in rs.roots),
                            tuple(r.coroot for r in rs.roots), _simples(rs))
-
-
-def fundamental_group(c: GCM) -> tuple[int, ...]:
-    """Invariant factors (> 1) of the weight lattice modulo the root lattice,
-    read modulo det C, so no entry of the elimination passes it."""
-    if not is_finite_type(c):
-        raise NotFiniteType()
-    return tuple(x for x in intmat.invariant_factors(c.rows(), c.leading_minors[-1]) if x != 1)
 
 
 def fundamental_group_order(c: GCM) -> int:

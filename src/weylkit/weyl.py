@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from math import prod
 
 from .cartan import WeylkitError
@@ -85,15 +85,12 @@ def reflect(rs: RootSystem, i: int, weight) -> Coords:
     return tuple(x - pair * a for x, a in zip(w, alpha))
 
 
-class WeylElement:
+class WeylElement(namedtuple("WeylElement", "rs perm")):
     """A Weyl group element: its root system and a permutation of the root
-    index set, nothing else; the length is counted on each read."""
+    index set, nothing else; the length is counted on each read. Equal
+    elements share the root system object, which compares by identity."""
 
-    __slots__ = ("rs", "perm")
-
-    def __init__(self, rs: RootSystem, perm: tuple[int, ...]):
-        self.rs = rs
-        self.perm = perm
+    __slots__ = ()
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "WeylElement":
@@ -119,15 +116,6 @@ class WeylElement:
         rs, w = self.rs, tuple(weight)
         preimage = dict(zip(self.perm, range(len(self.perm))))
         return tuple(rs.pairing(w, rs.roots[preimage[s.index]].coroot) for s in rs.simples)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeylElement) and self.perm == other.perm
-
-    def __hash__(self) -> int:
-        return hash(self.perm)
-
-    def __repr__(self) -> str:
-        return f"WeylElement(len={self.length})"
 
 
 def simple_reflections(rs: RootSystem) -> tuple[WeylElement, ...]:

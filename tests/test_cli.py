@@ -77,12 +77,20 @@ def test_parse_error_exit_code():
     (["selfcheck", "--type", "A2", "--samples", "abc"], 1),
     (["bs-weights", "--type", "A2", "--word", "1", "--weight", "1,x"], 1),
     (["bs-weights", "--type", "A2", "--word", "a", "--weight", "1,1"], 1),
+    # an empty or blank field is refused, not dropped
+    (["bs-weights", "--type", "A2", "--word", "1,,2", "--weight", "1,1"], 1),
+    (["bs-weights", "--type", "A2", "--word", "1, ", "--weight", "1,1"], 1),
+    (["bs-weights", "--type", "A2", "--word", ",1", "--weight", "1,1"], 1),
+    (["dim", "--type", "A1", "--weight", "3,"], 1),
+    (["vol", "--type", "A2", "--weight", "1,,2"], 1),
 ], ids=["classify-bad-cap", "classify-unknown-option", "weyl-bad-cap",
         "dim-missing-weight", "bs-weights-missing-weight",
         "chevalley-missing-p", "bad-format", "unknown-subcommand", "no-subcommand",
         "selfcheck-negative-samples", "selfcheck-too-many-samples",
         "selfcheck-samples-not-int", "bs-weights-weight-not-int",
-        "bs-weights-word-not-int"])
+        "bs-weights-word-not-int", "bs-weights-word-empty-field",
+        "bs-weights-word-blank-field", "bs-weights-word-leading-comma",
+        "dim-weight-trailing-comma", "vol-weight-empty-field"])
 def test_usage_error_is_one_parse_error_document(argv, expected_code):
     err = io.StringIO()
     with redirect_stderr(err):
@@ -93,6 +101,12 @@ def test_usage_error_is_one_parse_error_document(argv, expected_code):
     validate_document(doc)
     assert doc["error"]["code"] == "ParseError"
     assert "Traceback" not in err.getvalue()
+
+
+def test_empty_word_is_the_identity():
+    code, out = run_cli(["bs-weights", "--type", "A2", "--word", "", "--weight", "1,1"])
+    assert code == 0
+    assert json.loads(out)["word"] == []
 
 
 def test_bad_cap_setting_is_a_usage_error_where_the_cap_is_used(monkeypatch):
@@ -162,6 +176,17 @@ def test_isogeny_enumerate_reads_the_label_without_classifying(monkeypatch):
     assert len(json.loads(out)["isogenies"]) == 1
     assert classified == []
     assert calls == [4, 4]
+
+
+def test_isogeny_enumerate_reuses_the_source_datum_as_its_own_target(monkeypatch):
+    # G2 at p = 3 maps G2 onto itself: one adjoint datum, one finite-type test
+    calls, minors = [], intmat.leading_principal_minors
+    monkeypatch.setattr(intmat, "leading_principal_minors",
+                        lambda a: calls.append(len(a)) or minors(a))
+    code, out = run_cli(["isogeny", "enumerate", "--type", "G2", "--p", "3"])
+    assert code == 0
+    assert [phi["target"] == phi["source"] for phi in json.loads(out)["isogenies"]] == [True]
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("payload", [

@@ -64,7 +64,7 @@ SUBCOMMANDS = [
     (["selfcheck", "--type", "B2", "--samples", "2"], {"characters", "weyl"}),
     (["bs-weights", "--type", "B2", "--word", "1,2", "--weight", "1,0"], {"pushforward"}),
     (["datum", "--type", "B2"], {"rootdata"}),
-    (["classify", "-"], {"rootdata", "weyl"}),
+    (["classify", "-"], {"weyl"}),
     (["isogeny", "enumerate", "--type", "B2", "--p", "2"], {"rootdata", "isogeny"}),
     (["isogeny", "validate", "--file", PHI], {"rootdata", "isogeny"}),
     (["chevalley", "check", "--type", "B2", "--p", "2"], {"isogeny", "chevalley"}),
@@ -102,29 +102,14 @@ def test_readme_module_table_is_the_subcommand_rows():
     assert rows == {subcommand(argv): extra for argv, extra in SUBCOMMANDS}
 
 
-def test_classify_runs_rootdata_before_numpy():
-    # rootdata compiled after numpy's import lands on top of numpy's memory
-    # and raises classify's peak RSS. D7's 322 560 elements take the numpy
-    # walk, and the last entry shows the check can see numpy
-    code = ("import contextlib, io, sys, types, weylkit.cli\n"
-            "from weylkit import weyl\n"
-            "enumerate_weyl, seen = weyl.enumerate_weyl, []\n"
-            "def spy(*args, **kwargs):\n"
-            "    seen.append(type(sys.modules['weylkit.rootdata']) is types.ModuleType)\n"
-            "    seen.append('numpy' in sys.modules)\n"
-            "    return enumerate_weyl(*args, **kwargs)\n"
-            "weyl.enumerate_weyl = spy\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    weylkit.cli.main(['classify', '-'])\n"
-            "seen.append('numpy' in sys.modules)\n"
-            "print(seen)\n")
+def test_classify_on_the_numpy_walk_runs_no_rootdata():
+    # D7's 322 560 elements take the numpy walk; the fundamental group comes
+    # from cartan, so a finite classify runs weyl and never rootdata
+    code = RUN_CLI + "\nassert 'numpy' in sys.modules"
     edges = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)}  # the chain forks at node 4
     d7 = [[2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0 for j in range(7)]
           for i in range(7)]
-    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps({"matrix": d7}),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[True, False, True]\n"
+    assert executed(code, ["classify", "-"], json.dumps({"matrix": d7})) == BASE | {"weyl"}
 
 
 def test_exports_are_the_home_module_objects():
@@ -151,18 +136,31 @@ def test_unknown_attribute_raises_attribute_error():
         weylkit.no_such_name
 
 
-def test_tracer_patches_the_lazily_loaded_modules():
-    # the tracer reads sys.modules["weylkit.<module>"] right after importing
-    # the package, so every module must be registered by then
-    argv = ["roots", "--type", "B2"]
-    plain = subprocess.run([sys.executable, "-m", "weylkit.cli", *argv],
+def traced_spans(argv, stdin: str = "") -> dict:
+    """The tracer's spans for one CLI run, whose stdout and exit code must be
+    the plain run's."""
+    plain = subprocess.run([sys.executable, "-m", "weylkit.cli", *argv], input=stdin,
                            capture_output=True, text=True, timeout=60)
-    traced = subprocess.run([sys.executable, str(TRACER), "cli", *argv],
+    traced = subprocess.run([sys.executable, str(TRACER), "cli", *argv], input=stdin,
                             capture_output=True, text=True, timeout=60)
     assert plain.returncode == traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
     mark = runpy.run_path(str(TRACER))["MARK"]
     last = traced.stderr.rstrip("\n").rpartition("\n")[2]
     assert last.startswith(mark)
-    calls, _, _ = json.loads(last[len(mark):])["spans"]["roots.generate_roots"]
+    return json.loads(last[len(mark):])["spans"]
+
+
+def test_tracer_patches_the_lazily_loaded_modules():
+    # the tracer reads sys.modules["weylkit.<module>"] right after importing
+    # the package, so every module must be registered by then
+    calls, _, _ = traced_spans(["roots", "--type", "B2"])["roots.generate_roots"]
     assert calls > 0
+
+
+def test_traced_classify_still_records_the_fundamental_group_span():
+    # the tracer wraps rootdata's name for the function, which cartan owns,
+    # at every module attribute holding it, cartan's included
+    spans = traced_spans(["classify", "-"], '{"matrix": [[2, -1], [-3, 2]]}')
+    calls, _, _ = spans["rootdata.fundamental_group"]
+    assert calls == 1

@@ -14,6 +14,7 @@ from weylkit.isogeny import PMorphism
 from weylkit.rootdata import PinnedRootDatum
 from weylkit.roots import Root, RootString, generate_roots
 from weylkit.schemas import ListOf, OneOf
+from weylkit.weyl import WeylElement
 
 A1 = generate_roots(cartan.parse_type("A1"))
 DATUM = PinnedRootDatum(1, ((1,), (-1,)), ((2,), (-2,)), (0,))
@@ -42,6 +43,7 @@ RECORDS = [
      (DATUM, DATUM, ((1,),), (0,), (1,), 2), (DATUM, OTHER_DATUM, ((1,),), (0,), (1,), 2)),
     (ListOf, ("item",), (int,), (str,)),
     (OneOf, ("alternatives",), (bool, None), (bool, "skipped")),
+    (WeylElement, ("rs", "perm"), (A1, (0, 1)), (A1, (1, 0))),
 ]
 
 
@@ -60,7 +62,7 @@ def test_record_is_a_value(cls, fields, args, other):
             setattr(first, name, None)
     assert first == second
     for twin in (copy.copy(first), copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
-        if cls is EulerData:   # its root system compares by identity
+        if cls in (EulerData, WeylElement):   # their root system compares by identity
             assert repr(twin) == repr(first)
         else:
             assert twin == first
