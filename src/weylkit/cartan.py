@@ -25,8 +25,8 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 # largest rank a type label or the finite-type test accepts. Root generation
 # grows as n^3 in time and memory: end to end on a 2-core x86-64 machine,
-# `roots --type A60` takes 0.4 s and `isogeny enumerate --type B60 --p 2`
-# 1.7 s at 58 MB, and the latter 7 s at 169 MB for B100. Catalog and
+# `roots --type A60` takes 0.2-0.3 s and `isogeny enumerate --type B60 --p 2`
+# 1.0-1.3 s at 56 MB, and the latter 4.5-5 s at 185 MB for B100. Catalog and
 # non-finite test inputs reach rank 60.
 MAX_RANK = 60
 

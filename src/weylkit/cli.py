@@ -73,6 +73,10 @@ class DigitLimitExceeded(cartan.WeylkitError):
 
 
 def _render(doc: dict, fmt: str) -> str:
+    """The document as one line of JSON, or as ``key: value`` lines under
+    ``--format text``. Either way a tuple is written as an array, so handlers
+    pass the library's tuples as they are; a text rendering writes a list of
+    dicts as a table, one row per dict."""
     if fmt == "text":
         return _render_text(doc)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -153,15 +157,21 @@ def _load_json(path: str, spec):
 
 def _weyl_counts(rs: roots.RootSystem, cap: int | None) -> tuple:
     """|W| from the degrees, then the enumerated order and the Poincare
-    polynomial, both "skipped" when |W| exceeds the cap (``weyl.DEFAULT_CAP``
-    when None)."""
-    if cap is None:
-        cap = weyl.DEFAULT_CAP
+    polynomial, both "skipped" when ``enumerate_weyl`` refuses |W| past the
+    cap."""
     order = weyl.weyl_order(rs)
-    if order > cap:
+    try:
+        group = weyl.enumerate_weyl(rs, cap)
+    except weyl.CapExceeded:
         return order, "skipped", "skipped"
-    group = weyl.enumerate_weyl(rs, cap=cap)
     return order, group.order, weyl.poincare_polynomial(group)
+
+
+def _rows(fields: str, tuples) -> list[dict]:
+    """One dict per tuple, keyed by the space-separated field names in turn;
+    fields past the last name are left out."""
+    names = fields.split()
+    return [dict(zip(names, t)) for t in tuples]
 
 
 def _cmd_classify(args) -> tuple[dict, int]:
@@ -186,13 +196,13 @@ def _cmd_classify(args) -> tuple[dict, int]:
         return report, 2
     report["finite"] = True
     dtype = cartan.classify(gcm)
-    report["type"] = [[f, r] for f, r, _ in dtype.components]
-    report["node_maps"] = [list(nodes) for _, _, nodes in dtype.components]
+    report["type"] = [(f, r) for f, r, _ in dtype.components]
+    report["node_maps"] = [nodes for _, _, nodes in dtype.components]
     rs = roots.generate_roots(gcm)
-    report["symmetrizer"] = list(rs.sym.d)
+    report["symmetrizer"] = rs.sym.d
     report["positive_roots"] = rs.num_positive
     report["dimension"] = rs.num_positive
-    report["fundamental_group"] = list(cartan.fundamental_group(gcm))
+    report["fundamental_group"] = cartan.fundamental_group(gcm)
     (report["weyl_order"], report["weyl_order_enumerated"],
      report["poincare"]) = _weyl_counts(rs, args.cap)
     return report, 0
@@ -210,7 +220,7 @@ def _root_system(args) -> roots.RootSystem:
 def _cmd_roots(args) -> tuple[dict, int]:
     return {
         "roots": [
-            {"root": list(r.coords), "coroot": list(r.coroot),
+            {"root": r.coords, "coroot": r.coroot,
              "positive": r.positive, "length": r.length_class}
             for r in _root_system(args).roots
         ],
@@ -236,11 +246,8 @@ def _cmd_bs_weights(args) -> tuple[dict, int]:
     gw = pushforward.pushforward_word(rs, word, weight)
     return {
         "word": [i + 1 for i in word],
-        "weight": list(weight),
-        "entries": [
-            {"weight": list(w), "degree": d, "mult": m}
-            for w, d, m in pushforward.sorted_entries(gw)
-        ],
+        "weight": weight,
+        "entries": _rows("weight degree mult", pushforward.sorted_entries(gw)),
     }, 0
 
 
@@ -253,7 +260,7 @@ def _cmd_character(args) -> tuple[dict, int]:
     value = formula(characters.EulerData.from_root_system(rs), weight)
     if not isinstance(value, int):
         value = str(value)
-    return {"weight": list(weight), "value": value}, 0
+    return {"weight": weight, "value": value}, 0
 
 
 def _cmd_isogeny_enumerate(args) -> tuple[dict, int]:
@@ -286,23 +293,11 @@ def _cmd_chevalley(args) -> tuple[dict, int]:
     return {
         "p": args.p,
         "passed": report.passed,
-        "bracket_triples": [
-            {"alpha": list(a), "beta": list(b), "sum": list(s), "m": m}
-            for a, b, s, m in report.bracket_triples
-        ],
-        "square_triples": [
-            {"alpha": list(a), "beta": list(b), "sum": list(s)}
-            for a, b, s in report.square_triples
-        ],
-        "violations": [
-            {"kind": v[0], "alpha": list(v[1]), "beta": list(v[2]), "sum": list(v[3])}
-            for v in report.violations
-        ],
-        "steinberg": [
-            {"alpha": list(r.alpha), "beta": list(r.beta), "down": r.down,
-             "up": r.up, "ratio": r.length_ratio, "holds": r.holds}
-            for r in report.steinberg
-        ],
+        "bracket_triples": _rows("alpha beta sum m", report.bracket_triples),
+        "square_triples": _rows("alpha beta sum", report.square_triples),
+        # a bracket violation's m is left out
+        "violations": _rows("kind alpha beta sum", report.violations),
+        "steinberg": _rows("alpha beta down up ratio holds", report.steinberg),
     }, 0
 
 
@@ -367,7 +362,7 @@ def _count(text: str) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     # a string default goes through type=int, so a bad value is a usage error
-    # of the subcommands that take --cap; unset, _weyl_counts picks the default
+    # of the subcommands that take --cap; unset, enumerate_weyl picks the default
     cap_default = os.environ.get("WEYLKIT_WEYL_CAP")
     top = _Parser(
         prog="weylkit",

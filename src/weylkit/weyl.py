@@ -201,7 +201,7 @@ class WeylGroup:
         return out
 
 
-def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
+def enumerate_weyl(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     """The rho-orbit layer by layer, each element generated exactly once.
 
     Coordinate i of w(rho) is negative exactly when s_i is a left descent of
@@ -209,9 +209,10 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
     v[i] > 0 is kept only when i is its smallest negative coordinate, the
     descent ``word_from_vector`` strips first, so every element of length
     k + 1 comes from exactly one parent. |W| (``weyl_order``) is checked
-    before numpy is imported or a layer built: over ``cap`` it raises
-    CapExceeded, and with layers past ``MAX_LAYER_BYTES`` LayersTooLarge.
-    It then picks the walk, Python up to ``PYTHON_WALK_MAX_BYTES`` of layers.
+    before numpy is imported or a layer built: over ``cap``, which is
+    ``DEFAULT_CAP`` when None, it raises CapExceeded, and with layers past
+    ``MAX_LAYER_BYTES`` LayersTooLarge. It then picks the walk, Python up to
+    ``PYTHON_WALK_MAX_BYTES`` of layers.
 
     >>> from weylkit.cartan import parse_type
     >>> from weylkit.roots import generate_roots
@@ -219,6 +220,7 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
     [1, 2, 2, 2, 2, 2, 1]
     """
     order = weyl_order(rs)
+    cap = DEFAULT_CAP if cap is None else cap
     if order > cap:
         raise CapExceeded(cap)
     layer_bytes = order * rs.rank * 2  # one int16 row per element

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from weylkit import cartan, intmat, isogeny, rootdata, schemas, weyl
+from weylkit import (cartan, chevalley, cli, intmat, isogeny, pushforward, rootdata, roots,
+                     schemas, weyl)
 from weylkit.cli import main
 from weylkit.schemas import validate_document
 
@@ -740,6 +741,66 @@ def test_chevalley_check_square_rows_and_violations():
     validate_document(doc)
     assert [v["kind"] for v in doc["violations"]] == ["bracket"] * 8
     assert doc["passed"] is False
+
+
+def _ideal_check_document(label, p):
+    """The ``chevalley check`` document, rebuilt pair by pair from the named
+    fields of StructureConstant and SteinbergReport, alpha then beta over the
+    short roots in root order: a library tuple whose fields move apart from
+    the CLI's column names fails to match it."""
+    rs = roots.generate_roots(cartan.parse_type(label))
+    short = [r.coords for r in rs.roots if r.length == 1]
+    bracket, square, steinberg = [], [], []
+    for alpha in short:
+        for beta in short:
+            try:
+                sc = chevalley.bracket_constant(rs, alpha, beta)
+            except chevalley.SumNotARoot:
+                continue
+            pair = {"alpha": list(sc.alpha), "beta": list(sc.beta)}
+            total = [a + b for a, b in zip(sc.alpha, sc.beta)]
+            if rs.root(total).length > 1:
+                bracket.append(pair | {"sum": total, "m": sc.m})
+                st = chevalley.steinberg_check(rs, alpha, beta)
+                named = st._asdict()
+                steinberg.append({"alpha": list(named["alpha"]), "beta": list(named["beta"]),
+                                  "down": named["down"], "up": named["up"],
+                                  "ratio": named["length_ratio"], "holds": named["holds"]})
+            if sc.up >= 2:
+                square.append(pair | {"sum": [2 * a + b for a, b in zip(sc.alpha, sc.beta)]})
+    violations = ([{"kind": "bracket", **{k: row[k] for k in ("alpha", "beta", "sum")}}
+                   for row in bracket if row["m"] % p]
+                  + [{"kind": "square", **row} for row in square
+                     if rs.root(row["sum"]).length == 1])
+    return {"schema": schemas.CHEVALLEY["schema"], "type": label, "p": p,
+            "passed": not violations, "bracket_triples": bracket,
+            "square_triples": square, "violations": violations, "steinberg": steinberg}
+
+
+def test_chevalley_check_rows_carry_the_library_fields_in_order():
+    expected = _ideal_check_document("G2+C3", 3)
+    assert expected["violations"] and expected["square_triples"]
+    code, out = run_cli(["chevalley", "check", "--type", "G2+C3", "--p", "3"])
+    assert code == 0
+    assert json.loads(out) == expected
+    code, out = run_cli(["chevalley", "check", "--type", "G2+C3", "--p", "3",
+                         "--format", "text"])
+    assert code == 0
+    assert out == cli._render(expected, "text")
+
+
+def test_bs_weights_entries_carry_the_library_fields_in_order():
+    # B2, word s2 s1 s2 s2 at (1, -4): degrees 2 to 4, multiplicities up to 2
+    rs = roots.generate_roots(cartan.parse_type("B2"))
+    gw = pushforward.pushforward_word(rs, (1, 0, 1, 1), (1, -4))
+    entries = [{"weight": list(weight), "degree": degree, "mult": mult}
+               for (weight, degree), mult in sorted(gw.items(),
+                                                    key=lambda kv: (kv[0][1], kv[0][0]))]
+    assert len({e["degree"] for e in entries}) > 1 and max(e["mult"] for e in entries) > 1
+    code, out = run_cli(["bs-weights", "--type", "B2", "--word", "2,1,2,2", "--weight", "1,-4"])
+    assert code == 0
+    assert json.loads(out) == {"schema": schemas.BS_WEIGHTS["schema"], "type": "B2",
+                               "word": [2, 1, 2, 2], "weight": [1, -4], "entries": entries}
 
 
 @pytest.mark.parametrize("doc,message", [
