@@ -4,16 +4,17 @@
     python3 scripts/edge_table.py > edge.jsonl
 
 Each row runs ``python -m weylkit.cli`` from this checkout's ``src`` in a
-fresh interpreter that writes no bytecode, behind a prelude that reports the
-process's own peak resident set at exit: ``VmHWM`` from
-``/proc/self/status``, or ``ru_maxrss`` where there is no such file. So the
-figure is the request's, not the launching process's. One JSON line a row
-goes to stdout:
+fresh interpreter that writes no bytecode, and reaps it with ``os.wait4``,
+as ``perfbench/run.py`` does, so the peak resident set is the child's own
+``ru_maxrss`` (KiB on Linux), not the running maximum of all children.
+Linux spawns the child in this process's address space and carries that
+space's peak into the child's at exec, so this process's own peak (about
+17 MB) is a floor under every figure. One JSON line a row goes to stdout:
 
-    {"row", "argv", "code", "wall_s", "stdout_bytes", "peak_mb", "peak_source"}
+    {"row", "argv", "code", "wall_s", "stdout_bytes", "peak_mb"}
 
-``code`` is None and ``timed_out`` true when the row ran past ``TIMEOUT``
-seconds. The figures are for sizing; none is a gate.
+A row still running after ``TIMEOUT`` seconds is killed, so its ``code`` is
+-9. The figures are for sizing; none is a gate.
 """
 
 from __future__ import annotations
@@ -23,32 +24,13 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT = 600.0
-
-MARK = "edge_table.peak_kb"
-# run in the child before weylkit.cli; registered first, the hook runs last
-PRELUDE = """\
-import atexit, runpy, sys
-
-def _peak():
-    try:
-        with open("/proc/self/status", encoding="ascii") as fh:
-            kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-        source = "VmHWM"
-    except (OSError, StopIteration):
-        import resource
-        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        kb //= 1024 if sys.platform == "darwin" else 1
-        source = "ru_maxrss"
-    sys.stderr.write(f"\\n{MARK} {kb} {source}\\n")
-
-atexit.register(_peak)
-runpy.run_module("weylkit.cli", run_name="__main__", alter_sys=True)
-""".replace("{MARK}", MARK)
 
 
 def _nonfinite_triple_bond() -> str:
@@ -74,31 +56,29 @@ ROWS = [
 ]
 
 
-def measure(row: str, argv: list[str], stdin: str | None = None,
-            timeout: float = TIMEOUT) -> dict:
+def measure(row: str, argv: list[str], stdin: str | None = None) -> dict:
     """Run one CLI request in a fresh process and return its record."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
-    cmd = [sys.executable, "-c", PRELUDE, *argv]
-    record = {"row": row, "argv": argv, "code": None, "wall_s": None,
-              "stdout_bytes": None, "peak_mb": None, "peak_source": None}
-    started = time.perf_counter()
-    try:
-        proc = subprocess.run(cmd, input=None if stdin is None else stdin.encode(),
-                              capture_output=True, env=env, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return record | {"wall_s": round(time.perf_counter() - started, 3), "timed_out": True}
-    record["wall_s"] = round(time.perf_counter() - started, 3)
-    record["code"] = proc.returncode
-    record["stdout_bytes"] = len(proc.stdout)
-    for line in reversed(proc.stderr.decode(errors="replace").splitlines()):
-        if line.startswith(MARK + " "):
-            _, kb, source = line.split()
-            record["peak_mb"] = round(int(kb) / 1024, 1)
-            record["peak_source"] = source
-            break
-    return record
+    # files, not pipes: nothing has to be read while the child runs
+    with tempfile.TemporaryFile() as src, tempfile.TemporaryFile() as out:
+        src.write((stdin or "").encode())
+        src.seek(0)
+        started = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "weylkit.cli", *argv], env=env,
+                                stdin=src, stdout=out, stderr=subprocess.DEVNULL)
+        timer = threading.Timer(TIMEOUT, proc.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            timer.cancel()
+        wall = time.perf_counter() - started
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        return {"row": row, "argv": argv, "code": proc.returncode,
+                "wall_s": round(wall, 3), "stdout_bytes": os.fstat(out.fileno()).st_size,
+                "peak_mb": round(usage.ru_maxrss / 1024, 1)}
 
 
 def main() -> None:

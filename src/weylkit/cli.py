@@ -297,7 +297,8 @@ def _cmd_chevalley(args) -> tuple[dict, int]:
         "square_triples": _rows("alpha beta sum", report.square_triples),
         # a bracket violation's m is left out
         "violations": _rows("kind alpha beta sum", report.violations),
-        "steinberg": _rows("alpha beta down up ratio holds", report.steinberg),
+        "steinberg": [{"alpha": r.alpha, "beta": r.beta, "down": r.down, "up": r.up,
+                       "ratio": r.length_ratio, "holds": r.holds} for r in report.steinberg],
     }, 0
 
 

@@ -10,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from weylkit import (cartan, chevalley, cli, intmat, isogeny, pushforward, rootdata, roots,
-                     schemas, weyl)
+from weylkit import (cartan, cli, intmat, isogeny, pushforward, rootdata, roots, schemas,
+                     weyl)
 from weylkit.cli import main
 from weylkit.schemas import validate_document
 
 from cli_cases import ALL_CASES, SUBCOMMAND_CASES
+from oracles import all_pairs_ideal_check
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -744,37 +745,26 @@ def test_chevalley_check_square_rows_and_violations():
 
 
 def _ideal_check_document(label, p):
-    """The ``chevalley check`` document, rebuilt pair by pair from the named
-    fields of StructureConstant and SteinbergReport, alpha then beta over the
-    short roots in root order: a library tuple whose fields move apart from
-    the CLI's column names fails to match it."""
+    """The ``chevalley check`` document rebuilt from the pair-by-pair oracle,
+    each Steinberg row from SteinbergReport's named fields: a library tuple
+    whose fields move apart from the CLI's column names fails to match it."""
     rs = roots.generate_roots(cartan.parse_type(label))
-    short = [r.coords for r in rs.roots if r.length == 1]
-    bracket, square, steinberg = [], [], []
-    for alpha in short:
-        for beta in short:
-            try:
-                sc = chevalley.bracket_constant(rs, alpha, beta)
-            except chevalley.SumNotARoot:
-                continue
-            pair = {"alpha": list(sc.alpha), "beta": list(sc.beta)}
-            total = [a + b for a, b in zip(sc.alpha, sc.beta)]
-            if rs.root(total).length > 1:
-                bracket.append(pair | {"sum": total, "m": sc.m})
-                st = chevalley.steinberg_check(rs, alpha, beta)
-                named = st._asdict()
-                steinberg.append({"alpha": list(named["alpha"]), "beta": list(named["beta"]),
-                                  "down": named["down"], "up": named["up"],
-                                  "ratio": named["length_ratio"], "holds": named["holds"]})
-            if sc.up >= 2:
-                square.append(pair | {"sum": [2 * a + b for a, b in zip(sc.alpha, sc.beta)]})
-    violations = ([{"kind": "bracket", **{k: row[k] for k in ("alpha", "beta", "sum")}}
-                   for row in bracket if row["m"] % p]
-                  + [{"kind": "square", **row} for row in square
-                     if rs.root(row["sum"]).length == 1])
-    return {"schema": schemas.CHEVALLEY["schema"], "type": label, "p": p,
-            "passed": not violations, "bracket_triples": bracket,
-            "square_triples": square, "violations": violations, "steinberg": steinberg}
+    brackets, squares, violations, steinberg = all_pairs_ideal_check(rs, p)
+
+    def named(fields, rows):
+        return [dict(zip(fields.split(), row)) for row in rows]
+
+    steinberg_rows = [row._asdict() for row in steinberg]
+    for row in steinberg_rows:
+        row["ratio"] = row.pop("length_ratio")
+    doc = {"schema": schemas.CHEVALLEY["schema"], "type": label, "p": p,
+           "passed": not violations,
+           "bracket_triples": named("alpha beta sum m", brackets),
+           "square_triples": named("alpha beta sum", squares),
+           # a bracket violation's m is not written
+           "violations": named("kind alpha beta sum", violations),
+           "steinberg": steinberg_rows}
+    return json.loads(json.dumps(doc))
 
 
 def test_chevalley_check_rows_carry_the_library_fields_in_order():

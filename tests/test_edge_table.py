@@ -11,10 +11,8 @@ _spec.loader.exec_module(edge_table)
 
 
 def test_measure_records_the_child_request():
-    record = edge_table.measure("roots A1", ["roots", "--type", "A1"], timeout=60)
-    assert sorted(record) == ["argv", "code", "peak_mb", "peak_source", "row",
-                              "stdout_bytes", "wall_s"]
+    record = edge_table.measure("roots A1", ["roots", "--type", "A1"])
+    assert sorted(record) == ["argv", "code", "peak_mb", "row", "stdout_bytes", "wall_s"]
     assert record["row"] == "roots A1" and record["argv"] == ["roots", "--type", "A1"]
     assert record["code"] == 0
     assert record["stdout_bytes"] > 0 and record["wall_s"] > 0 and record["peak_mb"] > 0
-    assert record["peak_source"] in ("VmHWM", "ru_maxrss")
