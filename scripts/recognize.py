@@ -36,10 +36,10 @@ def main():
         dtype = cartan.classify(g)
         sym = cartan.symmetrizer(g)
         rs = roots.generate_roots(g)
-        group = weyl.enumerate_weyl(rs)
+        poly = weyl.poincare_series(rs)
         print(f"   type {dtype.label()}   symmetrizer {list(sym.d)}")
         print(f"   {rs.num_positive} positive roots, flag dimension {rs.num_positive}")
-        print(f"   |W| = {group.order}   Poincare {weyl.poincare_polynomial(group)}")
+        print(f"   |W| = {sum(poly)}   Poincare {poly}")
         print(f"   fundamental group invariant factors {list(fundamental_group(g))}")
         print()
 

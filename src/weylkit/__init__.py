@@ -55,8 +55,8 @@ _EXPORTS = {
                  "pinned_isomorphism", "simply_connected_datum"),
     "roots": ("Root", "RootSystem", "RootString", "generate_roots", "root_string"),
     "weyl": ("WeylElement", "WeylGroup", "demazure_product", "enumerate_weyl",
-             "is_reduced", "poincare_polynomial", "reduced_word", "reflect",
-             "weyl_order"),
+             "is_reduced", "poincare_polynomial", "poincare_series", "reduced_word",
+             "reflect", "weyl_order"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -17,7 +17,8 @@ subcommands exit 0 on success and 1 with a machine-readable error object;
 a ``--type`` label whose ranks sum past ``cartan.MAX_RANK`` is one.
 ``classify`` and ``weyl`` alike exit 1 with a ``LayersTooLarge`` error
 document when a ``--cap`` lets through a group whose Weyl layers would pass
-``weyl.MAX_LAYER_BYTES`` (E8 at any cap), refused before any layer is built.
+``weyl.MAX_LAYER_BYTES`` (E8 at any cap): they count W by cosets, but admit
+it as ``enumerate_weyl`` does.
 A usage error (an unknown subcommand, a missing or malformed option) is
 unreadable input too: it writes one ``ParseError`` error document and exits
 4 under ``classify``, 1 otherwise. A ``selfcheck`` whose samples x (rank + 1)
@@ -156,15 +157,15 @@ def _load_json(path: str, spec):
 # ---------------------------------------------------------------------------
 
 def _weyl_counts(rs: roots.RootSystem, cap: int | None) -> tuple:
-    """|W| from the degrees, then the enumerated order and the Poincare
-    polynomial, both "skipped" when ``enumerate_weyl`` refuses |W| past the
-    cap."""
+    """|W| from the degrees, then the order counted by cosets and the
+    Poincare polynomial, both "skipped" when ``poincare_series`` refuses |W|
+    past the cap."""
     order = weyl.weyl_order(rs)
     try:
-        group = weyl.enumerate_weyl(rs, cap)
+        poly = weyl.poincare_series(rs, cap)
     except weyl.CapExceeded:
         return order, "skipped", "skipped"
-    return order, group.order, weyl.poincare_polynomial(group)
+    return order, sum(poly), poly
 
 
 def _rows(fields: str, tuples) -> list[dict]:
@@ -363,7 +364,7 @@ def _count(text: str) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     # a string default goes through type=int, so a bad value is a usage error
-    # of the subcommands that take --cap; unset, enumerate_weyl picks the default
+    # of the subcommands that take --cap; unset, poincare_series picks the default
     cap_default = os.environ.get("WEYLKIT_WEYL_CAP")
     top = _Parser(
         prog="weylkit",

@@ -3,15 +3,18 @@
 Elements act on roots by permutation and on weight vectors through the
 coroot bookkeeping of the root system, so everything stays in exact
 integers; simple indices are checked by ``roots.check_index``.
-Enumeration walks the orbit of the strictly dominant vector
-rho = (1, ..., 1): the orbit map w -> w(rho) is a bijection, and each
-element of length k + 1 is generated exactly once, from its canonical
-parent of length k (Casselman's smallest-descent rule). That keeps the
-enumeration at a few bytes per element with no deduplication (E7's 2.9
-million elements fit comfortably). |W| comes from the invariant degrees
-read off the root heights, so a group over the cap (E8 at the default) is
-refused before any layer is built, and so is one whose layers would pass
-``MAX_LAYER_BYTES`` (E8 at any cap).
+``enumerate_weyl`` is the library's element walk. It walks the orbit of
+the strictly dominant vector rho = (1, ..., 1): the orbit map w -> w(rho)
+is a bijection, and each element of length k + 1 is generated exactly
+once, from its canonical parent of length k (Casselman's smallest-descent
+rule). That keeps the enumeration at a few bytes per element with no
+deduplication (E7's 2.9 million elements fit comfortably). The CLI reads
+only the layer sizes, and ``poincare_series`` counts those by parabolic
+cosets: a few orbits of fundamental weights, each within 2 160 vectors
+(E8) on the catalog labels, in place of |W| rows. |W| comes from the
+invariant degrees read off the root heights, and both counts admit a group
+by it: one over the cap (E8 at the default) is refused before any work,
+and so is one whose layers would pass ``MAX_LAYER_BYTES`` (E8 at any cap).
 
 The layers have two storages, chosen from their size in bytes. Up to
 ``PYTHON_WALK_MAX_BYTES`` of int16 rows (|W| * rank * 2) the walk runs in
@@ -24,7 +27,8 @@ about 100 ns a layer byte (1.1-1.5 us an element at rank 6 or 7), against
 fresh process the Python walk is the faster up to about 2.5 MB (past
 A1x16's 2 MiB, short of D7's 4.5 MB), and the constant leaves a margin of
 about 2. numpy is imported by the numpy walk alone, so nothing else in the
-package loads it, and a group up to E6, A7 or B6 never does.
+package loads it, no CLI request does, and a group up to E6, A7 or B6
+never does.
 """
 
 from __future__ import annotations
@@ -219,6 +223,16 @@ def enumerate_weyl(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     >>> enumerate_weyl(generate_roots(parse_type("G2"))).histogram
     [1, 2, 2, 2, 2, 2, 1]
     """
+    layer_bytes = _admit(rs, cap)
+    walk = _walk_python if layer_bytes <= PYTHON_WALK_MAX_BYTES else _walk_numpy
+    return WeylGroup(rs, walk(rs))
+
+
+def _admit(rs: RootSystem, cap: int | None) -> int:
+    """Admit W to a count and return the bytes of its int16 layers: CapExceeded
+    when |W| passes the cap (``DEFAULT_CAP`` when None), LayersTooLarge when
+    the layers pass ``MAX_LAYER_BYTES``. ``enumerate_weyl`` and
+    ``poincare_series`` share this one rule."""
     order = weyl_order(rs)
     cap = DEFAULT_CAP if cap is None else cap
     if order > cap:
@@ -226,8 +240,60 @@ def enumerate_weyl(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     layer_bytes = order * rs.rank * 2  # one int16 row per element
     if layer_bytes > MAX_LAYER_BYTES:
         raise LayersTooLarge(layer_bytes)
-    walk = _walk_python if layer_bytes <= PYTHON_WALK_MAX_BYTES else _walk_numpy
-    return WeylGroup(rs, walk(rs))
+    return layer_bytes
+
+
+def poincare_series(rs: RootSystem, cap: int | None = None) -> list[int]:
+    """The Poincare polynomial of W, b_l = number of elements of length l,
+    counted by parabolic cosets instead of by element.
+
+    W(q) = W_I(q) * W^I(q) for I = S minus a node j, and the minimal coset
+    representatives W^I biject with the orbit of the fundamental weight w_j,
+    lengths included (Humphreys, Reflection Groups and Coxeter Groups,
+    1.10-1.11). So the polynomial is a product of orbit layer sizes, one
+    orbit per node removed. It admits W as ``enumerate_weyl`` does, with the
+    same errors, and its histogram equals that of ``enumerate_weyl``.
+
+    >>> from weylkit.cartan import parse_type
+    >>> from weylkit.roots import generate_roots
+    >>> poincare_series(generate_roots(parse_type("G2")))
+    [1, 2, 2, 2, 2, 2, 1]
+    """
+    _admit(rs, cap)
+    return _coset_chain(rs)
+
+
+def _coset_chain(rs: RootSystem) -> list[int]:
+    """W(q) as the product of the coset orbits' layer sizes, with no admission.
+
+    Each step removes the smallest-index leaf j of the Dynkin graph on the
+    nodes left, I, and walks the orbit of w_j under W_{I+j} in weight
+    coordinates over I + j. As in the rho walk, a child s_i v of v with
+    v[i] > 0 is kept only when no coordinate before i is negative, so each
+    coset representative comes once from its smallest-descent parent; the
+    coordinates may now be 0, where the rho walk's never are. A leaf keeps
+    every orbit small: D_n's first node has 2n, its spin node 2**(n - 1).
+    """
+    c = rs.gcm
+    live = list(range(rs.rank))
+    poly = [1]
+    while live:
+        j = next(k for k in live if sum(1 for m in live if m != k and c[k][m]) <= 1)
+        rows = [[c[i][m] for m in live] for i in live]
+        layer = [tuple(int(m == j) for m in live)]
+        sizes = []
+        while layer:
+            sizes.append(len(layer))
+            layer = [child for i, row in enumerate(rows) for v in layer if v[i] > 0
+                     for child in [tuple(x - v[i] * a for x, a in zip(v, row))]
+                     if min(child[:i], default=0) >= 0]
+        live.remove(j)
+        product = [0] * (len(poly) + len(sizes) - 1)
+        for a, x in enumerate(poly):
+            for b, y in enumerate(sizes):
+                product[a + b] += x * y
+        poly = product
+    return poly
 
 
 def _walk_python(rs: RootSystem) -> list[memoryview]:

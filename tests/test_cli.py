@@ -567,10 +567,9 @@ def test_isogeny_validate_validates_once(tmp_path, monkeypatch, k):
 
 
 def test_numpy_loads_only_for_weyl_enumeration():
-    # only the numpy walk imports numpy, so a request that does not
-    # enumerate W, or enumerates a group whose layers take at most
-    # weyl.PYTHON_WALK_MAX_BYTES (E6, 51 840 elements), never pays for it;
-    # D7 (322 560) shows the check can see numpy
+    # weyl and classify count W by cosets, so no request imports numpy, not
+    # even for D7 (322 560 elements) or E7 (2 903 040); the library's numpy
+    # walk of D7, called last in the same process, shows the check can see it
     code = (
         "import io, json, sys\n"
         "from contextlib import redirect_stdout\n"
@@ -579,10 +578,14 @@ def test_numpy_loads_only_for_weyl_enumeration():
         "import weylkit.cli\n"
         "seen['import weylkit.cli'] = 'numpy' in sys.modules\n"
         "for argv in (['roots', '--type', 'A1'], ['weyl', '--type', 'G2'],\n"
-        "             ['weyl', '--type', 'E6'], ['weyl', '--type', 'D7']):\n"
+        "             ['weyl', '--type', 'E6'], ['weyl', '--type', 'D7'],\n"
+        "             ['weyl', '--type', 'E7']):\n"
         "    with redirect_stdout(io.StringIO()) as out:\n"
         "        weylkit.cli.main(argv)\n"
         "    seen[' '.join(argv)] = ['numpy' in sys.modules, json.loads(out.getvalue())]\n"
+        "from weylkit import cartan, roots, weyl\n"
+        "weyl.enumerate_weyl(roots.generate_roots(cartan.parse_type('D7')))\n"
+        "seen['enumerate_weyl D7'] = 'numpy' in sys.modules\n"
         "print(json.dumps(seen))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -592,15 +595,11 @@ def test_numpy_loads_only_for_weyl_enumeration():
     assert seen["import weylkit"] is False
     assert seen["import weylkit.cli"] is False
     assert seen["roots --type A1"][0] is False
-    numpy_loaded, weyl_doc = seen["weyl --type G2"]
-    assert numpy_loaded is False
-    assert weyl_doc["order"] == weyl_doc["enumerated"] == 12
-    numpy_loaded, weyl_doc = seen["weyl --type E6"]
-    assert numpy_loaded is False
-    assert weyl_doc["order"] == weyl_doc["enumerated"] == 51_840
-    numpy_loaded, weyl_doc = seen["weyl --type D7"]
-    assert numpy_loaded is True
-    assert weyl_doc["order"] == weyl_doc["enumerated"] == 322_560
+    for label, order in [("G2", 12), ("E6", 51_840), ("D7", 322_560), ("E7", 2_903_040)]:
+        numpy_loaded, weyl_doc = seen[f"weyl --type {label}"]
+        assert numpy_loaded is False, label
+        assert weyl_doc["order"] == weyl_doc["enumerated"] == order, label
+    assert seen["enumerate_weyl D7"] is True
 
 
 def test_classify_relabelled_d60_answers():

@@ -102,10 +102,11 @@ def test_readme_module_table_is_the_subcommand_rows():
     assert rows == {subcommand(argv): extra for argv, extra in SUBCOMMANDS}
 
 
-def test_classify_on_the_numpy_walk_runs_no_rootdata():
-    # D7's 322 560 elements take the numpy walk; the fundamental group comes
-    # from cartan, so a finite classify runs weyl and never rootdata
-    code = RUN_CLI + "\nassert 'numpy' in sys.modules"
+def test_classify_of_d7_runs_no_rootdata_and_no_numpy():
+    # D7's 322 560 elements are counted by cosets, with no numpy; the
+    # fundamental group comes from cartan, so a finite classify runs weyl
+    # and never rootdata
+    code = RUN_CLI + "\nassert 'numpy' not in sys.modules"
     edges = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)}  # the chain forks at node 4
     d7 = [[2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0 for j in range(7)]
           for i in range(7)]

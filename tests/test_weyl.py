@@ -1,4 +1,5 @@
 import contextlib
+import random
 import subprocess
 import sys
 
@@ -10,8 +11,8 @@ from weylkit.roots import IndexOutOfRange, generate_roots
 from weylkit.weyl import (CapExceeded, NotInRhoOrbit, WeylElement,
                           demazure_product, element_from_word,
                           enumerate_weyl, is_reduced, poincare_polynomial,
-                          reduced_word, reflect, simple_reflections,
-                          weyl_order, word_from_vector)
+                          poincare_series, reduced_word, reflect,
+                          simple_reflections, weyl_order, word_from_vector)
 
 from oracles import (dihedral_lengths, rho_orbit_layers,
                      symmetric_group_lengths, tuple_walk, weyl_order_closed_form)
@@ -160,16 +161,77 @@ def test_the_layer_bytes_pick_the_walk(monkeypatch):
         assert [isinstance(layer, memoryview) for layer in layers] == [python] * len(layers)
 
 
+def _degree_product(rs):
+    """The product of the q-integers [d]_q over the invariant degrees d."""
+    poly = [1]
+    for d in weyl.degrees(rs):
+        poly = [sum(poly[j - t] for t in range(d) if 0 <= j - t < len(poly))
+                for j in range(len(poly) + d - 1)]
+    return poly
+
+
 def test_histogram_is_product_of_degree_q_integers():
     for family, rank in cartan.catalog_types(max_rank=7):
         rs = generate_roots(cartan.catalog(family, rank))
         if weyl_order(rs) > weyl.DEFAULT_CAP:
             continue
-        poly = [1]
-        for d in weyl.degrees(rs):
-            poly = [sum(poly[j - t] for t in range(d) if 0 <= j - t < len(poly))
-                    for j in range(len(poly) + d - 1)]
-        assert enumerate_weyl(rs).histogram == poly, (family, rank)
+        assert enumerate_weyl(rs).histogram == _degree_product(rs), (family, rank)
+
+
+# -- the Poincare series by cosets -----------------------------------------
+
+def _relabelled(gcm, seed):
+    """The root system of gcm with its nodes in a seeded random order."""
+    perm = list(range(gcm.n))
+    random.Random(seed).shuffle(perm)
+    return generate_roots(cartan.validate_gcm([[gcm[a][b] for b in perm] for a in perm]))
+
+
+def test_poincare_series_is_the_enumerated_histogram():
+    # every admitted catalog type up to rank 8, the product labels, and
+    # seeded relabellings of each; the histogram is walked once per label,
+    # since relabelling the nodes leaves the group and its lengths alone
+    labels = [f"{f}{r}" for f, r in cartan.catalog_types(max_rank=8)
+              if weyl_order_closed_form(f, r) <= weyl.DEFAULT_CAP]
+    for label in dict.fromkeys(labels + SMALL_LABELS + WIDE_LABELS):
+        gcm = cartan.parse_type(label)
+        histogram = enumerate_weyl(generate_roots(gcm)).histogram
+        assert poincare_series(generate_roots(gcm)) == histogram, label
+        for seed in range(1, 6):
+            assert poincare_series(_relabelled(gcm, seed)) == histogram, (label, seed)
+
+
+def test_coset_chain_is_product_of_degree_q_integers():
+    # the chain skips the admission, so it reaches past the cap
+    for family, rank in cartan.catalog_types(max_rank=12) + [("E", 8)]:
+        rs = generate_roots(cartan.catalog(family, rank))
+        assert weyl._coset_chain(rs) == _degree_product(rs), (family, rank)
+
+
+def _outcome(count, rs, cap):
+    """The histogram a count gives, or its error's class, fields and message."""
+    try:
+        result = count(rs, cap)
+    except weyl.WeylError as exc:
+        return type(exc), vars(exc), str(exc)
+    return result if isinstance(result, list) else result.histogram
+
+
+@pytest.mark.parametrize("label", ["A1", "B3", "G2+A2", "E6", "D7", "E8"])
+@pytest.mark.parametrize("cap", [None, 0, 10, 48, 51_840, 700_000_000])
+def test_poincare_series_admits_as_enumerate_weyl(label, cap):
+    rs = _rs(label)
+    assert _outcome(poincare_series, rs, cap) == _outcome(enumerate_weyl, rs, cap)
+
+
+def test_poincare_series_shares_the_layer_bound(monkeypatch):
+    # B3's layers take 48 * 3 * 2 = 288 bytes
+    rs = _rs("B3")
+    for bound in (288, 287, 0):
+        monkeypatch.setattr(weyl, "MAX_LAYER_BYTES", bound)
+        got = _outcome(poincare_series, rs, None)
+        assert got == _outcome(enumerate_weyl, rs, None), bound
+        assert (got[0] is weyl.LayersTooLarge) == (bound < 288), bound
 
 
 def test_cap_exceeded():
