@@ -45,10 +45,15 @@ def _nonfinite_triple_bond() -> str:
 # (row name, CLI argv, stdin or a function giving it)
 ROWS = [
     ("roots A60", ["roots", "--type", "A60"], None),
+    ("roots B60", ["roots", "--type", "B60"], None),
+    ("roots C60", ["roots", "--type", "C60"], None),
+    ("roots D60", ["roots", "--type", "D60"], None),
     ("datum C60 adjoint", ["datum", "--type", "C60", "--kind", "adjoint"], None),
     ("datum C60 sc", ["datum", "--type", "C60", "--kind", "sc"], None),
     ("isogeny enumerate B60 p2", ["isogeny", "enumerate", "--type", "B60", "--p", "2"], None),
     ("weyl E7", ["weyl", "--type", "E7"], None),
+    # past the default cap: refused with LayersTooLarge, not CapExceeded
+    ("weyl E8 cap 700000000", ["weyl", "--type", "E8", "--cap", "700000000"], None),
     ("chevalley check C60 p2", ["chevalley", "check", "--type", "C60", "--p", "2"], None),
     ("chevalley check B40 p2", ["chevalley", "check", "--type", "B40", "--p", "2"], None),
     ("selfcheck E8 10000", ["selfcheck", "--type", "E8", "--samples", "10000"], None),

@@ -16,25 +16,14 @@ invariant degrees read off the root heights, and both counts admit a group
 by it: one over the cap (E8 at the default) is refused before any work,
 and so is one whose layers would pass ``MAX_LAYER_BYTES`` (E8 at any cap).
 
-The layers have two storages, chosen from their size in bytes. Up to
-``PYTHON_WALK_MAX_BYTES`` of int16 rows (|W| * rank * 2) the walk runs in
-pure Python on vectors packed into ints and stores each layer as int16 rows
-in a 2-D memoryview over an ``array("h")``; above it numpy holds the layers
-as int16 arrays. Both walks keep the same rows in the same order. The
-Python walk makes one pass over a layer per simple reflection, so it costs
-about 100 ns a layer byte (1.1-1.5 us an element at rank 6 or 7), against
-150-180 ms for importing numpy and about 25 ns a byte for its walk; in a
-fresh process the Python walk is the faster up to about 2.5 MB (past
-A1x16's 2 MiB, short of D7's 4.5 MB), and the constant leaves a margin of
-about 2. numpy is imported by the numpy walk alone, so nothing else in the
-package loads it, no CLI request does, and a group up to E6, A7 or B6
-never does.
+Each layer is an int16 numpy array, one row per element, built a layer at
+a time with each step vectorised over the layer. numpy is imported by
+``enumerate_weyl`` alone, after its admission, so nothing else in the
+package loads it and no CLI request does.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import Counter, namedtuple
 from math import prod
 
@@ -43,12 +32,8 @@ from .roots import Coords, RootSystem, check_index
 
 DEFAULT_CAP = 3_000_000
 MATERIALIZE_CAP = 200_000
-# most bytes of int16 layers walked in pure Python (A7, B6 and E6 pass,
-# D7's 4.5 MB do not); past them the numpy walk is faster
-PYTHON_WALK_MAX_BYTES = 2 ** 20
 # most bytes of int16 layers (|W| * rank * 2) any enumeration may build,
-# whatever the cap: E7's 41 MB pass (`weyl --type E7` peaks at 68 MB in
-# all), E8's 11.1 GB do not
+# whatever the cap: E7's 41 MB pass, E8's 11.1 GB do not
 MAX_LAYER_BYTES = 256 * 2 ** 20
 
 
@@ -141,9 +126,12 @@ def word_from_vector(rs: RootSystem, vector) -> tuple[int, ...]:
 
     Strips the smallest left-descent at each step: coordinate i of the
     vector is negative exactly when s_i shortens the element from the left.
-    Raises NotInRhoOrbit when the stripping does not end at rho.
+    Raises NotInRhoOrbit when the vector's length is not the rank or the
+    stripping does not end at rho.
     """
     v = tuple(int(x) for x in vector)
+    if len(v) != rs.rank:
+        raise NotInRhoOrbit(vector)
     word = []
     while True:
         i = next((k for k, x in enumerate(v) if x < 0), None)
@@ -172,12 +160,9 @@ class WeylGroup:
 
     ``layers[k]`` holds the rho-orbit vectors of the length-k elements as
     int16 rows, each generated once from its canonical parent, in generation
-    order; the layer sizes are the Poincare coefficients. A group whose
-    layers take at most ``PYTHON_WALK_MAX_BYTES`` stores each layer as a
-    2-D memoryview over an ``array("h")``, a larger one as a numpy array
-    (the walk that is faster at that size). Both have ``len``, ``nbytes``
-    and ``tolist()``. Full permutation elements are materialized on demand
-    and only sensible for small groups.
+    order, in one numpy array a layer; the layer sizes are the Poincare
+    coefficients. Full permutation elements are materialized on demand and
+    only sensible for small groups.
     """
 
     def __init__(self, rs: RootSystem, layers: list):
@@ -199,7 +184,6 @@ class WeylGroup:
             raise CapExceeded(MATERIALIZE_CAP)
         out = []
         for layer in self.layers:
-            # a 2-D memoryview is not iterable by rows
             for row in layer.tolist():
                 out.append(element_from_word(self.rs, word_from_vector(self.rs, row)))
         return out
@@ -215,24 +199,38 @@ def enumerate_weyl(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     k + 1 comes from exactly one parent. |W| (``weyl_order``) is checked
     before numpy is imported or a layer built: over ``cap``, which is
     ``DEFAULT_CAP`` when None, it raises CapExceeded, and with layers past
-    ``MAX_LAYER_BYTES`` LayersTooLarge. It then picks the walk, Python up to
-    ``PYTHON_WALK_MAX_BYTES`` of layers.
+    ``MAX_LAYER_BYTES`` LayersTooLarge. Each step is vectorised over a
+    layer: the children for i = 0..n-1 in turn, each over the parents in
+    order.
 
     >>> from weylkit.cartan import parse_type
     >>> from weylkit.roots import generate_roots
     >>> enumerate_weyl(generate_roots(parse_type("G2"))).histogram
     [1, 2, 2, 2, 2, 2, 1]
     """
-    layer_bytes = _admit(rs, cap)
-    walk = _walk_python if layer_bytes <= PYTHON_WALK_MAX_BYTES else _walk_numpy
-    return WeylGroup(rs, walk(rs))
+    _admit(rs, cap)
+    import numpy as np
+
+    n = rs.rank
+    c = np.array(rs.gcm.rows(), dtype=np.int16)
+    cur = np.ones((1, n), dtype=np.int16)
+    layers = []
+    while len(cur):
+        layers.append(cur)
+        children = []
+        for i in range(n):
+            parents = cur[cur[:, i] > 0]
+            child = parents - np.outer(parents[:, i], c[i])
+            children.append(child[(child[:, :i] > 0).all(axis=1)])
+        cur = np.concatenate(children)
+    return WeylGroup(rs, layers)
 
 
-def _admit(rs: RootSystem, cap: int | None) -> int:
-    """Admit W to a count and return the bytes of its int16 layers: CapExceeded
-    when |W| passes the cap (``DEFAULT_CAP`` when None), LayersTooLarge when
-    the layers pass ``MAX_LAYER_BYTES``. ``enumerate_weyl`` and
-    ``poincare_series`` share this one rule."""
+def _admit(rs: RootSystem, cap: int | None) -> None:
+    """Admit W to a count: CapExceeded when |W| passes the cap
+    (``DEFAULT_CAP`` when None), LayersTooLarge when its int16 layers pass
+    ``MAX_LAYER_BYTES``. ``enumerate_weyl`` and ``poincare_series`` share
+    this one rule."""
     order = weyl_order(rs)
     cap = DEFAULT_CAP if cap is None else cap
     if order > cap:
@@ -240,7 +238,6 @@ def _admit(rs: RootSystem, cap: int | None) -> int:
     layer_bytes = order * rs.rank * 2  # one int16 row per element
     if layer_bytes > MAX_LAYER_BYTES:
         raise LayersTooLarge(layer_bytes)
-    return layer_bytes
 
 
 def poincare_series(rs: RootSystem, cap: int | None = None) -> list[int]:
@@ -294,60 +291,6 @@ def _coset_chain(rs: RootSystem) -> list[int]:
                 product[a + b] += x * y
         poly = product
     return poly
-
-
-def _walk_python(rs: RootSystem) -> list[memoryview]:
-    """The layers in pure Python, children generated for i = 0..n-1 in
-    turn, each over the parents in order, as the numpy walk does.
-
-    Each w(rho) is one int of n 16-bit lanes, coordinate j plus 2**15 in
-    lane j. A coordinate is a coroot height: never 0 and at most the number
-    of positive roots (1 830 at MAX_RANK) in absolute value. So a lane's top
-    bit is set exactly when its coordinate is positive, s_i subtracts the
-    packed row a * C[i] with no borrow across lanes, and flipping the top
-    bits gives each lane as an int16.
-    """
-    n = rs.rank
-    tops = [0x8000 << 16 * j for j in range(n)]
-    flip = sum(tops)
-    steps = [[sum(a * x << 16 * j for j, x in enumerate(row)) for a in range(rs.num_positive + 1)]
-             for row in rs.gcm.rows()]
-    cur = [flip + sum(1 << 16 * j for j in range(n))]
-    layers = []
-    while cur:
-        rows = array("h", b"".join([(v ^ flip).to_bytes(2 * n, "little") for v in cur]))
-        if sys.byteorder == "big":
-            rows.byteswap()
-        layers.append(memoryview(rows).cast("B").cast("h", [len(cur), n]))
-        children = []
-        for i in range(n):
-            # v & top: v[i] > 0; c & low == low: min(c[:i]) > 0
-            top, low, step, shift = tops[i], flip & (tops[i] - 1), steps[i], 16 * i
-            children += [c for v in cur if v & top
-                         for c in [v - step[v >> shift & 0x7FFF]] if c & low == low]
-        cur = children
-    return layers
-
-
-def _walk_numpy(rs: RootSystem) -> list:
-    """The layers as numpy int16 arrays, each step vectorised over a layer."""
-    import numpy as np
-
-    n = rs.rank
-    c = np.array(rs.gcm.rows(), dtype=np.int16)
-    cur = np.ones((1, n), dtype=np.int16)
-    layers = [cur]
-    while True:
-        children = []
-        for i in range(n):
-            parents = cur[cur[:, i] > 0]
-            child = parents - np.outer(parents[:, i], c[i])
-            children.append(child[(child[:, :i] > 0).all(axis=1)])
-        cur = np.concatenate(children)
-        if len(cur) == 0:
-            break
-        layers.append(cur)
-    return layers
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ inversion counts instead of root permutations, the reflection closure of
 the simple roots instead of height-by-height generation, the per-family
 closed forms of |W| instead of invariant degrees, and a breadth-first
 search over sets of tuples instead of canonical-parent generation of the
-rho-orbit, the canonical-parent walk on tuples instead of the one on packed
-ints, trial division instead of Miller-Rabin, a loop over all
+rho-orbit, the canonical-parent walk on tuples instead of the numpy
+walk, trial division instead of Miller-Rabin, a loop over all
 bijections instead of the scaled-isomorphism search along Dynkin edges,
 and a walk over every word of the suffix trie instead of the walk over
 distinct word states, root data written out root by root (coordinates, C
@@ -137,8 +137,10 @@ def rho_orbit_layers(gcm) -> list[set[tuple[int, ...]]]:
 
 
 def tuple_walk(rs) -> list[memoryview]:
-    """The layers in pure Python, children generated for i = 0..n-1 in
-    turn, each over the parents in order, as the numpy walk does."""
+    """The reference for ``weyl.enumerate_weyl``'s numpy walk: the layers
+    walked on tuples in pure Python, children generated for i = 0..n-1 in
+    turn, each over the parents in order, so the rows and their order are
+    the same."""
     n = rs.rank
     c = rs.gcm.rows()
     # a coordinate of w(rho) is the height of a coroot, at most the number

@@ -119,11 +119,10 @@ def test_degrees_of_a_product_are_the_union():
     assert weyl_order(_rs("A2+G2+B3")) == 6 * 12 * 48
 
 
-# every catalog type with |W| <= 60 000, all walked in Python by
-# enumerate_weyl, and a product of three
+# every catalog type with |W| <= 60 000, and a product of three
 SMALL_LABELS = [f"{f}{r}" for f, r in cartan.catalog_types()
                 if weyl_order_closed_form(f, r) <= 60_000] + ["A2+G2+B3"]
-# rank 9 or more: the packed vectors span more than 128 bits
+# rank 9 or more, past every catalog type up to rank 8
 WIDE_LABELS = ["+".join(["A1"] * 12), "A2+G2+B3+A1+A1+A1"]
 
 
@@ -139,26 +138,15 @@ def test_each_element_generated_once_matches_bfs_oracle():
             assert set(rows) == oracle, (label, k)
 
 
-def test_python_and_numpy_walks_keep_the_same_rows_in_the_same_order():
-    # and the packed Python walk keeps those of the tuple walk it replaced
+def test_layers_keep_the_tuple_walks_rows_in_the_same_order():
     for label in SMALL_LABELS + WIDE_LABELS:
         rs = _rs(label)
-        py, np_, old = weyl._walk_python(rs), weyl._walk_numpy(rs), tuple_walk(rs)
-        assert len(py) == len(np_) == len(old), label
-        for k, (a, b, c) in enumerate(zip(py, np_, old)):
-            assert a.tolist() == b.tolist() == c.tolist(), (label, k)
-            assert len(a) == len(b)
-            assert a.nbytes == b.nbytes == len(a) * rs.rank * 2, (label, k)
-
-
-def test_the_layer_bytes_pick_the_walk(monkeypatch):
-    # B3's layers take 48 * 3 * 2 = 288 bytes: walked in Python up to the
-    # threshold, numpy past it
-    rs = _rs("B3")
-    for threshold, python in [(288, True), (287, False)]:
-        monkeypatch.setattr(weyl, "PYTHON_WALK_MAX_BYTES", threshold)
-        layers = enumerate_weyl(rs).layers
-        assert [isinstance(layer, memoryview) for layer in layers] == [python] * len(layers)
+        layers, expected = enumerate_weyl(rs).layers, tuple_walk(rs)
+        assert len(layers) == len(expected), label
+        for k, (layer, oracle) in enumerate(zip(layers, expected)):
+            assert layer.tolist() == oracle.tolist(), (label, k)
+            assert len(layer) == len(oracle)
+            assert layer.nbytes == len(layer) * rs.rank * 2, (label, k)
 
 
 def _degree_product(rs):
@@ -414,9 +402,10 @@ def test_reduced_word_smallest_descent_rule():
 
 
 def test_word_from_vector_rejects_vectors_outside_rho_orbit():
-    # (1, 2) has no descent to strip; (0, -1) strips s2, then s1, and ends at (1, 0)
+    # (1, 2) has no descent to strip; (0, -1) strips s2, then s1, and ends at
+    # (1, 0); the other three are not of the rank's length
     rs = _rs("A2")
-    for vector in [(1, 2), (0, -1)]:
+    for vector in [(1, 2), (0, -1), (1,), (1, 1, 1), (-1,)]:
         with pytest.raises(NotInRhoOrbit):
             word_from_vector(rs, vector)
 
