@@ -27,19 +27,33 @@ import sys
 import tempfile
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT = 600.0
 
 
+def _workloads():
+    """``perfbench.workloads``, whose matrices are built without weylkit."""
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from perfbench import workloads
+
+    return workloads
+
+
 def _nonfinite_triple_bond() -> str:
     """The rank-60 chain ending in a triple bond, relabelled: its first zero
     pivot comes at step 28, so most leading minors are computed apart."""
-    sys.path.insert(0, str(ROOT))
-    from perfbench.workloads import _nonfinite, relabel
+    wl = _workloads()
+    return json.dumps({"matrix": wl.relabel(wl._nonfinite(3, 60), random.Random(1))})
 
-    return json.dumps({"matrix": relabel(_nonfinite(3, 60), random.Random(1))})
+
+def _relabelled_catalog(family: str) -> str:
+    """The family's rank-60 catalog matrix, relabelled with ``random.Random(7)``."""
+    wl = _workloads()
+    return json.dumps({"matrix": wl.relabel(wl.catalog(family, 60), random.Random(7))})
 
 
 # (row name, CLI argv, stdin or a function giving it)
@@ -56,8 +70,13 @@ ROWS = [
     ("weyl E8 cap 700000000", ["weyl", "--type", "E8", "--cap", "700000000"], None),
     ("chevalley check C60 p2", ["chevalley", "check", "--type", "C60", "--p", "2"], None),
     ("chevalley check B40 p2", ["chevalley", "check", "--type", "B40", "--p", "2"], None),
+    ("chevalley check B60 p2", ["chevalley", "check", "--type", "B60", "--p", "2"], None),
     ("selfcheck E8 10000", ["selfcheck", "--type", "E8", "--samples", "10000"], None),
+    # at SELFCHECK_BUDGET: every sample checks its weights on a rank-60 path
+    ("selfcheck A60 96", ["selfcheck", "--type", "A60", "--samples", "96"], None),
     ("classify nonfinite triple-bond 60", ["classify", "-"], _nonfinite_triple_bond),
+    *((f"classify {family}60 relabelled", ["classify", "-"], partial(_relabelled_catalog, family))
+      for family in "ABCD"),
 ]
 
 

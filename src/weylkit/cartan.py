@@ -226,7 +226,8 @@ def symmetrizer(c: GCM) -> Symmetrizer:
         raise NotFiniteType()
     n = c.n
     d = [0] * n
-    for comp in c.components():
+    comps = c.components()
+    for comp in comps:
         d[comp[0]] = 1
         stack = [comp[0]]
         while stack:
@@ -243,7 +244,7 @@ def symmetrizer(c: GCM) -> Symmetrizer:
                     d[j] = d[i] * c[i][j] // c[j][i]
                     stack.append(j)
     lengths = [0] * n
-    for comp in c.components():
+    for comp in comps:
         top = max(d[i] for i in comp)
         for i in comp:
             if top % d[i] != 0:

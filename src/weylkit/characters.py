@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 
 from .cartan import WeylkitError
-from .roots import RootSystem
+from .roots import RootSystem, check_weight
 
 
 class CharacterError(WeylkitError):
@@ -50,7 +50,7 @@ class EulerData(namedtuple("EulerData", "rs rho positive_coroots rho_pairings m"
 
 def shifted_euler_characteristic(ed: EulerData, weight) -> Fraction:
     """Product over positive coroots of <D, cv> / <rho, cv>, exact."""
-    w = tuple(weight)
+    w = check_weight(ed.rs, weight)
     num = 1
     for cv in ed.positive_coroots:
         num *= sum(x * y for x, y in zip(w, cv))
@@ -64,7 +64,7 @@ def shifted_euler_characteristic(ed: EulerData, weight) -> Fraction:
 
 def weyl_dim(ed: EulerData, highest_weight) -> int:
     """Dimension of the irreducible with the given dominant highest weight."""
-    lam = tuple(highest_weight)
+    lam = check_weight(ed.rs, highest_weight)
     if any(x < 0 for x in lam):
         raise NotDominant(lam)
     shifted = tuple(x + r for x, r in zip(lam, ed.rho))

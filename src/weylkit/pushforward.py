@@ -30,7 +30,7 @@ from collections import Counter
 from collections.abc import Iterator
 
 from .cartan import WeylkitError
-from .roots import Coords, RootSystem, check_index
+from .roots import Coords, RootSystem, check_index, check_weight
 
 Word = tuple[int, ...]
 
@@ -70,7 +70,7 @@ def occurs(word, i: int) -> bool:
 def pushforward_step(rs: RootSystem, weight, i: int) -> tuple[int, list[Coords]]:
     """One-step pushforward: returns (degree increment, surviving weights)."""
     alpha = rs.simple_weight(i)
-    w = tuple(weight)
+    w = check_weight(rs, weight)
     l = w[i]
     if l >= 0:
         return 0, [tuple(x - k * a for x, a in zip(w, alpha)) for k in range(l + 1)]
@@ -101,7 +101,7 @@ def pushforward_multiset(rs: RootSystem, word, entries: GradedWeights) -> Graded
 
 def pushforward_word(rs: RootSystem, word, weight) -> GradedWeights:
     """Graded weight multiset of a weight pushed down the whole word."""
-    start: GradedWeights = Counter({(tuple(weight), 0): 1})
+    start: GradedWeights = Counter({(check_weight(rs, weight), 0): 1})
     return pushforward_multiset(rs, word, start)
 
 
@@ -113,7 +113,8 @@ def pushforward_states(rs: RootSystem, weight, max_len: int, letter: int | None
     ``letter`` (None: no letter) occurs in (i,) + w iff it is i or occurs in
     w. So each length 0..max_len keeps each state once, with one of its
     words and their number. A state's children are pushed before it is
-    yielded, so the caller may change what it is handed.
+    yielded, so the caller may change what it is handed. The weight is
+    checked (``check_weight``) before the first state, whatever ``max_len``.
 
     >>> from weylkit.cartan import parse_type
     >>> from weylkit.roots import generate_roots
@@ -122,7 +123,7 @@ def pushforward_states(rs: RootSystem, weight, max_len: int, letter: int | None
     ...  in pushforward_states(rs, (-2, 1), 2, 0) if len(w) == 2]
     [((0, 0), {((0, 0), 1): 1}, True, 3), ((1, 1), {((-2, 1), 0): 1, ((-1, -1), 0): 1}, False, 1)]
     """
-    level = [[(), Counter({(tuple(weight), 0): 1}), False, 1]]
+    level = [[(), Counter({(check_weight(rs, weight), 0): 1}), False, 1]]
     for length in range(max_len + 1):
         nxt: dict = {}
         for word, gw, hit, count in level:
@@ -191,7 +192,7 @@ def chi_restriction(rs: RootSystem, word, weight) -> list[tuple[int, int]]:
     indices that do not occur in the word contribute nothing, and vanishing
     coefficients are dropped with them.
     """
-    w = tuple(weight)
+    w = check_weight(rs, weight)
     out = []
     for b in range(rs.rank):
         pos = last_occurrence(word, b)

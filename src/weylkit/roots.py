@@ -13,8 +13,10 @@ linear, so ``add(r, s, k)``, the index of the root r + k*s, is one sum and
 one dict lookup. Coordinates stay within +-6 (E8) and sums have |k| <= 4, so
 each base-256 digit stays within +-30 < 128: equal keys are equal roots, and
 ``index_of`` checks what a packed tuple finds, so no other length or range
-aliases a root. The simple-index rule lives here too: ``check_index``, which
-``simple`` and ``simple_weight`` apply.
+aliases a root. The input rules live here too: ``check_index``, which
+``simple`` and ``simple_weight`` apply, and ``check_weight``, which the
+public functions of ``weyl``, ``characters`` and ``pushforward`` that take
+a weight apply at entry.
 """
 
 from __future__ import annotations
@@ -47,6 +49,23 @@ def check_index(rs: RootSystem, i: int) -> None:
     """Raise IndexOutOfRange unless i is a 0-based simple index of rs."""
     if not 0 <= i < rs.rank:
         raise IndexOutOfRange(i, rs.rank)
+
+
+class NotAWeight(RootsError):
+    def __init__(self, weight, n: int):
+        self.weight, self.n = weight, n
+        super().__init__(f"{weight!r} is not a weight of rank {n}: "
+                         f"it needs {n} int entries")
+
+
+def check_weight(rs: RootSystem, weight) -> Coords:
+    """``tuple(weight)``, or NotAWeight unless it has ``rs.rank`` entries,
+    each an int and not a bool (the entry rule of ``validate_gcm``)."""
+    w = tuple(weight)
+    if len(w) != rs.rank or not all(isinstance(x, int) and not isinstance(x, bool)
+                                    for x in w):
+        raise NotAWeight(w, rs.rank)
+    return w
 
 
 class Root(namedtuple("Root", "index coords coroot weight height positive length")):

@@ -2,7 +2,8 @@
 
 Elements act on roots by permutation and on weight vectors through the
 coroot bookkeeping of the root system, so everything stays in exact
-integers; simple indices are checked by ``roots.check_index``.
+integers; simple indices are checked by ``roots.check_index`` and weights
+by ``roots.check_weight``.
 ``enumerate_weyl`` is the library's element walk. It walks the orbit of
 the strictly dominant vector rho = (1, ..., 1): the orbit map w -> w(rho)
 is a bijection, and each element of length k + 1 is generated exactly
@@ -28,7 +29,7 @@ from collections import Counter, namedtuple
 from math import prod
 
 from .cartan import WeylkitError
-from .roots import Coords, RootSystem, check_index
+from .roots import Coords, RootSystem, check_index, check_weight
 
 DEFAULT_CAP = 3_000_000
 MATERIALIZE_CAP = 200_000
@@ -69,7 +70,7 @@ def reflect(rs: RootSystem, i: int, weight) -> Coords:
     where the i-th coordinate vanishes.
     """
     alpha = rs.simple_weight(i)
-    w = tuple(weight)
+    w = check_weight(rs, weight)
     pair = w[i]
     return tuple(x - pair * a for x, a in zip(w, alpha))
 
@@ -102,7 +103,7 @@ class WeylElement(namedtuple("WeylElement", "rs perm")):
 
     def act_weight(self, weight) -> Coords:
         """Image of a weight: <wD, coroot_j> = <D, w^{-1} coroot_j>."""
-        rs, w = self.rs, tuple(weight)
+        rs, w = self.rs, check_weight(self.rs, weight)
         preimage = dict(zip(self.perm, range(len(self.perm))))
         return tuple(rs.pairing(w, rs.roots[preimage[s.index]].coroot) for s in rs.simples)
 
@@ -126,12 +127,10 @@ def word_from_vector(rs: RootSystem, vector) -> tuple[int, ...]:
 
     Strips the smallest left-descent at each step: coordinate i of the
     vector is negative exactly when s_i shortens the element from the left.
-    Raises NotInRhoOrbit when the vector's length is not the rank or the
-    stripping does not end at rho.
+    Raises NotAWeight when the vector is not a weight of rs (``check_weight``)
+    and NotInRhoOrbit when the stripping does not end at rho.
     """
-    v = tuple(int(x) for x in vector)
-    if len(v) != rs.rank:
-        raise NotInRhoOrbit(vector)
+    v = check_weight(rs, vector)
     word = []
     while True:
         i = next((k for k, x in enumerate(v) if x < 0), None)

@@ -412,3 +412,13 @@ def test_chi_factors_g2_special_isogeny():
     assert sorted(factors) == [1, 3]
     assert factors[0] == 3   # q is 3 on the short simple root
     assert translated_word(phi, (short, long_)) == (phi.u[short], phi.u[long_])
+
+
+@pytest.mark.parametrize("word", [(-1, 0), (0, 2)])
+def test_letters_outside_the_source_simples_are_refused(word):
+    # indexing u or q with -1 would wrap to the last simple, and with 2 would
+    # be a bare IndexError
+    phi = enumerate_special("G", 2, 3)[0]
+    for call in (pmorphism_chi_factors, translated_word):
+        with pytest.raises(IndexOutOfRange, match="out of range for rank 2$"):
+            call(phi, word)

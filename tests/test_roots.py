@@ -2,8 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import cartan
-from weylkit.roots import (IndexOutOfRange, NotARoot, RootsError, generate_roots,
-                           nonsimple_positives, root_string)
+from weylkit.characters import EulerData, shifted_euler_characteristic, volume, weyl_dim
+from weylkit.pushforward import (chi_restriction, pushforward_states, pushforward_step,
+                                 pushforward_word)
+from weylkit.roots import (IndexOutOfRange, NotARoot, NotAWeight, RootsError, check_weight,
+                           generate_roots, nonsimple_positives, root_string)
+from weylkit.weyl import element_from_word, reflect, word_from_vector
 
 from oracles import (reflect_coords, reflection_closure, tuple_reflection_perms,
                      tuple_root_strings)
@@ -88,6 +92,49 @@ def test_simple_index_out_of_range():
         with pytest.raises(IndexOutOfRange, match="out of range for rank 2$"):
             call()
     assert issubclass(IndexOutOfRange, RootsError)
+
+
+def test_check_weight_returns_the_tuple_it_checked():
+    rs = _rs("A2")
+    assert check_weight(rs, [1, -2]) == (1, -2)
+    with pytest.raises(NotAWeight, match=r"^\(True, 0\) is not a weight of rank 2") as err:
+        check_weight(rs, iter([True, 0]))
+    assert (err.value.weight, err.value.n) == ((True, 0), 2)
+    assert issubclass(NotAWeight, RootsError)
+
+
+# each public function taking a weight, called on the root system, its
+# EulerData and a weight; the empty word and max_len = 0 reach no step
+WEIGHT_ENTRY_POINTS = {
+    "reflect": lambda rs, ed, w: reflect(rs, 0, w),
+    "act_weight": lambda rs, ed, w: element_from_word(rs, (0,)).act_weight(w),
+    "word_from_vector": lambda rs, ed, w: word_from_vector(rs, w),
+    "shifted_euler_characteristic": lambda rs, ed, w: shifted_euler_characteristic(ed, w),
+    "volume": lambda rs, ed, w: volume(ed, w),
+    "weyl_dim": lambda rs, ed, w: weyl_dim(ed, w),
+    "pushforward_step": lambda rs, ed, w: pushforward_step(rs, w, 0),
+    "pushforward_word": lambda rs, ed, w: pushforward_word(rs, (), w),
+    "pushforward_states": lambda rs, ed, w: list(pushforward_states(rs, w, 0, None)),
+    "chi_restriction": lambda rs, ed, w: chi_restriction(rs, (), w),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_weight_entry_point_refuses_a_malformed_weight(data):
+    rs = _rs(data.draw(st.sampled_from(["A2", "B3", "G2"])))
+    ed = EulerData.from_root_system(rs)
+    if data.draw(st.booleans()):
+        length = data.draw(st.integers(0, rs.rank + 2).filter(lambda k: k != rs.rank))
+        weight = data.draw(st.lists(st.integers(-3, 3), min_size=length, max_size=length))
+    else:
+        weight = data.draw(st.lists(st.integers(-3, 3), min_size=rs.rank, max_size=rs.rank))
+        weight[data.draw(st.integers(0, rs.rank - 1))] = data.draw(
+            st.sampled_from([True, False, 1.5, 1.0, "1", None]))
+    for name, call in WEIGHT_ENTRY_POINTS.items():
+        with pytest.raises(NotAWeight):
+            call(rs, ed, tuple(weight))
+            pytest.fail(f"{name} accepted {weight!r}")
 
 
 def test_pairing_of_root_with_own_coroot_is_two():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import cartan, weyl
-from weylkit.roots import IndexOutOfRange, generate_roots
+from weylkit.roots import IndexOutOfRange, NotAWeight, generate_roots
 from weylkit.weyl import (CapExceeded, NotInRhoOrbit, WeylElement,
                           demazure_product, element_from_word,
                           enumerate_weyl, is_reduced, poincare_polynomial,
@@ -403,10 +403,13 @@ def test_reduced_word_smallest_descent_rule():
 
 def test_word_from_vector_rejects_vectors_outside_rho_orbit():
     # (1, 2) has no descent to strip; (0, -1) strips s2, then s1, and ends at
-    # (1, 0); the other three are not of the rank's length
+    # (1, 0); the other three are not of the rank's length, so not weights
     rs = _rs("A2")
-    for vector in [(1, 2), (0, -1), (1,), (1, 1, 1), (-1,)]:
+    for vector in [(1, 2), (0, -1)]:
         with pytest.raises(NotInRhoOrbit):
+            word_from_vector(rs, vector)
+    for vector in [(1,), (1, 1, 1), (-1,)]:
+        with pytest.raises(NotAWeight):
             word_from_vector(rs, vector)
 
 
