@@ -56,6 +56,8 @@ def _relabelled_catalog(family: str) -> str:
     return json.dumps({"matrix": wl.relabel(wl.catalog(family, 60), random.Random(7))})
 
 
+BS_WORD = "1,2,1,1,2,1,1,2,1"
+
 # (row name, CLI argv, stdin or a function giving it)
 ROWS = [
     ("roots A60", ["roots", "--type", "A60"], None),
@@ -74,6 +76,15 @@ ROWS = [
     ("selfcheck E8 10000", ["selfcheck", "--type", "E8", "--samples", "10000"], None),
     # at SELFCHECK_BUDGET: every sample checks its weights on a rank-60 path
     ("selfcheck A60 96", ["selfcheck", "--type", "A60", "--samples", "96"], None),
+    # at the pushforward budgets: one step of exactly MAX_STEP_WEIGHTS, a word
+    # under MAX_PUSH_WEIGHTS (4 361 entries), and that word four times, refused
+    ("bs-weights A1 99999", ["bs-weights", "--type", "A1", "--word", "1", "--weight", "99999"],
+     None),
+    ("bs-weights A2 (121)x3 15,15",
+     ["bs-weights", "--type", "A2", "--word", BS_WORD, "--weight", "15,15"], None),
+    ("bs-weights A2 (121)x12 15,15",
+     ["bs-weights", "--type", "A2", "--word", ",".join([BS_WORD] * 4), "--weight", "15,15"],
+     None),
     ("classify nonfinite triple-bond 60", ["classify", "-"], _nonfinite_triple_bond),
     *((f"classify {family}60 relabelled", ["classify", "-"], partial(_relabelled_catalog, family))
       for family in "ABCD"),

@@ -9,8 +9,8 @@ The modules are arranged bottom-up, each importing only from those above it:
 * ``schemas``: the shapes of the CLI's JSON documents, with a checker
 * ``cartan``: matrix validation, finite-type test, fundamental group,
   symmetrizer, catalog, Dynkin classification
-* ``roots``: root systems, their coroots and strings, the simple-index and
-  weight checks
+* ``roots``: root systems, their coroots and strings, the word, simple-index
+  and weight checks
 * ``weyl``: the Weyl group as permutations of the roots, words, enumeration
 * ``characters``: shifted Euler characteristic, Weyl dimension, volume
 * ``pushforward``: graded weight multisets pushed down words

@@ -25,7 +25,7 @@ from math import gcd
 from . import intmat
 from . import rootdata  # read on use: chevalley needs only is_prime from here
 from .cartan import WeylkitError, catalog, catalog_types, scaled_isomorphisms
-from .roots import IndexOutOfRange
+from .roots import check_word
 
 
 class IsogenyError(WeylkitError):
@@ -256,22 +256,12 @@ def pmorphism_chi_factors(phi: PMorphism, word) -> list[int]:
     ``translated_word(phi, word)``.
     """
     validate_pmorphism(phi)
-    return [phi.q[letter] for letter in _check_letters(phi, word)]
+    return [phi.q[letter] for letter in check_word(len(phi.q), word)]
 
 
 def translated_word(phi: PMorphism, word) -> tuple[int, ...]:
     """Image of a source word under the simple-root bijection of a p-morphism."""
-    return tuple(phi.u[letter] for letter in _check_letters(phi, word))
-
-
-def _check_letters(phi: PMorphism, word) -> tuple[int, ...]:
-    """The word as a tuple; IndexOutOfRange unless each letter is a simple
-    index of the source."""
-    word, n = tuple(word), len(phi.q)
-    for letter in word:
-        if not 0 <= letter < n:
-            raise IndexOutOfRange(letter, n)
-    return word
+    return tuple(phi.u[letter] for letter in check_word(len(phi.q), word))
 
 
 def enumerate_special(family: str, rank: int, p: int) -> list[PMorphism]:

@@ -20,7 +20,8 @@ The multiset of (i,) + w depends only on the multiset of w, so
 words that reach each one; the containment scan uses it. A step that would
 produce more than ``MAX_STEP_WEIGHTS`` weights, or take the sum over a
 call's steps past ``MAX_PUSH_WEIGHTS``, raises PushforwardTooLarge before it
-starts. ``chi_restriction`` restricts a weight to a word; the
+starts. Each public function checks its words, weights and letter at entry,
+before any step. ``chi_restriction`` restricts a weight to a word; the
 factors a p-morphism puts on a word's letters are kept with p-morphisms.
 """
 
@@ -30,7 +31,7 @@ from collections import Counter
 from collections.abc import Iterator
 
 from .cartan import WeylkitError
-from .roots import Coords, RootSystem, check_index, check_weight
+from .roots import Coords, RootSystem, check_index, check_weight, check_word
 
 Word = tuple[int, ...]
 
@@ -69,8 +70,10 @@ def occurs(word, i: int) -> bool:
 
 def pushforward_step(rs: RootSystem, weight, i: int) -> tuple[int, list[Coords]]:
     """One-step pushforward: returns (degree increment, surviving weights)."""
-    alpha = rs.simple_weight(i)
-    w = check_weight(rs, weight)
+    return _step(rs.simple_weight(i), check_weight(rs, weight), i)
+
+
+def _step(alpha: Coords, w: Coords, i: int) -> tuple[int, list[Coords]]:
     l = w[i]
     if l >= 0:
         return 0, [tuple(x - k * a for x, a in zip(w, alpha)) for k in range(l + 1)]
@@ -81,9 +84,14 @@ def pushforward_step(rs: RootSystem, weight, i: int) -> tuple[int, list[Coords]]
 
 def pushforward_multiset(rs: RootSystem, word, entries: GradedWeights) -> GradedWeights:
     """Push an existing graded multiset down a word, last letter first."""
-    cur, total = Counter(entries), 0
-    for letter in reversed(tuple(word)):
-        check_index(rs, letter)
+    word = check_word(rs.rank, word)
+    cur = Counter({(check_weight(rs, w), d): m for (w, d), m in entries.items()})
+    return _push(rs, word, cur)
+
+
+def _push(rs: RootSystem, word: Word, cur: GradedWeights) -> GradedWeights:
+    total = 0
+    for letter in reversed(word):
         size = sum(max(w[letter] + 1, -w[letter] - 1) for w, _ in cur)
         total += size
         if size > MAX_STEP_WEIGHTS:
@@ -91,8 +99,9 @@ def pushforward_multiset(rs: RootSystem, word, entries: GradedWeights) -> Graded
         if total > MAX_PUSH_WEIGHTS:
             raise PushforwardTooLarge("the whole pushforward", total, MAX_PUSH_WEIGHTS)
         nxt: GradedWeights = Counter()
+        alpha = rs.gcm[letter]
         for (w, d), mult in cur.items():
-            inc, weights = pushforward_step(rs, w, letter)
+            inc, weights = _step(alpha, w, letter)
             for img in weights:
                 nxt[(img, d + inc)] += mult
         cur = nxt
@@ -101,8 +110,7 @@ def pushforward_multiset(rs: RootSystem, word, entries: GradedWeights) -> Graded
 
 def pushforward_word(rs: RootSystem, word, weight) -> GradedWeights:
     """Graded weight multiset of a weight pushed down the whole word."""
-    start: GradedWeights = Counter({(check_weight(rs, weight), 0): 1})
-    return pushforward_multiset(rs, word, start)
+    return _push(rs, check_word(rs.rank, word), Counter({(check_weight(rs, weight), 0): 1}))
 
 
 def pushforward_states(rs: RootSystem, weight, max_len: int, letter: int | None
@@ -113,8 +121,8 @@ def pushforward_states(rs: RootSystem, weight, max_len: int, letter: int | None
     ``letter`` (None: no letter) occurs in (i,) + w iff it is i or occurs in
     w. So each length 0..max_len keeps each state once, with one of its
     words and their number. A state's children are pushed before it is
-    yielded, so the caller may change what it is handed. The weight is
-    checked (``check_weight``) before the first state, whatever ``max_len``.
+    yielded, so the caller may change what it is handed. The weight and the
+    letter are checked before the first state, whatever ``max_len``.
 
     >>> from weylkit.cartan import parse_type
     >>> from weylkit.roots import generate_roots
@@ -124,11 +132,13 @@ def pushforward_states(rs: RootSystem, weight, max_len: int, letter: int | None
     [((0, 0), {((0, 0), 1): 1}, True, 3), ((1, 1), {((-2, 1), 0): 1, ((-1, -1), 0): 1}, False, 1)]
     """
     level = [[(), Counter({(check_weight(rs, weight), 0): 1}), False, 1]]
+    if letter is not None:
+        check_index(rs, letter)
     for length in range(max_len + 1):
         nxt: dict = {}
         for word, gw, hit, count in level:
             for i in range(rs.rank if length < max_len else 0):
-                child = pushforward_multiset(rs, (i,), gw)
+                child = _push(rs, (i,), gw)
                 key = (frozenset(child.items()), hit or i == letter)
                 nxt.setdefault(key, [(i,) + word, child, key[1], 0])[3] += count
             yield word, gw, hit, count
@@ -192,7 +202,7 @@ def chi_restriction(rs: RootSystem, word, weight) -> list[tuple[int, int]]:
     indices that do not occur in the word contribute nothing, and vanishing
     coefficients are dropped with them.
     """
-    w = check_weight(rs, weight)
+    word, w = check_word(rs.rank, word), check_weight(rs, weight)
     out = []
     for b in range(rs.rank):
         pos = last_occurrence(word, b)

@@ -13,10 +13,10 @@ linear, so ``add(r, s, k)``, the index of the root r + k*s, is one sum and
 one dict lookup. Coordinates stay within +-6 (E8) and sums have |k| <= 4, so
 each base-256 digit stays within +-30 < 128: equal keys are equal roots, and
 ``index_of`` checks what a packed tuple finds, so no other length or range
-aliases a root. The input rules live here too: ``check_index``, which
-``simple`` and ``simple_weight`` apply, and ``check_weight``, which the
-public functions of ``weyl``, ``characters`` and ``pushforward`` that take
-a weight apply at entry.
+aliases a root. The input rules live here too, each applied once at a
+public entry: ``check_word`` to a word (``weyl``, ``pushforward``,
+``isogeny``), ``check_index``, its one-letter case, in ``simple`` and
+``simple_weight``, and ``check_weight`` to a weight.
 """
 
 from __future__ import annotations
@@ -42,13 +42,22 @@ class NotARoot(RootsError):
 class IndexOutOfRange(RootsError):
     def __init__(self, i: int, n: int):
         self.i, self.n = i, n
-        super().__init__(f"simple index {i} out of range for rank {n}")
+        super().__init__(f"simple index {i!r} out of range for rank {n}")
+
+
+def check_word(n: int, word) -> tuple[int, ...]:
+    """``tuple(word)``, or IndexOutOfRange at the first letter that is not a
+    0-based simple index of n simples: an int in [0, n), and not a bool."""
+    word = tuple(word)
+    for i in word:
+        if not (isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n):
+            raise IndexOutOfRange(i, n)
+    return word
 
 
 def check_index(rs: RootSystem, i: int) -> None:
     """Raise IndexOutOfRange unless i is a 0-based simple index of rs."""
-    if not 0 <= i < rs.rank:
-        raise IndexOutOfRange(i, rs.rank)
+    check_word(rs.rank, (i,))
 
 
 class NotAWeight(RootsError):

@@ -2,8 +2,8 @@
 
 Elements act on roots by permutation and on weight vectors through the
 coroot bookkeeping of the root system, so everything stays in exact
-integers; simple indices are checked by ``roots.check_index`` and weights
-by ``roots.check_weight``.
+integers; words are checked by ``roots.check_word`` and weights by
+``roots.check_weight``, once each at entry.
 ``enumerate_weyl`` is the library's element walk. It walks the orbit of
 the strictly dominant vector rho = (1, ..., 1): the orbit map w -> w(rho)
 is a bijection, and each element of length k + 1 is generated exactly
@@ -29,7 +29,7 @@ from collections import Counter, namedtuple
 from math import prod
 
 from .cartan import WeylkitError
-from .roots import Coords, RootSystem, check_index, check_weight
+from .roots import Coords, RootSystem, check_weight, check_word
 
 DEFAULT_CAP = 3_000_000
 MATERIALIZE_CAP = 200_000
@@ -116,8 +116,7 @@ def simple_reflections(rs: RootSystem) -> tuple[WeylElement, ...]:
 def element_from_word(rs: RootSystem, word) -> WeylElement:
     gens = simple_reflections(rs)
     out = WeylElement.identity(rs)
-    for i in word:
-        check_index(rs, i)
+    for i in check_word(rs.rank, word):
         out = out * gens[i]
     return out
 
@@ -137,7 +136,7 @@ def word_from_vector(rs: RootSystem, vector) -> tuple[int, ...]:
         if i is None:
             break
         word.append(i)
-        v = reflect(rs, i, v)
+        v = tuple(x - v[i] * a for x, a in zip(v, rs.gcm[i]))
     if any(x != 1 for x in v):
         raise NotInRhoOrbit(vector)
     return tuple(word)
@@ -311,8 +310,7 @@ def demazure_product(rs: RootSystem, word) -> WeylElement:
     """Monotone fold of a word: take the step only when it lengthens."""
     gens = simple_reflections(rs)
     out = WeylElement.identity(rs)
-    for i in word:
-        check_index(rs, i)
+    for i in check_word(rs.rank, word):
         nxt = out * gens[i]
         if nxt.length > out.length:
             out = nxt

@@ -18,7 +18,7 @@ from weylkit.pushforward import (MAX_PUSH_WEIGHTS, MAX_STEP_WEIGHTS, KeyLemmaVio
                                  pushforward_step, pushforward_word,
                                  sorted_entries, zero_weight_rank)
 from weylkit.rootdata import adjoint_datum
-from weylkit.roots import IndexOutOfRange, generate_roots, nonsimple_positives
+from weylkit.roots import IndexOutOfRange, NotAWeight, generate_roots, nonsimple_positives
 
 from oracles import pushforward_suffixes
 
@@ -134,6 +134,20 @@ def test_step_index_range():
     rs = _rs("A2")
     with pytest.raises(IndexOutOfRange):
         pushforward_step(rs, (0, 0), 5)
+
+
+def test_a_bad_letter_is_refused_before_any_step():
+    # the first step (letter 0) alone would pass MAX_STEP_WEIGHTS
+    rs = _rs("A2")
+    with pytest.raises(IndexOutOfRange, match="^simple index 5 out of range for rank 2$"):
+        pushforward_word(rs, (5, 0), (1_000_000, 0))
+
+
+def test_multiset_entries_are_checked_at_entry():
+    # the empty word reaches no step, so nothing else would look at the entry
+    rs = _rs("A2")
+    with pytest.raises(NotAWeight):
+        pushforward_multiset(rs, (), Counter({((1,), 0): 1}))
 
 
 # -- whole words ----------------------------------------------------------

@@ -1,13 +1,17 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import cartan
 from weylkit.characters import EulerData, shifted_euler_characteristic, volume, weyl_dim
-from weylkit.pushforward import (chi_restriction, pushforward_states, pushforward_step,
-                                 pushforward_word)
+from weylkit.isogeny import enumerate_special, pmorphism_chi_factors, translated_word
+from weylkit.pushforward import (chi_restriction, pushforward_multiset, pushforward_states,
+                                 pushforward_step, pushforward_word)
 from weylkit.roots import (IndexOutOfRange, NotARoot, NotAWeight, RootsError, check_weight,
-                           generate_roots, nonsimple_positives, root_string)
-from weylkit.weyl import element_from_word, reflect, word_from_vector
+                           check_word, generate_roots, nonsimple_positives, root_string)
+from weylkit.weyl import (demazure_product, element_from_word, is_reduced, reflect,
+                          word_from_vector)
 
 from oracles import (reflect_coords, reflection_closure, tuple_reflection_perms,
                      tuple_root_strings)
@@ -135,6 +139,51 @@ def test_every_weight_entry_point_refuses_a_malformed_weight(data):
         with pytest.raises(NotAWeight):
             call(rs, ed, tuple(weight))
             pytest.fail(f"{name} accepted {weight!r}")
+
+
+def test_check_word_returns_the_tuple_it_checked():
+    assert check_word(2, iter([1, 0, 1])) == (1, 0, 1)
+    assert check_word(0, []) == ()
+    with pytest.raises(IndexOutOfRange, match="^simple index '1' out of range for rank 2$"):
+        check_word(2, (0, "1", 5))
+    with pytest.raises(IndexOutOfRange, match="^simple index True out of range") as err:
+        check_word(3, (True, 9))
+    assert (err.value.i, err.value.n) == (True, 3)
+
+
+# each public function taking a word, called on the root system and a word;
+# pushforward_states takes a single letter, checked by the same rule
+WORD_ENTRY_POINTS = {
+    "element_from_word": element_from_word,
+    "demazure_product": demazure_product,
+    "is_reduced": is_reduced,
+    "pushforward_word": lambda rs, word: pushforward_word(rs, word, (0,) * rs.rank),
+    "pushforward_multiset": lambda rs, word: pushforward_multiset(rs, word, Counter()),
+    "chi_restriction": lambda rs, word: chi_restriction(rs, word, (1,) * rs.rank),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_word_entry_point_refuses_a_bad_letter(data):
+    label = data.draw(st.sampled_from(["A2", "B3", "G2"]))
+    rs = _rs(label)
+    word = data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=6))
+    bad = data.draw(st.sampled_from([-1, rs.rank, rs.rank + 3, True, False, 1.0, "1", None]))
+    word.insert(data.draw(st.integers(0, len(word))), bad)
+    calls = {name: (lambda call=call: call(rs, tuple(word)))
+             for name, call in WORD_ENTRY_POINTS.items()}
+    if bad is not None:
+        calls["pushforward_states"] = lambda: list(
+            pushforward_states(rs, (0,) * rs.rank, 0, bad))
+    if label == "G2":
+        phi = enumerate_special("G", 2, 3)[0]
+        for call in (pmorphism_chi_factors, translated_word):
+            calls[call.__name__] = lambda call=call: call(phi, tuple(word))
+    for name, call in calls.items():
+        with pytest.raises(IndexOutOfRange):
+            call()
+            pytest.fail(f"{name} accepted {word!r}")
 
 
 def test_pairing_of_root_with_own_coroot_is_two():
