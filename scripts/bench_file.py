@@ -3,7 +3,8 @@
 
     python3 scripts/bench_file.py --runs PARENT.jsonl CHANGE.jsonl \\
         [--heldout PARENT.jsonl CHANGE.jsonl] [--trace PARENT.jsonl CHANGE.jsonl] \\
-        --parent-commit SHA --change TEXT [--protocol TEXT] --out BENCH_N.json
+        [--counts COUNTS.json] --parent-commit SHA --change TEXT [--protocol TEXT] \\
+        --out BENCH_N.json
     python3 scripts/bench_file.py --check BENCH_N.json
 
 ``--runs`` holds one ``--trace 0`` run per seed and side, the seeds paired
@@ -16,7 +17,9 @@ The BENCH file keeps every record and adds:
   (``statistics.quantiles``, exclusive method);
 * ``pairs``: per workload and metric, in how many seeds the change is
   better than the parent, in the direction BENCHMARK.json gives;
-* ``per_layer``: the ``--trace 1`` metrics of each side, when given.
+* ``per_layer``: the ``--trace 1`` metrics of each side, when given;
+* ``counts``: the JSON object in ``--counts``, when given, for counts the
+  runs do not take (say, the calls of a function the tracer does not wrap).
 
 ``--check`` recomputes the summary of an existing BENCH file from its runs
 and exits 1 unless every figure comes out the same.
@@ -127,6 +130,8 @@ def write(args) -> dict:
                                               seconds=spec["run_seconds"], trace=1)
         doc["per_layer"] = per_layer(traced)
         doc["trace_runs"] = traced
+    if args.counts:
+        doc["counts"] = json.loads(Path(args.counts).read_text(encoding="utf-8"))
     return doc
 
 
@@ -145,6 +150,7 @@ def main(argv=None) -> int:
     ap.add_argument("--runs", nargs=2, metavar=("PARENT", "CHANGE"))
     ap.add_argument("--heldout", nargs=2, metavar=("PARENT", "CHANGE"))
     ap.add_argument("--trace", nargs=2, metavar=("PARENT", "CHANGE"))
+    ap.add_argument("--counts", metavar="JSON", help="counts the runs do not take")
     ap.add_argument("--parent-commit", default="unknown")
     ap.add_argument("--change", default="", help="one line on what the change does")
     ap.add_argument("--protocol", default="", help="how the runs were made")

@@ -9,7 +9,10 @@ one-step cohomology case analysis; any violation raises KeyLemmaViolation.
 
 Every check depends only on a word's graded multiset and on whether the
 simple root's letter occurs in it, so the scan walks distinct states per
-length and takes its totals from the number of words reaching each.
+length and takes its totals from the number of words reaching each; the
+walk pushes each distinct (state, letter) once per weight. A failing check
+names the type, the weight and one word reaching the state; that context
+is formatted only when a check fails.
 
 Usage: python scripts/containment_scan.py [max_word_length]
 """
@@ -42,15 +45,19 @@ def scan(max_len: int) -> None:
                 words += count
                 pushes += count
                 entries += count * sum(gw.values())
-                where = f" for {label} weight {lam} word {word}"
                 gamma0 = set() if i is None else {zero if hit else lam}
-                if not {w for (w, _) in gw} <= minus_npp | gamma0:
-                    raise KeyLemmaViolation(f"weight outside the containment{where}")
-                if sum(m for (w, _), m in gw.items() if w in gamma0) != len(gamma0):
-                    raise KeyLemmaViolation(f"gamma0 multiplicity not 1{where}")
-                # the degree-zero invariants: zero weight only in degree 1,
-                # once if the letter occurs and not at all otherwise
-                zero_weight_rank(gw, hit, where)
+                try:
+                    if not {w for (w, _) in gw} <= minus_npp | gamma0:
+                        raise KeyLemmaViolation("weight outside the containment")
+                    if sum(m for (w, _), m in gw.items() if w in gamma0) != len(gamma0):
+                        raise KeyLemmaViolation("gamma0 multiplicity not 1")
+                    # the degree-zero invariants: zero weight only in degree 1,
+                    # once if the letter occurs and not at all otherwise
+                    zero_weight_rank(gw, hit)
+                except KeyLemmaViolation as exc:
+                    # the context is formatted only for a failing state
+                    raise KeyLemmaViolation(
+                        f"{exc} for {label} weight {lam} word {word}") from None
         grand += pushes
         print(f"{label:>3}: {words:5d} words, {pushes:6d} pushforwards, "
               f"{entries:8d} graded entries, all contained")

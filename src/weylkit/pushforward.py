@@ -17,12 +17,14 @@ up across steps and multiplicities are tracked as a Counter keyed by
 
 The multiset of (i,) + w depends only on the multiset of w, so
 ``pushforward_states`` walks distinct states rather than words, counting the
-words that reach each one; the containment scan uses it. A step that would
-produce more than ``MAX_STEP_WEIGHTS`` weights, or take the sum over a
-call's steps past ``MAX_PUSH_WEIGHTS``, raises PushforwardTooLarge before it
-starts. Each public function checks its words, weights and letter at entry,
-before any step. ``chi_restriction`` restricts a weight to a word; the
-factors a p-morphism puts on a word's letters are kept with p-morphisms.
+words that reach each one, and pushes each distinct (state, letter) once per
+call however often the state comes back; the containment scan uses it. A
+step that would produce more than ``MAX_STEP_WEIGHTS`` weights, or take the
+sum over a call's steps past ``MAX_PUSH_WEIGHTS``, raises
+PushforwardTooLarge before it starts. Each public function checks its
+words, weights and letter at entry, before any step. ``chi_restriction``
+restricts a weight to a word; the factors a p-morphism puts on a word's
+letters are kept with p-morphisms.
 """
 
 from __future__ import annotations
@@ -120,9 +122,14 @@ def pushforward_states(rs: RootSystem, weight, max_len: int, letter: int | None
     The multiset of (i,) + w is w's pushed one more step along i, and
     ``letter`` (None: no letter) occurs in (i,) + w iff it is i or occurs in
     w. So each length 0..max_len keeps each state once, with one of its
-    words and their number. A state's children are pushed before it is
-    yielded, so the caller may change what it is handed. The weight and the
-    letter are checked before the first state, whatever ``max_len``.
+    words and their number. A state that comes back at a later length, or
+    with the other answer for ``letter``, is not pushed again: each distinct
+    (multiset, i) goes through the budgeted walk once per call, and later
+    children are copied from what that push gave, in the same order. A
+    state's children are built before it is yielded and every yielded
+    multiset is a fresh Counter, so the caller may change what it is handed.
+    The weight and the letter are checked before the first state, whatever
+    ``max_len``.
 
     >>> from weylkit.cartan import parse_type
     >>> from weylkit.roots import generate_roots
@@ -131,18 +138,27 @@ def pushforward_states(rs: RootSystem, weight, max_len: int, letter: int | None
     ...  in pushforward_states(rs, (-2, 1), 2, 0) if len(w) == 2]
     [((0, 0), {((0, 0), 1): 1}, True, 3), ((1, 1), {((-2, 1), 0): 1, ((-1, -1), 0): 1}, False, 1)]
     """
-    level = [[(), Counter({(check_weight(rs, weight), 0): 1}), False, 1]]
+    start = Counter({(check_weight(rs, weight), 0): 1})
     if letter is not None:
         check_index(rs, letter)
+    # (state, i) -> the state pushed along i: its key and an ordered snapshot
+    pushed: dict = {}
+    level = {(frozenset(start.items()), False): [(), start, 1]}
     for length in range(max_len + 1):
         nxt: dict = {}
-        for word, gw, hit, count in level:
+        for (state, hit), (word, gw, count) in level.items():
             for i in range(rs.rank if length < max_len else 0):
-                child = _push(rs, (i,), gw)
-                key = (frozenset(child.items()), hit or i == letter)
-                nxt.setdefault(key, [(i,) + word, child, key[1], 0])[3] += count
+                child, fresh = pushed.get((state, i)), None
+                if child is None:
+                    fresh = _push(rs, (i,), gw)
+                    child = pushed[state, i] = (frozenset(fresh.items()), dict(fresh))
+                key = (child[0], hit or i == letter)
+                if key in nxt:
+                    nxt[key][2] += count
+                else:
+                    nxt[key] = [(i,) + word, fresh or Counter(child[1]), count]
             yield word, gw, hit, count
-        level = nxt.values()
+        level = nxt
 
 
 def sorted_entries(gw: GradedWeights) -> list[tuple[Coords, int, int]]:
@@ -176,10 +192,10 @@ def h0_rank(rs: RootSystem, word, alpha_index: int) -> int:
     Computed as the number of zero-weight entries of the pushforward of
     minus the simple root, checked by ``zero_weight_rank``.
     """
+    word = check_word(rs.rank, word)
     lam = tuple(-x for x in rs.simple_weight(alpha_index))
     gw = pushforward_word(rs, word, lam)
-    return zero_weight_rank(gw, occurs(word, alpha_index),
-                            f" for word {tuple(word)}")
+    return zero_weight_rank(gw, occurs(word, alpha_index), f" for word {word}")
 
 
 def last_occurrence(word, b: int) -> int | None:

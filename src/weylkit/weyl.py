@@ -303,6 +303,7 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
 
 
 def is_reduced(rs: RootSystem, word) -> bool:
+    word = check_word(rs.rank, word)
     return element_from_word(rs, word).length == len(word)
 
 

@@ -10,11 +10,12 @@ inversion counts instead of root permutations, the reflection closure of
 the simple roots instead of height-by-height generation, the per-family
 closed forms of |W| instead of invariant degrees, and a breadth-first
 search over sets of tuples instead of canonical-parent generation of the
-rho-orbit, the canonical-parent walk on tuples instead of the numpy
-walk, trial division instead of Miller-Rabin, a loop over all
-bijections instead of the scaled-isomorphism search along Dynkin edges,
-and a walk over every word of the suffix trie instead of the walk over
-distinct word states, root data written out root by root (coordinates, C
+rho-orbit, the canonical-parent walk on tuples instead of the numpy walk,
+trial division instead of Miller-Rabin, a loop over all bijections instead
+of the scaled-isomorphism search along Dynkin edges, a walk over every
+word of the suffix trie and a per-length walk that pushes every state
+afresh instead of the walk over distinct word states that pushes each
+(state, letter) once, root data written out root by root (coordinates, C
 times the coroot, a fraction solve per root) instead of a root system
 carried onto a pinning, the short-root ideal check as an all-pairs bracket
 loop, a short x short square loop and a Steinberg check per triple instead
@@ -488,6 +489,27 @@ def pushforward_suffixes(rs, weight, max_len: int):
             for i in reversed(range(rs.rank)):
                 stack.append(((i,) + word, pushforward_multiset(rs, (i,), gw)))
         yield word, gw
+
+
+def pushforward_states_per_length(rs, weight, max_len: int, letter):
+    """Yield (word, graded multiset, letter occurs, word count) per distinct
+    state and length, pushing every state's children afresh.
+
+    Each length keeps each (multiset, letter occurs) once, with the first
+    word that reaches it and the number of words that do; a state met again
+    at a later length is pushed again, one ``pushforward_multiset`` per
+    state and letter. Children are pushed before their parent is yielded.
+    """
+    level = [[(), Counter({(tuple(weight), 0): 1}), False, 1]]
+    for length in range(max_len + 1):
+        nxt: dict = {}
+        for word, gw, hit, count in level:
+            for i in range(rs.rank if length < max_len else 0):
+                child = pushforward_multiset(rs, (i,), gw)
+                key = (frozenset(child.items()), hit or i == letter)
+                nxt.setdefault(key, [(i,) + word, child, key[1], 0])[3] += count
+            yield word, gw, hit, count
+        level = nxt.values()
 
 
 def hermite_rows(a) -> intmat.Matrix:

@@ -49,3 +49,19 @@ def test_written_file_summarises_the_jsonl_runs(tmp_path):
     traced = written["per_layer"]["cli-small"]["characters.from_root_system.calls"]
     assert traced["parent"] > 0 and traced["change"] > 0
     assert bench_file.check(str(out)) == []
+
+
+def test_written_file_keeps_the_counts_it_is_given(tmp_path):
+    doc = json.loads(BENCH_9.read_text(encoding="utf-8"))
+    for side in ("parent", "change"):
+        (tmp_path / f"{side}.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in doc["runs"][side]), encoding="utf-8")
+    counts = {"scan._push.calls": {"5": {"parent": 1635, "change": 592}}}
+    (tmp_path / "counts.json").write_text(json.dumps(counts), encoding="utf-8")
+    out = tmp_path / "BENCH_x.json"
+    assert bench_file.main([
+        "--runs", str(tmp_path / "parent.jsonl"), str(tmp_path / "change.jsonl"),
+        "--counts", str(tmp_path / "counts.json"), "--out", str(out)]) == 0
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert written["counts"] == counts and "counts" not in doc
+    assert bench_file.check(str(out)) == []

@@ -1,3 +1,4 @@
+import importlib.util
 import re
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from weylkit.pushforward import (MAX_PUSH_WEIGHTS, MAX_STEP_WEIGHTS, KeyLemmaVio
 from weylkit.rootdata import adjoint_datum
 from weylkit.roots import IndexOutOfRange, NotAWeight, generate_roots, nonsimple_positives
 
-from oracles import pushforward_suffixes
+from oracles import pushforward_states_per_length, pushforward_suffixes
 
 IRREDUCIBLE_RANK3 = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -314,6 +315,44 @@ def test_state_walk_totals_match_the_suffix_walk(label):
         assert states == trie, lam
 
 
+@pytest.mark.parametrize("label", IRREDUCIBLE_RANK3)
+def test_state_walk_matches_the_per_length_walk(label):
+    # the same states in the same order, each with the same word, entries in
+    # the same order, letter answer and count as pushing every state afresh
+    rs = _rs(label)
+    for r in rs.positives:
+        lam = _neg(r.weight)
+        for letter in [None, *range(rs.rank)]:
+            got = [(w, list(gw.items()), hit, n)
+                   for w, gw, hit, n in pushforward_states(rs, lam, 5, letter)]
+            want = [(w, list(gw.items()), hit, n)
+                    for w, gw, hit, n in pushforward_states_per_length(rs, lam, 5, letter)]
+            assert got == want, (lam, letter)
+
+
+@pytest.mark.parametrize("label", IRREDUCIBLE_RANK3)
+def test_state_walk_pushes_each_state_and_letter_once(label, monkeypatch):
+    # one budgeted push per distinct (multiset, letter) below the last
+    # length, however often the state comes back, even if the caller
+    # clears what it is handed
+    rs = _rs(label)
+    push, calls = pushforward._push, Counter()
+
+    def counted(rs_, word, cur):
+        calls[frozenset(cur.items()), word] += 1
+        return push(rs_, word, cur)
+
+    monkeypatch.setattr(pushforward, "_push", counted)
+    for r in rs.positives:
+        calls.clear()
+        pairs = set()
+        for word, gw, _, _ in pushforward_states(rs, _neg(r.weight), 5, 0):
+            if len(word) < 5:
+                pairs.update((frozenset(gw.items()), (i,)) for i in range(rs.rank))
+            gw.clear()
+        assert set(calls) == pairs and set(calls.values()) == {1}, r.weight
+
+
 def test_zero_weight_rank_rejects_broken_multisets():
     assert zero_weight_rank(Counter({((0, 0), 1): 1, ((-1, 2), 0): 3}), True) == 1
     assert zero_weight_rank(Counter({((-1, 2), 0): 1}), False) == 0
@@ -364,6 +403,38 @@ def test_containment_scan_script_short_words():
                         lines[-1])
 
 
+def test_containment_scan_names_the_failing_state(monkeypatch):
+    # a check that fails still reports the type, the weight and the word
+    spec = importlib.util.spec_from_file_location(
+        "containment_scan", ROOT / "scripts" / "containment_scan.py")
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    states = scan.pushforward_states
+    broke = []
+
+    def broken(rs, lam, max_len, letter):
+        for word, gw, hit, count in states(rs, lam, max_len, letter):
+            if len(word) == 2:
+                broke.append((lam, word))
+                gw[(1,) * rs.rank, 0] += 1
+            yield word, gw, hit, count
+
+    monkeypatch.setattr(scan, "pushforward_states", broken)
+    with pytest.raises(KeyLemmaViolation) as err:
+        scan.scan(2)
+    assert broke == [((-2,), (0, 0))]
+    assert str(err.value) == "weight outside the containment for A1 weight (-2,) word (0, 0)"
+
+    def unranked(gw, hit, where=""):
+        raise KeyLemmaViolation(f"zero weight at degree 0{where}")
+
+    monkeypatch.setattr(scan, "pushforward_states", states)
+    monkeypatch.setattr(scan, "zero_weight_rank", unranked)
+    with pytest.raises(KeyLemmaViolation) as err:
+        scan.scan(1)
+    assert str(err.value) == "zero weight at degree 0 for A1 weight (-2,) word ()"
+
+
 # -- ranks ----------------------------------------------------------------
 
 def test_h0_rank_examples():
@@ -372,6 +443,10 @@ def test_h0_rank_examples():
     rs = _rs("A2")
     assert h0_rank(rs, (1,), 0) == 0
     assert h0_rank(rs, (0, 1, 0), 0) == 1
+
+
+def test_h0_rank_reads_its_word_once():
+    assert h0_rank(_rs("A2"), iter([0, 1]), 0) == 1
 
 
 def test_h0_rank_dichotomy_short_words():

@@ -384,6 +384,10 @@ def test_is_reduced_examples():
     assert is_reduced(rs, (0, 1, 0))
 
 
+def test_is_reduced_reads_its_word_once():
+    assert is_reduced(_rs("A2"), iter([0, 1])) is True
+
+
 def test_reduced_word_round_trip_and_determinism():
     for label in ["A2", "B2", "G2", "B3"]:
         rs = _rs(label)
