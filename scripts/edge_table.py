@@ -44,8 +44,9 @@ def _workloads():
 
 
 def _nonfinite_triple_bond() -> str:
-    """The rank-60 chain ending in a triple bond, relabelled: its first zero
-    pivot comes at step 28, so most leading minors are computed apart."""
+    """The rank-60 chain ending in a triple bond, relabelled: its 29th
+    leading minor is the first zero one, where the finite-type verdict
+    stops, so the row times a late refusal."""
     wl = _workloads()
     return json.dumps({"matrix": wl.relabel(wl._nonfinite(3, 60), random.Random(1))})
 
@@ -64,9 +65,11 @@ ROWS = [
     ("roots B60", ["roots", "--type", "B60"], None),
     ("roots C60", ["roots", "--type", "C60"], None),
     ("roots D60", ["roots", "--type", "D60"], None),
-    ("datum C60 adjoint", ["datum", "--type", "C60", "--kind", "adjoint"], None),
-    ("datum C60 sc", ["datum", "--type", "C60", "--kind", "sc"], None),
-    ("isogeny enumerate B60 p2", ["isogeny", "enumerate", "--type", "B60", "--p", "2"], None),
+    *((f"datum {family}60 {kind}", ["datum", "--type", f"{family}60", "--kind", kind], None)
+      for family in "ABCD" for kind in ("adjoint", "sc")),
+    *((f"isogeny enumerate {family}60 p2",
+       ["isogeny", "enumerate", "--type", f"{family}60", "--p", "2"], None)
+      for family in "ABCD"),
     ("weyl E7", ["weyl", "--type", "E7"], None),
     # past the default cap: refused with LayersTooLarge, not CapExceeded
     ("weyl E8 cap 700000000", ["weyl", "--type", "E8", "--cap", "700000000"], None),

@@ -85,8 +85,8 @@ class AsymmetricZero(GCMError):
 
 
 class NotFiniteType(GCMError):
-    def __init__(self, msg: str = "matrix is not of finite type"):
-        super().__init__(msg)
+    def __init__(self):
+        super().__init__("matrix is not of finite type")
 
 
 class InvalidType(GCMError):
@@ -122,11 +122,12 @@ class GCM(tuple):
 
     @cached_property
     def leading_minors(self) -> tuple[int, ...]:
-        """Determinants of the upper-left k-by-k blocks, the last one det C.
+        """Determinants of the upper-left k-by-k blocks up to the first zero
+        one, so all n of them, the last det C, in finite type.
 
         Cached on the immutable matrix, so one elimination serves every
-        finite-type guard and every reading of det C. A rank over MAX_RANK
-        raises RankTooLarge first.
+        finite-type guard and every reading of det C, which comes after a
+        finite verdict. A rank over MAX_RANK raises RankTooLarge first.
         """
         if self.n > MAX_RANK:
             raise RankTooLarge(self.n)
@@ -246,9 +247,7 @@ def symmetrizer(c: GCM) -> Symmetrizer:
     lengths = [0] * n
     for comp in comps:
         top = max(d[i] for i in comp)
-        for i in comp:
-            if top % d[i] != 0:
-                raise NotFiniteType("symmetrizer does not define length classes")
+        for i in comp:   # finite type: d[i] is top, top / 2 or top / 3
             lengths[i] = top // d[i]
     return Symmetrizer(tuple(d), tuple(lengths))
 
@@ -372,7 +371,8 @@ def scaled_isomorphisms(src: GCM, tgt: GCM, nodes, scales=(1,)):
 
 
 def classify(c: GCM) -> DynkinType:
-    """Match each connected component against the finite-type catalog.
+    """Match each connected component against the finite-type catalog,
+    which holds every component of a finite-type matrix.
 
     A node map is the first scaled isomorphism at scale 1, so it is
     deterministic.
@@ -382,14 +382,9 @@ def classify(c: GCM) -> DynkinType:
     comps = []
     for nodes in c.components():
         rank = len(nodes)
-        found = next(((family, rank, u)
-                      for family in FAMILIES if _valid_type(family, rank)
-                      for u, _ in scaled_isomorphisms(catalog(family, rank), c, nodes)),
-                     None)
-        if found is None:
-            # cannot happen for a positive-definite GCM; defensive
-            raise NotFiniteType("component matches no catalog type")
-        comps.append(found)
+        comps.append(next((family, rank, u)
+                          for family in FAMILIES if _valid_type(family, rank)
+                          for u, _ in scaled_isomorphisms(catalog(family, rank), c, nodes)))
     return DynkinType(tuple(comps))
 
 

@@ -15,7 +15,11 @@ lies in (r/2)Z. Roots of different components never sum to a root, a
 simply-laced component has only short roots, and square rows need b short.
 So ``short_root_ideal_check`` walks the a-string through b once per short
 pair with a + b a root, for the bracket and Steinberg rows (a + b long) and
-the square row (up >= 2, strings being unbroken), then reads off violations.
+the square row (up >= 2, strings being unbroken). No square row fails: an
+a-string reaching two steps above a short b either starts at b, where
+<b, a-coroot> = -2 would make b long (Humphreys, Introduction to Lie
+Algebras, 9.4), or holds four roots, as only in G2, where 2a + b is long.
+So the violations are the bracket rows whose m p does not divide.
 Sums and string steps are root-key lookups (``RootSystem.add``, ``string_steps``).
 """
 
@@ -99,9 +103,10 @@ class IdealCheckReport(namedtuple("IdealCheckReport",
     root sum: the ideal property needs p to divide every m. ``steinberg``
     holds, row for row, the SteinbergReport of the same pair, read off the
     same string. ``square_triples`` lists (alpha, beta, 2a+b) for the pairs
-    whose double step lands in the roots: p-closure needs 2a+b long.
-    ``violations``, read off both lists with bracket rows first, holds the
-    rows that fail; it is empty on the types where the ideal exists.
+    whose double step lands in the roots: p-closure needs 2a+b long, which
+    finite type ensures. ``violations`` holds the bracket rows, tagged
+    ``"bracket"``, whose m p does not divide: there the span is no ideal.
+    It is empty on the types where the ideal exists.
     """
 
     __slots__ = ()
@@ -120,7 +125,6 @@ def short_root_ideal_check(rs: RootSystem, p: int) -> IdealCheckReport:
     if len(short) == len(roots):
         raise SimplyLaced()
     report = IdealCheckReport(p, [], [], [], [])
-    doubles = []   # the root 2a + b of each square row
     for a, alpha in short:
         for b, beta in short:
             total = rs.add(b, a)
@@ -132,10 +136,7 @@ def short_root_ideal_check(rs: RootSystem, p: int) -> IdealCheckReport:
                 report.bracket_triples.append((alpha, beta, total.coords, down + 1))
                 report.steinberg.append(SteinbergReport(
                     alpha, beta, down, up, total.length, down + 1 == up * total.length))
-            if up >= 2:   # unbroken: 2a + b is a root
-                doubles.append(roots[rs.add(b, a, 2)])
-                report.square_triples.append((alpha, beta, doubles[-1].coords))
+            if up >= 2:   # unbroken: 2a + b is a root, and a long one
+                report.square_triples.append((alpha, beta, roots[rs.add(b, a, 2)].coords))
     report.violations.extend(("bracket", *t) for t in report.bracket_triples if t[3] % p)
-    report.violations.extend(("square", *t) for t, d in zip(report.square_triples, doubles)
-                             if d.length == 1)
     return report

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -363,9 +362,6 @@ def _count(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # a string default goes through type=int, so a bad value is a usage error
-    # of the subcommands that take --cap; unset, poincare_series picks the default
-    cap_default = os.environ.get("WEYLKIT_WEYL_CAP")
     top = _Parser(
         prog="weylkit",
         description="Exact root-system, Weyl-group and root-datum computations",
@@ -383,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="path to {\"matrix\": [[...]]} JSON, or - for stdin")
     p.add_argument("--transpose", action="store_true",
                    help="transpose the input (for the opposite pairing convention)")
-    p.add_argument("--cap", type=int, default=cap_default)
+    p.add_argument("--cap", type=int)
     common(p, type_arg=False)
     p.set_defaults(func=_cmd_classify, spec=schemas.REPORT)
 
@@ -393,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weyl", help="Weyl group order, histogram, longest length")
     common(p)
-    p.add_argument("--cap", type=int, default=cap_default)
+    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_weyl, spec=schemas.WEYL)
 
     def weight_args(p):

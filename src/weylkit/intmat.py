@@ -80,12 +80,17 @@ def det(a) -> int:
 
 
 def leading_principal_minors(a) -> list[int]:
-    """Determinants of the upper-left k-by-k blocks, k = 1..n: the pivots of
-    one elimination up to its first zero pivot, then a ``det`` per block."""
+    """Determinants of the upper-left k-by-k blocks, k = 1, 2, ..., up to
+    and including the first zero one: the pivots of one elimination before
+    its first zero pivot, then that 0. All n are there, the last det a,
+    exactly when none is zero.
+
+    >>> leading_principal_minors([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+    [1, 0]
+    """
     m = copy(a)
     _, step = _bareiss(m, len(a))
-    return ([m[k][k] for k in range(step)]
-            + [det([row[: k + 1] for row in a[: k + 1]]) for k in range(step, len(a))])
+    return [m[k][k] for k in range(step)] + [0] * (step < len(a))
 
 
 def is_unimodular(a) -> bool:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import cartan
+from weylkit import cartan, intmat
 from weylkit.cartan import (AsymmetricZero, DiagonalNotTwo, GCMError,
                             InvalidType, NotFiniteType, PositiveOffDiagonal)
 from weylkit.intmat import leading_principal_minors
@@ -52,6 +52,22 @@ def test_finite_type_examples():
     assert [cofactor_det([[2]]), cofactor_det(g2.rows())] == [2, 1]
     assert leading_principal_minors(g2.rows()) == [2, 1]
     assert cartan.is_finite_type(g2)
+
+
+def test_finite_verdict_reads_no_minor_past_the_first_zero(monkeypatch):
+    # the rank-60 chain ending in a triple bond, relabelled: its 29th leading
+    # minor is the first zero, and no determinant past it is computed
+    n = 60
+    chain = cartan.catalog("A", n).rows()
+    chain[n - 2][n - 1], chain[n - 1][n - 2] = -1, -3
+    perm = list(range(n))
+    random.Random(1).shuffle(perm)
+    g = cartan.validate_gcm(_permute(chain, perm))
+    calls, det = [], intmat.det
+    monkeypatch.setattr(intmat, "det", lambda a: calls.append(len(a)) or det(a))
+    assert g.finite_type is False
+    assert calls == []
+    assert len(g.leading_minors) == 29 and g.leading_minors[-1] == 0
 
 
 def test_symmetrizer_values():

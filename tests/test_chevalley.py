@@ -153,6 +153,8 @@ def test_ideal_check_matches_all_pairs_oracle(label):
     for p in (2, 3, 5):
         report = short_root_ideal_check(rs, p)
         brackets, squares, violations, steinberg = all_pairs_ideal_check(rs, p)
+        # the oracle still checks every 2a + b; finite type keeps each long
+        assert all(v[0] != "square" for v in violations), (label, p)
         assert report.bracket_triples == brackets, (label, p)
         assert report.square_triples == squares, (label, p)
         assert report.violations == violations, (label, p)

@@ -111,18 +111,6 @@ def test_empty_word_is_the_identity():
     assert json.loads(out)["word"] == []
 
 
-def test_bad_cap_setting_is_a_usage_error_where_the_cap_is_used(monkeypatch):
-    monkeypatch.setenv("WEYLKIT_WEYL_CAP", "lots")
-    code, out = run_cli(["weyl", "--type", "A2"])
-    assert code == 1
-    assert json.loads(out)["error"]["code"] == "ParseError"
-    code, out = run_cli(["weyl", "--type", "A2", "--cap", "10"])
-    assert code == 0
-    assert json.loads(out)["enumerated"] == 6
-    code, out = run_cli(["roots", "--type", "A1"])
-    assert code == 0
-
-
 def test_classify_transpose_adapter():
     # the transposed G2 matrix classifies identically through the adapter
     code, out = run_cli(["classify", "--transpose"], '{"matrix": [[2,-3],[-1,2]]}')
