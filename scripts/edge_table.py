@@ -58,6 +58,8 @@ def _relabelled_catalog(family: str) -> str:
 
 
 BS_WORD = "1,2,1,1,2,1,1,2,1"
+# the largest prime below the Miller-Rabin bound, roots.PRIMALITY_BOUND
+LARGE_PRIME = "3317044064679887385961813"
 
 # (row name, CLI argv, stdin or a function giving it)
 ROWS = [
@@ -70,12 +72,18 @@ ROWS = [
     *((f"isogeny enumerate {family}60 p2",
        ["isogeny", "enumerate", "--type", f"{family}60", "--p", "2"], None)
       for family in "ABCD"),
+    # no special isogeny: B60's double bond has multiplicity 2, not p
+    ("isogeny enumerate B60 large p", ["isogeny", "enumerate", "--type", "B60", "--p",
+                                       LARGE_PRIME], None),
     ("weyl E7", ["weyl", "--type", "E7"], None),
     # past the default cap: refused with LayersTooLarge, not CapExceeded
     ("weyl E8 cap 700000000", ["weyl", "--type", "E8", "--cap", "700000000"], None),
     ("chevalley check C60 p2", ["chevalley", "check", "--type", "C60", "--p", "2"], None),
     ("chevalley check B40 p2", ["chevalley", "check", "--type", "B40", "--p", "2"], None),
     ("chevalley check B60 p2", ["chevalley", "check", "--type", "B60", "--p", "2"], None),
+    # refused as SimplyLaced after the root system is built
+    *((f"chevalley check {family}60 p2", ["chevalley", "check", "--type", f"{family}60",
+                                          "--p", "2"], None) for family in "AD"),
     ("selfcheck E8 10000", ["selfcheck", "--type", "E8", "--samples", "10000"], None),
     # at SELFCHECK_BUDGET: every sample checks its weights on a rank-60 path
     ("selfcheck A60 96", ["selfcheck", "--type", "A60", "--samples", "96"], None),

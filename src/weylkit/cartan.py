@@ -133,9 +133,15 @@ class GCM(tuple):
             raise RankTooLarge(self.n)
         return tuple(intmat.leading_principal_minors(self.rows()))
 
-    @property
+    @cached_property
     def finite_type(self) -> bool:
-        """Sylvester criterion in exact integers: all leading minors positive."""
+        """Sylvester criterion in exact integers: all leading minors positive.
+
+        ``catalog`` and ``block_diag`` of catalog matrices set it instead,
+        as every catalog matrix is of finite type (Cartan-Killing), so
+        reading it runs no elimination; a matrix from ``validate_gcm`` gets
+        the derived verdict.
+        """
         return all(m > 0 for m in self.leading_minors)
 
     def components(self) -> list[list[int]]:
@@ -324,7 +330,16 @@ def catalog(family: str, rank: int) -> GCM:
         edge(2, 3)
     elif family == "G":
         edge(0, 1, -1, -3)
-    return GCM(n, tuple(tuple(row) for row in m))
+    return _known_finite(GCM(n, tuple(tuple(row) for row in m)))
+
+
+def _known_finite(c: GCM) -> GCM:
+    """c, known to be of finite type, with its verdict set, so reading it
+    runs no elimination; past MAX_RANK the verdict is left to
+    ``leading_minors``, which refuses the rank."""
+    if c.n <= MAX_RANK:
+        c.finite_type = True
+    return c
 
 
 def scaled_isomorphisms(src: GCM, tgt: GCM, nodes, scales=(1,)):
@@ -389,7 +404,8 @@ def classify(c: GCM) -> DynkinType:
 
 
 def block_diag(*parts: GCM) -> GCM:
-    """Direct sum of Cartan matrices (disjoint union of diagrams)."""
+    """Direct sum of Cartan matrices (disjoint union of diagrams), with its
+    finite-type verdict set when every part's is already known true."""
     n = sum(p.n for p in parts)
     m = [[0] * n for _ in range(n)]
     off = 0
@@ -398,7 +414,8 @@ def block_diag(*parts: GCM) -> GCM:
             for j in range(p.n):
                 m[off + i][off + j] = p[i][j]
         off += p.n
-    return GCM(n, tuple(tuple(row) for row in m))
+    out = GCM(n, tuple(tuple(row) for row in m))
+    return _known_finite(out) if all(vars(p).get("finite_type") for p in parts) else out
 
 
 def parse_label(label: str) -> list[tuple[str, int]]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .cartan import WeylkitError
 from .roots import RootSystem, check_weight
@@ -53,7 +54,7 @@ def shifted_euler_characteristic(ed: EulerData, weight) -> Fraction:
     w = check_weight(ed.rs, weight)
     num = 1
     for cv in ed.positive_coroots:
-        num *= sum(x * y for x, y in zip(w, cv))
+        num *= sum(map(mul, w, cv))
         if num == 0:
             return Fraction(0)
     den = 1

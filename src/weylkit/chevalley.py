@@ -28,8 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .cartan import WeylkitError
-from .isogeny import is_prime
-from .roots import RootSystem, string_steps
+from .roots import RootSystem, is_prime, string_steps
 
 
 class ChevalleyError(WeylkitError):

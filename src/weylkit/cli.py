@@ -5,9 +5,11 @@ Subcommands mirror the library modules; all output is deterministic JSON
 Words are passed and printed 1-based on the command line; weight vectors
 are read in coroot coordinates (the fundamental-weight basis) unless
 ``--basis root`` converts them through the Cartan matrix. Each handler
-returns only its own fields; ``main`` adds the ``schema`` name of the
-subcommand's spec in ``schemas`` and, for a subcommand that takes
-``--type``, echoes the label as ``type``.
+returns only its own fields; ``main`` adds the ``schema`` name its
+subcommand's parser carries (a spec in ``schemas``, which a successful
+``--type`` request never loads) and, for a subcommand that takes
+``--type``, echoes the label as ``type``. ``main`` builds only the parser
+of the subcommand its argv names.
 
 Exit codes for ``classify``: 0 finite type, 2 valid Cartan matrix but not
 finite, 3 not a generalized Cartan matrix, 4 unreadable input, and 1 with a
@@ -361,84 +363,123 @@ def _count(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = _Parser(
-        prog="weylkit",
-        description="Exact root-system, Weyl-group and root-datum computations",
-    )
-    sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _common(p, type_arg=True):
+    p.add_argument("--format", choices=("json", "text"), default="json")
+    if type_arg:
+        p.add_argument("--type", required=True,
+                       help="catalog type label, e.g. G2 or A1+A1")
 
-    def common(p, type_arg=True):
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        if type_arg:
-            p.add_argument("--type", required=True,
-                           help="catalog type label, e.g. G2 or A1+A1")
 
-    p = sub.add_parser("classify", help="validate and classify a Cartan matrix")
+def _weight_args(p):
+    _common(p)
+    p.add_argument("--weight", required=True, help="coroot coordinates, e.g. -2,1")
+    p.add_argument("--basis", choices=("coroot", "root"), default="coroot")
+
+
+# Each subcommand's ``_*_args`` function adds its arguments and sets as
+# defaults its handler and the name of its document's schema, a spec in
+# ``schemas`` (``validate_document`` checks every golden against it).
+
+def _classify_args(p):
     p.add_argument("input", nargs="?", default="-",
                    help="path to {\"matrix\": [[...]]} JSON, or - for stdin")
     p.add_argument("--transpose", action="store_true",
                    help="transpose the input (for the opposite pairing convention)")
     p.add_argument("--cap", type=int)
-    common(p, type_arg=False)
-    p.set_defaults(func=_cmd_classify, spec=schemas.REPORT)
+    _common(p, type_arg=False)
+    p.set_defaults(func=_cmd_classify, schema="weylkit/report/1")
 
-    p = sub.add_parser("roots", help="list roots with coroots and lengths")
-    common(p)
-    p.set_defaults(func=_cmd_roots, spec=schemas.ROOTS)
 
-    p = sub.add_parser("weyl", help="Weyl group order, histogram, longest length")
-    common(p)
+def _roots_args(p):
+    _common(p)
+    p.set_defaults(func=_cmd_roots, schema="weylkit/roots/1")
+
+
+def _weyl_args(p):
+    _common(p)
     p.add_argument("--cap", type=int)
-    p.set_defaults(func=_cmd_weyl, spec=schemas.WEYL)
+    p.set_defaults(func=_cmd_weyl, schema="weylkit/weyl/1")
 
-    def weight_args(p):
-        common(p)
-        p.add_argument("--weight", required=True, help="coroot coordinates, e.g. -2,1")
-        p.add_argument("--basis", choices=("coroot", "root"), default="coroot")
 
-    p = sub.add_parser("bs-weights", help="push a weight down a word")
-    weight_args(p)
+def _bs_weights_args(p):
+    _weight_args(p)
     p.add_argument("--word", required=True, help="1-based letters, e.g. 1,2,1")
-    p.set_defaults(func=_cmd_bs_weights, spec=schemas.BS_WEIGHTS)
+    p.set_defaults(func=_cmd_bs_weights, schema="weylkit/bs-weights/1")
 
-    p = sub.add_parser("dim", help="Weyl dimension of a dominant weight")
-    weight_args(p)
-    p.set_defaults(func=_cmd_character, spec=schemas.DIM, formula="weyl_dim")
 
-    p = sub.add_parser("vol", help="volume polynomial value")
-    weight_args(p)
-    p.set_defaults(func=_cmd_character, spec=schemas.VOL, formula="volume")
+def _dim_args(p):
+    _weight_args(p)
+    p.set_defaults(func=_cmd_character, schema="weylkit/dim/1", formula="weyl_dim")
 
-    p = sub.add_parser("isogeny", help="special isogenies and validation")
+
+def _vol_args(p):
+    _weight_args(p)
+    p.set_defaults(func=_cmd_character, schema="weylkit/vol/1", formula="volume")
+
+
+def _isogeny_args(p):
     act = p.add_subparsers(dest="action", required=True)
     pe = act.add_parser("enumerate")
-    common(pe)
+    _common(pe)
     pe.add_argument("--p", type=int, required=True)
-    pe.set_defaults(func=_cmd_isogeny_enumerate, spec=schemas.ISOGENIES)
+    pe.set_defaults(func=_cmd_isogeny_enumerate, schema="weylkit/isogenies/1")
     pv = act.add_parser("validate")
-    common(pv, type_arg=False)
+    _common(pv, type_arg=False)
     pv.add_argument("--file", required=True)
-    pv.set_defaults(func=_cmd_isogeny_validate, spec=schemas.ISOGENY_VALIDATION)
+    pv.set_defaults(func=_cmd_isogeny_validate, schema="weylkit/isogeny-validation/1")
 
-    p = sub.add_parser("chevalley", help="structure-constant and ideal checks")
+
+def _chevalley_args(p):
     act = p.add_subparsers(dest="action", required=True)
     pc = act.add_parser("check")
-    common(pc)
+    _common(pc)
     pc.add_argument("--p", type=int, required=True)
-    pc.set_defaults(func=_cmd_chevalley, spec=schemas.CHEVALLEY)
+    pc.set_defaults(func=_cmd_chevalley, schema="weylkit/chevalley/1")
 
-    p = sub.add_parser("datum", help="pinned root datum of a catalog type")
-    common(p)
+
+def _datum_args(p):
+    _common(p)
     p.add_argument("--kind", choices=("adjoint", "sc"), default="adjoint")
-    p.set_defaults(func=_cmd_datum, spec=schemas.DATUM_DOC)
+    p.set_defaults(func=_cmd_datum, schema="weylkit/datum/1")
 
-    p = sub.add_parser("selfcheck", help="sampled reflection/volume identities")
-    common(p)
+
+def _selfcheck_args(p):
+    _common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_count, default=100)
-    p.set_defaults(func=_cmd_selfcheck, spec=schemas.SELFCHECK)
+    p.set_defaults(func=_cmd_selfcheck, schema="weylkit/selfcheck/1")
 
+
+# every subcommand, in the order ``weylkit -h`` lists them: its help line
+# and the function that adds its arguments
+_SUBCOMMANDS = {
+    "classify": ("validate and classify a Cartan matrix", _classify_args),
+    "roots": ("list roots with coroots and lengths", _roots_args),
+    "weyl": ("Weyl group order, histogram, longest length", _weyl_args),
+    "bs-weights": ("push a weight down a word", _bs_weights_args),
+    "dim": ("Weyl dimension of a dominant weight", _dim_args),
+    "vol": ("volume polynomial value", _vol_args),
+    "isogeny": ("special isogenies and validation", _isogeny_args),
+    "chevalley": ("structure-constant and ideal checks", _chevalley_args),
+    "datum": ("pinned root datum of a catalog type", _datum_args),
+    "selfcheck": ("sampled reflection/volume identities", _selfcheck_args),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with the subcommand ``only``
+    alone. The latter parses an argv that starts with that subcommand as
+    the full one does, so ``main`` builds it for such an argv; any other
+    argv gets the full parser, whose usage errors and help list every
+    subcommand."""
+    top = _Parser(
+        prog="weylkit",
+        description="Exact root-system, Weyl-group and root-datum computations",
+    )
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name in _SUBCOMMANDS if only is None else (only,):
+        help_line, add_args = _SUBCOMMANDS[name]
+        add_args(sub.add_parser(name, help=help_line))
     return top
 
 
@@ -446,10 +487,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = None
     try:
-        args = _build_parser().parse_args(argv)
+        only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        args = _build_parser(only).parse_args(argv)
         doc, code = args.func(args)
         # after the handler's fields: a document built from its spec holds "schema": None
-        doc["schema"] = args.spec["schema"]
+        doc["schema"] = args.schema
         if "type" in vars(args):
             doc["type"] = args.type
         out = _render(doc, args.format)

@@ -22,19 +22,12 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from . import intmat
-from . import rootdata  # read on use: chevalley needs only is_prime from here
-from .cartan import WeylkitError, catalog, catalog_types, scaled_isomorphisms
-from .roots import check_word
-
-
-class IsogenyError(WeylkitError):
-    """Base for p-morphism and isogeny failures."""
-
-
-class PrimalityBoundExceeded(IsogenyError):
-    def __init__(self, p: int):
-        super().__init__(f"{p} is at or above the primality bound {PRIMALITY_BOUND}")
+from . import intmat, rootdata
+from .cartan import catalog, catalog_types, scaled_isomorphisms
+# the prime rule and its errors live in roots, beside the other input
+# rules, so chevalley runs without this module; they are re-exported here
+from .roots import (PRIMALITY_BOUND, IsogenyError, PrimalityBoundExceeded, check_word,
+                    is_prime)
 
 
 class InvalidPMorphism(IsogenyError):
@@ -83,34 +76,6 @@ class PMorphism(namedtuple("PMorphism", "source target f u q p")):
                    rootdata.PinnedRootDatum.from_json(doc["target"]),
                    tuple(map(tuple, doc["f"])), tuple(doc["u"]), tuple(doc["q"]),
                    doc["p"])
-
-
-# Deterministic Miller-Rabin over the first 13 prime bases is exact below
-# PRIMALITY_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
-
-
-def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; raises PrimalityBoundExceeded past the bound."""
-    if p >= PRIMALITY_BOUND:
-        raise PrimalityBoundExceeded(p)
-    if p < 2 or any(p % b == 0 for b in _BASES):
-        return p in _BASES
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _BASES:
-        x = pow(b, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _p_split(x: int, p: int) -> tuple[int, int]:

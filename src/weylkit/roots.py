@@ -16,7 +16,9 @@ each base-256 digit stays within +-30 < 128: equal keys are equal roots, and
 aliases a root. The input rules live here too, each applied once at a
 public entry: ``check_word`` to a word (``weyl``, ``pushforward``,
 ``isogeny``), ``check_index``, its one-letter case, in ``simple`` and
-``simple_weight``, and ``check_weight`` to a weight.
+``simple_weight``, ``check_weight`` to a weight, and ``is_prime`` to a
+prime (``isogeny``, ``chevalley``), which refuses one at or past
+``PRIMALITY_BOUND`` with ``PrimalityBoundExceeded``, an ``IsogenyError``.
 """
 
 from __future__ import annotations
@@ -75,6 +77,43 @@ def check_weight(rs: RootSystem, weight) -> Coords:
                                     for x in w):
         raise NotAWeight(w, rs.rank)
     return w
+
+
+class IsogenyError(WeylkitError):
+    """Base for p-morphism and isogeny failures."""
+
+
+class PrimalityBoundExceeded(IsogenyError):
+    def __init__(self, p: int):
+        super().__init__(f"{p} is at or above the primality bound {PRIMALITY_BOUND}")
+
+
+# Deterministic Miller-Rabin over the first 13 prime bases is exact below
+# PRIMALITY_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; raises PrimalityBoundExceeded past the bound."""
+    if p >= PRIMALITY_BOUND:
+        raise PrimalityBoundExceeded(p)
+    if p < 2 or any(p % b == 0 for b in _BASES):
+        return p in _BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class Root(namedtuple("Root", "index coords coroot weight height positive length")):

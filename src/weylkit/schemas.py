@@ -2,7 +2,11 @@
 
 Every top-level JSON document carries a versioned ``schema`` key, the
 ``"schema"`` literal of its spec; ``BY_SCHEMA`` is built from those
-literals, so each name is written once. The shape language is deliberately
+literals. ``cli`` writes each subcommand's name a second time, as a string
+default of its parser, so a successful ``--type`` request never runs this
+module; ``validate_document``, which the tests apply to every golden and
+fuzz document, looks the written name up here, so the two cannot drift
+apart unnoticed. The shape language is deliberately
 tiny: a spec is one of the types ``int``, ``bool``, ``str``, ``list``,
 ``dict``; a named shape ``"rational"``, ``"int_list"`` or ``"int_matrix"``;
 a literal value or ``None``; a dict of field specs; or the namedtuples

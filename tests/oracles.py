@@ -5,7 +5,9 @@ library code paths it checks: cofactor determinants and a Gauss-Jordan
 solve over the rationals instead of the one fraction-free (Bareiss)
 elimination behind ``intmat.det``, ``leading_principal_minors`` and
 ``solve``, a Freudenthal multiplicity recursion instead of the product
-formula, brute scans instead of string arithmetic, symmetric-group
+formula, the shifted Euler characteristic as a product of fractions with
+each coroot paired by a generator over zip instead of one integer product
+of ``map(mul, ...)`` pairings, brute scans instead of string arithmetic, symmetric-group
 inversion counts instead of root permutations, the reflection closure of
 the simple roots instead of height-by-height generation, the per-family
 closed forms of |W| instead of invariant degrees, and a breadth-first
@@ -392,6 +394,16 @@ def freudenthal_dim(rs, highest_weight) -> int:
                 mults[mu] = mult
                 dim += mult * orbit_size(mu)
     return dim
+
+
+def euler_characteristic_by_generator(ed, weight) -> Fraction:
+    """prod <D, cv> / <rho, cv> over the positive coroots as a product of
+    Fractions, each pairing a generator over zip and <rho, cv> the coroot's
+    height."""
+    out = Fraction(1)
+    for cv in ed.positive_coroots:
+        out *= Fraction(sum(x * y for x, y in zip(weight, cv)), sum(cv))
+    return out
 
 
 def trial_division_is_prime(p: int) -> bool:

@@ -70,6 +70,30 @@ def test_finite_verdict_reads_no_minor_past_the_first_zero(monkeypatch):
     assert len(g.leading_minors) == 29 and g.leading_minors[-1] == 0
 
 
+CATALOG_SUMS = ["B4+G2", "A1+A1+C3", "D4+D5+E6"]
+
+
+@pytest.mark.parametrize("label", [f"{f}{r}" for f, r in cartan.catalog_types(max_rank=12)]
+                         + ["A60", "B60", "C60", "D60"] + CATALOG_SUMS)
+def test_catalog_verdict_is_the_sylvester_verdict(label):
+    # catalog matrices and their sums come with finite_type set, before any
+    # elimination; the verdict must be the one the leading minors give
+    g = cartan.parse_type(label)
+    assert vars(g) == {"finite_type": True}
+    assert all(m > 0 for m in leading_principal_minors(g.rows()))
+
+
+def test_only_catalog_parts_set_the_verdict_of_a_sum():
+    a2 = cartan.validate_gcm([[2, -1], [-1, 2]])
+    assert vars(a2) == {}
+    assert vars(cartan.block_diag(cartan.catalog("G", 2), a2)) == {}
+    # past the rank bound the test still refuses the rank
+    big = cartan.catalog("A", cartan.MAX_RANK + 1)
+    assert vars(big) == {}
+    with pytest.raises(cartan.RankTooLarge):
+        big.finite_type
+
+
 def test_symmetrizer_values():
     assert cartan.symmetrizer(cartan.parse_type("A2")).d == (1, 1)
     b2 = cartan.symmetrizer(cartan.parse_type("B2"))

@@ -11,7 +11,7 @@ from weylkit.pushforward import PushforwardTooLarge, pushforward_word
 from weylkit.roots import generate_roots
 from weylkit.weyl import enumerate_weyl, is_reduced, reflect
 
-from oracles import freudenthal_dim
+from oracles import euler_characteristic_by_generator, freudenthal_dim
 
 RANK4_TYPES = [f"{f}{r}" for f, r in cartan.catalog_types(max_rank=4)]
 
@@ -19,6 +19,18 @@ RANK4_TYPES = [f"{f}{r}" for f, r in cartan.catalog_types(max_rank=4)]
 def _ed(label):
     rs = generate_roots(cartan.parse_type(label))
     return rs, EulerData.from_root_system(rs)
+
+
+@pytest.mark.parametrize("label", ["E8", "A60", "B60"])
+def test_chi_matches_the_generator_pairing(label):
+    # regular dominant weights pair to nonzero values with every coroot;
+    # mixed-sign ones mostly give chi = 0, at the first zero pairing
+    rs, ed = _ed(label)
+    rng = random.Random(label)
+    for k in range(24):
+        low = 1 if k % 2 else -6
+        d = tuple(rng.randint(low, 6) for _ in range(rs.rank))
+        assert shifted_euler_characteristic(ed, d) == euler_characteristic_by_generator(ed, d)
 
 
 def test_chi_at_rho_is_one_for_all_small_types():

@@ -64,7 +64,8 @@ def test_parse_error_exit_code():
     validate_document(doc)
 
 
-@pytest.mark.parametrize("argv,expected_code", [
+# each usage error and its exit code, with its test id
+USAGE_ERRORS = [
     (["classify", "--cap", "many"], 4),
     (["classify", "--no-such-option"], 4),
     (["weyl", "--type", "A2", "--cap", "1.5"], 1),
@@ -85,14 +86,20 @@ def test_parse_error_exit_code():
     (["bs-weights", "--type", "A2", "--word", ",1", "--weight", "1,1"], 1),
     (["dim", "--type", "A1", "--weight", "3,"], 1),
     (["vol", "--type", "A2", "--weight", "1,,2"], 1),
-], ids=["classify-bad-cap", "classify-unknown-option", "weyl-bad-cap",
-        "dim-missing-weight", "bs-weights-missing-weight",
-        "chevalley-missing-p", "bad-format", "unknown-subcommand", "no-subcommand",
-        "selfcheck-negative-samples", "selfcheck-too-many-samples",
-        "selfcheck-samples-not-int", "bs-weights-weight-not-int",
-        "bs-weights-word-not-int", "bs-weights-word-empty-field",
-        "bs-weights-word-blank-field", "bs-weights-word-leading-comma",
-        "dim-weight-trailing-comma", "vol-weight-empty-field"])
+]
+USAGE_ERROR_IDS = [
+    "classify-bad-cap", "classify-unknown-option", "weyl-bad-cap",
+    "dim-missing-weight", "bs-weights-missing-weight",
+    "chevalley-missing-p", "bad-format", "unknown-subcommand", "no-subcommand",
+    "selfcheck-negative-samples", "selfcheck-too-many-samples",
+    "selfcheck-samples-not-int", "bs-weights-weight-not-int",
+    "bs-weights-word-not-int", "bs-weights-word-empty-field",
+    "bs-weights-word-blank-field", "bs-weights-word-leading-comma",
+    "dim-weight-trailing-comma", "vol-weight-empty-field",
+]
+
+
+@pytest.mark.parametrize("argv,expected_code", USAGE_ERRORS, ids=USAGE_ERROR_IDS)
 def test_usage_error_is_one_parse_error_document(argv, expected_code):
     err = io.StringIO()
     with redirect_stderr(err):
@@ -103,6 +110,42 @@ def test_usage_error_is_one_parse_error_document(argv, expected_code):
     validate_document(doc)
     assert doc["error"]["code"] == "ParseError"
     assert "Traceback" not in err.getvalue()
+
+
+def run_main(argv, stdin_payload):
+    """The exit code and stdout of ``main``, where an exit argparse makes
+    after printing help counts with its code."""
+    buf, old_stdin = io.StringIO(), sys.stdin
+    try:
+        sys.stdin = io.StringIO(stdin_payload or "")
+        with redirect_stdout(buf), redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = old_stdin
+    return code, buf.getvalue()
+
+
+PARSER_CASES = (
+    [(argv, '{"matrix": [[2]]}') for argv, _ in USAGE_ERRORS]
+    + [(argv, payload) for _, argv, payload, _ in ALL_CASES]
+    + [(["-h"], None), (["roots", "-h"], None), (["isogeny", "validate", "-h"], None)])
+PARSER_IDS = ([f"usage-{i}" for i in USAGE_ERROR_IDS] + [c[0] for c in ALL_CASES]
+              + ["help", "roots-help", "isogeny-validate-help"])
+
+
+@pytest.mark.parametrize("argv,payload", PARSER_CASES, ids=PARSER_IDS)
+def test_one_subparser_parses_as_the_full_parser(argv, payload, monkeypatch):
+    # main builds the named subcommand's parser alone; the full build, kept
+    # for every other argv, is the oracle
+    build, asked = cli._build_parser, []
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: asked.append(only) or build(only))
+    one = run_main(argv, payload)
+    assert asked == [argv[0] if argv and argv[0] in cli._SUBCOMMANDS else None]
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: build())
+    assert run_main(argv, payload) == one
 
 
 def test_empty_word_is_the_identity():
@@ -154,7 +197,8 @@ def test_classify_tests_finite_type_once(monkeypatch):
 
 
 def test_isogeny_enumerate_reads_the_label_without_classifying(monkeypatch):
-    # one finite-type test per adjoint datum built: the B4 source and the C4 target
+    # the B4 source and C4 target are catalog matrices, finite by
+    # construction: neither adjoint datum runs a finite-type test
     calls, classified = [], []
     minors, classify = intmat.leading_principal_minors, cartan.classify
     monkeypatch.setattr(intmat, "leading_principal_minors",
@@ -165,18 +209,19 @@ def test_isogeny_enumerate_reads_the_label_without_classifying(monkeypatch):
     assert code == 0
     assert len(json.loads(out)["isogenies"]) == 1
     assert classified == []
-    assert calls == [4, 4]
+    assert calls == []
 
 
 def test_isogeny_enumerate_reuses_the_source_datum_as_its_own_target(monkeypatch):
-    # G2 at p = 3 maps G2 onto itself: one adjoint datum, one finite-type test
+    # G2 at p = 3 maps G2 onto itself: one adjoint datum, of a catalog
+    # matrix, so no finite-type test
     calls, minors = [], intmat.leading_principal_minors
     monkeypatch.setattr(intmat, "leading_principal_minors",
                         lambda a: calls.append(len(a)) or minors(a))
     code, out = run_cli(["isogeny", "enumerate", "--type", "G2", "--p", "3"])
     assert code == 0
     assert [phi["target"] == phi["source"] for phi in json.loads(out)["isogenies"]] == [True]
-    assert calls == [2]
+    assert calls == []
 
 
 @pytest.mark.parametrize("payload", [

@@ -22,9 +22,10 @@ GOLDEN = ROOT / "tests" / "golden" / "isogeny_g2_p3.golden"
 
 MODULES = {"intmat", "schemas", "cartan", "roots", "weyl", "characters",
            "pushforward", "rootdata", "isogeny", "chevalley"}
-# what every --type subcommand needs: the front end, its output shapes, and
-# the catalog matrix with its root system
-BASE = {"cli", "schemas", "cartan", "intmat", "roots"}
+# what every --type subcommand needs: the front end and the catalog matrix
+# with its root system; a catalog matrix needs no finite-type test (intmat)
+# and a success document only its schema name (no schemas)
+BASE = {"cli", "cartan", "roots"}
 
 # prints the weylkit modules whose bodies have run after the given code
 EXECUTED = (
@@ -63,11 +64,11 @@ SUBCOMMANDS = [
     (["vol", "--type", "B2", "--weight", "1,0"], {"characters"}),
     (["selfcheck", "--type", "B2", "--samples", "2"], {"characters", "weyl"}),
     (["bs-weights", "--type", "B2", "--word", "1,2", "--weight", "1,0"], {"pushforward"}),
-    (["datum", "--type", "B2"], {"rootdata"}),
-    (["classify", "-"], {"weyl"}),
-    (["isogeny", "enumerate", "--type", "B2", "--p", "2"], {"rootdata", "isogeny"}),
-    (["isogeny", "validate", "--file", PHI], {"rootdata", "isogeny"}),
-    (["chevalley", "check", "--type", "B2", "--p", "2"], {"isogeny", "chevalley"}),
+    (["datum", "--type", "B2"], {"intmat", "rootdata"}),
+    (["classify", "-"], {"schemas", "intmat", "weyl"}),
+    (["isogeny", "enumerate", "--type", "B2", "--p", "2"], {"intmat", "rootdata", "isogeny"}),
+    (["isogeny", "validate", "--file", PHI], {"schemas", "intmat", "rootdata", "isogeny"}),
+    (["chevalley", "check", "--type", "B2", "--p", "2"], {"chevalley"}),
 ]
 
 
@@ -110,7 +111,8 @@ def test_classify_of_d7_runs_no_rootdata_and_no_numpy():
     edges = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)}  # the chain forks at node 4
     d7 = [[2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0 for j in range(7)]
           for i in range(7)]
-    assert executed(code, ["classify", "-"], json.dumps({"matrix": d7})) == BASE | {"weyl"}
+    assert executed(code, ["classify", "-"], json.dumps({"matrix": d7})) == \
+        BASE | {"schemas", "intmat", "weyl"}
 
 
 def test_exports_are_the_home_module_objects():
