@@ -17,6 +17,7 @@ is formatted only when a check fails.
 Usage: python scripts/containment_scan.py [max_word_length]
 """
 
+import gc
 import sys
 import time
 
@@ -66,4 +67,8 @@ def scan(max_len: int) -> None:
 
 
 if __name__ == "__main__":
+    # one scan per process, as the CLI's own launch: no cyclic collection while
+    # it runs or at exit; an importer of scan() keeps the default collector
+    gc.disable()
     scan(int(sys.argv[1]) if len(sys.argv) > 1 else 6)
+    gc.freeze()

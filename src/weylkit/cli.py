@@ -9,7 +9,12 @@ returns only its own fields; ``main`` adds the ``schema`` name its
 subcommand's parser carries (a spec in ``schemas``, which a successful
 ``--type`` request never loads) and, for a subcommand that takes
 ``--type``, echoes the label as ``type``. ``main`` builds only the parser
-of the subcommand its argv names.
+of the subcommand its argv names. Called with no argv, as ``python -m
+weylkit.cli`` and the ``weylkit`` script call it, ``main`` owns the process:
+it runs the request with the cyclic garbage collector off and freezes the
+heap after writing, so nothing is collected during the request and the
+collections at exit skip the heap it leaves; a caller that passes argv keeps
+its collector as it was.
 
 Exit codes for ``classify``: 0 finite type, 2 valid Cartan matrix but not
 finite, 3 not a generalized Cartan matrix, 4 unreadable input, and 1 with a
@@ -35,6 +40,7 @@ writes exactly one document.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -484,7 +490,13 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    owns_process = argv is None
+    if owns_process:
+        # a request leaves only a few hundred cyclic objects, so a launch
+        # collects none; gc.freeze() below keeps the collections at exit
+        # off the heap the request leaves
+        gc.disable()
+    argv = sys.argv[1:] if owns_process else list(argv)
     args = None
     try:
         only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
@@ -504,6 +516,8 @@ def main(argv=None) -> int:
         code = 4 if isinstance(exc, ParseError) and argv[:1] == ["classify"] else 1
         out = _render(doc, getattr(args, "format", "json"))
     sys.stdout.write(out)
+    if owns_process:
+        gc.freeze()
     return code
 
 

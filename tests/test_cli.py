@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -24,6 +25,7 @@ GOLDEN = Path(__file__).parent / "golden"
 def run_cli(argv, stdin_payload=None):
     buf = io.StringIO()
     old_stdin = sys.stdin
+    collector = (gc.isenabled(), gc.get_freeze_count())
     try:
         if stdin_payload is not None:
             sys.stdin = io.StringIO(stdin_payload)
@@ -31,6 +33,8 @@ def run_cli(argv, stdin_payload=None):
             code = main(argv)
     finally:
         sys.stdin = old_stdin
+    # only a run that owns the process, main() with no argv, changes the collector
+    assert (gc.isenabled(), gc.get_freeze_count()) == collector
     return code, buf.getvalue()
 
 
@@ -726,6 +730,60 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, check=True,
     )
     assert json.loads(proc.stdout)["value"] == 7
+
+
+def test_only_a_run_that_owns_the_process_changes_the_collector():
+    # main() reads sys.argv, as `python -m weylkit.cli` and the console script
+    # call it; run_cli checks that main(argv) leaves the collector as it was
+    code = ("import gc, io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from weylkit.cli import main\n"
+            "before = (gc.isenabled(), gc.get_freeze_count() > 0)\n"
+            "sys.argv = ['weylkit', 'roots', '--type', 'A1']\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    code = main()\n"
+            "print(code, before, (gc.isenabled(), gc.get_freeze_count() > 0))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 (True, False) (False, True)\n"
+
+
+def _relabelled_d30():
+    # a relabelling as perfbench.workloads.relabel makes one
+    perm = list(range(30))
+    random.Random(30).shuffle(perm)
+    d30 = cartan.catalog("D", 30)
+    return json.dumps({"matrix": [[d30[a][b] for b in perm] for a in perm]})
+
+
+# A launch runs with the collector off, so the cycles a request makes stay
+# allocated until exit. Every golden and edge-table request leaves 64-758
+# unreachable objects, mostly argparse's parser <-> action cycles. The bound is
+# twice the most and under D60's 1 770 positive roots, so a change that leaves
+# one cyclic object per root at rank 60 fails here.
+MAX_CYCLIC_GARBAGE = 1_500
+GARBAGE_CASES = [*ALL_CASES,
+                 ("roots_d60", ["roots", "--type", "D60"], None, 0),
+                 ("classify_relabelled_d30", ["classify", "-"], _relabelled_d30(), 0),
+                 ("isogeny_enumerate_b30_p2",
+                  ["isogeny", "enumerate", "--type", "B30", "--p", "2"], None, 0),
+                 ("chevalley_check_c30_p2",
+                  ["chevalley", "check", "--type", "C30", "--p", "2"], None, 0)]
+
+
+@pytest.mark.parametrize("name,argv,payload,expected_code", GARBAGE_CASES,
+                         ids=[c[0] for c in GARBAGE_CASES])
+def test_a_request_leaves_little_cyclic_garbage(name, argv, payload, expected_code):
+    gc.collect()
+    gc.disable()
+    try:
+        code, _ = run_cli(argv, payload)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert code == expected_code
+    assert unreachable <= MAX_CYCLIC_GARBAGE, unreachable
 
 
 def test_e8_weyl_enumeration_refused_by_default():
