@@ -26,7 +26,7 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 # largest rank a type label or the finite-type test accepts. Root generation
 # grows as n^3 in time and memory: end to end on a 2-core x86-64 machine,
 # `roots --type A60` takes 0.2-0.3 s and `isogeny enumerate --type B60 --p 2`
-# 1.0-1.3 s at 56 MB, and the latter 4.5-5 s at 185 MB for B100. Catalog and
+# 0.7-0.9 s at 56 MB, and the latter 2.7-4.8 s at 184 MB for B100. Catalog and
 # non-finite test inputs reach rank 60.
 MAX_RANK = 60
 
@@ -342,54 +342,45 @@ def _known_finite(c: GCM) -> GCM:
     return c
 
 
-def scaled_isomorphisms(src: GCM, tgt: GCM, nodes, scales=(1,)):
-    """Every (u, q) with q[i] src[i][j] == q[j] tgt[u[i]][u[j]] for all i, j.
+def isomorphisms(src: GCM, tgt: GCM, nodes):
+    """Every u with src[i][j] == tgt[u[i]][u[j]] for all i, j.
 
-    u sends source node i to a distinct target node drawn from ``nodes``
-    and q[i] is drawn from ``scales``. Source nodes are assigned in index
-    order, trying candidate nodes, then scales, in the order given; hits
-    come out in that depth-first order. A node with an earlier neighbour
-    only tries the nodes adjacent to that neighbour's image, and is checked
-    against the most recently assigned nodes first.
-
-    With scales (1, p) these are the solutions of the isogeny Cartan
-    compatibility q(a) <a, b~> = q(b) <u(a), u(b)~>; on G2 at p = 3 they
-    are the identity with q constant and the swap of the long and short
-    simples:
+    u sends source node i to a distinct target node drawn from ``nodes``.
+    Source nodes are assigned in index order, trying candidate nodes in the
+    order given; hits come out in that depth-first order. A node with an
+    earlier neighbour only tries the nodes adjacent to that neighbour's
+    image, and is checked against the most recently assigned nodes first.
+    On G2 the only one is the identity:
 
     >>> g2 = catalog("G", 2)
-    >>> list(scaled_isomorphisms(g2, g2, range(2), (1, 3)))
-    [((0, 1), (1, 1)), ((0, 1), (3, 3)), ((1, 0), (3, 1))]
+    >>> list(isomorphisms(g2, g2, range(2)))
+    [(0, 1)]
     """
     nodes = list(nodes)
     near = {t: [s for s in nodes if s != t and tgt[t][s]] for t in nodes}
     anchor = [next((j for j in range(i) if src[i][j]), None) for i in range(src.n)]
-    u, q = [0] * src.n, [0] * src.n   # entries from the current node on are stale
+    return _extend(src, tgt, nodes, near, anchor, [0] * src.n, 0)
 
-    def fits(i: int, t: int, s: int) -> bool:
-        return src[i][i] == tgt[t][t] and all(
-            s * src[i][j] == q[j] * tgt[t][u[j]] and q[j] * src[j][i] == s * tgt[u[j]][t]
-            for j in range(i - 1, -1, -1))
 
-    def extend(i: int):
-        if i == src.n:
-            yield tuple(u), tuple(q)
-            return
-        for t in nodes if anchor[i] is None else near[u[anchor[i]]]:
-            if t not in u[:i]:
-                for s in scales:
-                    if fits(i, t, s):
-                        u[i], q[i] = t, s
-                        yield from extend(i + 1)
-
-    return extend(0)
+def _extend(src: GCM, tgt: GCM, nodes, near, anchor, u: list[int], i: int):
+    """The isomorphisms that keep u[:i], the nodes already assigned; u's
+    entries from i on are stale. A generator of its own arguments rather
+    than a closure over them, so a search leaves no reference cycle."""
+    if i == src.n:
+        yield tuple(u)
+        return
+    for t in nodes if anchor[i] is None else near[u[anchor[i]]]:
+        if t not in u[:i] and all(src[i][j] == tgt[t][u[j]] and src[j][i] == tgt[u[j]][t]
+                                  for j in range(i - 1, -1, -1)):
+            u[i] = t
+            yield from _extend(src, tgt, nodes, near, anchor, u, i + 1)
 
 
 def classify(c: GCM) -> DynkinType:
     """Match each connected component against the finite-type catalog,
     which holds every component of a finite-type matrix.
 
-    A node map is the first scaled isomorphism at scale 1, so it is
+    A node map is the first isomorphism the search finds, so it is
     deterministic.
     """
     if not is_finite_type(c):
@@ -399,7 +390,7 @@ def classify(c: GCM) -> DynkinType:
         rank = len(nodes)
         comps.append(next((family, rank, u)
                           for family in FAMILIES if _valid_type(family, rank)
-                          for u, _ in scaled_isomorphisms(catalog(family, rank), c, nodes)))
+                          for u in isomorphisms(catalog(family, rank), c, nodes)))
     return DynkinType(tuple(comps))
 
 

@@ -23,7 +23,7 @@ from collections import namedtuple
 from math import gcd
 
 from . import intmat, rootdata
-from .cartan import catalog, catalog_types, scaled_isomorphisms
+from .cartan import GCM, catalog, catalog_types, isomorphisms, symmetrizer
 # the prime rule and its errors live in roots, beside the other input
 # rules, so chevalley runs without this module; they are re-exported here
 from .roots import (PRIMALITY_BOUND, IsogenyError, PrimalityBoundExceeded, check_word,
@@ -230,38 +230,42 @@ def translated_word(phi: PMorphism, word) -> tuple[int, ...]:
 
 
 def enumerate_special(family: str, rank: int, p: int) -> list[PMorphism]:
-    """All primitive non-constant p-morphisms out of an irreducible type.
+    """All primitive non-constant p-morphisms out of an irreducible type:
+    the special isogenies of Borel-Tits ("Compléments à l'article « Groupes
+    réductifs »", Publ. Math. IHÉS 41, 1972).
 
-    For each target catalog type of the same rank, the candidates (u, q)
-    are the scaled isomorphisms of the source Cartan matrix onto the target
-    one with q valued in {1, p}, i.e. the solutions of the Cartan
-    compatibility; those with both values attained are kept, sorted by u,
-    then q. Source and target carry their adjoint data (built only for a
-    target with a hit), where the defining equations pin f down to a
-    monomial matrix, so a solution exists exactly when the compatibility
-    holds. A target that is the source type reuses the source datum.
+    The Cartan compatibility q(a) <a, b~> = q(b) <u(a), u(b)~> keeps each
+    bond's multiplicity <a, b~> <b, a~>, so q changes only across a bond of
+    multiplicity p, and is then p on its short side. So one exists only
+    when max(d) = p min(d) for the symmetrizer d, with q = d / min(d): p on
+    the short simples, 1 on the long ones. The target matrix q(a) <a, b~> /
+    q(b) = <b, a~> is the source's transpose, so u runs over the sorted
+    isomorphisms of it onto each catalog type of the rank. The adjoint data
+    of source and target (built only for a target with a hit, the source's
+    reused for itself) pin f down to the monomial matrix of (u, q).
     """
     if not is_prime(p):
         raise IsogenyError(f"{p} is not prime")
     src_gcm = catalog(family, rank)
+    d = symmetrizer(src_gcm).d
+    if max(d) != p * min(d):
+        return []
+    q = tuple(x // min(d) for x in d)
+    dual = GCM(rank, tuple(zip(*src_gcm)))
     src_datum = None
     out = []
     for tgt_family, tgt_rank in catalog_types(max_rank=rank):
         if tgt_rank != rank:
             continue
         tgt_gcm = catalog(tgt_family, tgt_rank)
-        hits = [(u, q) for u, q in sorted(scaled_isomorphisms(
-                    src_gcm, tgt_gcm, range(rank), (1, p))) if set(q) == {1, p}]
+        hits = sorted(isomorphisms(dual, tgt_gcm, range(rank)))
         if not hits:
             continue
         src_datum = src_datum or rootdata.adjoint_datum(src_gcm)
         tgt_datum = src_datum if tgt_gcm == src_gcm else rootdata.adjoint_datum(tgt_gcm)
-        for u, q in hits:
-            f = [[0] * rank for _ in range(rank)]
-            for i in range(rank):
-                f[i][u[i]] = q[i]
-            phi = PMorphism(src_datum, tgt_datum,
-                            tuple(tuple(r) for r in f), u, q, p)
+        for u in hits:
+            f = tuple(tuple(q[i] if j == u[i] else 0 for j in range(rank)) for i in range(rank))
+            phi = PMorphism(src_datum, tgt_datum, f, u, q, p)
             _check_equations(phi)   # adjoint data are well formed by construction
             out.append(phi)
     return out

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from weylkit import cartan
@@ -11,6 +14,11 @@ from weylkit.rootdata import adjoint_datum, simply_connected_datum
 from weylkit.roots import generate_roots
 
 from oracles import brute_scaled_pairs, trial_division_is_prime
+
+_spec = importlib.util.spec_from_file_location(
+    "edge_table", Path(__file__).resolve().parents[1] / "scripts" / "edge_table.py")
+edge_table = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(edge_table)
 
 IRREDUCIBLE_RANK4 = [(f, r) for f, r in cartan.catalog_types(max_rank=4)]
 
@@ -259,7 +267,7 @@ def test_extension_q_constant_on_length_classes():
 def test_enumerate_special_matches_bijection_oracle():
     for family, rank in cartan.catalog_types(max_rank=7):
         src = cartan.catalog(family, rank).rows()
-        for p in (2, 3, 5):
+        for p in (2, 3, 5, 7):
             expected = [(tgt, u, q)
                         for f, r in cartan.catalog_types(max_rank=rank) if r == rank
                         for tgt in [cartan.catalog(f, r).rows()]
@@ -277,3 +285,9 @@ def test_rank_12_search_is_bounded():
     assert cartan.classify(target).multiset() == (("C", 12),)
     assert enumerate_special("A", 12, 2) == []
 
+
+def test_no_special_isogeny_at_rank_60_without_a_bond_of_multiplicity_p():
+    # simply laced, or B60 at a p other than 2: no search runs, no datum is built
+    assert enumerate_special("A", 60, 2) == []
+    assert enumerate_special("D", 60, 2) == []
+    assert enumerate_special("B", 60, int(edge_table.LARGE_PRIME)) == []
