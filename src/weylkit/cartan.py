@@ -10,7 +10,8 @@ Catalog matrices follow Bourbaki node numbering. In the B family the double
 edge sits at the end of the chain with ``C[n-2][n-1] = -1, C[n-1][n-2] = -2``
 (matching the rank-2 catalog entry); the C family is the transpose
 orientation. B2 and C2 name the same abstract type and the catalog exposes it
-as (B, 2).
+as (B, 2). ``catalog_type`` alone matches a connected matrix to the catalog,
+for ``classify`` and ``isogeny.enumerate_special``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 # largest rank a type label or the finite-type test accepts. Root generation
 # grows as n^3 in time and memory: end to end on a 2-core x86-64 machine,
 # `roots --type A60` takes 0.2-0.3 s and `isogeny enumerate --type B60 --p 2`
-# 0.7-0.9 s at 56 MB, and the latter 2.7-4.8 s at 184 MB for B100. Catalog and
+# 0.5-0.6 s at 56 MB, and the latter 2.2-2.9 s at 184 MB for B100. Catalog and
 # non-finite test inputs reach rank 60.
 MAX_RANK = 60
 
@@ -350,6 +351,7 @@ def isomorphisms(src: GCM, tgt: GCM, nodes):
     order given; hits come out in that depth-first order. A node with an
     earlier neighbour only tries the nodes adjacent to that neighbour's
     image, and is checked against the most recently assigned nodes first.
+    A node tries only nodes of its own degree, the only ones it can map to.
     On G2 the only one is the identity:
 
     >>> g2 = catalog("G", 2)
@@ -359,10 +361,11 @@ def isomorphisms(src: GCM, tgt: GCM, nodes):
     nodes = list(nodes)
     near = {t: [s for s in nodes if s != t and tgt[t][s]] for t in nodes}
     anchor = [next((j for j in range(i) if src[i][j]), None) for i in range(src.n)]
-    return _extend(src, tgt, nodes, near, anchor, [0] * src.n, 0)
+    degree = [sum(map(bool, row)) - 1 for row in src]
+    return _extend(src, tgt, nodes, near, anchor, degree, [0] * src.n, 0)
 
 
-def _extend(src: GCM, tgt: GCM, nodes, near, anchor, u: list[int], i: int):
+def _extend(src: GCM, tgt: GCM, nodes, near, anchor, degree, u: list[int], i: int):
     """The isomorphisms that keep u[:i], the nodes already assigned; u's
     entries from i on are stale. A generator of its own arguments rather
     than a closure over them, so a search leaves no reference cycle."""
@@ -370,15 +373,26 @@ def _extend(src: GCM, tgt: GCM, nodes, near, anchor, u: list[int], i: int):
         yield tuple(u)
         return
     for t in nodes if anchor[i] is None else near[u[anchor[i]]]:
-        if t not in u[:i] and all(src[i][j] == tgt[t][u[j]] and src[j][i] == tgt[u[j]][t]
-                                  for j in range(i - 1, -1, -1)):
+        if len(near[t]) == degree[i] and t not in u[:i] and all(
+                src[i][j] == tgt[t][u[j]] and src[j][i] == tgt[u[j]][t]
+                for j in range(i - 1, -1, -1)):
             u[i] = t
-            yield from _extend(src, tgt, nodes, near, anchor, u, i + 1)
+            yield from _extend(src, tgt, nodes, near, anchor, degree, u, i + 1)
+
+
+def catalog_type(c: GCM, nodes) -> tuple[str, tuple[int, ...]]:
+    """The first family, in FAMILIES order, whose rank-``len(nodes)`` catalog
+    matrix maps onto c on ``nodes``, and the first node map u the search
+    finds, sending catalog node k to c's node u[k]. The caller owns the
+    finite-type verdict; nodes of no catalog type raise StopIteration."""
+    rank = len(nodes)
+    return next((family, u) for family in FAMILIES if _valid_type(family, rank)
+                for u in isomorphisms(catalog(family, rank), c, nodes))
 
 
 def classify(c: GCM) -> DynkinType:
     """Match each connected component against the finite-type catalog,
-    which holds every component of a finite-type matrix.
+    which holds every component of a finite-type matrix, by ``catalog_type``.
 
     A node map is the first isomorphism the search finds, so it is
     deterministic.
@@ -387,10 +401,8 @@ def classify(c: GCM) -> DynkinType:
         raise NotFiniteType()
     comps = []
     for nodes in c.components():
-        rank = len(nodes)
-        comps.append(next((family, rank, u)
-                          for family in FAMILIES if _valid_type(family, rank)
-                          for u in isomorphisms(catalog(family, rank), c, nodes)))
+        family, u = catalog_type(c, nodes)
+        comps.append((family, len(nodes), u))
     return DynkinType(tuple(comps))
 
 

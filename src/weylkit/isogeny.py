@@ -23,7 +23,7 @@ from collections import namedtuple
 from math import gcd
 
 from . import intmat, rootdata
-from .cartan import GCM, catalog, catalog_types, isomorphisms, symmetrizer
+from .cartan import GCM, catalog, catalog_type, symmetrizer
 # the prime rule and its errors live in roots, beside the other input
 # rules, so chevalley runs without this module; they are re-exported here
 from .roots import (PRIMALITY_BOUND, IsogenyError, PrimalityBoundExceeded, check_word,
@@ -163,23 +163,19 @@ def factor_primitive_constant(phi: PMorphism) -> tuple[PMorphism, int]:
     """Split off the largest constant Frobenius factor.
 
     Returns (primitive part, exponent k) with phi = frobenius(p, k) after
-    the primitive part; the primitive part has q value 1 somewhere.
-    phi must already be valid (``validate_pmorphism``); the primitive part
-    then is too, because every defining equation is linear in (f, q). A q
-    value below 1 or a p below 2 raises InvalidPMorphism.
+    the primitive part: p^k is the largest power of p that divides every q
+    value and every entry of f, so the primitive part need not have a q
+    value 1. phi must already be valid (``validate_pmorphism``); the
+    primitive part then is too, because every defining equation is linear
+    in (f, q). A q value below 1 or a p below 2 raises InvalidPMorphism.
     """
-    k = min(_p_split(x, phi.p)[0] for x in phi.q)
+    entries = phi.q + tuple(abs(x) for row in phi.f for x in row if x)
+    k = min(_p_split(x, phi.p)[0] for x in entries)
     if k == 0:
         return phi, 0
     scale = phi.p ** k
-    if any(x % scale for row in phi.f for x in row):
-        raise InvalidPMorphism("constant factor does not divide f")
-    prim = PMorphism(
-        phi.source, phi.target,
-        tuple(tuple(x // scale for x in row) for row in phi.f),
-        phi.u, tuple(x // scale for x in phi.q), phi.p,
-    )
-    return prim, k
+    return phi._replace(f=tuple(tuple(x // scale for x in row) for row in phi.f),
+                        q=tuple(x // scale for x in phi.q)), k
 
 
 def is_constant(phi: PMorphism) -> bool:
@@ -236,13 +232,15 @@ def enumerate_special(family: str, rank: int, p: int) -> list[PMorphism]:
 
     The Cartan compatibility q(a) <a, b~> = q(b) <u(a), u(b)~> keeps each
     bond's multiplicity <a, b~> <b, a~>, so q changes only across a bond of
-    multiplicity p, and is then p on its short side. So one exists only
-    when max(d) = p min(d) for the symmetrizer d, with q = d / min(d): p on
-    the short simples, 1 on the long ones. The target matrix q(a) <a, b~> /
-    q(b) = <b, a~> is the source's transpose, so u runs over the sorted
-    isomorphisms of it onto each catalog type of the rank. The adjoint data
-    of source and target (built only for a target with a hit, the source's
-    reused for itself) pin f down to the monomial matrix of (u, q).
+    multiplicity p, and is then p on its short side. So one exists only when
+    max(d) = p min(d) for the symmetrizer d, with q = d / min(d): p on the
+    short simples, 1 on the long ones. That gate passes only for a connected
+    matrix with a multiple bond: B_n, C_n, F4 and G2. The target matrix,
+    q(a) <a, b~> / q(b) = <b, a~>, is the source's transpose. It has a
+    multiple bond too, so it matches exactly one catalog type, by exactly
+    one node map, as a multiple bond's direction rules out any nontrivial
+    node automorphism. So there is one result: u is that map's inverse, and
+    f, between the adjoint data, the monomial matrix of (u, q).
     """
     if not is_prime(p):
         raise IsogenyError(f"{p} is not prime")
@@ -251,21 +249,11 @@ def enumerate_special(family: str, rank: int, p: int) -> list[PMorphism]:
     if max(d) != p * min(d):
         return []
     q = tuple(x // min(d) for x in d)
-    dual = GCM(rank, tuple(zip(*src_gcm)))
-    src_datum = None
-    out = []
-    for tgt_family, tgt_rank in catalog_types(max_rank=rank):
-        if tgt_rank != rank:
-            continue
-        tgt_gcm = catalog(tgt_family, tgt_rank)
-        hits = sorted(isomorphisms(dual, tgt_gcm, range(rank)))
-        if not hits:
-            continue
-        src_datum = src_datum or rootdata.adjoint_datum(src_gcm)
-        tgt_datum = src_datum if tgt_gcm == src_gcm else rootdata.adjoint_datum(tgt_gcm)
-        for u in hits:
-            f = tuple(tuple(q[i] if j == u[i] else 0 for j in range(rank)) for i in range(rank))
-            phi = PMorphism(src_datum, tgt_datum, f, u, q, p)
-            _check_equations(phi)   # adjoint data are well formed by construction
-            out.append(phi)
-    return out
+    target, v = catalog_type(GCM(rank, tuple(zip(*src_gcm))), range(rank))
+    u = tuple(map(v.index, range(rank)))
+    src_datum = rootdata.adjoint_datum(src_gcm)
+    tgt_datum = src_datum if target == family else rootdata.adjoint_datum(catalog(target, rank))
+    f = tuple(tuple(q[i] if j == u[i] else 0 for j in range(rank)) for i in range(rank))
+    phi = PMorphism(src_datum, tgt_datum, f, u, q, p)
+    _check_equations(phi)   # adjoint data are well formed by construction
+    return [phi]

@@ -14,21 +14,21 @@ closed forms of |W| instead of invariant degrees, and a breadth-first
 search over sets of tuples instead of canonical-parent generation of the
 rho-orbit, the canonical-parent walk on tuples instead of the numpy walk,
 trial division instead of Miller-Rabin, a loop over all bijections and q
-values instead of the isomorphism search along Dynkin edges with q read
-off the symmetrizer, a walk over every word of the suffix trie and a
-per-length walk that pushes every state afresh instead of the walk over
-distinct word states that pushes each (state, letter) once, root data
-written out root by root (coordinates, C times the coroot, a fraction
-solve per root) instead of a root system carried onto a pinning, the
-short-root ideal check as an all-pairs bracket loop, a short x short
-square loop and a Steinberg check per triple instead of one string walk
-per pair, a pinned isomorphism checked on every root and coroot instead of
-the two defining equations on the simples, and subgroups closed under the
-whole subgroup as generators, lifted by a Smith transform and re-based by
-a Hermite form of unbounded gcd steps, instead of a walk over Hermite
-bases modulo the determinant, and the reflection permutations and root
-strings built and looked up as coordinate tuples instead of walked on the
-linear root keys.
+values instead of the isomorphism search along Dynkin edges between nodes
+of one degree with q read off the symmetrizer, a walk over every word of
+the suffix trie and a per-length walk that pushes every state afresh
+instead of the walk over distinct word states that pushes each (state,
+letter) once, root data written out root by root (coordinates, C times the
+coroot, a fraction solve per root) instead of a root system carried onto a
+pinning, the short-root ideal check as an all-pairs bracket loop, a short x
+short square loop and a Steinberg check per triple instead of one string
+walk per pair, a pinned isomorphism checked on every root and coroot
+instead of the two defining equations on the simples, and subgroups closed
+under the whole subgroup as generators, lifted by a Smith transform and
+re-based by a Hermite form of unbounded gcd steps, instead of a walk over
+Hermite bases modulo the determinant, and the reflection permutations and
+root strings built and looked up as coordinate tuples instead of walked on
+the linear root keys.
 """
 
 from __future__ import annotations

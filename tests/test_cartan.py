@@ -307,6 +307,28 @@ def test_searches_leave_no_cyclic_garbage():
     assert unreachable == [0, 0]
 
 
+@pytest.mark.parametrize("case", ["classify A60", "classify B60", "classify C60",
+                                  "classify D60", "enumerate B60", "enumerate C60"])
+def test_search_steps_stay_linear_in_the_rank(case, monkeypatch):
+    # a node tries only nodes of its own degree, so each family a rank-60
+    # search tries fails or matches along one chain: at most 5 (rank + 1)
+    # steps, where trying every node of a failing family took thousands
+    action, label = case.split()
+    rank = int(label[1:])
+    if action == "classify":
+        # a relabelling as perfbench.workloads.relabel makes one
+        perm = list(range(rank))
+        random.Random(7).shuffle(perm)
+        g = cartan.validate_gcm(_permute(cartan.catalog(label[0], rank).rows(), perm))
+        call, args = cartan.classify, (g,)
+    else:
+        call, args = enumerate_special, (label[0], rank, 2)
+    steps, extend = [], cartan._extend
+    monkeypatch.setattr(cartan, "_extend", lambda *a: steps.append(a[-1]) or extend(*a))
+    assert call(*args)
+    assert 0 < len(steps) <= 5 * (rank + 1)
+
+
 def test_recognize_script_walks_every_example():
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, str(root / "scripts" / "recognize.py")],

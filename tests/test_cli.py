@@ -455,6 +455,21 @@ def test_isogeny_validate_rejects_broken_morphism(tmp_path):
     validate_document(doc)
 
 
+def test_isogeny_validate_splits_no_frobenius_factor_that_f_lacks(tmp_path):
+    # A1 adjoint to simply connected: q = 2, but f = 1 has no factor 2
+    source = {"rank": 1, "roots": [[1], [-1]], "coroots": [[2], [-2]], "simple": [0]}
+    target = {"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]], "simple": [0]}
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"source": source, "target": target, "f": [[1]],
+                                "u": [0], "q": [2], "p": 2}), encoding="utf-8")
+    code, out = run_cli(["isogeny", "validate", "--file", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    validate_document(doc)
+    assert (doc["valid"], doc["primitive"], doc["constant"], doc["frobenius_exponent"]) == (
+        True, False, True, 0)
+
+
 def test_every_document_has_exactly_the_keys_of_its_spec(tmp_path):
     # ``check`` allows extra keys, so a stray envelope key would pass it
     _, out = run_cli(["isogeny", "enumerate", "--type", "G2", "--p", "3"])
@@ -519,6 +534,8 @@ def _bad_isogeny_file(tmp_path, case):
         phi_doc["q"] = [str(x) for x in phi_doc["q"]]
     elif case == "string-f":
         phi_doc["f"][0][0] = str(phi_doc["f"][0][0])
+    elif case == "u-not-a-bijection":
+        phi_doc["u"] = [0, 0]
     else:
         phi_doc["source"]["simple"] = [0, 99]
     path.write_text(json.dumps(phi_doc), encoding="utf-8")
@@ -538,6 +555,7 @@ def _bad_isogeny_file(tmp_path, case):
     ("root-off-its-coroot", "InvalidPMorphism"),
     ("coroot-off-the-roots", "InvalidPMorphism"),
     ("simples-not-a-base", "InvalidPMorphism"),
+    ("u-not-a-bijection", "InvalidPMorphism"),
 ])
 def test_isogeny_validate_input_boundary(tmp_path, case, code):
     path = _bad_isogeny_file(tmp_path, case)
@@ -549,6 +567,7 @@ def test_isogeny_validate_input_boundary(tmp_path, case, code):
     doc = json.loads(out)
     validate_document(doc)
     assert doc["error"]["code"] == code
+    assert doc.get("valid", False) is False
     assert "Traceback" not in err.getvalue()
 
 

@@ -10,7 +10,7 @@ from weylkit.isogeny import (PRIMALITY_BOUND, InvalidPMorphism,
                              extend_to_roots, factor_primitive_constant,
                              frobenius, is_constant, is_prime, is_primitive,
                              validate_pmorphism)
-from weylkit.rootdata import adjoint_datum, simply_connected_datum
+from weylkit.rootdata import PinnedRootDatum, adjoint_datum, simply_connected_datum
 from weylkit.roots import generate_roots
 
 from oracles import brute_scaled_pairs, trial_division_is_prime
@@ -152,6 +152,34 @@ def test_factor_special_times_frobenius():
     rebuilt = compose(frobenius(prim.target, prim.p, k), prim)
     assert rebuilt.f == composed.f and rebuilt.q == composed.q
 
+
+
+def _a1_adjoint_to_simply_connected():
+    # f(2) = 2 * 1 on the roots and f(2) = 2 * 1 on the coroots: q = 2, but
+    # f has no factor 2, so there is no Frobenius factor to split off
+    source = PinnedRootDatum(1, ((1,), (-1,)), ((2,), (-2,)), (0,))
+    target = PinnedRootDatum(1, ((2,), (-2,)), ((1,), (-1,)), (0,))
+    return PMorphism(source, target, ((1,),), (0,), (2,), 2)
+
+
+def test_factor_reads_the_exponent_off_f_and_q():
+    phi = _a1_adjoint_to_simply_connected()
+    validate_pmorphism(phi)
+    assert factor_primitive_constant(phi) == (phi, 0)
+    assert not is_primitive(phi) and is_constant(phi)
+    # one Frobenius after it divides both f and q by 2 once
+    prim, k = factor_primitive_constant(compose(frobenius(phi.target, 2), phi))
+    assert (prim, k) == (phi, 1)
+
+
+@pytest.mark.parametrize("case", ["other-datum", "other-prime"])
+def test_compose_refuses_morphisms_that_do_not_compose(case):
+    a2 = adjoint_datum(cartan.parse_type("A2"))
+    inner = frobenius(a2, 2)
+    outer = (frobenius(simply_connected_datum(cartan.parse_type("A2")), 2)
+             if case == "other-datum" else frobenius(a2, 3))
+    with pytest.raises(InvalidPMorphism, match="morphisms do not compose"):
+        compose(outer, inner)
 
 
 @pytest.mark.parametrize("q,p", [((0, 1), 2), ((1, 1), 1)])

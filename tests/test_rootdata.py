@@ -88,6 +88,19 @@ def test_validate_raises_on_each_axiom(field, index, value, message):
         broken.validate()
 
 
+def test_validate_refuses_a_root_listed_twice():
+    a1 = adjoint_datum(cartan.parse_type("A1"))
+    twice = a1._replace(roots=a1.roots + a1.roots[:1], coroots=a1.coroots + a1.coroots[:1])
+    with pytest.raises(RootDatumError,
+                       match="the datum lists 3 roots, 2 distinct; the simples generate 2"):
+        twice.validate()
+
+
+def test_validate_accepts_a_torus():
+    # no roots and no simples: every axiom holds vacuously
+    assert PinnedRootDatum(2, (), (), ()).validate() is None
+
+
 def _is_base(roots, pair) -> bool:
     """Every root is an integer combination of the pair with coefficients
     all >= 0 or all <= 0, by a 2x2 solve (Cramer's rule)."""
@@ -247,7 +260,7 @@ def test_lattice_count_is_bounded_before_any_datum(monkeypatch):
 
 
 @pytest.mark.parametrize("build", [adjoint_datum, simply_connected_datum,
-                                   intermediate_lattices])
+                                   intermediate_lattices, fundamental_group])
 def test_builders_refuse_affine_a2(build):
     affine_a2 = cartan.validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
     with pytest.raises(cartan.NotFiniteType):

@@ -227,6 +227,14 @@ def test_cap_exceeded():
         enumerate_weyl(_rs("B3"), cap=10)
 
 
+def test_elements_refuse_a_group_past_the_materialize_cap(monkeypatch):
+    group = enumerate_weyl(_rs("A2"))   # |W| = 6
+    monkeypatch.setattr(weyl, "MATERIALIZE_CAP", 5)
+    with pytest.raises(CapExceeded) as exc:
+        group.elements()
+    assert exc.value.cap == 5
+
+
 def test_cap_is_checked_from_the_order_before_any_work():
     # E8's |W| is over the default cap: the refusal comes from weyl_order,
     # before numpy is imported or a layer built
