@@ -26,13 +26,16 @@ walk per pair, a pinned isomorphism checked on every root and coroot
 instead of the two defining equations on the simples, and subgroups closed
 under the whole subgroup as generators, lifted by a Smith transform and
 re-based by a Hermite form of unbounded gcd steps, instead of a walk over
-Hermite bases modulo the determinant, and the reflection permutations and
+Hermite bases modulo the determinant, the reflection permutations and
 root strings built and looked up as coordinate tuples instead of walked on
-the linear root keys.
+the linear root keys, and the command line read by argparse instead of by
+the one-table reader in ``cli``.
 """
 
 from __future__ import annotations
 
+import argparse
+import re
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -40,7 +43,7 @@ from itertools import chain, permutations, product
 from math import factorial, gcd, isqrt, lcm
 from operator import sub
 
-from weylkit import intmat
+from weylkit import cli, intmat
 from weylkit.chevalley import bracket_constant, steinberg_check
 from weylkit.pushforward import pushforward_multiset
 
@@ -771,3 +774,79 @@ def pinned_isomorphism_all_roots(r1, r2):
         if tuple(intmat.matvec(ft, list(r1.coroots[j]))) != r2.coroots[i]:
             return None
     return tuple(tuple(row) for row in f)
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # let values like "-2,1" pass as option arguments rather than flags
+        self._negative_number_matcher = re.compile(cli._NEGATIVE_VECTOR)
+
+    def error(self, message):
+        raise cli.ParseError(f"{self.prog}: {message}")
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser ``weylkit.cli`` read its command line with before
+    ``cli._parse`` read ``cli._COMMANDS``: every subcommand, each setting as
+    defaults its handler, its schema name and any fixed value. ``parse_args``
+    gives a namespace that also names the ``command`` and ``action`` words,
+    raises ``ParseError`` on a usage error, and prints help and exits 0 on a
+    ``-h`` it reaches first."""
+    def common(p, type_arg=True):
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        if type_arg:
+            p.add_argument("--type", required=True)
+
+    def weight_args(p):
+        common(p)
+        p.add_argument("--weight", required=True)
+        p.add_argument("--basis", choices=("coroot", "root"), default="coroot")
+
+    top = _ReferenceParser(prog="weylkit")
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_ReferenceParser)
+    p = sub.add_parser("classify")
+    p.add_argument("input", nargs="?", default="-")
+    p.add_argument("--transpose", action="store_true")
+    p.add_argument("--cap", type=int)
+    common(p, type_arg=False)
+    p.set_defaults(func=cli._cmd_classify, schema="weylkit/report/1")
+    p = sub.add_parser("roots")
+    common(p)
+    p.set_defaults(func=cli._cmd_roots, schema="weylkit/roots/1")
+    p = sub.add_parser("weyl")
+    common(p)
+    p.add_argument("--cap", type=int)
+    p.set_defaults(func=cli._cmd_weyl, schema="weylkit/weyl/1")
+    p = sub.add_parser("bs-weights")
+    weight_args(p)
+    p.add_argument("--word", required=True)
+    p.set_defaults(func=cli._cmd_bs_weights, schema="weylkit/bs-weights/1")
+    for name, formula in (("dim", "weyl_dim"), ("vol", "volume")):
+        p = sub.add_parser(name)
+        weight_args(p)
+        p.set_defaults(func=cli._cmd_character, schema=f"weylkit/{name}/1", formula=formula)
+    act = sub.add_parser("isogeny").add_subparsers(dest="action", required=True)
+    p = act.add_parser("enumerate")
+    common(p)
+    p.add_argument("--p", type=int, required=True)
+    p.set_defaults(func=cli._cmd_isogeny_enumerate, schema="weylkit/isogenies/1")
+    p = act.add_parser("validate")
+    common(p, type_arg=False)
+    p.add_argument("--file", required=True)
+    p.set_defaults(func=cli._cmd_isogeny_validate, schema="weylkit/isogeny-validation/1")
+    p = sub.add_parser("chevalley").add_subparsers(dest="action", required=True) \
+        .add_parser("check")
+    common(p)
+    p.add_argument("--p", type=int, required=True)
+    p.set_defaults(func=cli._cmd_chevalley, schema="weylkit/chevalley/1")
+    p = sub.add_parser("datum")
+    common(p)
+    p.add_argument("--kind", choices=("adjoint", "sc"), default="adjoint")
+    p.set_defaults(func=cli._cmd_datum, schema="weylkit/datum/1")
+    p = sub.add_parser("selfcheck")
+    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=cli._count, default=100)
+    p.set_defaults(func=cli._cmd_selfcheck, schema="weylkit/selfcheck/1")
+    return top

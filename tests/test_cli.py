@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylkit import (cartan, cli, intmat, isogeny, pushforward, rootdata, roots, schemas,
                      weyl)
@@ -17,7 +18,7 @@ from weylkit.cli import main
 from weylkit.schemas import validate_document
 
 from cli_cases import ALL_CASES, SUBCOMMAND_CASES
-from oracles import all_pairs_ideal_check
+from oracles import all_pairs_ideal_check, reference_parser
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,6 +74,7 @@ USAGE_ERRORS = [
     (["classify", "--cap", "many"], 4),
     (["classify", "--no-such-option"], 4),
     (["weyl", "--type", "A2", "--cap", "1.5"], 1),
+    (["weyl", "--type", "A2", "--cap", "1" * 5_000], 1),
     (["dim", "--type", "A2"], 1),
     (["bs-weights", "--type", "A2", "--word", "1"], 1),
     (["chevalley", "check", "--type", "B2"], 1),
@@ -93,6 +95,7 @@ USAGE_ERRORS = [
 ]
 USAGE_ERROR_IDS = [
     "classify-bad-cap", "classify-unknown-option", "weyl-bad-cap",
+    "weyl-cap-past-the-digit-limit",
     "dim-missing-weight", "bs-weights-missing-weight",
     "chevalley-missing-p", "bad-format", "unknown-subcommand", "no-subcommand",
     "selfcheck-negative-samples", "selfcheck-too-many-samples",
@@ -116,40 +119,138 @@ def test_usage_error_is_one_parse_error_document(argv, expected_code):
     assert "Traceback" not in err.getvalue()
 
 
-def run_main(argv, stdin_payload):
-    """The exit code and stdout of ``main``, where an exit argparse makes
-    after printing help counts with its code."""
-    buf, old_stdin = io.StringIO(), sys.stdin
+def parsed_by(parse, argv) -> tuple:
+    """("help",), ("error",) or ("request", fields) for one parse of argv: the
+    fields are the handler, schema name, fixed values and options, without
+    the reference parser's names for the command and action words."""
     try:
-        sys.stdin = io.StringIO(stdin_payload or "")
-        with redirect_stdout(buf), redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-    finally:
-        sys.stdin = old_stdin
-    return code, buf.getvalue()
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            fields = dict(vars(parse(list(argv))))
+    except (SystemExit, cli._Help) as exc:
+        assert getattr(exc, "code", 0) == 0
+        return ("help",)
+    except cli.ParseError:
+        return ("error",)
+    fields.pop("command", None)
+    fields.pop("action", None)
+    return ("request", fields)
 
 
-PARSER_CASES = (
-    [(argv, '{"matrix": [[2]]}') for argv, _ in USAGE_ERRORS]
-    + [(argv, payload) for _, argv, payload, _ in ALL_CASES]
-    + [(["-h"], None), (["roots", "-h"], None), (["isogeny", "validate", "-h"], None)])
+REFERENCE = reference_parser()
+# the corners of argparse's reading, each with its test id
+PARSER_EDGES = [
+    (["classify", "m.json", "--"], "classify-input-then-dashes"),
+    (["classify", "--", "m.json"], "classify-dashes-then-input"),
+    (["classify", "--cap", "3", "--"], "classify-dashes-after-an-option"),
+    (["classify", "m.json", "--cap", "3", "--"], "classify-dashes-after-input-and-option"),
+    (["classify", "m.json", "n.json"], "classify-two-inputs"),
+    (["roots", "--type", "A2", "--"], "roots-trailing-dashes"),
+    (["--", "roots", "--type", "A2"], "dashes-before-the-command"),
+    (["roots", "--ty=A2", "--form", "text", "--format=json"], "prefixes-and-last-repeat"),
+    (["bs-weights", "-h", "--w", "1"], "ambiguous-prefix-before-help"),
+    (["--bogus", "roots", "-h"], "unknown-option-then-help"),
+    (["roots", "--type", "-h"], "help-where-a-value-is-due"),
+    (["roots", "--type", "--", "A2"], "dashes-where-a-value-is-due"),
+    (["weyl", "--type", "-2,1"], "negative-vector-value"),
+    (["weyl", "--type", "-x"], "dash-token-where-a-value-is-due"),
+    (["roots", "-hh"], "repeated-h"), (["roots", "-hx"], "h-with-a-tail"),
+    (["roots", "-h=h"], "h-equals-h"), (["roots", "--he="], "help-with-an-empty-value"),
+    (["classify", "--transpose=1"], "flag-with-a-value"),
+]
+PARSER_CASES = ([argv for argv, _ in USAGE_ERRORS] + [argv for _, argv, _, _ in ALL_CASES]
+                + [["-h"], ["roots", "-h"], ["isogeny", "validate", "-h"]]
+                + [argv for argv, _ in PARSER_EDGES])
 PARSER_IDS = ([f"usage-{i}" for i in USAGE_ERROR_IDS] + [c[0] for c in ALL_CASES]
-              + ["help", "roots-help", "isogeny-validate-help"])
+              + ["help", "roots-help", "isogeny-validate-help"]
+              + [i for _, i in PARSER_EDGES])
 
 
-@pytest.mark.parametrize("argv,payload", PARSER_CASES, ids=PARSER_IDS)
-def test_one_subparser_parses_as_the_full_parser(argv, payload, monkeypatch):
-    # main builds the named subcommand's parser alone; the full build, kept
-    # for every other argv, is the oracle
-    build, asked = cli._build_parser, []
-    monkeypatch.setattr(cli, "_build_parser", lambda only=None: asked.append(only) or build(only))
-    one = run_main(argv, payload)
-    assert asked == [argv[0] if argv and argv[0] in cli._SUBCOMMANDS else None]
-    monkeypatch.setattr(cli, "_build_parser", lambda only=None: build())
-    assert run_main(argv, payload) == one
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=PARSER_IDS)
+def test_one_subparser_parses_as_the_full_parser(argv):
+    # cli._parse reads the one table row its words name; the reference is
+    # the full argparse parser the table replaced
+    assert parsed_by(cli._parse, argv) == parsed_by(REFERENCE.parse_args, argv)
+
+
+def _leaves(entry=cli._COMMANDS, words=()):
+    """(words, options) of every leaf of the command table."""
+    for word, (_, sub) in entry.items():
+        if isinstance(sub, dict):
+            yield from _leaves(sub, (*words, word))
+        else:
+            yield (*words, word), sub[3]
+
+
+LEAVES = list(_leaves())
+OPTIONS = sorted({name for _, options in LEAVES for name in options if name[0] == "-"}
+                 | {"--help"})
+# every option and each of its prefixes down to "--" and one letter
+OPTION_PREFIXES = sorted({name[:k] for name in OPTIONS for k in range(3, len(name) + 1)})
+VALUES = ["A1", "A2", "B2", "G2", "1", "3", "1,0", "2,2", "json", "text", "root", "sc",
+          "abc", "1.5", "", "-", "-2,1", "-5", "1" * 5_000, "-x", "-h", "x y"]
+WORDS = [word for words, _ in LEAVES for word in words] + ["frobnicate"]
+TOKENS = st.one_of(
+    st.sampled_from(WORDS + OPTION_PREFIXES + VALUES
+                    + ["--", "-h", "-hh", "-hx", "-h=h", "-x", "--bogus", "---", "--=x"]),
+    # a value after "=", but for "--", which argparse turned into an empty list
+    st.tuples(st.sampled_from(OPTION_PREFIXES), st.sampled_from(VALUES)).map("=".join))
+REQUESTS = [argv for _, argv, _, _ in ALL_CASES] + [
+    ["classify", "--transpose", "--cap", "5", "m.json"],
+    ["classify", "m.json"],
+    ["weyl", "--type", "A2", "--cap", "2"],
+    ["dim", "--type", "A2", "--weight", "1,0", "--basis", "root"],
+    ["isogeny", "validate", "--file", "phi.json"],
+    ["selfcheck", "--type", "B2", "--seed", "3", "--samples", "2"],
+]
+
+
+@st.composite
+def command_lines(draw):
+    """A request with a few tokens inserted or deleted, or tokens alone."""
+    argv = list(draw(st.sampled_from(REQUESTS + [[]])))
+    for _ in range(draw(st.integers(0, 4))):
+        if argv and draw(st.booleans()):
+            del argv[draw(st.integers(0, len(argv) - 1))]
+        else:
+            argv.insert(draw(st.integers(0, len(argv))), draw(TOKENS))
+    return argv
+
+
+@settings(max_examples=2_000, deadline=None)
+@given(argv=command_lines())
+def test_table_parser_reads_drawn_command_lines_as_the_reference_parser(argv):
+    assert parsed_by(cli._parse, argv) == parsed_by(REFERENCE.parse_args, argv)
+
+
+@pytest.mark.parametrize("argv,code,error", [
+    (["roots", "--type=--"], 1, "InvalidType"),
+    (["weyl", "--type", "A2", "--cap=--"], 1, "ParseError"),
+    (["roots", "--type", "A2", "--format=--"], 1, "ParseError"),
+], ids=["type", "cap", "format"])
+def test_a_value_of_two_dashes_after_equals_is_read_as_given(argv, code, error):
+    # argparse made "--opt=--" an empty list: a traceback for --type and
+    # --cap, and JSON for --format
+    got, out = run_cli(argv)
+    assert (got, json.loads(out)["error"]["code"]) == (code, error)
+
+
+def listed(help_text: str) -> list[str]:
+    """The first word of each indented line of a help text."""
+    return [line.split()[0] for line in help_text.splitlines() if line.startswith("  ")]
+
+
+def test_help_lists_every_subcommand_in_table_order():
+    code, out = run_cli(["-h"])
+    assert code == 0
+    assert listed(out) == [*cli._COMMANDS, "-h,"]
+
+
+@pytest.mark.parametrize("words,options", LEAVES, ids=[" ".join(w) for w, _ in LEAVES])
+def test_subcommand_help_lists_each_of_its_options(words, options):
+    code, out = run_cli([*words, "-h"])
+    assert code == 0
+    assert out.startswith(f"usage: weylkit {' '.join(words)} ")
+    assert listed(out) == [*options, "-h,"]
 
 
 def test_empty_word_is_the_identity():
@@ -777,18 +878,20 @@ def _relabelled_d30():
 
 
 # A launch runs with the collector off, so the cycles a request makes stay
-# allocated until exit. Every golden and edge-table request leaves 64-758
-# unreachable objects, mostly argparse's parser <-> action cycles. The bound is
-# twice the most and under D60's 1 770 positive roots, so a change that leaves
-# one cyclic object per root at rank 60 fails here.
-MAX_CYCLIC_GARBAGE = 1_500
+# allocated until exit. Every request below leaves no unreachable object,
+# in-process and in a fresh process alike. The bound is the floor of 100,
+# under the 870-3 540 positive roots of the rank-30 and rank-60 requests, so a
+# change that leaves one cyclic object per root in any of them fails here.
+MAX_CYCLIC_GARBAGE = 100
 GARBAGE_CASES = [*ALL_CASES,
                  ("roots_d60", ["roots", "--type", "D60"], None, 0),
                  ("classify_relabelled_d30", ["classify", "-"], _relabelled_d30(), 0),
                  ("isogeny_enumerate_b30_p2",
                   ["isogeny", "enumerate", "--type", "B30", "--p", "2"], None, 0),
                  ("chevalley_check_c30_p2",
-                  ["chevalley", "check", "--type", "C30", "--p", "2"], None, 0)]
+                  ["chevalley", "check", "--type", "C30", "--p", "2"], None, 0),
+                 *((f"usage-{i}", argv, '{"matrix": [[2]]}', code)
+                   for i, (argv, code) in zip(USAGE_ERROR_IDS, USAGE_ERRORS))]
 
 
 @pytest.mark.parametrize("name,argv,payload,expected_code", GARBAGE_CASES,
@@ -836,6 +939,18 @@ def test_text_format_of_a_failed_isogeny_validation(tmp_path):
     lines = out.splitlines()
     assert lines[lines.index("error:") + 1] == "  code: RootEquationFails"
     assert "valid: False" in lines
+
+
+def test_text_format_writes_a_dict_cell_as_compact_json():
+    # each isogeny's source and target are objects in a table cell
+    _, out = run_cli(["isogeny", "enumerate", "--type", "G2", "--p", "3"])
+    phi = json.loads(out)["isogenies"][0]
+    code, text = run_cli(["isogeny", "enumerate", "--type", "G2", "--p", "3",
+                          "--format", "text"])
+    assert code == 0
+    row = text.splitlines()[2].split()
+    assert json.dumps(phi["source"], sort_keys=True, separators=(",", ":")) in row
+    assert json.dumps(phi["target"], sort_keys=True, separators=(",", ":")) in row
 
 
 def test_chevalley_check_square_rows_and_violations():

@@ -91,6 +91,27 @@ def test_subcommand_executes_only_the_modules_it_uses(argv, extra, tmp_path):
     assert executed(RUN_CLI, argv, stdin) == BASE | extra
 
 
+def test_no_request_loads_argparse_gettext_or_locale(tmp_path):
+    # argparse imports gettext, which imports locale for the first message
+    # argparse translates: about 3 ms of each launch that a request no
+    # longer pays
+    from test_cli import USAGE_ERRORS
+    phi = tmp_path / PHI
+    phi.write_text(json.dumps(json.loads(GOLDEN.read_text())["isogenies"][0]))
+    argvs = ([[str(phi) if a == PHI else a for a in argv] for argv, _ in SUBCOMMANDS]
+             + [argv for argv, _ in USAGE_ERRORS] + [["-h"], ["roots", "-h"]])
+    code = ("import contextlib, io, json, sys, weylkit.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    sys.stdin = io.StringIO('{\"matrix\": [[2, -1], [-2, 2]]}')\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        weylkit.cli.main(argv)\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_readme_module_table_is_the_subcommand_rows():
     # each row: | `sub`, `sub` | `module`, `module` |, or "none" for no module
     text = (ROOT / "README.md").read_text()
