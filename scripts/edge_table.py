@@ -79,8 +79,12 @@ ROWS = [
     # past the default cap: refused with LayersTooLarge, not CapExceeded
     ("weyl E8 cap 700000000", ["weyl", "--type", "E8", "--cap", "700000000"], None),
     ("chevalley check C60 p2", ["chevalley", "check", "--type", "C60", "--p", "2"], None),
+    ("chevalley check B20 p2", ["chevalley", "check", "--type", "B20", "--p", "2"], None),
     ("chevalley check B40 p2", ["chevalley", "check", "--type", "B40", "--p", "2"], None),
     ("chevalley check B60 p2", ["chevalley", "check", "--type", "B60", "--p", "2"], None),
+    # as many long roots as short ones, so the check keeps the short-pair scan
+    ("chevalley check B30+C30 p2", ["chevalley", "check", "--type", "B30+C30", "--p", "2"],
+     None),
     # refused as SimplyLaced after the root system is built
     *((f"chevalley check {family}60 p2", ["chevalley", "check", "--type", f"{family}60",
                                           "--p", "2"], None) for family in "AD"),

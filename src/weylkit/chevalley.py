@@ -13,13 +13,15 @@ Every row pairs two short roots. A short a (|a|^2 = 1) and a long b
 is (a, b) = -1/2, but <a, b-coroot> = 2(a, b)/r is an integer, so (a, b)
 lies in (r/2)Z. Roots of different components never sum to a root, a
 simply-laced component has only short roots, and square rows need b short.
-So ``short_root_ideal_check`` walks the a-string through b once per short
-pair with a + b a root, for the bracket and Steinberg rows (a + b long) and
-the square row (up >= 2, strings being unbroken). No square row fails: an
-a-string reaching two steps above a short b either starts at b, where
-<b, a-coroot> = -2 would make b long (Humphreys, Introduction to Lie
+So ``short_root_ideal_check`` walks the a-string through b once per
+candidate pair with a + b a root, for the bracket and Steinberg rows (a + b
+long) and the square row (up >= 2, strings being unbroken). No square row
+fails: an a-string reaching two steps above a short b either starts at b,
+where <b, a-coroot> = -2 would make b long (Humphreys, Introduction to Lie
 Algebras, 9.4), or holds four roots, as only in G2, where 2a + b is long.
-So the violations are the bracket rows whose m p does not divide.
+So the violations are the bracket rows whose m p does not divide, and each
+row's a + b or 2a + b is a long root t: when the long roots are fewer (B_n),
+a's candidates b are the short t - a and t - 2a, else all short roots.
 Sums and string steps are root-key lookups (``RootSystem.add``, ``string_steps``).
 """
 
@@ -116,16 +118,20 @@ class IdealCheckReport(namedtuple("IdealCheckReport",
 
 
 def short_root_ideal_check(rs: RootSystem, p: int) -> IdealCheckReport:
-    """Run both ideal checks, one string walk per short pair."""
+    """Run both ideal checks, one string walk per candidate pair."""
     if not is_prime(p):
         raise ChevalleyError(f"{p} is not prime")
     roots, keys = rs.roots, rs.keys
     short = [(r.index, r.coords) for r in roots if r.length == 1]
     if len(short) == len(roots):
         raise SimplyLaced()
+    long = [r.index for r in roots if r.length > 1]
     report = IdealCheckReport(p, [], [], [], [])
     for a, alpha in short:
-        for b, beta in short:
+        partners = short if len(long) >= len(short) else sorted(
+            (b, roots[b].coords) for b in {rs.add(t, a, k) for t in long for k in (-1, -2)}
+            if b is not None and roots[b].length == 1)
+        for b, beta in partners:
             total = rs.add(b, a)
             if total is None:
                 continue

@@ -103,7 +103,9 @@ def _render_text(doc: dict, indent: str = "") -> str:
             lines.append(f"{indent}{key}:")
             cols = sorted({k for item in value for k in item})
             rows = [[_cell(item.get(c)) for c in cols] for item in value]
-            widths = [max(len(c), *(len(r[i]) for r in rows)) for i, c in enumerate(cols)]
+            # the last column is not padded, so no line ends in a space
+            widths = [max(len(c), *(len(r[i]) for r in rows))
+                      for i, c in enumerate(cols[:-1])] + [0]
             lines.append(indent + "  " + "  ".join(c.ljust(w) for c, w in zip(cols, widths)))
             for r in rows:
                 lines.append(indent + "  " + "  ".join(x.ljust(w) for x, w in zip(r, widths)))

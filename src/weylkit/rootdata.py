@@ -19,6 +19,7 @@ from math import prod
 
 from . import intmat
 from .intmat import reduce_rows
+# fundamental_group is re-exported: callers read it as rootdata.fundamental_group
 from .cartan import GCM, GCMError, WeylkitError, fundamental_group, validate_gcm
 from .roots import RootSystem, generate_roots
 
@@ -27,12 +28,6 @@ Vec = tuple[int, ...]
 
 class RootDatumError(WeylkitError):
     """Base for root-datum failures."""
-
-
-class FundamentalGroupTooLarge(RootDatumError):
-    def __init__(self, order: int, bound: int):
-        self.order, self.bound = order, bound
-        super().__init__(f"fundamental group of order {order} exceeds bound {bound}")
 
 
 class TooManyLattices(RootDatumError):
@@ -157,12 +152,14 @@ def _image(rs: RootSystem, simple_roots, simple_coroots, rank: int) -> PinnedRoo
 
 def adjoint_datum(c: GCM) -> PinnedRootDatum:
     """Character lattice = root lattice, the simple roots its basis, so roots
-    keep their coordinates; simple coroot k is column k of C in the dual
-    basis."""
+    keep their coordinates; coroot entry j of a root b is <a_j, b~> =
+    weight[j] * length(a_j) / length(b), read off the weight as
+    ``Root.coroot`` is read off ``coords``."""
     rs = generate_roots(c)
-    to_dual = _combiner(intmat.transpose(c.rows()), c.n)
+    lengths = rs.sym.lengths
     return PinnedRootDatum(c.n, tuple(r.coords for r in rs.roots),
-                           tuple(to_dual(r.coroot) for r in rs.roots), _simples(rs))
+                           tuple(tuple(w * n // r.length for w, n in zip(r.weight, lengths))
+                                 for r in rs.roots), _simples(rs))
 
 
 def simply_connected_datum(c: GCM) -> PinnedRootDatum:
@@ -172,10 +169,6 @@ def simply_connected_datum(c: GCM) -> PinnedRootDatum:
     rs = generate_roots(c)
     return PinnedRootDatum(c.n, tuple(r.weight for r in rs.roots),
                            tuple(r.coroot for r in rs.roots), _simples(rs))
-
-
-def fundamental_group_order(c: GCM) -> int:
-    return prod(fundamental_group(c))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +207,7 @@ def _hermite_bases(q) -> list[intmat.Matrix]:
     return sorted(bases, key=lambda b: (index // prod(row[i] for i, row in enumerate(b)), b))
 
 
-def intermediate_lattices(c: GCM, max_index: int = 10_000) -> list[PinnedRootDatum]:
+def intermediate_lattices(c: GCM) -> list[PinnedRootDatum]:
     """All lattices between the root and weight lattices, as pinned data.
 
     In fundamental-weight coordinates the weight lattice P is Z^r and the
@@ -222,18 +215,15 @@ def intermediate_lattices(c: GCM, max_index: int = 10_000) -> list[PinnedRootDat
     them gets its canonical Hermite basis B, walked from that of Q, which
     is read modulo det C, so equal lattices always produce identical data.
     The data are ordered by |L/Q| and then by the rows of B: the
-    root-lattice datum first, the weight-lattice datum last. ``max_index``
-    bounds |P/Q| = det C, and ``MAX_LATTICES`` the number of lattices,
-    before any datum is built: A1x6 (|P/Q| = 64) has 2 825 lattices, A1x7
-    (128) has 29 212 and is refused.
+    root-lattice datum first, the weight-lattice datum last. One bound,
+    ``MAX_LATTICES`` on the number of lattices, stops the walk before any
+    datum is built, however large |P/Q| = det C: A1x6 (|P/Q| = 64) has
+    2 825 lattices, A1x7 (128) has 29 212 and is refused.
     """
     rs = generate_roots(c)
-    order = c.leading_minors[-1]
-    if order > max_index:
-        raise FundamentalGroupTooLarge(order, max_index)
     a = intmat.transpose(c.rows())
     out = []
-    for basis in _hermite_bases(intmat.hermite_form(c.rows(), order)):
+    for basis in _hermite_bases(intmat.hermite_form(c.rows(), c.leading_minors[-1])):
         # columns of basis_t span the lattice, its rows are the simple coroots
         # in the dual basis, and column k of x / det is simple root k
         basis_t = intmat.transpose(basis)

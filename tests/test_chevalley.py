@@ -147,7 +147,7 @@ def test_counts_frozen():
 @pytest.mark.parametrize("label", [
     f"{family}{rank}" for family, rank in cartan.catalog_types(max_rank=6)
     if family in "BCFG"
-] + ["A1+B2", "G2+C3", "C8", "C9", "F4+B2", "G2+G2+A1", "B4+G2"])
+] + ["A1+B2", "G2+C3", "C8", "C9", "F4+B2", "G2+G2+A1", "B4+G2", "B8", "G2+B6"])
 def test_ideal_check_matches_all_pairs_oracle(label):
     rs = _rs(label)
     for p in (2, 3, 5):
@@ -178,3 +178,23 @@ def test_ideal_check_looks_up_short_pairs_only(label, monkeypatch):
     monkeypatch.setattr(rs, "add", counting)
     report = short_root_ideal_check(rs, 2)
     assert 0 < calls <= len(short) ** 2 + len(report.square_triples)
+
+
+@pytest.mark.parametrize("label", ["B8", "B12"])
+def test_ideal_check_looks_up_partners_from_the_fewer_long_roots(label, monkeypatch):
+    # B_n has 2n long roots and 2n(n - 1) short ones: each short a looks up
+    # t - a and t - 2a for every long t, well under one lookup per short pair
+    rs = _rs(label)
+    short = sum(r.length == 1 for r in rs.roots)
+    long = len(rs.roots) - short
+    calls = 0
+    add = rs.add
+
+    def counting(r, s, k=1):
+        nonlocal calls
+        calls += 1
+        return add(r, s, k)
+
+    monkeypatch.setattr(rs, "add", counting)
+    assert short_root_ideal_check(rs, 2).bracket_triples
+    assert 0 < calls <= 4 * short * long < short ** 2

@@ -843,6 +843,18 @@ def test_text_format_renders_tables():
     assert "order: 6" in out
 
 
+@pytest.mark.parametrize("argv,payload", [
+    (["roots", "--type", "B3"], None),
+    (["weyl", "--type", "A2"], None),
+    (["chevalley", "check", "--type", "G2", "--p", "3"], None),
+    (["classify", "-"], '{"matrix": [[2, -1], [-1, 2]]}'),
+], ids=["roots", "weyl", "chevalley", "classify"])
+def test_text_format_lines_end_without_a_space(argv, payload):
+    code, out = run_cli([*argv, "--format", "text"], payload)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.endswith(" ")] == []
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "weylkit.cli", "dim", "--type", "G2",

@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from weylkit import cartan, rootdata
 from weylkit.intmat import identity, transpose
 from weylkit.roots import generate_roots
-from weylkit.rootdata import (FundamentalGroupTooLarge, PinnedRootDatum, RootDatumError,
-                              TooManyLattices, adjoint_datum, fundamental_group,
-                              fundamental_group_order, intermediate_lattices,
+from weylkit.rootdata import (PinnedRootDatum, RootDatumError, TooManyLattices,
+                              adjoint_datum, fundamental_group, intermediate_lattices,
                               pinned_isomorphism, simply_connected_datum)
 
 from oracles import (adjoint_per_root, cofactor_det, hermite_rows, intermediate_per_root,
@@ -39,7 +39,7 @@ def test_fundamental_group_order_is_determinant():
     # cofactor expansion is exponential, so the oracle stops at rank 6
     for family, rank in cartan.catalog_types(max_rank=6):
         g = cartan.catalog(family, rank)
-        assert fundamental_group_order(g) == abs(cofactor_det(g.rows()))
+        assert prod(fundamental_group(g)) == abs(cofactor_det(g.rows()))
 
 
 def test_fundamental_group_examples():
@@ -246,14 +246,18 @@ def test_subgroup_walk_matches_the_closure_oracle():
         assert rootdata._hermite_bases(q) == [basis for _, basis in expected], moduli
 
 
-def test_intermediate_lattice_bound():
-    with pytest.raises(FundamentalGroupTooLarge):
-        intermediate_lattices(cartan.parse_type("A3"), max_index=3)
+@pytest.mark.parametrize("label, copies", [("A1", 14), ("A2", 9), ("D4", 15), ("A4", 12)])
+def test_lattice_count_alone_refuses_large_fundamental_groups(label, copies, monkeypatch):
+    # |P/Q| from 2^14 up to 4^15 = 2^30: the count of lattices stops the
+    # walk, however large the group, before any datum is built
+    monkeypatch.setattr(rootdata, "_image", None)
+    with pytest.raises(TooManyLattices, match="more than 10000"):
+        intermediate_lattices(cartan.parse_type("+".join([label] * copies)))
 
 
 def test_lattice_count_is_bounded_before_any_datum(monkeypatch):
-    # |P/Q| = 8 192 is under max_index, but (Z/2)^13 has about 3.8e13
-    # subgroups; the walk refuses before any datum is built
+    # |P/Q| = 8 192, and (Z/2)^13 has about 3.8e13 subgroups; the walk
+    # refuses before any datum is built
     monkeypatch.setattr(rootdata, "_image", None)
     with pytest.raises(TooManyLattices, match="more than 10000"):
         intermediate_lattices(cartan.parse_type("+".join(["A1"] * 13)))
