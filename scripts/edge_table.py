@@ -11,14 +11,16 @@ Linux spawns the child in this process's address space and carries that
 space's peak into the child's at exec, so this process's own peak (about
 17 MB) is a floor under every figure. One JSON line a row goes to stdout:
 
-    {"row", "argv", "code", "wall_s", "stdout_bytes", "peak_mb"}
+    {"row", "argv", "code", "wall_s", "stdout_bytes", "stdout_sha256", "peak_mb"}
 
+``stdout_sha256`` lets two checkouts' tables show byte-identical documents.
 A row still running after ``TIMEOUT`` seconds is killed, so its ``code`` is
 -9. The figures are for sizing; none is a gate.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -82,7 +84,8 @@ ROWS = [
     ("chevalley check B20 p2", ["chevalley", "check", "--type", "B20", "--p", "2"], None),
     ("chevalley check B40 p2", ["chevalley", "check", "--type", "B40", "--p", "2"], None),
     ("chevalley check B60 p2", ["chevalley", "check", "--type", "B60", "--p", "2"], None),
-    # as many long roots as short ones, so the check keeps the short-pair scan
+    # as many long roots as short ones in all, but each component picks its
+    # own partner rule: B30 looks partners up from its long roots
     ("chevalley check B30+C30 p2", ["chevalley", "check", "--type", "B30+C30", "--p", "2"],
      None),
     # refused as SimplyLaced after the root system is built
@@ -126,8 +129,15 @@ def measure(row: str, argv: list[str], stdin: str | None = None) -> dict:
             timer.cancel()
         wall = time.perf_counter() - started
         proc.returncode = os.waitstatus_to_exitcode(status)
+        # hashed in chunks, so a large document does not raise this
+        # process's peak, the floor under the next rows' figures
+        digest = hashlib.sha256()
+        out.seek(0)
+        for chunk in iter(lambda: out.read(1 << 16), b""):
+            digest.update(chunk)
         return {"row": row, "argv": argv, "code": proc.returncode,
                 "wall_s": round(wall, 3), "stdout_bytes": os.fstat(out.fileno()).st_size,
+                "stdout_sha256": digest.hexdigest(),
                 "peak_mb": round(usage.ru_maxrss / 1024, 1)}
 
 

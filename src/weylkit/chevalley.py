@@ -20,9 +20,11 @@ fails: an a-string reaching two steps above a short b either starts at b,
 where <b, a-coroot> = -2 would make b long (Humphreys, Introduction to Lie
 Algebras, 9.4), or holds four roots, as only in G2, where 2a + b is long.
 So the violations are the bracket rows whose m p does not divide, and each
-row's a + b or 2a + b is a long root t: when the long roots are fewer (B_n),
-a's candidates b are the short t - a and t - 2a, else all short roots.
-Sums and string steps are root-key lookups (``RootSystem.add``, ``string_steps``).
+row's a + b or 2a + b is a long root t. The lookup rule is chosen per
+component: where a's component has fewer long roots than short ones (B_n),
+a's candidates b are the short t - a and t - 2a for the long t of that
+component, else the component's short roots. Sums and string steps are
+root-key lookups (``RootSystem.add``, ``string_steps``).
 """
 
 from __future__ import annotations
@@ -122,14 +124,28 @@ def short_root_ideal_check(rs: RootSystem, p: int) -> IdealCheckReport:
     if not is_prime(p):
         raise ChevalleyError(f"{p} is not prime")
     roots, keys = rs.roots, rs.keys
-    short = [(r.index, r.coords) for r in roots if r.length == 1]
-    if len(short) == len(roots):
+    if all(r.length == 1 for r in roots):
         raise SimplyLaced()
-    long = [r.index for r in roots if r.length > 1]
+    comps = rs.gcm.components()
+    component = {k: c for c, nodes in enumerate(comps) for k in nodes}
+    # per component: its short roots as (index, coords), its long root indices
+    parts: list[tuple[list, list]] = [([], []) for _ in comps]
+    short = []
+    for r, key in zip(roots, keys):
+        # |key| has the base-256 digits |coords|, so its lowest set bit lies
+        # in the digit of a simple root in the support, which names the component
+        low = abs(key) & -abs(key)
+        c = component[(low.bit_length() - 1) >> 3]
+        if r.length == 1:
+            short.append((r.index, r.coords, c))
+            parts[c][0].append((r.index, r.coords))
+        else:
+            parts[c][1].append(r.index)
     report = IdealCheckReport(p, [], [], [], [])
-    for a, alpha in short:
-        partners = short if len(long) >= len(short) else sorted(
-            (b, roots[b].coords) for b in {rs.add(t, a, k) for t in long for k in (-1, -2)}
+    for a, alpha, c in short:
+        shorts, longs = parts[c]
+        partners = shorts if len(longs) >= len(shorts) else sorted(
+            (b, roots[b].coords) for b in {rs.add(t, a, k) for t in longs for k in (-1, -2)}
             if b is not None and roots[b].length == 1)
         for b, beta in partners:
             total = rs.add(b, a)

@@ -6,19 +6,21 @@ Every root carries three coordinate systems at once:
 * ``coroot``: coefficients of its coroot in the simple-coroot basis,
 * ``weight``: pairings with the simple coroots (fundamental-weight basis).
 
-Generation carries all three forward from the simple roots, so arbitrary
-root-against-coroot pairings are integer dot products: pairing(beta, alpha)
-= weight(beta) . coroot(alpha). A root's key, sum(coords[k] * 2**(8k)), is
-linear, so ``add(r, s, k)``, the index of the root r + k*s, is one sum and
-one dict lookup. Coordinates stay within +-6 (E8) and sums have |k| <= 4, so
-each base-256 digit stays within +-30 < 128: equal keys are equal roots, and
-``index_of`` checks what a packed tuple finds, so no other length or range
-aliases a root. The input rules live here too, each applied once at a
-public entry: ``check_word`` to a word (``weyl``, ``pushforward``,
-``isogeny``), ``check_index``, its one-letter case, in ``simple`` and
-``simple_weight``, ``check_weight`` to a weight, and ``is_prime`` to a
-prime (``isogeny``, ``chevalley``), which refuses one at or past
-``PRIMALITY_BOUND`` with ``PrimalityBoundExceeded``, an ``IsogenyError``.
+Generation raises the simple roots by simple reflections and carries all
+three forward, so arbitrary root-against-coroot pairings are integer dot
+products: pairing(beta, alpha) = weight(beta) . coroot(alpha). A root's key,
+sum(coords[k] * 2**(8k)), is linear, so a reflection step and ``add(r, s,
+k)``, the index of the root r + k*s, are each one sum and one dict lookup.
+Coordinates stay within +-6 (E8), a reflection step adds at most 3 alpha_i,
+and sums have |k| <= 4, so each base-256 digit stays within +-30 < 128:
+equal keys are equal roots, and ``index_of`` checks what a packed tuple
+finds, so no other length or range aliases a root. The input rules live
+here too, each applied once at a public entry: ``check_word`` to a word
+(``weyl``, ``pushforward``, ``isogeny``), ``check_index``, its one-letter
+case, in ``simple`` and ``simple_weight``, ``check_weight`` to a weight,
+and ``is_prime`` to a prime (``isogeny``, ``chevalley``), which refuses one
+at or past ``PRIMALITY_BOUND`` with ``PrimalityBoundExceeded``, an
+``IsogenyError``.
 """
 
 from __future__ import annotations
@@ -227,59 +229,54 @@ def weight_of(gcm: GCM, coords) -> Coords:
 
 
 def generate_roots(c: GCM) -> RootSystem:
-    """Build the positive roots height by height with the string rule.
+    """Close the simple roots under the raising reflections.
 
-    For a positive root beta and a simple root alpha_i, let p be the number
-    of steps the alpha_i-string through beta extends below beta. Then
-    beta + alpha_i is a root exactly when p > <beta, alpha_i^vee>, the i-th
-    weight coordinate of beta. Root strings are unbroken, so each edge
-    beta -> beta + alpha_i gives the new root p + 1 steps below it along
-    alpha_i; every root of height h is expanded before height h + 1, so
-    each root's counts are complete when its turn comes. The new root's
-    weight is ``weight + C[i]`` and its squared length is
-    ``length + (weight[i] + 1) * length(alpha_i)``; the coroot of a root
-    has simple-coroot coordinates ``coords[k] * length(alpha_k) / length``.
-    The negative roots mirror the positive ones. The symmetrizer raises
-    NotFiniteType unless C is of finite type.
+    If the i-th weight coordinate x = <beta, alpha_i^vee> of a positive
+    root beta is negative, s_i beta = beta - x * alpha_i is a positive root
+    of greater height, and every positive root is reached from a simple
+    root by such steps (Humphreys, Introduction to Lie Algebras, 10.3): a
+    positive root that is not simple pairs positively with some simple
+    coroot, and that reflection lowers it. A step moves the key by
+    ``-x * 2**(8i)``, as ``reflection_perms`` does, and the weight by
+    ``-x * C[i]``; a reflection keeps the squared length. The coroot of a
+    root has simple-coroot coordinates ``coords[k] * length(alpha_k) /
+    length``. The negative roots mirror the positive ones. The symmetrizer
+    raises NotFiniteType unless C is of finite type.
     """
     sym = symmetrizer(c)
     n = c.n
     lengths = sym.lengths
-    # key -> (weight, length, steps of each alpha_i-string below the root)
-    found: dict[int, tuple[Coords, int, list[int]]] = {}
-    layer: list[tuple[Coords, int]] = []
-    for i in range(n):
-        found[1 << 8 * i] = (c[i], lengths[i], [0] * n)
-        layer.append((tuple(1 if k == i else 0 for k in range(n)), 1 << 8 * i))
-    positives: list[tuple[Coords, int]] = []
-    while layer:
-        layer.sort()
-        positives.extend(layer)
-        above: list[tuple[Coords, int]] = []
-        for coords, key in layer:
-            weight, length, below = found[key]
-            for i in range(n):
-                if below[i] <= weight[i]:
-                    continue
-                up = key + (1 << 8 * i)
-                if up not in found:
-                    found[up] = (tuple(w + a for w, a in zip(weight, c[i])),
-                                 length + (weight[i] + 1) * lengths[i], [0] * n)
-                    above.append((coords[:i] + (coords[i] + 1,) + coords[i + 1:], up))
-                found[up][2][i] = below[i] + 1
-        layer = above
+    # a step along alpha_i changes only the weight entries where row i of C is nonzero
+    row_support = [[(j, a) for j, a in enumerate(c[i]) if a] for i in range(n)]
+    # key -> (coords, weight, length)
+    found: dict[int, tuple[Coords, Coords, int]] = {
+        1 << 8 * i: (tuple(1 if k == i else 0 for k in range(n)), c[i], lengths[i])
+        for i in range(n)}
+    stack = list(found)
+    while stack:
+        key = stack.pop()
+        coords, weight, length = found[key]
+        for i, x in enumerate(weight):
+            if x < 0 and (up := key - x * (1 << 8 * i)) not in found:
+                raised = list(weight)
+                for j, a in row_support[i]:
+                    raised[j] -= x * a
+                found[up] = (coords[:i] + (coords[i] - x,) + coords[i + 1:], tuple(raised),
+                             length)
+                stack.append(up)
+    positives = sorted((sum(coords), coords, key) for key, (coords, _, _) in found.items())
 
     roots: list[Root] = []
-    for idx, (coords, key) in enumerate(positives):
-        weight, length, _ = found[key]
+    for idx, (height, coords, key) in enumerate(positives):
+        _, weight, length = found[key]
         coroot = tuple(a * lengths[k] // length for k, a in enumerate(coords))
-        roots.append(Root(idx, coords, coroot, weight, sum(coords), True, length))
+        roots.append(Root(idx, coords, coroot, weight, height, True, length))
     np_ = len(roots)
     for r in roots[:np_]:
         roots.append(Root(np_ + r.index, tuple(-a for a in r.coords),
                           tuple(-b for b in r.coroot), tuple(-w for w in r.weight),
                           -r.height, False, r.length))
-    return RootSystem(c, sym, roots, [k for _, k in positives] + [-k for _, k in positives])
+    return RootSystem(c, sym, roots, [k for *_, k in positives] + [-k for *_, k in positives])
 
 
 def nonsimple_positives(rs: RootSystem) -> list[Root]:

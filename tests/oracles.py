@@ -9,9 +9,11 @@ formula, the shifted Euler characteristic as a product of fractions with
 each coroot paired by a generator over zip instead of one integer product
 of ``map(mul, ...)`` pairings, brute scans instead of string arithmetic, symmetric-group
 inversion counts instead of root permutations, the reflection closure of
-the simple roots instead of height-by-height generation, the per-family
-closed forms of |W| instead of invariant degrees, and a breadth-first
-search over sets of tuples instead of canonical-parent generation of the
+the simple roots by a frontier of coordinate tuples reflected both ways
+and the height-by-height string rule instead of the raising reflections
+on root keys, the per-family closed forms of |W| instead of invariant
+degrees, and a breadth-first search over sets of tuples instead of
+canonical-parent generation of the
 rho-orbit, the canonical-parent walk on tuples instead of the numpy walk,
 trial division instead of Miller-Rabin, a loop over all bijections and q
 values instead of the isomorphism search along Dynkin edges between nodes
@@ -117,6 +119,58 @@ def reflection_closure(gcm, lengths=None, cap=2000):
                 if len(seen) > cap:
                     return None
     return seen
+
+
+def string_rule_roots(gcm, lengths):
+    """The roots height by height by the string rule, as ``(roots, keys)``:
+    each root a tuple (index, coords, coroot, weight, height, positive,
+    length), in ``generate_roots``'s order, and each key sum(coords[k] *
+    2**(8k)).
+
+    For a positive root beta and a simple root alpha_i, let p be the number
+    of steps the alpha_i-string through beta extends below beta. Then
+    beta + alpha_i is a root exactly when p > <beta, alpha_i^vee>, the i-th
+    weight coordinate of beta. Root strings are unbroken, so each edge
+    beta -> beta + alpha_i gives the new root p + 1 steps below it along
+    alpha_i; every root of height h is expanded before height h + 1, so
+    each root's counts are complete when its turn comes. The new root's
+    weight is ``weight + C[i]`` and its squared length is
+    ``length + (weight[i] + 1) * length(alpha_i)``.
+    """
+    n = gcm.n
+    # key -> (weight, length, steps of each alpha_i-string below the root)
+    found = {}
+    layer = []
+    for i in range(n):
+        found[1 << 8 * i] = (gcm[i], lengths[i], [0] * n)
+        layer.append((tuple(1 if k == i else 0 for k in range(n)), 1 << 8 * i))
+    positives = []
+    while layer:
+        layer.sort()
+        positives.extend(layer)
+        above = []
+        for coords, key in layer:
+            weight, length, below = found[key]
+            for i in range(n):
+                if below[i] <= weight[i]:
+                    continue
+                up = key + (1 << 8 * i)
+                if up not in found:
+                    found[up] = (tuple(w + a for w, a in zip(weight, gcm[i])),
+                                 length + (weight[i] + 1) * lengths[i], [0] * n)
+                    above.append((coords[:i] + (coords[i] + 1,) + coords[i + 1:], up))
+                found[up][2][i] = below[i] + 1
+        layer = above
+    roots = []
+    for idx, (coords, key) in enumerate(positives):
+        weight, length, _ = found[key]
+        coroot = tuple(a * lengths[k] // length for k, a in enumerate(coords))
+        roots.append((idx, coords, coroot, weight, sum(coords), True, length))
+    np_ = len(roots)
+    for idx, coords, coroot, weight, height, _, length in roots[:np_]:
+        roots.append((np_ + idx, tuple(-a for a in coords), tuple(-b for b in coroot),
+                      tuple(-w for w in weight), -height, False, length))
+    return roots, [k for _, k in positives] + [-k for _, k in positives]
 
 
 def rho_orbit_layers(gcm) -> list[set[tuple[int, ...]]]:

@@ -147,7 +147,8 @@ def test_counts_frozen():
 @pytest.mark.parametrize("label", [
     f"{family}{rank}" for family, rank in cartan.catalog_types(max_rank=6)
     if family in "BCFG"
-] + ["A1+B2", "G2+C3", "C8", "C9", "F4+B2", "G2+G2+A1", "B4+G2", "B8", "G2+B6"])
+] + ["A1+B2", "G2+C3", "C8", "C9", "F4+B2", "G2+G2+A1", "B4+G2", "B8", "G2+B6", "B8+C8",
+     "B4+C4+G2"])
 def test_ideal_check_matches_all_pairs_oracle(label):
     rs = _rs(label)
     for p in (2, 3, 5):
@@ -161,12 +162,8 @@ def test_ideal_check_matches_all_pairs_oracle(label):
         assert report.steinberg == steinberg, (label, p)
 
 
-@pytest.mark.parametrize("label", ["C10", "G2+C3"])
-def test_ideal_check_looks_up_short_pairs_only(label, monkeypatch):
-    # a short root plus a long one is never long, so the scan pairs short
-    # roots only: one sum lookup per short pair, one per square landing
-    rs = _rs(label)
-    short = [r for r in rs.roots if r.length == 1]
+def _checked_with_counted_adds(rs, monkeypatch):
+    """short_root_ideal_check(rs, 2) and the number of ``rs.add`` calls it made."""
     calls = 0
     add = rs.add
 
@@ -177,6 +174,16 @@ def test_ideal_check_looks_up_short_pairs_only(label, monkeypatch):
 
     monkeypatch.setattr(rs, "add", counting)
     report = short_root_ideal_check(rs, 2)
+    return report, calls
+
+
+@pytest.mark.parametrize("label", ["C10", "G2+C3"])
+def test_ideal_check_looks_up_short_pairs_only(label, monkeypatch):
+    # a short root plus a long one is never long, so the scan pairs short
+    # roots only: one sum lookup per short pair, one per square landing
+    rs = _rs(label)
+    short = [r for r in rs.roots if r.length == 1]
+    report, calls = _checked_with_counted_adds(rs, monkeypatch)
     assert 0 < calls <= len(short) ** 2 + len(report.square_triples)
 
 
@@ -187,14 +194,22 @@ def test_ideal_check_looks_up_partners_from_the_fewer_long_roots(label, monkeypa
     rs = _rs(label)
     short = sum(r.length == 1 for r in rs.roots)
     long = len(rs.roots) - short
-    calls = 0
-    add = rs.add
-
-    def counting(r, s, k=1):
-        nonlocal calls
-        calls += 1
-        return add(r, s, k)
-
-    monkeypatch.setattr(rs, "add", counting)
-    assert short_root_ideal_check(rs, 2).bracket_triples
+    report, calls = _checked_with_counted_adds(rs, monkeypatch)
+    assert report.bracket_triples
     assert 0 < calls <= 4 * short * long < short ** 2
+
+
+@pytest.mark.parametrize("label", ["B8+C8", "B12+C12"])
+def test_ideal_check_chooses_the_partner_rule_per_component(label, monkeypatch):
+    # the whole system has as many long roots as short ones, but each
+    # component pays only for its own rule: its short pairs, or four
+    # lookups per short root and long root of the component
+    rs = _rs(label)
+    bound = 0
+    for nodes in rs.gcm.components():
+        part = [r for r in rs.roots if any(r.coords[k] for k in nodes)]
+        short = sum(r.length == 1 for r in part)
+        bound += short * min(short, 4 * (len(part) - short))
+    report, calls = _checked_with_counted_adds(rs, monkeypatch)
+    assert report.bracket_triples and not report.square_triples
+    assert 0 < calls <= bound

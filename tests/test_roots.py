@@ -13,8 +13,8 @@ from weylkit.roots import (IndexOutOfRange, NotARoot, NotAWeight, RootsError, ch
 from weylkit.weyl import (demazure_product, element_from_word, is_reduced, reflect,
                           word_from_vector)
 
-from oracles import (reflect_coords, reflection_closure, tuple_reflection_perms,
-                     tuple_root_strings)
+from oracles import (reflect_coords, reflection_closure, string_rule_roots,
+                     tuple_reflection_perms, tuple_root_strings)
 
 CLOSED_FORM_POSITIVES = {
     "A": lambda n: n * (n + 1) // 2,
@@ -53,6 +53,17 @@ def test_generate_roots_matches_reflection_closure(label):
         assert r.positive == (r.height > 0)
         assert r.weight == tuple(sum(a * g[k][j] for k, a in enumerate(r.coords))
                                  for j in range(g.n))
+
+
+@pytest.mark.parametrize(
+    "label", [f"{f}{r}" for f, r in cartan.catalog_types(max_rank=9)]
+    + ["A60", "B60", "C60", "D60", "B30+C30", "D30+D30", "E8+A2", "G2+F4", "B3+C4+G2"])
+def test_generate_roots_matches_string_rule(label):
+    g = cartan.parse_type(label)
+    roots, keys = string_rule_roots(g, cartan.symmetrizer(g).lengths)
+    rs = generate_roots(g)
+    assert list(rs.roots) == roots
+    assert list(rs.keys) == keys
 
 
 def test_a2_positives_by_hand():
