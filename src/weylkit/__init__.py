@@ -11,13 +11,18 @@ The modules are arranged bottom-up, each importing only from those above it:
   symmetrizer, catalog, Dynkin classification
 * ``roots``: root systems, their coroots and strings, the word, simple-index,
   weight and prime checks
+* ``cosets``: the Weyl group's order from the degrees and its Poincare
+  polynomial counted by parabolic cosets, with the admission both share
+* ``report``: the ``classify`` report of a matrix
 * ``weyl``: the Weyl group as permutations of the roots, words, enumeration
-* ``characters``: shifted Euler characteristic, Weyl dimension, volume
+* ``characters``: shifted Euler characteristic, Weyl dimension, volume, and
+  the sampled identities ``selfcheck`` reports
 * ``pushforward``: graded weight multisets pushed down words
 * ``rootdata``: pinned root data, intermediate lattices
 * ``isogeny``: p-morphisms (their JSON, word factors, root extension),
   Frobenius, special isogenies
 * ``chevalley``: bracket constants, string-length identity, short-root ideal
+* ``clitext``: the command line's ``--format text`` tables and ``-h`` help
 * ``cli``: the command-line front end
 
 Each module but ``cli`` runs on first use. The package registers them in
@@ -38,8 +43,8 @@ import sys
 __version__ = "0.1.0"
 
 # the package's modules, bottom-up
-_MODULES = ("intmat", "schemas", "cartan", "roots", "weyl", "characters",
-            "pushforward", "rootdata", "isogeny", "chevalley")
+_MODULES = ("intmat", "schemas", "cartan", "roots", "cosets", "report", "weyl",
+            "characters", "pushforward", "rootdata", "isogeny", "chevalley", "clitext")
 
 # each module and the names it exports from the package, in ``__all__`` order
 _EXPORTS = {
@@ -48,6 +53,7 @@ _EXPORTS = {
                "symmetrizer", "validate_gcm"),
     "characters": ("EulerData", "shifted_euler_characteristic", "volume", "weyl_dim"),
     "chevalley": ("bracket_constant", "short_root_ideal_check", "steinberg_check"),
+    "cosets": ("poincare_series", "weyl_order"),
     "isogeny": ("PMorphism", "enumerate_special", "factor_primitive_constant",
                 "frobenius", "validate_pmorphism"),
     "pushforward": ("GradedWeights", "chi_restriction", "h0_rank", "occurs",
@@ -56,8 +62,7 @@ _EXPORTS = {
                  "pinned_isomorphism", "simply_connected_datum"),
     "roots": ("Root", "RootSystem", "RootString", "generate_roots", "root_string"),
     "weyl": ("WeylElement", "WeylGroup", "demazure_product", "enumerate_weyl",
-             "is_reduced", "poincare_polynomial", "poincare_series", "reduced_word",
-             "reflect", "weyl_order"),
+             "is_reduced", "poincare_polynomial", "reduced_word", "reflect"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -14,8 +14,6 @@ as (B, 2). ``catalog_type`` alone matches a connected matrix to the catalog,
 for ``classify`` and ``isogeny.enumerate_special``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cached_property
 from math import gcd

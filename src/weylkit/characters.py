@@ -9,16 +9,16 @@ coroots, evaluated in exact rational arithmetic:
 
 rho is the weight pairing to 1 with every simple coroot; it is represented
 in fundamental-weight coordinates as the all-ones vector, which sidesteps
-the fact that it need not lie in the root lattice.
+the fact that it need not lie in the root lattice. ``selfcheck`` samples
+two identities these obey under the Weyl group.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 from operator import mul
 
+from . import weyl
 from .cartan import WeylkitError
 from .roots import RootSystem, check_weight
 
@@ -31,6 +31,21 @@ class NotDominant(CharacterError):
     def __init__(self, weight):
         self.weight = tuple(weight)
         super().__init__(f"{tuple(weight)} has a negative coordinate")
+
+
+# most work a ``selfcheck`` may ask for, in samples x (rank + 1) chi
+# evaluations x positive roots: E8 at ``cli.MAX_SAMPLES`` (10 000 samples),
+# where A60 would take 68 s
+SELFCHECK_BUDGET = 10_000 * 9 * 120
+
+
+class SelfcheckTooLarge(CharacterError):
+    details = ("work", "bound")
+
+    def __init__(self, work: int, bound: int):
+        self.work, self.bound = work, bound
+        super().__init__(f"selfcheck would take {work} units of work, past the bound "
+                         f"{bound} (samples x (rank + 1) x positive roots)")
 
 
 class EulerData(namedtuple("EulerData", "rs rho positive_coroots rho_pairings m")):
@@ -75,3 +90,42 @@ def weyl_dim(ed: EulerData, highest_weight) -> int:
 def volume(ed: EulerData, weight) -> Fraction:
     """Degree-m volume form: m! times the (homogeneous) characteristic."""
     return factorial(ed.m) * shifted_euler_characteristic(ed, weight)
+
+
+def formula_report(rs: RootSystem, formula: str, weight) -> dict:
+    """The ``dim`` or ``vol`` document's fields: the function ``formula``
+    names (``weyl_dim`` or ``volume``) at one weight, a rational as p/q."""
+    value = {"weyl_dim": weyl_dim, "volume": volume}[formula](
+        EulerData.from_root_system(rs), weight)
+    if not isinstance(value, int):
+        value = str(value)
+    return {"weight": weight, "value": value}
+
+
+def selfcheck(rs: RootSystem, samples: int, seed: int) -> dict:
+    """The ``selfcheck`` document's fields: at each of ``samples`` weights d
+    drawn by ``random.Random(seed)``, whether chi(s_i d) = -chi(d) for every
+    simple reflection (``antisymmetry``) and vol(w d) = det(w) vol(d) for w
+    the element of a drawn word (``equivariance``). Work past
+    ``SELFCHECK_BUDGET`` is refused with SelfcheckTooLarge before any
+    sample."""
+    work = samples * (rs.rank + 1) * rs.num_positive
+    if work > SELFCHECK_BUDGET:
+        raise SelfcheckTooLarge(work, SELFCHECK_BUDGET)
+    import random   # here alone, so no other request loads it
+
+    ed = EulerData.from_root_system(rs)
+    rng = random.Random(seed)
+    anti = True
+    equi = True
+    for _ in range(samples):
+        d = tuple(rng.randint(-6, 6) for _ in range(rs.rank))
+        chi = shifted_euler_characteristic(ed, d)
+        for i in range(rs.rank):
+            if shifted_euler_characteristic(ed, weyl.reflect(rs, i, d)) != -chi:
+                anti = False
+        word = [rng.randrange(rs.rank) for _ in range(rng.randint(0, 8))]
+        w = weyl.element_from_word(rs, word)
+        if volume(ed, w.act_weight(d)) != w.det() * volume(ed, d):
+            equi = False
+    return {"seed": seed, "samples": samples, "antisymmetry": anti, "equivariance": equi}

@@ -27,8 +27,6 @@ component, else the component's short roots. Sums and string steps are
 root-key lookups (``RootSystem.add``, ``string_steps``).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .cartan import WeylkitError
@@ -117,6 +115,22 @@ class IdealCheckReport(namedtuple("IdealCheckReport",
     @property
     def passed(self) -> bool:
         return not self.violations
+
+    def to_json(self) -> dict:
+        """The ``chevalley check`` document's fields, one object a row; a
+        bracket violation's m is left out."""
+        return {
+            "p": self.p,
+            "passed": self.passed,
+            "bracket_triples": [{"alpha": a, "beta": b, "sum": s, "m": m}
+                                for a, b, s, m in self.bracket_triples],
+            "square_triples": [{"alpha": a, "beta": b, "sum": s}
+                               for a, b, s in self.square_triples],
+            "violations": [{"kind": k, "alpha": a, "beta": b, "sum": s}
+                           for k, a, b, s, _ in self.violations],
+            "steinberg": [{"alpha": r.alpha, "beta": r.beta, "down": r.down, "up": r.up,
+                           "ratio": r.length_ratio, "holds": r.holds} for r in self.steinberg],
+        }
 
 
 def short_root_ideal_check(rs: RootSystem, p: int) -> IdealCheckReport:

@@ -8,9 +8,12 @@ are read in coroot coordinates (the fundamental-weight basis) unless
 returns only its own fields; ``main`` adds the ``schema`` name its
 subcommand's row of ``_COMMANDS`` carries (a spec in ``schemas``, which a
 successful ``--type`` request never loads) and, for a subcommand that
-takes ``--type``, echoes the label as ``type``. ``_parse`` reads argv
-against that one table as argparse read it, and no request imports
-argparse, gettext or locale: on ``weyl --type E6`` (medians of 41 fresh
+takes ``--type``, echoes the label as ``type``. A handler reads its input
+and asks the module its request runs for the fields (``to_json`` or a
+``*_report`` function there), and ``clitext`` writes ``--format text`` and
+``-h``, so this module holds only what every request runs. ``_parse``
+reads argv against that one table as argparse read it, and no request
+imports argparse, gettext or locale: on ``weyl --type E6`` (medians of 41 fresh
 processes on a 2-core x86-64 machine) reading argv takes 0.03 ms, where
 importing argparse, building the parser and parsing took about 4-5 ms.
 ``-h`` writes the help of the words before it and exits 0. Called with no
@@ -28,20 +31,18 @@ subcommands exit 0 on success and 1 with a machine-readable error object;
 a ``--type`` label whose ranks sum past ``cartan.MAX_RANK`` is one.
 ``classify`` and ``weyl`` alike exit 1 with a ``LayersTooLarge`` error
 document when a ``--cap`` lets through a group whose Weyl layers would pass
-``weyl.MAX_LAYER_BYTES`` (E8 at any cap): they count W by cosets, but admit
-it as ``enumerate_weyl`` does.
+``cosets.MAX_LAYER_BYTES`` (E8 at any cap): they count W by cosets, but
+admit it as ``enumerate_weyl`` does.
 A usage error (an unknown subcommand, a missing or malformed option) is
 unreadable input too: it writes one ``ParseError`` error document and exits
 4 under ``classify``, 1 otherwise. A ``selfcheck`` whose samples x (rank + 1)
-x positive roots passes ``SELFCHECK_BUDGET`` is refused before any sample
-with one ``SelfcheckTooLarge`` error document and exit 1. A result or
-message with an integer past the interpreter's int-to-str digit limit is
-refused with one ``DigitLimitExceeded`` document and exit 1; the limit
-guards the conversion against quadratic time, so it is kept. Every run
-writes exactly one document.
+x positive roots passes ``characters.SELFCHECK_BUDGET`` is refused before
+any sample with one ``SelfcheckTooLarge`` error document and exit 1. A
+result or message with an integer past the interpreter's int-to-str digit
+limit is refused with one ``DigitLimitExceeded`` document and exit 1; the
+limit guards the conversion against quadratic time, so it is kept. Every
+run writes exactly one document.
 """
-
-from __future__ import annotations
 
 import gc
 import json
@@ -49,18 +50,16 @@ import re
 import sys
 from types import SimpleNamespace
 
-from . import (cartan, characters, chevalley, isogeny, pushforward, rootdata, roots,
-               schemas, weyl)
+from . import (cartan, characters, chevalley, clitext, cosets, isogeny, pushforward, report,
+               rootdata, roots, schemas)
 
 # a value like "-2,1" is an argument, not an option; compiled on first use,
 # so a request with no such token compiles no pattern
 _NEGATIVE_VECTOR = r"^-\d+(,-?\d+)*$"
 
-# most samples ``selfcheck`` draws; E8 at the cap takes about 5 s
+# most samples ``selfcheck`` draws; E8 at the cap takes about 5 s, and
+# ``characters.SELFCHECK_BUDGET`` admits E8 at the cap
 MAX_SAMPLES = 10_000
-# most work a ``selfcheck`` may ask for, in samples x (rank + 1) chi
-# evaluations x positive roots: E8 at MAX_SAMPLES, where A60 would take 68 s
-SELFCHECK_BUDGET = MAX_SAMPLES * 9 * 120
 
 # the message CPython gives an int past its int-to-str digit limit
 _DIGIT_LIMIT_MESSAGE = "for integer string conversion"
@@ -70,15 +69,6 @@ class ParseError(cartan.WeylkitError):
     """Unreadable input: bad JSON, a malformed document or a usage error."""
 
 
-class SelfcheckTooLarge(cartan.WeylkitError):
-    details = ("work", "bound")
-
-    def __init__(self, work: int):
-        self.work, self.bound = work, SELFCHECK_BUDGET
-        super().__init__(f"selfcheck would take {work} units of work, past the bound "
-                         f"{SELFCHECK_BUDGET} (samples x (rank + 1) x positive roots)")
-
-
 class DigitLimitExceeded(cartan.WeylkitError):
     def __init__(self):
         super().__init__(f"an integer to print has more than "
@@ -86,41 +76,12 @@ class DigitLimitExceeded(cartan.WeylkitError):
 
 
 def _render(doc: dict, fmt: str) -> str:
-    """The document as one line of JSON, or as ``key: value`` lines under
-    ``--format text``. Either way a tuple is written as an array, so handlers
-    pass the library's tuples as they are; a text rendering writes a list of
-    dicts as a table, one row per dict."""
+    """The document as one line of JSON, or under ``--format text`` as
+    ``clitext.render`` writes it. Either way a tuple is written as an array,
+    so handlers pass the library's tuples as they are."""
     if fmt == "text":
-        return _render_text(doc)
+        return clitext.render(doc)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _render_text(doc: dict, indent: str = "") -> str:
-    lines = []
-    for key in sorted(doc):
-        value = doc[key]
-        if isinstance(value, list) and value and all(isinstance(x, dict) for x in value):
-            lines.append(f"{indent}{key}:")
-            cols = sorted({k for item in value for k in item})
-            rows = [[_cell(item.get(c)) for c in cols] for item in value]
-            # the last column is not padded, so no line ends in a space
-            widths = [max(len(c), *(len(r[i]) for r in rows))
-                      for i, c in enumerate(cols[:-1])] + [0]
-            lines.append(indent + "  " + "  ".join(c.ljust(w) for c, w in zip(cols, widths)))
-            for r in rows:
-                lines.append(indent + "  " + "  ".join(x.ljust(w) for x, w in zip(r, widths)))
-        elif isinstance(value, dict):
-            lines.append(f"{indent}{key}:")
-            lines.append(_render_text(value, indent + "  ").rstrip("\n"))
-        else:
-            lines.append(f"{indent}{key}: {_cell(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def _cell(value) -> str:
-    if isinstance(value, (list, tuple, dict)):
-        return json.dumps(value, sort_keys=True, separators=(",", ":"))
-    return str(value)
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -170,64 +131,17 @@ def _load_json(path: str, spec):
 # classify
 # ---------------------------------------------------------------------------
 
-def _weyl_counts(rs: roots.RootSystem, cap: int | None) -> tuple:
-    """|W| from the degrees, then the order counted by cosets and the
-    Poincare polynomial, both "skipped" when ``poincare_series`` refuses |W|
-    past the cap."""
-    order = weyl.weyl_order(rs)
-    try:
-        poly = weyl.poincare_series(rs, cap)
-    except weyl.CapExceeded:
-        return order, "skipped", "skipped"
-    return order, sum(poly), poly
-
-
-def _rows(fields: str, tuples) -> list[dict]:
-    """One dict per tuple, keyed by the space-separated field names in turn;
-    fields past the last name are left out."""
-    names = fields.split()
-    return [dict(zip(names, t)) for t in tuples]
-
-
 def _cmd_classify(args) -> tuple[dict, int]:
     matrix = _load_json(args.input, {"matrix": list})["matrix"]
-    if args.transpose and all(isinstance(row, list) and len(row) == len(matrix)
-                              for row in matrix):
-        matrix = [list(row) for row in zip(*matrix)]
-
-    report = dict.fromkeys(schemas.REPORT) | {
-        "matrix": matrix if schemas.matches(matrix, "int_matrix") else None,
-        "gcm": False,
-        "errors": [],
-    }
-    try:
-        gcm = cartan.validate_gcm(matrix)
-    except cartan.GCMError as exc:
-        report["errors"].append(exc.to_json())
-        return report, 3
-    report["gcm"] = True
-    if not cartan.is_finite_type(gcm):
-        report["finite"] = False
-        return report, 2
-    report["finite"] = True
-    dtype = cartan.classify(gcm)
-    report["type"] = [(f, r) for f, r, _ in dtype.components]
-    report["node_maps"] = [nodes for _, _, nodes in dtype.components]
-    rs = roots.generate_roots(gcm)
-    report["symmetrizer"] = rs.sym.d
-    report["positive_roots"] = rs.num_positive
-    report["dimension"] = rs.num_positive
-    report["fundamental_group"] = cartan.fundamental_group(gcm)
-    (report["weyl_order"], report["weyl_order_enumerated"],
-     report["poincare"]) = _weyl_counts(rs, args.cap)
-    return report, 0
+    doc = report.classify_report(matrix, args.transpose, args.cap)
+    return doc, 0 if doc["finite"] else 2 if doc["gcm"] else 3
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _root_system(args) -> roots.RootSystem:
+def _root_system(args) -> "roots.RootSystem":
     """The root system of the catalog type ``--type`` names."""
     return roots.generate_roots(cartan.parse_type(args.type))
 
@@ -243,113 +157,44 @@ def _cmd_roots(args) -> tuple[dict, int]:
 
 
 def _cmd_weyl(args) -> tuple[dict, int]:
-    rs = _root_system(args)
-    order, enumerated, poincare = _weyl_counts(rs, args.cap)
-    return {
-        "order": order,
-        "longest_length": rs.num_positive,
-        "reflections": rs.num_positive,
-        "enumerated": enumerated,
-        "poincare": poincare,
-    }, 0
+    return cosets.weyl_report(_root_system(args), args.cap), 0
 
 
 def _cmd_bs_weights(args) -> tuple[dict, int]:
     rs = _root_system(args)
     word = _parse_word(args.word, rs.rank)
     weight = _parse_weight(args.weight, rs.gcm, args.basis)
-    gw = pushforward.pushforward_word(rs, word, weight)
-    return {
-        "word": [i + 1 for i in word],
-        "weight": weight,
-        "entries": _rows("weight degree mult", pushforward.sorted_entries(gw)),
-    }, 0
+    return pushforward.word_report(rs, word, weight), 0
 
 
 def _cmd_character(args) -> tuple[dict, int]:
-    """``dim`` or ``vol``: the ``characters`` function ``args.formula``
-    names at one weight, a rational as p/q."""
+    """``dim`` or ``vol``: the ``characters`` function ``args.formula`` names."""
     rs = _root_system(args)
     weight = _parse_weight(args.weight, rs.gcm, args.basis)
-    formula = getattr(characters, args.formula)
-    value = formula(characters.EulerData.from_root_system(rs), weight)
-    if not isinstance(value, int):
-        value = str(value)
-    return {"weight": weight, "value": value}, 0
+    return characters.formula_report(rs, args.formula, weight), 0
 
 
 def _cmd_isogeny_enumerate(args) -> tuple[dict, int]:
-    parts = cartan.parse_label(args.type)
-    if len(parts) != 1:
-        raise isogeny.IsogenyError("special isogeny search expects an irreducible type")
-    return {
-        "p": args.p,
-        "isogenies": [m.to_json() for m in isogeny.enumerate_special(*parts[0], args.p)],
-    }, 0
+    return isogeny.enumeration_report(args.type, args.p), 0
 
 
 def _cmd_isogeny_validate(args) -> tuple[dict, int]:
-    phi = isogeny.PMorphism.from_json(_load_json(args.file, schemas.PMORPHISM))
-    doc = dict.fromkeys(schemas.ISOGENY_VALIDATION) | {"valid": False}
-    try:
-        isogeny.validate_pmorphism(phi)
-    except isogeny.IsogenyError as exc:
-        doc["error"] = exc.to_json()
-        return doc, 1
-    doc["valid"] = True
-    doc["primitive"] = isogeny.is_primitive(phi)
-    doc["constant"] = isogeny.is_constant(phi)
-    doc["frobenius_exponent"] = isogeny.factor_primitive_constant(phi)[1]
-    return doc, 0
+    doc = isogeny.validation_report(
+        isogeny.PMorphism.from_json(_load_json(args.file, schemas.PMORPHISM)))
+    return doc, 0 if doc["valid"] else 1
 
 
 def _cmd_chevalley(args) -> tuple[dict, int]:
-    report = chevalley.short_root_ideal_check(_root_system(args), args.p)
-    return {
-        "p": args.p,
-        "passed": report.passed,
-        "bracket_triples": _rows("alpha beta sum m", report.bracket_triples),
-        "square_triples": _rows("alpha beta sum", report.square_triples),
-        # a bracket violation's m is left out
-        "violations": _rows("kind alpha beta sum", report.violations),
-        "steinberg": [{"alpha": r.alpha, "beta": r.beta, "down": r.down, "up": r.up,
-                       "ratio": r.length_ratio, "holds": r.holds} for r in report.steinberg],
-    }, 0
+    return chevalley.short_root_ideal_check(_root_system(args), args.p).to_json(), 0
 
 
 def _cmd_datum(args) -> tuple[dict, int]:
-    build, kind = {"adjoint": (rootdata.adjoint_datum, "adjoint"),
-                   "sc": (rootdata.simply_connected_datum, "simply-connected")}[args.kind]
-    return {"kind": kind, **build(cartan.parse_type(args.type)).to_json()}, 0
+    return rootdata.datum_report(cartan.parse_type(args.type), args.kind), 0
 
 
 def _cmd_selfcheck(args) -> tuple[dict, int]:
-    import random   # here alone, so no other subcommand loads it
-
-    rs = _root_system(args)
-    work = args.samples * (rs.rank + 1) * rs.num_positive
-    if work > SELFCHECK_BUDGET:
-        raise SelfcheckTooLarge(work)
-    ed = characters.EulerData.from_root_system(rs)
-    rng = random.Random(args.seed)
-    anti = True
-    equi = True
-    for _ in range(args.samples):
-        d = tuple(rng.randint(-6, 6) for _ in range(rs.rank))
-        chi = characters.shifted_euler_characteristic(ed, d)
-        for i in range(rs.rank):
-            if characters.shifted_euler_characteristic(ed, weyl.reflect(rs, i, d)) != -chi:
-                anti = False
-        word = [rng.randrange(rs.rank) for _ in range(rng.randint(0, 8))]
-        w = weyl.element_from_word(rs, word)
-        if characters.volume(ed, w.act_weight(d)) != w.det() * characters.volume(ed, d):
-            equi = False
-    return {
-        "seed": args.seed,
-        "samples": args.samples,
-        "antisymmetry": anti,
-        "equivariance": equi,
-    }, 0 if anti and equi else 1
+    doc = characters.selfcheck(_root_system(args), args.samples, args.seed)
+    return doc, 0 if doc["antisymmetry"] and doc["equivariance"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +212,9 @@ def _count(text: str) -> int:
     return value
 
 
-_REQUIRED = object()   # the default of an option that must be given
+# the default of an option that must be given, which clitext's help reads
+# with no import
+_REQUIRED = ...
 _FORMAT = {"--format": (("json", "text"), "json")}
 _TYPE = {**_FORMAT, "--type": (str, _REQUIRED)}
 _WEIGHT = {**_TYPE, "--weight": (str, _REQUIRED), "--basis": (("coroot", "root"), "coroot")}
@@ -413,40 +260,8 @@ _COMMANDS = {
         {**_TYPE, "--seed": (int, 0), "--samples": (_count, 100)})),
 }
 
-# what an option's help line says besides its choices and default
-_HINTS = {
-    "input": 'path to {"matrix": [[...]]} JSON, or - for stdin',
-    "--transpose": "transpose the input (for the opposite pairing convention)",
-    "--cap": "count |W| a second way only up to this order (default weyl.DEFAULT_CAP)",
-    "--type": "catalog type label, e.g. G2 or A1+A1",
-    "--weight": "coroot coordinates, e.g. -2,1",
-    "--word": "1-based letters, e.g. 1,2,1",
-    "--p": "a prime",
-    "--file": "path to a p-morphism's JSON, or - for stdin",
-}
-
-
 class _Help(Exception):
-    """Carries the help text that a ``-h`` asks for."""
-
-
-def _help(prog: str, entry) -> str:
-    """The help text of a table entry: its words, or its leaf's options."""
-    if isinstance(entry, dict):
-        rows = [(word, line) for word, (line, _) in entry.items()]
-    else:
-        rows = []
-        for name, (kind, default) in entry[3].items():
-            notes = [_HINTS.get(name, "")]
-            if isinstance(kind, tuple):
-                notes.append("{%s}" % ",".join(kind))
-            if default is _REQUIRED:
-                notes.append("(required)")
-            elif kind is not bool and default is not None:
-                notes.append(f"(default {default})")
-            rows.append((name, " ".join(notes).strip()))
-    rows.append(("-h, --help", "show this help"))
-    return f"usage: {prog} ...\n\n" + "".join(f"  {left:14}{right}\n" for left, right in rows)
+    """Carries the program name and table entry whose help a ``-h`` asks for."""
 
 
 def _read(token: str, names) -> tuple | None:
@@ -487,7 +302,7 @@ def _parse(argv: list[str]) -> SimpleNamespace:
                 break
             unknown.append(token)
         if read:
-            raise _Help(_help(prog, entry)) if read[1] is None \
+            raise _Help(prog, entry) if read[1] is None \
                 else ParseError(f"{prog}: {token} takes no value")
         if token not in entry:
             raise ParseError(f"{prog}: expected one of {', '.join(entry)}, got {token!r}")
@@ -515,7 +330,7 @@ def _parse(argv: list[str]) -> SimpleNamespace:
                 if value is not None:
                     raise ParseError(f"{prog}: {name} takes no value")
                 if name == "--help":
-                    raise _Help(_help(prog, entry))
+                    raise _Help(prog, entry)
                 value = True
             elif value is None:
                 if i + 1 >= cut or reads[i + 1]:
@@ -558,7 +373,7 @@ def main(argv=None) -> int:
             doc["type"] = args.type
         out = _render(doc, args.format)
     except _Help as exc:
-        out, code = exc.args[0], 0
+        out, code = clitext.help_text(*exc.args), 0
     except ValueError as exc:
         if not isinstance(exc, cartan.WeylkitError):
             if _DIGIT_LIMIT_MESSAGE not in str(exc):

@@ -4,8 +4,6 @@ Everything here works over Python ints; no floating point. Matrices are
 lists of lists, row-major.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 Matrix = list[list[int]]

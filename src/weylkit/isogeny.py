@@ -17,13 +17,11 @@ a word of source simples, u translates the letters and q gives each its
 scaling factor.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import gcd
 
-from . import intmat, rootdata
-from .cartan import GCM, catalog, catalog_type, symmetrizer
+from . import intmat, rootdata, schemas
+from .cartan import GCM, catalog, catalog_type, parse_label, symmetrizer
 # the prime rule and its errors live in roots, beside the other input
 # rules, so chevalley runs without this module; they are re-exported here
 from .roots import (PRIMALITY_BOUND, IsogenyError, PrimalityBoundExceeded, check_word,
@@ -70,7 +68,7 @@ class PMorphism(namedtuple("PMorphism", "source target f u q p")):
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> PMorphism:
+    def from_json(cls, doc: dict) -> "PMorphism":
         """The p-morphism of a ``to_json`` document (shape ``schemas.PMORPHISM``)."""
         return cls(rootdata.PinnedRootDatum.from_json(doc["source"]),
                    rootdata.PinnedRootDatum.from_json(doc["target"]),
@@ -132,7 +130,7 @@ def _check_equations(phi: PMorphism) -> None:
         raise (RootEquationFails if side == "root" else CorootEquationFails)(k)
 
 
-def frobenius(datum: rootdata.PinnedRootDatum, p: int, n: int = 1) -> PMorphism:
+def frobenius(datum: "rootdata.PinnedRootDatum", p: int, n: int = 1) -> PMorphism:
     """The constant p-morphism: multiplication by p^n on the same datum."""
     if n < 1:
         raise IsogenyError(f"Frobenius exponent {n} is not positive")
@@ -184,6 +182,23 @@ def is_constant(phi: PMorphism) -> bool:
 
 def is_primitive(phi: PMorphism) -> bool:
     return 1 in phi.q
+
+
+def validation_report(phi: PMorphism) -> dict:
+    """The ``isogeny validate`` document's fields: ``valid`` and, for a
+    valid p-morphism, whether it is primitive and constant and its
+    Frobenius exponent, else the error it fails with."""
+    doc = dict.fromkeys(schemas.ISOGENY_VALIDATION) | {"valid": False}
+    try:
+        validate_pmorphism(phi)
+    except IsogenyError as exc:
+        doc["error"] = exc.to_json()
+        return doc
+    doc["valid"] = True
+    doc["primitive"] = is_primitive(phi)
+    doc["constant"] = is_constant(phi)
+    doc["frobenius_exponent"] = factor_primitive_constant(phi)[1]
+    return doc
 
 
 def extend_to_roots(phi: PMorphism) -> list[tuple[int, int]]:
@@ -257,3 +272,13 @@ def enumerate_special(family: str, rank: int, p: int) -> list[PMorphism]:
     phi = PMorphism(src_datum, tgt_datum, f, u, q, p)
     _check_equations(phi)   # adjoint data are well formed by construction
     return [phi]
+
+
+def enumeration_report(label: str, p: int) -> dict:
+    """The ``isogeny enumerate`` document's fields: the special isogenies of
+    the irreducible type ``label`` at p, each as ``PMorphism.to_json``
+    writes it."""
+    parts = parse_label(label)
+    if len(parts) != 1:
+        raise IsogenyError("special isogeny search expects an irreducible type")
+    return {"p": p, "isogenies": [m.to_json() for m in enumerate_special(*parts[0], p)]}

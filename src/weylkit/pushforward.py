@@ -27,8 +27,6 @@ restricts a weight to a word; the factors a p-morphism puts on a word's
 letters are kept with p-morphisms.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from collections.abc import Iterator
 
@@ -164,6 +162,17 @@ def pushforward_states(rs: RootSystem, weight, max_len: int, letter: int | None
 def sorted_entries(gw: GradedWeights) -> list[tuple[Coords, int, int]]:
     """Deterministic (weight, degree, multiplicity) listing."""
     return [(w, d, m) for (w, d), m in sorted(gw.items(), key=lambda kv: (kv[0][1], kv[0][0]))]
+
+
+def word_report(rs: RootSystem, word: Word, weight) -> dict:
+    """The ``bs-weights`` document's fields: the word, 1-based, the weight,
+    and the graded weights pushed down the word, one object an entry."""
+    gw = pushforward_word(rs, word, weight)
+    return {
+        "word": [i + 1 for i in word],
+        "weight": weight,
+        "entries": [{"weight": w, "degree": d, "mult": m} for w, d, m in sorted_entries(gw)],
+    }
 
 
 def zero_weight_rank(gw: GradedWeights, hit: bool, where: str = "") -> int:

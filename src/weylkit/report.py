@@ -1,0 +1,48 @@
+"""The ``classify`` report of a matrix, the shape ``schemas.REPORT``.
+
+The matrix is checked as a generalized Cartan matrix and tested for finite
+type; a finite one is classified, and its root system gives the root
+counts, the symmetrizer and, through ``cosets``, the Weyl order counted
+twice. Only ``classify`` runs this module, so no ``--type`` request
+compiles it.
+"""
+
+# each module is read on use, through the module object, so a matrix that
+# is not of finite type runs neither roots nor cosets
+from . import cartan, cosets, roots, schemas
+
+
+def classify_report(matrix: list, transpose: bool = False, cap: int | None = None) -> dict:
+    """Every field of the report, those past the first failed stage None:
+    ``gcm`` is false with the ``errors`` of a matrix that is no generalized
+    Cartan matrix, and ``finite`` false for one not of finite type. With
+    ``transpose``, a square list of lists is transposed first, for the
+    opposite pairing convention. ``cap`` is the Weyl order past which
+    ``cosets.weyl_counts`` skips its second count."""
+    if transpose and all(isinstance(row, list) and len(row) == len(matrix) for row in matrix):
+        matrix = [list(row) for row in zip(*matrix)]
+    report = dict.fromkeys(schemas.REPORT) | {
+        "matrix": matrix if schemas.matches(matrix, "int_matrix") else None,
+        "gcm": False,
+        "errors": [],
+    }
+    try:
+        gcm = cartan.validate_gcm(matrix)
+    except cartan.GCMError as exc:
+        report["errors"].append(exc.to_json())
+        return report
+    report["gcm"] = True
+    report["finite"] = cartan.is_finite_type(gcm)
+    if not report["finite"]:
+        return report
+    dtype = cartan.classify(gcm)
+    report["type"] = [(f, r) for f, r, _ in dtype.components]
+    report["node_maps"] = [nodes for _, _, nodes in dtype.components]
+    rs = roots.generate_roots(gcm)
+    report["symmetrizer"] = rs.sym.d
+    report["positive_roots"] = rs.num_positive
+    report["dimension"] = rs.num_positive
+    report["fundamental_group"] = cartan.fundamental_group(gcm)
+    (report["weyl_order"], report["weyl_order_enumerated"],
+     report["poincare"]) = cosets.weyl_counts(rs, cap)
+    return report

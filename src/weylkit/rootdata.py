@@ -11,8 +11,6 @@ sum over the simple coroots. The builders choose the simple vectors, and
 ``validate`` asks a datum to be that image.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import product
 from math import prod
@@ -117,7 +115,7 @@ class PinnedRootDatum(namedtuple("PinnedRootDatum", "rank roots coroots simples"
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> PinnedRootDatum:
+    def from_json(cls, doc: dict) -> "PinnedRootDatum":
         """The datum of a ``to_json`` document (shape ``schemas.DATUM``)."""
         return cls(doc["rank"], tuple(map(tuple, doc["roots"])),
                    tuple(map(tuple, doc["coroots"])), tuple(doc["simple"]))
@@ -171,11 +169,19 @@ def simply_connected_datum(c: GCM) -> PinnedRootDatum:
                            tuple(r.coroot for r in rs.roots), _simples(rs))
 
 
+def datum_report(c: GCM, kind: str) -> dict:
+    """The ``datum`` document's fields: the datum of c that ``kind`` names,
+    ``"adjoint"`` or ``"sc"`` (simply connected), as ``to_json`` writes it."""
+    build, name = {"adjoint": (adjoint_datum, "adjoint"),
+                   "sc": (simply_connected_datum, "simply-connected")}[kind]
+    return {"kind": name, **build(c).to_json()}
+
+
 # ---------------------------------------------------------------------------
 # Intermediate lattices
 # ---------------------------------------------------------------------------
 
-def _hermite_bases(q) -> list[intmat.Matrix]:
+def _hermite_bases(q) -> "list[intmat.Matrix]":
     """The Hermite bases of the lattices L with span(q) <= L <= Z^n, for a
     nonsingular q in Hermite form, ordered by |L / span(q)| and then by rows.
 

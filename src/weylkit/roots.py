@@ -23,8 +23,6 @@ at or past ``PRIMALITY_BOUND`` with ``PrimalityBoundExceeded``, an
 ``IsogenyError``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cached_property
 
@@ -59,7 +57,7 @@ def check_word(n: int, word) -> tuple[int, ...]:
     return word
 
 
-def check_index(rs: RootSystem, i: int) -> None:
+def check_index(rs: "RootSystem", i: int) -> None:
     """Raise IndexOutOfRange unless i is a 0-based simple index of rs."""
     check_word(rs.rank, (i,))
 
@@ -71,7 +69,7 @@ class NotAWeight(RootsError):
                          f"it needs {n} int entries")
 
 
-def check_weight(rs: RootSystem, weight) -> Coords:
+def check_weight(rs: "RootSystem", weight) -> Coords:
     """``tuple(weight)``, or NotAWeight unless it has ``rs.rank`` entries,
     each an int and not a bool (the entry rule of ``validate_gcm``)."""
     w = tuple(weight)

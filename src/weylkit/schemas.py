@@ -14,8 +14,6 @@ a literal value or ``None``; a dict of field specs; or the namedtuples
 reads with the same ``check``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 

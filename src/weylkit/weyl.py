@@ -10,12 +10,12 @@ is a bijection, and each element of length k + 1 is generated exactly
 once, from its canonical parent of length k (Casselman's smallest-descent
 rule). That keeps the enumeration at a few bytes per element with no
 deduplication (E7's 2.9 million elements fit comfortably). The CLI reads
-only the layer sizes, and ``poincare_series`` counts those by parabolic
-cosets: a few orbits of fundamental weights, each within 2 160 vectors
-(E8) on the catalog labels, in place of |W| rows. |W| comes from the
-invariant degrees read off the root heights, and both counts admit a group
-by it: one over the cap (E8 at the default) is refused before any work,
-and so is one whose layers would pass ``MAX_LAYER_BYTES`` (E8 at any cap).
+only the layer sizes, which ``cosets.poincare_series`` counts by parabolic
+cosets; this module re-exports that module's names (|W|, its degrees, the
+admission and its errors), and ``enumerate_weyl`` admits a group by the
+same rule. The admission reads ``DEFAULT_CAP`` and ``MAX_LAYER_BYTES`` in
+``cosets``, so a bound is changed there: setting the re-exported copy here
+changes nothing.
 
 Each layer is an int16 numpy array, one row per element, built a layer at
 a time with each step vectorised over the layer. numpy is imported by
@@ -23,44 +23,21 @@ a time with each step vectorised over the layer. numpy is imported by
 package loads it and no CLI request does.
 """
 
-from __future__ import annotations
+from collections import namedtuple
 
-from collections import Counter, namedtuple
-from math import prod
-
-from .cartan import WeylkitError
+# the counts live in cosets, so the weyl and classify subcommands run
+# without this module; they are re-exported here
+from .cosets import (DEFAULT_CAP, MAX_LAYER_BYTES, CapExceeded, LayersTooLarge, WeylError,
+                     _admit, _coset_chain, degrees, poincare_series, weyl_order)
 from .roots import Coords, RootSystem, check_weight, check_word
 
-DEFAULT_CAP = 3_000_000
 MATERIALIZE_CAP = 200_000
-# most bytes of int16 layers (|W| * rank * 2) any enumeration may build,
-# whatever the cap: E7's 41 MB pass, E8's 11.1 GB do not
-MAX_LAYER_BYTES = 256 * 2 ** 20
-
-
-class WeylError(WeylkitError):
-    """Base for Weyl-group failures."""
 
 
 class NotInRhoOrbit(WeylError):
     def __init__(self, vector):
         self.vector = tuple(vector)
         super().__init__(f"{self.vector} is not in the orbit of rho")
-
-
-class CapExceeded(WeylError):
-    def __init__(self, cap: int):
-        self.cap = cap
-        super().__init__(f"Weyl group enumeration would exceed {cap} elements")
-
-
-class LayersTooLarge(WeylError):
-    details = ("layer_bytes", "bound")
-
-    def __init__(self, layer_bytes: int):
-        self.layer_bytes, self.bound = layer_bytes, MAX_LAYER_BYTES
-        super().__init__(f"Weyl group layers would take {layer_bytes} bytes, "
-                         f"past the bound {MAX_LAYER_BYTES}")
 
 
 def reflect(rs: RootSystem, i: int, weight) -> Coords:
@@ -196,8 +173,9 @@ def enumerate_weyl(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     descent ``word_from_vector`` strips first, so every element of length
     k + 1 comes from exactly one parent. |W| (``weyl_order``) is checked
     before numpy is imported or a layer built: over ``cap``, which is
-    ``DEFAULT_CAP`` when None, it raises CapExceeded, and with layers past
-    ``MAX_LAYER_BYTES`` LayersTooLarge. Each step is vectorised over a
+    ``cosets.DEFAULT_CAP`` when None, it raises CapExceeded, and with layers
+    past ``cosets.MAX_LAYER_BYTES`` LayersTooLarge (both are read in
+    ``cosets``, not here). Each step is vectorised over a
     layer: the children for i = 0..n-1 in turn, each over the parents in
     order.
 
@@ -222,73 +200,6 @@ def enumerate_weyl(rs: RootSystem, cap: int | None = None) -> WeylGroup:
             children.append(child[(child[:, :i] > 0).all(axis=1)])
         cur = np.concatenate(children)
     return WeylGroup(rs, layers)
-
-
-def _admit(rs: RootSystem, cap: int | None) -> None:
-    """Admit W to a count: CapExceeded when |W| passes the cap
-    (``DEFAULT_CAP`` when None), LayersTooLarge when its int16 layers pass
-    ``MAX_LAYER_BYTES``. ``enumerate_weyl`` and ``poincare_series`` share
-    this one rule."""
-    order = weyl_order(rs)
-    cap = DEFAULT_CAP if cap is None else cap
-    if order > cap:
-        raise CapExceeded(cap)
-    layer_bytes = order * rs.rank * 2  # one int16 row per element
-    if layer_bytes > MAX_LAYER_BYTES:
-        raise LayersTooLarge(layer_bytes)
-
-
-def poincare_series(rs: RootSystem, cap: int | None = None) -> list[int]:
-    """The Poincare polynomial of W, b_l = number of elements of length l,
-    counted by parabolic cosets instead of by element.
-
-    W(q) = W_I(q) * W^I(q) for I = S minus a node j, and the minimal coset
-    representatives W^I biject with the orbit of the fundamental weight w_j,
-    lengths included (Humphreys, Reflection Groups and Coxeter Groups,
-    1.10-1.11). So the polynomial is a product of orbit layer sizes, one
-    orbit per node removed. It admits W as ``enumerate_weyl`` does, with the
-    same errors, and its histogram equals that of ``enumerate_weyl``.
-
-    >>> from weylkit.cartan import parse_type
-    >>> from weylkit.roots import generate_roots
-    >>> poincare_series(generate_roots(parse_type("G2")))
-    [1, 2, 2, 2, 2, 2, 1]
-    """
-    _admit(rs, cap)
-    return _coset_chain(rs)
-
-
-def _coset_chain(rs: RootSystem) -> list[int]:
-    """W(q) as the product of the coset orbits' layer sizes, with no admission.
-
-    Each step removes the smallest-index leaf j of the Dynkin graph on the
-    nodes left, I, and walks the orbit of w_j under W_{I+j} in weight
-    coordinates over I + j. As in the rho walk, a child s_i v of v with
-    v[i] > 0 is kept only when no coordinate before i is negative, so each
-    coset representative comes once from its smallest-descent parent; the
-    coordinates may now be 0, where the rho walk's never are. A leaf keeps
-    every orbit small: D_n's first node has 2n, its spin node 2**(n - 1).
-    """
-    c = rs.gcm
-    live = list(range(rs.rank))
-    poly = [1]
-    while live:
-        j = next(k for k in live if sum(1 for m in live if m != k and c[k][m]) <= 1)
-        rows = [[c[i][m] for m in live] for i in live]
-        layer = [tuple(int(m == j) for m in live)]
-        sizes = []
-        while layer:
-            sizes.append(len(layer))
-            layer = [child for i, row in enumerate(rows) for v in layer if v[i] > 0
-                     for child in [tuple(x - v[i] * a for x, a in zip(v, row))]
-                     if min(child[:i], default=0) >= 0]
-        live.remove(j)
-        product = [0] * (len(poly) + len(sizes) - 1)
-        for a, x in enumerate(poly):
-            for b, y in enumerate(sizes):
-                product[a + b] += x * y
-        poly = product
-    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -322,18 +233,3 @@ def poincare_polynomial(group: WeylGroup) -> list[int]:
     """Coefficient list b_l = number of elements of length l."""
     return list(group.histogram)
 
-
-def degrees(rs: RootSystem) -> list[int]:
-    """Degrees of the basic invariants, in increasing order (Kostant).
-
-    The exponents form the partition dual to the height distribution of the
-    positive roots: if m_h roots have height h, exactly m_h - m_{h+1}
-    exponents equal h. The degrees are the exponents plus one.
-    """
-    heights = Counter(r.height for r in rs.positives)
-    return [h + 1 for h in sorted(heights) for _ in range(heights[h] - heights[h + 1])]
-
-
-def weyl_order(rs: RootSystem) -> int:
-    """Group order as the product of the invariant degrees."""
-    return prod(degrees(rs))

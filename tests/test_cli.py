@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import (cartan, cli, intmat, isogeny, pushforward, rootdata, roots, schemas,
-                     weyl)
+from weylkit import (cartan, cli, cosets, intmat, isogeny, pushforward, rootdata, roots,
+                     schemas)
 from weylkit.cli import main
 from weylkit.schemas import validate_document
 
@@ -458,7 +458,7 @@ G2_MATRIX = json.dumps({"matrix": cartan.catalog("G", 2).rows()})
                          ids=["weyl", "classify"])
 def test_layers_past_the_memory_bound_are_one_error_document(argv, stdin, monkeypatch):
     # G2's layers take 12 x 2 x 2 = 48 bytes: refused one byte under that
-    monkeypatch.setattr(weyl, "MAX_LAYER_BYTES", 47)
+    monkeypatch.setattr(cosets, "MAX_LAYER_BYTES", 47)
     code, out = run_cli(argv, stdin)
     assert code == 1
     doc = json.loads(out)
@@ -466,7 +466,7 @@ def test_layers_past_the_memory_bound_are_one_error_document(argv, stdin, monkey
     assert doc["error"] == {"code": "LayersTooLarge", "layer_bytes": 48, "bound": 47,
                             "message": "Weyl group layers would take 48 bytes, "
                                        "past the bound 47"}
-    monkeypatch.setattr(weyl, "MAX_LAYER_BYTES", 48)
+    monkeypatch.setattr(cosets, "MAX_LAYER_BYTES", 48)
     code, out = run_cli(argv, stdin)
     assert code == 0 and json.loads(out)["poincare"] == [1, 2, 2, 2, 2, 2, 1]
 
@@ -820,6 +820,12 @@ def test_selfcheck_over_the_work_budget_is_one_error_document(label, samples, mo
     assert doc["error"]["code"] == "SelfcheckTooLarge"
     assert doc["error"]["work"] > doc["error"]["bound"]
     assert calls == 0
+
+
+def test_selfcheck_budget_is_e8_at_the_samples_bound():
+    from weylkit import characters, cli
+    e8 = roots.generate_roots(cartan.parse_type("E8"))
+    assert characters.SELFCHECK_BUDGET == cli.MAX_SAMPLES * (e8.rank + 1) * e8.num_positive
 
 
 @pytest.mark.parametrize("label,samples", [("E8", 10_000), ("A60", 96), ("C60", 49), ("D60", 50)])

@@ -7,8 +7,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weylkit"
 
-ORDER = ["intmat", "schemas", "cartan", "roots", "weyl", "characters",
-         "pushforward", "rootdata", "isogeny", "chevalley", "cli"]
+ORDER = ["intmat", "schemas", "cartan", "roots", "cosets", "report", "weyl", "characters",
+         "pushforward", "rootdata", "isogeny", "chevalley", "clitext", "cli"]
 
 
 def _relative_imports(tree):

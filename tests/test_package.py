@@ -1,11 +1,13 @@
 """The package runs a submodule's body only when a request first uses it:
-each subcommand executes exactly the modules it needs, the package exports
-are the home modules' own objects, and ``perfbench/tracer.py`` still finds
-every module it patches."""
+each subcommand executes exactly the modules it needs and compiles no more
+source than it did, the package exports are the home modules' own objects,
+and ``perfbench/tracer.py`` still finds every module and function it
+patches."""
 
 import importlib
 import itertools
 import json
+import os
 import re
 import runpy
 import subprocess
@@ -20,8 +22,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 GOLDEN = ROOT / "tests" / "golden" / "isogeny_g2_p3.golden"
 
-MODULES = {"intmat", "schemas", "cartan", "roots", "weyl", "characters",
-           "pushforward", "rootdata", "isogeny", "chevalley"}
+MODULES = {"intmat", "schemas", "cartan", "roots", "cosets", "report", "weyl", "characters",
+           "pushforward", "rootdata", "isogeny", "chevalley", "clitext"}
 # what every --type subcommand needs: the front end and the catalog matrix
 # with its root system; a catalog matrix needs no finite-type test (intmat)
 # and a success document only its schema name (no schemas)
@@ -59,13 +61,13 @@ PHI = "phi.json"
 # each subcommand and the modules it runs besides BASE
 SUBCOMMANDS = [
     (["roots", "--type", "B2"], set()),
-    (["weyl", "--type", "B2"], {"weyl"}),
+    (["weyl", "--type", "B2"], {"cosets"}),
     (["dim", "--type", "B2", "--weight", "1,0"], {"characters"}),
     (["vol", "--type", "B2", "--weight", "1,0"], {"characters"}),
-    (["selfcheck", "--type", "B2", "--samples", "2"], {"characters", "weyl"}),
+    (["selfcheck", "--type", "B2", "--samples", "2"], {"characters", "weyl", "cosets"}),
     (["bs-weights", "--type", "B2", "--word", "1,2", "--weight", "1,0"], {"pushforward"}),
     (["datum", "--type", "B2"], {"intmat", "rootdata"}),
-    (["classify", "-"], {"schemas", "intmat", "weyl"}),
+    (["classify", "-"], {"schemas", "intmat", "report", "cosets"}),
     (["isogeny", "enumerate", "--type", "B2", "--p", "2"], {"intmat", "rootdata", "isogeny"}),
     (["isogeny", "validate", "--file", PHI], {"schemas", "intmat", "rootdata", "isogeny"}),
     (["chevalley", "check", "--type", "B2", "--p", "2"], {"chevalley"}),
@@ -112,6 +114,73 @@ def test_no_request_loads_argparse_gettext_or_locale(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+# prints [file name, AST nodes] for each weylkit source file the interpreter
+# compiles while it runs one request as ``python -m weylkit.cli`` runs it
+COMPILED = r"""
+import ast, builtins, json, runpy, sys
+package, argv = sys.argv[1], json.loads(sys.argv[2])
+compile_, seen = builtins.compile, []
+
+def compile(source, filename, mode, flags=0, *args, **kwargs):
+    if str(filename).startswith(package) and not flags & ast.PyCF_ONLY_AST:
+        tree = compile_(source, filename, "exec", ast.PyCF_ONLY_AST)
+        seen.append([str(filename)[len(package):], sum(1 for _ in ast.walk(tree))])
+    return compile_(source, filename, mode, flags, *args, **kwargs)
+
+builtins.compile = compile
+sys.argv = ["weylkit", *argv]
+try:
+    runpy.run_module("weylkit.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+sys.stderr.write(json.dumps(seen) + "\n")
+"""
+
+# the AST nodes of weylkit source each request compiled before the
+# subcommands' cold code left cli and weyl, on Python 3.11
+PARENT_NODES = {"roots": 9_306, "weyl": 11_195, "dim": 9_638, "vol": 9_638,
+                "selfcheck": 11_527, "bs-weights": 10_620, "datum": 12_864,
+                "classify": 13_951, "isogeny enumerate": 14_627,
+                "isogeny validate": 15_730, "chevalley check": 10_323}
+NOT_A_GCM = '{"matrix": [[2, 0], [-1, 2]]}'
+COMPILE_CASES = [(argv, PARENT_NODES[subcommand(argv)], None) for argv, _ in SUBCOMMANDS] + [
+    (["classify", "-"], 8_297, NOT_A_GCM),
+    (["weyl", "--type", "E6", "--format", "text"], 11_195, None),
+    (["weyl", "-h"], 7_194, None),
+    # the figure this path reached once coset counting and the other
+    # subcommands' documents left it
+    (["weyl", "--type", "E6"], 8_431, None),
+]
+
+
+@pytest.mark.parametrize("argv, bound, stdin", COMPILE_CASES,
+                         ids=[" ".join(argv) if stdin is None else "classify-not-a-gcm"
+                              for argv, _, stdin in COMPILE_CASES])
+def test_a_request_compiles_each_file_once_and_no_more_source_than_it_did(
+        argv, bound, stdin, tmp_path):
+    # a launch with no bytecode compiles the source of every module it runs,
+    # and that compiling is most of the package's share of a small request;
+    # an empty cache prefix keeps a stray __pycache__ from hiding a compile
+    if PHI in argv:
+        phi = tmp_path / PHI
+        phi.write_text(json.dumps(json.loads(GOLDEN.read_text())["isogenies"][0]))
+        argv = [str(phi) if a == PHI else a for a in argv]
+    cache = tmp_path / "pycache"
+    cache.mkdir()
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(cache))
+    package = str(Path(weylkit.__file__).parent) + os.sep
+    proc = subprocess.run([sys.executable, "-c", COMPILED, package, json.dumps(argv)],
+                          input=stdin or '{"matrix": [[2, -1], [-2, 2]]}', env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    compiled = json.loads(proc.stderr.splitlines()[-1])
+    names = [name for name, _ in compiled]
+    assert len(names) == len(set(names)), names
+    assert "cli.py" in names
+    assert sum(nodes for _, nodes in compiled) <= bound, compiled
+    assert list(cache.iterdir()) == []
+
+
 def test_readme_module_table_is_the_subcommand_rows():
     # each row: | `sub`, `sub` | `module`, `module` |, or "none" for no module
     text = (ROOT / "README.md").read_text()
@@ -126,14 +195,14 @@ def test_readme_module_table_is_the_subcommand_rows():
 
 def test_classify_of_d7_runs_no_rootdata_and_no_numpy():
     # D7's 322 560 elements are counted by cosets, with no numpy; the
-    # fundamental group comes from cartan, so a finite classify runs weyl
-    # and never rootdata
+    # fundamental group comes from cartan, so a finite classify runs cosets
+    # and never weyl or rootdata
     code = RUN_CLI + "\nassert 'numpy' not in sys.modules"
     edges = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)}  # the chain forks at node 4
     d7 = [[2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0 for j in range(7)]
           for i in range(7)]
     assert executed(code, ["classify", "-"], json.dumps({"matrix": d7})) == \
-        BASE | {"schemas", "intmat", "weyl"}
+        BASE | {"schemas", "intmat", "report", "cosets"}
 
 
 def test_exports_are_the_home_module_objects():
@@ -173,6 +242,24 @@ def traced_spans(argv, stdin: str = "") -> dict:
     last = traced.stderr.rstrip("\n").rpartition("\n")[2]
     assert last.startswith(mark)
     return json.loads(last[len(mark):])["spans"]
+
+
+# the entry points in the tracer's TRACED that no longer exist, whose spans
+# read 0 on every workload
+GONE_FROM_TRACED = {("intmat", "smith_normal_form"), ("isogeny", "enumerate_special_for_type")}
+
+
+def test_every_traced_entry_point_still_resolves():
+    # a function that moves out of the module the tracer names would leave
+    # its per-layer span reading 0, with nothing failing
+    absent = set()
+    for module, attr in runpy.run_path(str(TRACER))["TRACED"]:
+        owner = importlib.import_module(f"weylkit.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            absent.add((module, attr))
+    assert absent == GONE_FROM_TRACED
 
 
 def test_tracer_patches_the_lazily_loaded_modules():

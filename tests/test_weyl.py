@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import cartan, weyl
+from weylkit import cartan, cosets, weyl
 from weylkit.roots import IndexOutOfRange, NotAWeight, generate_roots
 from weylkit.weyl import (CapExceeded, NotInRhoOrbit, WeylElement,
                           demazure_product, element_from_word,
@@ -109,13 +109,13 @@ CLOSED_FORM_DEGREES = {
 def test_degrees_match_closed_forms_all_types():
     for family, rank in cartan.catalog_types(max_rank=8):
         rs = generate_roots(cartan.catalog(family, rank))
-        degrees = weyl.degrees(rs)
+        degrees = cosets.degrees(rs)
         assert degrees == CLOSED_FORM_DEGREES[family](rank), (family, rank)
         assert weyl_order(rs) == weyl_order_closed_form(family, rank), (family, rank)
 
 
 def test_degrees_of_a_product_are_the_union():
-    assert weyl.degrees(_rs("A2+G2+B3")) == [2, 2, 2, 3, 4, 6, 6]
+    assert cosets.degrees(_rs("A2+G2+B3")) == [2, 2, 2, 3, 4, 6, 6]
     assert weyl_order(_rs("A2+G2+B3")) == 6 * 12 * 48
 
 
@@ -152,7 +152,7 @@ def test_layers_keep_the_tuple_walks_rows_in_the_same_order():
 def _degree_product(rs):
     """The product of the q-integers [d]_q over the invariant degrees d."""
     poly = [1]
-    for d in weyl.degrees(rs):
+    for d in cosets.degrees(rs):
         poly = [sum(poly[j - t] for t in range(d) if 0 <= j - t < len(poly))
                 for j in range(len(poly) + d - 1)]
     return poly
@@ -193,7 +193,7 @@ def test_coset_chain_is_product_of_degree_q_integers():
     # the chain skips the admission, so it reaches past the cap
     for family, rank in cartan.catalog_types(max_rank=12) + [("E", 8)]:
         rs = generate_roots(cartan.catalog(family, rank))
-        assert weyl._coset_chain(rs) == _degree_product(rs), (family, rank)
+        assert cosets._coset_chain(rs) == _degree_product(rs), (family, rank)
 
 
 def _outcome(count, rs, cap):
@@ -216,7 +216,7 @@ def test_poincare_series_shares_the_layer_bound(monkeypatch):
     # B3's layers take 48 * 3 * 2 = 288 bytes
     rs = _rs("B3")
     for bound in (288, 287, 0):
-        monkeypatch.setattr(weyl, "MAX_LAYER_BYTES", bound)
+        monkeypatch.setattr(cosets, "MAX_LAYER_BYTES", bound)
         got = _outcome(poincare_series, rs, None)
         assert got == _outcome(enumerate_weyl, rs, None), bound
         assert (got[0] is weyl.LayersTooLarge) == (bound < 288), bound
