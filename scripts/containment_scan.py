@@ -21,7 +21,7 @@ import gc
 import sys
 import time
 
-from weylkit import cartan
+from weylkit.gcm import parse_type
 from weylkit.pushforward import KeyLemmaViolation, pushforward_states, zero_weight_rank
 from weylkit.roots import generate_roots, nonsimple_positives
 
@@ -32,7 +32,7 @@ def scan(max_len: int) -> None:
     grand = 0
     started = time.time()
     for label in TYPES:
-        rs = generate_roots(cartan.parse_type(label))
+        rs = generate_roots(parse_type(label))
         zero = tuple(0 for _ in range(rs.rank))
         minus_npp = {tuple(-x for x in r.weight) for r in nonsimple_positives(rs)}
         # (minus a positive root, its simple index or None if non-simple)

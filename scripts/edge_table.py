@@ -60,7 +60,7 @@ def _relabelled_catalog(family: str) -> str:
 
 
 BS_WORD = "1,2,1,1,2,1,1,2,1"
-# the largest prime below the Miller-Rabin bound, roots.PRIMALITY_BOUND
+# the largest prime below the Miller-Rabin bound, checks.PRIMALITY_BOUND
 LARGE_PRIME = "3317044064679887385961813"
 
 # (row name, CLI argv, stdin or a function giving it)

@@ -7,10 +7,12 @@ The modules are arranged bottom-up, each importing only from those above it:
   fraction-free; ``hermite_form``, modular, ending in ``reduce_rows``, a
   back-reduction the lattice walk shares) and invariant factors from the latter
 * ``schemas``: the shapes of the CLI's JSON documents, with a checker
-* ``cartan``: matrix validation, finite-type test, fundamental group,
-  symmetrizer, catalog, Dynkin classification
-* ``roots``: root systems, their coroots and strings, the word, simple-index,
-  weight and prime checks
+* ``gcm``: the error base, the Cartan matrix type, finite-type test,
+  symmetrizer, catalog and type labels: all a ``--type`` request reads
+* ``cartan``: matrices from outside: validation, Dynkin classification,
+  fundamental group; it re-exports every name of ``gcm``
+* ``checks``: the word, simple-index, weight, root and prime checks
+* ``roots``: root systems and their coroots
 * ``cosets``: the Weyl group's order from the degrees and its Poincare
   polynomial counted by parabolic cosets, with the admission both share
 * ``report``: the ``classify`` report of a matrix
@@ -21,7 +23,8 @@ The modules are arranged bottom-up, each importing only from those above it:
 * ``rootdata``: pinned root data, intermediate lattices
 * ``isogeny``: p-morphisms (their JSON, word factors, root extension),
   Frobenius, special isogenies
-* ``chevalley``: bracket constants, string-length identity, short-root ideal
+* ``chevalley``: root strings, bracket constants, string-length identity,
+  short-root ideal
 * ``clitext``: the command line's ``--format text`` tables and ``-h`` help
 * ``cli``: the command-line front end
 
@@ -43,24 +46,24 @@ import sys
 __version__ = "0.1.0"
 
 # the package's modules, bottom-up
-_MODULES = ("intmat", "schemas", "cartan", "roots", "cosets", "report", "weyl",
-            "characters", "pushforward", "rootdata", "isogeny", "chevalley", "clitext")
+_MODULES = ("intmat", "schemas", "gcm", "cartan", "checks", "roots", "cosets", "report",
+            "weyl", "characters", "pushforward", "rootdata", "isogeny", "chevalley", "clitext")
 
 # each module and the names it exports from the package, in ``__all__`` order
 _EXPORTS = {
-    "cartan": ("GCM", "DynkinType", "Symmetrizer", "catalog", "catalog_types",
-               "classify", "fundamental_group", "is_finite_type", "parse_type",
-               "symmetrizer", "validate_gcm"),
+    "cartan": ("DynkinType", "catalog_types", "classify", "fundamental_group", "validate_gcm"),
     "characters": ("EulerData", "shifted_euler_characteristic", "volume", "weyl_dim"),
-    "chevalley": ("bracket_constant", "short_root_ideal_check", "steinberg_check"),
+    "chevalley": ("RootString", "bracket_constant", "root_string", "short_root_ideal_check",
+                  "steinberg_check"),
     "cosets": ("poincare_series", "weyl_order"),
+    "gcm": ("GCM", "Symmetrizer", "catalog", "is_finite_type", "parse_type", "symmetrizer"),
     "isogeny": ("PMorphism", "enumerate_special", "factor_primitive_constant",
                 "frobenius", "validate_pmorphism"),
     "pushforward": ("GradedWeights", "chi_restriction", "h0_rank", "occurs",
                     "pushforward_step", "pushforward_word"),
     "rootdata": ("PinnedRootDatum", "adjoint_datum", "intermediate_lattices",
                  "pinned_isomorphism", "simply_connected_datum"),
-    "roots": ("Root", "RootSystem", "RootString", "generate_roots", "root_string"),
+    "roots": ("Root", "RootSystem", "generate_roots"),
     "weyl": ("WeylElement", "WeylGroup", "demazure_product", "enumerate_weyl",
              "is_reduced", "poincare_polynomial", "reduced_word", "reflect"),
 }

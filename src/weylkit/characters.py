@@ -19,8 +19,9 @@ from math import factorial
 from operator import mul
 
 from . import weyl
-from .cartan import WeylkitError
-from .roots import RootSystem, check_weight
+from .checks import check_weight
+from .gcm import WeylkitError
+from .roots import RootSystem
 
 
 class CharacterError(WeylkitError):

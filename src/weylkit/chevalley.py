@@ -24,13 +24,15 @@ row's a + b or 2a + b is a long root t. The lookup rule is chosen per
 component: where a's component has fewer long roots than short ones (B_n),
 a's candidates b are the short t - a and t - 2a for the long t of that
 component, else the component's short roots. Sums and string steps are
-root-key lookups (``RootSystem.add``, ``string_steps``).
+root-key lookups (``RootSystem.add``, ``string_steps``); the root strings
+live here, with their one user.
 """
 
 from collections import namedtuple
 
-from .cartan import WeylkitError
-from .roots import RootSystem, is_prime, string_steps
+from .checks import is_prime
+from .gcm import WeylkitError
+from .roots import Coords, RootSystem
 
 
 class ChevalleyError(WeylkitError):
@@ -54,6 +56,42 @@ class HypothesesNotMet(ChevalleyError):
 class SimplyLaced(ChevalleyError):
     def __init__(self):
         super().__init__("root system has a single length class")
+
+
+class RootString(namedtuple("RootString", "base direction down up")):
+    """Maximal interval base + k*direction inside the roots-and-zero set.
+
+    ``down`` (r) steps of the direction can be subtracted and ``up`` (s)
+    added while staying inside; the classical identity down - up =
+    pairing(base, direction-coroot) holds for every string.
+    """
+
+    __slots__ = ()
+
+    def elements(self) -> list[Coords]:
+        return [
+            tuple(b + k * d for b, d in zip(self.base, self.direction))
+            for k in range(-self.down, self.up + 1)
+        ]
+
+
+def root_string(rs: RootSystem, base, direction) -> RootString:
+    """The direction-string through base, with base in roots or zero."""
+    base, direction = tuple(base), tuple(direction)
+    d = rs.keys[rs.root(direction).index]
+    b = 0 if base == (0,) * rs.rank else rs.keys[rs.root(base).index]
+    return RootString(base, direction, *string_steps(rs, b, d))
+
+
+def string_steps(rs: RootSystem, base: int, direction: int) -> tuple[int, int]:
+    """(down, up) of the direction-string through base, as root keys (base may be 0)."""
+    by = rs._by_key   # holds key 0 too
+    down = up = 0
+    while base - (down + 1) * direction in by:
+        down += 1
+    while base + (up + 1) * direction in by:
+        up += 1
+    return down, up
 
 
 class StructureConstant(namedtuple("StructureConstant", "alpha beta m down up")):

@@ -26,9 +26,9 @@ caller that passes argv keeps its collector as it was.
 Exit codes for ``classify``: 0 finite type, 2 valid Cartan matrix but not
 finite, 3 not a generalized Cartan matrix, 4 unreadable input, and 1 with a
 ``RankTooLarge`` error document for a valid matrix of rank over
-``cartan.MAX_RANK``, refused before the finite-type test. Other
+``gcm.MAX_RANK``, refused before the finite-type test. Other
 subcommands exit 0 on success and 1 with a machine-readable error object;
-a ``--type`` label whose ranks sum past ``cartan.MAX_RANK`` is one.
+a ``--type`` label whose ranks sum past ``gcm.MAX_RANK`` is one.
 ``classify`` and ``weyl`` alike exit 1 with a ``LayersTooLarge`` error
 document when a ``--cap`` lets through a group whose Weyl layers would pass
 ``cosets.MAX_LAYER_BYTES`` (E8 at any cap): they count W by cosets, but
@@ -50,7 +50,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from . import (cartan, characters, chevalley, clitext, cosets, isogeny, pushforward, report,
+from . import (characters, checks, chevalley, clitext, cosets, gcm, isogeny, pushforward, report,
                rootdata, roots, schemas)
 
 # a value like "-2,1" is an argument, not an option; compiled on first use,
@@ -65,11 +65,11 @@ MAX_SAMPLES = 10_000
 _DIGIT_LIMIT_MESSAGE = "for integer string conversion"
 
 
-class ParseError(cartan.WeylkitError):
+class ParseError(gcm.WeylkitError):
     """Unreadable input: bad JSON, a malformed document or a usage error."""
 
 
-class DigitLimitExceeded(cartan.WeylkitError):
+class DigitLimitExceeded(gcm.WeylkitError):
     def __init__(self):
         super().__init__(f"an integer to print has more than "
                          f"{sys.get_int_max_str_digits()} decimal digits")
@@ -98,16 +98,16 @@ def _parse_word(text: str, rank: int) -> tuple[int, ...]:
     word = []
     for x in letters:
         if not 1 <= x <= rank:
-            raise roots.IndexOutOfRange(x, rank)
+            raise checks.IndexOutOfRange(x, rank)
         word.append(x - 1)
     return tuple(word)
 
 
-def _parse_weight(text: str, gcm: cartan.GCM, basis: str) -> tuple[int, ...]:
+def _parse_weight(text: str, c: gcm.GCM, basis: str) -> tuple[int, ...]:
     coords = _parse_ints(text)
-    if len(coords) != gcm.n:
-        raise ParseError(f"weight must have {gcm.n} coordinates")
-    return roots.weight_of(gcm, coords) if basis == "root" else tuple(coords)
+    if len(coords) != c.n:
+        raise ParseError(f"weight must have {c.n} coordinates")
+    return checks.weight_of(c, coords) if basis == "root" else tuple(coords)
 
 
 def _load_json(path: str, spec):
@@ -143,7 +143,7 @@ def _cmd_classify(args) -> tuple[dict, int]:
 
 def _root_system(args) -> "roots.RootSystem":
     """The root system of the catalog type ``--type`` names."""
-    return roots.generate_roots(cartan.parse_type(args.type))
+    return roots.generate_roots(gcm.parse_type(args.type))
 
 
 def _cmd_roots(args) -> tuple[dict, int]:
@@ -189,7 +189,7 @@ def _cmd_chevalley(args) -> tuple[dict, int]:
 
 
 def _cmd_datum(args) -> tuple[dict, int]:
-    return rootdata.datum_report(cartan.parse_type(args.type), args.kind), 0
+    return rootdata.datum_report(gcm.parse_type(args.type), args.kind), 0
 
 
 def _cmd_selfcheck(args) -> tuple[dict, int]:
@@ -375,7 +375,7 @@ def main(argv=None) -> int:
     except _Help as exc:
         out, code = clitext.help_text(*exc.args), 0
     except ValueError as exc:
-        if not isinstance(exc, cartan.WeylkitError):
+        if not isinstance(exc, gcm.WeylkitError):
             if _DIGIT_LIMIT_MESSAGE not in str(exc):
                 raise
             exc = DigitLimitExceeded()

@@ -15,7 +15,7 @@ not run ``weyl``, which re-exports every name here.
 from collections import Counter
 from math import prod
 
-from .cartan import WeylkitError
+from .gcm import WeylkitError
 from .roots import RootSystem
 
 DEFAULT_CAP = 3_000_000
@@ -59,12 +59,12 @@ def weyl_order(rs: RootSystem) -> int:
     return prod(degrees(rs))
 
 
-def _admit(rs: RootSystem, cap: int | None) -> None:
-    """Admit W to a count: CapExceeded when |W| passes the cap
+def _admit(rs: RootSystem, order: int, cap: int | None) -> None:
+    """Admit W, of order ``order`` (``weyl_order(rs)``, which the caller
+    reads once), to a count: CapExceeded when |W| passes the cap
     (``DEFAULT_CAP`` when None), LayersTooLarge when its int16 layers pass
-    ``MAX_LAYER_BYTES``. ``enumerate_weyl`` and ``poincare_series`` share
-    this one rule."""
-    order = weyl_order(rs)
+    ``MAX_LAYER_BYTES``. ``enumerate_weyl``, ``poincare_series`` and
+    ``weyl_counts`` share this one rule."""
     cap = DEFAULT_CAP if cap is None else cap
     if order > cap:
         raise CapExceeded(cap)
@@ -84,12 +84,12 @@ def poincare_series(rs: RootSystem, cap: int | None = None) -> list[int]:
     orbit per node removed. It admits W as ``enumerate_weyl`` does, with the
     same errors, and its histogram equals that of ``enumerate_weyl``.
 
-    >>> from weylkit.cartan import parse_type
+    >>> from weylkit.gcm import parse_type
     >>> from weylkit.roots import generate_roots
     >>> poincare_series(generate_roots(parse_type("G2")))
     [1, 2, 2, 2, 2, 2, 1]
     """
-    _admit(rs, cap)
+    _admit(rs, weyl_order(rs), cap)
     return _coset_chain(rs)
 
 
@@ -128,13 +128,15 @@ def _coset_chain(rs: RootSystem) -> list[int]:
 
 def weyl_counts(rs: RootSystem, cap: int | None) -> tuple:
     """|W| from the degrees, then the order counted by cosets and the
-    Poincare polynomial, both "skipped" when ``poincare_series`` refuses |W|
-    past the cap: the counts the ``weyl`` and ``classify`` documents hold."""
+    Poincare polynomial, both "skipped" when the admission refuses |W| past
+    the cap, as ``poincare_series`` does: the counts the ``weyl`` and
+    ``classify`` documents hold. The degrees are read once."""
     order = weyl_order(rs)
     try:
-        poly = poincare_series(rs, cap)
+        _admit(rs, order, cap)
     except CapExceeded:
         return order, "skipped", "skipped"
+    poly = _coset_chain(rs)
     return order, sum(poly), poly
 
 

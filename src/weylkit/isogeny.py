@@ -21,11 +21,11 @@ from collections import namedtuple
 from math import gcd
 
 from . import intmat, rootdata, schemas
-from .cartan import GCM, catalog, catalog_type, parse_label, symmetrizer
-# the prime rule and its errors live in roots, beside the other input
+from .cartan import catalog_type
+# the prime rule and its errors live in checks, beside the other input
 # rules, so chevalley runs without this module; they are re-exported here
-from .roots import (PRIMALITY_BOUND, IsogenyError, PrimalityBoundExceeded, check_word,
-                    is_prime)
+from .checks import PRIMALITY_BOUND, IsogenyError, PrimalityBoundExceeded, check_word, is_prime
+from .gcm import GCM, catalog, parse_label, symmetrizer
 
 
 class InvalidPMorphism(IsogenyError):

@@ -30,8 +30,9 @@ letters are kept with p-morphisms.
 from collections import Counter
 from collections.abc import Iterator
 
-from .cartan import WeylkitError
-from .roots import Coords, RootSystem, check_index, check_weight, check_word
+from .checks import check_index, check_weight, check_word
+from .gcm import WeylkitError
+from .roots import Coords, RootSystem
 
 Word = tuple[int, ...]
 
@@ -129,7 +130,7 @@ def pushforward_states(rs: RootSystem, weight, max_len: int, letter: int | None
     The weight and the letter are checked before the first state, whatever
     ``max_len``.
 
-    >>> from weylkit.cartan import parse_type
+    >>> from weylkit.gcm import parse_type
     >>> from weylkit.roots import generate_roots
     >>> rs = generate_roots(parse_type("A2"))
     >>> [(w, dict(gw), hit, n) for w, gw, hit, n

@@ -18,7 +18,8 @@ from math import prod
 from . import intmat
 from .intmat import reduce_rows
 # fundamental_group is re-exported: callers read it as rootdata.fundamental_group
-from .cartan import GCM, GCMError, WeylkitError, fundamental_group, validate_gcm
+from .cartan import fundamental_group, validate_gcm
+from .gcm import GCM, GCMError, WeylkitError
 from .roots import RootSystem, generate_roots
 
 Vec = tuple[int, ...]
@@ -69,7 +70,7 @@ class PinnedRootDatum(namedtuple("PinnedRootDatum", "rank roots coroots simples"
         A datum without simples is valid iff it has no roots. Roots 1 and 3
         of A2 pair to 1, so they are no base:
 
-        >>> from weylkit.cartan import parse_type
+        >>> from weylkit.gcm import parse_type
         >>> a2 = adjoint_datum(parse_type("A2"))
         >>> a2.roots[1], a2.roots[3]
         ((1, 0), (0, -1))
@@ -278,7 +279,7 @@ def pinned_isomorphism(r1: PinnedRootDatum, r2: PinnedRootDatum):
     q = 1. Those give r1 and r2 one Cartan matrix, and both data are images
     of its root system, so f then carries every root and coroot across too.
 
-    >>> from weylkit.cartan import parse_type
+    >>> from weylkit.gcm import parse_type
     >>> a2 = parse_type("A2")
     >>> pinned_isomorphism(adjoint_datum(a2), adjoint_datum(a2))
     ((1, 0), (0, 1))

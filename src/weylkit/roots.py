@@ -14,106 +14,22 @@ k)``, the index of the root r + k*s, are each one sum and one dict lookup.
 Coordinates stay within +-6 (E8), a reflection step adds at most 3 alpha_i,
 and sums have |k| <= 4, so each base-256 digit stays within +-30 < 128:
 equal keys are equal roots, and ``index_of`` checks what a packed tuple
-finds, so no other length or range aliases a root. The input rules live
-here too, each applied once at a public entry: ``check_word`` to a word
-(``weyl``, ``pushforward``, ``isogeny``), ``check_index``, its one-letter
-case, in ``simple`` and ``simple_weight``, ``check_weight`` to a weight,
-and ``is_prime`` to a prime (``isogeny``, ``chevalley``), which refuses one
-at or past ``PRIMALITY_BOUND`` with ``PrimalityBoundExceeded``, an
-``IsogenyError``.
+finds, so no other length or range aliases a root. The input rules (the
+word, simple-index, weight and root checks and their errors) live in
+``checks``, which ``simple``, ``simple_weight`` and ``root`` read on use
+through the module object, so a request that passes no index or root
+compiles none of them. Root strings live in ``chevalley``, their one user.
 """
 
 from collections import namedtuple
 from functools import cached_property
 
-from .cartan import GCM, Symmetrizer, WeylkitError, symmetrizer
+# read on use, through the module object, so a request that passes no
+# index or root runs none of the input checks
+from . import checks
+from .gcm import GCM, Symmetrizer, symmetrizer
 
 Coords = tuple[int, ...]
-
-
-class RootsError(WeylkitError):
-    """Base for root-system failures."""
-
-
-class NotARoot(RootsError):
-    def __init__(self, coords):
-        self.coords = tuple(coords)
-        super().__init__(f"{tuple(coords)} is not a root")
-
-
-class IndexOutOfRange(RootsError):
-    def __init__(self, i: int, n: int):
-        self.i, self.n = i, n
-        super().__init__(f"simple index {i!r} out of range for rank {n}")
-
-
-def check_word(n: int, word) -> tuple[int, ...]:
-    """``tuple(word)``, or IndexOutOfRange at the first letter that is not a
-    0-based simple index of n simples: an int in [0, n), and not a bool."""
-    word = tuple(word)
-    for i in word:
-        if not (isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n):
-            raise IndexOutOfRange(i, n)
-    return word
-
-
-def check_index(rs: "RootSystem", i: int) -> None:
-    """Raise IndexOutOfRange unless i is a 0-based simple index of rs."""
-    check_word(rs.rank, (i,))
-
-
-class NotAWeight(RootsError):
-    def __init__(self, weight, n: int):
-        self.weight, self.n = weight, n
-        super().__init__(f"{weight!r} is not a weight of rank {n}: "
-                         f"it needs {n} int entries")
-
-
-def check_weight(rs: "RootSystem", weight) -> Coords:
-    """``tuple(weight)``, or NotAWeight unless it has ``rs.rank`` entries,
-    each an int and not a bool (the entry rule of ``validate_gcm``)."""
-    w = tuple(weight)
-    if len(w) != rs.rank or not all(isinstance(x, int) and not isinstance(x, bool)
-                                    for x in w):
-        raise NotAWeight(w, rs.rank)
-    return w
-
-
-class IsogenyError(WeylkitError):
-    """Base for p-morphism and isogeny failures."""
-
-
-class PrimalityBoundExceeded(IsogenyError):
-    def __init__(self, p: int):
-        super().__init__(f"{p} is at or above the primality bound {PRIMALITY_BOUND}")
-
-
-# Deterministic Miller-Rabin over the first 13 prime bases is exact below
-# PRIMALITY_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
-
-
-def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; raises PrimalityBoundExceeded past the bound."""
-    if p >= PRIMALITY_BOUND:
-        raise PrimalityBoundExceeded(p)
-    if p < 2 or any(p % b == 0 for b in _BASES):
-        return p in _BASES
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _BASES:
-        x = pow(b, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
 
 
 class Root(namedtuple("Root", "index coords coroot weight height positive length")):
@@ -165,7 +81,7 @@ class RootSystem:
     def root(self, coords) -> Root:
         idx = self.index_of(coords)
         if idx is None:
-            raise NotARoot(coords)
+            raise checks.NotARoot(coords)
         return self.roots[idx]
 
     def add(self, r: int, s: int, k: int = 1) -> int | None:
@@ -179,7 +95,7 @@ class RootSystem:
         return self._by_key.get(self.keys[r] + k * self.keys[s])
 
     def simple(self, i: int) -> Root:
-        check_index(self, i)
+        checks.check_index(self, i)
         return self.roots[self._by_key[1 << 8 * i]]
 
     @property
@@ -196,7 +112,7 @@ class RootSystem:
 
     def simple_weight(self, i: int) -> Coords:
         """Fundamental-weight coordinates of the i-th simple root (row i of C)."""
-        check_index(self, i)
+        checks.check_index(self, i)
         return self.gcm[i]
 
     # -- pairings and reflections --------------------------------------------
@@ -215,15 +131,6 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem(rank={self.rank}, roots={len(self.roots)})"
-
-
-def weight_of(gcm: GCM, coords) -> Coords:
-    """Fundamental-weight coordinates of a simple-root-basis vector: the
-    sum of coords[k] times row k of C, so (-1, 0) on A2 gives (-2, 1)."""
-    return tuple(
-        sum(a * gcm[k][j] for k, a in enumerate(coords))
-        for j in range(gcm.n)
-    )
 
 
 def generate_roots(c: GCM) -> RootSystem:
@@ -280,39 +187,3 @@ def generate_roots(c: GCM) -> RootSystem:
 def nonsimple_positives(rs: RootSystem) -> list[Root]:
     """Positive roots of height at least 2 (the positives minus the simples)."""
     return [r for r in rs.positives if r.height >= 2]
-
-
-class RootString(namedtuple("RootString", "base direction down up")):
-    """Maximal interval base + k*direction inside the roots-and-zero set.
-
-    ``down`` (r) steps of the direction can be subtracted and ``up`` (s)
-    added while staying inside; the classical identity down - up =
-    pairing(base, direction-coroot) holds for every string.
-    """
-
-    __slots__ = ()
-
-    def elements(self) -> list[Coords]:
-        return [
-            tuple(b + k * d for b, d in zip(self.base, self.direction))
-            for k in range(-self.down, self.up + 1)
-        ]
-
-
-def root_string(rs: RootSystem, base, direction) -> RootString:
-    """The direction-string through base, with base in roots or zero."""
-    base, direction = tuple(base), tuple(direction)
-    d = rs.keys[rs.root(direction).index]
-    b = 0 if base == (0,) * rs.rank else rs.keys[rs.root(base).index]
-    return RootString(base, direction, *string_steps(rs, b, d))
-
-
-def string_steps(rs: RootSystem, base: int, direction: int) -> tuple[int, int]:
-    """(down, up) of the direction-string through base, as root keys (base may be 0)."""
-    by = rs._by_key   # holds key 0 too
-    down = up = 0
-    while base - (down + 1) * direction in by:
-        down += 1
-    while base + (up + 1) * direction in by:
-        up += 1
-    return down, up

@@ -2,8 +2,8 @@
 
 Elements act on roots by permutation and on weight vectors through the
 coroot bookkeeping of the root system, so everything stays in exact
-integers; words are checked by ``roots.check_word`` and weights by
-``roots.check_weight``, once each at entry.
+integers; words are checked by ``checks.check_word`` and weights by
+``checks.check_weight``, once each at entry.
 ``enumerate_weyl`` is the library's element walk. It walks the orbit of
 the strictly dominant vector rho = (1, ..., 1): the orbit map w -> w(rho)
 is a bijection, and each element of length k + 1 is generated exactly
@@ -29,7 +29,8 @@ from collections import namedtuple
 # without this module; they are re-exported here
 from .cosets import (DEFAULT_CAP, MAX_LAYER_BYTES, CapExceeded, LayersTooLarge, WeylError,
                      _admit, _coset_chain, degrees, poincare_series, weyl_order)
-from .roots import Coords, RootSystem, check_weight, check_word
+from .checks import check_weight, check_word
+from .roots import Coords, RootSystem
 
 MATERIALIZE_CAP = 200_000
 
@@ -179,12 +180,12 @@ def enumerate_weyl(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     layer: the children for i = 0..n-1 in turn, each over the parents in
     order.
 
-    >>> from weylkit.cartan import parse_type
+    >>> from weylkit.gcm import parse_type
     >>> from weylkit.roots import generate_roots
     >>> enumerate_weyl(generate_roots(parse_type("G2"))).histogram
     [1, 2, 2, 2, 2, 2, 1]
     """
-    _admit(rs, cap)
+    _admit(rs, weyl_order(rs), cap)
     import numpy as np
 
     n = rs.rank

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import (cartan, cli, cosets, intmat, isogeny, pushforward, rootdata, roots,
+from weylkit import (cartan, cli, cosets, gcm, intmat, isogeny, pushforward, rootdata, roots,
                      schemas)
 from weylkit.cli import main
 from weylkit.schemas import validate_document
@@ -441,7 +441,7 @@ def test_oversized_pushforward_is_one_error_document(argv):
 ], ids=["one-past", "far-past", "sum-past"])
 def test_rank_past_the_cap_is_one_error_document(argv, monkeypatch):
     # refused from the label, before a catalog matrix is built
-    monkeypatch.setattr(cartan, "catalog", None)
+    monkeypatch.setattr(gcm, "catalog", None)
     code, out = run_cli(argv)
     assert code == 1
     doc = json.loads(out)

@@ -24,7 +24,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import cartan, chevalley, isogeny, pushforward, rootdata, roots, weyl
+from weylkit import cartan, checks, chevalley, isogeny, pushforward, rootdata, weyl
 from weylkit.cli import MAX_SAMPLES, ParseError, main
 from weylkit.schemas import validate_document
 
@@ -351,7 +351,7 @@ def test_integer_past_the_digit_limit_is_one_error_document(argv):
 
 @pytest.mark.parametrize("exc", [
     cartan.DiagonalNotTwo(0), cartan.InvalidType("Q", 7), cartan.NotFiniteType(),
-    roots.IndexOutOfRange(3, 2), weyl.CapExceeded(10), weyl.LayersTooLarge(48),
+    checks.IndexOutOfRange(3, 2), weyl.CapExceeded(10), weyl.LayersTooLarge(48),
     chevalley.HypothesesNotMet("sum-not-long"), isogeny.RootEquationFails(0),
     ParseError("bad"),
 ])

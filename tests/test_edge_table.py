@@ -4,7 +4,7 @@ record's fields are checked, never a figure."""
 import importlib.util
 from pathlib import Path
 
-from weylkit.roots import PRIMALITY_BOUND, is_prime
+from weylkit.checks import PRIMALITY_BOUND, is_prime
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("edge_table", ROOT / "scripts" / "edge_table.py")

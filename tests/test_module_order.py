@@ -7,8 +7,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weylkit"
 
-ORDER = ["intmat", "schemas", "cartan", "roots", "cosets", "report", "weyl", "characters",
-         "pushforward", "rootdata", "isogeny", "chevalley", "clitext", "cli"]
+ORDER = ["intmat", "schemas", "gcm", "cartan", "checks", "roots", "cosets", "report", "weyl",
+         "characters", "pushforward", "rootdata", "isogeny", "chevalley", "clitext", "cli"]
 
 
 def _relative_imports(tree):

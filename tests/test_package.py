@@ -22,12 +22,13 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 GOLDEN = ROOT / "tests" / "golden" / "isogeny_g2_p3.golden"
 
-MODULES = {"intmat", "schemas", "cartan", "roots", "cosets", "report", "weyl", "characters",
-           "pushforward", "rootdata", "isogeny", "chevalley", "clitext"}
+MODULES = {"intmat", "schemas", "gcm", "cartan", "checks", "roots", "cosets", "report", "weyl",
+           "characters", "pushforward", "rootdata", "isogeny", "chevalley", "clitext"}
 # what every --type subcommand needs: the front end and the catalog matrix
-# with its root system; a catalog matrix needs no finite-type test (intmat)
-# and a success document only its schema name (no schemas)
-BASE = {"cli", "cartan", "roots"}
+# with its root system; a catalog matrix needs no validation or Dynkin
+# search (cartan) and no finite-type test (intmat), and a success document
+# only its schema name (no schemas)
+BASE = {"cli", "gcm", "roots"}
 
 # prints the weylkit modules whose bodies have run after the given code
 EXECUTED = (
@@ -51,8 +52,8 @@ def executed(code: str, argv=(), stdin: str = "") -> set:
 
 def test_bare_import_executes_no_submodule():
     assert executed("import weylkit") == set()
-    # cli's ParseError derives from cartan.WeylkitError
-    assert executed("import weylkit.cli") == {"cli", "cartan"}
+    # cli's ParseError derives from gcm.WeylkitError
+    assert executed("import weylkit.cli") == {"cli", "gcm"}
 
 
 # stands for a file holding the first G2 isogeny at p = 3, written per test
@@ -62,15 +63,18 @@ PHI = "phi.json"
 SUBCOMMANDS = [
     (["roots", "--type", "B2"], set()),
     (["weyl", "--type", "B2"], {"cosets"}),
-    (["dim", "--type", "B2", "--weight", "1,0"], {"characters"}),
-    (["vol", "--type", "B2", "--weight", "1,0"], {"characters"}),
-    (["selfcheck", "--type", "B2", "--samples", "2"], {"characters", "weyl", "cosets"}),
-    (["bs-weights", "--type", "B2", "--word", "1,2", "--weight", "1,0"], {"pushforward"}),
-    (["datum", "--type", "B2"], {"intmat", "rootdata"}),
-    (["classify", "-"], {"schemas", "intmat", "report", "cosets"}),
-    (["isogeny", "enumerate", "--type", "B2", "--p", "2"], {"intmat", "rootdata", "isogeny"}),
-    (["isogeny", "validate", "--file", PHI], {"schemas", "intmat", "rootdata", "isogeny"}),
-    (["chevalley", "check", "--type", "B2", "--p", "2"], {"chevalley"}),
+    (["dim", "--type", "B2", "--weight", "1,0"], {"checks", "characters"}),
+    (["vol", "--type", "B2", "--weight", "1,0"], {"checks", "characters"}),
+    (["selfcheck", "--type", "B2", "--samples", "2"], {"checks", "characters", "weyl", "cosets"}),
+    (["bs-weights", "--type", "B2", "--word", "1,2", "--weight", "1,0"],
+     {"checks", "pushforward"}),
+    (["datum", "--type", "B2"], {"cartan", "checks", "intmat", "rootdata"}),
+    (["classify", "-"], {"cartan", "schemas", "intmat", "report", "cosets"}),
+    (["isogeny", "enumerate", "--type", "B2", "--p", "2"],
+     {"cartan", "checks", "intmat", "rootdata", "isogeny"}),
+    (["isogeny", "validate", "--file", PHI],
+     {"cartan", "checks", "schemas", "intmat", "rootdata", "isogeny"}),
+    (["chevalley", "check", "--type", "B2", "--p", "2"], {"checks", "chevalley"}),
 ]
 
 
@@ -143,18 +147,25 @@ PARENT_NODES = {"roots": 9_306, "weyl": 11_195, "dim": 9_638, "vol": 9_638,
                 "classify": 13_951, "isogeny enumerate": 14_627,
                 "isogeny validate": 15_730, "chevalley check": 10_323}
 NOT_A_GCM = '{"matrix": [[2, 0], [-1, 2]]}'
+AFFINE_A2 = '{"matrix": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]}'
+STDIN_IDS = {NOT_A_GCM: "classify-not-a-gcm", AFFINE_A2: "classify-affine-a2"}
 COMPILE_CASES = [(argv, PARENT_NODES[subcommand(argv)], None) for argv, _ in SUBCOMMANDS] + [
     (["classify", "-"], 8_297, NOT_A_GCM),
+    # a valid matrix not of finite type: 8 666 nodes while gcm's names were
+    # in cartan, and it may gain only the docstring and import lines of the
+    # split
+    (["classify", "-"], 8_720, AFFINE_A2),
     (["weyl", "--type", "E6", "--format", "text"], 11_195, None),
     (["weyl", "-h"], 7_194, None),
-    # the figure this path reached once coset counting and the other
-    # subcommands' documents left it
-    (["weyl", "--type", "E6"], 8_431, None),
+    # the figure this path reached once the catalog path left cartan for
+    # gcm and the input checks and root strings left roots (8 431 before,
+    # 11 195 while cli and weyl held the cold handlers and coset counting)
+    (["weyl", "--type", "E6"], 6_531, None),
 ]
 
 
 @pytest.mark.parametrize("argv, bound, stdin", COMPILE_CASES,
-                         ids=[" ".join(argv) if stdin is None else "classify-not-a-gcm"
+                         ids=[" ".join(argv) if stdin is None else STDIN_IDS[stdin]
                               for argv, _, stdin in COMPILE_CASES])
 def test_a_request_compiles_each_file_once_and_no_more_source_than_it_did(
         argv, bound, stdin, tmp_path):
@@ -196,13 +207,13 @@ def test_readme_module_table_is_the_subcommand_rows():
 def test_classify_of_d7_runs_no_rootdata_and_no_numpy():
     # D7's 322 560 elements are counted by cosets, with no numpy; the
     # fundamental group comes from cartan, so a finite classify runs cosets
-    # and never weyl or rootdata
+    # and never weyl or rootdata, and no input check (checks)
     code = RUN_CLI + "\nassert 'numpy' not in sys.modules"
     edges = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)}  # the chain forks at node 4
     d7 = [[2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0 for j in range(7)]
           for i in range(7)]
     assert executed(code, ["classify", "-"], json.dumps({"matrix": d7})) == \
-        BASE | {"schemas", "intmat", "report", "cosets"}
+        BASE | {"cartan", "schemas", "intmat", "report", "cosets"}
 
 
 def test_exports_are_the_home_module_objects():
@@ -264,9 +275,13 @@ def test_every_traced_entry_point_still_resolves():
 
 def test_tracer_patches_the_lazily_loaded_modules():
     # the tracer reads sys.modules["weylkit.<module>"] right after importing
-    # the package, so every module must be registered by then
-    calls, _, _ = traced_spans(["roots", "--type", "B2"])["roots.generate_roots"]
-    assert calls > 0
+    # the package, so every module must be registered by then; symmetrizer
+    # and is_finite_type live in gcm, and the tracer finds them through
+    # cartan's re-export and swaps them where gcm and roots hold them
+    spans = traced_spans(["roots", "--type", "B2"])
+    for name in ("roots.generate_roots", "cartan.symmetrizer", "cartan.is_finite_type"):
+        calls, _, _ = spans[name]
+        assert calls > 0, name
 
 
 def test_traced_classify_still_records_the_fundamental_group_span():

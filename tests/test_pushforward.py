@@ -19,7 +19,8 @@ from weylkit.pushforward import (MAX_PUSH_WEIGHTS, MAX_STEP_WEIGHTS, KeyLemmaVio
                                  pushforward_step, pushforward_word,
                                  sorted_entries, zero_weight_rank)
 from weylkit.rootdata import adjoint_datum
-from weylkit.roots import IndexOutOfRange, NotAWeight, generate_roots, nonsimple_positives
+from weylkit.checks import IndexOutOfRange, NotAWeight
+from weylkit.roots import generate_roots, nonsimple_positives
 
 from oracles import pushforward_states_per_length, pushforward_suffixes
 

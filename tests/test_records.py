@@ -9,10 +9,10 @@ import pytest
 from weylkit import cartan
 from weylkit.cartan import GCM, DynkinType, Symmetrizer
 from weylkit.characters import EulerData
-from weylkit.chevalley import IdealCheckReport, SteinbergReport, StructureConstant
+from weylkit.chevalley import IdealCheckReport, RootString, SteinbergReport, StructureConstant
 from weylkit.isogeny import PMorphism
 from weylkit.rootdata import PinnedRootDatum
-from weylkit.roots import Root, RootString, generate_roots
+from weylkit.roots import Root, generate_roots
 from weylkit.schemas import ListOf, OneOf
 from weylkit.weyl import WeylElement
 

@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from weylkit import cartan
 from weylkit.characters import EulerData, shifted_euler_characteristic, volume, weyl_dim
+from weylkit.checks import (IndexOutOfRange, NotARoot, NotAWeight, RootsError, check_weight,
+                            check_word)
+from weylkit.chevalley import root_string
 from weylkit.isogeny import enumerate_special, pmorphism_chi_factors, translated_word
 from weylkit.pushforward import (chi_restriction, pushforward_multiset, pushforward_states,
                                  pushforward_step, pushforward_word)
-from weylkit.roots import (IndexOutOfRange, NotARoot, NotAWeight, RootsError, check_weight,
-                           check_word, generate_roots, nonsimple_positives, root_string)
+from weylkit.roots import generate_roots, nonsimple_positives
 from weylkit.weyl import (demazure_product, element_from_word, is_reduced, reflect,
                           word_from_vector)
 

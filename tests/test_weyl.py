@@ -1,5 +1,6 @@
 import contextlib
 import random
+from math import prod
 import subprocess
 import sys
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import cartan, cosets, weyl
-from weylkit.roots import IndexOutOfRange, NotAWeight, generate_roots
+from weylkit.checks import IndexOutOfRange, NotAWeight
+from weylkit.roots import generate_roots
 from weylkit.weyl import (CapExceeded, NotInRhoOrbit, WeylElement,
                           demazure_product, element_from_word,
                           enumerate_weyl, is_reduced, poincare_polynomial,
@@ -220,6 +222,17 @@ def test_poincare_series_shares_the_layer_bound(monkeypatch):
         got = _outcome(poincare_series, rs, None)
         assert got == _outcome(enumerate_weyl, rs, None), bound
         assert (got[0] is weyl.LayersTooLarge) == (bound < 288), bound
+
+
+@pytest.mark.parametrize("label, poincare", [("E6", list), ("D60", str)])
+def test_weyl_counts_reads_the_degrees_once(label, poincare, monkeypatch):
+    # the admission takes |W| from its caller: E6 is admitted and counted
+    # by cosets, D60 is past the cap and skipped
+    calls, degrees = [], cosets.degrees
+    monkeypatch.setattr(cosets, "degrees", lambda rs: calls.append(rs) or degrees(rs))
+    order, _, poly = cosets.weyl_counts(_rs(label), None)
+    assert len(calls) == 1
+    assert isinstance(poly, poincare) and order == prod(degrees(calls[0]))
 
 
 def test_cap_exceeded():
