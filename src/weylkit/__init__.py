@@ -3,15 +3,22 @@ weight pushforwards along words, pinned root data and p-isogenies.
 
 The modules are arranged bottom-up, each importing only from those above it:
 
-* ``intmat``: exact integer matrices, two eliminations (``_bareiss``,
-  fraction-free; ``hermite_form``, modular, ending in ``reduce_rows``, a
-  back-reduction the lattice walk shares) and invariant factors from the latter
+* ``bareiss``: the fraction-free elimination (``_bareiss``) and the leading
+  principal minors the finite-type test reads
+* ``intmat``: exact integer matrices, the modular elimination
+  (``hermite_form``, ending in ``reduce_rows``, a back-reduction the lattice
+  walk shares) and invariant factors from it; it re-exports ``bareiss``
 * ``schemas``: the shapes of the CLI's JSON documents, with a checker
-* ``gcm``: the error base, the Cartan matrix type, finite-type test,
-  symmetrizer, catalog and type labels: all a ``--type`` request reads
-* ``cartan``: matrices from outside: validation, Dynkin classification,
-  fundamental group; it re-exports every name of ``gcm``
-* ``checks``: the word, simple-index, weight, root and prime checks
+* ``core``: the error base, ``ParseError``, the Cartan matrix type and its
+  finite-type test: all that every request reads
+* ``gcm``: symmetrizer, catalog and type labels: the rest of what a
+  ``--type`` request reads; it re-exports ``core``'s names
+* ``axioms``: the Cartan axioms a matrix from outside must satisfy
+* ``cartan``: matrices from outside past their finite-type verdict: Dynkin
+  classification, fundamental group; it re-exports every name of ``axioms``
+  and ``gcm``
+* ``checks``: the word, simple-index, weight, root and prime checks, and the
+  command line's ``--word`` and ``--weight`` readers
 * ``roots``: root systems and their coroots
 * ``cosets``: the Weyl group's order from the degrees and its Poincare
   polynomial counted by parabolic cosets, with the admission both share
@@ -46,17 +53,20 @@ import sys
 __version__ = "0.1.0"
 
 # the package's modules, bottom-up
-_MODULES = ("intmat", "schemas", "gcm", "cartan", "checks", "roots", "cosets", "report",
-            "weyl", "characters", "pushforward", "rootdata", "isogeny", "chevalley", "clitext")
+_MODULES = ("bareiss", "intmat", "schemas", "core", "gcm", "axioms", "cartan", "checks", "roots",
+            "cosets", "report", "weyl", "characters", "pushforward", "rootdata", "isogeny",
+            "chevalley", "clitext")
 
 # each module and the names it exports from the package, in ``__all__`` order
 _EXPORTS = {
-    "cartan": ("DynkinType", "catalog_types", "classify", "fundamental_group", "validate_gcm"),
+    "axioms": ("validate_gcm",),
+    "cartan": ("DynkinType", "catalog_types", "classify", "fundamental_group"),
     "characters": ("EulerData", "shifted_euler_characteristic", "volume", "weyl_dim"),
     "chevalley": ("RootString", "bracket_constant", "root_string", "short_root_ideal_check",
                   "steinberg_check"),
+    "core": ("GCM", "is_finite_type"),
     "cosets": ("poincare_series", "weyl_order"),
-    "gcm": ("GCM", "Symmetrizer", "catalog", "is_finite_type", "parse_type", "symmetrizer"),
+    "gcm": ("Symmetrizer", "catalog", "parse_type", "symmetrizer"),
     "isogeny": ("PMorphism", "enumerate_special", "factor_primitive_constant",
                 "frobenius", "validate_pmorphism"),
     "pushforward": ("GradedWeights", "chi_restriction", "h0_rank", "occurs",

@@ -1,40 +1,25 @@
-"""Cartan matrices from outside: validation, Dynkin classification and the
-fundamental group.
+"""Cartan matrices from outside past their finite-type verdict: Dynkin
+classification and the fundamental group.
 
-``validate_gcm`` checks a matrix against the three Cartan axioms, and
-``classify`` names each component of a finite-type one by its catalog
+``classify`` names each component of a finite-type matrix by its catalog
 type. ``catalog_type`` alone matches a connected matrix to the catalog,
-for ``classify`` and ``isogeny.enumerate_special``. The matrix type, the
-finite-type test, the symmetrizer, the catalog and type labels live in
-``gcm``, which a ``--type`` request runs without this module; every name
-there is re-exported here.
+for ``classify`` and ``isogeny.enumerate_special``. The stages before it
+live below: ``validate_gcm``, the three Cartan axioms, in ``axioms``; the
+matrix type and its finite-type verdict in ``core``; the symmetrizer, the
+catalog and type labels in ``gcm``. ``report`` runs this module only
+after a finite verdict, and a ``--type`` request not at all; every name of
+``axioms`` and ``gcm`` is re-exported here.
 """
 
 from collections import namedtuple
 
 from . import intmat
-# a --type request reads these in gcm; they are re-exported here
+# report reads these in axioms, and a --type request in gcm; they are
+# re-exported here
+from .axioms import AsymmetricZero, DiagonalNotTwo, PositiveOffDiagonal, validate_gcm
 from .gcm import (FAMILIES, GCM, MAX_RANK, GCMError, InvalidType, NotFiniteType, RankTooLarge,
                   Symmetrizer, WeylkitError, _valid_type, block_diag, catalog, is_finite_type,
                   parse_label, parse_type, symmetrizer)
-
-
-class DiagonalNotTwo(GCMError):
-    def __init__(self, i: int):
-        self.i = i
-        super().__init__(f"diagonal entry at ({i},{i}) is not 2")
-
-
-class PositiveOffDiagonal(GCMError):
-    def __init__(self, i: int, j: int):
-        self.i, self.j = i, j
-        super().__init__(f"off-diagonal entry at ({i},{j}) is positive")
-
-
-class AsymmetricZero(GCMError):
-    def __init__(self, i: int, j: int):
-        self.i, self.j = i, j
-        super().__init__(f"entry ({i},{j}) is zero iff ({j},{i}) is not")
 
 
 class DynkinType(namedtuple("DynkinType", "components")):
@@ -47,32 +32,6 @@ class DynkinType(namedtuple("DynkinType", "components")):
 
     def multiset(self) -> tuple[tuple[str, int], ...]:
         return tuple(sorted((f, r) for f, r, _ in self.components))
-
-
-def validate_gcm(matrix) -> GCM:
-    """Check the three Cartan axioms, reporting the first violation row-major."""
-    n = len(matrix)
-    if n == 0:
-        raise GCMError("matrix is empty")
-    if any(not isinstance(row, (list, tuple)) for row in matrix):
-        raise GCMError("matrix rows must be lists")
-    if any(len(row) != n for row in matrix):
-        raise GCMError("matrix is not square")
-    for row in matrix:
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise GCMError("matrix entries must be integers")
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if matrix[i][i] != 2:
-                    raise DiagonalNotTwo(i)
-            else:
-                if matrix[i][j] > 0:
-                    raise PositiveOffDiagonal(i, j)
-                if (matrix[i][j] == 0) != (matrix[j][i] == 0):
-                    raise AsymmetricZero(i, j)
-    return GCM(n, tuple(tuple(row) for row in matrix))
 
 
 def fundamental_group(c: GCM) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from operator import mul
 
 from . import weyl
 from .checks import check_weight
-from .gcm import WeylkitError
+from .core import WeylkitError
 from .roots import RootSystem
 
 

@@ -5,13 +5,15 @@
 ``RootSystem.simple_weight``, ``check_weight`` to a weight, and
 ``is_prime`` to a prime (``isogeny``, ``chevalley``), which refuses one at
 or past ``PRIMALITY_BOUND`` with ``PrimalityBoundExceeded``, an
-``IsogenyError``. ``weight_of`` reads a root-basis vector as a weight. The
-subcommands that take a word, a weight, a prime or a p-morphism share this
-module; ``roots`` reads it on use, so a ``roots``, ``weyl`` or ``classify``
-request compiles none of it.
+``IsogenyError``. ``weight_of`` reads a root-basis vector as a weight.
+``parse_word`` and ``parse_weight`` read the command line's comma-separated
+``--word`` and ``--weight`` values (``parse_ints``), refusing a malformed
+one with ``ParseError``. The subcommands that take a word, a weight, a
+prime or a p-morphism share this module; ``roots`` reads it on use, so a
+``roots``, ``weyl`` or ``classify`` request compiles none of it.
 """
 
-from .gcm import GCM, WeylkitError
+from .core import GCM, ParseError, WeylkitError
 
 
 class RootsError(WeylkitError):
@@ -69,6 +71,36 @@ def weight_of(gcm: GCM, coords) -> tuple[int, ...]:
         sum(a * gcm[k][j] for k, a in enumerate(coords))
         for j in range(gcm.n)
     )
+
+
+def parse_ints(text: str) -> list[int]:
+    """Comma-separated integers; an empty or blank field is refused, so
+    "1,,2" or "3," is not read as a shorter list."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ParseError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def parse_word(text: str, rank: int) -> tuple[int, ...]:
+    """A 1-based ``--word`` of simple reflections as 0-based indices; ""
+    is the empty word."""
+    letters = parse_ints(text) if text else []
+    word = []
+    for x in letters:
+        if not 1 <= x <= rank:
+            raise IndexOutOfRange(x, rank)
+        word.append(x - 1)
+    return tuple(word)
+
+
+def parse_weight(text: str, c: GCM, basis: str) -> tuple[int, ...]:
+    """A ``--weight`` in coroot coordinates, or in root coordinates
+    converted through c when ``basis`` is "root"."""
+    coords = parse_ints(text)
+    if len(coords) != c.n:
+        raise ParseError(f"weight must have {c.n} coordinates")
+    return weight_of(c, coords) if basis == "root" else tuple(coords)
 
 
 class IsogenyError(WeylkitError):

@@ -31,7 +31,7 @@ live here, with their one user.
 from collections import namedtuple
 
 from .checks import is_prime
-from .gcm import WeylkitError
+from .core import WeylkitError
 from .roots import Coords, RootSystem
 
 

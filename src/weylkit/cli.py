@@ -7,11 +7,19 @@ are read in coroot coordinates (the fundamental-weight basis) unless
 ``--basis root`` converts them through the Cartan matrix. Each handler
 returns only its own fields; ``main`` adds the ``schema`` name its
 subcommand's row of ``_COMMANDS`` carries (a spec in ``schemas``, which a
-successful ``--type`` request never loads) and, for a subcommand that
-takes ``--type``, echoes the label as ``type``. A handler reads its input
-and asks the module its request runs for the fields (``to_json`` or a
-``*_report`` function there), and ``clitext`` writes ``--format text`` and
-``-h``, so this module holds only what every request runs. ``_parse``
+successful ``--type`` request never loads; an error document writes
+``_ERROR_SCHEMA`` and loads it no more) and, for a subcommand that takes
+``--type``, echoes the label as ``type``. A handler reads its input and
+asks the module its request runs for the fields (``to_json`` or a
+``*_report`` function there), reading a ``--type`` label before it names
+that module, so a refused label runs ``gcm`` alone. ``checks`` reads the
+comma-separated ``--word`` and ``--weight`` values, and ``clitext`` writes
+``--format text`` and ``-h``, so this module holds only what every request
+runs. A ``classify`` runs only the stages its input reaches: unreadable
+input stops here and in ``core``, a matrix that fails the Cartan axioms in
+``schemas``, ``report`` and ``axioms``, one not of finite type at the
+leading minors (``bareiss``), and only a finite one runs ``cartan``,
+``gcm``, ``intmat``, ``roots`` and ``cosets``. ``_parse``
 reads argv against that one table as argparse read it, and no request
 imports argparse, gettext or locale: on ``weyl --type E6`` (medians of 41 fresh
 processes on a 2-core x86-64 machine) reading argv takes 0.03 ms, where
@@ -26,9 +34,9 @@ caller that passes argv keeps its collector as it was.
 Exit codes for ``classify``: 0 finite type, 2 valid Cartan matrix but not
 finite, 3 not a generalized Cartan matrix, 4 unreadable input, and 1 with a
 ``RankTooLarge`` error document for a valid matrix of rank over
-``gcm.MAX_RANK``, refused before the finite-type test. Other
+``core.MAX_RANK``, refused before the finite-type test. Other
 subcommands exit 0 on success and 1 with a machine-readable error object;
-a ``--type`` label whose ranks sum past ``gcm.MAX_RANK`` is one.
+a ``--type`` label whose ranks sum past ``core.MAX_RANK`` is one.
 ``classify`` and ``weyl`` alike exit 1 with a ``LayersTooLarge`` error
 document when a ``--cap`` lets through a group whose Weyl layers would pass
 ``cosets.MAX_LAYER_BYTES`` (E8 at any cap): they count W by cosets, but
@@ -50,8 +58,11 @@ import re
 import sys
 from types import SimpleNamespace
 
-from . import (characters, checks, chevalley, clitext, cosets, gcm, isogeny, pushforward, report,
-               rootdata, roots, schemas)
+from . import (characters, checks, chevalley, clitext, core, cosets, gcm, isogeny, pushforward,
+               report, rootdata, roots, schemas)
+# built in core, beside the error base, so that the input rules in checks
+# raise it too; every usage error and unreadable input writes one
+from .core import ParseError
 
 # a value like "-2,1" is an argument, not an option; compiled on first use,
 # so a request with no such token compiles no pattern
@@ -64,12 +75,13 @@ MAX_SAMPLES = 10_000
 # the message CPython gives an int past its int-to-str digit limit
 _DIGIT_LIMIT_MESSAGE = "for integer string conversion"
 
+# the schema name of every error document, ``schemas.ERROR["schema"]``,
+# written from here as each ``_COMMANDS`` row writes its own, so an error
+# document runs no schemas
+_ERROR_SCHEMA = "weylkit/error/1"
 
-class ParseError(gcm.WeylkitError):
-    """Unreadable input: bad JSON, a malformed document or a usage error."""
 
-
-class DigitLimitExceeded(gcm.WeylkitError):
+class DigitLimitExceeded(core.WeylkitError):
     def __init__(self):
         super().__init__(f"an integer to print has more than "
                          f"{sys.get_int_max_str_digits()} decimal digits")
@@ -82,32 +94,6 @@ def _render(doc: dict, fmt: str) -> str:
     if fmt == "text":
         return clitext.render(doc)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _parse_ints(text: str) -> list[int]:
-    """Comma-separated integers; an empty or blank field is refused, so
-    "1,,2" or "3," is not read as a shorter list."""
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise ParseError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _parse_word(text: str, rank: int) -> tuple[int, ...]:
-    letters = _parse_ints(text) if text else []
-    word = []
-    for x in letters:
-        if not 1 <= x <= rank:
-            raise checks.IndexOutOfRange(x, rank)
-        word.append(x - 1)
-    return tuple(word)
-
-
-def _parse_weight(text: str, c: gcm.GCM, basis: str) -> tuple[int, ...]:
-    coords = _parse_ints(text)
-    if len(coords) != c.n:
-        raise ParseError(f"weight must have {c.n} coordinates")
-    return checks.weight_of(c, coords) if basis == "root" else tuple(coords)
 
 
 def _load_json(path: str, spec):
@@ -141,9 +127,13 @@ def _cmd_classify(args) -> tuple[dict, int]:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# Each handler reads its label (or its root system) before it names the
+# module that takes it, so a label the catalog refuses runs none of them.
+
 def _root_system(args) -> "roots.RootSystem":
     """The root system of the catalog type ``--type`` names."""
-    return roots.generate_roots(gcm.parse_type(args.type))
+    c = gcm.parse_type(args.type)
+    return roots.generate_roots(c)
 
 
 def _cmd_roots(args) -> tuple[dict, int]:
@@ -157,20 +147,21 @@ def _cmd_roots(args) -> tuple[dict, int]:
 
 
 def _cmd_weyl(args) -> tuple[dict, int]:
-    return cosets.weyl_report(_root_system(args), args.cap), 0
+    rs = _root_system(args)
+    return cosets.weyl_report(rs, args.cap), 0
 
 
 def _cmd_bs_weights(args) -> tuple[dict, int]:
     rs = _root_system(args)
-    word = _parse_word(args.word, rs.rank)
-    weight = _parse_weight(args.weight, rs.gcm, args.basis)
+    word = checks.parse_word(args.word, rs.rank)
+    weight = checks.parse_weight(args.weight, rs.gcm, args.basis)
     return pushforward.word_report(rs, word, weight), 0
 
 
 def _cmd_character(args) -> tuple[dict, int]:
     """``dim`` or ``vol``: the ``characters`` function ``args.formula`` names."""
     rs = _root_system(args)
-    weight = _parse_weight(args.weight, rs.gcm, args.basis)
+    weight = checks.parse_weight(args.weight, rs.gcm, args.basis)
     return characters.formula_report(rs, args.formula, weight), 0
 
 
@@ -185,15 +176,18 @@ def _cmd_isogeny_validate(args) -> tuple[dict, int]:
 
 
 def _cmd_chevalley(args) -> tuple[dict, int]:
-    return chevalley.short_root_ideal_check(_root_system(args), args.p).to_json(), 0
+    rs = _root_system(args)
+    return chevalley.short_root_ideal_check(rs, args.p).to_json(), 0
 
 
 def _cmd_datum(args) -> tuple[dict, int]:
-    return rootdata.datum_report(gcm.parse_type(args.type), args.kind), 0
+    c = gcm.parse_type(args.type)
+    return rootdata.datum_report(c, args.kind), 0
 
 
 def _cmd_selfcheck(args) -> tuple[dict, int]:
-    doc = characters.selfcheck(_root_system(args), args.samples, args.seed)
+    rs = _root_system(args)
+    doc = characters.selfcheck(rs, args.samples, args.seed)
     return doc, 0 if doc["antisymmetry"] and doc["equivariance"] else 1
 
 
@@ -375,11 +369,11 @@ def main(argv=None) -> int:
     except _Help as exc:
         out, code = clitext.help_text(*exc.args), 0
     except ValueError as exc:
-        if not isinstance(exc, gcm.WeylkitError):
+        if not isinstance(exc, core.WeylkitError):
             if _DIGIT_LIMIT_MESSAGE not in str(exc):
                 raise
             exc = DigitLimitExceeded()
-        doc = {"schema": schemas.ERROR["schema"], "error": exc.to_json()}
+        doc = {"schema": _ERROR_SCHEMA, "error": exc.to_json()}
         code = 4 if isinstance(exc, ParseError) and argv[:1] == ["classify"] else 1
         out = _render(doc, getattr(args, "format", "json"))
     sys.stdout.write(out)

@@ -15,7 +15,7 @@ not run ``weyl``, which re-exports every name here.
 from collections import Counter
 from math import prod
 
-from .gcm import WeylkitError
+from .core import WeylkitError
 from .roots import RootSystem
 
 DEFAULT_CAP = 3_000_000

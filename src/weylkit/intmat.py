@@ -1,10 +1,15 @@
 """Exact integer matrix utilities.
 
 Everything here works over Python ints; no floating point. Matrices are
-lists of lists, row-major.
+lists of lists, row-major. The fraction-free elimination and the leading
+principal minors live in ``bareiss``, which a finite-type verdict runs
+without this module; both names are re-exported here.
 """
 
 from math import gcd
+
+# det and solve eliminate with _bareiss; leading_principal_minors is re-exported
+from .bareiss import _bareiss, leading_principal_minors
 
 Matrix = list[list[int]]
 
@@ -30,30 +35,6 @@ def matvec(a, v) -> list:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def _bareiss(m, n: int) -> tuple[int, int]:
-    """Fraction-free (Bareiss) elimination of the first n columns of the n
-    rows of m, in place; further columns are carried along. Rows swap only
-    on a zero pivot. Returns the swap parity (0 if the n columns are
-    singular) and the first step with a zero pivot (n if none); before it,
-    m[k][k] is the k-th leading principal minor (Bareiss, Math. Comp. 22).
-    """
-    sign, step, prev = 1, n, 1
-    for k in range(n):
-        if m[k][k] == 0:
-            step = min(step, k)
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0, step
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, tail = m[k][k], m[k][k + 1:]
-        for row in m[k + 1:]:
-            a = row[k]
-            row[k:] = [0] + [(x * pivot - a * y) // prev for x, y in zip(row[k + 1:], tail)]
-        prev = pivot
-    return sign, step
-
-
 def solve(a, b) -> tuple[int, Matrix]:
     """(d, x) with a x = d b and d = det(a), all in integers, for a square a
     and b of as many rows; x is zero when d is.
@@ -75,20 +56,6 @@ def solve(a, b) -> tuple[int, Matrix]:
 def det(a) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
     return solve(a, [[] for _ in a])[0]
-
-
-def leading_principal_minors(a) -> list[int]:
-    """Determinants of the upper-left k-by-k blocks, k = 1, 2, ..., up to
-    and including the first zero one: the pivots of one elimination before
-    its first zero pivot, then that 0. All n are there, the last det a,
-    exactly when none is zero.
-
-    >>> leading_principal_minors([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
-    [1, 0]
-    """
-    m = copy(a)
-    _, step = _bareiss(m, len(a))
-    return [m[k][k] for k in range(step)] + [0] * (step < len(a))
 
 
 def is_unimodular(a) -> bool:

@@ -25,7 +25,8 @@ from .cartan import catalog_type
 # the prime rule and its errors live in checks, beside the other input
 # rules, so chevalley runs without this module; they are re-exported here
 from .checks import PRIMALITY_BOUND, IsogenyError, PrimalityBoundExceeded, check_word, is_prime
-from .gcm import GCM, catalog, parse_label, symmetrizer
+from .core import GCM
+from .gcm import catalog, parse_label, symmetrizer
 
 
 class InvalidPMorphism(IsogenyError):

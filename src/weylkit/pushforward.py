@@ -31,7 +31,7 @@ from collections import Counter
 from collections.abc import Iterator
 
 from .checks import check_index, check_weight, check_word
-from .gcm import WeylkitError
+from .core import WeylkitError
 from .roots import Coords, RootSystem
 
 Word = tuple[int, ...]

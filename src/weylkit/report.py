@@ -1,15 +1,16 @@
 """The ``classify`` report of a matrix, the shape ``schemas.REPORT``.
 
-The matrix is checked as a generalized Cartan matrix and tested for finite
-type; a finite one is classified, and its root system gives the root
+The matrix is checked against the Cartan axioms (``axioms``) and tested
+for finite type (``core``, with ``bareiss`` for the leading minors); a
+finite one is classified (``cartan``), and its root system gives the root
 counts, the symmetrizer and, through ``cosets``, the Weyl order counted
 twice. Only ``classify`` runs this module, so no ``--type`` request
 compiles it.
 """
 
 # each module is read on use, through the module object, so a matrix that
-# is not of finite type runs neither roots nor cosets
-from . import cartan, cosets, roots, schemas
+# is not of finite type runs none of cartan, gcm, intmat, roots or cosets
+from . import axioms, cartan, core, cosets, roots, schemas
 
 
 def classify_report(matrix: list, transpose: bool = False, cap: int | None = None) -> dict:
@@ -27,12 +28,12 @@ def classify_report(matrix: list, transpose: bool = False, cap: int | None = Non
         "errors": [],
     }
     try:
-        gcm = cartan.validate_gcm(matrix)
-    except cartan.GCMError as exc:
+        gcm = axioms.validate_gcm(matrix)
+    except core.GCMError as exc:
         report["errors"].append(exc.to_json())
         return report
     report["gcm"] = True
-    report["finite"] = cartan.is_finite_type(gcm)
+    report["finite"] = core.is_finite_type(gcm)
     if not report["finite"]:
         return report
     dtype = cartan.classify(gcm)

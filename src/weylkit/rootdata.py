@@ -19,7 +19,7 @@ from . import intmat
 from .intmat import reduce_rows
 # fundamental_group is re-exported: callers read it as rootdata.fundamental_group
 from .cartan import fundamental_group, validate_gcm
-from .gcm import GCM, GCMError, WeylkitError
+from .core import GCM, GCMError, WeylkitError
 from .roots import RootSystem, generate_roots
 
 Vec = tuple[int, ...]

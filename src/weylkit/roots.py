@@ -27,7 +27,8 @@ from functools import cached_property
 # read on use, through the module object, so a request that passes no
 # index or root runs none of the input checks
 from . import checks
-from .gcm import GCM, Symmetrizer, symmetrizer
+from .core import GCM
+from .gcm import Symmetrizer, symmetrizer
 
 Coords = tuple[int, ...]
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import (cartan, cli, cosets, gcm, intmat, isogeny, pushforward, rootdata, roots,
+from weylkit import (bareiss, cartan, cli, cosets, gcm, isogeny, pushforward, rootdata, roots,
                      schemas)
 from weylkit.cli import main
 from weylkit.schemas import validate_document
@@ -292,8 +292,8 @@ def test_classify_input_boundary(argv, payload, message, echoed):
 
 def test_classify_tests_finite_type_once(monkeypatch):
     calls = []
-    minors = intmat.leading_principal_minors
-    monkeypatch.setattr(intmat, "leading_principal_minors",
+    minors = bareiss.leading_principal_minors
+    monkeypatch.setattr(bareiss, "leading_principal_minors",
                         lambda a: calls.append(len(a)) or minors(a))
     code, _ = run_cli(["classify"],
                       json.dumps({"matrix": cartan.catalog("D", 7).rows()}))
@@ -305,8 +305,8 @@ def test_isogeny_enumerate_reads_the_label_without_classifying(monkeypatch):
     # the B4 source and C4 target are catalog matrices, finite by
     # construction: neither adjoint datum runs a finite-type test
     calls, classified = [], []
-    minors, classify = intmat.leading_principal_minors, cartan.classify
-    monkeypatch.setattr(intmat, "leading_principal_minors",
+    minors, classify = bareiss.leading_principal_minors, cartan.classify
+    monkeypatch.setattr(bareiss, "leading_principal_minors",
                         lambda a: calls.append(len(a)) or minors(a))
     monkeypatch.setattr(cartan, "classify",
                         lambda c: classified.append(c) or classify(c))
@@ -320,8 +320,8 @@ def test_isogeny_enumerate_reads_the_label_without_classifying(monkeypatch):
 def test_isogeny_enumerate_reuses_the_source_datum_as_its_own_target(monkeypatch):
     # G2 at p = 3 maps G2 onto itself: one adjoint datum, of a catalog
     # matrix, so no finite-type test
-    calls, minors = [], intmat.leading_principal_minors
-    monkeypatch.setattr(intmat, "leading_principal_minors",
+    calls, minors = [], bareiss.leading_principal_minors
+    monkeypatch.setattr(bareiss, "leading_principal_minors",
                         lambda a: calls.append(len(a)) or minors(a))
     code, out = run_cli(["isogeny", "enumerate", "--type", "G2", "--p", "3"])
     assert code == 0
@@ -502,7 +502,7 @@ def test_e8_is_refused_at_any_cap_before_numpy(argv, stdin):
 
 def test_classify_refuses_a_rank_past_the_cap_before_eliminating(monkeypatch):
     calls = []
-    monkeypatch.setattr(intmat, "leading_principal_minors", calls.append)
+    monkeypatch.setattr(bareiss, "leading_principal_minors", calls.append)
     matrix = cartan.catalog("A", cartan.MAX_RANK + 1).rows()
     code, out = run_cli(["classify"], json.dumps({"matrix": matrix}))
     assert code == 1
@@ -591,6 +591,12 @@ def test_every_document_has_exactly_the_keys_of_its_spec(tmp_path):
         assert set(doc) == set(schemas.BY_SCHEMA[doc["schema"]]), argv
         seen.add(doc["schema"])
     assert seen == set(schemas.BY_SCHEMA)
+
+
+def test_error_schema_name_is_the_error_spec():
+    # main writes an error document's schema name from its own constant, so
+    # a usage error or an unreadable input runs no schemas
+    assert cli._ERROR_SCHEMA == schemas.ERROR["schema"]
 
 
 def _bad_isogeny_file(tmp_path, case):

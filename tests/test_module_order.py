@@ -7,8 +7,9 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weylkit"
 
-ORDER = ["intmat", "schemas", "gcm", "cartan", "checks", "roots", "cosets", "report", "weyl",
-         "characters", "pushforward", "rootdata", "isogeny", "chevalley", "clitext", "cli"]
+ORDER = ["bareiss", "intmat", "schemas", "core", "gcm", "axioms", "cartan", "checks", "roots",
+         "cosets", "report", "weyl", "characters", "pushforward", "rootdata", "isogeny",
+         "chevalley", "clitext", "cli"]
 
 
 def _relative_imports(tree):

@@ -22,13 +22,15 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 GOLDEN = ROOT / "tests" / "golden" / "isogeny_g2_p3.golden"
 
-MODULES = {"intmat", "schemas", "gcm", "cartan", "checks", "roots", "cosets", "report", "weyl",
-           "characters", "pushforward", "rootdata", "isogeny", "chevalley", "clitext"}
-# what every --type subcommand needs: the front end and the catalog matrix
-# with its root system; a catalog matrix needs no validation or Dynkin
-# search (cartan) and no finite-type test (intmat), and a success document
+MODULES = {"bareiss", "intmat", "schemas", "core", "gcm", "axioms", "cartan", "checks", "roots",
+           "cosets", "report", "weyl", "characters", "pushforward", "rootdata", "isogeny",
+           "chevalley", "clitext"}
+# what every request runs: the front end, and the error base with the
+# matrix type (core). A --type subcommand adds the catalog (gcm) and the
+# root system (roots); a catalog matrix needs no validation (axioms), Dynkin
+# search (cartan) or finite-type test (bareiss), and a success document
 # only its schema name (no schemas)
-BASE = {"cli", "gcm", "roots"}
+BASE = {"cli", "core"}
 
 # prints the weylkit modules whose bodies have run after the given code
 EXECUTED = (
@@ -37,10 +39,12 @@ EXECUTED = (
     "print(json.dumps([n.split('.', 1)[1] for n, m in sys.modules.items()\n"
     "                  if n.startswith('weylkit.') and type(m) is types.ModuleType]))\n"
 )
-RUN_CLI = ("import io, contextlib, weylkit.cli\n"
-           "with contextlib.redirect_stdout(io.StringIO()):\n"
-           "    code = weylkit.cli.main(sys.argv[1:])\n"
-           "assert code == 0, code")
+# runs one request in-process and checks its exit code
+RUN_CLI_EXITING = ("import io, contextlib, weylkit.cli\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    code = weylkit.cli.main(sys.argv[1:])\n"
+                   "assert code == {}, code")
+RUN_CLI = RUN_CLI_EXITING.format(0)
 
 
 def executed(code: str, argv=(), stdin: str = "") -> set:
@@ -52,29 +56,57 @@ def executed(code: str, argv=(), stdin: str = "") -> set:
 
 def test_bare_import_executes_no_submodule():
     assert executed("import weylkit") == set()
-    # cli's ParseError derives from gcm.WeylkitError
-    assert executed("import weylkit.cli") == {"cli", "gcm"}
+    # cli's DigitLimitExceeded derives from core.WeylkitError
+    assert executed("import weylkit.cli") == BASE
 
 
 # stands for a file holding the first G2 isogeny at p = 3, written per test
 PHI = "phi.json"
 
+NOT_A_GCM = '{"matrix": [[2, 0], [-1, 2]]}'
+AFFINE_A2 = '{"matrix": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]}'
+TRUNCATED = '{"matrix": [[2, -1], [-1'
+E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+      [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
+# E6 with its nodes relabelled, so the Dynkin search is not matching the
+# catalog's own numbering
+E6_RELABELLED = json.dumps({"matrix": [[E6[a][b] for b in (3, 0, 5, 1, 4, 2)]
+                                       for a in (3, 0, 5, 1, 4, 2)]})
+
+# each classify outcome: its input, its exit code and the modules it runs
+# besides BASE. A classify runs only the stages its input reaches: the
+# Cartan axioms (axioms) on a matrix read as JSON (schemas), the leading
+# minors (bareiss) on a Cartan matrix, and the rest on a finite one
+CLASSIFY_OUTCOMES = {
+    "finite": (E6_RELABELLED, 0, {"schemas", "report", "axioms", "bareiss", "cartan", "gcm",
+                                  "intmat", "roots", "cosets"}),
+    "not of finite type": (AFFINE_A2, 2, {"schemas", "report", "axioms", "bareiss"}),
+    "not a Cartan matrix": (NOT_A_GCM, 3, {"schemas", "report", "axioms"}),
+    "unreadable input": (TRUNCATED, 4, set()),
+}
+# what only a finite verdict reaches: the catalog and the Dynkin search,
+# the lattice half of intmat, the root system and the coset count
+PAST_THE_VERDICT = {"gcm", "cartan", "intmat", "roots", "cosets"}
+
 # each subcommand and the modules it runs besides BASE
 SUBCOMMANDS = [
-    (["roots", "--type", "B2"], set()),
-    (["weyl", "--type", "B2"], {"cosets"}),
-    (["dim", "--type", "B2", "--weight", "1,0"], {"checks", "characters"}),
-    (["vol", "--type", "B2", "--weight", "1,0"], {"checks", "characters"}),
-    (["selfcheck", "--type", "B2", "--samples", "2"], {"checks", "characters", "weyl", "cosets"}),
+    (["roots", "--type", "B2"], {"gcm", "roots"}),
+    (["weyl", "--type", "B2"], {"gcm", "roots", "cosets"}),
+    (["dim", "--type", "B2", "--weight", "1,0"], {"gcm", "roots", "checks", "characters"}),
+    (["vol", "--type", "B2", "--weight", "1,0"], {"gcm", "roots", "checks", "characters"}),
+    (["selfcheck", "--type", "B2", "--samples", "2"],
+     {"gcm", "roots", "checks", "characters", "weyl", "cosets"}),
     (["bs-weights", "--type", "B2", "--word", "1,2", "--weight", "1,0"],
-     {"checks", "pushforward"}),
-    (["datum", "--type", "B2"], {"cartan", "checks", "intmat", "rootdata"}),
-    (["classify", "-"], {"cartan", "schemas", "intmat", "report", "cosets"}),
+     {"gcm", "roots", "checks", "pushforward"}),
+    (["datum", "--type", "B2"],
+     {"gcm", "roots", "axioms", "cartan", "checks", "bareiss", "intmat", "rootdata"}),
+    (["classify", "-"], CLASSIFY_OUTCOMES["finite"][2]),
     (["isogeny", "enumerate", "--type", "B2", "--p", "2"],
-     {"cartan", "checks", "intmat", "rootdata", "isogeny"}),
+     {"gcm", "roots", "axioms", "cartan", "checks", "bareiss", "intmat", "rootdata", "isogeny"}),
     (["isogeny", "validate", "--file", PHI],
-     {"cartan", "checks", "schemas", "intmat", "rootdata", "isogeny"}),
-    (["chevalley", "check", "--type", "B2", "--p", "2"], {"checks", "chevalley"}),
+     {"gcm", "roots", "axioms", "cartan", "checks", "schemas", "bareiss", "intmat", "rootdata",
+      "isogeny"}),
+    (["chevalley", "check", "--type", "B2", "--p", "2"], {"gcm", "roots", "checks", "chevalley"}),
 ]
 
 
@@ -140,27 +172,24 @@ except SystemExit:
 sys.stderr.write(json.dumps(seen) + "\n")
 """
 
-# the AST nodes of weylkit source each request compiled before the
-# subcommands' cold code left cli and weyl, on Python 3.11
-PARENT_NODES = {"roots": 9_306, "weyl": 11_195, "dim": 9_638, "vol": 9_638,
-                "selfcheck": 11_527, "bs-weights": 10_620, "datum": 12_864,
-                "classify": 13_951, "isogeny enumerate": 14_627,
-                "isogeny validate": 15_730, "chevalley check": 10_323}
-NOT_A_GCM = '{"matrix": [[2, 0], [-1, 2]]}'
-AFFINE_A2 = '{"matrix": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]}'
-STDIN_IDS = {NOT_A_GCM: "classify-not-a-gcm", AFFINE_A2: "classify-affine-a2"}
-COMPILE_CASES = [(argv, PARENT_NODES[subcommand(argv)], None) for argv, _ in SUBCOMMANDS] + [
-    (["classify", "-"], 8_297, NOT_A_GCM),
-    # a valid matrix not of finite type: 8 666 nodes while gcm's names were
-    # in cartan, and it may gain only the docstring and import lines of the
-    # split
-    (["classify", "-"], 8_720, AFFINE_A2),
-    (["weyl", "--type", "E6", "--format", "text"], 11_195, None),
-    (["weyl", "-h"], 7_194, None),
-    # the figure this path reached once the catalog path left cartan for
-    # gcm and the input checks and root strings left roots (8 431 before,
-    # 11 195 while cli and weyl held the cold handlers and coset counting)
-    (["weyl", "--type", "E6"], 6_531, None),
+# the AST nodes of weylkit source each subcommand compiles on Python 3.11,
+# the figures it reached once each classify stage had a module of its own;
+# README's table keeps the figures of earlier layouts
+NODES = {"roots": 5_648, "weyl": 6_387, "dim": 7_136, "vol": 7_136, "selfcheck": 9_162,
+         "bs-weights": 7_812, "datum": 11_163, "classify": 10_599, "isogeny enumerate": 13_081,
+         "isogeny validate": 14_182, "chevalley check": 7_857}
+STDIN_IDS = {NOT_A_GCM: "classify-not-a-gcm", AFFINE_A2: "classify-affine-a2",
+             TRUNCATED: "classify-truncated-json", E6_RELABELLED: "classify-relabelled-e6"}
+COMPILE_CASES = [(argv, NODES[subcommand(argv)], None) for argv, _ in SUBCOMMANDS] + [
+    (["classify", "-"], 4_896, NOT_A_GCM),
+    (["classify", "-"], 5_244, AFFINE_A2),
+    (["classify", "-"], 3_098, TRUNCATED),
+    (["classify", "-"], 10_599, E6_RELABELLED),
+    (["weyl", "--type", "E6", "--format", "text"], 6_986, None),
+    (["weyl", "-h"], 3_697, None),
+    (["weyl", "--type", "E6"], 6_387, None),
+    # a label the catalog refuses: cli, core and gcm, no root system
+    (["weyl", "--type", "X9"], 4_364, None),
 ]
 
 
@@ -193,15 +222,20 @@ def test_a_request_compiles_each_file_once_and_no_more_source_than_it_did(
 
 
 def test_readme_module_table_is_the_subcommand_rows():
-    # each row: | `sub`, `sub` | `module`, `module` |, or "none" for no module
+    # each row: | `sub`, `sub` | `module`, `module` |, or "none" for no
+    # module; a classify row names its outcome: | `classify` (finite) | ...
     text = (ROOT / "README.md").read_text()
     table = text.split("The modules each subcommand runs", 1)[1].split("\n\n", 2)[1]
     rows = {}
     for line in table.splitlines()[2:]:
         subs, modules = line.strip("|").split("|")
-        for sub in re.findall(r"`([^`]+)`", subs):
-            rows[sub] = set(re.findall(r"`([^`]+)`", modules))
-    assert rows == {subcommand(argv): extra for argv, extra in SUBCOMMANDS}
+        for sub, outcome in re.findall(r"`([^`]+)`(?: \(([^)]+)\))?", subs):
+            rows[f"{sub} ({outcome})" if outcome else sub] = \
+                set(re.findall(r"`([^`]+)`", modules))
+    expected = {subcommand(argv): extra for argv, extra in SUBCOMMANDS if argv[0] != "classify"}
+    expected |= {f"classify ({outcome})": extra
+                 for outcome, (_, _, extra) in CLASSIFY_OUTCOMES.items()}
+    assert rows == expected
 
 
 def test_classify_of_d7_runs_no_rootdata_and_no_numpy():
@@ -213,7 +247,29 @@ def test_classify_of_d7_runs_no_rootdata_and_no_numpy():
     d7 = [[2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0 for j in range(7)]
           for i in range(7)]
     assert executed(code, ["classify", "-"], json.dumps({"matrix": d7})) == \
-        BASE | {"cartan", "schemas", "intmat", "report", "cosets"}
+        BASE | CLASSIFY_OUTCOMES["finite"][2]
+
+
+@pytest.mark.parametrize("outcome", CLASSIFY_OUTCOMES)
+def test_classify_runs_only_the_stages_its_input_reaches(outcome):
+    # an input that never reaches a finite verdict runs no Dynkin search,
+    # lattice code, root system or coset count
+    stdin, code, extra = CLASSIFY_OUTCOMES[outcome]
+    ran = executed(RUN_CLI_EXITING.format(code), ["classify", "-"], stdin)
+    assert ran == BASE | extra
+    assert bool(ran & PAST_THE_VERDICT) == (outcome == "finite")
+
+
+@pytest.mark.parametrize("argv", [[*words, "--type", "X9", *rest]
+                                  for words, rest in [(["roots"], []), (["weyl"], []),
+                                                      (["datum"], []), (["selfcheck"], []),
+                                                      (["chevalley", "check"], ["--p", "2"]),
+                                                      (["dim"], ["--weight", "1"])]],
+                         ids=subcommand)
+def test_a_refused_label_runs_only_the_catalog(argv):
+    # each handler reads its label before it names the module that takes it,
+    # and the error document's schema name is cli's own
+    assert executed(RUN_CLI_EXITING.format(1), argv) == BASE | {"gcm"}
 
 
 def test_exports_are_the_home_module_objects():
