@@ -11,17 +11,19 @@ The modules are arranged bottom-up, each importing only from those above it:
 * ``schemas``: the shapes of the CLI's JSON documents, with a checker
 * ``core``: the error base, ``ParseError``, the Cartan matrix type and its
   finite-type test: all that every request reads
-* ``gcm``: symmetrizer, catalog and type labels: the rest of what a
-  ``--type`` request reads; it re-exports ``core``'s names
+* ``gcm``: catalog, type labels and the positive roots by raising
+  reflections: the rest of what a ``--type`` request reads; it re-exports
+  ``core``'s names
 * ``axioms``: the Cartan axioms a matrix from outside must satisfy
-* ``cartan``: matrices from outside past their finite-type verdict: Dynkin
-  classification, fundamental group; it re-exports every name of ``axioms``
-  and ``gcm``
 * ``checks``: the word, simple-index, weight, root and prime checks, and the
   command line's ``--word`` and ``--weight`` readers
-* ``roots``: root systems and their coroots
-* ``cosets``: the Weyl group's order from the degrees and its Poincare
-  polynomial counted by parabolic cosets, with the admission both share
+* ``roots``: the symmetrizer, root systems and their coroots
+* ``cartan``: matrices from outside past their finite-type verdict: Dynkin
+  classification, fundamental group; it re-exports every name of
+  ``axioms``, the catalog names of ``gcm`` and the symmetrizer
+* ``cosets``: the Weyl group's order and Poincare polynomial from the
+  invariant degrees, read off the root heights, with the admission both
+  share
 * ``report``: the ``classify`` report of a matrix
 * ``weyl``: the Weyl group as permutations of the roots, words, enumeration
 * ``characters``: shifted Euler characteristic, Weyl dimension, volume, and
@@ -53,7 +55,7 @@ import sys
 __version__ = "0.1.0"
 
 # the package's modules, bottom-up
-_MODULES = ("bareiss", "intmat", "schemas", "core", "gcm", "axioms", "cartan", "checks", "roots",
+_MODULES = ("bareiss", "intmat", "schemas", "core", "gcm", "axioms", "checks", "roots", "cartan",
             "cosets", "report", "weyl", "characters", "pushforward", "rootdata", "isogeny",
             "chevalley", "clitext")
 
@@ -66,14 +68,14 @@ _EXPORTS = {
                   "steinberg_check"),
     "core": ("GCM", "is_finite_type"),
     "cosets": ("poincare_series", "weyl_order"),
-    "gcm": ("Symmetrizer", "catalog", "parse_type", "symmetrizer"),
+    "gcm": ("catalog", "parse_type"),
     "isogeny": ("PMorphism", "enumerate_special", "factor_primitive_constant",
                 "frobenius", "validate_pmorphism"),
     "pushforward": ("GradedWeights", "chi_restriction", "h0_rank", "occurs",
                     "pushforward_step", "pushforward_word"),
     "rootdata": ("PinnedRootDatum", "adjoint_datum", "intermediate_lattices",
                  "pinned_isomorphism", "simply_connected_datum"),
-    "roots": ("Root", "RootSystem", "generate_roots"),
+    "roots": ("Root", "RootSystem", "Symmetrizer", "generate_roots", "symmetrizer"),
     "weyl": ("WeylElement", "WeylGroup", "demazure_product", "enumerate_weyl",
              "is_reduced", "poincare_polynomial", "reduced_word", "reflect"),
 }

@@ -5,21 +5,23 @@ classification and the fundamental group.
 type. ``catalog_type`` alone matches a connected matrix to the catalog,
 for ``classify`` and ``isogeny.enumerate_special``. The stages before it
 live below: ``validate_gcm``, the three Cartan axioms, in ``axioms``; the
-matrix type and its finite-type verdict in ``core``; the symmetrizer, the
-catalog and type labels in ``gcm``. ``report`` runs this module only
-after a finite verdict, and a ``--type`` request not at all; every name of
-``axioms`` and ``gcm`` is re-exported here.
+matrix type and its finite-type verdict in ``core``; the catalog and type
+labels in ``gcm``; the symmetrizer in ``roots``. ``report`` runs this
+module only after a finite verdict, and a ``--type`` request not at all;
+every name of ``axioms``, every name of ``gcm`` but ``positive_roots`` and
+the symmetrizer are re-exported here.
 """
 
 from collections import namedtuple
 
 from . import intmat
-# report reads these in axioms, and a --type request in gcm; they are
-# re-exported here
+# report reads these in axioms, a --type request in gcm and roots; they
+# are re-exported here
 from .axioms import AsymmetricZero, DiagonalNotTwo, PositiveOffDiagonal, validate_gcm
 from .gcm import (FAMILIES, GCM, MAX_RANK, GCMError, InvalidType, NotFiniteType, RankTooLarge,
-                  Symmetrizer, WeylkitError, _valid_type, block_diag, catalog, is_finite_type,
-                  parse_label, parse_type, symmetrizer)
+                  WeylkitError, _valid_type, block_diag, catalog, is_finite_type, parse_label,
+                  parse_type)
+from .roots import Symmetrizer, symmetrizer
 
 
 class DynkinType(namedtuple("DynkinType", "components")):

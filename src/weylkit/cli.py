@@ -39,8 +39,10 @@ subcommands exit 0 on success and 1 with a machine-readable error object;
 a ``--type`` label whose ranks sum past ``core.MAX_RANK`` is one.
 ``classify`` and ``weyl`` alike exit 1 with a ``LayersTooLarge`` error
 document when a ``--cap`` lets through a group whose Weyl layers would pass
-``cosets.MAX_LAYER_BYTES`` (E8 at any cap): they count W by cosets, but
-admit it as ``enumerate_weyl`` does.
+``cosets.MAX_LAYER_BYTES`` (E8 at any cap): they count W from its
+invariant degrees, with no element, but admit it as ``enumerate_weyl``
+does. ``weyl`` reads the degrees off the root heights that ``gcm``'s
+raising pass gives, so it runs no ``roots``.
 A usage error (an unknown subcommand, a missing or malformed option) is
 unreadable input too: it writes one ``ParseError`` error document and exits
 4 under ``classify``, 1 otherwise. A ``selfcheck`` whose samples x (rank + 1)
@@ -71,9 +73,6 @@ _NEGATIVE_VECTOR = r"^-\d+(,-?\d+)*$"
 # most samples ``selfcheck`` draws; E8 at the cap takes about 5 s, and
 # ``characters.SELFCHECK_BUDGET`` admits E8 at the cap
 MAX_SAMPLES = 10_000
-
-# the message CPython gives an int past its int-to-str digit limit
-_DIGIT_LIMIT_MESSAGE = "for integer string conversion"
 
 # the schema name of every error document, ``schemas.ERROR["schema"]``,
 # written from here as each ``_COMMANDS`` row writes its own, so an error
@@ -147,8 +146,8 @@ def _cmd_roots(args) -> tuple[dict, int]:
 
 
 def _cmd_weyl(args) -> tuple[dict, int]:
-    rs = _root_system(args)
-    return cosets.weyl_report(rs, args.cap), 0
+    c = gcm.parse_type(args.type)
+    return cosets.weyl_report(c, args.cap), 0
 
 
 def _cmd_bs_weights(args) -> tuple[dict, int]:
@@ -370,7 +369,8 @@ def main(argv=None) -> int:
         out, code = clitext.help_text(*exc.args), 0
     except ValueError as exc:
         if not isinstance(exc, core.WeylkitError):
-            if _DIGIT_LIMIT_MESSAGE not in str(exc):
+            # the message CPython gives an int past its int-to-str digit limit
+            if "for integer string conversion" not in str(exc):
                 raise
             exc = DigitLimitExceeded()
         doc = {"schema": _ERROR_SCHEMA, "error": exc.to_json()}

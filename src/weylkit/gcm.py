@@ -1,5 +1,5 @@
-"""Generalized Cartan matrices as the catalog builds them: the symmetrizer,
-the catalog and type labels.
+"""Generalized Cartan matrices as the catalog builds them: the catalog, type
+labels and the positive roots as the raising reflections reach them.
 
 Convention (used throughout the package): the entry ``C[i][j]`` is the pairing
 of simple root i against simple coroot j, so row i of C lists the
@@ -15,11 +15,11 @@ live in ``core``, which a ``classify`` runs without this module until its
 input is of finite type; each of those names but ``ParseError`` is
 re-exported here. A ``--type`` request runs this module and ``core`` alone
 of those that hold Cartan matrices: a matrix from outside is validated in
-``axioms`` and classified in ``cartan``, which re-exports every name here.
+``axioms`` and classified in ``cartan``, which re-exports every name here
+but ``positive_roots``. That is the one pass that finds the roots: ``roots``
+builds its records from it, and ``cosets`` reads the root heights off it,
+so a ``weyl`` request runs no ``roots``.
 """
-
-from collections import namedtuple
-from math import gcd
 
 # this module uses all but WeylkitError, which it re-exports
 from .core import (GCM, MAX_RANK, GCMError, NotFiniteType, RankTooLarge, WeylkitError,
@@ -38,47 +38,38 @@ class InvalidType(GCMError):
         super().__init__(f"({family},{'?' if rank is None else rank}) is not a valid finite type")
 
 
-class Symmetrizer(namedtuple("Symmetrizer", "d lengths")):
-    """Minimal positive integers d with d[i] C[i][j] = d[j] C[j][i].
+def positive_roots(c: GCM) -> dict[int, tuple[int, ...]]:
+    """The positive roots of C, each as its key, sum(coords[k] * 2**(8k)),
+    mapped to its weight (its pairings with the simple coroots), found by
+    closing the simple roots under the raising reflections.
 
-    ``lengths[i]`` is the squared-length ratio of simple root i, normalized
-    so the short roots of each component have length 1. With the pairing
-    convention above this is max(d over the component) / d[i]; in particular
-    the short nodes of a doubly-laced component carry the larger d value.
+    If the i-th weight coordinate x = <beta, alpha_i^vee> of a positive
+    root beta is negative, s_i beta = beta - x * alpha_i is a positive root
+    of greater height, and every positive root is reached from a simple
+    root by such steps (Humphreys, Introduction to Lie Algebras, 10.3): a
+    positive root that is not simple pairs positively with some simple
+    coroot, and that reflection lowers it. A step moves the key by
+    ``-x * 2**(8i)`` and the weight by ``-x * C[i]``. A coordinate is at
+    most 6 (E8), so the key's bytes, little-endian, are the coordinates.
+    Raises NotFiniteType, before any step, unless C is of finite type.
     """
-
-    __slots__ = ()
-
-
-def symmetrizer(c: GCM) -> Symmetrizer:
-    """Symmetrizing vector and per-node squared-length ratios."""
     if not is_finite_type(c):
         raise NotFiniteType()
-    n = c.n
-    d = [0] * n
-    comps = c.components()
-    for comp in comps:
-        d[comp[0]] = 1
-        stack = [comp[0]]
-        while stack:
-            i = stack.pop()
-            for j in comp:
-                if c[i][j] != 0 and d[j] == 0:
-                    # d_i C_ij = d_j C_ji along the edge i - j; where C_ji does
-                    # not divide d_i C_ij, scale the values found so far by the
-                    # least factor that makes it, so they stay coprime
-                    scale = -c[j][i] // gcd(d[i] * c[i][j], c[j][i])
-                    if scale > 1:
-                        for k in comp:
-                            d[k] *= scale
-                    d[j] = d[i] * c[i][j] // c[j][i]
-                    stack.append(j)
-    lengths = [0] * n
-    for comp in comps:
-        top = max(d[i] for i in comp)
-        for i in comp:   # finite type: d[i] is top, top / 2 or top / 3
-            lengths[i] = top // d[i]
-    return Symmetrizer(tuple(d), tuple(lengths))
+    # a step along alpha_i changes only the weight entries where row i of C is nonzero
+    row_support = [[(j, a) for j, a in enumerate(row) if a] for row in c]
+    found = {1 << 8 * i: row for i, row in enumerate(c)}
+    stack = list(found)
+    while stack:
+        key = stack.pop()
+        weight = found[key]
+        for i, x in enumerate(weight):
+            if x < 0 and (up := key - x * (1 << 8 * i)) not in found:
+                raised = list(weight)
+                for j, a in row_support[i]:
+                    raised[j] -= x * a
+                found[up] = tuple(raised)
+                stack.append(up)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from .cartan import catalog_type
 # rules, so chevalley runs without this module; they are re-exported here
 from .checks import PRIMALITY_BOUND, IsogenyError, PrimalityBoundExceeded, check_word, is_prime
 from .core import GCM
-from .gcm import catalog, parse_label, symmetrizer
+from .gcm import catalog, parse_label
+from .roots import symmetrizer
 
 
 class InvalidPMorphism(IsogenyError):

@@ -2,10 +2,10 @@
 
 The matrix is checked against the Cartan axioms (``axioms``) and tested
 for finite type (``core``, with ``bareiss`` for the leading minors); a
-finite one is classified (``cartan``), and its root system gives the root
-counts, the symmetrizer and, through ``cosets``, the Weyl order counted
-twice. Only ``classify`` runs this module, so no ``--type`` request
-compiles it.
+finite one is classified (``cartan``) and given its symmetrizer
+(``roots``); ``cosets`` reads the root count N, |W| and W(q) off the
+invariant degrees, from the root heights, with no root system built. Only
+``classify`` runs this module, so no ``--type`` request compiles it.
 """
 
 # each module is read on use, through the module object, so a matrix that
@@ -19,7 +19,7 @@ def classify_report(matrix: list, transpose: bool = False, cap: int | None = Non
     Cartan matrix, and ``finite`` false for one not of finite type. With
     ``transpose``, a square list of lists is transposed first, for the
     opposite pairing convention. ``cap`` is the Weyl order past which
-    ``cosets.weyl_counts`` skips its second count."""
+    ``cosets.weyl_counts`` skips W(q) and the order read off it."""
     if transpose and all(isinstance(row, list) and len(row) == len(matrix) for row in matrix):
         matrix = [list(row) for row in zip(*matrix)]
     report = dict.fromkeys(schemas.REPORT) | {
@@ -39,11 +39,9 @@ def classify_report(matrix: list, transpose: bool = False, cap: int | None = Non
     dtype = cartan.classify(gcm)
     report["type"] = [(f, r) for f, r, _ in dtype.components]
     report["node_maps"] = [nodes for _, _, nodes in dtype.components]
-    rs = roots.generate_roots(gcm)
-    report["symmetrizer"] = rs.sym.d
-    report["positive_roots"] = rs.num_positive
-    report["dimension"] = rs.num_positive
+    report["symmetrizer"] = roots.symmetrizer(gcm).d
     report["fundamental_group"] = cartan.fundamental_group(gcm)
-    (report["weyl_order"], report["weyl_order_enumerated"],
-     report["poincare"]) = cosets.weyl_counts(rs, cap)
+    (report["weyl_order"], report["positive_roots"], report["weyl_order_enumerated"],
+     report["poincare"]) = cosets.weyl_counts(gcm, cap)
+    report["dimension"] = report["positive_roots"]
     return report

@@ -6,9 +6,13 @@ Every root carries three coordinate systems at once:
 * ``coroot``: coefficients of its coroot in the simple-coroot basis,
 * ``weight``: pairings with the simple coroots (fundamental-weight basis).
 
-Generation raises the simple roots by simple reflections and carries all
-three forward, so arbitrary root-against-coroot pairings are integer dot
-products: pairing(beta, alpha) = weight(beta) . coroot(alpha). A root's key,
+The positive roots and their weights come from ``gcm.positive_roots``,
+which raises the simple roots by simple reflections; the coordinates are a
+key's bytes and the coroot follows from the squared lengths the
+symmetrizer gives, so arbitrary root-against-coroot pairings are integer
+dot products: pairing(beta, alpha) = weight(beta) . coroot(alpha). The
+symmetrizer lives here, the first module to read it; ``cartan`` re-exports
+it. A root's key,
 sum(coords[k] * 2**(8k)), is linear, so a reflection step and ``add(r, s,
 k)``, the index of the root r + k*s, are each one sum and one dict lookup.
 Coordinates stay within +-6 (E8), a reflection step adds at most 3 alpha_i,
@@ -23,14 +27,60 @@ compiles none of them. Root strings live in ``chevalley``, their one user.
 
 from collections import namedtuple
 from functools import cached_property
+from itertools import repeat
+from math import gcd
+from operator import floordiv, mul, neg
 
 # read on use, through the module object, so a request that passes no
 # index or root runs none of the input checks
 from . import checks
-from .core import GCM
-from .gcm import Symmetrizer, symmetrizer
+from .core import GCM, NotFiniteType, is_finite_type
+from .gcm import positive_roots
 
 Coords = tuple[int, ...]
+
+
+class Symmetrizer(namedtuple("Symmetrizer", "d lengths")):
+    """Minimal positive integers d with d[i] C[i][j] = d[j] C[j][i].
+
+    ``lengths[i]`` is the squared-length ratio of simple root i, normalized
+    so the short roots of each component have length 1. With the pairing
+    convention of ``gcm`` this is max(d over the component) / d[i]; in particular
+    the short nodes of a doubly-laced component carry the larger d value.
+    """
+
+    __slots__ = ()
+
+
+def symmetrizer(c: GCM) -> Symmetrizer:
+    """Symmetrizing vector and per-node squared-length ratios."""
+    if not is_finite_type(c):
+        raise NotFiniteType()
+    n = c.n
+    d = [0] * n
+    comps = c.components()
+    for comp in comps:
+        d[comp[0]] = 1
+        stack = [comp[0]]
+        while stack:
+            i = stack.pop()
+            for j in comp:
+                if c[i][j] != 0 and d[j] == 0:
+                    # d_i C_ij = d_j C_ji along the edge i - j; where C_ji does
+                    # not divide d_i C_ij, scale the values found so far by the
+                    # least factor that makes it, so they stay coprime
+                    scale = -c[j][i] // gcd(d[i] * c[i][j], c[j][i])
+                    if scale > 1:
+                        for k in comp:
+                            d[k] *= scale
+                    d[j] = d[i] * c[i][j] // c[j][i]
+                    stack.append(j)
+    lengths = [0] * n
+    for comp in comps:
+        top = max(d[i] for i in comp)
+        for i in comp:   # finite type: d[i] is top, top / 2 or top / 3
+            lengths[i] = top // d[i]
+    return Symmetrizer(tuple(d), tuple(lengths))
 
 
 class Root(namedtuple("Root", "index coords coroot weight height positive length")):
@@ -135,53 +185,31 @@ class RootSystem:
 
 
 def generate_roots(c: GCM) -> RootSystem:
-    """Close the simple roots under the raising reflections.
+    """The roots of C: the positive ones ``gcm.positive_roots`` finds, then
+    their negatives in the mirrored order.
 
-    If the i-th weight coordinate x = <beta, alpha_i^vee> of a positive
-    root beta is negative, s_i beta = beta - x * alpha_i is a positive root
-    of greater height, and every positive root is reached from a simple
-    root by such steps (Humphreys, Introduction to Lie Algebras, 10.3): a
-    positive root that is not simple pairs positively with some simple
-    coroot, and that reflection lowers it. A step moves the key by
-    ``-x * 2**(8i)``, as ``reflection_perms`` does, and the weight by
-    ``-x * C[i]``; a reflection keeps the squared length. The coroot of a
-    root has simple-coroot coordinates ``coords[k] * length(alpha_k) /
-    length``. The negative roots mirror the positive ones. The symmetrizer
-    raises NotFiniteType unless C is of finite type.
+    A root beta of weight w has squared length sum(coords[k] * w[k] *
+    length(alpha_k)) / 2, since (beta, alpha_k) = w[k] * length(alpha_k) / 2,
+    and its coroot the simple-coroot coordinates ``coords[k] *
+    length(alpha_k) / length``. The symmetrizer raises NotFiniteType unless
+    C is of finite type.
     """
     sym = symmetrizer(c)
     n = c.n
-    lengths = sym.lengths
-    # a step along alpha_i changes only the weight entries where row i of C is nonzero
-    row_support = [[(j, a) for j, a in enumerate(c[i]) if a] for i in range(n)]
-    # key -> (coords, weight, length)
-    found: dict[int, tuple[Coords, Coords, int]] = {
-        1 << 8 * i: (tuple(1 if k == i else 0 for k in range(n)), c[i], lengths[i])
-        for i in range(n)}
-    stack = list(found)
-    while stack:
-        key = stack.pop()
-        coords, weight, length = found[key]
-        for i, x in enumerate(weight):
-            if x < 0 and (up := key - x * (1 << 8 * i)) not in found:
-                raised = list(weight)
-                for j, a in row_support[i]:
-                    raised[j] -= x * a
-                found[up] = (coords[:i] + (coords[i] - x,) + coords[i + 1:], tuple(raised),
-                             length)
-                stack.append(up)
-    positives = sorted((sum(coords), coords, key) for key, (coords, _, _) in found.items())
-
+    found = positive_roots(c)
+    positives = sorted((sum(coords), coords, key) for key in found
+                       for coords in [tuple(key.to_bytes(n, "little"))])
     roots: list[Root] = []
     for idx, (height, coords, key) in enumerate(positives):
-        _, weight, length = found[key]
-        coroot = tuple(a * lengths[k] // length for k, a in enumerate(coords))
+        weight = found[key]
+        scaled = tuple(map(mul, coords, sym.lengths))
+        length = sum(map(mul, scaled, weight)) // 2
+        coroot = scaled if length == 1 else tuple(map(floordiv, scaled, repeat(length)))
         roots.append(Root(idx, coords, coroot, weight, height, True, length))
     np_ = len(roots)
     for r in roots[:np_]:
-        roots.append(Root(np_ + r.index, tuple(-a for a in r.coords),
-                          tuple(-b for b in r.coroot), tuple(-w for w in r.weight),
-                          -r.height, False, r.length))
+        roots.append(Root(np_ + r.index, tuple(map(neg, r.coords)), tuple(map(neg, r.coroot)),
+                          tuple(map(neg, r.weight)), -r.height, False, r.length))
     return RootSystem(c, sym, roots, [k for *_, k in positives] + [-k for *_, k in positives])
 
 

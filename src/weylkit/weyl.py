@@ -10,8 +10,8 @@ is a bijection, and each element of length k + 1 is generated exactly
 once, from its canonical parent of length k (Casselman's smallest-descent
 rule). That keeps the enumeration at a few bytes per element with no
 deduplication (E7's 2.9 million elements fit comfortably). The CLI reads
-only the layer sizes, which ``cosets.poincare_series`` counts by parabolic
-cosets; this module re-exports that module's names (|W|, its degrees, the
+only the layer sizes, which ``cosets`` counts as the product of
+q-integers over the invariant degrees; this module re-exports that module's names (|W|, its degrees, the
 admission and its errors), and ``enumerate_weyl`` admits a group by the
 same rule. The admission reads ``DEFAULT_CAP`` and ``MAX_LAYER_BYTES`` in
 ``cosets``, so a bound is changed there: setting the re-exported copy here
@@ -28,7 +28,7 @@ from collections import namedtuple
 # the counts live in cosets, so the weyl and classify subcommands run
 # without this module; they are re-exported here
 from .cosets import (DEFAULT_CAP, MAX_LAYER_BYTES, CapExceeded, LayersTooLarge, WeylError,
-                     _admit, _coset_chain, degrees, poincare_series, weyl_order)
+                     _admit, degrees, poincare_series, weyl_order)
 from .checks import check_weight, check_word
 from .roots import Coords, RootSystem
 
@@ -185,7 +185,7 @@ def enumerate_weyl(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     >>> enumerate_weyl(generate_roots(parse_type("G2"))).histogram
     [1, 2, 2, 2, 2, 2, 1]
     """
-    _admit(rs, weyl_order(rs), cap)
+    _admit(rs.rank, weyl_order(rs), cap)
     import numpy as np
 
     n = rs.rank

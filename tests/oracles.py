@@ -12,8 +12,9 @@ inversion counts instead of root permutations, the reflection closure of
 the simple roots by a frontier of coordinate tuples reflected both ways
 and the height-by-height string rule instead of the raising reflections
 on root keys, the per-family closed forms of |W| instead of invariant
-degrees, and a breadth-first search over sets of tuples instead of
-canonical-parent generation of the
+degrees, W(q) as a product of fundamental-weight orbit layer sizes instead
+of the product of q-integers over the invariant degrees, a breadth-first
+search over sets of tuples instead of canonical-parent generation of the
 rho-orbit, the canonical-parent walk on tuples instead of the numpy walk,
 trial division instead of Miller-Rabin, a loop over all bijections and q
 values instead of the isomorphism search along Dynkin edges between nodes
@@ -195,6 +196,43 @@ def rho_orbit_layers(gcm) -> list[set[tuple[int, ...]]]:
             return layers
         seen |= nxt
         layers.append(nxt)
+
+
+def coset_chain(gcm) -> list[int]:
+    """The reference for ``cosets``' W(q), the product of q-integers over
+    the invariant degrees: W(q) as a product of the layer sizes of
+    fundamental-weight orbits (Humphreys, Reflection Groups and Coxeter
+    Groups, 1.10-1.11).
+
+    W(q) = W_I(q) * W^I(q) for I = S minus a node j, and the minimal coset
+    representatives W^I biject with the orbit of w_j, lengths included.
+    Each step removes the smallest-index leaf j of the Dynkin graph on the
+    nodes left, I, and walks the orbit of w_j under W_{I+j} in weight
+    coordinates over I + j. As in the rho walk, a child s_i v of v with
+    v[i] > 0 is kept only when no coordinate before i is negative, so each
+    coset representative comes once from its smallest-descent parent; the
+    coordinates may now be 0, where the rho walk's never are. A leaf keeps
+    every orbit small: D_n's first node has 2n, its spin node 2**(n - 1).
+    """
+    live = list(range(gcm.n))
+    poly = [1]
+    while live:
+        j = next(k for k in live if sum(1 for m in live if m != k and gcm[k][m]) <= 1)
+        rows = [[gcm[i][m] for m in live] for i in live]
+        layer = [tuple(int(m == j) for m in live)]
+        sizes = []
+        while layer:
+            sizes.append(len(layer))
+            layer = [child for i, row in enumerate(rows) for v in layer if v[i] > 0
+                     for child in [tuple(x - v[i] * a for x, a in zip(v, row))]
+                     if min(child[:i], default=0) >= 0]
+        live.remove(j)
+        product = [0] * (len(poly) + len(sizes) - 1)
+        for a, x in enumerate(poly):
+            for b, y in enumerate(sizes):
+                product[a + b] += x * y
+        poly = product
+    return poly
 
 
 def tuple_walk(rs) -> list[memoryview]:

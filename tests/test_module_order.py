@@ -7,7 +7,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weylkit"
 
-ORDER = ["bareiss", "intmat", "schemas", "core", "gcm", "axioms", "cartan", "checks", "roots",
+ORDER = ["bareiss", "intmat", "schemas", "core", "gcm", "axioms", "checks", "roots", "cartan",
          "cosets", "report", "weyl", "characters", "pushforward", "rootdata", "isogeny",
          "chevalley", "clitext", "cli"]
 

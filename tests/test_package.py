@@ -26,8 +26,9 @@ MODULES = {"bareiss", "intmat", "schemas", "core", "gcm", "axioms", "cartan", "c
            "cosets", "report", "weyl", "characters", "pushforward", "rootdata", "isogeny",
            "chevalley", "clitext"}
 # what every request runs: the front end, and the error base with the
-# matrix type (core). A --type subcommand adds the catalog (gcm) and the
-# root system (roots); a catalog matrix needs no validation (axioms), Dynkin
+# matrix type (core). A --type subcommand adds the catalog (gcm) and, but
+# for weyl, which reads the root heights off gcm's raising pass, the root
+# system (roots); a catalog matrix needs no validation (axioms), Dynkin
 # search (cartan) or finite-type test (bareiss), and a success document
 # only its schema name (no schemas)
 BASE = {"cli", "core"}
@@ -85,13 +86,13 @@ CLASSIFY_OUTCOMES = {
     "unreadable input": (TRUNCATED, 4, set()),
 }
 # what only a finite verdict reaches: the catalog and the Dynkin search,
-# the lattice half of intmat, the root system and the coset count
+# the lattice half of intmat, the symmetrizer (roots) and the count of W
 PAST_THE_VERDICT = {"gcm", "cartan", "intmat", "roots", "cosets"}
 
 # each subcommand and the modules it runs besides BASE
 SUBCOMMANDS = [
     (["roots", "--type", "B2"], {"gcm", "roots"}),
-    (["weyl", "--type", "B2"], {"gcm", "roots", "cosets"}),
+    (["weyl", "--type", "B2"], {"gcm", "cosets"}),
     (["dim", "--type", "B2", "--weight", "1,0"], {"gcm", "roots", "checks", "characters"}),
     (["vol", "--type", "B2", "--weight", "1,0"], {"gcm", "roots", "checks", "characters"}),
     (["selfcheck", "--type", "B2", "--samples", "2"],
@@ -173,23 +174,23 @@ sys.stderr.write(json.dumps(seen) + "\n")
 """
 
 # the AST nodes of weylkit source each subcommand compiles on Python 3.11,
-# the figures it reached once each classify stage had a module of its own;
-# README's table keeps the figures of earlier layouts
-NODES = {"roots": 5_648, "weyl": 6_387, "dim": 7_136, "vol": 7_136, "selfcheck": 9_162,
-         "bs-weights": 7_812, "datum": 11_163, "classify": 10_599, "isogeny enumerate": 13_081,
-         "isogeny validate": 14_182, "chevalley check": 7_857}
+# the figures it reached once weyl and classify counted W from the root
+# heights; README's table keeps the figures of earlier layouts
+NODES = {"roots": 5_609, "weyl": 4_880, "dim": 7_097, "vol": 7_097, "selfcheck": 8_994,
+         "bs-weights": 7_773, "datum": 11_125, "classify": 10_420, "isogeny enumerate": 13_044,
+         "isogeny validate": 14_145, "chevalley check": 7_818}
 STDIN_IDS = {NOT_A_GCM: "classify-not-a-gcm", AFFINE_A2: "classify-affine-a2",
              TRUNCATED: "classify-truncated-json", E6_RELABELLED: "classify-relabelled-e6"}
 COMPILE_CASES = [(argv, NODES[subcommand(argv)], None) for argv, _ in SUBCOMMANDS] + [
-    (["classify", "-"], 4_896, NOT_A_GCM),
-    (["classify", "-"], 5_244, AFFINE_A2),
-    (["classify", "-"], 3_098, TRUNCATED),
-    (["classify", "-"], 10_599, E6_RELABELLED),
-    (["weyl", "--type", "E6", "--format", "text"], 6_986, None),
-    (["weyl", "-h"], 3_697, None),
-    (["weyl", "--type", "E6"], 6_387, None),
+    (["classify", "-"], 4_884, NOT_A_GCM),
+    (["classify", "-"], 5_232, AFFINE_A2),
+    (["classify", "-"], 3_097, TRUNCATED),
+    (["classify", "-"], 10_420, E6_RELABELLED),
+    (["weyl", "--type", "E6", "--format", "text"], 5_479, None),
+    (["weyl", "-h"], 3_696, None),
+    (["weyl", "--type", "E6"], 4_880, None),
     # a label the catalog refuses: cli, core and gcm, no root system
-    (["weyl", "--type", "X9"], 4_364, None),
+    (["weyl", "--type", "X9"], 4_271, None),
 ]
 
 
@@ -239,9 +240,9 @@ def test_readme_module_table_is_the_subcommand_rows():
 
 
 def test_classify_of_d7_runs_no_rootdata_and_no_numpy():
-    # D7's 322 560 elements are counted by cosets, with no numpy; the
-    # fundamental group comes from cartan, so a finite classify runs cosets
-    # and never weyl or rootdata, and no input check (checks)
+    # D7's 322 560 elements are counted from its degrees, with no numpy;
+    # the fundamental group comes from cartan, so a finite classify runs
+    # cosets and never weyl or rootdata, and no input check (checks)
     code = RUN_CLI + "\nassert 'numpy' not in sys.modules"
     edges = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)}  # the chain forks at node 4
     d7 = [[2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0 for j in range(7)]
@@ -253,7 +254,7 @@ def test_classify_of_d7_runs_no_rootdata_and_no_numpy():
 @pytest.mark.parametrize("outcome", CLASSIFY_OUTCOMES)
 def test_classify_runs_only_the_stages_its_input_reaches(outcome):
     # an input that never reaches a finite verdict runs no Dynkin search,
-    # lattice code, root system or coset count
+    # lattice code, symmetrizer or count of W
     stdin, code, extra = CLASSIFY_OUTCOMES[outcome]
     ran = executed(RUN_CLI_EXITING.format(code), ["classify", "-"], stdin)
     assert ran == BASE | extra
@@ -332,8 +333,8 @@ def test_every_traced_entry_point_still_resolves():
 def test_tracer_patches_the_lazily_loaded_modules():
     # the tracer reads sys.modules["weylkit.<module>"] right after importing
     # the package, so every module must be registered by then; symmetrizer
-    # and is_finite_type live in gcm, and the tracer finds them through
-    # cartan's re-export and swaps them where gcm and roots hold them
+    # lives in roots and is_finite_type in core, and the tracer finds them
+    # through cartan's re-export and swaps them where each module holds them
     spans = traced_spans(["roots", "--type", "B2"])
     for name in ("roots.generate_roots", "cartan.symmetrizer", "cartan.is_finite_type"):
         calls, _, _ = spans[name]

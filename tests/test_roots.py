@@ -1,9 +1,13 @@
+import inspect
+import random
+import sys
+import textwrap
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import cartan
+from weylkit import cartan, cosets, gcm
 from weylkit.characters import EulerData, shifted_euler_characteristic, volume, weyl_dim
 from weylkit.checks import (IndexOutOfRange, NotARoot, NotAWeight, RootsError, check_weight,
                             check_word)
@@ -66,6 +70,92 @@ def test_generate_roots_matches_string_rule(label):
     rs = generate_roots(g)
     assert list(rs.roots) == roots
     assert list(rs.keys) == keys
+
+
+# -- the raising pass, gcm.positive_roots -----------------------------------
+
+PASS_LABELS = [f"{f}{r}" for f, r in cartan.catalog_types(max_rank=9)] + [
+    "A60", "B60", "C60", "D60", "G2+F4", "B3+C4+G2", "D30+D30", "E8+A2"]
+
+
+def _pass_cases():
+    """(case, matrix): every label of PASS_LABELS, and three seeded
+    relabellings of each of rank at most 9 and of each mixed label."""
+    for label in PASS_LABELS:
+        g = cartan.parse_type(label)
+        yield label, g
+        for seed in range(1, 4) if g.n <= 9 or "+" in label else ():
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            yield (label, seed), cartan.validate_gcm([[g[a][b] for b in perm] for a in perm])
+
+
+def _pass_agrees(positive_roots, g) -> bool:
+    """Whether a raising pass finds the positive roots of generate_roots:
+    the same keys and weights, so the same heights and degrees."""
+    found = positive_roots(g)
+    rs = generate_roots(g)
+    heights = Counter(sum(key.to_bytes(g.n, "little")) for key in found)
+    return (found == {key: r.weight for key, r in zip(rs.keys, rs.positives)}
+            and heights == Counter(r.height for r in rs.positives))
+
+
+def test_raising_pass_finds_the_positive_roots():
+    for case, g in _pass_cases():
+        assert _pass_agrees(gcm.positive_roots, g), case
+        assert cosets.matrix_degrees(g) == cosets.degrees(generate_roots(g)), case
+
+
+def test_a_pass_that_skips_a_raising_direction_fails_the_comparison():
+    # the comparison above must catch a pass that never raises along alpha_0
+    source = textwrap.dedent(inspect.getsource(gcm.positive_roots))
+    mutated = source.replace("if x < 0 and", "if i and x < 0 and")
+    assert mutated != source
+    namespace = dict(vars(gcm))
+    exec(mutated, namespace)
+    failed = [case for case, g in _pass_cases()
+              if not _pass_agrees(namespace["positive_roots"], g)]
+    assert "G2" in failed and "B60" in failed, failed
+
+
+AFFINE_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+# the E_n diagram of the catalog's numbering carried on to rank 10
+E10 = [[2 if i == j else -1 if {i, j} in ({0, 2}, {1, 3}) or (i >= 2 and j >= 2 and abs(i - j) == 1)
+        else 0 for j in range(10)] for i in range(10)]
+# a chain of five nodes with a double bond at each end
+DOUBLE_ENDS = [[2, -2, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0], [0, 0, -1, 2, -1],
+               [0, 0, 0, -2, 2]]
+
+
+@pytest.mark.parametrize("rows", [AFFINE_A2, E10, DOUBLE_ENDS],
+                         ids=["affine-A2", "E10", "double-bond-ends"])
+def test_raising_pass_refuses_a_matrix_not_of_finite_type_before_any_step(rows):
+    # a non-finite matrix has infinitely many roots, so a pass that began
+    # raising would never stop: any line past the refusal fails the test
+    g = cartan.validate_gcm(rows)
+    code = gcm.positive_roots.__code__
+    lines, first = inspect.getsourcelines(gcm.positive_roots)
+    refusal = first + next(k for k, line in enumerate(lines) if "raise NotFiniteType" in line)
+    ran = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            ran.append(frame.f_lineno)
+            if frame.f_lineno > refusal:
+                raise AssertionError(f"line {frame.f_lineno} of the pass ran")
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        with pytest.raises(cartan.NotFiniteType):
+            gcm.positive_roots(g)
+    finally:
+        sys.settrace(previous)
+    assert ran[-1] == refusal
+    assert not cartan.is_finite_type(g)
 
 
 def test_a2_positives_by_hand():

@@ -16,7 +16,7 @@ from weylkit.weyl import (CapExceeded, NotInRhoOrbit, WeylElement,
                           poincare_series, reduced_word, reflect,
                           simple_reflections, weyl_order, word_from_vector)
 
-from oracles import (dihedral_lengths, rho_orbit_layers,
+from oracles import (coset_chain, dihedral_lengths, rho_orbit_layers,
                      symmetric_group_lengths, tuple_walk, weyl_order_closed_form)
 
 
@@ -168,13 +168,18 @@ def test_histogram_is_product_of_degree_q_integers():
         assert enumerate_weyl(rs).histogram == _degree_product(rs), (family, rank)
 
 
-# -- the Poincare series by cosets -----------------------------------------
+# -- the Poincare series from the degrees ----------------------------------
+
+def _relabel(gcm, seed):
+    """gcm with its nodes in a seeded random order."""
+    perm = list(range(gcm.n))
+    random.Random(seed).shuffle(perm)
+    return cartan.validate_gcm([[gcm[a][b] for b in perm] for a in perm])
+
 
 def _relabelled(gcm, seed):
     """The root system of gcm with its nodes in a seeded random order."""
-    perm = list(range(gcm.n))
-    random.Random(seed).shuffle(perm)
-    return generate_roots(cartan.validate_gcm([[gcm[a][b] for b in perm] for a in perm]))
+    return generate_roots(_relabel(gcm, seed))
 
 
 def test_poincare_series_is_the_enumerated_histogram():
@@ -195,7 +200,24 @@ def test_coset_chain_is_product_of_degree_q_integers():
     # the chain skips the admission, so it reaches past the cap
     for family, rank in cartan.catalog_types(max_rank=12) + [("E", 8)]:
         rs = generate_roots(cartan.catalog(family, rank))
-        assert cosets._coset_chain(rs) == _degree_product(rs), (family, rank)
+        assert coset_chain(rs.gcm) == _degree_product(rs), (family, rank)
+
+
+def test_degree_product_is_the_coset_chain():
+    # the W(q) that weyl_counts writes, from the heights of the raising
+    # pass, against the coset-orbit walk: every catalog type up to rank 9,
+    # the classical families to rank 20, mixed labels and seeded
+    # relabellings, with no admission, so past the cap too
+    labels = [f"{f}{r}" for f, r in cartan.catalog_types(max_rank=9)]
+    labels += [f"{f}{r}" for f in "ABCD" for r in range(10, 21)]
+    labels += ["G2+F4", "B3+C4+G2", "D30+D30"]
+    for label in labels:
+        gcm = cartan.parse_type(label)
+        chain = coset_chain(gcm)
+        assert cosets._q_product(cosets.matrix_degrees(gcm)) == chain, label
+        for seed in range(1, 4) if gcm.n <= 9 or "+" in label else ():
+            relabelled = _relabel(gcm, seed)
+            assert cosets._q_product(cosets.matrix_degrees(relabelled)) == chain, (label, seed)
 
 
 def _outcome(count, rs, cap):
@@ -226,13 +248,15 @@ def test_poincare_series_shares_the_layer_bound(monkeypatch):
 
 @pytest.mark.parametrize("label, poincare", [("E6", list), ("D60", str)])
 def test_weyl_counts_reads_the_degrees_once(label, poincare, monkeypatch):
-    # the admission takes |W| from its caller: E6 is admitted and counted
-    # by cosets, D60 is past the cap and skipped
-    calls, degrees = [], cosets.degrees
-    monkeypatch.setattr(cosets, "degrees", lambda rs: calls.append(rs) or degrees(rs))
-    order, _, poly = cosets.weyl_counts(_rs(label), None)
+    # the admission takes |W| from its caller: E6 is admitted and its W(q)
+    # counted, D60 is past the cap and skipped; no root system is built
+    calls, degrees = [], cosets.matrix_degrees
+    monkeypatch.setattr(cosets, "matrix_degrees", lambda c: calls.append(c) or degrees(c))
+    monkeypatch.setattr(cosets, "degrees", None)
+    order, num_positive, _, poly = cosets.weyl_counts(cartan.parse_type(label), None)
     assert len(calls) == 1
     assert isinstance(poly, poincare) and order == prod(degrees(calls[0]))
+    assert num_positive == _rs(label).num_positive
 
 
 def test_cap_exceeded():
