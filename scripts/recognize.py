@@ -6,7 +6,7 @@ Weyl data and the fundamental group.
 Usage: python scripts/recognize.py
 """
 
-from weylkit import cartan, roots, weyl
+from weylkit import axioms, cartan, core, cosets, roots
 from weylkit.cartan import fundamental_group
 
 EXAMPLES = [
@@ -24,19 +24,19 @@ def main():
     for label, matrix in EXAMPLES:
         print(f"== {label}: {matrix}")
         try:
-            g = cartan.validate_gcm(matrix)
-        except cartan.GCMError as exc:
+            g = axioms.validate_gcm(matrix)
+        except core.GCMError as exc:
             print(f"   not a generalized Cartan matrix: {exc}")
             print()
             continue
-        if not cartan.is_finite_type(g):
+        if not core.is_finite_type(g):
             print("   valid generalized Cartan matrix, but not finite type")
             print()
             continue
         dtype = cartan.classify(g)
-        sym = cartan.symmetrizer(g)
+        sym = roots.symmetrizer(g)
         rs = roots.generate_roots(g)
-        poly = weyl.poincare_series(rs)
+        poly = cosets.poincare_series(rs)
         print(f"   type {dtype.label()}   symmetrizer {list(sym.d)}")
         print(f"   {rs.num_positive} positive roots, flag dimension {rs.num_positive}")
         print(f"   |W| = {sum(poly)}   Poincare {poly}")

@@ -7,20 +7,18 @@ The modules are arranged bottom-up, each importing only from those above it:
   principal minors the finite-type test reads
 * ``intmat``: exact integer matrices, the modular elimination
   (``hermite_form``, ending in ``reduce_rows``, a back-reduction the lattice
-  walk shares) and invariant factors from it; it re-exports ``bareiss``
+  walk shares) and invariant factors from it
 * ``schemas``: the shapes of the CLI's JSON documents, with a checker
 * ``core``: the error base, ``ParseError``, the Cartan matrix type and its
   finite-type test: all that every request reads
 * ``gcm``: catalog, type labels and the positive roots by raising
-  reflections: the rest of what a ``--type`` request reads; it re-exports
-  ``core``'s names
+  reflections: the rest of what a ``--type`` request reads
 * ``axioms``: the Cartan axioms a matrix from outside must satisfy
 * ``checks``: the word, simple-index, weight, root and prime checks, and the
   command line's ``--word`` and ``--weight`` readers
 * ``roots``: the symmetrizer, root systems and their coroots
 * ``cartan``: matrices from outside past their finite-type verdict: Dynkin
-  classification, fundamental group; it re-exports every name of
-  ``axioms``, the catalog names of ``gcm`` and the symmetrizer
+  classification, fundamental group
 * ``cosets``: the Weyl group's order and Poincare polynomial from the
   invariant degrees, read off the root heights, with the admission both
   share
@@ -42,7 +40,8 @@ Each module but ``cli`` runs on first use. The package registers them in
 ``importlib.util.LazyLoader``, so a module's body runs at the first access to
 one of its attributes; the names in ``__all__`` are read from their home
 module on access (PEP 562 ``__getattr__``). ``import weylkit`` runs none of
-them, and a request runs only the modules it touches.
+them, and a request runs only the modules it touches. ``_EXPORTS`` is the
+one public facade: every other name is read in its home module.
 
 Convention: the Cartan matrix entry ``C[i][j]`` pairs simple root i against
 simple coroot j, so row i is simple root i in fundamental-weight

@@ -2,7 +2,7 @@
 
 ``validate_gcm`` is the first stage of ``classify``, which ``report`` runs
 here before the finite-type verdict, so an input that fails it compiles no
-Dynkin search. ``cartan`` re-exports every name here.
+Dynkin search.
 """
 
 from .core import GCM, GCMError

@@ -2,8 +2,7 @@
 
 The finite-type verdict of a Cartan matrix from outside reads its leading
 minors here, so a ``classify`` that stops at that verdict compiles none of
-``intmat``'s lattice code; ``intmat`` re-exports both names for ``det``,
-``solve`` and their callers.
+``intmat``'s lattice code.
 """
 
 

@@ -7,21 +7,17 @@ for ``classify`` and ``isogeny.enumerate_special``. The stages before it
 live below: ``validate_gcm``, the three Cartan axioms, in ``axioms``; the
 matrix type and its finite-type verdict in ``core``; the catalog and type
 labels in ``gcm``; the symmetrizer in ``roots``. ``report`` runs this
-module only after a finite verdict, and a ``--type`` request not at all;
-every name of ``axioms``, every name of ``gcm`` but ``positive_roots`` and
-the symmetrizer are re-exported here.
+module only after a finite verdict, and a ``--type`` request not at all.
 """
 
 from collections import namedtuple
 
 from . import intmat
-# report reads these in axioms, a --type request in gcm and roots; they
-# are re-exported here
-from .axioms import AsymmetricZero, DiagonalNotTwo, PositiveOffDiagonal, validate_gcm
-from .gcm import (FAMILIES, GCM, MAX_RANK, GCMError, InvalidType, NotFiniteType, RankTooLarge,
-                  WeylkitError, _valid_type, block_diag, catalog, is_finite_type, parse_label,
-                  parse_type)
-from .roots import Symmetrizer, symmetrizer
+from .core import GCM, NotFiniteType, is_finite_type
+from .gcm import FAMILIES, _valid_type, catalog
+# bound for perfbench/tracer.py's TRACED alone, until ROADMAP item 2, step 1
+from .axioms import validate_gcm
+from .roots import symmetrizer
 
 
 class DynkinType(namedtuple("DynkinType", "components")):

@@ -3,8 +3,7 @@ and the generalized Cartan matrix type with its finite-type verdict.
 
 A ``classify`` input that is no Cartan matrix, or not of finite type, stops
 here and in the two small modules beside it (``axioms``, ``bareiss``), so it
-compiles no catalog, Dynkin search or lattice code. ``gcm`` re-exports every
-name but ``ParseError``.
+compiles no catalog, Dynkin search or lattice code.
 """
 
 from functools import cached_property

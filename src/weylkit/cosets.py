@@ -11,7 +11,7 @@ any work, and so is one whose int16 layers would pass ``MAX_LAYER_BYTES``
 (E8 at any cap). The ``weyl`` and ``classify`` subcommands count W of a
 Cartan matrix through this module alone (``weyl_counts``), reading the
 heights off ``gcm.positive_roots``, so they run neither ``roots`` nor
-``weyl``, which re-exports every name here.
+``weyl``.
 """
 
 from collections import Counter

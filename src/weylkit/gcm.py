@@ -12,18 +12,15 @@ edge sits at the end of the chain with ``C[n-2][n-1] = -1, C[n-1][n-2] = -2``
 orientation. B2 and C2 name the same abstract type and the catalog exposes it
 as (B, 2). The error base, the matrix type and its finite-type verdict
 live in ``core``, which a ``classify`` runs without this module until its
-input is of finite type; each of those names but ``ParseError`` is
-re-exported here. A ``--type`` request runs this module and ``core`` alone
-of those that hold Cartan matrices: a matrix from outside is validated in
-``axioms`` and classified in ``cartan``, which re-exports every name here
-but ``positive_roots``. That is the one pass that finds the roots: ``roots``
-builds its records from it, and ``cosets`` reads the root heights off it,
-so a ``weyl`` request runs no ``roots``.
+input is of finite type. A ``--type`` request runs this module and
+``core`` alone of those that hold Cartan matrices: a matrix from outside is
+validated in ``axioms`` and classified in ``cartan``. ``positive_roots`` is
+the one pass that finds the roots: ``roots`` builds its records from it,
+and ``cosets`` reads the root heights off it, so a ``weyl`` request runs no
+``roots``.
 """
 
-# this module uses all but WeylkitError, which it re-exports
-from .core import (GCM, MAX_RANK, GCMError, NotFiniteType, RankTooLarge, WeylkitError,
-                   is_finite_type)
+from .core import GCM, MAX_RANK, GCMError, NotFiniteType, RankTooLarge, is_finite_type
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 

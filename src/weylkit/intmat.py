@@ -3,13 +3,14 @@
 Everything here works over Python ints; no floating point. Matrices are
 lists of lists, row-major. The fraction-free elimination and the leading
 principal minors live in ``bareiss``, which a finite-type verdict runs
-without this module; both names are re-exported here.
+without this module.
 """
 
 from math import gcd
 
-# det and solve eliminate with _bareiss; leading_principal_minors is re-exported
-from .bareiss import _bareiss, leading_principal_minors
+from .bareiss import _bareiss
+# bound for perfbench/tracer.py's TRACED alone, until ROADMAP item 2, step 1
+from .bareiss import leading_principal_minors
 
 Matrix = list[list[int]]
 

@@ -23,8 +23,8 @@ from math import gcd
 from . import intmat, rootdata, schemas
 from .cartan import catalog_type
 # the prime rule and its errors live in checks, beside the other input
-# rules, so chevalley runs without this module; they are re-exported here
-from .checks import PRIMALITY_BOUND, IsogenyError, PrimalityBoundExceeded, check_word, is_prime
+# rules, so chevalley runs without this module
+from .checks import IsogenyError, check_word, is_prime
 from .core import GCM
 from .gcm import catalog, parse_label
 from .roots import symmetrizer

@@ -17,8 +17,9 @@ from math import prod
 
 from . import intmat
 from .intmat import reduce_rows
-# fundamental_group is re-exported: callers read it as rootdata.fundamental_group
-from .cartan import fundamental_group, validate_gcm
+from .axioms import validate_gcm
+# bound for perfbench/tracer.py's TRACED alone, until ROADMAP item 2, step 1
+from .cartan import fundamental_group
 from .core import GCM, GCMError, WeylkitError
 from .roots import RootSystem, generate_roots
 

@@ -11,8 +11,7 @@ which raises the simple roots by simple reflections; the coordinates are a
 key's bytes and the coroot follows from the squared lengths the
 symmetrizer gives, so arbitrary root-against-coroot pairings are integer
 dot products: pairing(beta, alpha) = weight(beta) . coroot(alpha). The
-symmetrizer lives here, the first module to read it; ``cartan`` re-exports
-it. A root's key,
+symmetrizer lives here, the first module to read it. A root's key,
 sum(coords[k] * 2**(8k)), is linear, so a reflection step and ``add(r, s,
 k)``, the index of the root r + k*s, are each one sum and one dict lookup.
 Coordinates stay within +-6 (E8), a reflection step adds at most 3 alpha_i,

@@ -11,11 +11,8 @@ once, from its canonical parent of length k (Casselman's smallest-descent
 rule). That keeps the enumeration at a few bytes per element with no
 deduplication (E7's 2.9 million elements fit comfortably). The CLI reads
 only the layer sizes, which ``cosets`` counts as the product of
-q-integers over the invariant degrees; this module re-exports that module's names (|W|, its degrees, the
-admission and its errors), and ``enumerate_weyl`` admits a group by the
-same rule. The admission reads ``DEFAULT_CAP`` and ``MAX_LAYER_BYTES`` in
-``cosets``, so a bound is changed there: setting the re-exported copy here
-changes nothing.
+q-integers over the invariant degrees, and ``enumerate_weyl`` admits a
+group by ``cosets``'s rule and bounds.
 
 Each layer is an int16 numpy array, one row per element, built a layer at
 a time with each step vectorised over the layer. numpy is imported by
@@ -26,9 +23,8 @@ package loads it and no CLI request does.
 from collections import namedtuple
 
 # the counts live in cosets, so the weyl and classify subcommands run
-# without this module; they are re-exported here
-from .cosets import (DEFAULT_CAP, MAX_LAYER_BYTES, CapExceeded, LayersTooLarge, WeylError,
-                     _admit, degrees, poincare_series, weyl_order)
+# without this module
+from .cosets import CapExceeded, WeylError, _admit, weyl_order
 from .checks import check_weight, check_word
 from .roots import Coords, RootSystem
 
@@ -175,10 +171,9 @@ def enumerate_weyl(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     k + 1 comes from exactly one parent. |W| (``weyl_order``) is checked
     before numpy is imported or a layer built: over ``cap``, which is
     ``cosets.DEFAULT_CAP`` when None, it raises CapExceeded, and with layers
-    past ``cosets.MAX_LAYER_BYTES`` LayersTooLarge (both are read in
-    ``cosets``, not here). Each step is vectorised over a
-    layer: the children for i = 0..n-1 in turn, each over the parents in
-    order.
+    past ``cosets.MAX_LAYER_BYTES`` LayersTooLarge. Each step is vectorised
+    over a layer: the children for i = 0..n-1 in turn, each over the
+    parents in order.
 
     >>> from weylkit.gcm import parse_type
     >>> from weylkit.roots import generate_roots

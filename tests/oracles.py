@@ -46,7 +46,7 @@ from itertools import chain, permutations, product
 from math import factorial, gcd, isqrt, lcm
 from operator import sub
 
-from weylkit import cli, intmat
+from weylkit import cli, core, intmat
 from weylkit.chevalley import bracket_constant, steinberg_check
 from weylkit.pushforward import pushforward_multiset
 
@@ -875,7 +875,7 @@ class _ReferenceParser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(cli._NEGATIVE_VECTOR)
 
     def error(self, message):
-        raise cli.ParseError(f"{self.prog}: {message}")
+        raise core.ParseError(f"{self.prog}: {message}")
 
 
 def reference_parser() -> argparse.ArgumentParser:

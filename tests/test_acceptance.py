@@ -14,7 +14,8 @@ from contextlib import redirect_stdout
 from itertools import product
 from pathlib import Path
 
-from weylkit import cartan
+from weylkit import axioms, cartan, gcm
+from weylkit.cartan import fundamental_group
 from weylkit.characters import EulerData, shifted_euler_characteristic, volume, weyl_dim
 from weylkit.chevalley import (HypothesesNotMet, bracket_constant,
                                short_root_ideal_check, steinberg_check)
@@ -22,13 +23,12 @@ from weylkit.isogeny import (compose, enumerate_special,
                              factor_primitive_constant, frobenius,
                              is_constant, is_primitive, validate_pmorphism)
 from weylkit.pushforward import h0_rank, occurs, pushforward_word
-from weylkit.rootdata import (adjoint_datum, fundamental_group,
-                              intermediate_lattices, pinned_isomorphism,
+from weylkit.rootdata import (adjoint_datum, intermediate_lattices, pinned_isomorphism,
                               simply_connected_datum)
 from weylkit.roots import generate_roots, nonsimple_positives
+from weylkit.cosets import weyl_order
 from weylkit.schemas import validate_document
-from weylkit.weyl import (enumerate_weyl, poincare_polynomial,
-                          simple_reflections, weyl_order)
+from weylkit.weyl import enumerate_weyl, poincare_polynomial, simple_reflections
 
 from cli_cases import CLASSIFY_CASES, SUBCOMMAND_CASES
 from oracles import brute_bracket_m, freudenthal_dim, rebased
@@ -44,7 +44,7 @@ _RS_CACHE: dict = {}
 def _rs(family, rank):
     key = (family, rank)
     if key not in _RS_CACHE:
-        _RS_CACHE[key] = generate_roots(cartan.catalog(family, rank))
+        _RS_CACHE[key] = generate_roots(gcm.catalog(family, rank))
     return _RS_CACHE[key]
 
 
@@ -58,14 +58,14 @@ def test_c1_classification_round_trip():
     started = time.monotonic()
     rng = random.Random(1)
     for family, rank in ALL_TYPES:
-        g = cartan.catalog(family, rank)
+        g = gcm.catalog(family, rank)
         dtype = cartan.classify(g)
         assert dtype.components == ((family, rank, tuple(range(rank))),)
         for _ in range(20):
             perm = list(range(rank))
             rng.shuffle(perm)
             rows = [[g[perm[i]][perm[j]] for j in range(rank)] for i in range(rank)]
-            relabeled = cartan.validate_gcm(rows)
+            relabeled = axioms.validate_gcm(rows)
             got = cartan.classify(relabeled)
             assert got.multiset() == ((family, rank),)
             ((_, _, nodes),) = got.components
@@ -190,13 +190,13 @@ def test_c6_root_data():
                  "E": lambda n: {6: (3,), 7: (2,), 8: ()}[n],
                  "F": lambda n: (), "G": lambda n: ()}
     for family, rank in ALL_TYPES:
-        g = cartan.catalog(family, rank)
+        g = gcm.catalog(family, rank)
         got = tuple(sorted(fundamental_group(g)))
         expected = tuple(sorted(x for x in classical[family](rank) if x > 1))
         assert got == expected, (family, rank)
     bases = {2: [[1, 1], [0, 1]], 3: [[1, 0, 1], [0, 1, 1], [0, 0, 1]]}
     for label in ["A2", "B2", "G2", "A3", "B3"]:
-        g = cartan.parse_type(label)
+        g = gcm.parse_type(label)
         datum = adjoint_datum(g)
         assert pinned_isomorphism(datum, datum) == tuple(
             tuple(int(i == j) for j in range(g.n)) for i in range(g.n))
@@ -250,7 +250,7 @@ def test_c8_chevalley_suite():
                 assert bracket_constant(rs, a.coords, b.coords).m == \
                     brute_bracket_m(rs.is_root, a.coords, b.coords)
     for label in ["B2", "B3", "C3", "F4", "G2"]:
-        rs = generate_roots(cartan.parse_type(label))
+        rs = generate_roots(gcm.parse_type(label))
         checked = 0
         for a in rs.roots:
             for b in rs.roots:
@@ -262,7 +262,7 @@ def test_c8_chevalley_suite():
                 checked += 1
         assert checked > 0
     for label, p in [("B2", 2), ("B3", 2), ("C3", 2), ("F4", 2), ("G2", 3)]:
-        report = short_root_ideal_check(generate_roots(cartan.parse_type(label)), p)
+        report = short_root_ideal_check(generate_roots(gcm.parse_type(label)), p)
         assert report.passed and not report.violations, (label, p)
     _report("C8", "bracket constants, string identity, short-root ideal", started, 30.0)
 

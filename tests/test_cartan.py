@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import cartan, intmat
-from weylkit.cartan import (AsymmetricZero, DiagonalNotTwo, GCMError,
-                            InvalidType, NotFiniteType, PositiveOffDiagonal)
-from weylkit.intmat import leading_principal_minors
+from weylkit import axioms, cartan, core, gcm, intmat, roots
+from weylkit.axioms import AsymmetricZero, DiagonalNotTwo, PositiveOffDiagonal
+from weylkit.bareiss import leading_principal_minors
+from weylkit.core import GCMError, NotFiniteType
+from weylkit.gcm import InvalidType
 from weylkit.isogeny import enumerate_special
 from weylkit.roots import generate_roots
 
@@ -21,50 +22,50 @@ ALL_TYPES = cartan.catalog_types(max_rank=8)
 
 
 def test_validate_rank_one():
-    g = cartan.validate_gcm([[2]])
+    g = axioms.validate_gcm([[2]])
     assert g.n == 1
 
 
 def test_validate_asymmetric_zero_names_first_entry():
     with pytest.raises(AsymmetricZero) as exc:
-        cartan.validate_gcm([[2, -1], [0, 2]])
+        axioms.validate_gcm([[2, -1], [0, 2]])
     assert (exc.value.i, exc.value.j) == (0, 1)
 
 
 def test_validate_affine_matrix_is_still_a_gcm():
-    g = cartan.validate_gcm([[2, -2], [-2, 2]])
+    g = axioms.validate_gcm([[2, -2], [-2, 2]])
     assert g.n == 2
-    assert not cartan.is_finite_type(g)
+    assert not core.is_finite_type(g)
 
 
 def test_validate_diagonal_and_positivity():
     with pytest.raises(DiagonalNotTwo):
-        cartan.validate_gcm([[1]])
+        axioms.validate_gcm([[1]])
     with pytest.raises(PositiveOffDiagonal):
-        cartan.validate_gcm([[2, 1], [1, 2]])
+        axioms.validate_gcm([[2, 1], [1, 2]])
     with pytest.raises(GCMError):
-        cartan.validate_gcm([[2, -1]])
+        axioms.validate_gcm([[2, -1]])
 
 
 def test_finite_type_examples():
-    assert cartan.is_finite_type(cartan.validate_gcm([[2, -1], [-1, 2]]))
-    assert not cartan.is_finite_type(cartan.validate_gcm([[2, -2], [-2, 2]]))
-    g2 = cartan.validate_gcm([[2, -1], [-3, 2]])
+    assert core.is_finite_type(axioms.validate_gcm([[2, -1], [-1, 2]]))
+    assert not core.is_finite_type(axioms.validate_gcm([[2, -2], [-2, 2]]))
+    g2 = axioms.validate_gcm([[2, -1], [-3, 2]])
     # minors frozen from the cofactor oracle: det [[2]] = 2, det G2 = 1
     assert [cofactor_det([[2]]), cofactor_det(g2.rows())] == [2, 1]
     assert leading_principal_minors(g2.rows()) == [2, 1]
-    assert cartan.is_finite_type(g2)
+    assert core.is_finite_type(g2)
 
 
 def test_finite_verdict_reads_no_minor_past_the_first_zero(monkeypatch):
     # the rank-60 chain ending in a triple bond, relabelled: its 29th leading
     # minor is the first zero, and no determinant past it is computed
     n = 60
-    chain = cartan.catalog("A", n).rows()
+    chain = gcm.catalog("A", n).rows()
     chain[n - 2][n - 1], chain[n - 1][n - 2] = -1, -3
     perm = list(range(n))
     random.Random(1).shuffle(perm)
-    g = cartan.validate_gcm(_permute(chain, perm))
+    g = axioms.validate_gcm(_permute(chain, perm))
     calls, det = [], intmat.det
     monkeypatch.setattr(intmat, "det", lambda a: calls.append(len(a)) or det(a))
     assert g.finite_type is False
@@ -80,36 +81,36 @@ CATALOG_SUMS = ["B4+G2", "A1+A1+C3", "D4+D5+E6"]
 def test_catalog_verdict_is_the_sylvester_verdict(label):
     # catalog matrices and their sums come with finite_type set, before any
     # elimination; the verdict must be the one the leading minors give
-    g = cartan.parse_type(label)
+    g = gcm.parse_type(label)
     assert vars(g) == {"finite_type": True}
     assert all(m > 0 for m in leading_principal_minors(g.rows()))
 
 
 def test_only_catalog_parts_set_the_verdict_of_a_sum():
-    a2 = cartan.validate_gcm([[2, -1], [-1, 2]])
+    a2 = axioms.validate_gcm([[2, -1], [-1, 2]])
     assert vars(a2) == {}
-    assert vars(cartan.block_diag(cartan.catalog("G", 2), a2)) == {}
+    assert vars(gcm.block_diag(gcm.catalog("G", 2), a2)) == {}
     # past the rank bound the test still refuses the rank
-    big = cartan.catalog("A", cartan.MAX_RANK + 1)
+    big = gcm.catalog("A", core.MAX_RANK + 1)
     assert vars(big) == {}
-    with pytest.raises(cartan.RankTooLarge):
+    with pytest.raises(core.RankTooLarge):
         big.finite_type
 
 
 def test_symmetrizer_values():
-    assert cartan.symmetrizer(cartan.parse_type("A2")).d == (1, 1)
-    b2 = cartan.symmetrizer(cartan.parse_type("B2"))
+    assert roots.symmetrizer(gcm.parse_type("A2")).d == (1, 1)
+    b2 = roots.symmetrizer(gcm.parse_type("B2"))
     assert b2.d == (2, 1)            # solves d0*(-1) = d1*(-2) minimally
     assert b2.lengths == (1, 2)      # first node short, second long
-    g2 = cartan.symmetrizer(cartan.parse_type("G2"))
+    g2 = roots.symmetrizer(gcm.parse_type("G2"))
     assert g2.d == (3, 1)
     assert g2.lengths == (1, 3)
 
 
 def test_symmetrizer_identity_exact():
     for family, rank in ALL_TYPES:
-        g = cartan.catalog(family, rank)
-        d = cartan.symmetrizer(g).d
+        g = gcm.catalog(family, rank)
+        d = roots.symmetrizer(g).d
         for i in range(rank):
             for j in range(rank):
                 assert d[i] * g[i][j] == d[j] * g[j][i]
@@ -118,8 +119,8 @@ def test_symmetrizer_identity_exact():
 def test_symmetrizer_gcd_one_per_component():
     from math import gcd
 
-    g = cartan.parse_type("B2+G2+A1")
-    sym = cartan.symmetrizer(g)
+    g = gcm.parse_type("B2+G2+A1")
+    sym = roots.symmetrizer(g)
     for comp in g.components():
         assert gcd(*(sym.d[i] for i in comp)) == 1
 
@@ -128,54 +129,54 @@ def test_symmetrizer_matches_fraction_oracle():
     # every catalog type up to rank 20, then seeded relabellings of sums of
     # them, so a walk may start at any node and meet edges in any direction
     for family, rank in cartan.catalog_types(max_rank=20):
-        g = cartan.catalog(family, rank)
-        assert cartan.symmetrizer(g).d == symmetrizer_fractions(g.rows()), (family, rank)
+        g = gcm.catalog(family, rank)
+        assert roots.symmetrizer(g).d == symmetrizer_fractions(g.rows()), (family, rank)
     rng = random.Random(18)
     small = cartan.catalog_types(max_rank=6)
     for _ in range(60):
         label = "+".join(f"{f}{r}" for f, r in rng.sample(small, rng.randint(1, 3)))
-        g = cartan.parse_type(label)
+        g = gcm.parse_type(label)
         perm = list(range(g.n))
         rng.shuffle(perm)
-        h = cartan.validate_gcm([[g[a][b] for b in perm] for a in perm])
-        assert cartan.symmetrizer(h).d == symmetrizer_fractions(h.rows()), (label, perm)
+        h = axioms.validate_gcm([[g[a][b] for b in perm] for a in perm])
+        assert roots.symmetrizer(h).d == symmetrizer_fractions(h.rows()), (label, perm)
 
 
 def test_symmetrizer_requires_finite_type():
     with pytest.raises(NotFiniteType):
-        cartan.symmetrizer(cartan.validate_gcm([[2, -2], [-2, 2]]))
+        roots.symmetrizer(axioms.validate_gcm([[2, -2], [-2, 2]]))
 
 
 def test_classify_examples():
-    assert cartan.classify(cartan.validate_gcm([[2, -1], [-1, 2]])).multiset() == (("A", 2),)
-    assert cartan.classify(cartan.validate_gcm([[2, -1], [-3, 2]])).multiset() == (("G", 2),)
-    two_a1 = cartan.classify(cartan.parse_type("A1+A1"))
+    assert cartan.classify(axioms.validate_gcm([[2, -1], [-1, 2]])).multiset() == (("A", 2),)
+    assert cartan.classify(axioms.validate_gcm([[2, -1], [-3, 2]])).multiset() == (("G", 2),)
+    two_a1 = cartan.classify(gcm.parse_type("A1+A1"))
     assert two_a1.multiset() == (("A", 1), ("A", 1))
     assert [nodes for _, _, nodes in two_a1.components] == [(0,), (1,)]
 
 
 def test_classify_rejects_non_finite():
     with pytest.raises(NotFiniteType):
-        cartan.classify(cartan.validate_gcm([[2, -2], [-2, 2]]))
+        cartan.classify(axioms.validate_gcm([[2, -2], [-2, 2]]))
 
 
 def test_catalog_round_trip_all_types():
     for family, rank in ALL_TYPES:
-        g = cartan.catalog(family, rank)
+        g = gcm.catalog(family, rank)
         dtype = cartan.classify(g)
         assert dtype.components == ((family, rank, tuple(range(rank))),)
 
 
 def test_catalog_pinned_matrices():
-    assert cartan.catalog("A", 1).rows() == [[2]]
-    assert cartan.catalog("G", 2).rows() == [[2, -1], [-3, 2]]
-    assert cartan.catalog("B", 2).rows() == [[2, -1], [-2, 2]]
+    assert gcm.catalog("A", 1).rows() == [[2]]
+    assert gcm.catalog("G", 2).rows() == [[2, -1], [-3, 2]]
+    assert gcm.catalog("B", 2).rows() == [[2, -1], [-2, 2]]
 
 
 def test_catalog_invalid():
     for family, rank in [("C", 2), ("D", 3), ("E", 9), ("F", 5), ("G", 3), ("A", 0), ("H", 3)]:
         with pytest.raises(InvalidType):
-            cartan.catalog(family, rank)
+            gcm.catalog(family, rank)
 
 
 @pytest.mark.parametrize("label", ["A0", "E9", "X3", "A2+", "", "C2", "Bx", "B2+F5",
@@ -185,18 +186,18 @@ def test_catalog_invalid():
                                    pytest.param("A\u0666\u0660", id="A-arabic-indic-digits")])
 def test_parse_label_refuses_what_parse_type_refuses(label):
     with pytest.raises(InvalidType) as by_label:
-        cartan.parse_label(label)
+        gcm.parse_label(label)
     with pytest.raises(InvalidType) as by_type:
-        cartan.parse_type(label)
+        gcm.parse_type(label)
     assert by_label.value.to_json() == by_type.value.to_json()
 
 
 def test_parse_label_spells_the_classified_type():
     for family, rank in ALL_TYPES:
         label = f"{family}{rank}"
-        assert cartan.parse_label(label) == [(family, rank)]
-        assert cartan.classify(cartan.parse_type(label)).multiset() == ((family, rank),)
-    assert cartan.parse_label(" b2 + a1") == [("B", 2), ("A", 1)]
+        assert gcm.parse_label(label) == [(family, rank)]
+        assert cartan.classify(gcm.parse_type(label)).multiset() == ((family, rank),)
+    assert gcm.parse_label(" b2 + a1") == [("B", 2), ("A", 1)]
 
 
 def _permute(matrix, perm):
@@ -208,9 +209,9 @@ def _permute(matrix, perm):
 @given(st.data())
 def test_classification_invariant_under_relabeling(data):
     family, rank = data.draw(st.sampled_from(ALL_TYPES))
-    g = cartan.catalog(family, rank)
+    g = gcm.catalog(family, rank)
     perm = data.draw(st.permutations(range(rank)))
-    relabeled = cartan.validate_gcm(_permute(g.rows(), list(perm)))
+    relabeled = axioms.validate_gcm(_permute(g.rows(), list(perm)))
     assert cartan.classify(relabeled).multiset() == ((family, rank),)
 
 
@@ -220,10 +221,10 @@ def test_relabeled_products_classify_to_same_multiset(data):
     labels = data.draw(st.lists(
         st.sampled_from(["A1", "A2", "B2", "G2", "A3", "B3"]),
         min_size=1, max_size=3))
-    g = cartan.parse_type("+".join(labels))
+    g = gcm.parse_type("+".join(labels))
     perm = data.draw(st.permutations(range(g.n)))
     base = cartan.classify(g).multiset()
-    relabeled = cartan.validate_gcm(_permute(g.rows(), list(perm)))
+    relabeled = axioms.validate_gcm(_permute(g.rows(), list(perm)))
     assert cartan.classify(relabeled).multiset() == base
 
 
@@ -243,13 +244,13 @@ def test_finite_type_iff_root_orbit_terminates():
     # cross-oracle: positive definiteness matches termination of the
     # reflection orbit of the simple roots
     for family, rank in ALL_TYPES:
-        g = cartan.catalog(family, rank)
-        assert cartan.is_finite_type(g)
+        g = gcm.catalog(family, rank)
+        assert core.is_finite_type(g)
         assert _orbit_terminates(g)
         generate_roots(g)   # and the library agrees
     for rows in AFFINE_EXAMPLES:
-        g = cartan.validate_gcm(rows)
-        assert not cartan.is_finite_type(g)
+        g = axioms.validate_gcm(rows)
+        assert not core.is_finite_type(g)
         assert not _orbit_terminates(g)
         with pytest.raises(NotFiniteType):
             generate_roots(g)
@@ -262,9 +263,9 @@ def test_classify_node_maps_are_first_permutation_matches(data):
         st.sampled_from([f"{f}{r}" for f, r in cartan.catalog_types(max_rank=6)]),
         min_size=1, max_size=3).filter(
             lambda ls: sum(int(label[1:]) for label in ls) <= 6))
-    g = cartan.parse_type("+".join(labels))
+    g = gcm.parse_type("+".join(labels))
     perm = data.draw(st.permutations(range(g.n)))
-    relabeled = cartan.validate_gcm(_permute(g.rows(), list(perm)))
+    relabeled = axioms.validate_gcm(_permute(g.rows(), list(perm)))
     expected = []
     for nodes in relabeled.components():
         rank = len(nodes)
@@ -272,7 +273,7 @@ def test_classify_node_maps_are_first_permutation_matches(data):
             (family, rank, node_map)
             for family, r in cartan.catalog_types(max_rank=rank) if r == rank
             for node_map in [first_permutation_match(
-                cartan.catalog(family, rank).rows(), relabeled.rows(), nodes)]
+                gcm.catalog(family, rank).rows(), relabeled.rows(), nodes)]
             if node_map is not None))
     assert cartan.classify(relabeled).components == tuple(expected)
 
@@ -280,11 +281,11 @@ def test_classify_node_maps_are_first_permutation_matches(data):
 def test_isomorphisms_sorted_match_bijection_oracle():
     # the oracle's pairs with q all 1 are the isomorphisms, in permutation order
     for family, rank in cartan.catalog_types(max_rank=5):
-        src = cartan.catalog(family, rank)
+        src = gcm.catalog(family, rank)
         for tgt_family, r in cartan.catalog_types(max_rank=rank):
             if r != rank:
                 continue
-            tgt = cartan.catalog(tgt_family, rank)
+            tgt = gcm.catalog(tgt_family, rank)
             found = sorted(cartan.isomorphisms(src, tgt, range(rank)))
             assert found == [u for u, q in brute_scaled_pairs(src.rows(), tgt.rows(), 2)
                              if set(q) == {1}], (family, tgt_family, rank)
@@ -295,7 +296,7 @@ def test_searches_leave_no_cyclic_garbage():
     # that refers to itself, so with the collector off nothing is left for it
     perm = list(range(30))
     random.Random(30).shuffle(perm)
-    relabelled_d30 = cartan.validate_gcm(_permute(cartan.catalog("D", 30).rows(), perm))
+    relabelled_d30 = axioms.validate_gcm(_permute(gcm.catalog("D", 30).rows(), perm))
     calls = [lambda: cartan.classify(relabelled_d30),
              lambda: enumerate_special("B", 12, 2)]
     gc.collect()
@@ -319,7 +320,7 @@ def test_search_steps_stay_linear_in_the_rank(case, monkeypatch):
         # a relabelling as perfbench.workloads.relabel makes one
         perm = list(range(rank))
         random.Random(7).shuffle(perm)
-        g = cartan.validate_gcm(_permute(cartan.catalog(label[0], rank).rows(), perm))
+        g = axioms.validate_gcm(_permute(gcm.catalog(label[0], rank).rows(), perm))
         call, args = cartan.classify, (g,)
     else:
         call, args = enumerate_special, (label[0], rank, 2)

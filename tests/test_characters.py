@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from weylkit import cartan
+from weylkit import cartan, gcm
 from weylkit.characters import (EulerData, NotDominant,
                                 shifted_euler_characteristic, volume, weyl_dim)
 from weylkit.pushforward import PushforwardTooLarge, pushforward_word
@@ -17,7 +17,7 @@ RANK4_TYPES = [f"{f}{r}" for f, r in cartan.catalog_types(max_rank=4)]
 
 
 def _ed(label):
-    rs = generate_roots(cartan.parse_type(label))
+    rs = generate_roots(gcm.parse_type(label))
     return rs, EulerData.from_root_system(rs)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from weylkit import cartan
+from weylkit import cartan, gcm
 from weylkit.chevalley import (ChevalleyError, HypothesesNotMet, SimplyLaced,
                                SumNotARoot, bracket_constant,
                                short_root_ideal_check, steinberg_check)
@@ -13,7 +13,7 @@ DOUBLY_LACED = [("B2", 2), ("B3", 2), ("C3", 2), ("B4", 2), ("C4", 2),
 
 
 def _rs(label):
-    return generate_roots(cartan.parse_type(label))
+    return generate_roots(gcm.parse_type(label))
 
 
 def test_bracket_constant_a2():
@@ -42,7 +42,7 @@ def test_bracket_requires_root_sum():
 
 def test_bracket_matches_brute_force_exhaustively():
     for family, rank in cartan.catalog_types(max_rank=4):
-        rs = generate_roots(cartan.catalog(family, rank))
+        rs = generate_roots(gcm.catalog(family, rank))
         for a in rs.roots:
             for b in rs.roots:
                 total = tuple(x + y for x, y in zip(a.coords, b.coords))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import (bareiss, cartan, cli, cosets, gcm, isogeny, pushforward, rootdata, roots,
+from weylkit import (bareiss, cartan, cli, core, cosets, gcm, isogeny, pushforward, rootdata, roots,
                      schemas)
 from weylkit.cli import main
 from weylkit.schemas import validate_document
@@ -129,7 +129,7 @@ def parsed_by(parse, argv) -> tuple:
     except (SystemExit, cli._Help) as exc:
         assert getattr(exc, "code", 0) == 0
         return ("help",)
-    except cli.ParseError:
+    except core.ParseError:
         return ("error",)
     fields.pop("command", None)
     fields.pop("action", None)
@@ -296,7 +296,7 @@ def test_classify_tests_finite_type_once(monkeypatch):
     monkeypatch.setattr(bareiss, "leading_principal_minors",
                         lambda a: calls.append(len(a)) or minors(a))
     code, _ = run_cli(["classify"],
-                      json.dumps({"matrix": cartan.catalog("D", 7).rows()}))
+                      json.dumps({"matrix": gcm.catalog("D", 7).rows()}))
     assert code == 0
     assert calls == [7]
 
@@ -435,9 +435,9 @@ def test_oversized_pushforward_is_one_error_document(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["roots", "--type", f"A{cartan.MAX_RANK + 1}"],
+    ["roots", "--type", f"A{core.MAX_RANK + 1}"],
     ["datum", "--type", "A1000000000"],
-    ["isogeny", "enumerate", "--type", f"B{cartan.MAX_RANK}+A1", "--p", "2"],
+    ["isogeny", "enumerate", "--type", f"B{core.MAX_RANK}+A1", "--p", "2"],
 ], ids=["one-past", "far-past", "sum-past"])
 def test_rank_past_the_cap_is_one_error_document(argv, monkeypatch):
     # refused from the label, before a catalog matrix is built
@@ -447,10 +447,10 @@ def test_rank_past_the_cap_is_one_error_document(argv, monkeypatch):
     doc = json.loads(out)
     validate_document(doc)
     assert doc["error"]["code"] == "RankTooLarge"
-    assert doc["error"]["rank"] > cartan.MAX_RANK
+    assert doc["error"]["rank"] > core.MAX_RANK
 
 
-G2_MATRIX = json.dumps({"matrix": cartan.catalog("G", 2).rows()})
+G2_MATRIX = json.dumps({"matrix": gcm.catalog("G", 2).rows()})
 
 
 @pytest.mark.parametrize("argv, stdin", [(["weyl", "--type", "G2"], None),
@@ -478,7 +478,7 @@ def _address_space_of_1_gib():
 @pytest.mark.parametrize("argv, stdin", [
     (["weyl", "--type", "E8", "--cap", "700000000"], None),
     (["classify", "--cap", "700000000", "-"],
-     json.dumps({"matrix": cartan.catalog("E", 8).rows()})),
+     json.dumps({"matrix": gcm.catalog("E", 8).rows()})),
 ], ids=["weyl", "classify"])
 def test_e8_is_refused_at_any_cap_before_numpy(argv, stdin):
     # a cap over |W(E8)| = 696 729 600 would ask for 11.1 GB of layers; the
@@ -503,14 +503,14 @@ def test_e8_is_refused_at_any_cap_before_numpy(argv, stdin):
 def test_classify_refuses_a_rank_past_the_cap_before_eliminating(monkeypatch):
     calls = []
     monkeypatch.setattr(bareiss, "leading_principal_minors", calls.append)
-    matrix = cartan.catalog("A", cartan.MAX_RANK + 1).rows()
+    matrix = gcm.catalog("A", core.MAX_RANK + 1).rows()
     code, out = run_cli(["classify"], json.dumps({"matrix": matrix}))
     assert code == 1
     doc = json.loads(out)
     validate_document(doc)
-    assert doc["error"] == {"code": "RankTooLarge", "rank": cartan.MAX_RANK + 1,
-                            "message": f"rank {cartan.MAX_RANK + 1} exceeds the bound "
-                                       f"{cartan.MAX_RANK}"}
+    assert doc["error"] == {"code": "RankTooLarge", "rank": core.MAX_RANK + 1,
+                            "message": f"rank {core.MAX_RANK + 1} exceeds the bound "
+                                       f"{core.MAX_RANK}"}
     assert calls == []
 
 
@@ -613,7 +613,7 @@ def _bad_isogeny_file(tmp_path, case):
         return path
     if case == "simples-not-a-base":
         # pairing matrix [[2, 1], [1, 2]]: positive definite, not a Cartan matrix
-        phi_doc = isogeny.frobenius(rootdata.adjoint_datum(cartan.parse_type("A2")),
+        phi_doc = isogeny.frobenius(rootdata.adjoint_datum(gcm.parse_type("A2")),
                                     2).to_json()
         for side in ("source", "target"):
             phi_doc[side]["simple"] = [1, 3]
@@ -710,7 +710,7 @@ def test_isogeny_validate_validates_once(tmp_path, monkeypatch, k):
         _, out = run_cli(["isogeny", "enumerate", "--type", "B2", "--p", "2"])
         phi_doc = json.loads(out)["isogenies"][0]
     else:
-        datum = rootdata.adjoint_datum(cartan.parse_type("A2"))
+        datum = rootdata.adjoint_datum(gcm.parse_type("A2"))
         phi_doc = isogeny.frobenius(datum, 2, k).to_json()
     path = tmp_path / "phi.json"
     path.write_text(json.dumps(phi_doc), encoding="utf-8")
@@ -746,8 +746,8 @@ def test_numpy_loads_only_for_weyl_enumeration():
         "    with redirect_stdout(io.StringIO()) as out:\n"
         "        weylkit.cli.main(argv)\n"
         "    seen[' '.join(argv)] = ['numpy' in sys.modules, json.loads(out.getvalue())]\n"
-        "from weylkit import cartan, roots, weyl\n"
-        "weyl.enumerate_weyl(roots.generate_roots(cartan.parse_type('D7')))\n"
+        "from weylkit import gcm, roots, weyl\n"
+        "weyl.enumerate_weyl(roots.generate_roots(gcm.parse_type('D7')))\n"
         "seen['enumerate_weyl D7'] = 'numpy' in sys.modules\n"
         "print(json.dumps(seen))\n"
     )
@@ -770,7 +770,7 @@ def test_classify_relabelled_d60_answers():
     # swelled past 90 s; the timeout only stops a hang
     perm = list(range(60))
     random.Random(60014).shuffle(perm)
-    d60 = cartan.catalog("D", 60)
+    d60 = gcm.catalog("D", 60)
     matrix = [[d60[a][b] for b in perm] for a in perm]
     proc = subprocess.run([sys.executable, "-m", "weylkit.cli", "classify", "-"],
                           input=json.dumps({"matrix": matrix}), capture_output=True,
@@ -830,7 +830,7 @@ def test_selfcheck_over_the_work_budget_is_one_error_document(label, samples, mo
 
 def test_selfcheck_budget_is_e8_at_the_samples_bound():
     from weylkit import characters, cli
-    e8 = roots.generate_roots(cartan.parse_type("E8"))
+    e8 = roots.generate_roots(gcm.parse_type("E8"))
     assert characters.SELFCHECK_BUDGET == cli.MAX_SAMPLES * (e8.rank + 1) * e8.num_positive
 
 
@@ -897,7 +897,7 @@ def _relabelled_d30():
     # a relabelling as perfbench.workloads.relabel makes one
     perm = list(range(30))
     random.Random(30).shuffle(perm)
-    d30 = cartan.catalog("D", 30)
+    d30 = gcm.catalog("D", 30)
     return json.dumps({"matrix": [[d30[a][b] for b in perm] for a in perm]})
 
 
@@ -996,7 +996,7 @@ def _ideal_check_document(label, p):
     """The ``chevalley check`` document rebuilt from the pair-by-pair oracle,
     each Steinberg row from SteinbergReport's named fields: a library tuple
     whose fields move apart from the CLI's column names fails to match it."""
-    rs = roots.generate_roots(cartan.parse_type(label))
+    rs = roots.generate_roots(gcm.parse_type(label))
     brackets, squares, violations, steinberg = all_pairs_ideal_check(rs, p)
 
     def named(fields, rows):
@@ -1029,7 +1029,7 @@ def test_chevalley_check_rows_carry_the_library_fields_in_order():
 
 def test_bs_weights_entries_carry_the_library_fields_in_order():
     # B2, word s2 s1 s2 s2 at (1, -4): degrees 2 to 4, multiplicities up to 2
-    rs = roots.generate_roots(cartan.parse_type("B2"))
+    rs = roots.generate_roots(gcm.parse_type("B2"))
     gw = pushforward.pushforward_word(rs, (1, 0, 1, 1), (1, -4))
     entries = [{"weight": list(weight), "degree": degree, "mult": mult}
                for (weight, degree), mult in sorted(gw.items(),

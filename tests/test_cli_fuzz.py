@@ -24,8 +24,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import cartan, checks, chevalley, isogeny, pushforward, rootdata, weyl
-from weylkit.cli import MAX_SAMPLES, ParseError, main
+from weylkit import (axioms, cartan, checks, chevalley, core, cosets, gcm, isogeny, pushforward,
+                     rootdata)
+from weylkit.cli import MAX_SAMPLES, main
+from weylkit.core import ParseError
 from weylkit.schemas import validate_document
 
 CLASSIFY_EXIT_CODES = {0, 2, 3, 4}
@@ -144,8 +146,8 @@ def over_bound_argv(draw):
     if kind == "rank":
         # one piece past the cap, up to far past any allocation, or two
         # pieces under it whose sum is past it
-        big = draw(st.integers(cartan.MAX_RANK + 1, 10 ** 9) | st.just(10 ** 9))
-        half = cartan.MAX_RANK // 2 + 1
+        big = draw(st.integers(core.MAX_RANK + 1, 10 ** 9) | st.just(10 ** 9))
+        half = core.MAX_RANK // 2 + 1
         label = draw(st.sampled_from([f"{draw(st.sampled_from('ABCD'))}{big}",
                                       f"A{half}+{label}+B{half}"]))
         before, after = draw(st.sampled_from(TYPED_COMMANDS))
@@ -227,7 +229,7 @@ def seed_pmorphisms():
     for label, p in (("G2", "3"), ("B2", "2")):
         _, out, _ = run_cli(["isogeny", "enumerate", "--type", label, "--p", p])
         docs += json.loads(out)["isogenies"]
-    frob = isogeny.frobenius(rootdata.adjoint_datum(cartan.parse_type("A2")), 2)
+    frob = isogeny.frobenius(rootdata.adjoint_datum(gcm.parse_type("A2")), 2)
     return docs + [frob.to_json()]
 
 
@@ -350,13 +352,13 @@ def test_integer_past_the_digit_limit_is_one_error_document(argv):
 
 
 @pytest.mark.parametrize("exc", [
-    cartan.DiagonalNotTwo(0), cartan.InvalidType("Q", 7), cartan.NotFiniteType(),
-    checks.IndexOutOfRange(3, 2), weyl.CapExceeded(10), weyl.LayersTooLarge(48),
+    axioms.DiagonalNotTwo(0), gcm.InvalidType("Q", 7), core.NotFiniteType(),
+    checks.IndexOutOfRange(3, 2), cosets.CapExceeded(10), cosets.LayersTooLarge(48),
     chevalley.HypothesesNotMet("sum-not-long"), isogeny.RootEquationFails(0),
     ParseError("bad"),
 ])
 def test_error_code_is_the_class_name(exc):
-    assert isinstance(exc, cartan.WeylkitError)
+    assert isinstance(exc, core.WeylkitError)
     assert isinstance(exc, ValueError)
     assert exc.code == type(exc).__name__
     assert exc.to_json()["code"] == exc.code

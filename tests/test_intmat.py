@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weylkit import intmat
-from weylkit.cartan import catalog, catalog_types, parse_type
+from weylkit import bareiss, intmat
+from weylkit.cartan import catalog_types
+from weylkit.gcm import catalog, parse_type
 
 from oracles import cofactor_det, hermite_rows, smith_normal_form, solve_fractions
 
@@ -38,7 +39,7 @@ def _minors_to_first_zero(m):
 @settings(max_examples=200, deadline=None)
 @given(small_matrix)
 def test_leading_minors_match_oracle(m):
-    assert intmat.leading_principal_minors(m) == _minors_to_first_zero(m)
+    assert bareiss.leading_principal_minors(m) == _minors_to_first_zero(m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -138,13 +139,13 @@ def test_leading_minors_after_a_zero_pivot(m, minors):
     # past the first zero pivot the elimination swaps rows, so its pivots
     # are no longer leading minors: the list stops at that zero, which
     # already rules out finite type
-    assert intmat.leading_principal_minors(m) == minors
+    assert bareiss.leading_principal_minors(m) == minors
     assert minors == _minors_to_first_zero(m)
 
 
 def test_leading_minors_of_a100_are_2_to_101():
     # the k-th leading block of catalog A_n is A_k, of determinant k + 1
-    assert intmat.leading_principal_minors(catalog("A", 100).rows()) == list(range(2, 102))
+    assert bareiss.leading_principal_minors(catalog("A", 100).rows()) == list(range(2, 102))
 
 
 def _row_span_membership(basis, vec):

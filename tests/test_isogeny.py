@@ -3,13 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from weylkit import cartan
-from weylkit.isogeny import (PRIMALITY_BOUND, InvalidPMorphism,
-                             IsogenyError, PMorphism, PrimalityBoundExceeded,
-                             QNotPowerOfP, compose, enumerate_special,
-                             extend_to_roots, factor_primitive_constant,
-                             frobenius, is_constant, is_prime, is_primitive,
-                             validate_pmorphism)
+from weylkit import cartan, core, gcm, roots
+from weylkit.checks import PRIMALITY_BOUND, IsogenyError, PrimalityBoundExceeded, is_prime
+from weylkit.isogeny import (InvalidPMorphism, PMorphism, QNotPowerOfP, compose,
+                             enumerate_special, extend_to_roots, factor_primitive_constant,
+                             frobenius, is_constant, is_primitive, validate_pmorphism)
 from weylkit.rootdata import PinnedRootDatum, adjoint_datum, simply_connected_datum
 from weylkit.roots import generate_roots
 
@@ -41,7 +39,7 @@ def test_is_prime():
 
 def test_frobenius_at_a_large_prime_validates():
     # Miller-Rabin costs at most 13 modular powers, so even a large prime is cheap
-    phi = frobenius(adjoint_datum(cartan.parse_type("A1")), 1_000_000_000_039)
+    phi = frobenius(adjoint_datum(gcm.parse_type("A1")), 1_000_000_000_039)
     assert phi.q == (1_000_000_000_039,)
 
 
@@ -49,7 +47,7 @@ def test_frobenius_at_a_large_prime_validates():
 def test_frobenius_refuses_a_non_positive_exponent(n):
     # a raise, not an assert: under python -O, n = 0 would return the identity
     with pytest.raises(IsogenyError):
-        frobenius(adjoint_datum(cartan.parse_type("A1")), 2, n)
+        frobenius(adjoint_datum(gcm.parse_type("A1")), 2, n)
 
 
 def test_is_prime_matches_trial_division_below_1e5():
@@ -83,13 +81,13 @@ def test_enumerate_special_rejects_non_prime():
 
 
 def test_identity_validates():
-    datum = adjoint_datum(cartan.parse_type("A2"))
+    datum = adjoint_datum(gcm.parse_type("A2"))
     validate_pmorphism(_identity_pmorphism(datum))
 
 
 def test_frobenius_validates_on_both_lattices():
     for label in ["A2", "B2", "G2"]:
-        g = cartan.parse_type(label)
+        g = gcm.parse_type(label)
         for datum in (adjoint_datum(g), simply_connected_datum(g)):
             for p, n in [(2, 1), (3, 2), (5, 1)]:
                 phi = frobenius(datum, p, n)
@@ -98,7 +96,7 @@ def test_frobenius_validates_on_both_lattices():
 
 
 def test_frobenius_composition_is_frobenius():
-    datum = adjoint_datum(cartan.parse_type("A2"))
+    datum = adjoint_datum(gcm.parse_type("A2"))
     f1 = frobenius(datum, 3, 1)
     composed = compose(f1, f1)
     assert composed.f == frobenius(datum, 3, 2).f
@@ -106,7 +104,7 @@ def test_frobenius_composition_is_frobenius():
 
 
 def test_bad_q_rejected():
-    datum = adjoint_datum(cartan.parse_type("A1"))
+    datum = adjoint_datum(gcm.parse_type("A1"))
     phi = PMorphism(datum, datum, ((6,),), (0,), (6,), 2)
     with pytest.raises(QNotPowerOfP):
         validate_pmorphism(phi)
@@ -115,7 +113,7 @@ def test_bad_q_rejected():
 def test_g2_wrong_scaling_is_cartan_incompatible():
     # swapping the simples with q = (1, 2) at p = 2 cannot work: the edge
     # weights force the ratio 3
-    datum = adjoint_datum(cartan.parse_type("G2"))
+    datum = adjoint_datum(gcm.parse_type("G2"))
     f = ((0, 1), (2, 0))
     phi = PMorphism(datum, datum, f, (1, 0), (1, 2), 2)
     with pytest.raises(InvalidPMorphism):
@@ -127,7 +125,7 @@ def test_g2_wrong_scaling_is_cartan_incompatible():
 
 
 def test_factor_frobenius():
-    datum = adjoint_datum(cartan.parse_type("B2"))
+    datum = adjoint_datum(gcm.parse_type("B2"))
     phi = frobenius(datum, 2, 3)
     prim, k = factor_primitive_constant(phi)
     assert k == 3
@@ -174,9 +172,9 @@ def test_factor_reads_the_exponent_off_f_and_q():
 
 @pytest.mark.parametrize("case", ["other-datum", "other-prime"])
 def test_compose_refuses_morphisms_that_do_not_compose(case):
-    a2 = adjoint_datum(cartan.parse_type("A2"))
+    a2 = adjoint_datum(gcm.parse_type("A2"))
     inner = frobenius(a2, 2)
-    outer = (frobenius(simply_connected_datum(cartan.parse_type("A2")), 2)
+    outer = (frobenius(simply_connected_datum(gcm.parse_type("A2")), 2)
              if case == "other-datum" else frobenius(a2, 3))
     with pytest.raises(InvalidPMorphism, match="morphisms do not compose"):
         compose(outer, inner)
@@ -186,7 +184,7 @@ def test_compose_refuses_morphisms_that_do_not_compose(case):
 def test_factor_refuses_a_q_or_p_without_a_valuation(q, p):
     # 0 has no p-adic valuation and 1 divides everything: an unvalidated
     # morphism must be refused, not loop
-    datum = adjoint_datum(cartan.parse_type("A1+A1"))
+    datum = adjoint_datum(gcm.parse_type("A1+A1"))
     phi = PMorphism(datum, datum, ((q[0], 0), (0, q[1])), (0, 1), q, p)
     with pytest.raises(InvalidPMorphism):
         factor_primitive_constant(phi)
@@ -214,7 +212,7 @@ def test_g2_special_is_unique_and_swaps_lengths():
     found = enumerate_special("G", 2, 3)
     assert len(found) == 1
     phi = found[0]
-    lengths = cartan.symmetrizer(cartan.parse_type("G2")).lengths
+    lengths = roots.symmetrizer(gcm.parse_type("G2")).lengths
     for k in range(2):
         assert phi.q[k] == (3 if lengths[k] == 1 else 1)
         assert lengths[phi.u[k]] != lengths[k]
@@ -223,16 +221,16 @@ def test_g2_special_is_unique_and_swaps_lengths():
 def test_b3_special_targets_c3():
     found = enumerate_special("B", 3, 2)
     assert len(found) == 1
-    target_gcm = cartan.GCM(3, tuple(tuple(r) for r in found[0].target.cartan_matrix()))
+    target_gcm = core.GCM(3, tuple(tuple(r) for r in found[0].target.cartan_matrix()))
     assert cartan.classify(target_gcm).multiset() == (("C", 3),)
-    src_lengths = cartan.symmetrizer(cartan.parse_type("B3")).lengths
+    src_lengths = roots.symmetrizer(gcm.parse_type("B3")).lengths
     assert all(found[0].q[k] == (2 if src_lengths[k] == 1 else 1) for k in range(3))
 
 
 def test_q_times_length_constant_for_specials():
     for (family, rank), p in EXPECTED_SPECIAL:
         for phi in enumerate_special(family, rank, p):
-            lengths = cartan.symmetrizer(cartan.catalog(family, rank)).lengths
+            lengths = roots.symmetrizer(gcm.catalog(family, rank)).lengths
             values = {phi.q[k] * lengths[k] for k in range(rank)}
             assert len(values) == 1
 
@@ -267,7 +265,7 @@ def test_extension_to_all_roots():
     for family, rank, p in [("B", 2, 2), ("G", 2, 3), ("B", 3, 2)]:
         phi = enumerate_special(family, rank, p)[0]
         ext = extend_to_roots(phi)
-        rs = generate_roots(cartan.catalog(family, rank))
+        rs = generate_roots(gcm.catalog(family, rank))
         assert len(ext) == len(rs.roots)
         # image indices form a bijection and q values stay powers of p
         images = [j for j, _ in ext]
@@ -284,7 +282,7 @@ def test_extension_to_all_roots():
 
 def test_extension_q_constant_on_length_classes():
     phi = enumerate_special("F", 4, 2)[0]
-    rs = generate_roots(cartan.catalog("F", 4))
+    rs = generate_roots(gcm.catalog("F", 4))
     ext = extend_to_roots(phi)
     by_length = {}
     for i, (j, q) in enumerate(ext):
@@ -294,11 +292,11 @@ def test_extension_q_constant_on_length_classes():
 
 def test_enumerate_special_matches_bijection_oracle():
     for family, rank in cartan.catalog_types(max_rank=7):
-        src = cartan.catalog(family, rank).rows()
+        src = gcm.catalog(family, rank).rows()
         for p in (2, 3, 5, 7):
             expected = [(tgt, u, q)
                         for f, r in cartan.catalog_types(max_rank=rank) if r == rank
-                        for tgt in [cartan.catalog(f, r).rows()]
+                        for tgt in [gcm.catalog(f, r).rows()]
                         for u, q in brute_scaled_pairs(src, tgt, p)
                         if set(q) == {1, p}]
             found = [(phi.target.cartan_matrix(), phi.u, phi.q)
@@ -309,7 +307,7 @@ def test_enumerate_special_matches_bijection_oracle():
 def test_rank_12_search_is_bounded():
     found = enumerate_special("B", 12, 2)
     assert len(found) == 1
-    target = cartan.GCM(12, tuple(tuple(r) for r in found[0].target.cartan_matrix()))
+    target = core.GCM(12, tuple(tuple(r) for r in found[0].target.cartan_matrix()))
     assert cartan.classify(target).multiset() == (("C", 12),)
     assert enumerate_special("A", 12, 2) == []
 

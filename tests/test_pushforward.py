@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import cartan, pushforward
+from weylkit import gcm, pushforward
 from weylkit.isogeny import (enumerate_special, frobenius, pmorphism_chi_factors,
                              translated_word)
 from weylkit.pushforward import (MAX_PUSH_WEIGHTS, MAX_STEP_WEIGHTS, KeyLemmaViolation,
@@ -29,7 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _rs(label):
-    return generate_roots(cartan.parse_type(label))
+    return generate_roots(gcm.parse_type(label))
 
 
 def _neg(w):
@@ -484,7 +484,7 @@ def test_chi_restriction_examples():
 def test_chi_factors_frobenius_and_identity():
     from weylkit.isogeny import PMorphism
 
-    datum = adjoint_datum(cartan.parse_type("B2"))
+    datum = adjoint_datum(gcm.parse_type("B2"))
     frob = frobenius(datum, 3)
     assert pmorphism_chi_factors(frob, (0, 1, 0)) == [3, 3, 3]
     assert translated_word(frob, (0, 1, 0)) == (0, 1, 0)

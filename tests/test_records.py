@@ -6,17 +6,18 @@ import pickle
 
 import pytest
 
-from weylkit import cartan
-from weylkit.cartan import GCM, DynkinType, Symmetrizer
+from weylkit import gcm
+from weylkit.cartan import DynkinType
 from weylkit.characters import EulerData
 from weylkit.chevalley import IdealCheckReport, RootString, SteinbergReport, StructureConstant
+from weylkit.core import GCM
 from weylkit.isogeny import PMorphism
 from weylkit.rootdata import PinnedRootDatum
-from weylkit.roots import Root, generate_roots
+from weylkit.roots import Root, Symmetrizer, generate_roots
 from weylkit.schemas import ListOf, OneOf
 from weylkit.weyl import WeylElement
 
-A1 = generate_roots(cartan.parse_type("A1"))
+A1 = generate_roots(gcm.parse_type("A1"))
 DATUM = PinnedRootDatum(1, ((1,), (-1,)), ((2,), (-2,)), (0,))
 OTHER_DATUM = PinnedRootDatum(1, ((2,), (-2,)), ((1,), (-1,)), (0,))
 
@@ -69,9 +70,9 @@ def test_record_is_a_value(cls, fields, args, other):
 
 
 def test_gcm_caches_its_leading_minors():
-    g = cartan.parse_type("B3")
+    g = gcm.parse_type("B3")
     assert g.finite_type is True and g.leading_minors == (2, 3, 2)
     assert g.leading_minors is g.leading_minors
-    assert g == cartan.catalog("B", 3) and hash(g) == hash(cartan.catalog("B", 3))
+    assert g == gcm.catalog("B", 3) and hash(g) == hash(gcm.catalog("B", 3))
     for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
         assert twin == g and twin.leading_minors == (2, 3, 2)

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import cartan, cosets, gcm
+from weylkit import axioms, cartan, core, cosets, gcm
 from weylkit.characters import EulerData, shifted_euler_characteristic, volume, weyl_dim
 from weylkit.checks import (IndexOutOfRange, NotARoot, NotAWeight, RootsError, check_weight,
                             check_word)
@@ -15,7 +15,7 @@ from weylkit.chevalley import root_string
 from weylkit.isogeny import enumerate_special, pmorphism_chi_factors, translated_word
 from weylkit.pushforward import (chi_restriction, pushforward_multiset, pushforward_states,
                                  pushforward_step, pushforward_word)
-from weylkit.roots import generate_roots, nonsimple_positives
+from weylkit.roots import generate_roots, nonsimple_positives, symmetrizer
 from weylkit.weyl import (demazure_product, element_from_word, is_reduced, reflect,
                           word_from_vector)
 
@@ -34,20 +34,20 @@ CLOSED_FORM_POSITIVES = {
 
 
 def _rs(label):
-    return generate_roots(cartan.parse_type(label))
+    return generate_roots(gcm.parse_type(label))
 
 
 def test_positive_root_counts_match_closed_form():
     for family, rank in cartan.catalog_types(max_rank=8):
-        rs = generate_roots(cartan.catalog(family, rank))
+        rs = generate_roots(gcm.catalog(family, rank))
         assert rs.num_positive == CLOSED_FORM_POSITIVES[family](rank), (family, rank)
 
 
 @pytest.mark.parametrize(
     "label", [f"{f}{r}" for f, r in cartan.catalog_types(max_rank=8)] + ["A2+G2+B3"])
 def test_generate_roots_matches_reflection_closure(label):
-    g = cartan.parse_type(label)
-    closure = reflection_closure(g, cartan.symmetrizer(g).lengths)
+    g = gcm.parse_type(label)
+    closure = reflection_closure(g, symmetrizer(g).lengths)
     rs = generate_roots(g)
     assert {r.coords: (r.coroot, r.length) for r in rs.roots} == closure
     positives = sorted((c for c in closure if sum(c) > 0), key=lambda c: (sum(c), c))
@@ -65,8 +65,8 @@ def test_generate_roots_matches_reflection_closure(label):
     "label", [f"{f}{r}" for f, r in cartan.catalog_types(max_rank=9)]
     + ["A60", "B60", "C60", "D60", "B30+C30", "D30+D30", "E8+A2", "G2+F4", "B3+C4+G2"])
 def test_generate_roots_matches_string_rule(label):
-    g = cartan.parse_type(label)
-    roots, keys = string_rule_roots(g, cartan.symmetrizer(g).lengths)
+    g = gcm.parse_type(label)
+    roots, keys = string_rule_roots(g, symmetrizer(g).lengths)
     rs = generate_roots(g)
     assert list(rs.roots) == roots
     assert list(rs.keys) == keys
@@ -82,12 +82,12 @@ def _pass_cases():
     """(case, matrix): every label of PASS_LABELS, and three seeded
     relabellings of each of rank at most 9 and of each mixed label."""
     for label in PASS_LABELS:
-        g = cartan.parse_type(label)
+        g = gcm.parse_type(label)
         yield label, g
         for seed in range(1, 4) if g.n <= 9 or "+" in label else ():
             perm = list(range(g.n))
             random.Random(seed).shuffle(perm)
-            yield (label, seed), cartan.validate_gcm([[g[a][b] for b in perm] for a in perm])
+            yield (label, seed), axioms.validate_gcm([[g[a][b] for b in perm] for a in perm])
 
 
 def _pass_agrees(positive_roots, g) -> bool:
@@ -132,7 +132,7 @@ DOUBLE_ENDS = [[2, -2, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0], [0, 0, -1
 def test_raising_pass_refuses_a_matrix_not_of_finite_type_before_any_step(rows):
     # a non-finite matrix has infinitely many roots, so a pass that began
     # raising would never stop: any line past the refusal fails the test
-    g = cartan.validate_gcm(rows)
+    g = axioms.validate_gcm(rows)
     code = gcm.positive_roots.__code__
     lines, first = inspect.getsourcelines(gcm.positive_roots)
     refusal = first + next(k for k, line in enumerate(lines) if "raise NotFiniteType" in line)
@@ -150,12 +150,12 @@ def test_raising_pass_refuses_a_matrix_not_of_finite_type_before_any_step(rows):
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        with pytest.raises(cartan.NotFiniteType):
+        with pytest.raises(core.NotFiniteType):
             gcm.positive_roots(g)
     finally:
         sys.settrace(previous)
     assert ran[-1] == refusal
-    assert not cartan.is_finite_type(g)
+    assert not core.is_finite_type(g)
 
 
 def test_a2_positives_by_hand():
@@ -427,8 +427,8 @@ def test_coroots_form_the_dual_root_system():
     # the coroot coordinate vectors must reproduce, as a set, the roots of
     # the transposed Cartan matrix (an independent generation path)
     for family, rank in cartan.catalog_types(max_rank=4):
-        g = cartan.catalog(family, rank)
-        dual = cartan.validate_gcm([list(row) for row in zip(*g.rows())])
+        g = gcm.catalog(family, rank)
+        dual = axioms.validate_gcm([list(row) for row in zip(*g.rows())])
         dual_roots = {r.coords for r in generate_roots(dual).roots}
         coroots = {r.coroot for r in generate_roots(g).roots}
         assert coroots == dual_roots, (family, rank)
@@ -439,7 +439,7 @@ def test_support_travels_along_strings():
     # point beta + i*delta on the surviving ranges keeps both gamma and
     # delta in its support (exhaustive, rank <= 4)
     for family, rank in cartan.catalog_types(max_rank=4):
-        rs = generate_roots(cartan.catalog(family, rank))
+        rs = generate_roots(gcm.catalog(family, rank))
         for delta in rs.simples:
             d = delta.coords.index(1)
             for beta in rs.positives:

@@ -7,21 +7,20 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import cartan, cosets, weyl
+from weylkit import axioms, cartan, cosets, gcm, weyl
 from weylkit.checks import IndexOutOfRange, NotAWeight
+from weylkit.cosets import CapExceeded, poincare_series, weyl_order
 from weylkit.roots import generate_roots
-from weylkit.weyl import (CapExceeded, NotInRhoOrbit, WeylElement,
-                          demazure_product, element_from_word,
-                          enumerate_weyl, is_reduced, poincare_polynomial,
-                          poincare_series, reduced_word, reflect,
-                          simple_reflections, weyl_order, word_from_vector)
+from weylkit.weyl import (NotInRhoOrbit, WeylElement, demazure_product, element_from_word,
+                          enumerate_weyl, is_reduced, poincare_polynomial, reduced_word,
+                          reflect, simple_reflections, word_from_vector)
 
 from oracles import (coset_chain, dihedral_lengths, rho_orbit_layers,
                      symmetric_group_lengths, tuple_walk, weyl_order_closed_form)
 
 
 def _rs(label):
-    return generate_roots(cartan.parse_type(label))
+    return generate_roots(gcm.parse_type(label))
 
 
 # -- reflect ------------------------------------------------------------
@@ -110,7 +109,7 @@ CLOSED_FORM_DEGREES = {
 
 def test_degrees_match_closed_forms_all_types():
     for family, rank in cartan.catalog_types(max_rank=8):
-        rs = generate_roots(cartan.catalog(family, rank))
+        rs = generate_roots(gcm.catalog(family, rank))
         degrees = cosets.degrees(rs)
         assert degrees == CLOSED_FORM_DEGREES[family](rank), (family, rank)
         assert weyl_order(rs) == weyl_order_closed_form(family, rank), (family, rank)
@@ -130,9 +129,9 @@ WIDE_LABELS = ["+".join(["A1"] * 12), "A2+G2+B3+A1+A1+A1"]
 
 def test_each_element_generated_once_matches_bfs_oracle():
     for label in SMALL_LABELS:
-        gcm = cartan.parse_type(label)
-        group = enumerate_weyl(generate_roots(gcm))
-        expected = rho_orbit_layers(gcm)
+        c = gcm.parse_type(label)
+        group = enumerate_weyl(generate_roots(c))
+        expected = rho_orbit_layers(c)
         assert len(group.layers) == len(expected), label
         for k, (layer, oracle) in enumerate(zip(group.layers, expected)):
             rows = [tuple(r) for r in layer.tolist()]
@@ -162,24 +161,24 @@ def _degree_product(rs):
 
 def test_histogram_is_product_of_degree_q_integers():
     for family, rank in cartan.catalog_types(max_rank=7):
-        rs = generate_roots(cartan.catalog(family, rank))
-        if weyl_order(rs) > weyl.DEFAULT_CAP:
+        rs = generate_roots(gcm.catalog(family, rank))
+        if weyl_order(rs) > cosets.DEFAULT_CAP:
             continue
         assert enumerate_weyl(rs).histogram == _degree_product(rs), (family, rank)
 
 
 # -- the Poincare series from the degrees ----------------------------------
 
-def _relabel(gcm, seed):
-    """gcm with its nodes in a seeded random order."""
-    perm = list(range(gcm.n))
+def _relabel(c, seed):
+    """c with its nodes in a seeded random order."""
+    perm = list(range(c.n))
     random.Random(seed).shuffle(perm)
-    return cartan.validate_gcm([[gcm[a][b] for b in perm] for a in perm])
+    return axioms.validate_gcm([[c[a][b] for b in perm] for a in perm])
 
 
-def _relabelled(gcm, seed):
-    """The root system of gcm with its nodes in a seeded random order."""
-    return generate_roots(_relabel(gcm, seed))
+def _relabelled(c, seed):
+    """The root system of c with its nodes in a seeded random order."""
+    return generate_roots(_relabel(c, seed))
 
 
 def test_poincare_series_is_the_enumerated_histogram():
@@ -187,19 +186,19 @@ def test_poincare_series_is_the_enumerated_histogram():
     # seeded relabellings of each; the histogram is walked once per label,
     # since relabelling the nodes leaves the group and its lengths alone
     labels = [f"{f}{r}" for f, r in cartan.catalog_types(max_rank=8)
-              if weyl_order_closed_form(f, r) <= weyl.DEFAULT_CAP]
+              if weyl_order_closed_form(f, r) <= cosets.DEFAULT_CAP]
     for label in dict.fromkeys(labels + SMALL_LABELS + WIDE_LABELS):
-        gcm = cartan.parse_type(label)
-        histogram = enumerate_weyl(generate_roots(gcm)).histogram
-        assert poincare_series(generate_roots(gcm)) == histogram, label
+        c = gcm.parse_type(label)
+        histogram = enumerate_weyl(generate_roots(c)).histogram
+        assert poincare_series(generate_roots(c)) == histogram, label
         for seed in range(1, 6):
-            assert poincare_series(_relabelled(gcm, seed)) == histogram, (label, seed)
+            assert poincare_series(_relabelled(c, seed)) == histogram, (label, seed)
 
 
 def test_coset_chain_is_product_of_degree_q_integers():
     # the chain skips the admission, so it reaches past the cap
     for family, rank in cartan.catalog_types(max_rank=12) + [("E", 8)]:
-        rs = generate_roots(cartan.catalog(family, rank))
+        rs = generate_roots(gcm.catalog(family, rank))
         assert coset_chain(rs.gcm) == _degree_product(rs), (family, rank)
 
 
@@ -212,11 +211,11 @@ def test_degree_product_is_the_coset_chain():
     labels += [f"{f}{r}" for f in "ABCD" for r in range(10, 21)]
     labels += ["G2+F4", "B3+C4+G2", "D30+D30"]
     for label in labels:
-        gcm = cartan.parse_type(label)
-        chain = coset_chain(gcm)
-        assert cosets._q_product(cosets.matrix_degrees(gcm)) == chain, label
-        for seed in range(1, 4) if gcm.n <= 9 or "+" in label else ():
-            relabelled = _relabel(gcm, seed)
+        c = gcm.parse_type(label)
+        chain = coset_chain(c)
+        assert cosets._q_product(cosets.matrix_degrees(c)) == chain, label
+        for seed in range(1, 4) if c.n <= 9 or "+" in label else ():
+            relabelled = _relabel(c, seed)
             assert cosets._q_product(cosets.matrix_degrees(relabelled)) == chain, (label, seed)
 
 
@@ -224,7 +223,7 @@ def _outcome(count, rs, cap):
     """The histogram a count gives, or its error's class, fields and message."""
     try:
         result = count(rs, cap)
-    except weyl.WeylError as exc:
+    except cosets.WeylError as exc:
         return type(exc), vars(exc), str(exc)
     return result if isinstance(result, list) else result.histogram
 
@@ -243,7 +242,7 @@ def test_poincare_series_shares_the_layer_bound(monkeypatch):
         monkeypatch.setattr(cosets, "MAX_LAYER_BYTES", bound)
         got = _outcome(poincare_series, rs, None)
         assert got == _outcome(enumerate_weyl, rs, None), bound
-        assert (got[0] is weyl.LayersTooLarge) == (bound < 288), bound
+        assert (got[0] is cosets.LayersTooLarge) == (bound < 288), bound
 
 
 @pytest.mark.parametrize("label, poincare", [("E6", list), ("D60", str)])
@@ -253,7 +252,7 @@ def test_weyl_counts_reads_the_degrees_once(label, poincare, monkeypatch):
     calls, degrees = [], cosets.matrix_degrees
     monkeypatch.setattr(cosets, "matrix_degrees", lambda c: calls.append(c) or degrees(c))
     monkeypatch.setattr(cosets, "degrees", None)
-    order, num_positive, _, poly = cosets.weyl_counts(cartan.parse_type(label), None)
+    order, num_positive, _, poly = cosets.weyl_counts(gcm.parse_type(label), None)
     assert len(calls) == 1
     assert isinstance(poly, poincare) and order == prod(degrees(calls[0]))
     assert num_positive == _rs(label).num_positive
@@ -277,17 +276,17 @@ def test_cap_is_checked_from_the_order_before_any_work():
     # before numpy is imported or a layer built
     code = (
         "import sys\n"
-        "from weylkit import cartan, roots, weyl\n"
-        "rs = roots.generate_roots(cartan.parse_type('E8'))\n"
+        "from weylkit import cosets, gcm, roots, weyl\n"
+        "rs = roots.generate_roots(gcm.parse_type('E8'))\n"
         "try:\n"
         "    weyl.enumerate_weyl(rs)\n"
-        "except weyl.CapExceeded as exc:\n"
+        "except cosets.CapExceeded as exc:\n"
         "    print(exc.cap, 'numpy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(weyl.DEFAULT_CAP), "False"]
+    assert proc.stdout.split() == [str(cosets.DEFAULT_CAP), "False"]
 
 
 def test_elements_are_distinct_and_lengths_match_layers():
@@ -403,7 +402,7 @@ M_TABLE = {0: 2, 1: 3, 2: 4, 3: 6}
 
 def test_braid_orders_rank_up_to_four():
     for family, rank in cartan.catalog_types(max_rank=4):
-        rs = generate_roots(cartan.catalog(family, rank))
+        rs = generate_roots(gcm.catalog(family, rank))
         gens = simple_reflections(rs)
         for i in range(rank):
             for j in range(i + 1, rank):
