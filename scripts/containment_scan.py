@@ -8,11 +8,14 @@ containment counts printed at the end are the combinatorial content of the
 one-step cohomology case analysis; any violation raises KeyLemmaViolation.
 
 Every check depends only on a word's graded multiset and on whether the
-simple root's letter occurs in it, so the scan walks distinct states per
-length and takes its totals from the number of words reaching each; the
-walk pushes each distinct (state, letter) once per weight. A failing check
-names the type, the weight and one word reaching the state; that context
-is formatted only when a check fails.
+simple root's letter occurs in it, so the scan walks the distinct states:
+each comes once, with the number of words up to the length that reach it
+(the totals are taken from these counts) and one shortest such word. The
+walk pushes each distinct (multiset, letter) once per weight. The weights
+a state may hold are built once per weight and letter answer, and one pass
+over a state's entries tests the containment and the gamma0 multiplicity
+and sums its graded entries. A failing check names the type, the weight
+and that word; the context is formatted only when a check fails.
 
 Usage: python scripts/containment_scan.py [max_word_length]
 """
@@ -41,16 +44,23 @@ def scan(max_len: int) -> None:
         pushes = 0
         entries = 0
         for lam, i in weights:
+            # letter occurs -> (the weights a state may hold, gamma0: the one
+            # weight it must hold once, None for minus a non-simple root)
+            allowed = {False: (minus_npp, None)} if i is None else {
+                hit: (minus_npp | {gamma0}, gamma0) for hit, gamma0 in [(False, lam), (True, zero)]}
             words = 0
             for word, gw, hit, count in pushforward_states(rs, lam, max_len, i):
                 words += count
-                pushes += count
-                entries += count * sum(gw.values())
-                gamma0 = set() if i is None else {zero if hit else lam}
+                contained, gamma0 = allowed[hit]
+                size = mult = 0
                 try:
-                    if not {w for (w, _) in gw} <= minus_npp | gamma0:
-                        raise KeyLemmaViolation("weight outside the containment")
-                    if sum(m for (w, _), m in gw.items() if w in gamma0) != len(gamma0):
+                    for (w, _), m in gw.items():
+                        if w not in contained:
+                            raise KeyLemmaViolation("weight outside the containment")
+                        size += m
+                        if w == gamma0:
+                            mult += m
+                    if gamma0 is not None and mult != 1:
                         raise KeyLemmaViolation("gamma0 multiplicity not 1")
                     # the degree-zero invariants: zero weight only in degree 1,
                     # once if the letter occurs and not at all otherwise
@@ -59,6 +69,8 @@ def scan(max_len: int) -> None:
                     # the context is formatted only for a failing state
                     raise KeyLemmaViolation(
                         f"{exc} for {label} weight {lam} word {word}") from None
+                entries += count * size
+            pushes += words
         grand += pushes
         print(f"{label:>3}: {words:5d} words, {pushes:6d} pushforwards, "
               f"{entries:8d} graded entries, all contained")

@@ -16,18 +16,20 @@ up across steps and multiplicities are tracked as a Counter keyed by
 (weight, degree); no cancellation between degrees is modeled.
 
 The multiset of (i,) + w depends only on the multiset of w, so
-``pushforward_states`` walks distinct states rather than words, counting the
-words that reach each one, and pushes each distinct (state, letter) once per
-call however often the state comes back; the containment scan uses it. A
-step that would produce more than ``MAX_STEP_WEIGHTS`` weights, or take the
-sum over a call's steps past ``MAX_PUSH_WEIGHTS``, raises
-PushforwardTooLarge before it starts. Each public function checks its
-words, weights and letter at entry, before any step. ``chi_restriction``
-restricts a weight to a word; the factors a p-morphism puts on a word's
-letters are kept with p-morphisms.
+``pushforward_states`` walks distinct states rather than words: each comes
+once, with the number of words of any length up to the bound that reach it
+and one shortest such word, and each distinct (multiset, letter) is pushed
+once per call however often the state comes back; the containment scan uses
+it. Within one call, each (weight, letter) step is computed once. A step
+that would produce more than ``MAX_STEP_WEIGHTS`` weights, or take the sum
+over a call's steps past ``MAX_PUSH_WEIGHTS``, raises PushforwardTooLarge
+before it starts. Each public function checks its words, weights and letter
+at entry, before any step. ``chi_restriction`` restricts a weight to a
+word; the factors a p-morphism puts on a word's letters are kept with
+p-morphisms.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterator
 
 from .checks import check_index, check_weight, check_word
@@ -75,34 +77,35 @@ def pushforward_step(rs: RootSystem, weight, i: int) -> tuple[int, list[Coords]]
 
 
 def _step(alpha: Coords, w: Coords, i: int) -> tuple[int, list[Coords]]:
+    # w - k alpha for k = 0..l, or for k = -1 down to l + 1 in degree 1
     l = w[i]
-    if l >= 0:
-        return 0, [tuple(x - k * a for x, a in zip(w, alpha)) for k in range(l + 1)]
-    if l == -1:
-        return 0, []
-    return 1, [tuple(x + k * a for x, a in zip(w, alpha)) for k in range(1, -l)]
+    ks = range(l + 1) if l >= 0 else range(-1, l, -1)
+    return int(l < -1), [tuple(x - k * a for x, a in zip(w, alpha)) for k in ks]
 
 
 def pushforward_multiset(rs: RootSystem, word, entries: GradedWeights) -> GradedWeights:
     """Push an existing graded multiset down a word, last letter first."""
     word = check_word(rs.rank, word)
-    cur = Counter({(check_weight(rs, w), d): m for (w, d), m in entries.items()})
-    return _push(rs, word, cur)
+    cur = {(check_weight(rs, w), d): m for (w, d), m in entries.items()}
+    return Counter(_push(rs, word, cur, {}))
 
 
-def _push(rs: RootSystem, word: Word, cur: GradedWeights) -> GradedWeights:
+def _push(rs: RootSystem, word: Word, cur: dict, memo: dict) -> dict:
+    # memo: letter -> weight -> that step's (degree increment, weights)
     total = 0
     for letter in reversed(word):
-        size = sum(max(w[letter] + 1, -w[letter] - 1) for w, _ in cur)
+        size = sum(abs(w[letter] + 1) for w, _ in cur)
         total += size
         if size > MAX_STEP_WEIGHTS:
             raise PushforwardTooLarge("a pushforward step", size, MAX_STEP_WEIGHTS)
         if total > MAX_PUSH_WEIGHTS:
             raise PushforwardTooLarge("the whole pushforward", total, MAX_PUSH_WEIGHTS)
-        nxt: GradedWeights = Counter()
-        alpha = rs.gcm[letter]
+        nxt: dict = defaultdict(int)
+        steps = memo.setdefault(letter, {})
         for (w, d), mult in cur.items():
-            inc, weights = _step(alpha, w, letter)
+            if w not in steps:
+                steps[w] = _step(rs.gcm[letter], w, letter)
+            inc, weights = steps[w]
             for img in weights:
                 nxt[(img, d + inc)] += mult
         cur = nxt
@@ -111,7 +114,7 @@ def _push(rs: RootSystem, word: Word, cur: GradedWeights) -> GradedWeights:
 
 def pushforward_word(rs: RootSystem, word, weight) -> GradedWeights:
     """Graded weight multiset of a weight pushed down the whole word."""
-    return _push(rs, check_word(rs.rank, word), Counter({(check_weight(rs, weight), 0): 1}))
+    return Counter(_push(rs, check_word(rs.rank, word), {(check_weight(rs, weight), 0): 1}, {}))
 
 
 def pushforward_states(rs: RootSystem, weight, max_len: int, letter: int | None
@@ -120,49 +123,51 @@ def pushforward_states(rs: RootSystem, weight, max_len: int, letter: int | None
 
     The multiset of (i,) + w is w's pushed one more step along i, and
     ``letter`` (None: no letter) occurs in (i,) + w iff it is i or occurs in
-    w. So each length 0..max_len keeps each state once, with one of its
-    words and their number. A state that comes back at a later length, or
-    with the other answer for ``letter``, is not pushed again: each distinct
-    (multiset, i) goes through the budgeted walk once per call, and later
-    children are copied from what that push gave, in the same order. A
-    state's children are built before it is yielded and every yielded
-    multiset is a fresh Counter, so the caller may change what it is handed.
-    The weight and the letter are checked before the first state, whatever
-    ``max_len``.
+    w. So the walk carries, length by length, the number of words of each
+    length that reach each state, along a table from (multiset, i) to the
+    child multiset, and each distinct state comes once, after the walk, with
+    the number of words of length <= ``max_len`` that reach it and one
+    shortest such word. Each distinct (multiset, i) below the last length
+    goes through the budgeted push once per call, and the one-step images of
+    each (weight, i) are computed once per call. Every yielded multiset is a
+    fresh Counter. The weight and the letter are checked before the first
+    state, whatever ``max_len``.
 
     >>> from weylkit.gcm import parse_type
     >>> from weylkit.roots import generate_roots
     >>> rs = generate_roots(parse_type("A2"))
-    >>> [(w, dict(gw), hit, n) for w, gw, hit, n
-    ...  in pushforward_states(rs, (-2, 1), 2, 0) if len(w) == 2]
-    [((0, 0), {((0, 0), 1): 1}, True, 3), ((1, 1), {((-2, 1), 0): 1, ((-1, -1), 0): 1}, False, 1)]
+    >>> for w, gw, hit, n in pushforward_states(rs, (-2, 1), 2, 0):
+    ...     print(w, sorted(gw.items()), hit, n)
+    () [(((-2, 1), 0), 1)] False 1
+    (0,) [(((0, 0), 1), 1)] True 4
+    (1,) [(((-2, 1), 0), 1), (((-1, -1), 0), 1)] False 2
     """
-    start = Counter({(check_weight(rs, weight), 0): 1})
+    start = frozenset({((check_weight(rs, weight), 0), 1)})
     if letter is not None:
         check_index(rs, letter)
-    # (state, i) -> the state pushed along i: its key and an ordered snapshot
-    pushed: dict = {}
-    level = {(frozenset(start.items()), False): [(), start, 1]}
+    # (multiset, letter occurs) -> a shortest word; (multiset, i) -> child
+    words, children, memo = {(start, False): ()}, {}, {}
+    counts, level = defaultdict(int), {(start, False): 1}
     for length in range(max_len + 1):
-        nxt: dict = {}
-        for (state, hit), (word, gw, count) in level.items():
+        nxt: dict = defaultdict(int)
+        for (state, hit), count in level.items():
+            counts[state, hit] += count
+            word = words[state, hit]
             for i in range(rs.rank if length < max_len else 0):
-                child, fresh = pushed.get((state, i)), None
-                if child is None:
-                    fresh = _push(rs, (i,), gw)
-                    child = pushed[state, i] = (frozenset(fresh.items()), dict(fresh))
-                key = (child[0], hit or i == letter)
-                if key in nxt:
-                    nxt[key][2] += count
-                else:
-                    nxt[key] = [(i,) + word, fresh or Counter(child[1]), count]
-            yield word, gw, hit, count
+                if (state, i) not in children:
+                    children[state, i] = frozenset(_push(rs, (i,), dict(state), memo).items())
+                key = (children[state, i], hit or i == letter)
+                nxt[key] += count
+                if key not in words:
+                    words[key] = (i,) + word
         level = nxt
+    for (state, hit), count in counts.items():
+        yield words[state, hit], Counter(dict(state)), hit, count
 
 
 def sorted_entries(gw: GradedWeights) -> list[tuple[Coords, int, int]]:
     """Deterministic (weight, degree, multiplicity) listing."""
-    return [(w, d, m) for (w, d), m in sorted(gw.items(), key=lambda kv: (kv[0][1], kv[0][0]))]
+    return [(w, d, m) for (w, d), m in sorted(gw.items(), key=lambda kv: kv[0][::-1])]
 
 
 def word_report(rs: RootSystem, word: Word, weight) -> dict:
@@ -215,10 +220,7 @@ def last_occurrence(word, b: int) -> int | None:
     (3, None)
     """
     word = tuple(word)
-    for pos in range(len(word), 0, -1):
-        if word[pos - 1] == b:
-            return pos
-    return None
+    return len(word) - word[::-1].index(b) if b in word else None
 
 
 def chi_restriction(rs: RootSystem, word, weight) -> list[tuple[int, int]]:
@@ -229,9 +231,4 @@ def chi_restriction(rs: RootSystem, word, weight) -> list[tuple[int, int]]:
     coefficients are dropped with them.
     """
     word, w = check_word(rs.rank, word), check_weight(rs, weight)
-    out = []
-    for b in range(rs.rank):
-        pos = last_occurrence(word, b)
-        if pos is not None and w[b] != 0:
-            out.append((pos, w[b]))
-    return out
+    return [(last_occurrence(word, b), w[b]) for b in range(rs.rank) if b in word and w[b]]

@@ -20,8 +20,8 @@ trial division instead of Miller-Rabin, a loop over all bijections and q
 values instead of the isomorphism search along Dynkin edges between nodes
 of one degree with q read off the symmetrizer, a walk over every word of
 the suffix trie and a per-length walk that pushes every state afresh
-instead of the walk over distinct word states that pushes each (state,
-letter) once, root data written out root by root (coordinates, C times the
+instead of the walk over distinct word states that sums word counts over
+lengths and pushes each (state, letter) once, root data written out root by root (coordinates, C times the
 coroot, a fraction solve per root) instead of a root system carried onto a
 pinning, the short-root ideal check as an all-pairs bracket loop, a short x
 short square loop and a Steinberg check per triple instead of one string
@@ -583,7 +583,7 @@ def pushforward_suffixes(rs, weight, max_len: int):
     Parents come before their children, and a word's children are pushed
     before the word is yielded, so the caller may change what it is handed.
 
-    >>> from weylkit.cartan import parse_type
+    >>> from weylkit.gcm import parse_type
     >>> from weylkit.roots import generate_roots
     >>> rs = generate_roots(parse_type("A1"))
     >>> [(w, dict(gw)) for w, gw in pushforward_suffixes(rs, (-2,), 2)]

@@ -175,9 +175,10 @@ sys.stderr.write(json.dumps(seen) + "\n")
 
 # the AST nodes of weylkit source each subcommand compiles on Python 3.11,
 # the figures it reached once every module imported only the names it
-# reads; README's table keeps the figures of earlier layouts
+# reads (bs-weights: once the state walk summed word counts over lengths);
+# README's table keeps the figures of earlier layouts beside these
 NODES = {"roots": 5_608, "weyl": 4_879, "dim": 7_096, "vol": 7_096, "selfcheck": 8_988,
-         "bs-weights": 7_772, "datum": 11_115, "classify": 10_409, "isogeny enumerate": 13_032,
+         "bs-weights": 7_762, "datum": 11_115, "classify": 10_409, "isogeny enumerate": 13_032,
          "isogeny validate": 14_133, "chevalley check": 7_817}
 STDIN_IDS = {NOT_A_GCM: "classify-not-a-gcm", AFFINE_A2: "classify-affine-a2",
              TRUNCATED: "classify-truncated-json", E6_RELABELLED: "classify-relabelled-e6"}
@@ -237,6 +238,44 @@ def test_readme_module_table_is_the_subcommand_rows():
     expected |= {f"classify ({outcome})": extra
                  for outcome, (_, _, extra) in CLASSIFY_OUTCOMES.items()}
     assert rows == expected
+
+
+def test_readme_compile_table_now_column_is_the_guard_bounds():
+    # each row: | `sub` | ... | now |, a classify row naming its outcome and
+    # a row of a request beside the subcommand rows giving its whole argv
+    text = (ROOT / "README.md").read_text()
+    table = text.split("of weylkit source each request compiles", 1)[1].split("\n\n", 2)[1]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        cells = line.strip().strip("|").split("|")
+        for sub, outcome in re.findall(r"`([^`]+)`(?: \(([^)]+)\))?", cells[0]):
+            name = f"{sub} ({outcome})" if sub == "classify" else sub
+            rows[name] = int(cells[-1].replace(" ", ""))
+    outcomes = {stdin: outcome for outcome, (stdin, _, _) in CLASSIFY_OUTCOMES.items()}
+    bounds = {}
+    for argv, bound, stdin in COMPILE_CASES:
+        if stdin is not None:
+            name = f"classify ({outcomes[stdin]})"
+        elif argv in [a for a, _ in SUBCOMMANDS]:
+            name = "classify (finite)" if argv[0] == "classify" else subcommand(argv)
+        else:
+            name = " ".join(argv)
+        assert bounds.setdefault(name, bound) == bound, name
+    assert {name: bounds.get(name) for name in rows} == rows
+    assert {subcommand(argv) for argv, _ in SUBCOMMANDS} - {"classify"} <= rows.keys()
+    assert {f"classify ({outcome})" for outcome in CLASSIFY_OUTCOMES} <= rows.keys()
+
+
+def test_readme_python_blocks_run_in_a_fresh_interpreter():
+    # the library tour reads names from the package; a rename it misses
+    # fails here rather than in a reader's hands
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_classify_of_d7_runs_no_rootdata_and_no_numpy():

@@ -274,12 +274,36 @@ def test_suffix_walk_matches_per_word_pushforward(label):
 
 # -- the state walk -------------------------------------------------------
 
+def _walk_pushes(monkeypatch):
+    # counts each budgeted push by (multiset pushed, word)
+    push, calls = pushforward._push, Counter()
+
+    def counted(rs_, word, cur, memo):
+        calls[frozenset(cur.items()), word] += 1
+        return push(rs_, word, cur, memo)
+
+    monkeypatch.setattr(pushforward, "_push", counted)
+    return calls
+
+
+def _steps(monkeypatch):
+    # counts each one-step image computed, by (weight, letter)
+    step, calls = pushforward._step, Counter()
+
+    def counted(alpha, w, i):
+        calls[w, i] += 1
+        return step(alpha, w, i)
+
+    monkeypatch.setattr(pushforward, "_step", counted)
+    return calls
+
+
 @pytest.mark.parametrize("label", IRREDUCIBLE_RANK3)
 def test_state_walk_counts_the_per_word_states(label):
     # minus every positive root, tracking every letter and no letter: each
-    # (length, multiset, letter occurs) comes once, with the number of words
-    # whose per-word pushforward gives it, and the word it names is one of
-    # them, though every multiset the walk hands out is cleared
+    # (multiset, letter occurs) comes once, with the number of words of
+    # length <= 4 whose per-word pushforward gives it, and the word it names
+    # is a shortest one of them, though every multiset handed out is cleared
     rs = _rs(label)
     words = list(_words_up_to(rs.rank, 4))
     for r in rs.positives:
@@ -287,12 +311,15 @@ def test_state_walk_counts_the_per_word_states(label):
         pushed = {word: frozenset(pushforward_word(rs, word, lam).items())
                   for word in words}
         for letter in [None, *range(rs.rank)]:
-            expected = Counter((len(word), pushed[word], occurs(word, letter))
-                               for word in words)
+            expected = Counter((pushed[word], occurs(word, letter)) for word in words)
+            shortest = {}
+            for word in words:
+                shortest.setdefault((pushed[word], occurs(word, letter)), len(word))
             seen = Counter()
             for word, gw, hit, count in pushforward_states(rs, lam, 4, letter):
-                key = (len(word), frozenset(gw.items()), hit)
-                assert key not in seen and key[1:] == (pushed[word], occurs(word, letter))
+                key = (frozenset(gw.items()), hit)
+                assert key not in seen and key == (pushed[word], occurs(word, letter))
+                assert len(word) == shortest[key], (lam, letter, word)
                 seen[key] = count
                 gw.clear()
             assert seen == expected, (lam, letter)
@@ -301,57 +328,92 @@ def test_state_walk_counts_the_per_word_states(label):
 
 @pytest.mark.parametrize("label", IRREDUCIBLE_RANK3)
 def test_state_walk_totals_match_the_suffix_walk(label):
-    # words and graded entries per length, as the containment scan sums them
+    # words and graded entries over all lengths, as the containment scan
+    # sums them
     rs = _rs(label)
     for r in rs.positives:
         lam = _neg(r.weight)
         trie = Counter()
         for word, gw in pushforward_suffixes(rs, lam, 6):
-            trie[len(word), "words"] += 1
-            trie[len(word), "entries"] += sum(gw.values())
+            trie["words"] += 1
+            trie["entries"] += sum(gw.values())
         states = Counter()
         for word, gw, _, count in pushforward_states(rs, lam, 6, None):
-            states[len(word), "words"] += count
-            states[len(word), "entries"] += count * sum(gw.values())
+            states["words"] += count
+            states["entries"] += count * sum(gw.values())
         assert states == trie, lam
 
 
 @pytest.mark.parametrize("label", IRREDUCIBLE_RANK3)
-def test_state_walk_matches_the_per_length_walk(label):
-    # the same states in the same order, each with the same word, entries in
-    # the same order, letter answer and count as pushing every state afresh
+def test_state_walk_matches_the_per_length_walk(label, monkeypatch):
+    # minus every positive root, every letter and none, lengths 0-6: the
+    # per-length walk's counts summed over lengths, each word a shortest one
+    # that reaches its state, each multiset a fresh Counter, and one push
+    # per distinct (multiset, letter) below the last length
     rs = _rs(label)
+    calls = _walk_pushes(monkeypatch)
     for r in rs.positives:
         lam = _neg(r.weight)
         for letter in [None, *range(rs.rank)]:
-            got = [(w, list(gw.items()), hit, n)
-                   for w, gw, hit, n in pushforward_states(rs, lam, 5, letter)]
-            want = [(w, list(gw.items()), hit, n)
-                    for w, gw, hit, n in pushforward_states_per_length(rs, lam, 5, letter)]
-            assert got == want, (lam, letter)
+            # (multiset, letter occurs) -> words reaching it by length
+            per_length: dict = {}
+            for w, gw, hit, n in pushforward_states_per_length(rs, lam, 6, letter):
+                per_length.setdefault((frozenset(gw.items()), hit), Counter())[len(w)] = n
+            for max_len in range(7):
+                calls.clear()
+                states = list(pushforward_states(rs, lam, max_len, letter))
+                pushed = dict(calls)
+                want = {key: sum(n for length, n in by_length.items() if length <= max_len)
+                        for key, by_length in per_length.items()
+                        if min(by_length) <= max_len}
+                got, pairs = {}, set()
+                for word, gw, hit, count in states:
+                    key = (frozenset(gw.items()), hit)
+                    assert len(word) == min(per_length[key]), (lam, letter, word)
+                    assert pushforward_word(rs, word, lam) == gw and occurs(word, letter) == hit
+                    if len(word) < max_len:
+                        pairs.update((key[0], (i,)) for i in range(rs.rank))
+                    got[key] = count
+                assert got == want and len(got) == len(states), (lam, letter, max_len)
+                assert all(type(gw) is Counter for _, gw, _, _ in states)
+                assert len({id(gw) for _, gw, _, _ in states}) == len(states)
+                assert set(pushed) == pairs and set(pushed.values()) <= {1}, (lam, max_len)
 
 
 @pytest.mark.parametrize("label", IRREDUCIBLE_RANK3)
 def test_state_walk_pushes_each_state_and_letter_once(label, monkeypatch):
     # one budgeted push per distinct (multiset, letter) below the last
-    # length, however often the state comes back, even if the caller
-    # clears what it is handed
+    # length, however often the state comes back, and one step per distinct
+    # (weight, letter) over the whole walk, even if the caller clears what
+    # it is handed
     rs = _rs(label)
-    push, calls = pushforward._push, Counter()
-
-    def counted(rs_, word, cur):
-        calls[frozenset(cur.items()), word] += 1
-        return push(rs_, word, cur)
-
-    monkeypatch.setattr(pushforward, "_push", counted)
+    calls, steps = _walk_pushes(monkeypatch), _steps(monkeypatch)
     for r in rs.positives:
         calls.clear()
+        steps.clear()
         pairs = set()
         for word, gw, _, _ in pushforward_states(rs, _neg(r.weight), 5, 0):
             if len(word) < 5:
                 pairs.update((frozenset(gw.items()), (i,)) for i in range(rs.rank))
             gw.clear()
         assert set(calls) == pairs and set(calls.values()) == {1}, r.weight
+        assert set(steps.values()) == {1}, r.weight
+        assert set(steps) == {(w, i) for cur, (i,) in pairs for w, _ in dict(cur)}
+
+
+def test_a_word_pushforward_steps_with_a_memo_of_its_own(monkeypatch):
+    # within one call each (weight, letter) is stepped once; the next call
+    # steps afresh
+    steps = _steps(monkeypatch)
+    rs = _rs("A1")
+    # (2,) -> (2,), (0,), (-2,); then (2,) and (0,) come back, and (-2,) -> (0,)
+    word = (0, 0, 0)
+    gw = pushforward_word(rs, word, (2,))
+    assert steps == {((2,), 0): 1, ((0,), 0): 1, ((-2,), 0): 1}
+    assert pushforward_word(rs, word, (2,)) == gw
+    assert set(steps.values()) == {2}
+    assert pushforward_multiset(rs, word, Counter({((2,), 0): 1})) == gw
+    assert set(steps.values()) == {3}
 
 
 def test_zero_weight_rank_rejects_broken_multisets():
@@ -414,8 +476,10 @@ def test_containment_scan_names_the_failing_state(monkeypatch):
     broke = []
 
     def broken(rs, lam, max_len, letter):
+        # A1's words (0,) and (0, 0) reach one state, named by (0,)
         for word, gw, hit, count in states(rs, lam, max_len, letter):
-            if len(word) == 2:
+            if len(word) == 1:
+                assert gw == pushforward_word(rs, word, lam) and count == 2
                 broke.append((lam, word))
                 gw[(1,) * rs.rank, 0] += 1
             yield word, gw, hit, count
@@ -423,8 +487,8 @@ def test_containment_scan_names_the_failing_state(monkeypatch):
     monkeypatch.setattr(scan, "pushforward_states", broken)
     with pytest.raises(KeyLemmaViolation) as err:
         scan.scan(2)
-    assert broke == [((-2,), (0, 0))]
-    assert str(err.value) == "weight outside the containment for A1 weight (-2,) word (0, 0)"
+    assert broke == [((-2,), (0,))]
+    assert str(err.value) == "weight outside the containment for A1 weight (-2,) word (0,)"
 
     def unranked(gw, hit, where=""):
         raise KeyLemmaViolation(f"zero weight at degree 0{where}")
